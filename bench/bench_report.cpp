@@ -8,12 +8,6 @@
 //     and timer-cadence (100 µs) shapes, with the timer-shape speedup
 //     ratio gated — the default backend must not lose to the binary heap
 //     on the traffic it exists for;
-//   * batched-dispatch drain cost: bursts of 4096 due events 1 ns apart
-//     drained in one run_until. dispatch_batch_speedup compares the
-//     pre-batching configuration (binary heap, batch 1 — the seed
-//     engine's dispatch path) against the default backend at the default
-//     batch, and is gated >= 1.3; the batching-only amortization ratio
-//     (default backend, batch 1 vs batched) is recorded alongside;
 //   * a fig05-sized sweep (PARSEC x {baseline,PLE,RelaxedCo,IRS} x
 //     {1,2,4}-inter x seeds) timed serially (1 job) and with the parallel
 //     sweep pool (IRS_BENCH_JOBS or 8), with a bit-identity check between
@@ -159,36 +153,6 @@ double timed_sweep(std::vector<exp::ScenarioConfig> grid, std::size_t capacity,
   return wall_seconds(t0);
 }
 
-/// ns per dispatched event draining a burst of kDrainWindow due events
-/// 1 ns apart in one run_until — the batched-dispatch headline shape
-/// (BM_EngineDispatchBatch). Refill-one-dispatch-one (above) hands
-/// pop_batch a single due event per call; here whole scratch-loads come
-/// out of one virtual call, and on the wheel backend the adaptive retune
-/// engages after the first windows (gap EWMA ~1 ns -> narrow buckets), so
-/// this measures the steady state of batching + adaptive geometry
-/// together. Only the drain is timed; scheduling happens off the clock.
-double measure_dispatch_batch_ns(sim::QueueKind kind, std::size_t batch) {
-  sim::Engine eng(kind);
-  eng.set_dispatch_batch(batch);
-  std::uint64_t sink = 0;
-  constexpr int kWindow = 4096;
-  constexpr int kWindows = 400;
-  double total = 0;
-  for (int w = 0; w < kWindows; ++w) {
-    const sim::Time base = eng.now();
-    for (int i = 0; i < kWindow; ++i) {
-      eng.schedule(i + 1, [&] { ++sink; });
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    eng.run_until(base + kWindow + 1);
-    total += wall_seconds(t0);
-  }
-  constexpr std::uint64_t kTotal =
-      static_cast<std::uint64_t>(kWindow) * kWindows;
-  if (sink != kTotal) std::abort();  // keep the loop honest
-  return total / static_cast<double>(kTotal) * 1e9;
-}
-
 /// Extract "key": <number> from a previous report; NaN when absent.
 double read_metric(const std::string& path, const std::string& key) {
   std::ifstream in(path);
@@ -234,29 +198,6 @@ int main(int argc, char** argv) {
   // The headline old-vs-new ratio: timer-cadence traffic is what the
   // default wheel backend exists for; >1 means it beats the binary heap.
   const double dq_speedup = dq_binary_timer / dq_default_timer;
-
-  // Batched-dispatch drain microbench. Same alternating-arm discipline:
-  // the "before" (binary heap, batch 1 — the dispatch configuration every
-  // PR before batching shipped with) and the two "after" arms run
-  // back-to-back within each rep, minima kept.
-  std::cerr << "[bench_report] batched-dispatch drain microbench...\n";
-  const std::size_t default_batch = sim::Engine::default_dispatch_batch();
-  double db_binary_b1 = 0, db_default_b1 = 0, db_default_batched = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const double bb1 =
-        measure_dispatch_batch_ns(sim::QueueKind::kBinaryHeap, 1);
-    const double db1 = measure_dispatch_batch_ns(default_kind, 1);
-    const double dbb = measure_dispatch_batch_ns(default_kind, default_batch);
-    if (rep == 0 || bb1 < db_binary_b1) db_binary_b1 = bb1;
-    if (rep == 0 || db1 < db_default_b1) db_default_b1 = db1;
-    if (rep == 0 || dbb < db_default_batched) db_default_batched = dbb;
-  }
-  // The gated before/after ratio (tight drain shape): unbatched binary
-  // heap vs the default backend at the default batch.
-  const double dispatch_batch_speedup = db_binary_b1 / db_default_batched;
-  // Batching alone, same backend — how much of the win the pop_batch
-  // amortisation contributes (informational).
-  const double dispatch_batch_amortization = db_default_b1 / db_default_batched;
 
   const int seeds = exp::bench_seeds();
   const bool fast = std::getenv("IRS_BENCH_FAST") != nullptr;
@@ -690,14 +631,6 @@ int main(int argc, char** argv) {
       << "  \"deepqueue_ns_binary_tight\": " << dq_binary_tight << ",\n"
       << "  \"deepqueue_ns_default_tight\": " << dq_default_tight << ",\n"
       << "  \"deepqueue_speedup_vs_binary\": " << dq_speedup << ",\n"
-      << "  \"dispatch_batch\": " << default_batch << ",\n"
-      << "  \"dispatch_batch_ns_binary_b1\": " << db_binary_b1 << ",\n"
-      << "  \"dispatch_batch_ns_default_b1\": " << db_default_b1 << ",\n"
-      << "  \"dispatch_batch_ns_default_batched\": " << db_default_batched
-      << ",\n"
-      << "  \"dispatch_batch_amortization\": " << dispatch_batch_amortization
-      << ",\n"
-      << "  \"dispatch_batch_speedup\": " << dispatch_batch_speedup << ",\n"
       << "  \"sweep_runs\": " << grid.size() << ",\n"
       << "  \"sweep_shard\": \"" << shard_str << "\",\n"
       << "  \"sweep_shard_ndjson_status\": " << shard_ndjson_status << ",\n"
@@ -759,10 +692,6 @@ int main(int argc, char** argv) {
             << "ns/event binary vs " << dq_default_timer << "ns/event "
             << default_name << " (" << dq_speedup << "x); tight: "
             << dq_binary_tight << "ns vs " << dq_default_tight << "ns\n"
-            << "batched drain: " << db_binary_b1 << "ns/event binary/b1 vs "
-            << db_default_batched << "ns/event " << default_name << "/b"
-            << default_batch << " (" << dispatch_batch_speedup
-            << "x; batching alone " << dispatch_batch_amortization << "x)\n"
             << "sweep: " << serial_sec << "s serial vs " << par_sec << "s @ "
             << jobs << " jobs (" << serial_sec / par_sec << "x), "
             << (bit_identical ? "bit-identical" : "RESULTS DIVERGED!") << "\n"
@@ -813,20 +742,6 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: deep-queue timer shape regressed vs the binary "
               << "heap (" << dq_binary_timer << "ns -> " << dq_default_timer
               << "ns, ratio " << dq_speedup << ")\n";
-    return 1;
-  }
-  // Batched dispatch must beat the pre-batching configuration (binary
-  // heap, single pops) by >= 1.3x on the tight drain shape — the headline
-  // this PR's engine rework is gated on. Skipped when the default backend
-  // IS the binary heap (IRS_ENGINE_QUEUE=binary), where only the batching
-  // amortisation applies, and when batching is disabled (IRS_ENGINE_BATCH=1).
-  constexpr double kDispatchBatchGate = 1.3;
-  if (default_kind != sim::QueueKind::kBinaryHeap && default_batch > 1 &&
-      dispatch_batch_speedup < kDispatchBatchGate) {
-    std::cerr << "FAIL: batched drain speedup " << dispatch_batch_speedup
-              << "x below the " << kDispatchBatchGate << "x gate ("
-              << db_binary_b1 << "ns/event binary/b1 -> "
-              << db_default_batched << "ns/event batched)\n";
     return 1;
   }
   if (!shard_ndjson_ok) {

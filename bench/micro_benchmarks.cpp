@@ -72,10 +72,7 @@ void BM_EngineDeepQueue(benchmark::State& state) {
   const auto kind = static_cast<sim::QueueKind>(state.range(0));
   const sim::Duration spacing =
       state.range(1) == 0 ? 1 : sim::microseconds(100);
-  const std::size_t batch =
-      state.range(2) == 0 ? 1 : sim::kDefaultDispatchBatch;
   sim::Engine eng(kind);
-  eng.set_dispatch_batch(batch);
   std::uint64_t sink = 0;
   for (int i = 0; i < 512; ++i) {
     eng.schedule((i + 1) * spacing, [&] { ++sink; });
@@ -88,50 +85,12 @@ void BM_EngineDeepQueue(benchmark::State& state) {
   eng.run();
   benchmark::DoNotOptimize(sink);
   state.SetLabel(std::string(eng.queue_name()) +
-                 (state.range(1) == 0 ? "/tight" : "/timer") +
-                 (state.range(2) == 0 ? "/b1" : "/batched"));
+                 (state.range(1) == 0 ? "/tight" : "/timer"));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EngineDeepQueue)
-    ->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 1}})
-    ->ArgNames({"backend", "shape", "batch"});
-
-/// The batched-dispatch headline shape: a burst of kDrainWindow due events
-/// 1 ns apart, drained in one run_until. Refill-one-dispatch-one (above)
-/// pays the batch setup for a single due event; here pop_batch serves
-/// whole scratch-loads from the wheel's sorted open bucket, so the
-/// per-event virtual-call and merge cost amortises to ~1/batch. The engine
-/// persists across iterations, so on the wheel backend the adaptive
-/// retune (gap EWMA ~1 ns -> narrow buckets) engages after the first
-/// drains — the same steady state bench_report's dispatch_batch_speedup
-/// gate measures.
-constexpr int kDrainWindow = 4096;
-
-void BM_EngineDispatchBatch(benchmark::State& state) {
-  const auto kind = static_cast<sim::QueueKind>(state.range(0));
-  const std::size_t batch =
-      state.range(1) == 0 ? 1 : sim::kDefaultDispatchBatch;
-  sim::Engine eng(kind);
-  eng.set_dispatch_batch(batch);
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    const sim::Time base = eng.now();
-    for (int i = 0; i < kDrainWindow; ++i) {
-      eng.schedule(i + 1, [&] { ++sink; });
-    }
-    state.ResumeTiming();
-    eng.run_until(base + kDrainWindow + 1);
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetLabel(std::string(eng.queue_name()) +
-                 (state.range(1) == 0 ? "/b1" : "/batched"));
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * kDrainWindow);
-}
-BENCHMARK(BM_EngineDispatchBatch)
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
-    ->ArgNames({"backend", "batch"});
+    ->ArgNames({"backend", "shape"});
 
 void BM_RngU64(benchmark::State& state) {
   sim::Rng rng(42);

@@ -4,11 +4,10 @@
 # -DIRS_SANITIZE=address: obs_pipeline_asan (the trace pipeline hands
 # pointers between staging buffers, the shared ring, and exporters),
 # engine_queue_asan (wheel buckets / due list / compaction move raw
-# 24-byte entries), and engine_batch_asan (pop_batch scratch copies,
-# half-consumed tail re-pushes, calendar bulk migration), and
-# forensics_asan (the request-forensics replay indexes flat per-vCPU/task
-# state by trace ids and reads half-open spans after ring wrap, fuzzed
-# over randomized ring capacities), and frontend_asan (the bounded accept
+# 24-byte entries), and forensics_asan (the request-forensics replay
+# indexes flat per-vCPU/task state by trace ids and reads half-open spans
+# after ring wrap, fuzzed over randomized ring capacities), and
+# frontend_asan (the bounded accept
 # FIFO's push/pop churn and lazily sized per-connection keepalive
 # counters under the overload fault matrix), and cluster_asan (replica
 # gates are heap booleans captured by parked behaviors and migration

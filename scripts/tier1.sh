@@ -36,19 +36,46 @@ for pol in random irs; do
       build/cluster_smoke_trace.json > /dev/null
 done
 
+# Bad-config smoke: each input must exit 2 with a message, never crash.
+for bad in "--inter 9" "--inter -1" "--bg-vms -3" "--cluster-policy bogus"; do
+  status=0
+  # shellcheck disable=SC2086  # word-split the flag and its value
+  ./build/tools/irs_trace_dump $bad build/bad_config_trace.json \
+      > /dev/null 2>&1 || status=$?
+  if [[ "$status" != 2 ]]; then
+    echo "FAIL: irs_trace_dump $bad exited $status, want 2" >&2
+    exit 1
+  fi
+done
+
 # Engine deep-queue bench smoke: every EventQueue backend variant (binary,
-# quad, wheel x tight/timer shapes, batching off/on) must run clean. The
-# old-vs-new ratios the perf trajectory tracks are recorded in
-# BENCH_sweep.json as deepqueue_speedup_vs_binary and
-# dispatch_batch_speedup by bench/bench_report, which gates on both.
+# quad, wheel x tight/timer shapes) must run clean. The old-vs-new ratio
+# the perf trajectory tracks is recorded in BENCH_sweep.json as
+# deepqueue_speedup_vs_binary by bench/bench_report, which gates on it.
 ./build/bench/micro_benchmarks --benchmark_filter=BM_EngineDeepQueue \
     --benchmark_min_time=0.05
 
-# Gate check: bench_report fails (exit 1) if dispatch_batch_speedup < 1.3
-# or deepqueue_speedup_vs_binary < 0.9, or any determinism/overhead gate
-# trips (including the SLO recording-overhead, histogram-memory,
-# cross-shard fold-identity, and open-loop front-end per-request overhead
-# gates). IRS_BENCH_FAST keeps the sweep portion smoke-sized.
+# Queue oracle on whole grids: the default hybrid wheel must produce
+# byte-identical NDJSON to the binary-heap oracle on a compute grid
+# (fig05) and the multi-host grid (fig_cluster).
+for fig in fig05 fig_cluster; do
+  for q in binary wheel; do
+    IRS_ENGINE_QUEUE="$q" ./build/tools/irs_sweep --fig "$fig" --jobs 4 \
+        --ndjson "build/oracle_${fig}_${q}.ndjson" > /dev/null
+  done
+  a=$(md5sum < "build/oracle_${fig}_binary.ndjson")
+  b=$(md5sum < "build/oracle_${fig}_wheel.ndjson")
+  if [[ "$a" != "$b" ]]; then
+    echo "FAIL: $fig NDJSON differs between the binary and wheel queues" >&2
+    exit 1
+  fi
+done
+
+# Gate check: bench_report fails (exit 1) if deepqueue_speedup_vs_binary
+# < 0.9, or any determinism/overhead gate trips (including the SLO
+# recording-overhead, histogram-memory, cross-shard fold-identity, and
+# open-loop front-end per-request overhead gates). IRS_BENCH_FAST keeps
+# the sweep portion smoke-sized.
 IRS_BENCH_FAST=1 ./build/bench/bench_report build/BENCH_tier1_smoke.json
 
 # Optional UBSan pass (separate build tree, ~one extra compile): set

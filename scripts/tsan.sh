@@ -3,7 +3,7 @@
 # a separate build tree and run the sweep determinism suite plus the
 # observability pipeline (sampler/trace/export) under the pool — the
 # sweep_determinism_tsan, obs_pipeline_tsan, engine_queue_tsan,
-# engine_batch_tsan, forensics_tsan (per-run trace replay + fold/digest
+# forensics_tsan (per-run trace replay + fold/digest
 # under worker threads), frontend_tsan (the open-loop front-end's
 # shared accept pipe/FIFO/ledger under the sweep pool), and cluster_tsan
 # (N HostNodes on one engine plus the cluster determinism battery across
@@ -13,4 +13,4 @@ cd "$(dirname "$0")/.."
 
 cmake -B build-tsan -S . -DIRS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j --target irs_tests
-cd build-tsan && ctest --output-on-failure -R 'sweep_determinism_tsan|obs_pipeline_tsan|engine_queue_tsan|engine_batch_tsan|forensics_tsan|frontend_tsan|cluster_tsan'
+cd build-tsan && ctest --output-on-failure -R 'sweep_determinism_tsan|obs_pipeline_tsan|engine_queue_tsan|forensics_tsan|frontend_tsan|cluster_tsan'

@@ -116,12 +116,7 @@ void Cluster::run_for(sim::Duration d) {
 
 bool Cluster::run_until_finished(CvmId vm, sim::Duration timeout) {
   assert(started_);
-  core::HostNode& n = node(vm.host);
-  const sim::Time deadline = eng_.now() + timeout;
-  eng_.run_while([&]() {
-    return !n.workloads_finished(vm.vm) && eng_.now() < deadline;
-  });
-  return n.workloads_finished(vm.vm);
+  return core::run_until_finished(node(vm.host), vm.vm, timeout);
 }
 
 core::VmMetrics Cluster::vm_metrics(CvmId vm) const {

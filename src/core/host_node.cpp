@@ -191,6 +191,21 @@ bool HostNode::workloads_finished(hv::VmId vm) const {
   return workloads_finished(slot(vm, "workloads_finished"));
 }
 
+bool run_until_finished(HostNode& node, hv::VmId vm, sim::Duration timeout) {
+  assert(node.started());
+  if (node.workloads_finished(vm)) return true;
+  sim::Engine& eng = node.engine();
+  guest::GuestKernel& k = node.kernel(vm);
+  // Only a task finishing can flip workloads_finished, so this hook sees
+  // the moment it becomes true.
+  k.set_on_task_finished([&](guest::Task&) {
+    if (node.workloads_finished(vm)) eng.stop();
+  });
+  eng.run_until(eng.now() + timeout);
+  k.set_on_task_finished(nullptr);
+  return node.workloads_finished(vm);
+}
+
 sim::Duration HostNode::fair_share(const Slot& s,
                                    sim::Duration elapsed) const {
   // Pinned topology: each vCPU is entitled to an equal split of its pCPU

@@ -112,4 +112,10 @@ class HostNode {
   bool started_ = false;
 };
 
+/// Advance `node`'s engine until every bounded workload on `vm` has
+/// finished or `timeout` elapses; returns whether they finished. The run
+/// ends through Engine::stop() from the VM kernel's task-finished hook, so
+/// the clock stays at the finishing event. World and Cluster share this.
+bool run_until_finished(HostNode& node, hv::VmId vm, sim::Duration timeout);
+
 }  // namespace irs::core

@@ -23,12 +23,7 @@ World::World(WorldConfig cfg) : eng_(cfg.queue) {
 World::~World() = default;
 
 bool World::run_until_finished(hv::VmId vm, sim::Duration timeout) {
-  assert(node_->started());
-  const sim::Time deadline = eng_.now() + timeout;
-  eng_.run_while([&]() {
-    return !node_->workloads_finished(vm) && eng_.now() < deadline;
-  });
-  return node_->workloads_finished(vm);
+  return core::run_until_finished(*node_, vm, timeout);
 }
 
 void World::run_for(sim::Duration d) {

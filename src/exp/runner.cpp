@@ -413,6 +413,14 @@ bool results_identical(const RunResult& a, const RunResult& b) {
 }
 
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture) {
+  if (cfg.n_inter < 0) {
+    throw std::invalid_argument("run_scenario: n_inter must be >= 0 (got " +
+                                std::to_string(cfg.n_inter) + ")");
+  }
+  if (cfg.n_bg_vms < 0) {
+    throw std::invalid_argument("run_scenario: n_bg_vms must be >= 0 (got " +
+                                std::to_string(cfg.n_bg_vms) + ")");
+  }
   if (cfg.cluster.n_hosts >= 2) return run_cluster(cfg, capture);
   return run_single(cfg, capture);
 }

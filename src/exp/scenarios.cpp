@@ -64,18 +64,19 @@ MigrationLatencyResult fig1b_migration_latency(int n_colocated_vms,
     // arbitrary phases of the 30 ms scheduling pattern.
     world.run_for(sim::milliseconds(17) + (i * 7919) % 23 * sim::kMillisecond);
     sim::Duration measured = -1;
-    k.cpu(0).request_stop_migration(victim, 1,
-                                    [&](sim::Duration d) { measured = d; });
+    k.cpu(0).request_stop_migration(victim, 1, [&](sim::Duration d) {
+      measured = d;
+      world.engine().stop();
+    });
     // Run until the callback fires.
-    world.engine().run_while([&]() { return measured < 0; });
+    world.engine().run();
     total_ms += sim::to_ms(measured);
     result.max_ms = std::max(result.max_ms, sim::to_ms(measured));
     ++result.samples;
     // Move the task back to vCPU 0 (from the quiet side this is fast).
-    sim::Duration back = -1;
-    k.cpu(victim.cpu())
-        .request_stop_migration(victim, 0, [&](sim::Duration d) { back = d; });
-    world.engine().run_while([&]() { return back < 0; });
+    k.cpu(victim.cpu()).request_stop_migration(
+        victim, 0, [&](sim::Duration) { world.engine().stop(); });
+    world.engine().run();
   }
   result.mean_ms = total_ms / std::max(1, result.samples);
   return result;

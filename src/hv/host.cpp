@@ -1,6 +1,8 @@
 #include "src/hv/host.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "src/hv/delay_preempt.h"
 #include "src/hv/event_channel.h"
@@ -62,6 +64,25 @@ const StrategyStats& Host::strategy_stats() const {
 }
 
 Vm& Host::add_vm(const VmConfig& vm_cfg) {
+  // Validated before any state changes, in every build: a pin past the
+  // last pCPU would index the scheduler's per-pCPU tables out of bounds.
+  if (!vm_cfg.pin_map.empty()) {
+    if (vm_cfg.pin_map.size() < static_cast<std::size_t>(vm_cfg.n_vcpus)) {
+      throw std::invalid_argument(
+          "VM '" + vm_cfg.name + "': pin_map has " +
+          std::to_string(vm_cfg.pin_map.size()) + " entries but the VM has " +
+          std::to_string(vm_cfg.n_vcpus) + " vCPUs");
+    }
+    for (int i = 0; i < vm_cfg.n_vcpus; ++i) {
+      const PcpuId p = vm_cfg.pin_map[static_cast<std::size_t>(i)];
+      if (p < 0 || p >= n_pcpus()) {
+        throw std::invalid_argument(
+            "VM '" + vm_cfg.name + "': vCPU " + std::to_string(i) +
+            " pinned to pCPU " + std::to_string(p) + ", but the host has " +
+            std::to_string(n_pcpus()) + " pCPUs");
+      }
+    }
+  }
   const VmId id = static_cast<VmId>(vm_storage_.size());
   vm_storage_.push_back(std::make_unique<Vm>(id, vm_cfg));
   Vm& vm = *vm_storage_.back();
@@ -71,10 +92,7 @@ Vm& Host::add_vm(const VmConfig& vm_cfg) {
     vcpus_.push_back(std::make_unique<Vcpu>(vid, &vm, i));
     Vcpu& v = *vcpus_.back();
     if (!vm_cfg.pin_map.empty()) {
-      assert(static_cast<std::size_t>(i) < vm_cfg.pin_map.size() &&
-             "pin_map must cover every vCPU");
       const PcpuId p = vm_cfg.pin_map[static_cast<std::size_t>(i)];
-      assert(p >= 0 && p < n_pcpus());
       v.set_affinity({p});
       v.set_resident(p);
     } else {

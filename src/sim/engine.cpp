@@ -1,7 +1,5 @@
 #include "src/sim/engine.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "src/sim/trace.h"
@@ -20,10 +18,6 @@ EventHandle Engine::schedule_at(Time when, Callback fn, const char* label) {
   s.fn = std::move(fn);
   s.label = label;
   queue_->push(QEntry{when, next_seq_++, slot, s.gen});
-  // Batch-order guard: remember the earliest in-batch schedule so the
-  // dispatch loop can interleave the queue before a later scratch entry.
-  // One predictable compare outside a batch (min_batch_push_ is kTimeMax).
-  if (when < min_batch_push_) min_batch_push_ = when;
   return EventHandle{this, slot, s.gen};
 }
 
@@ -50,13 +44,6 @@ void Engine::cancel_event(std::uint32_t slot, std::uint32_t gen) {
   if (!event_pending(slot, gen)) return;
   release_slot(slot);
   ++cancelled_shells_;  // the queue entry stays behind as a stale shell
-  // Deferred while a batch is in flight: a cancelled entry may sit in the
-  // dispatch scratch, where compact() cannot reach it (the loop runs the
-  // trigger again between batches).
-  if (!in_batch_) maybe_compact();
-}
-
-void Engine::maybe_compact() {
   // The trigger (shells > size/2 with size >= kCompactMinQueue) requires
   // more than kCompactShellFloor shells, so skip the queue-size query — a
   // virtual call — until that is even possible.
@@ -84,125 +71,43 @@ bool Engine::peek_live(QEntry* out) {
   return false;
 }
 
-void Engine::dispatch_entry(const QEntry& e) {
-  // Move the callback out and free the slot *before* invoking: the
-  // callback may itself schedule (reusing this slot) or cancel, and a
-  // handle to this event must already read !pending() while it runs.
-  Callback fn = std::move(slots_[e.slot].fn);
-  release_slot(e.slot);
-  // Inter-dispatch gap EWMA (alpha = 1/8), the retune input. Depends only
-  // on the dispatch order, so it is identical across queue backends and
-  // batch sizes.
-  const Time gap = e.when - now_;
-  gap_ewma_ += (gap - gap_ewma_) >> 3;
-  now_ = e.when;
-  ++dispatched_;
-  fn();
-}
-
-bool Engine::dispatch_one() {
-  if (in_batch_) flush_batch_tail();  // nested run: make the queue whole
+bool Engine::dispatch_loop(Time deadline, std::uint64_t max_events) {
+  const std::uint64_t start = dispatched_;
   QEntry e;
-  while (queue_->pop(&e)) {
-    if (event_pending(e.slot, e.gen)) {
-      dispatch_entry(e);
-      return true;
-    }
-    --cancelled_shells_;  // discard the stale shell
-  }
-  return false;
-}
-
-void Engine::flush_batch_tail() {
-  for (std::size_t i = batch_pos_; i < batch_len_; ++i) {
-    queue_->push(batch_buf_[i]);
-  }
-  batch_pos_ = 0;
-  batch_len_ = 0;
-  in_batch_ = false;
-  min_batch_push_ = kTimeMax;
-}
-
-void Engine::drain_before(Time when) {
-  QEntry e;
-  while (dispatched_ < budget_end_ && queue_->pop_until(when - 1, &e)) {
+  while (!stop_ && dispatched_ - start < max_events &&
+         queue_->pop_until(deadline, &e)) {
     if (!event_pending(e.slot, e.gen)) {
       --cancelled_shells_;  // discard the stale shell
       continue;
     }
-    dispatch_entry(e);
+    // Move the callback out and free the slot *before* invoking: the
+    // callback may itself schedule (reusing this slot) or cancel, and a
+    // handle to this event must already read !pending() while it runs.
+    Callback fn = std::move(slots_[e.slot].fn);
+    release_slot(e.slot);
+    now_ = e.when;
+    ++dispatched_;
+    fn();
   }
-  // Everything strictly before `when` has fired (unless the budget cut the
-  // drain short, in which case the caller stops anyway), so the watermark
-  // can rise to `when`: a same-timestamp schedule orders after the scratch
-  // entry by seq and needs no drain.
-  if (dispatched_ < budget_end_) min_batch_push_ = when;
-}
-
-std::uint64_t Engine::dispatch_loop(Time deadline, std::uint64_t max_events) {
-  if (in_batch_) flush_batch_tail();  // nested run: make the queue whole
-  const std::uint64_t start = dispatched_;
-  const std::uint64_t saved_budget = budget_end_;  // restored for nesting
-  budget_end_ = (max_events > UINT64_MAX - dispatched_)
-                    ? UINT64_MAX
-                    : dispatched_ + max_events;
-  while (dispatched_ < budget_end_) {
-    batch_len_ = queue_->pop_batch(deadline, batch_buf_.data(),
-                                   batch_buf_.size());
-    if (batch_len_ == 0) break;
-    batch_pos_ = 0;
-    in_batch_ = true;
-    min_batch_push_ = kTimeMax;
-    while (batch_pos_ < batch_len_ && dispatched_ < budget_end_) {
-      const QEntry e = batch_buf_[batch_pos_];
-      if (!event_pending(e.slot, e.gen)) {
-        --cancelled_shells_;  // stale shell popped into the scratch
-        ++batch_pos_;
-        continue;
-      }
-      if (min_batch_push_ < e.when) {
-        // An earlier callback scheduled before this entry: fire everything
-        // strictly before it so the global {when, seq} order holds.
-        drain_before(e.when);
-        if (!in_batch_) break;  // a nested run flushed the scratch
-        if (dispatched_ >= budget_end_) break;
-        if (!event_pending(e.slot, e.gen)) {
-          --cancelled_shells_;  // a drained event cancelled this entry
-          ++batch_pos_;
-          continue;
-        }
-      }
-      // Consume before invoking: if the callback starts a nested run, the
-      // flushed tail must exclude this (already firing) entry.
-      ++batch_pos_;
-      dispatch_entry(e);
-    }
-    if (!in_batch_) continue;  // scratch flushed by a nested run
-    if (batch_pos_ < batch_len_) {
-      flush_batch_tail();  // budget stop mid-batch: re-queue the tail
-      break;
-    }
-    batch_pos_ = 0;
-    batch_len_ = 0;
-    in_batch_ = false;
-    min_batch_push_ = kTimeMax;
-    maybe_compact();  // deferred shell-ratio trigger (see cancel_event)
-  }
-  budget_end_ = saved_budget;
-  return dispatched_ - start;
+  const bool stopped = stop_;
+  stop_ = false;
+  return stopped;
 }
 
 std::uint64_t Engine::run_until(Time deadline) {
-  const std::uint64_t n = dispatch_loop(deadline, UINT64_MAX);
-  if (now_ < deadline) now_ = deadline;
-  maybe_retune();
-  return n;
+  const std::uint64_t start = dispatched_;
+  if (!dispatch_loop(deadline, UINT64_MAX) && now_ < deadline) {
+    now_ = deadline;
+  }
+  return dispatched_ - start;
 }
 
 Engine::RunOutcome Engine::run(std::uint64_t max_events) {
   RunOutcome out;
-  out.dispatched = dispatch_loop(kTimeMax, max_events);
-  if (out.dispatched >= max_events) {
+  const std::uint64_t start = dispatched_;
+  const bool stopped = dispatch_loop(kTimeMax, max_events);
+  out.dispatched = dispatched_ - start;
+  if (!stopped && out.dispatched >= max_events) {
     QEntry e;
     if (peek_live(&e)) {
       out.budget_exhausted = true;
@@ -212,52 +117,7 @@ Engine::RunOutcome Engine::run(std::uint64_t max_events) {
       }
     }
   }
-  maybe_retune();
   return out;
-}
-
-bool Engine::run_while(const std::function<bool()>& keep_going) {
-  while (keep_going()) {
-    if (!dispatch_one()) return false;  // drained before predicate flipped
-  }
-  return true;
-}
-
-void Engine::maybe_retune() {
-  if (retune_period_ == 0 ||
-      dispatched_ - last_retune_dispatched_ < retune_period_) {
-    return;
-  }
-  last_retune_dispatched_ = dispatched_;
-  QueueGeometry geo;
-  if (queue_->retune(gap_ewma_, &geo)) {
-    // Recorded so a run's geometry history is reproducible from its trace.
-    // Identical across batch sizes: the retune offer happens at the end of
-    // a run (scratch empty), where queue contents, gap_ewma_, and
-    // dispatched_ are all batch-size independent.
-    if (trace_ != nullptr) {
-      trace_->record(now_, TraceKind::kQueueGeometry, geo.shift, -1,
-                     "wheel retune");
-    }
-  }
-}
-
-void Engine::set_dispatch_batch(std::size_t n) {
-  if (in_batch_) flush_batch_tail();  // resize invalidates the scratch
-  n = std::clamp<std::size_t>(n, 1, kMaxDispatchBatch);
-  batch_buf_.assign(n, QEntry{});
-}
-
-std::size_t Engine::default_dispatch_batch() {
-  static const std::size_t n = [] {
-    const char* s = std::getenv("IRS_ENGINE_BATCH");
-    if (s == nullptr) return kDefaultDispatchBatch;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1) return kDefaultDispatchBatch;
-    return std::min(static_cast<std::size_t>(v), kMaxDispatchBatch);
-  }();
-  return n;
 }
 
 }  // namespace irs::sim

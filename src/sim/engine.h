@@ -13,18 +13,13 @@
 //   * the queue stores 24-byte POD entries {when, seq, slot, gen} behind
 //     the sim::EventQueue interface (src/sim/event_queue.h). The default
 //     backend is a near-future timer wheel that absorbs the dense periodic
-//     tick/slice/softirq traffic in O(1), parks far-future events in a
-//     calendar tier, and spills the rest to a 4-ary heap; the original
-//     binary heap remains available as the reference oracle. All backends
-//     dispatch in the identical {when, seq} order, so traces are
-//     bit-identical across them;
-//   * run_until()/run() dispatch in batches: pop_batch() drains up to
-//     dispatch_batch() due entries into a scratch buffer in one virtual
-//     call, and the loop consumes the scratch. Observable behaviour is
-//     identical to single pops for ANY batch size — a low-watermark of
-//     in-batch schedules (min_batch_push_) forces a drain of the queue
-//     whenever a callback schedules ahead of the remaining scratch, and a
-//     nested run() flushes the scratch tail back into the queue first;
+//     tick/slice/softirq traffic in O(1) and spills the rest to a 4-ary
+//     heap; the original binary heap remains available as the reference
+//     oracle. All backends dispatch in the identical {when, seq} order, so
+//     traces are bit-identical across them;
+//   * run_until() and run() share one dispatch loop that pops one due
+//     entry at a time, skips stale shells, and ends when the queue has
+//     nothing due, the event budget is spent, or a callback calls stop();
 //   * cancellation bumps the slot's generation counter, instantly
 //     invalidating every outstanding handle and leaving a stale "shell"
 //     entry in the queue that dispatch skips. When shells outnumber half
@@ -33,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -46,24 +40,6 @@ namespace irs::sim {
 class Engine;
 class Trace;
 struct EngineTestAccess;
-
-/// Default dispatch-batch size: one pop_batch per 64 events amortises the
-/// two virtual calls per event to ~1/32 of one while the 24-byte * 64 =
-/// 1.5 KiB scratch stays well inside L1. Overridable per engine with
-/// set_dispatch_batch() or process-wide via IRS_ENGINE_BATCH.
-inline constexpr std::size_t kDefaultDispatchBatch = 64;
-
-/// Upper bound on the batch size (6 KiB of scratch): past a few hundred
-/// entries the virtual-call amortisation is already ~100% and a bigger
-/// scratch only adds cache pressure and nested-run flush cost.
-inline constexpr std::size_t kMaxDispatchBatch = 256;
-
-/// How many dispatches between offers to retune the queue geometry
-/// (Engine::set_retune_period): rare enough that the retune() virtual
-/// call never shows up in profiles, frequent enough that a workload
-/// phase change (timer cadence -> tight cadence) is picked up within a
-/// few ms of simulated time.
-inline constexpr std::uint64_t kDefaultRetunePeriod = 4096;
 
 /// Handle to a scheduled event, a {slot, generation} reference into the
 /// engine's event pool. Handles are value types: trivially copyable, two
@@ -113,8 +89,7 @@ class Engine {
   /// or IRS_ENGINE_QUEUE when set); tests and benches pass one explicitly.
   Engine() : Engine(default_queue_kind()) {}
   explicit Engine(QueueKind queue_kind)
-      : queue_(make_event_queue(queue_kind)),
-        batch_buf_(default_dispatch_batch()) {}
+      : queue_(make_event_queue(queue_kind)) {}
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -128,8 +103,10 @@ class Engine {
   /// Schedule `fn` at an absolute timestamp (clamped to now()).
   EventHandle schedule_at(Time when, Callback fn, const char* label = "");
 
-  /// Run events until the queue drains or `deadline` passes.
-  /// Returns the number of events dispatched.
+  /// Run events until the queue drains or `deadline` passes, then move the
+  /// clock to `deadline` — unless stop() ended the run, in which case the
+  /// clock stays at the stopping callback's time. Returns the number of
+  /// events dispatched.
   std::uint64_t run_until(Time deadline);
 
   /// Outcome of a bounded run() call.
@@ -148,17 +125,14 @@ class Engine {
   /// bug (runaway loop), not a normal completion.
   RunOutcome run(std::uint64_t max_events = UINT64_MAX);
 
-  /// Dispatch events while `keep_going()` returns true. Returns true if the
-  /// loop stopped because the predicate flipped, false if the queue drained
-  /// first.
-  bool run_while(const std::function<bool()>& keep_going);
+  /// End the innermost running run_until()/run() once the current callback
+  /// returns; the remaining events stay queued for a later run. Called
+  /// outside any run, it ends the next run before its first dispatch.
+  void stop() { stop_ = true; }
 
   /// Number of events waiting to fire (including cancelled shells not yet
-  /// skipped or compacted away), wherever they sit — wheel buckets,
-  /// calendar buckets, and the in-flight dispatch scratch all count.
-  [[nodiscard]] std::size_t queued() const {
-    return queue_->size() + (batch_len_ - batch_pos_);
-  }
+  /// skipped or compacted away), wherever they sit in the queue backend.
+  [[nodiscard]] std::size_t queued() const { return queue_->size(); }
 
   /// Cancelled shells currently sitting in the queue.
   [[nodiscard]] std::size_t cancelled_shells() const {
@@ -175,36 +149,8 @@ class Engine {
   [[nodiscard]] QueueKind queue_kind() const { return queue_->kind(); }
   [[nodiscard]] const char* queue_name() const { return queue_->name(); }
 
-  /// The backend's current wheel geometry (all-zero for heap backends);
-  /// changes only via retune, which records TraceKind::kQueueGeometry.
-  [[nodiscard]] QueueGeometry queue_geometry() const {
-    return queue_->geometry();
-  }
-
-  /// Attach a trace ring for engine-level diagnostics (budget exhaustion,
-  /// queue-geometry retunes).
+  /// Attach a trace ring for engine-level diagnostics (budget exhaustion).
   void set_trace(Trace* trace) { trace_ = trace; }
-
-  /// Events drained per pop_batch call in run_until()/run(). Clamped to
-  /// [1, kMaxDispatchBatch]; 1 degenerates to the single-pop loop.
-  /// Dispatch order and every observable side effect are batch-size
-  /// independent (asserted by the batch oracle property test).
-  void set_dispatch_batch(std::size_t n);
-  [[nodiscard]] std::size_t dispatch_batch() const {
-    return batch_buf_.size();
-  }
-
-  /// Process-wide default batch size: IRS_ENGINE_BATCH when set (clamped
-  /// to [1, kMaxDispatchBatch]), else kDefaultDispatchBatch. Read once.
-  static std::size_t default_dispatch_batch();
-
-  /// Dispatches between geometry-retune offers to the queue backend
-  /// (see EventQueue::retune); 0 disables retuning entirely.
-  void set_retune_period(std::uint64_t period) { retune_period_ = period; }
-
-  /// EWMA of inter-dispatch gaps (ns), the retune input. Identical across
-  /// queue backends and batch sizes because the dispatch order is.
-  [[nodiscard]] Time gap_ewma() const { return gap_ewma_; }
 
  private:
   friend class EventHandle;
@@ -235,36 +181,18 @@ class Engine {
 
   /// Discard stale shells off the queue front so *out is the earliest live
   /// entry; false when no live entry remains. Off the hot path (run()'s
-  /// budget-exhaustion check) — the dispatch loops pop directly.
+  /// budget-exhaustion check) — the dispatch loop pops directly.
   bool peek_live(QEntry* out);
-  /// Consume a popped live entry: free its slot, advance the clock, invoke.
-  void dispatch_entry(const QEntry& e);
   /// Drop every stale shell in one O(n) pass; called lazily when shells
-  /// exceed half the queue (wheel/calendar-resident shells included on
-  /// both sides of that ratio).
+  /// exceed half the queue (wheel-resident shells included on both sides
+  /// of that ratio).
   void compact();
-  /// Run the shell-ratio trigger; deferred while a batch is in flight
-  /// because scratch-resident shells are in cancelled_shells_ but not in
-  /// queue_->size().
-  void maybe_compact();
-  bool dispatch_one();
 
-  /// The batched core of run_until()/run(): dispatch while `when` is
-  /// <= deadline and fewer than max_events have fired. Returns the number
-  /// dispatched (including events fired by drain_before interleaves).
-  std::uint64_t dispatch_loop(Time deadline, std::uint64_t max_events);
-  /// Dispatch every queued entry with `when` strictly before `when` —
-  /// called when an in-batch callback scheduled ahead of the remaining
-  /// scratch, to restore the global {when, seq} order before the next
-  /// scratch entry fires.
-  void drain_before(Time when);
-  /// Push the unconsumed scratch tail back into the queue (the push
-  /// contract allows re-inserting previously popped entries). Restores
-  /// the queue-is-everything invariant for nested runs and budget stops.
-  void flush_batch_tail();
-  /// Offer the backend a geometry retune every retune_period_ dispatches;
-  /// records TraceKind::kQueueGeometry when the backend acts.
-  void maybe_retune();
+  /// The one dispatch loop behind run_until()/run(): pop live entries due
+  /// by `deadline` and invoke them until none is due, `max_events` have
+  /// fired, or a callback calls stop(). Returns true iff stop() ended it
+  /// (and clears the request).
+  bool dispatch_loop(Time deadline, std::uint64_t max_events);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -274,27 +202,7 @@ class Engine {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNpos;
   Trace* trace_ = nullptr;
-
-  // Batched-dispatch state. Entries in batch_buf_[batch_pos_, batch_len_)
-  // have been popped from the queue but not yet dispatched; in_batch_ is
-  // true exactly while that range may be non-empty.
-  std::vector<QEntry> batch_buf_;
-  std::size_t batch_pos_ = 0;
-  std::size_t batch_len_ = 0;
-  bool in_batch_ = false;
-  /// Earliest `when` scheduled since the current scratch was filled; when
-  /// it undercuts the next scratch entry, drain_before() interleaves the
-  /// queue. kTimeMax outside a batch.
-  Time min_batch_push_ = kTimeMax;
-  /// dispatched_ value at which the current bounded run must stop; shared
-  /// with drain_before so interleaved dispatches respect the budget.
-  /// Saved/restored across nested dispatch_loop calls.
-  std::uint64_t budget_end_ = 0;
-
-  // Adaptive-geometry state (see EventQueue::retune).
-  Time gap_ewma_ = 0;
-  std::uint64_t retune_period_ = kDefaultRetunePeriod;
-  std::uint64_t last_retune_dispatched_ = 0;
+  bool stop_ = false;
 };
 
 inline bool EventHandle::pending() const {

@@ -1,9 +1,11 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 namespace irs::sim {
 
@@ -46,16 +48,6 @@ class BinaryHeapQueue final : public EventQueue {
     *out = h_.back();
     h_.pop_back();
     return true;
-  }
-
-  std::size_t pop_batch(Time deadline, QEntry* out, std::size_t max) override {
-    std::size_t k = 0;
-    while (k < max && !h_.empty() && h_.front().when <= deadline) {
-      std::pop_heap(h_.begin(), h_.end(), Later{});
-      out[k++] = h_.back();
-      h_.pop_back();
-    }
-    return k;
   }
 
   [[nodiscard]] std::size_t size() const override { return h_.size(); }
@@ -169,15 +161,6 @@ class QuadHeapQueue final : public EventQueue {
     return true;
   }
 
-  std::size_t pop_batch(Time deadline, QEntry* out, std::size_t max) override {
-    std::size_t k = 0;
-    while (k < max && !h_.empty() && h_.top().when <= deadline) {
-      out[k++] = h_.top();
-      h_.pop();
-    }
-    return k;
-  }
-
   [[nodiscard]] std::size_t size() const override { return h_.size(); }
 
   std::size_t compact(LiveFn live, void* ctx) override {
@@ -189,69 +172,36 @@ class QuadHeapQueue final : public EventQueue {
 };
 
 // ---------------------------------------------------------------------------
-// Hybrid near-future wheel + far-future calendar tier
+// Hybrid near-future wheel + spill heap
 // ---------------------------------------------------------------------------
 
-/// Timer wheel over kWheelBuckets buckets of 2^shift ns (default
-/// kDefaultWheelShift: 131 µs buckets, ~67 ms horizon — see the constant
-/// derivations in event_queue.h), with two backing tiers:
-///
-///   * a calendar queue of kCalBuckets unsorted buckets, each spanning
-///     half a wheel horizon, that absorbs far-future events in O(1) and
-///     bulk-migrates whole buckets into the wheel as the cursor
-///     approaches them (instead of parking them in a heap and paying a
-///     sift per pop);
-///   * an embedded 4-ary spill heap for everything neither tier can hold:
-///     entries at/behind the open bucket and entries beyond the calendar
-///     span.
-///
-/// Placement is governed by the calendar boundary B (`cal_base_` in
-/// calendar-bucket units): wheel-resident entries are strictly below B,
-/// calendar-resident entries are in [B, B + kCalBuckets spans). B is a
-/// multiple of the calendar span, which is a multiple of the bucket
-/// width, so every entry in any calendar bucket is later than every
-/// wheel-resident entry — dispatch never needs to compare against the
-/// calendar, only merge (due front, heap top). B advances (migrating the
-/// bucket it passes) whenever a whole calendar span fits inside the
-/// wheel horizon.
-///
-/// Geometry is adaptive: retune() re-derives `shift_` from the engine's
-/// inter-dispatch gap EWMA, but only when wheel, due list, and calendar
-/// are all empty — no resident entry ever needs re-bucketing, heap
-/// entries are placement-independent, and the pop order is untouched.
+/// Timer wheel over kWheelBuckets buckets of 2^kDefaultWheelShift ns
+/// (131 µs buckets, ~67 ms horizon — see the constant derivations in
+/// event_queue.h), backed by an embedded 4-ary spill heap for every entry
+/// the wheel cannot hold: entries at/behind the open bucket and entries
+/// beyond the horizon. Pops merge the open bucket's sorted due list with
+/// the heap top, so the {when, seq} order is exact whichever side an entry
+/// landed on.
 class HybridWheelQueue final : public EventQueue {
  public:
   void push(const QEntry& e) override {
-    const std::uint64_t idx = static_cast<std::uint64_t>(e.when) >> shift_;
-    if (idx > open_idx_ + kMask && wheel_count_ == 0 && cal_count_ == 0 &&
+    const std::uint64_t idx =
+        static_cast<std::uint64_t>(e.when) >> kDefaultWheelShift;
+    if (idx > open_idx_ + kMask && wheel_count_ == 0 &&
         due_pos_ >= due_.size()) {
-      // Wheel and calendar empty and the event is beyond the horizon
-      // (e.g. after a long idle gap): teleport the cursor so the wheel
-      // keeps absorbing near-future traffic around the new epoch.
+      // Wheel empty and the event is beyond the horizon (e.g. after a long
+      // idle gap): teleport the cursor so the wheel keeps absorbing
+      // near-future traffic around the new epoch.
       open_idx_ = idx - 1;
-      cal_base_ = horizon_end() >> cal_shift();
     }
-    const Time boundary = cal_start();
-    if (e.when < boundary) {
-      if (idx > open_idx_ && idx - open_idx_ <= kMask) {
-        const std::size_t slot = static_cast<std::size_t>(idx) & kMask;
-        buckets_[slot].push_back(e);
-        words_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-        ++wheel_count_;
-        return;
-      }
-    } else {
-      const std::uint64_t cidx =
-          static_cast<std::uint64_t>(e.when) >> cal_shift();
-      if (cidx - cal_base_ < kCalBuckets) {
-        const std::size_t slot = static_cast<std::size_t>(cidx) & kCalMask;
-        cal_[slot].push_back(e);
-        cal_bitmap_ |= std::uint64_t{1} << slot;
-        ++cal_count_;
-        return;
-      }
+    if (idx > open_idx_ && idx - open_idx_ <= kMask) {
+      const std::size_t slot = static_cast<std::size_t>(idx) & kMask;
+      buckets_[slot].push_back(e);
+      words_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+      ++wheel_count_;
+      return;
     }
-    heap_.push(e);  // behind the cursor, or beyond the calendar span
+    heap_.push(e);  // behind the cursor, or beyond the horizon
   }
 
   bool peek(QEntry* out) override {
@@ -280,59 +230,11 @@ class HybridWheelQueue final : public EventQueue {
       *out = heap_.top();
       heap_.pop();
     }
-    anchor_ = out->when;
     return true;
   }
 
-  std::size_t pop_batch(Time deadline, QEntry* out, std::size_t max) override {
-    std::size_t k = 0;
-    while (k < max) {
-      if (!ensure_due()) {
-        // Wheel and calendar drained: only the spill heap remains.
-        while (k < max && !heap_.empty() && heap_.top().when <= deadline) {
-          out[k++] = heap_.top();
-          heap_.pop();
-        }
-        break;
-      }
-      if (heap_.empty()) {
-        // The common batched case: serve a straight run of the sorted
-        // open bucket with no per-entry merge or virtual dispatch.
-        const std::size_t lim = due_.size();
-        while (k < max && due_pos_ < lim && due_[due_pos_].when <= deadline) {
-          out[k++] = due_[due_pos_++];
-        }
-        if (due_pos_ < lim) break;  // stopped by the deadline (or max)
-        continue;                   // bucket exhausted: open the next one
-      }
-      // Both the due list and the heap hold entries: per-entry merge.
-      bool refill = false;
-      while (k < max) {
-        if (entry_before(due_[due_pos_], heap_.top())) {
-          if (due_[due_pos_].when > deadline) break;
-          out[k++] = due_[due_pos_++];
-          if (due_pos_ >= due_.size()) {
-            refill = true;
-            break;
-          }
-        } else {
-          if (heap_.top().when > deadline) break;
-          out[k++] = heap_.top();
-          heap_.pop();
-          if (heap_.empty()) {
-            refill = true;  // fall back to the straight-run loop
-            break;
-          }
-        }
-      }
-      if (!refill) break;  // deadline or max reached
-    }
-    if (k > 0) anchor_ = out[k - 1].when;
-    return k;
-  }
-
   [[nodiscard]] std::size_t size() const override {
-    return heap_.size() + wheel_count_ + cal_count_ + (due_.size() - due_pos_);
+    return heap_.size() + wheel_count_ + (due_.size() - due_pos_);
   }
 
   std::size_t compact(LiveFn live, void* ctx) override {
@@ -369,62 +271,7 @@ class HybridWheelQueue final : public EventQueue {
         words_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
       }
     }
-
-    // Calendar-resident shells: same story one tier further out — a
-    // far-future cancel storm parks its shells here, and both the engine's
-    // shell ratio (via size()) and this sweep must see them.
-    for (std::size_t slot = 0; slot < kCalBuckets; ++slot) {
-      std::vector<QEntry>& b = cal_[slot];
-      if (b.empty()) continue;
-      const std::size_t before = b.size();
-      b.erase(std::remove_if(b.begin(), b.end(),
-                             [&](const QEntry& e) {
-                               return !live(ctx, e.slot, e.gen);
-                             }),
-              b.end());
-      const std::size_t dropped = before - b.size();
-      removed += dropped;
-      cal_count_ -= dropped;
-      if (b.empty()) {
-        cal_bitmap_ &= ~(std::uint64_t{1} << slot);
-      }
-    }
     return removed;
-  }
-
-  bool retune(Time gap_ewma, QueueGeometry* geo) override {
-    // Only at a full-empty rollover point. Emptiness of the bucketed tiers
-    // makes the retune safe (no resident entry needs re-bucketing); also
-    // requiring the spill heap empty makes it *batch-deterministic*: heap
-    // entries would stay ordered across a shift change, but how many
-    // entries sit in the heap vs the wheel depends on how far pop_batch
-    // ran the cursor ahead of the dispatch point, and the retune decision
-    // must be identical for every batch size. Total queue emptiness is
-    // batch-size independent; the split is not.
-    if (!heap_.empty() || wheel_count_ != 0 || cal_count_ != 0 ||
-        due_pos_ < due_.size()) {
-      return false;
-    }
-    const auto gap =
-        static_cast<std::uint64_t>(gap_ewma < 1 ? Time{1} : gap_ewma);
-    // Aim for ~4 inter-event gaps per bucket: floor(log2(gap)) + 2.
-    int want = std::bit_width(gap) - 1 + 2;
-    want = std::clamp(want, kMinWheelShift, kMaxWheelShift);
-    if (want == shift_) return false;
-    shift_ = want;
-    open_idx_ = static_cast<std::uint64_t>(anchor_) >> shift_;
-    cal_base_ = horizon_end() >> cal_shift();
-    *geo = geometry();
-    return true;
-  }
-
-  [[nodiscard]] QueueGeometry geometry() const override {
-    QueueGeometry g;
-    g.shift = shift_;
-    g.bucket_ns = Time{1} << shift_;
-    g.horizon_ns = static_cast<Time>(kWheelBuckets) << shift_;
-    g.calendar_ns = static_cast<Time>(kCalBuckets) << cal_shift();
-    return g;
   }
 
   [[nodiscard]] QueueKind kind() const override {
@@ -435,92 +282,25 @@ class HybridWheelQueue final : public EventQueue {
  private:
   static constexpr std::size_t kMask = kWheelBuckets - 1;
   static constexpr std::size_t kWords = kWheelBuckets / 64;
-  /// Calendar tier: 64 buckets, each spanning half a wheel horizon
-  /// (kWheelBuckets/2 wheel buckets), i.e. ~32 wheel horizons of far-future
-  /// coverage (~2.1 s at the default geometry). Half a horizon guarantees a
-  /// whole calendar bucket always fits inside the wheel when it migrates.
-  static constexpr std::size_t kCalBuckets = 64;
-  static constexpr std::size_t kCalMask = kCalBuckets - 1;
 
-  /// log2 width of one calendar bucket: half the wheel horizon.
-  [[nodiscard]] int cal_shift() const {
-    return shift_ + std::bit_width(kWheelBuckets) - 2;
-  }
-  /// First timestamp past the wheel's current coverage.
-  [[nodiscard]] Time horizon_end() const {
-    return static_cast<Time>((open_idx_ + kMask + 1) << shift_);
-  }
-  /// Calendar boundary B: wheel-resident entries are < this, calendar
-  /// entries >= it.
-  [[nodiscard]] Time cal_start() const {
-    return static_cast<Time>(cal_base_ << cal_shift());
-  }
-
-  /// Advance the calendar boundary while a whole calendar span fits inside
-  /// the wheel horizon, bulk-migrating each matured bucket into the wheel.
-  void advance_boundary() {
-    while ((cal_start() + (Time{1} << cal_shift())) <= horizon_end()) {
-      const std::size_t slot = static_cast<std::size_t>(cal_base_) & kCalMask;
-      ++cal_base_;
-      if (cal_[slot].empty()) continue;
-      migrate_cal_bucket(slot);
-    }
-  }
-
-  /// Scatter one calendar bucket's entries into the wheel in bulk. The
-  /// boundary has already advanced past the bucket, so push() routes every
-  /// entry to a wheel bucket (or, at the open-bucket edge, the heap) —
-  /// never back to the calendar.
-  void migrate_cal_bucket(std::size_t slot) {
-    std::vector<QEntry> moving;
-    moving.swap(cal_[slot]);
-    cal_bitmap_ &= ~(std::uint64_t{1} << slot);
-    cal_count_ -= moving.size();
-    for (const QEntry& e : moving) push(e);
-    // Hand the drained vector's capacity back to the slot so steady-state
-    // calendar traffic stays allocation-free.
-    moving.clear();
-    cal_[slot] = std::move(moving);
-  }
-
-  /// Refill the due list from the next non-empty bucket, pulling matured
-  /// calendar buckets into the wheel as the cursor approaches them.
-  /// Returns true if due_[due_pos_] is valid afterwards.
+  /// Refill the due list from the next non-empty wheel bucket. Returns true
+  /// if due_[due_pos_] is valid afterwards.
   bool ensure_due() {
     if (due_pos_ < due_.size()) return true;
     due_.clear();
     due_pos_ = 0;
-    for (;;) {
-      if (wheel_count_ != 0) {
-        const std::uint64_t idx = next_nonempty();
-        open_idx_ = idx;
-        const std::size_t slot = static_cast<std::size_t>(idx) & kMask;
-        due_.swap(buckets_[slot]);
-        words_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-        wheel_count_ -= due_.size();
-        std::sort(due_.begin(), due_.end(),
-                  [](const QEntry& a, const QEntry& b) {
-                    return entry_before(a, b);
-                  });
-        // The cursor moved, so more of the calendar may fit in the wheel
-        // now. Migrated entries are all >= the boundary and therefore
-        // later than every entry in the just-opened bucket.
-        advance_boundary();
-        return true;
-      }
-      if (cal_count_ != 0) {
-        // Wheel drained up to the boundary: jump the cursor to the
-        // earliest non-empty calendar bucket and migrate it wholesale.
-        const std::uint64_t cidx = next_nonempty_cal();
-        open_idx_ =
-            (cidx << cal_shift()) >> shift_;  // bucket *before* the span
-        if (open_idx_ > 0) --open_idx_;
-        cal_base_ = cidx + 1;
-        migrate_cal_bucket(static_cast<std::size_t>(cidx) & kCalMask);
-        continue;  // wheel_count_ > 0 now (or the entries hit the heap)
-      }
-      return false;
-    }
+    if (wheel_count_ == 0) return false;
+    const std::uint64_t idx = next_nonempty();
+    open_idx_ = idx;
+    const std::size_t slot = static_cast<std::size_t>(idx) & kMask;
+    due_.swap(buckets_[slot]);
+    words_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+    wheel_count_ -= due_.size();
+    std::sort(due_.begin(), due_.end(),
+              [](const QEntry& a, const QEntry& b) {
+                return entry_before(a, b);
+              });
+    return true;
   }
 
   /// Absolute index of the first non-empty wheel bucket strictly after
@@ -545,19 +325,6 @@ class HybridWheelQueue final : public EventQueue {
     std::abort();  // unreachable: wheel_count_ > 0 implies a set bit
   }
 
-  /// Absolute index of the first non-empty calendar bucket at or after
-  /// cal_base_. Requires cal_count_ > 0; every calendar entry is within
-  /// kCalBuckets spans of the boundary.
-  [[nodiscard]] std::uint64_t next_nonempty_cal() const {
-    const std::size_t start = static_cast<std::size_t>(cal_base_) & kCalMask;
-    const std::uint64_t rot = (cal_bitmap_ >> start) |
-                              (start == 0 ? 0 : cal_bitmap_ << (64 - start));
-    const auto delta =
-        static_cast<std::uint64_t>(std::countr_zero(rot));  // rot != 0
-    return cal_base_ + delta;
-  }
-
-  int shift_ = kDefaultWheelShift;
   std::array<std::vector<QEntry>, kWheelBuckets> buckets_;
   std::array<std::uint64_t, kWords> words_{};  // non-empty bucket bitmap
   /// Absolute index of the bucket last drained into `due_` (the "open"
@@ -566,17 +333,8 @@ class HybridWheelQueue final : public EventQueue {
   std::vector<QEntry> due_;  // open bucket, sorted ascending, consumed from
   std::size_t due_pos_ = 0;  // due_pos_
   std::size_t wheel_count_ = 0;  // entries resident in buckets_
-  Time anchor_ = 0;              // `when` of the last entry popped
 
-  std::array<std::vector<QEntry>, kCalBuckets> cal_;  // far-future tier
-  std::uint64_t cal_bitmap_ = 0;  // non-empty calendar bucket bitmap
-  /// Calendar-bucket index of the boundary B (see class comment); depends
-  /// only on open_idx_ and shift_, both initialised above.
-  std::uint64_t cal_base_ =
-      static_cast<std::uint64_t>(horizon_end()) >> cal_shift();
-  std::size_t cal_count_ = 0;  // entries resident in cal_
-
-  QuadHeap heap_;  // behind-the-cursor + beyond-the-calendar spill
+  QuadHeap heap_;  // behind-the-cursor + beyond-the-horizon spill
 };
 
 }  // namespace

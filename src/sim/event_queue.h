@@ -1,11 +1,11 @@
 // Priority-queue backends for the discrete-event engine.
 //
 // The engine's schedule/cancel/dispatch loop is the hottest code in the
-// repo, and everything it needs from a queue is five operations over a
-// 24-byte POD entry: push, peek-min, deadline-bounded pop (single or
-// batched), and an occasional stale-shell compaction sweep. `EventQueue`
-// pins that contract down as a small interface so backends can compete on
-// cache behaviour while the engine's determinism story stays in one place:
+// repo, and everything it needs from a queue is four operations over a
+// 24-byte POD entry: push, peek-min, deadline-bounded pop, and an
+// occasional stale-shell compaction sweep. `EventQueue` pins that contract
+// down as a small interface so backends can compete on cache behaviour
+// while the engine's determinism story stays in one place:
 //
 //   * total order — entries are ordered by {when, seq}; `seq` is the
 //     engine's monotone schedule counter, so same-timestamp events fire in
@@ -16,32 +16,26 @@
 //     and leaving the entry behind as a stale "shell". Backends store
 //     shells like any other entry; the engine discards them on pop and
 //     triggers compact() when shells outnumber half the queue, wherever
-//     they sit (heap, wheel bucket, or calendar bucket).
+//     they sit (heap or wheel bucket).
 //
 // Backends (make_event_queue):
 //   * kBinaryHeap — the original std::push_heap/pop_heap binary heap; kept
 //     as the reference oracle and the "before" of the deep-queue bench.
 //   * kQuadHeap — 4-ary implicit heap. Half the tree depth of a binary
 //     heap, and the four children of a node share at most two cache lines,
-//     so deep-queue sifts touch fewer lines per level.
+//     so deep-queue sifts touch fewer lines per level. A thin wrapper over
+//     the same heap the wheel spills into.
 //   * kHybridWheel — the default: a timestamp-bucketed near-future timer
-//     wheel that absorbs dense periodic tick/slice/softirq traffic in O(1)
-//     pushes, backed by a far-future calendar tier (64 half-horizon
-//     buckets that bulk-migrate into the wheel as they mature) and a 4-ary
-//     spill heap for behind-the-cursor and beyond-calendar entries.
-//     Bucket width is adaptive: retune() re-derives it from the engine's
-//     observed inter-event gap EWMA at safe rollover points (the queue
-//     fully empty), so tight-cadence workloads get
-//     narrow buckets and timer-cadence workloads keep the default
-//     geometry. Buckets are sorted lazily when the dispatch cursor reaches
-//     them, and pops merge-compare the open bucket against the heap top,
-//     preserving the {when, seq} order exactly.
+//     wheel of fixed geometry (kWheelBuckets buckets of 2^kDefaultWheelShift
+//     ns) that absorbs dense periodic tick/slice/softirq traffic in O(1)
+//     pushes, backed by a 4-ary spill heap for entries behind the cursor or
+//     beyond the wheel horizon. Buckets are sorted lazily when the dispatch
+//     cursor reaches them, and pops merge-compare the open bucket against
+//     the heap top, preserving the {when, seq} order exactly.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/sim/time.h"
 
@@ -79,13 +73,6 @@ inline constexpr int kDefaultWheelShift = 17;
 /// credit window) lands inside the wheel instead of spilling.
 inline constexpr std::size_t kWheelBuckets = 512;
 
-/// Bounds for the adaptive bucket shift (see EventQueue::retune):
-/// 2^6 ns = 64 ns buckets at the tight end (sub-µs cadences batch ~dozens
-/// of events per bucket without pathological migration churn) up to
-/// 2^20 ns ≈ 1 ms buckets (horizon ≈ 0.5 s) for very sparse workloads.
-inline constexpr int kMinWheelShift = 6;
-inline constexpr int kMaxWheelShift = 20;
-
 /// 24-byte POD queue entry; cheap to move during sift operations. `slot`
 /// and `gen` identify the engine pool slot the callback lives in; an entry
 /// is live iff the slot's current generation still equals `gen`.
@@ -112,15 +99,6 @@ enum class QueueKind : std::uint8_t {
   kHybridWheel,
 };
 
-/// Snapshot of a backend's internal geometry, for tests and diagnostics.
-/// All-zero for backends without a wheel.
-struct QueueGeometry {
-  int shift = 0;          // log2 of the bucket width in ns
-  Time bucket_ns = 0;     // 1 << shift
-  Time horizon_ns = 0;    // wheel span: kWheelBuckets << shift
-  Time calendar_ns = 0;   // calendar tier span beyond the horizon
-};
-
 /// Minimal priority-queue contract the engine dispatch loop needs.
 /// Entries are opaque to the queue apart from the {when, seq} order;
 /// liveness is the engine's business (see compact()).
@@ -137,19 +115,15 @@ class EventQueue {
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Insert an entry. `e.when` must be >= the `when` of every entry already
-  /// popped, and `e.seq` must never collide with a resident entry's seq.
-  /// Normal scheduling pushes monotone seqs (the engine clamps `when` to
-  /// now() and draws seq from a counter); the engine may also *re-insert*
-  /// entries it previously popped via pop_batch but did not dispatch (a
-  /// nested run or an exhausted event budget) — those arrive with older
-  /// seqs, which every backend must order correctly.
+  /// popped, and `e.seq` must never collide with a resident entry's seq
+  /// (the engine clamps `when` to now() and draws seq from a counter).
   virtual void push(const QEntry& e) = 0;
 
   /// Earliest entry by {when, seq} without removing it; false when empty.
   /// May reorganise internal state (the wheel opens its next bucket), so it
   /// is non-const, but never changes the pop sequence. Off the hot path —
-  /// the dispatch loop uses pop_until/pop_batch so extraction costs one
-  /// virtual call per event (or per batch) and one min-selection.
+  /// the dispatch loop uses pop_until so extraction costs one virtual call
+  /// and one min-selection per event.
   virtual bool peek(QEntry* out) = 0;
 
   /// Remove and return the earliest entry iff its `when` is <= deadline;
@@ -158,44 +132,17 @@ class EventQueue {
   /// unbounded runs (deadline = kTimeMax) share it.
   virtual bool pop_until(Time deadline, QEntry* out) = 0;
 
-  /// Remove the up-to-`max` earliest entries whose `when` is <= deadline
-  /// into `out[0..)` in strict {when, seq} order; returns the count (0
-  /// when nothing is due). Exactly equivalent to `max` pop_until calls —
-  /// the batched engine dispatch drains a whole run of due entries in one
-  /// virtual call and amortises the per-call cursor-advance/merge setup
-  /// (the wheel serves an open-bucket run as a straight copy loop).
-  virtual std::size_t pop_batch(Time deadline, QEntry* out,
-                                std::size_t max) = 0;
-
   /// Remove and return the earliest entry; false when empty.
   bool pop(QEntry* out) { return pop_until(kTimeMax, out); }
 
   /// Entries currently stored, including stale shells — the denominator of
   /// the engine's shell-ratio compaction trigger, so it must count every
-  /// resident entry wherever it sits (heap, wheel bucket, open bucket, or
-  /// calendar bucket).
+  /// resident entry wherever it sits (heap, wheel bucket, or open bucket).
   [[nodiscard]] virtual std::size_t size() const = 0;
 
   /// Drop every entry for which `live` returns false, preserving the
   /// {when, seq} order of the survivors. Returns the number removed.
   virtual std::size_t compact(LiveFn live, void* ctx) = 0;
-
-  /// Offer the backend a chance to re-derive its geometry from the
-  /// engine's EWMA of observed inter-dispatch gaps. Backends may only act
-  /// at safe rollover points — the wheel requires itself *fully* empty:
-  /// emptiness of the bucketed tiers makes the retune order-safe, and
-  /// including the spill heap makes the decision identical for every
-  /// dispatch batch size (the wheel/heap split depends on how far
-  /// pop_batch ran the cursor ahead; total emptiness does not). Must
-  /// never change the pop order. Returns true and fills `*geo` iff the
-  /// geometry changed — the engine records that on the trace so runs
-  /// stay reproducible. Default: fixed-geometry backends decline.
-  virtual bool retune(Time /*gap_ewma*/, QueueGeometry* /*geo*/) {
-    return false;
-  }
-
-  /// Current geometry (all-zero for heap backends).
-  [[nodiscard]] virtual QueueGeometry geometry() const { return {}; }
 };
 
 /// The backend the engine uses when none is requested explicitly:

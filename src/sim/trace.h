@@ -34,7 +34,7 @@ enum class TraceKind : std::uint8_t {
   kPleExit,       // pause-loop exit fired
   kCoStop,        // relaxed-co stopped a leading vCPU
   kEngineStop,    // engine stopped dispatching (event budget exhausted)
-  kQueueGeometry, // event-queue backend retuned its wheel geometry
+  kQueueGeometry, // never recorded (fixed wheel geometry); kept for stable ids
   kReqBegin,      // request began (a=req id, b=SLO class, c=task;
                   //   synthesized from the workload span log at analysis
                   //   time — never recorded into the ring at runtime)

@@ -7,7 +7,8 @@ namespace irs::sync {
 
 AcquireResult Mutex::lock(guest::Task& t) {
   if (owner_ == nullptr) {
-    assert(waiters_.empty());
+    // Waiters may remain: under futex barging (see unlock) a third task can
+    // take a freed lock before the woken waiter retries.
     owner_ = &t;
     ++t.locks_held;
     t.held_lock_name = name_.c_str();

@@ -2,6 +2,9 @@
 // simulator (shapes, not absolute numbers).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/exp/runner.h"
 #include "src/exp/scenarios.h"
 
@@ -172,6 +175,42 @@ TEST(Integration, FourInterGainsAreSmallOrNegative) {
 
 TEST(Integration, BenchSeedsRespectsEnv) {
   EXPECT_GE(bench_seeds(), 1);
+}
+
+TEST(Integration, BadConfigsThrowInvalidArgument) {
+  // Each bad input fails with a message naming the problem, in every
+  // build — never an out-of-bounds pin, a silent run, or an abort.
+  struct BadConfig {
+    const char* what;
+    void (*apply)(ScenarioConfig*);
+    const char* message;
+  };
+  const BadConfig table[] = {
+      {"interference pinned past the last pCPU",
+       [](ScenarioConfig* c) { c->n_inter = 9; }, "pinned to pCPU 4"},
+      {"negative interfering vCPUs",
+       [](ScenarioConfig* c) { c->n_inter = -1; }, "n_inter must be >= 0"},
+      {"negative interfering VMs",
+       [](ScenarioConfig* c) { c->n_bg_vms = -3; }, "n_bg_vms must be >= 0"},
+      {"unknown cluster policy",
+       [](ScenarioConfig* c) {
+         c->cluster.n_hosts = 2;
+         c->cluster.policy = "bogus";
+       },
+       "unknown cluster policy 'bogus'"},
+  };
+  for (const BadConfig& bad : table) {
+    ScenarioConfig cfg = quick("streamcluster", core::Strategy::kIrs);
+    cfg.work_scale = 0.05;
+    bad.apply(&cfg);
+    try {
+      run_scenario(cfg);
+      ADD_FAILURE() << bad.what << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.message), std::string::npos)
+          << bad.what << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-// Unit tests for the discrete-event engine.
+// Unit tests for the discrete-event engine and its one dispatch loop.
 #include "src/sim/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "src/core/world.h"
 #include "src/sim/trace.h"
+#include "src/wl/registry.h"
 
 namespace irs::sim {
 
@@ -142,24 +145,6 @@ TEST(Engine, EventsCanScheduleEvents) {
   }
 }
 
-TEST(Engine, RunWhilePredicate) {
-  Engine eng;
-  int count = 0;
-  for (int i = 0; i < 100; ++i) {
-    eng.schedule(i, [&] { ++count; });
-  }
-  const bool stopped = eng.run_while([&] { return count < 10; });
-  EXPECT_TRUE(stopped);
-  EXPECT_EQ(count, 10);
-}
-
-TEST(Engine, RunWhileReturnsFalseWhenDrained) {
-  Engine eng;
-  eng.schedule(1, [] {});
-  const bool stopped = eng.run_while([] { return true; });
-  EXPECT_FALSE(stopped);
-}
-
 TEST(Engine, DispatchedCounterExcludesCancelled) {
   Engine eng;
   auto h1 = eng.schedule(1, [] {});
@@ -167,6 +152,152 @@ TEST(Engine, DispatchedCounterExcludesCancelled) {
   h1.cancel();
   eng.run();
   EXPECT_EQ(eng.dispatched(), 1u);
+}
+
+// --- The one dispatch loop: stop(), nesting, budgets ---
+
+TEST(EngineStop, StopEndsRunUntilAfterTheCallbackAndKeepsTheClock) {
+  Engine eng;
+  std::vector<int> order;
+  for (int i = 1; i <= 6; ++i) {
+    eng.schedule(milliseconds(i), [&, i] {
+      order.push_back(i);
+      if (i == 3) eng.stop();
+    });
+  }
+  // A same-timestamp event queued behind the stopping one stays queued.
+  eng.schedule(milliseconds(3), [&] { order.push_back(30); });
+  const auto n = eng.run_until(milliseconds(100));
+  EXPECT_EQ(n, 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  // Not advanced to the deadline: the clock stays at the stopping event.
+  EXPECT_EQ(eng.now(), milliseconds(3));
+  // A later run resumes the remaining events in {when, seq} order.
+  eng.run_until(milliseconds(100));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 30, 4, 5, 6}));
+  EXPECT_EQ(eng.now(), milliseconds(100));
+}
+
+TEST(EngineStop, StopEndsRunAndLaterRunResumes) {
+  Engine eng;
+  std::vector<int> order;
+  for (int i = 1; i <= 5; ++i) {
+    eng.schedule(milliseconds(i), [&, i] {
+      order.push_back(i);
+      if (i == 2) eng.stop();
+    });
+  }
+  const Engine::RunOutcome out = eng.run();
+  EXPECT_EQ(out.dispatched, 2u);
+  EXPECT_FALSE(out.budget_exhausted);
+  EXPECT_EQ(eng.now(), milliseconds(2));
+  EXPECT_EQ(eng.queued(), 3u);
+  const Engine::RunOutcome rest = eng.run();
+  EXPECT_EQ(rest.dispatched, 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(EngineStop, StopOutsideARunEndsTheNextRunBeforeItDispatches) {
+  Engine eng;
+  int fired = 0;
+  eng.schedule(milliseconds(1), [&] { ++fired; });
+  eng.stop();
+  EXPECT_EQ(eng.run_until(milliseconds(5)), 0u);
+  EXPECT_EQ(eng.now(), 0);
+  // The request was consumed: the next run dispatches normally.
+  EXPECT_EQ(eng.run_until(milliseconds(5)), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(eng.now(), milliseconds(5));
+}
+
+TEST(EngineStop, NestedRunUntilInsideACallback) {
+  // A callback starts a nested run over events already queued behind it;
+  // the nested run dispatches them in order and the outer run carries on
+  // from there. A stop() inside the nested run ends only the nested run.
+  for (QueueKind kind : {QueueKind::kBinaryHeap, QueueKind::kQuadHeap,
+                         QueueKind::kHybridWheel}) {
+    Engine eng(kind);
+    std::vector<int> fired;
+    for (int i = 1; i <= 10; ++i) {
+      eng.schedule(i * 100, [&fired, &eng, i] {
+        fired.push_back(i);
+        if (i == 7) eng.stop();
+      });
+    }
+    eng.schedule(100, [&] {
+      fired.push_back(-1);
+      eng.run_until(450);  // covers events 2..4
+      fired.push_back(-2);
+      EXPECT_EQ(eng.now(), 450);
+      eng.run_until(2000);  // stopped by event 7: ends the nested run only
+      fired.push_back(-3);
+      EXPECT_EQ(eng.now(), 700);
+    });
+    eng.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, -1, 2, 3, 4, -2, 5, 6, 7, -3, 8, 9,
+                                       10}))
+        << make_event_queue(kind)->name();
+    EXPECT_EQ(eng.queued(), 0u);
+  }
+}
+
+TEST(EngineStop, RunBudgetStopsAndResumes) {
+  Engine eng;
+  std::vector<int> fired;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 100; ++i) {
+    handles.push_back(
+        eng.schedule(i + 1, [&fired, i] { fired.push_back(i); }));
+  }
+  handles[10].cancel();  // shells do not count against the budget
+  const Engine::RunOutcome out = eng.run(30);
+  EXPECT_EQ(out.dispatched, 30u);
+  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_EQ(eng.now(), 31);  // events 0..30 minus the cancelled one
+  const Engine::RunOutcome rest = eng.run();
+  EXPECT_EQ(rest.dispatched, 69u);
+  EXPECT_FALSE(rest.budget_exhausted);
+  ASSERT_EQ(fired.size(), 99u);
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+  EXPECT_EQ(eng.cancelled_shells(), 0u);
+}
+
+TEST(EngineStop, WorldRunUntilFinishedStopsAtTheFinishingEvent) {
+  core::WorldConfig wc;
+  core::World w(wc);
+  hv::VmConfig vc;
+  vc.name = "fg";
+  vc.n_vcpus = 2;
+  vc.pin_map = {0, 1};
+  const hv::VmId vm = w.add_vm(vc, false);
+  wl::WorkloadOptions opts;
+  opts.n_threads = 2;
+  opts.work_scale = 0.02;
+  wl::Workload& work = w.attach(vm, wl::make_workload("blackscholes", opts));
+  w.start();
+  ASSERT_TRUE(w.run_until_finished(vm, seconds(10)));
+  // stop() ended the run at the last task's finish, not at the deadline.
+  EXPECT_EQ(w.engine().now(), work.makespan_end());
+  // Already finished: returns at once without moving the clock.
+  const Time t = w.engine().now();
+  EXPECT_TRUE(w.run_until_finished(vm, seconds(10)));
+  EXPECT_EQ(w.engine().now(), t);
+}
+
+TEST(EngineStop, WorldRunUntilFinishedReturnsFalseAtItsTimeout) {
+  core::WorldConfig wc;
+  core::World w(wc);
+  hv::VmConfig vc;
+  vc.name = "hog";
+  vc.n_vcpus = 1;
+  const hv::VmId vm = w.add_vm(vc, false);
+  wl::WorkloadOptions opts;
+  opts.n_threads = 1;
+  w.attach(vm, wl::make_workload("hog", opts));  // endless: never finishes
+  w.start();
+  EXPECT_FALSE(w.run_until_finished(vm, milliseconds(50)));
+  EXPECT_EQ(w.engine().now(), milliseconds(50));
+  EXPECT_FALSE(w.vm_metrics(vm).workload_finished);
 }
 
 // --- Event pool / generation-handle behaviour ---

@@ -48,6 +48,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -234,9 +235,7 @@ bool parse_strategy(const std::string& name, core::Strategy* out) {
   std::exit(2);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   exp::ScenarioConfig cfg;
   cfg.strategy = core::Strategy::kIrs;
   cfg.trace_capacity = 1 << 16;
@@ -432,4 +431,18 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(dump.meta.total_recorded),
                out_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+// Bad configurations (out-of-range pins, negative counts, an unknown
+// cluster policy) surface as exceptions from the library: report them and
+// exit 2, the same status as an unparsable flag.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
