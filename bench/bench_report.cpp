@@ -13,9 +13,8 @@
 //     sweep pool (IRS_BENCH_JOBS or 8), with a bit-identity check between
 //     the two result vectors (the parallel pass uses the streaming
 //     consumer, so in-order delivery is exercised too);
-//   * trace-pipeline overhead: ns/record for the direct ring vs the
-//     batched staging buffer, and wall time of a traced sweep at batch 1
-//     (the unbatched "before") vs the default batch, plus the same traced
+//   * trace-pipeline overhead: ns/record appended to the ring, and wall
+//     time of a traced sweep vs an untraced one, plus the same traced
 //     sweep with the counter sampler armed at its default cadence.
 //
 // The report also embeds streaming aggregate statistics (exp::SweepStats,
@@ -24,7 +23,7 @@
 // shard verifier — status bitmask, expected-missing set, and per-run
 // bit-identity against the serial pass — rather than trusting the write.
 //
-// Gates fail the bench loudly (exit 1): the batched trace ns/record must
+// Gates fail the bench loudly (exit 1): the trace ns/record must
 // not be more than 2x worse than an existing report at the output path,
 // the sampler must add less than 6% on top of a traced sweep, the default
 // queue backend must not regress the timer-shape deep-queue bench vs the
@@ -49,7 +48,6 @@
 #include "bench/bench_util.h"
 #include "src/exp/stats.h"
 #include "src/obs/slo.h"
-#include "src/obs/trace_buffer.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 #include "src/wl/parsec.h"
@@ -114,22 +112,13 @@ double measure_deepqueue_ns(sim::QueueKind kind, sim::Duration spacing) {
   return sec / kIters * 1e9;
 }
 
-/// ns per record into an enabled ring, either direct (`batch` 0) or through
-/// a staging TraceBuffer with the given batch size.
-double measure_trace_ns(std::size_t batch) {
+/// ns per record appended to an enabled ring.
+double measure_trace_ns() {
   sim::Trace trace(1 << 16);
   constexpr int kRecords = 4000000;
   const auto t0 = std::chrono::steady_clock::now();
-  if (batch == 0) {
-    for (int i = 0; i < kRecords; ++i) {
-      trace.record(i, sim::TraceKind::kUser, i & 3, i & 7);
-    }
-  } else {
-    obs::TraceBuffer buf(&trace, batch);
-    for (int i = 0; i < kRecords; ++i) {
-      buf.record(i, sim::TraceKind::kUser, i & 3, i & 7);
-    }
-    buf.flush();
+  for (int i = 0; i < kRecords; ++i) {
+    trace.record(i, sim::TraceKind::kUser, i & 3, i & 7);
   }
   const double sec = wall_seconds(t0);
   if (trace.total_recorded() != static_cast<std::uint64_t>(kRecords)) {
@@ -141,10 +130,9 @@ double measure_trace_ns(std::size_t batch) {
 /// One serial timed sweep with the given trace settings (capacity 0 =
 /// tracing off).
 double timed_sweep(std::vector<exp::ScenarioConfig> grid, std::size_t capacity,
-                   std::size_t batch, sim::Duration sample_period = 0) {
+                   sim::Duration sample_period = 0) {
   for (auto& cfg : grid) {
     cfg.trace_capacity = capacity;
-    cfg.trace_batch = batch;
     cfg.sample_period = sample_period;
   }
   const auto t0 = std::chrono::steady_clock::now();
@@ -309,45 +297,37 @@ int main(int argc, char** argv) {
   }
 
   std::cerr << "[bench_report] trace pipeline overhead...\n";
-  const double trace_direct_ns = measure_trace_ns(0);
-  const double trace_batched_ns = measure_trace_ns(obs::TraceBuffer::kDefaultBatch);
-  // A traced-sweep slice: batch 1 is the unbatched "before", default batch
-  // the "after"; the untraced run anchors the absolute overhead.
+  const double trace_direct_ns = measure_trace_ns();
+  // A traced-sweep slice; the untraced run anchors the overhead.
   auto slice = grid;
   const std::size_t kSliceRuns = 48;
   if (slice.size() > kSliceRuns) slice.resize(kSliceRuns);
   // The overhead ratios below are single-digit percent, while this
   // machine's throughput can drift tens of percent between measurements
-  // (other tenants, frequency scaling). So: run the four settings
+  // (other tenants, frequency scaling). So: run the three settings
   // back-to-back inside each rep — adjacent sweeps share the machine
   // phase, so the drift cancels out of the within-rep ratio — and gate on
   // the median ratio across reps, which shrugs off the odd rep where a
   // phase change landed mid-rep. The absolute seconds reported are
   // per-setting minima (informational only).
-  double sweep_off_sec = 0, sweep_batch1_sec = 0, sweep_batched_sec = 0,
-         sweep_sampled_sec = 0;
+  double sweep_traced_sec = 0, sweep_sampled_sec = 0;
   constexpr int kSweepReps = 7;
-  std::vector<double> r_batch1, r_batched, r_sampled;
+  std::vector<double> r_traced, r_sampled;
   for (int rep = 0; rep < kSweepReps; ++rep) {
-    const double off = timed_sweep(slice, 0, 0);
-    const double b1 = timed_sweep(slice, 1 << 15, 1);
-    const double b = timed_sweep(slice, 1 << 15, 0);
+    const double off = timed_sweep(slice, 0);
+    const double traced = timed_sweep(slice, 1 << 15);
     const double smp =
-        timed_sweep(slice, 1 << 15, 0, obs::Sampler::kDefaultPeriod);
-    if (rep == 0 || off < sweep_off_sec) sweep_off_sec = off;
-    if (rep == 0 || b1 < sweep_batch1_sec) sweep_batch1_sec = b1;
-    if (rep == 0 || b < sweep_batched_sec) sweep_batched_sec = b;
+        timed_sweep(slice, 1 << 15, obs::Sampler::kDefaultPeriod);
+    if (rep == 0 || traced < sweep_traced_sec) sweep_traced_sec = traced;
     if (rep == 0 || smp < sweep_sampled_sec) sweep_sampled_sec = smp;
-    r_batch1.push_back(b1 / off);
-    r_batched.push_back(b / off);
-    r_sampled.push_back(smp / b);
+    r_traced.push_back(traced / off);
+    r_sampled.push_back(smp / traced);
   }
   auto median = [](std::vector<double> v) {
     std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
     return v[v.size() / 2];
   };
-  const double overhead_batch1_pct = (median(r_batch1) - 1.0) * 100.0;
-  const double overhead_batched_pct = (median(r_batched) - 1.0) * 100.0;
+  const double overhead_traced_pct = (median(r_traced) - 1.0) * 100.0;
   // Incremental cost of the counter sampler on top of a traced sweep —
   // gated below: the series must stay (nearly) free at the default cadence.
   const double overhead_sampled_pct = (median(r_sampled) - 1.0) * 100.0;
@@ -534,7 +514,8 @@ int main(int argc, char** argv) {
     c.trace_capacity = 1 << 18;
     c.forensics = true;
     c.server_duration = sim::seconds(10);
-    const exp::RunResult res = exp::run_scenario(c, &fdump);
+    const exp::RunResult res =
+        exp::run_scenario(c, exp::RunCapture{.dump = &fdump});
     forensics_run_digest = res.forensics_digest;
   }
   double forensics_analyze_sec = 0;
@@ -609,13 +590,13 @@ int main(int argc, char** argv) {
       (frontend_ns_per_req / ab_ns_per_req - 1.0) * 100.0;
   constexpr double kFrontendOverheadLimitPct = 5.0;
 
-  // Regression gate on the batched trace hot path, against the previous
+  // Regression gate on the trace record hot path, against the previous
   // report at the same output path (if any).
-  const double prev_batched_ns =
-      read_metric(out_path, "trace_ns_per_record_batched");
+  const double prev_trace_ns =
+      read_metric(out_path, "trace_ns_per_record_direct");
   const bool trace_regressed =
-      !std::isnan(prev_batched_ns) &&
-      trace_batched_ns > 2.0 * std::max(prev_batched_ns, 1.0);
+      !std::isnan(prev_trace_ns) &&
+      trace_direct_ns > 2.0 * std::max(prev_trace_ns, 1.0);
 
   std::ofstream out(out_path);
   out.precision(6);
@@ -644,13 +625,7 @@ int main(int argc, char** argv) {
       << "  \"sweep_bit_identical\": " << (bit_identical ? "true" : "false")
       << ",\n"
       << "  \"trace_ns_per_record_direct\": " << trace_direct_ns << ",\n"
-      << "  \"trace_ns_per_record_batched\": " << trace_batched_ns << ",\n"
-      << "  \"trace_batch_speedup\": " << trace_direct_ns / trace_batched_ns
-      << ",\n"
-      << "  \"traced_sweep_overhead_batch1_pct\": " << overhead_batch1_pct
-      << ",\n"
-      << "  \"traced_sweep_overhead_batched_pct\": " << overhead_batched_pct
-      << ",\n"
+      << "  \"traced_sweep_overhead_pct\": " << overhead_traced_pct << ",\n"
       << "  \"traced_sampled_sweep_overhead_pct\": " << overhead_sampled_pct
       << ",\n"
       << "  \"slo_sweep_runs\": " << slo_grid.size() << ",\n"
@@ -695,11 +670,9 @@ int main(int argc, char** argv) {
             << "sweep: " << serial_sec << "s serial vs " << par_sec << "s @ "
             << jobs << " jobs (" << serial_sec / par_sec << "x), "
             << (bit_identical ? "bit-identical" : "RESULTS DIVERGED!") << "\n"
-            << "trace: " << trace_direct_ns << "ns/rec direct vs "
-            << trace_batched_ns << "ns/rec batched ("
-            << trace_direct_ns / trace_batched_ns << "x); traced sweep +"
-            << overhead_batch1_pct << "% at batch 1, +" << overhead_batched_pct
-            << "% batched, +" << overhead_sampled_pct << "% with sampling\n"
+            << "trace: " << trace_direct_ns << "ns/rec; traced sweep +"
+            << overhead_traced_pct << "%, +" << overhead_sampled_pct
+            << "% with sampling\n"
             << "slo: +" << slo_overhead_pct << "% recording overhead, "
             << slo_memory_bytes / 1024.0 << "KiB for 1e6 samples ("
             << slo_memory_ratio << "x less than exact), fold "
@@ -723,16 +696,15 @@ int main(int argc, char** argv) {
   }
   std::cout << "wrote " << out_path << "\n";
   if (trace_regressed) {
-    std::cerr << "FAIL: batched trace path regressed >2x ("
-              << prev_batched_ns << "ns/rec -> " << trace_batched_ns
-              << "ns/rec)\n";
+    std::cerr << "FAIL: trace record path regressed >2x (" << prev_trace_ns
+              << "ns/rec -> " << trace_direct_ns << "ns/rec)\n";
     return 1;
   }
   if (overhead_sampled_pct >= kSampledOverheadLimitPct) {
     std::cerr << "FAIL: sampling overhead " << overhead_sampled_pct
               << "% exceeds the " << kSampledOverheadLimitPct
               << "% gate (sampled " << sweep_sampled_sec << "s vs traced "
-              << sweep_batched_sec << "s)\n";
+              << sweep_traced_sec << "s)\n";
     return 1;
   }
   // The default queue backend must not lose to the binary-heap "before"

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Memory-safety pass: build with AddressSanitizer in a separate build tree
 # and run the full unit suite plus the dedicated jobs registered under
-# -DIRS_SANITIZE=address: obs_pipeline_asan (the trace pipeline hands
-# pointers between staging buffers, the shared ring, and exporters),
+# -DIRS_SANITIZE=address: obs_pipeline_asan (trace records move from the
+# ring through rotated snapshots, request-span merges, and exporters),
 # engine_queue_asan (wheel buckets / due list / compaction move raw
 # 24-byte entries), and forensics_asan (the request-forensics replay
 # indexes flat per-vCPU/task state by trace ids and reads half-open spans
@@ -16,6 +16,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build-asan -S . -DIRS_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
+# Asserts on: RelWithDebInfo's -O2 -g without its -DNDEBUG, so every
+# assert in src/ runs under the sanitizer too.
+cmake -B build-asan -S . -DIRS_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build build-asan -j --target irs_tests irs_sweep irs_sweep_merge
 cd build-asan && ctest --output-on-failure -j

@@ -11,6 +11,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build-tsan -S . -DIRS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
+# Asserts on: RelWithDebInfo's -O2 -g without its -DNDEBUG, so every
+# assert in src/ runs under the sanitizer too.
+cmake -B build-tsan -S . -DIRS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build build-tsan -j --target irs_tests
 cd build-tsan && ctest --output-on-failure -R 'sweep_determinism_tsan|obs_pipeline_tsan|engine_queue_tsan|forensics_tsan|frontend_tsan|cluster_tsan'

@@ -16,6 +16,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build-ubsan -S . -DIRS_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
+# Asserts on: RelWithDebInfo's -O2 -g without its -DNDEBUG, so every
+# assert in src/ runs under the sanitizer too.
+cmake -B build-ubsan -S . -DIRS_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build build-ubsan -j --target irs_tests irs_sweep irs_sweep_merge
 cd build-ubsan && ctest --output-on-failure -j

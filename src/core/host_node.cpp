@@ -13,9 +13,6 @@ HostNode::HostNode(sim::Engine& eng, HostNodeConfig cfg)
   if (cfg_.telemetry.trace_capacity > 0) {
     host_->trace().set_capacity(cfg_.telemetry.trace_capacity);
   }
-  if (cfg_.telemetry.trace_batch > 0) {
-    host_->trace_buffer().set_batch(cfg_.telemetry.trace_batch);
-  }
   switch (cfg_.strategy) {
     case Strategy::kBaseline:
       break;
@@ -86,11 +83,10 @@ hv::VmId HostNode::add_vm(const hv::VmConfig& vm_cfg, bool irs_capable,
   hv::Host* host = host_.get();
   hv::Vm* vmp = &vm;
   slot.kernel = std::make_unique<guest::GuestKernel>(
-      eng_, guest_cfg, vm_cfg.n_vcpus, host_->hypercalls(vm),
+      eng_, guest_cfg, vm_cfg.n_vcpus, host_->hypercalls(vm), host_->trace(),
       [host, vmp](int cpu, bool spinning) {
         host->note_spinning(*vmp, cpu, spinning);
       },
-      cfg_.telemetry.trace_capacity > 0 ? &host_->trace() : nullptr,
       [host, vmp](int cpu, bool holds) {
         host->note_lock_hint(*vmp, cpu, holds);
       });
@@ -99,9 +95,6 @@ hv::VmId HostNode::add_vm(const hv::VmConfig& vm_cfg, bool irs_capable,
     // Guest trace records carry global vCPU ids so every timeline consumer
     // shares one id space with the hv records.
     slot.kernel->set_trace_vcpu_base(vm.vcpus().front()->id());
-  }
-  if (cfg_.telemetry.trace_batch > 0) {
-    slot.kernel->trace_buf().set_batch(cfg_.telemetry.trace_batch);
   }
   slot.kernel->seed(cfg_.seed * 1000003ULL +
                     static_cast<std::uint64_t>(vm.id()) + 1);

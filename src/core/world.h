@@ -23,8 +23,8 @@
 
 namespace irs::core {
 
-/// Inherits the shared telemetry knobs (trace_capacity, trace_batch,
-/// sample_period, sample_capacity) from obs::TelemetryConfig — one
+/// Inherits the shared telemetry knobs (trace_capacity, sample_period,
+/// sample_capacity) from obs::TelemetryConfig — one
 /// definition shared with ScenarioConfig and HostNodeConfig; existing
 /// `cfg.trace_capacity = ...` call sites are unchanged.
 struct WorldConfig : obs::TelemetryConfig {

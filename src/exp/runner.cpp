@@ -82,12 +82,12 @@ void extract_server_metrics(wl::Workload& fg_wl, sim::Time now, RunResult* r) {
   r->frontend_digest = r->frontend.digest();
 }
 
-/// Fill a TraceDump from one host node (cluster path; the single-host path
-/// keeps its own fill because forensics interleaves request spans there).
+/// Fill a TraceDump's records and meta from one host node. Sampler series
+/// are copied only `with_series`: in-run forensics reads the trace alone.
 void fill_node_dump(core::HostNode& node, const std::string& title,
-                    int n_pcpus, TraceDump* dump) {
-  sim::Trace& trace = node.host().trace();
-  dump->records = trace.snapshot();  // flushes all staging buffers
+                    int n_pcpus, TraceDump* dump, bool with_series = true) {
+  const sim::Trace& trace = node.host().trace();
+  dump->records = trace.snapshot();
   obs::TraceMeta meta;
   meta.title = title;
   meta.n_pcpus = n_pcpus;
@@ -108,7 +108,8 @@ void fill_node_dump(core::HostNode& node, const std::string& title,
   meta.dropped = trace.dropped();
   meta.total_recorded = trace.total_recorded();
   dump->meta = std::move(meta);
-  if (obs::Sampler* smp = node.sampler()) dump->series = smp->dump();
+  obs::Sampler* smp = node.sampler();
+  if (with_series && smp != nullptr) dump->series = smp->dump();
 }
 
 /// The classic single-host run (cfg.cluster.n_hosts < 2).
@@ -204,37 +205,16 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
   if (obs::Sampler* smp = world.sampler()) {
     r.sampler_digest = smp->digest();
   }
-  {
-    sim::Trace& trace = world.host().trace();
-    if (trace.enabled()) trace.flush_buffers();  // count the staged tail too
-    r.trace_dropped = trace.dropped();
-    r.trace_total_recorded = trace.total_recorded();
-  }
+  r.trace_dropped = world.host().trace().dropped();
+  r.trace_total_recorded = world.host().trace().total_recorded();
 
   if (dump != nullptr || (cfg.forensics && cfg.forensics_analyze)) {
-    sim::Trace& trace = world.host().trace();
-    std::vector<sim::TraceRecord> records =
-        trace.snapshot();  // flushes all staging buffers
-    obs::TraceMeta meta;
-    meta.title = cfg.fg + (cfg.bg.empty() ? "" : "+" + cfg.bg) + " [" +
-                 core::strategy_name(cfg.strategy) + "]";
-    meta.n_pcpus = cfg.n_pcpus;
-    for (int vm_i = 0; vm_i < world.host().n_vms(); ++vm_i) {
-      const hv::Vm& vm = world.host().vm(vm_i);
-      int idx = 0;
-      for (const hv::Vcpu* v : vm.vcpus()) {
-        meta.vcpus.push_back(obs::VcpuInfo{v->id(), vm.name(), idx++});
-      }
-      guest::GuestKernel& k = world.kernel(vm_i);
-      for (std::size_t t = 0; t < k.n_tasks(); ++t) {
-        meta.tasks.push_back(
-            obs::TaskInfo{k.task(t).id(), vm.name(), k.task(t).name()});
-      }
-    }
-    meta.start = world.started_at();
-    meta.end = world.engine().now();
-    meta.dropped = trace.dropped();
-    meta.total_recorded = trace.total_recorded();
+    const std::string title = cfg.fg + (cfg.bg.empty() ? "" : "+" + cfg.bg) +
+                              " [" + core::strategy_name(cfg.strategy) + "]";
+    TraceDump in_run;  // forensics without a dump
+    TraceDump& d = dump != nullptr ? *dump : in_run;
+    fill_node_dump(world.node(), title, cfg.n_pcpus, &d,
+                   /*with_series=*/dump != nullptr);
     if (cfg.forensics) {
       // Request spans were captured in the workload's side log, not the
       // ring; synthesize their kReqBegin/kReqEnd records into the snapshot
@@ -248,20 +228,14 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
         spans = &fe->request_spans();
       }
       if (spans != nullptr && !spans->empty()) {
-        records =
-            obs::with_request_spans(records, *spans, meta.total_recorded);
+        d.records = obs::with_request_spans(d.records, *spans);
       }
     }
     if (cfg.forensics && cfg.forensics_analyze) {
-      r.forensics = obs::request_forensics(records, meta, r.slo);
+      r.forensics = obs::request_forensics(d.records, d.meta, r.slo);
       r.forensics_digest = r.forensics.digest();
     }
     if (dump != nullptr) {
-      dump->records = std::move(records);
-      dump->meta = std::move(meta);
-      if (obs::Sampler* smp = world.sampler()) {
-        dump->series = smp->dump();
-      }
       dump->slo = r.slo;
       dump->forensics = r.forensics;
     }
@@ -354,10 +328,8 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
     if (obs::Sampler* smp = node.sampler()) {
       r.sampler_digest ^= smp->digest();
     }
-    sim::Trace& trace = node.host().trace();
-    if (trace.enabled()) trace.flush_buffers();
-    r.trace_dropped += trace.dropped();
-    r.trace_total_recorded += trace.total_recorded();
+    r.trace_dropped += node.host().trace().dropped();
+    r.trace_total_recorded += node.host().trace().total_recorded();
   }
   r.sa_delay_avg =
       sa_completed > 0

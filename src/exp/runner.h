@@ -43,8 +43,8 @@ struct ClusterOptions {
 };
 
 /// One experimental condition (paper §5.1 "Experimental Settings").
-/// Inherits the telemetry knobs (trace_capacity, trace_batch,
-/// sample_period, sample_capacity) from obs::TelemetryConfig — the one
+/// Inherits the telemetry knobs (trace_capacity, sample_period,
+/// sample_capacity) from obs::TelemetryConfig — the one
 /// definition shared with WorldConfig and HostNodeConfig.
 struct ScenarioConfig : obs::TelemetryConfig {
   core::Strategy strategy = core::Strategy::kBaseline;
@@ -176,8 +176,9 @@ struct RunResult {
   std::uint64_t cluster_digest = 0;
 };
 
-/// A run's trace, captured for export: the snapshot (time-ordered, flushed)
-/// plus the topology/bookkeeping metadata the exporters need.
+/// A run's trace, captured for export: the ring snapshot (oldest first;
+/// with forensics, merged with the request brackets) plus the
+/// topology/bookkeeping metadata the exporters need.
 struct TraceDump {
   std::vector<sim::TraceRecord> records;
   obs::TraceMeta meta;
@@ -195,11 +196,10 @@ struct TraceDump {
 /// trip through NDJSON.
 bool results_identical(const RunResult& a, const RunResult& b);
 
-/// Capture options for run_scenario — the open-ended replacement for the
-/// old run_scenario(cfg) / run_scenario(cfg, TraceDump*) overload pair:
-/// new capture surfaces extend this struct instead of multiplying
-/// overloads. Any requested capture enables the trace ring (and sampler)
-/// at generous defaults when the config left them off.
+/// Capture options for run_scenario: new capture surfaces extend this
+/// struct instead of multiplying overloads. Any requested capture enables
+/// the trace ring (and sampler) at generous defaults when the config left
+/// them off.
 struct RunCapture {
   /// Capture the run's trace: single-host runs fill it with the host's
   /// timeline; cluster runs with host 0's.
@@ -212,14 +212,9 @@ struct RunCapture {
 /// Run one scenario, capturing whatever `capture` asks for.
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture);
 
-/// Back-compat wrapper: run with no capture.
+/// Run with no capture.
 inline RunResult run_scenario(const ScenarioConfig& cfg) {
   return run_scenario(cfg, RunCapture{});
-}
-
-/// Back-compat wrapper for the old dump overload (ignored when null).
-inline RunResult run_scenario(const ScenarioConfig& cfg, TraceDump* dump) {
-  return run_scenario(cfg, RunCapture{.dump = dump});
 }
 
 /// Average `n_seeds` runs whose seeds are derive_seed(cfg.seed, i) (the

@@ -115,6 +115,9 @@ void GuestCpu::interpret() {
   assert(current_ != nullptr && vcpu_running_);
   for (int guard = 0; guard < 256; ++guard) {
     update_lock_hint();
+    // Releasing the last lock can end a delay-preemption window, which
+    // deschedules this vCPU synchronously; on_vcpu_start() resumes the task.
+    if (!vcpu_running_) return;
     if (maybe_resched()) return;
     Task& t = *current_;
     // Resuming from a condvar wait: reacquire the mutex first.
@@ -331,9 +334,8 @@ void GuestCpu::finish_current() {
 void GuestCpu::trace_lane(std::int32_t task_id, const char* note) {
   if (task_id == lane_task_) return;
   lane_task_ = task_id;
-  kernel_.trace_buf().record(kernel_.engine().now(),
-                             sim::TraceKind::kGuestSwitch,
-                             kernel_.trace_gcpu(idx_), task_id, note);
+  kernel_.trace().record(kernel_.engine().now(), sim::TraceKind::kGuestSwitch,
+                         kernel_.trace_gcpu(idx_), task_id, note);
 }
 
 void GuestCpu::install(Task* next, bool resume) {

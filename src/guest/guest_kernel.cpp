@@ -8,9 +8,8 @@
 namespace irs::guest {
 
 GuestKernel::GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
-                         hv::Hypercalls& hc,
+                         hv::Hypercalls& hc, sim::Trace& trace,
                          std::function<void(int, bool)> spin_signal,
-                         sim::Trace* trace,
                          std::function<void(int, bool)> lock_signal)
     : eng_(eng),
       cfg_(cfg),
@@ -73,8 +72,8 @@ void GuestKernel::start() {
     if (t.state() != TaskState::kReady || t.cpu() == kNoCpu) continue;
     // Boot enqueue counts as a wake for the timeline/attribution: the task
     // is runnable from here on even if its vCPU waits a while for a pCPU.
-    tbuf_.record(eng_.now(), sim::TraceKind::kGuestWake, t.id(),
-                 trace_gcpu(t.cpu()));
+    trace_.record(eng_.now(), sim::TraceKind::kGuestWake, t.id(),
+                  trace_gcpu(t.cpu()));
     enqueue_task(t, t.cpu(), /*wake_preempt=*/false);
   }
   // CPUs that boot with nothing to run still wake periodically for idle
@@ -147,8 +146,8 @@ void GuestKernel::wake_task(Task& t) {
   if (target != from) {
     note_migration(t, from, target, obs::Cnt::kGuestWakeMigrations);
   }
-  tbuf_.record(eng_.now(), sim::TraceKind::kGuestWake, t.id(),
-               trace_gcpu(target));
+  trace_.record(eng_.now(), sim::TraceKind::kGuestWake, t.id(),
+                trace_gcpu(target));
   cpu(target).enqueue_ready(t, /*wake_preempt=*/true);
 }
 
@@ -213,13 +212,14 @@ void GuestKernel::note_migration(Task& t, int from, int to, obs::Cnt ctr) {
   } else {
     t.migrating_tag = false;  // a regular balancer move retires the tag
   }
+  if (!trace_.enabled()) return;
   // Carry the charged cache penalty (ns) in the note so forensics can
   // attribute the post-migration transient without re-deriving the model.
   char penalty[sim::TraceNote::kMax + 1];
   std::snprintf(penalty, sizeof penalty, "%lld",
                 static_cast<long long>(migration_penalty()));
-  tbuf_.record(eng_.now(), sim::TraceKind::kMigrate, t.id(), trace_gcpu(to),
-               penalty, trace_gcpu(from));
+  trace_.record(eng_.now(), sim::TraceKind::kMigrate, t.id(),
+                trace_gcpu(to), penalty, trace_gcpu(from));
 }
 
 void GuestKernel::kick_if_blocked(int c) {

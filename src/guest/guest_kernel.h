@@ -20,7 +20,6 @@
 #include "src/hv/guest_os.h"
 #include "src/hv/hypercalls.h"
 #include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
@@ -51,14 +50,14 @@ struct GuestStats {
 
 class GuestKernel final : public hv::GuestOs, public SchedApi {
  public:
-  /// `spin_signal(cpu, spinning)` reports PAUSE-loop activity to the host
-  /// (consumed by the PLE monitor); `lock_signal(cpu, holds)` reports
-  /// paravirtual lock hints (delay-preemption baseline). Either may be
-  /// empty.
+  /// Guest records go straight to `trace`, the host's ring (a disabled
+  /// ring drops them). `spin_signal(cpu, spinning)` reports PAUSE-loop
+  /// activity to the host (consumed by the PLE monitor);
+  /// `lock_signal(cpu, holds)` reports paravirtual lock hints
+  /// (delay-preemption baseline). Either may be empty.
   GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
-              hv::Hypercalls& hc,
+              hv::Hypercalls& hc, sim::Trace& trace,
               std::function<void(int, bool)> spin_signal = {},
-              sim::Trace* trace = nullptr,
               std::function<void(int, bool)> lock_signal = {});
   ~GuestKernel() override;
 
@@ -132,9 +131,8 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   /// per guest CPU — see guest_shard()).
   [[nodiscard]] obs::Counters& counters() { return counters_; }
   [[nodiscard]] const obs::Counters& counters() const { return counters_; }
-  /// The kernel's trace staging buffer (records are dropped when the host
-  /// trace is absent or disabled).
-  [[nodiscard]] obs::TraceBuffer& trace_buf() { return tbuf_; }
+  /// The trace ring this kernel records into.
+  [[nodiscard]] sim::Trace& trace() { return trace_; }
   /// Guest trace records identify CPUs by *global* vCPU id so one trace can
   /// hold several VMs. The base is the global id of this VM's vCPU 0
   /// (host ids are contiguous per VM); standalone kernels leave it at 0.
@@ -168,9 +166,8 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   hv::Hypercalls& hc_;
   std::function<void(int, bool)> spin_signal_;
   std::function<void(int, bool)> lock_signal_;
-  sim::Trace* trace_;
+  sim::Trace& trace_;
   obs::Counters counters_;
-  obs::TraceBuffer tbuf_{trace_};  // after trace_: hook deregistration order
   std::vector<std::unique_ptr<GuestCpu>> cpus_;
   std::deque<std::unique_ptr<Task>> tasks_;
   std::unique_ptr<Migrator> migrator_;

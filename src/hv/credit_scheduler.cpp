@@ -10,13 +10,13 @@ CreditScheduler::CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
                                  std::vector<Pcpu>& pcpus,
                                  std::vector<Vm*>& vms,
                                  obs::Counters& counters,
-                                 obs::TraceBuffer& tbuf)
+                                 sim::Trace& trace)
     : eng_(eng),
       cfg_(cfg),
       pcpus_(pcpus),
       vms_(vms),
       counters_(counters),
-      tbuf_(tbuf) {}
+      trace_(trace) {}
 
 const SchedStats& CreditScheduler::stats() const {
   stats_cache_.context_switches = counters_.fold_u(obs::Cnt::kHvCtxSwitches);
@@ -99,7 +99,7 @@ void CreditScheduler::wake(Vcpu& v) {
   }
   Pcpu& p = pcpus_[target];
   p.enqueue(&v);
-  tbuf_.record(eng_.now(), sim::TraceKind::kHvWake, v.id(), target);
+  trace_.record(eng_.now(), sim::TraceKind::kHvWake, v.id(), target);
   // Tickle: preempt the current occupant if we beat its priority.
   if (p.idle() || (p.current() && prio_better(v, *p.current()))) {
     request_resched(p);
@@ -121,7 +121,7 @@ void CreditScheduler::block(Vcpu& v) {
   v.set_pcpu(kNoPcpu);
   p.set_current(nullptr);
   p.slice_timer.cancel();
-  tbuf_.record(eng_.now(), sim::TraceKind::kHvBlock, v.id(), p.id());
+  trace_.record(eng_.now(), sim::TraceKind::kHvBlock, v.id(), p.id());
   request_resched(p);
 }
 
@@ -165,7 +165,7 @@ void CreditScheduler::deschedule_current(Pcpu& p, StopReason reason) {
   p.enqueue(cur);
   // OVER means the vCPU burned through its credit share: the deschedule is
   // a credit throttle, not generic contention — forensics separates the two.
-  tbuf_.record(eng_.now(), sim::TraceKind::kHvPreempt, cur->id(), p.id(),
+  trace_.record(eng_.now(), sim::TraceKind::kHvPreempt, cur->id(), p.id(),
                cur->prio() == CreditPrio::kOver ? "throttle" : "");
 }
 
@@ -182,12 +182,12 @@ void CreditScheduler::notify_stopped(Vcpu& v, StopReason reason) {
     // can charge the preemption window to a specific task/lock.
     if (pc.holds_lock) {
       counters_.inc(cnt_shard(v), obs::Cnt::kHvLhp);
-      tbuf_.record(eng_.now(), sim::TraceKind::kLhp, v.id(), v.pcpu(),
+      trace_.record(eng_.now(), sim::TraceKind::kLhp, v.id(), v.pcpu(),
                    pc.lock_name != nullptr ? pc.lock_name : "", pc.task);
     }
     if (pc.waits_lock) {
       counters_.inc(cnt_shard(v), obs::Cnt::kHvLwp);
-      tbuf_.record(eng_.now(), sim::TraceKind::kLwp, v.id(), v.pcpu(),
+      trace_.record(eng_.now(), sim::TraceKind::kLwp, v.id(), v.pcpu(),
                    pc.lock_name != nullptr ? pc.lock_name : "", pc.task);
     }
   }
@@ -206,7 +206,7 @@ void CreditScheduler::switch_to(Pcpu& p, Vcpu* next) {
   next->set_resident(p.id());
   next->slice_start = eng_.now();
   p.set_current(next);
-  tbuf_.record(eng_.now(), sim::TraceKind::kHvSchedule, next->id(), p.id());
+  trace_.record(eng_.now(), sim::TraceKind::kHvSchedule, next->id(), p.id());
   // Slice-expiry timer.
   p.slice_timer.cancel();
   p.slice_timer = eng_.schedule(
@@ -246,7 +246,7 @@ Vcpu* CreditScheduler::steal_for(Pcpu& p) {
   if (best != nullptr) {
     from->remove(best);
     counters_.inc(cnt_shard(*best), obs::Cnt::kHvSteals);
-    tbuf_.record(eng_.now(), sim::TraceKind::kHvSchedule, best->id(), p.id(),
+    trace_.record(eng_.now(), sim::TraceKind::kHvSchedule, best->id(), p.id(),
                  "steal");
   }
   return best;

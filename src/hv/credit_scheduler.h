@@ -19,8 +19,8 @@
 #include "src/hv/vcpu.h"
 #include "src/hv/vm.h"
 #include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
 #include "src/sim/engine.h"
+#include "src/sim/trace.h"
 
 namespace irs::hv {
 
@@ -59,7 +59,7 @@ class CreditScheduler {
  public:
   CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
                   std::vector<Pcpu>& pcpus, std::vector<Vm*>& vms,
-                  obs::Counters& counters, obs::TraceBuffer& tbuf);
+                  obs::Counters& counters, sim::Trace& trace);
 
   /// Arm the periodic tick and accounting timers. Call once.
   void start();
@@ -119,7 +119,7 @@ class CreditScheduler {
   std::vector<Pcpu>& pcpus_;
   std::vector<Vm*>& vms_;
   obs::Counters& counters_;
-  obs::TraceBuffer& tbuf_;
+  sim::Trace& trace_;
   PreemptHook* hook_ = nullptr;
   mutable SchedStats stats_cache_;  // fold target for stats()
 };

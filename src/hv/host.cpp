@@ -44,7 +44,7 @@ Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
   pcpus_.reserve(static_cast<std::size_t>(n_pcpus));
   for (int i = 0; i < n_pcpus; ++i) pcpus_.emplace_back(i);
   sched_ = std::make_unique<CreditScheduler>(eng_, cfg_, pcpus_, vms_,
-                                             counters_, tbuf_);
+                                             counters_, trace_);
   evtchn_ = std::make_unique<EventChannel>(*sched_);
 }
 
@@ -111,7 +111,7 @@ void Host::start() {
 
 void Host::enable_irs() {
   sa_sender_ =
-      std::make_unique<SaSender>(eng_, cfg_, *sched_, counters_, tbuf_);
+      std::make_unique<SaSender>(eng_, cfg_, *sched_, counters_, trace_);
   sched_->set_preempt_hook(sa_sender_.get());
 }
 
@@ -122,13 +122,13 @@ void Host::enable_delay_preempt() {
 
 void Host::enable_ple() {
   ple_ = std::make_unique<PleMonitor>(eng_, cfg_, *sched_, pcpus_, counters_,
-                                      tbuf_);
+                                      trace_);
 }
 
 void Host::enable_relaxed_co() {
   relaxed_co_ = std::make_unique<RelaxedCoMonitor>(eng_, cfg_, *sched_,
                                                    pcpus_, vms_, counters_,
-                                                   tbuf_);
+                                                   trace_);
 }
 
 int Host::runnable_vcpus() const {

@@ -12,7 +12,6 @@
 #include "src/hv/vcpu.h"
 #include "src/hv/vm.h"
 #include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
@@ -80,8 +79,6 @@ class Host {
   /// vcpu_id+1 per vCPU — see cnt_shard()).
   [[nodiscard]] obs::Counters& counters() { return counters_; }
   [[nodiscard]] const obs::Counters& counters() const { return counters_; }
-  /// The hypervisor's trace staging buffer.
-  [[nodiscard]] obs::TraceBuffer& trace_buffer() { return tbuf_; }
 
   /// Per-VM hypercall surface handed to guest kernels.
   [[nodiscard]] Hypercalls& hypercalls(Vm& vm);
@@ -101,9 +98,6 @@ class Host {
   HvConfig cfg_;
   obs::Counters counters_;
   sim::Trace trace_;
-  // Declared after trace_: the buffer deregisters its flush hook on
-  // destruction, which must happen while trace_ is still alive.
-  obs::TraceBuffer tbuf_{&trace_};
   std::vector<Pcpu> pcpus_;
   std::vector<std::unique_ptr<Vm>> vm_storage_;
   std::vector<Vm*> vms_;

@@ -6,13 +6,13 @@ namespace irs::hv {
 
 PleMonitor::PleMonitor(sim::Engine& eng, const HvConfig& cfg,
                        CreditScheduler& sched, std::vector<Pcpu>& pcpus,
-                       obs::Counters& counters, obs::TraceBuffer& tbuf)
+                       obs::Counters& counters, sim::Trace& trace)
     : eng_(eng),
       cfg_(cfg),
       sched_(sched),
       pcpus_(pcpus),
       counters_(counters),
-      tbuf_(tbuf) {}
+      trace_(trace) {}
 
 void PleMonitor::on_spin_signal(Vcpu& v, bool spinning) {
   if (!spinning || v.state() != VcpuState::kRunning) {
@@ -39,7 +39,7 @@ void PleMonitor::fire(Vcpu& v) {
     return;
   }
   counters_.inc(cnt_shard(v), obs::Cnt::kPleExits);
-  tbuf_.record(eng_.now(), sim::TraceKind::kPleExit, v.id(), v.pcpu());
+  trace_.record(eng_.now(), sim::TraceKind::kPleExit, v.id(), v.pcpu());
   // Charge the VM-exit cost, then let the scheduler pick someone else.
   Vcpu* vp = &v;
   eng_.schedule(

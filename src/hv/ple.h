@@ -12,8 +12,8 @@
 #include "src/hv/credit_scheduler.h"
 #include "src/hv/types.h"
 #include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
 #include "src/sim/engine.h"
+#include "src/sim/trace.h"
 
 namespace irs::hv {
 
@@ -21,7 +21,7 @@ class PleMonitor {
  public:
   PleMonitor(sim::Engine& eng, const HvConfig& cfg, CreditScheduler& sched,
              std::vector<Pcpu>& pcpus, obs::Counters& counters,
-             obs::TraceBuffer& tbuf);
+             sim::Trace& trace);
 
   /// Guest spin-state edge (also re-signalled when a spinning vCPU regains
   /// a pCPU, since preemption resets the hardware's continuity counter).
@@ -36,7 +36,7 @@ class PleMonitor {
   CreditScheduler& sched_;
   std::vector<Pcpu>& pcpus_;
   obs::Counters& counters_;
-  obs::TraceBuffer& tbuf_;
+  sim::Trace& trace_;
 };
 
 }  // namespace irs::hv

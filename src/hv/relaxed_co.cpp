@@ -11,14 +11,14 @@ RelaxedCoMonitor::RelaxedCoMonitor(sim::Engine& eng, const HvConfig& cfg,
                                    std::vector<Pcpu>& pcpus,
                                    std::vector<Vm*>& vms,
                                    obs::Counters& counters,
-                                   obs::TraceBuffer& tbuf)
+                                   sim::Trace& trace)
     : eng_(eng),
       cfg_(cfg),
       sched_(sched),
       pcpus_(pcpus),
       vms_(vms),
       counters_(counters),
-      tbuf_(tbuf) {}
+      trace_(trace) {}
 
 void RelaxedCoMonitor::start() {
   eng_.schedule(cfg_.accounting_period, [this]() { on_period(); }, "hv.co");
@@ -77,7 +77,7 @@ void RelaxedCoMonitor::check_vm(Vm& vm) {
   if (lead_prog - lag_prog <= cfg_.co_skew_threshold) return;
 
   counters_.inc(cnt_shard(*leader), obs::Cnt::kCoStops);
-  tbuf_.record(now, sim::TraceKind::kCoStop, leader->id(), laggard->id());
+  trace_.record(now, sim::TraceKind::kCoStop, leader->id(), laggard->id());
   const PcpuId freed =
       leader->state() == VcpuState::kRunning ? leader->pcpu() : kNoPcpu;
   leader->co_stopped = true;

@@ -15,8 +15,8 @@
 #include "src/hv/credit_scheduler.h"
 #include "src/hv/types.h"
 #include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
 #include "src/sim/engine.h"
+#include "src/sim/trace.h"
 
 namespace irs::hv {
 
@@ -25,7 +25,7 @@ class RelaxedCoMonitor {
   RelaxedCoMonitor(sim::Engine& eng, const HvConfig& cfg,
                    CreditScheduler& sched, std::vector<Pcpu>& pcpus,
                    std::vector<Vm*>& vms, obs::Counters& counters,
-                   obs::TraceBuffer& tbuf);
+                   sim::Trace& trace);
 
   /// Arm the periodic skew check. Call once.
   void start();
@@ -40,7 +40,7 @@ class RelaxedCoMonitor {
   std::vector<Pcpu>& pcpus_;
   std::vector<Vm*>& vms_;
   obs::Counters& counters_;
-  obs::TraceBuffer& tbuf_;
+  sim::Trace& trace_;
 
   // progress_[vcpu global id] = cumulative run+blocked time at last period.
   std::vector<sim::Duration> last_snapshot_;

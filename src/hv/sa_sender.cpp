@@ -6,8 +6,8 @@ namespace irs::hv {
 
 SaSender::SaSender(sim::Engine& eng, const HvConfig& cfg,
                    CreditScheduler& sched, obs::Counters& counters,
-                   obs::TraceBuffer& tbuf)
-    : eng_(eng), cfg_(cfg), sched_(sched), counters_(counters), tbuf_(tbuf) {}
+                   sim::Trace& trace)
+    : eng_(eng), cfg_(cfg), sched_(sched), counters_(counters), trace_(trace) {}
 
 bool SaSender::delay_preemption(Vcpu& cur) {
   // Algorithm 1, send_sa_event: only runnable (still willing to run) vCPUs
@@ -19,7 +19,7 @@ bool SaSender::delay_preemption(Vcpu& cur) {
   cur.set_sa_pending(true);
   cur.sa_sent_at = eng_.now();
   counters_.inc(cnt_shard(cur), obs::Cnt::kSaSent);
-  tbuf_.record(eng_.now(), sim::TraceKind::kSaSend, cur.id(), cur.pcpu());
+  trace_.record(eng_.now(), sim::TraceKind::kSaSend, cur.id(), cur.pcpu());
   cur.vm().guest().deliver_virq(cur.idx(), Virq::kSaUpcall);
 
   // Hard cap: a guest that never acknowledges loses the pCPU anyway.
@@ -42,7 +42,7 @@ void SaSender::note_ack(Vcpu& v) {
   counters_.inc(cnt_shard(v), obs::Cnt::kSaAcked);
   counters_.inc(cnt_shard(v), obs::Cnt::kSaDelayTotalNs,
                 eng_.now() - v.sa_sent_at);
-  tbuf_.record(eng_.now(), sim::TraceKind::kSaAck, v.id(), v.pcpu());
+  trace_.record(eng_.now(), sim::TraceKind::kSaAck, v.id(), v.pcpu());
 }
 
 }  // namespace irs::hv

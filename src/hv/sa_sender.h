@@ -10,15 +10,15 @@
 #include "src/hv/credit_scheduler.h"
 #include "src/hv/types.h"
 #include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
 #include "src/sim/engine.h"
+#include "src/sim/trace.h"
 
 namespace irs::hv {
 
 class SaSender final : public PreemptHook {
  public:
   SaSender(sim::Engine& eng, const HvConfig& cfg, CreditScheduler& sched,
-           obs::Counters& counters, obs::TraceBuffer& tbuf);
+           obs::Counters& counters, sim::Trace& trace);
 
   /// PreemptHook: returns true if preemption was deferred pending guest ack.
   bool delay_preemption(Vcpu& cur) override;
@@ -32,7 +32,7 @@ class SaSender final : public PreemptHook {
   const HvConfig& cfg_;
   CreditScheduler& sched_;
   obs::Counters& counters_;
-  obs::TraceBuffer& tbuf_;
+  sim::Trace& trace_;
 };
 
 }  // namespace irs::hv

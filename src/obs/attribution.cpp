@@ -26,9 +26,7 @@ struct Window {
 AttributionResult attribute(const std::vector<sim::TraceRecord>& records,
                             const TraceMeta& meta) {
   AttributionResult res;
-  if (meta.dropped > 0 && !records.empty()) {
-    res.head_truncated_at = records.front().when;
-  }
+  res.head_truncated_at = retained_head(records, meta);
 
   std::map<int, std::string> vcpu_vm;
   for (const auto& v : meta.vcpus) vcpu_vm[v.id] = v.vm;
@@ -36,7 +34,7 @@ AttributionResult attribute(const std::vector<sim::TraceRecord>& records,
   std::map<int, std::int32_t> lane;  // global vCPU -> on-CPU task (-1 idle)
   // global vCPU -> task whose guest-side wake last targeted it. Covers wake
   // windows on idle vCPUs: the kGuestWake precedes the kHvWake (same
-  // timestamp, earlier seq), but the task only reaches the lane when the
+  // timestamp, recorded first), but the task only reaches the lane when the
   // vCPU next runs — so the lane alone would leave the wait uncharged.
   std::map<int, std::int32_t> wake_hint;
   std::map<int, PendingClass> pending;
@@ -105,7 +103,7 @@ AttributionResult attribute(const std::vector<sim::TraceRecord>& records,
         break;
       case sim::TraceKind::kHvPreempt: {
         // The classifying kLhp/kLwp (if any) was recorded just before this,
-        // at the same timestamp with an earlier seq.
+        // at the same timestamp.
         PendingClass pc;
         auto it = pending.find(r.a);
         if (it != pending.end()) {

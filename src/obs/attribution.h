@@ -10,16 +10,17 @@
 // without a pCPU), close at the next kHvSchedule for that vCPU, and are
 // charged to the task the guest-lane records (kGuestSwitch) place on the
 // vCPU. A kLhp/kLwp record emitted at deschedule time (same timestamp,
-// earlier seq than the kHvPreempt) refines the charge with the lock name.
+// recorded just before the kHvPreempt) refines the charge with the lock
+// name.
 // Wake windows on an idle lane are charged to the task whose guest-side
 // wake (kGuestWake) triggered them — the task is runnable but has not
 // reached the lane yet, so the lane alone would under-charge.
 //
 // Truncated traces are handled explicitly: when the ring wrapped, windows
 // whose opening record was dropped are never charged (no kHvPreempt/kHvWake
-// was seen, so no window is open), and `head_truncated_at` reports the
-// first retained timestamp so consumers can annotate the gap instead of
-// silently under-reporting.
+// was seen, so no window is open), and `head_truncated_at` reports
+// retained_head() so consumers can annotate the gap instead of silently
+// under-reporting.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +54,8 @@ struct AttributionResult {
   sim::Duration charged = 0;
   /// Windows on vCPUs whose guest lane was idle / unknown.
   sim::Duration uncharged = 0;
-  /// First retained timestamp when the ring wrapped; -1 = complete trace.
+  /// retained_head(): oldest retained ring record when the ring wrapped;
+  /// -1 = complete trace.
   sim::Time head_truncated_at = -1;
   /// Per-task charges, largest total first (ties: vm, then task id).
   std::vector<TaskCharge> tasks;
@@ -65,7 +67,7 @@ struct AttributionResult {
   }
 };
 
-/// Walk `records` (snapshot order: sorted by (when, seq)) once and build the
+/// Walk `records` (snapshot order: oldest first) once and build the
 /// per-task interference breakdown. `meta` supplies the vCPU->VM mapping,
 /// task names, and the dropped-record count.
 AttributionResult attribute(const std::vector<sim::TraceRecord>& records,

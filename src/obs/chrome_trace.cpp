@@ -136,6 +136,18 @@ void instant_event(JsonWriter& w, const std::string& name, int pid, int tid,
 
 }  // namespace
 
+sim::Time retained_head(const std::vector<sim::TraceRecord>& records,
+                        const TraceMeta& meta) {
+  if (meta.dropped == 0) return -1;
+  for (const sim::TraceRecord& r : records) {
+    if (r.kind != sim::TraceKind::kReqBegin &&
+        r.kind != sim::TraceKind::kReqEnd) {
+      return r.when;
+    }
+  }
+  return meta.end;
+}
+
 std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
                               const TraceMeta& meta) {
   return chrome_trace_json(records, meta, ChromeTraceOptions{});
@@ -177,7 +189,7 @@ std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
   if (meta.dropped > 0) {
     // Place the marker where the retained portion begins: everything before
     // this timestamp was dropped when the ring wrapped.
-    const sim::Time head = records.empty() ? meta.start : records.front().when;
+    const sim::Time head = retained_head(records, meta);
     w.begin_object()
         .field("name", "trace truncated")
         .field("ph", "i")

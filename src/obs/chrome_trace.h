@@ -14,8 +14,8 @@
 //   - optionally (ChromeTraceOptions::counters) Perfetto "C" counter tracks
 //     rendered from sampler series;
 //   - a truncation metadata instant when the ring wrapped and dropped
-//     records, placed at the first *retained* timestamp so the gap is
-//     visible where it actually is.
+//     records, placed at retained_head() so the gap is visible where it
+//     actually is.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +54,16 @@ struct TraceMeta {
   std::uint64_t total_recorded = 0;  // Trace::total_recorded()
 };
 
+/// Where complete scheduler evidence begins — the one truncation head the
+/// attribution profiler, request forensics and the exporter's "trace
+/// truncated" marker share. -1 when the ring dropped nothing; otherwise the
+/// time of the oldest retained ring record, i.e. the first record that is
+/// not a synthesized kReqBegin/kReqEnd (request brackets come from a side
+/// log and never drop; a back-dated kReqBegin can sort ahead of the ring).
+/// meta.end when no ring record survives at all.
+sim::Time retained_head(const std::vector<sim::TraceRecord>& records,
+                        const TraceMeta& meta);
+
 struct ChromeTraceOptions {
   bool guest_lanes = false;
   /// When set, each series renders as a Perfetto "C" counter track.
@@ -71,7 +81,8 @@ struct ChromeTraceOptions {
   const struct ForensicsResult* forensics = nullptr;
 };
 
-/// Records must be in snapshot order (sorted by (when, seq)).
+/// Records must be in snapshot order: oldest first, as Trace::snapshot()
+/// returns them (with_request_spans() keeps that order).
 std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
                               const TraceMeta& meta);
 std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,

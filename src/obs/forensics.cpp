@@ -4,7 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -577,41 +577,48 @@ struct Analyzer {
 
 std::vector<sim::TraceRecord> with_request_spans(
     const std::vector<sim::TraceRecord>& records,
-    const std::vector<ReqSpan>& spans, std::uint64_t base_seq) {
-  std::vector<sim::TraceRecord> synth;
-  synth.reserve(spans.size() * 2);
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const ReqSpan& s = spans[i];
-    // The begin bracket sits at the service start; a nonzero accept-queue
-    // wait rides in the note (decimal ns) and the analyzer back-dates the
-    // span by it (see header).
-    sim::TraceRecord begin{s.begin + s.qwait, base_seq + 2 * i,
-                           sim::TraceKind::kReqBegin, s.req, s.cls, s.task,
-                           ""};
-    if (s.qwait > 0) {
+    const std::vector<ReqSpan>& spans) {
+  // Bracket k is span k/2's begin (k even) or end (k odd). The begin sits
+  // at the service start; a nonzero accept-queue wait rides in the note
+  // (decimal ns) and the analyzer back-dates the span by it (see header).
+  const auto when = [&spans](std::uint32_t k) {
+    const ReqSpan& s = spans[k / 2];
+    return k % 2 == 0 ? s.begin + s.qwait : s.end;
+  };
+  // Order by (when, k): brackets at equal times stay in span order, each
+  // begin ahead of its own end (ab back-dates begins to the arrival
+  // instant, so they need sorting). Sorting 4-byte ids in place, not
+  // stable-sorting records, keeps a serving run's peak memory down.
+  std::vector<std::uint32_t> order(2 * spans.size());
+  std::iota(order.begin(), order.end(), 0U);
+  std::sort(order.begin(), order.end(),
+            [&when](std::uint32_t x, std::uint32_t y) {
+              return when(x) != when(y) ? when(x) < when(y) : x < y;
+            });
+  std::vector<sim::TraceRecord> merged;
+  merged.reserve(records.size() + order.size());
+  auto ring = records.begin();
+  for (const std::uint32_t k : order) {
+    const sim::Time t = when(k);
+    // Ring records first on ties: where a bracket recorded at that instant
+    // would have landed.
+    while (ring != records.end() && ring->when <= t) merged.push_back(*ring++);
+    const ReqSpan& s = spans[k / 2];
+    sim::TraceRecord r{t,
+                       k % 2 == 0 ? sim::TraceKind::kReqBegin
+                                  : sim::TraceKind::kReqEnd,
+                       s.req, s.cls, s.task, ""};
+    if (k % 2 == 0 && s.qwait > 0) {
       // A 15-char note holds any wait below ~11.5 simulated days;
       // TraceNote truncates (never overflows) beyond that.
       char buf[24];
       std::snprintf(buf, sizeof buf, "%lld",
                     static_cast<long long>(s.qwait));
-      begin.note = buf;
+      r.note = buf;
     }
-    synth.push_back(begin);
-    synth.push_back(sim::TraceRecord{s.end, base_seq + 2 * i + 1,
-                                     sim::TraceKind::kReqEnd, s.req, s.cls,
-                                     s.task, ""});
+    merged.push_back(r);
   }
-  const auto by_when_seq = [](const sim::TraceRecord& x,
-                              const sim::TraceRecord& y) {
-    return x.when != y.when ? x.when < y.when : x.seq < y.seq;
-  };
-  // Ends are already in completion order; begins (ab back-dates to the
-  // arrival instant) are not, so sort before the merge.
-  std::sort(synth.begin(), synth.end(), by_when_seq);
-  std::vector<sim::TraceRecord> merged;
-  merged.reserve(records.size() + synth.size());
-  std::merge(records.begin(), records.end(), synth.begin(), synth.end(),
-             std::back_inserter(merged), by_when_seq);
+  merged.insert(merged.end(), ring, records.end());
   return merged;
 }
 
@@ -632,27 +639,7 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
   int max_task = -1;
   for (const TaskInfo& t : meta.tasks) max_task = std::max(max_task, t.id);
   az.tasks.resize(static_cast<std::size_t>(max_task + 1));
-  if (meta.dropped > 0) {
-    // The retained-ring head. The ring overwrites oldest-by-arrival, but
-    // batched staging flushes whole blocks, so a stale buffer can land
-    // ancient records after mid-run slots were already overwritten —
-    // retention is not a clean seq suffix and "first retained record"
-    // would underestimate the damage. Scheduler evidence is complete only
-    // over the contiguous-by-seq tail ending at the newest record (seqs
-    // and timestamps are co-monotonic within a run); its earliest record
-    // marks the head. Synthesized request brackets never drop and carry
-    // seqs past the ring's, so they are skipped on the way back.
-    std::uint64_t expect = meta.total_recorded;  // one past the largest seq
-    for (auto it = records.rbegin(); it != records.rend(); ++it) {
-      if (it->kind == sim::TraceKind::kReqBegin ||
-          it->kind == sim::TraceKind::kReqEnd) {
-        continue;
-      }
-      if (it->seq != expect - 1) break;
-      expect = it->seq;
-      az.out.head_truncated_at = it->when;
-    }
-  }
+  az.out.head_truncated_at = retained_head(records, meta);
   // Classes (and their violating-window sets) exist up front so an
   // all-truncated capture still reports per-class truncation counts.
   for (std::size_t i = 0; i < slo.classes.size(); ++i) {

@@ -113,9 +113,10 @@ struct ForensicsClassResult {
 /// result_json serializes, and the sweep folder merges.
 struct ForensicsResult {
   sim::Duration window = 0;        // violation-window length; 0 = untracked
-  /// When the ring wrapped: start of the contiguous retained tail —
-  /// scheduler evidence before this instant is incomplete, spans beginning
-  /// there are reported as truncated, never charged. -1 = nothing dropped.
+  /// retained_head(): when the ring wrapped, the oldest retained ring
+  /// record — scheduler evidence before this instant is incomplete, spans
+  /// beginning before it are reported as truncated, never charged.
+  /// -1 = nothing dropped.
   sim::Time head_truncated_at = -1;
   std::vector<ForensicsClassResult> classes;
 
@@ -127,8 +128,8 @@ struct ForensicsResult {
 
 /// One completed request span, captured by the serving workloads into a
 /// plain side log instead of the trace ring: recording costs one small
-/// fixed-size append per request (no per-request ring traffic or seq
-/// allocation — the bench_report recording gate rides on this), and the
+/// fixed-size append per request (no per-request ring traffic — the
+/// bench_report recording gate rides on this), and the
 /// analysis/export path re-synthesizes the kReqBegin/kReqEnd records from
 /// the log with with_request_spans().
 struct ReqSpan {
@@ -145,20 +146,19 @@ struct ReqSpan {
 };
 
 /// Render `spans` as kReqBegin/kReqEnd records and merge them into a
-/// (when, seq)-sorted trace snapshot, preserving the sort. Synthesized
-/// records take sequence numbers from `base_seq` (pass the ring's
-/// total_recorded — one past the largest real seq) so that at equal
-/// timestamps they order deterministically after every ring record, the
-/// same place a bracket recorded at that instant would have sorted.
+/// trace snapshot (oldest first), preserving its order. The brackets are
+/// ordered by time (ties in span order, each begin ahead of its own end),
+/// and at equal timestamps they follow every ring record, the place a
+/// bracket recorded at that instant would have taken.
 /// A span with qwait > 0 synthesizes its kReqBegin at the *service start*
 /// (begin + qwait) carrying the wait as a decimal-ns note — the same idiom
 /// kMigrate uses for its penalty — so the replay never mischarges worker
 /// activity that happened while the request sat in the accept queue.
 std::vector<sim::TraceRecord> with_request_spans(
     const std::vector<sim::TraceRecord>& records,
-    const std::vector<ReqSpan>& spans, std::uint64_t base_seq);
+    const std::vector<ReqSpan>& spans);
 
-/// Walk `records` (snapshot order: sorted by (when, seq)) once and decompose
+/// Walk `records` (snapshot order: oldest first) once and decompose
 /// every request span of the VM named `vm`. `meta` supplies the vCPU→VM
 /// mapping and the dropped count; `slo` supplies class names/specs, the
 /// window length, and which windows violated (burn rate > 1) — pass an

@@ -1,6 +1,5 @@
 #include "src/sim/trace.h"
 
-#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -51,61 +50,17 @@ void Trace::set_capacity(std::size_t capacity) {
   total_ = 0;
 }
 
-void Trace::push(const TraceRecord& rec) {
-  ++total_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(rec);
-    return;
-  }
-  ring_[head_] = rec;
-  ++head_;
-  if (head_ == capacity_) head_ = 0;
-  ++dropped_;
-}
-
-void Trace::record(Time when, TraceKind kind, std::int32_t a, std::int32_t b,
-                   const char* note, std::int32_t c) {
-  if (!enabled()) return;
-  push(TraceRecord{when, alloc_seq(), kind, a, b, c, note});
-}
-
-void Trace::append_block(const TraceRecord* recs, std::size_t n) {
-  if (!enabled()) return;
-  for (std::size_t i = 0; i < n; ++i) push(recs[i]);
-}
-
-int Trace::add_flush_hook(std::function<void()> hook) {
-  const int id = next_hook_id_++;
-  flush_hooks_.emplace_back(id, std::move(hook));
-  return id;
-}
-
-void Trace::remove_flush_hook(int id) {
-  for (auto it = flush_hooks_.begin(); it != flush_hooks_.end(); ++it) {
-    if (it->first == id) {
-      flush_hooks_.erase(it);
-      return;
-    }
-  }
-}
-
-void Trace::flush_buffers() {
-  for (auto& [id, hook] : flush_hooks_) hook();
-}
-
-std::vector<TraceRecord> Trace::snapshot() {
-  flush_buffers();
-  std::vector<TraceRecord> out = ring_;
-  std::sort(out.begin(), out.end(),
-            [](const TraceRecord& x, const TraceRecord& y) {
-              if (x.when != y.when) return x.when < y.when;
-              return x.seq < y.seq;
-            });
+std::vector<TraceRecord> Trace::snapshot() const {
+  // head_ stays 0 until the ring wraps; after that it is the oldest slot.
+  const auto head = ring_.begin() + static_cast<std::ptrdiff_t>(head_);
+  std::vector<TraceRecord> out;
+  out.reserve(ring_.size());
+  out.insert(out.end(), head, ring_.end());
+  out.insert(out.end(), ring_.begin(), head);
   return out;
 }
 
-std::size_t Trace::count(TraceKind kind) {
-  flush_buffers();
+std::size_t Trace::count(TraceKind kind) const {
   std::size_t n = 0;
   for (const auto& r : ring_) {
     if (r.kind == kind) ++n;
@@ -113,7 +68,7 @@ std::size_t Trace::count(TraceKind kind) {
   return n;
 }
 
-std::string Trace::dump() {
+std::string Trace::dump() const {
   std::ostringstream os;
   if (dropped_ > 0) {
     os << "[trace truncated: " << dropped_ << " of " << total_

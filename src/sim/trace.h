@@ -2,15 +2,15 @@
 // scheduling decisions, and for the obs exporters. Disabled by default;
 // enabling keeps the most recent `capacity` records in a ring buffer.
 //
-// Producers normally go through an obs::TraceBuffer (per-module staging,
-// flushed in blocks — see src/obs/trace_buffer.h); the direct record() path
-// remains for low-rate producers and as the unbatched baseline the
-// bench_report overhead metric compares against.
+// Every producer (the hypervisor, the guest kernels, the engine) appends
+// straight to the ring and stamps the engine's current time, so append
+// order is time order: the ring is chronological by construction,
+// snapshot() is a rotation, and a wrap drops exactly the oldest records —
+// what survives is an exact suffix of everything recorded.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -78,19 +78,17 @@ class TraceNote {
   char buf_[kMax + 1];
 };
 
+/// One trace record. Its position in a snapshot is its order: records at
+/// equal `when` keep the order they were produced in.
 struct TraceRecord {
   Time when = 0;
-  /// Global record-order sequence number, assigned when the record is
-  /// produced (not when its staging buffer is flushed): snapshots sort by
-  /// (when, seq), so block-flushed records from different modules
-  /// interleave exactly as they were recorded.
-  std::uint64_t seq = 0;
   TraceKind kind = TraceKind::kUser;
   std::int32_t a = -1;  // subsystem-defined (e.g. vCPU id)
   std::int32_t b = -1;  // subsystem-defined (e.g. pCPU or task id)
   std::int32_t c = -1;  // subsystem-defined third payload (e.g. source vCPU)
   TraceNote note;
 };
+static_assert(sizeof(TraceRecord) == 40, "ring memory is sized per record");
 
 /// Fixed-capacity ring of trace records.
 ///
@@ -104,35 +102,31 @@ class Trace {
   [[nodiscard]] bool enabled() const { return capacity_ > 0; }
   void set_capacity(std::size_t capacity);
 
+  /// Append one record. Disabled rings return on the first check, so an
+  /// untraced run pays one load and one branch per record site.
   void record(Time when, TraceKind kind, std::int32_t a, std::int32_t b,
-              const char* note = "", std::int32_t c = -1);
+              const char* note = "", std::int32_t c = -1) {
+    if (capacity_ == 0) return;
+    const TraceRecord rec{when, kind, a, b, c, note};
+    ++total_;
+    if (ring_.size() < capacity_) {
+      ring_.push_back(rec);
+      return;
+    }
+    ring_[head_] = rec;
+    if (++head_ == capacity_) head_ = 0;
+    ++dropped_;
+  }
 
-  /// Sequence number for a record produced into a staging buffer. Must be
-  /// drawn at record time (see TraceRecord::seq).
-  [[nodiscard]] std::uint64_t alloc_seq() { return next_seq_++; }
-
-  /// Bulk insert from a staging buffer. Records may arrive out of global
-  /// order across blocks; snapshot() restores (when, seq) order.
-  void append_block(const TraceRecord* recs, std::size_t n);
-
-  /// Staging buffers attached to this ring register a flush hook so that
-  /// snapshot()/count()/dump() always observe fully-flushed data. Returns a
-  /// registration id for remove_flush_hook().
-  int add_flush_hook(std::function<void()> hook);
-  void remove_flush_hook(int id);
-
-  /// Flush every attached staging buffer into the ring.
-  void flush_buffers();
-
-  /// Records in chronological order (oldest first). Flushes staging
-  /// buffers first.
-  [[nodiscard]] std::vector<TraceRecord> snapshot();
+  /// Retained records in production order (oldest first): the ring rotated
+  /// to start at its oldest slot.
+  [[nodiscard]] std::vector<TraceRecord> snapshot() const;
 
   /// Count of records of a given kind currently retained.
-  [[nodiscard]] std::size_t count(TraceKind kind);
+  [[nodiscard]] std::size_t count(TraceKind kind) const;
 
   /// Human-readable dump (for failing-test diagnostics).
-  [[nodiscard]] std::string dump();
+  [[nodiscard]] std::string dump() const;
 
   /// Records lost to ring wrap-around since the last set_capacity/clear.
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
@@ -143,16 +137,11 @@ class Trace {
   void clear();
 
  private:
-  void push(const TraceRecord& rec);
-
   std::size_t capacity_ = 0;
-  std::size_t head_ = 0;  // next write slot once the ring is full
-  std::uint64_t next_seq_ = 0;
+  std::size_t head_ = 0;  // oldest record (next write slot) once full
   std::uint64_t dropped_ = 0;
   std::uint64_t total_ = 0;
   std::vector<TraceRecord> ring_;
-  std::vector<std::pair<int, std::function<void()>>> flush_hooks_;
-  int next_hook_id_ = 0;
 };
 
 }  // namespace irs::sim

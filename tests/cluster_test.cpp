@@ -2,8 +2,8 @@
 // JSON round-trip), admission-policy placement determinism, the migration
 // conservation identities from src/obs/cluster_stats.h, the cluster
 // determinism battery (bit-identical RunResults across queue backends,
-// trace batching, sweep thread counts, and a 2-shard NDJSON fold in either
-// order), the fig_cluster acceptance fixture (IRS placement beats random
+// sweep thread counts, and a 2-shard NDJSON fold in either order), the
+// fig_cluster acceptance fixture (IRS placement beats random
 // under co-located hogs), the RunCapture per-host dump surface, and the
 // HostNode VmId-validation errors the cluster API split made load-bearing.
 #include "src/cluster/cluster.h"
@@ -291,19 +291,17 @@ TEST(ClusterAcceptance, IrsPlacementBeatsRandomUnderTwoHogs) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism battery: backends x trace batch x sweep threads x fold order
+// Determinism battery: backends x sweep threads x fold order
 // ---------------------------------------------------------------------------
 
 /// Two-cell grid (random + irs placement) with sampling and tracing armed
 /// so every digest in the result is live.
-std::vector<exp::ScenarioConfig> battery_cells(sim::QueueKind queue,
-                                               int trace_batch) {
+std::vector<exp::ScenarioConfig> battery_cells(sim::QueueKind queue) {
   std::vector<exp::ScenarioConfig> cfgs;
   for (const char* pol : {"random", "irs"}) {
     exp::ScenarioConfig cfg = cluster_cfg(pol, 3, sim::milliseconds(300));
     cfg.sample_period = obs::Sampler::kDefaultPeriod;
-    cfg.trace_capacity = 1 << 18;  // roomy: drops would couple to batching
-    cfg.trace_batch = trace_batch;
+    cfg.trace_capacity = 1 << 18;  // roomy: the ring never wraps
     cfg.queue = queue;
     cfgs.push_back(cfg);
   }
@@ -312,7 +310,7 @@ std::vector<exp::ScenarioConfig> battery_cells(sim::QueueKind queue,
 
 TEST(ClusterDeterminism, BitIdenticalAcrossBackendsBatchAndThreads) {
   const auto ref =
-      exp::run_sweep(battery_cells(sim::QueueKind::kBinaryHeap, 1),
+      exp::run_sweep(battery_cells(sim::QueueKind::kBinaryHeap),
                      /*n_threads=*/1);
   ASSERT_EQ(ref.size(), 2u);
   for (const exp::RunResult& r : ref) {
@@ -324,25 +322,21 @@ TEST(ClusterDeterminism, BitIdenticalAcrossBackendsBatchAndThreads) {
   for (const sim::QueueKind queue :
        {sim::QueueKind::kBinaryHeap, sim::QueueKind::kQuadHeap,
         sim::QueueKind::kHybridWheel}) {
-    for (const int batch : {1, 64}) {
-      for (const int threads : {1, 4}) {
-        SCOPED_TRACE(testing::Message()
-                     << "queue=" << static_cast<int>(queue)
-                     << " batch=" << batch << " threads=" << threads);
-        const auto got = exp::run_sweep(battery_cells(queue, batch), threads);
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-          SCOPED_TRACE(i);
-          EXPECT_TRUE(exp::results_identical(ref[i], got[i]));
-        }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "queue=" << static_cast<int>(queue)
+                                      << " threads=" << threads);
+      const auto got = exp::run_sweep(battery_cells(queue), threads);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_TRUE(exp::results_identical(ref[i], got[i]));
       }
     }
   }
 }
 
 TEST(ClusterDeterminism, TwoShardNdjsonFoldsBitIdenticallyInEitherOrder) {
-  const auto cfgs =
-      battery_cells(sim::default_queue_kind(), /*trace_batch=*/64);
+  const auto cfgs = battery_cells(sim::default_queue_kind());
   const auto runs = exp::run_sweep(cfgs, /*n_threads=*/2);
   ASSERT_EQ(runs.size(), 2u);
 

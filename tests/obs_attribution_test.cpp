@@ -21,7 +21,7 @@ class TraceBuilder {
  public:
   void add(sim::Time when, TraceKind k, std::int32_t a, std::int32_t b,
            const char* note = "", std::int32_t c = -1) {
-    rs_.push_back(sim::TraceRecord{when, seq_++, k, a, b, c, note});
+    rs_.push_back(sim::TraceRecord{when, k, a, b, c, note});
   }
   [[nodiscard]] const std::vector<sim::TraceRecord>& records() const {
     return rs_;
@@ -29,7 +29,6 @@ class TraceBuilder {
 
  private:
   std::vector<sim::TraceRecord> rs_;
-  std::uint64_t seq_ = 0;
 };
 
 TraceMeta two_vm_meta() {
@@ -134,7 +133,7 @@ TEST(ObsAttribution, LwpClassificationWinsOverStaleLhp) {
   TraceBuilder t;
   t.add(sim::milliseconds(1), TraceKind::kGuestSwitch, 0, 101);
   // Both classifications land before the preempt; the later one (LWP,
-  // higher seq) must win.
+  // recorded second) must win.
   t.add(sim::milliseconds(2), TraceKind::kLhp, 0, 0, "runq", 101);
   t.add(sim::milliseconds(2), TraceKind::kLwp, 0, 0, "flock", 101);
   t.add(sim::milliseconds(2), TraceKind::kHvPreempt, 0, 0);
@@ -184,7 +183,8 @@ TEST(ObsAttribution, TwoVmScenarioChargesMeasuredSteal) {
   cfg.trace_capacity = 1 << 20;  // large enough that nothing drops
 
   exp::TraceDump dump;
-  const exp::RunResult r = exp::run_scenario(cfg, &dump);
+  const exp::RunResult r =
+      exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
   ASSERT_TRUE(r.finished);
   ASSERT_EQ(dump.meta.dropped, 0u);
 

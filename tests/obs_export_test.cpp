@@ -18,6 +18,8 @@
 
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
+#include "src/obs/attribution.h"
+#include "src/obs/forensics.h"
 #include "src/obs/json.h"
 
 namespace irs::obs {
@@ -145,10 +147,9 @@ TEST(ObsExport, SweepJsonPreservesOrder) {
 std::vector<sim::TraceRecord> tiny_records() {
   using sim::TraceKind;
   std::vector<sim::TraceRecord> rs;
-  std::uint64_t seq = 0;
   auto add = [&](sim::Time when, TraceKind k, std::int32_t a, std::int32_t b,
                  const char* note = "", std::int32_t c = -1) {
-    rs.push_back(sim::TraceRecord{when, seq++, k, a, b, c, note});
+    rs.push_back(sim::TraceRecord{when, k, a, b, c, note});
   };
   add(sim::milliseconds(1), TraceKind::kHvSchedule, 0, 0);
   add(sim::milliseconds(1), TraceKind::kHvSchedule, 1, 1);
@@ -168,10 +169,9 @@ std::vector<sim::TraceRecord> tiny_records() {
 std::vector<sim::TraceRecord> tiny_full_records() {
   using sim::TraceKind;
   std::vector<sim::TraceRecord> rs;
-  std::uint64_t seq = 0;
   auto add = [&](sim::Time when, TraceKind k, std::int32_t a, std::int32_t b,
                  const char* note = "", std::int32_t c = -1) {
-    rs.push_back(sim::TraceRecord{when, seq++, k, a, b, c, note});
+    rs.push_back(sim::TraceRecord{when, k, a, b, c, note});
   };
   add(sim::milliseconds(1), TraceKind::kHvSchedule, 0, 0);
   add(sim::milliseconds(1), TraceKind::kHvSchedule, 1, 1);
@@ -324,6 +324,55 @@ TEST(ObsExport, TinyTraceStructure) {
   EXPECT_NE(json.find("\"ts\":1000,\"dur\":9000"), std::string::npos);
 }
 
+// ---------------------------------------------------------------------------
+// retained_head: the one truncation head every analyzer shares
+// ---------------------------------------------------------------------------
+
+TEST(ObsRetainedHead, OldestRingRecordSkippingRequestBrackets) {
+  // A back-dated kReqBegin (and its kReqEnd) sort ahead of the oldest
+  // retained ring record; they come from the span log and never drop, so
+  // they do not move the head.
+  std::vector<sim::TraceRecord> ring = tiny_records();
+  ring.erase(ring.begin(), ring.begin() + 2);  // oldest retained: 2 ms
+  const std::vector<sim::TraceRecord> merged = with_request_spans(
+      ring, {ReqSpan{sim::microseconds(200), sim::microseconds(1500), 1, 0,
+                     101, 0}});
+  ASSERT_EQ(merged.front().kind, sim::TraceKind::kReqBegin);
+  const TraceMeta m = tiny_meta();  // dropped = 2
+  EXPECT_EQ(retained_head(merged, m), sim::milliseconds(2));
+  // Nothing but brackets (or nothing at all) survived: no evidence anywhere.
+  const std::vector<sim::TraceRecord> only_brackets(merged.begin(),
+                                                    merged.begin() + 2);
+  EXPECT_EQ(retained_head(only_brackets, m), m.end);
+  EXPECT_EQ(retained_head({}, m), m.end);
+  // Nothing dropped: the trace is complete, whatever it starts with.
+  TraceMeta complete = m;
+  complete.dropped = 0;
+  EXPECT_EQ(retained_head(merged, complete), -1);
+}
+
+TEST(ObsRetainedHead, AttributionForensicsAndExporterAgree) {
+  std::vector<sim::TraceRecord> ring = tiny_full_records();
+  ring.erase(ring.begin(), ring.begin() + 4);  // oldest retained: 2 ms
+  const TraceMeta m = tiny_full_meta();  // dropped = 2
+  const std::vector<sim::TraceRecord> merged = with_request_spans(
+      ring, {ReqSpan{sim::microseconds(500), sim::milliseconds(4), 7, 0, 101,
+                     0}});
+  const sim::Time head = retained_head(merged, m);
+  ASSERT_EQ(head, sim::milliseconds(2));
+  EXPECT_EQ(attribute(merged, m).head_truncated_at, head);
+  const ForensicsResult f = request_forensics(merged, m, SloResult{});
+  EXPECT_EQ(f.head_truncated_at, head);
+  // The span began before the head: reported, never charged.
+  ASSERT_EQ(f.classes.size(), 1u);
+  EXPECT_EQ(f.classes[0].truncated, 1u);
+  EXPECT_EQ(f.classes[0].spans, 0u);
+  const std::string json = chrome_trace_json(merged, m);
+  EXPECT_NE(json.find("\"ts\":2000,\"args\":{\"head_us\":2000,"),
+            std::string::npos)
+      << json;
+}
+
 TEST(ObsExport, ScenarioTraceDumpIsWellFormed) {
   // A real (tiny) run end-to-end through run_scenario's dump path: the
   // exporter must emit valid JSON with on-CPU spans for the actual topology.
@@ -337,14 +386,16 @@ TEST(ObsExport, ScenarioTraceDumpIsWellFormed) {
   cfg.seed = 11;
 
   exp::TraceDump dump;
-  const exp::RunResult r = exp::run_scenario(cfg, &dump);
+  const exp::RunResult r =
+      exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
   EXPECT_TRUE(r.finished);
   ASSERT_FALSE(dump.records.empty());
   ASSERT_EQ(dump.meta.vcpus.size(), 3u);  // 2 fg + 1 bg vCPU
   EXPECT_EQ(dump.meta.n_pcpus, 2);
   EXPECT_GT(dump.meta.end, dump.meta.start);
 
-  // Snapshot ordering invariant the exporter depends on.
+  // Snapshot ordering invariant the exporter depends on. Every record site
+  // stamps the engine's now(), so the ring is chronological as appended.
   for (std::size_t i = 1; i < dump.records.size(); ++i) {
     EXPECT_LE(dump.records[i - 1].when, dump.records[i].when);
   }
@@ -372,7 +423,8 @@ TEST(ObsExport, RunWithoutDumpStaysUntraced) {
   cfg.work_scale = 0.05;
   cfg.seed = 11;
   exp::TraceDump dump;
-  const exp::RunResult traced = exp::run_scenario(cfg, &dump);
+  const exp::RunResult traced =
+      exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
   const exp::RunResult plain = exp::run_scenario(cfg);
   // Tracing must not perturb the simulation.
   EXPECT_EQ(plain.fg_makespan, traced.fg_makespan);

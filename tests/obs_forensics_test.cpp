@@ -11,6 +11,8 @@
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
 #include "src/exp/sweep.h"
+#include "src/obs/attribution.h"
+#include "src/obs/chrome_trace.h"
 #include "src/obs/forensics.h"
 #include "src/obs/json.h"
 #include "src/obs/json_reader.h"
@@ -113,13 +115,12 @@ TEST(ForensicsEndToEnd, InstrumentationIsPassiveAndDeterministic) {
   EXPECT_TRUE(exp::results_identical(a, b));
 }
 
-// --- determinism across engine backends, batch sizes, thread counts -------
+// --- determinism across engine backends and thread counts ------------------
 
 TEST(ForensicsEndToEnd, BitIdenticalAcrossQueueBackendsBatchesAndThreads) {
   // The forensics block (and the whole result line) must be a pure function
-  // of (config, seed): the event-queue backend, the trace staging batch
-  // size, and the sweep pool's thread count are implementation details that
-  // may not leak into the JSON.
+  // of (config, seed): the event-queue backend and the sweep pool's thread
+  // count are implementation details that may not leak into the JSON.
   std::vector<exp::ScenarioConfig> grid;
   for (std::uint64_t seed : {1ull, 7ull}) {
     exp::ScenarioConfig cfg = forensics_cfg("specjbb", core::Strategy::kIrs);
@@ -140,17 +141,11 @@ TEST(ForensicsEndToEnd, BitIdenticalAcrossQueueBackendsBatchesAndThreads) {
   for (const auto queue :
        {sim::QueueKind::kBinaryHeap, sim::QueueKind::kQuadHeap,
         sim::QueueKind::kHybridWheel}) {
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
-      auto g = grid;
-      for (auto& cfg : g) {
-        cfg.queue = queue;
-        cfg.trace_batch = batch;
-      }
-      for (const int threads : {1, 4}) {
-        EXPECT_EQ(render(exp::run_sweep(g, threads)), reference)
-            << "queue " << static_cast<int>(queue) << " batch " << batch
-            << " threads " << threads;
-      }
+    auto g = grid;
+    for (auto& cfg : g) cfg.queue = queue;
+    for (const int threads : {1, 4}) {
+      EXPECT_EQ(render(exp::run_sweep(g, threads)), reference)
+          << "queue " << static_cast<int>(queue) << " threads " << threads;
     }
   }
 }
@@ -160,10 +155,11 @@ TEST(ForensicsEndToEnd, BitIdenticalAcrossQueueBackendsBatchesAndThreads) {
 TEST(ForensicsTruncation, WrappedSpansAreReportedNeverCharged) {
   // Fuzz the ring capacity: spans live in the side log and never drop, but
   // when the wrap eats the scheduler evidence under a span (it began before
-  // the contiguous retained tail), the span must be counted in `truncated`
-  // — and never charged into any cause histogram (every cause count stays
-  // equal to `spans`). Same capacity twice must reproduce the same block
-  // bit-for-bit.
+  // the oldest retained ring record), the span must be counted in
+  // `truncated` — and never charged into any cause histogram (every cause
+  // count stays equal to `spans`). Same capacity twice must reproduce the
+  // same block bit-for-bit. Attribution, forensics and the exporter's
+  // truncation marker must all put the head at that oldest ring record.
   sim::Rng rng(2026);
   bool saw_truncation = false;
   for (int iter = 0; iter < 5; ++iter) {
@@ -173,13 +169,36 @@ TEST(ForensicsTruncation, WrappedSpansAreReportedNeverCharged) {
     exp::ScenarioConfig cfg = forensics_cfg("specjbb", core::Strategy::kIrs);
     cfg.server_duration = sim::milliseconds(200);
     cfg.trace_capacity = capacity;
-    const exp::RunResult r1 = exp::run_scenario(cfg);
+    exp::TraceDump dump;
+    const exp::RunResult r1 =
+        exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
     const exp::RunResult r2 = exp::run_scenario(cfg);
     ASSERT_TRUE(r1.forensics == r2.forensics) << "capacity " << capacity;
     ASSERT_EQ(r1.forensics_digest, r2.forensics_digest);
     ASSERT_GT(r1.trace_dropped, 0u) << "capacity " << capacity
                                     << " did not wrap; shrink the fuzz range";
-    EXPECT_GE(r1.forensics.head_truncated_at, 0) << "capacity " << capacity;
+    // The oldest retained ring record: the first one the span log did not
+    // synthesize.
+    sim::Time oldest = -1;
+    for (const sim::TraceRecord& rec : dump.records) {
+      if (rec.kind != sim::TraceKind::kReqBegin &&
+          rec.kind != sim::TraceKind::kReqEnd) {
+        oldest = rec.when;
+        break;
+      }
+    }
+    ASSERT_GE(oldest, 0) << "capacity " << capacity;
+    EXPECT_EQ(r1.forensics.head_truncated_at, oldest)
+        << "capacity " << capacity;
+    EXPECT_EQ(obs::attribute(dump.records, dump.meta).head_truncated_at,
+              oldest)
+        << "capacity " << capacity;
+    obs::JsonWriter head_us;  // the exporter's compact number format
+    head_us.value(sim::to_us(oldest));
+    EXPECT_NE(obs::chrome_trace_json(dump.records, dump.meta)
+                  .find("\"head_us\":" + head_us.str() + ","),
+              std::string::npos)
+        << "capacity " << capacity;
     std::uint64_t truncated = 0;
     for (const obs::ForensicsClassResult& c : r1.forensics.classes) {
       truncated += c.truncated;

@@ -119,8 +119,10 @@ TEST(ObsSampler, SeriesByteIdenticalAcrossRepeatRuns) {
   cfg.work_scale = 0.05;
   cfg.seed = 3;
   exp::TraceDump d1, d2;
-  const exp::RunResult r1 = exp::run_scenario(cfg, &d1);
-  const exp::RunResult r2 = exp::run_scenario(cfg, &d2);
+  const exp::RunResult r1 =
+      exp::run_scenario(cfg, exp::RunCapture{.dump = &d1});
+  const exp::RunResult r2 =
+      exp::run_scenario(cfg, exp::RunCapture{.dump = &d2});
   EXPECT_EQ(r1.sampler_digest, r2.sampler_digest);
   ASSERT_EQ(d1.series.size(), d2.series.size());
   ASSERT_GE(d1.series.size(), 4u);  // >= 4 counter tracks for the exporter

@@ -11,7 +11,6 @@
 //   --bg-vms N       #interfering VMs              (1)
 //   --seed N         base seed                     (1)
 //   --capacity N     trace ring capacity           (65536)
-//   --batch N        staging-buffer batch size     (default)
 //   --summary        also print the RunResult as JSON on stdout
 //   --guest-lanes    add per-vCPU guest task lanes + migration arrows
 //   --counters       add sampler counter tracks ("C" events)
@@ -225,7 +224,6 @@ bool parse_strategy(const std::string& name, core::Strategy* out) {
   std::fprintf(stderr,
                "usage: %s [--fg NAME] [--bg NAME] [--strategy NAME] "
                "[--inter N] [--bg-vms N] [--seed N] [--capacity N] "
-               "[--batch N] "
                "[--summary] [--guest-lanes] [--counters] [--attribution] "
                "[--slo] [--forensics] [--frontend] [--fe-arrival K] "
                "[--fe-rate HZ] [--fe-overload K] [--fe-queue-cap N] "
@@ -273,9 +271,6 @@ int run(int argc, char** argv) {
       cfg.seed = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
     } else if (arg == "--capacity") {
       cfg.trace_capacity = static_cast<std::size_t>(
-          std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--batch") {
-      cfg.trace_batch = static_cast<std::size_t>(
           std::strtoull(next(), nullptr, 10));
     } else if (arg == "--summary") {
       print_summary = true;
