@@ -83,7 +83,7 @@ int main() {
     idle_rows.push_back(std::move(row));
   }
 
-  if (!grid.run()) return 0;  // shard mode: results live in the NDJSON file
+  grid.run();
 
   exp::banner(std::cout, "Ablation: IRS wake-up fix (Fig. 4) on/off");
   exp::Table wf({"app", "baseline", "IRS (fix on)", "IRS (fix off)"});

@@ -81,7 +81,7 @@ int main() {
       1, seeds);
   const auto panel4 =
       register_panel(grid, {"x264", "streamcluster", "UA"}, 4, seeds);
-  if (!grid.run()) return 0;  // shard mode: results live in the NDJSON file
+  grid.run();
 
   exp::banner(std::cout,
               "Extensions: improvement over vanilla Xen/Linux (1-inter)");

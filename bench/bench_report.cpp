@@ -18,19 +18,17 @@
 //     sweep with the counter sampler armed at its default cadence.
 //
 // The report also embeds streaming aggregate statistics (exp::SweepStats,
-// folded in the parallel pass's consumer) and, when IRS_BENCH_NDJSON is
-// set, verifies the streamed shard file by merging it back through the
-// shard verifier — status bitmask, expected-missing set, and per-run
-// bit-identity against the serial pass — rather than trusting the write.
+// folded in the parallel pass's consumer).
 //
 // Gates fail the bench loudly (exit 1): the trace ns/record must
 // not be more than 2x worse than an existing report at the output path,
 // the sampler must add less than 6% on top of a traced sweep, the default
 // queue backend must not regress the timer-shape deep-queue bench vs the
-// binary heap, a streamed shard NDJSON must verify, and the open-loop
-// front-end must cost < 5% more wall time per completed request than the
-// closed-loop ab arm at a matched completion rate (with its conservation
-// ledger intact) — so none of those regressions can land silently.
+// binary heap, SLO blocks must survive result_json and fold identically in
+// either order, and the open-loop front-end must cost < 5% more wall time
+// per completed request than the closed-loop ab arm at a matched
+// completion rate (with its conservation ledger intact) — so none of
+// those regressions can land silently.
 //
 // IRS_BENCH_FAST=1 shrinks the sweep for smoke runs.
 #include <algorithm>
@@ -190,24 +188,8 @@ int main(int argc, char** argv) {
   const int seeds = exp::bench_seeds();
   const bool fast = std::getenv("IRS_BENCH_FAST") != nullptr;
   // The sweep is panel (a) of Figure 5 from the shared grid registry — the
-  // same rows `irs_sweep --fig fig05a` runs, so sharded reproduction and
-  // this bench measure one and the same grid.
-  const auto full_grid = exp::figure_grid("fig05a", {seeds, fast});
-  // IRS_BENCH_SHARD=i/N restricts the timed sweep (and the NDJSON stream
-  // below) to one round-robin shard of that grid, for splitting the bench
-  // across hosts; the shard identity is recorded in the report.
-  exp::ShardSpec shard;
-  std::string shard_str = "0/1";
-  if (const char* spec = std::getenv("IRS_BENCH_SHARD")) {
-    if (!exp::parse_shard_spec(spec, &shard)) {
-      std::cerr << "error: bad IRS_BENCH_SHARD '" << spec << "' (want i/N)\n";
-      return 2;
-    }
-    shard_str = spec;
-  }
-  const auto owned =
-      exp::shard_run_indices(full_grid.size(), shard.index, shard.count);
-  const auto grid = exp::shard_grid(full_grid, shard.index, shard.count);
+  // same rows `irs_sweep --fig fig05a` runs.
+  const auto grid = exp::figure_grid("fig05a", {seeds, fast});
   int jobs = 8;
   if (const char* s = std::getenv("IRS_BENCH_JOBS")) {
     const int n = std::atoi(s);
@@ -215,36 +197,17 @@ int main(int argc, char** argv) {
   }
 
   std::cerr << "[bench_report] fig05-sized sweep, " << grid.size()
-            << (shard.count > 1 ? " runs (shard " + shard_str + ")" : " runs")
-            << ", serial...\n";
+            << " runs, serial...\n";
   const auto t_serial = std::chrono::steady_clock::now();
   const auto serial = exp::run_sweep(grid, /*n_threads=*/1);
   const double serial_sec = wall_seconds(t_serial);
 
   std::cerr << "[bench_report] same sweep, " << jobs
             << " jobs, streaming consumer...\n";
-  // In shard mode the parallel pass also streams the shard NDJSON file
-  // (exp::shard format, global run indices) when IRS_BENCH_NDJSON is set,
-  // so a sharded bench doubles as a shard of the figure sweep.
-  std::ofstream ndjson;
-  if (const char* path = std::getenv("IRS_BENCH_NDJSON")) {
-    ndjson.open(path, std::ios::app);
-    if (ndjson) {
-      exp::ShardHeader h;
-      h.shard = shard.index;
-      h.n_shards = shard.count;
-      h.total_runs = full_grid.size();
-      h.fig = "fig05a";
-      h.seeds = seeds;
-      ndjson << exp::shard_header_json(h) << '\n';
-      ndjson.flush();
-    }
-  }
   std::size_t delivered = 0;
   bool in_order = true;
-  // Aggregate statistics fold line-by-line in the streaming consumer —
-  // the same exp::SweepStats path `irs_sweep_merge --stats-only` uses, so
-  // the report carries sweep-level aggregates without a second pass.
+  // Aggregate statistics fold run by run in the streaming consumer, so the
+  // report carries sweep-level aggregates without a second pass.
   exp::SweepStats stats;
   const auto t_par = std::chrono::steady_clock::now();
   const auto parallel = exp::run_sweep(
@@ -253,10 +216,6 @@ int main(int argc, char** argv) {
         in_order = in_order && i == delivered;
         ++delivered;
         stats.add(r);
-        if (ndjson.is_open()) {
-          ndjson << exp::shard_line_json(owned[i], r) << '\n';
-          ndjson.flush();
-        }
       },
       jobs);
   const double par_sec = wall_seconds(t_par);
@@ -265,35 +224,6 @@ int main(int argc, char** argv) {
                        delivered == grid.size() && in_order;
   for (std::size_t i = 0; bit_identical && i < serial.size(); ++i) {
     bit_identical = exp::results_identical(serial[i], parallel[i]);
-  }
-
-  // When a shard NDJSON was streamed, *verify* it instead of trusting the
-  // write: merge the file back through the shard verifier and require (a)
-  // no status bit other than kMergeMissingRuns, (b) the missing set to be
-  // exactly the runs other shards own, and (c) every recovered result to
-  // be bit-identical to this process's serial pass. A sharded bench run
-  // therefore gates on the same evidence a full merge would.
-  int shard_ndjson_status = -1;  // -1 = no NDJSON streamed
-  bool shard_ndjson_ok = true;
-  if (ndjson.is_open()) {
-    ndjson.close();
-    const char* path = std::getenv("IRS_BENCH_NDJSON");
-    exp::MergeOptions mopt;
-    mopt.expect_runs = full_grid.size();
-    const exp::MergeReport mrep = exp::merge_shards({path}, mopt);
-    shard_ndjson_status = mrep.status;
-    shard_ndjson_ok =
-        (mrep.status & ~exp::kMergeMissingRuns) == 0 &&
-        mrep.merged == owned.size() &&
-        mrep.missing.size() == full_grid.size() - owned.size();
-    for (std::size_t i = 0; shard_ndjson_ok && i < owned.size(); ++i) {
-      shard_ndjson_ok = mrep.present[owned[i]] &&
-                        exp::results_identical(serial[i], mrep.results[owned[i]]);
-    }
-    if (!shard_ndjson_ok) {
-      std::cerr << "[bench_report] shard NDJSON verification FAILED: "
-                << exp::merge_summary_json(mrep) << "\n";
-    }
   }
 
   std::cerr << "[bench_report] trace pipeline overhead...\n";
@@ -334,7 +264,7 @@ int main(int argc, char** argv) {
   constexpr double kSampledOverheadLimitPct = 6.0;
 
   // SLO observability: recording overhead on the fig08 serving shape,
-  // histogram memory vs exact samples, and cross-shard fold bit-identity.
+  // histogram memory vs exact samples, and fold bit-identity.
   std::cerr << "[bench_report] SLO recording overhead (fig08 serving shape)...\n";
   auto slo_grid = exp::figure_grid("fig08", {/*seeds=*/1, fast});
   const std::size_t kSloRuns = fast ? 4 : 6;
@@ -399,49 +329,32 @@ int main(int argc, char** argv) {
       static_cast<double>(kMemSamples * sizeof(sim::Duration)) /
       slo_memory_bytes;
 
-  // Cross-shard fold identity: run the slice serially, re-run it as 3
-  // NDJSON shards, merge through the shard verifier, and require (a)
-  // per-run bit-identity (slo blocks included — results_identical compares
-  // them) and (b) the folded per-class histograms and XOR digests of the
-  // two passes to match exactly. This is the "merges buckets exactly"
-  // guarantee, checked end-to-end through serialization.
-  std::cerr << "[bench_report] SLO cross-shard fold identity...\n";
+  // Fold identity: run the slice serially, round-trip every result through
+  // result_json, and require (a) per-run bit-identity (slo blocks included)
+  // and (b) the parsed results folded in reverse order to give the same
+  // per-class histograms and digest XOR as the forward fold. This is the
+  // "merges buckets exactly" guarantee, checked end-to-end through
+  // serialization.
+  std::cerr << "[bench_report] SLO fold identity...\n";
   const auto slo_serial = exp::run_sweep(slo_grid, /*n_threads=*/1);
-  constexpr int kSloShards = 3;
-  std::vector<std::pair<std::string, std::string>> slo_shard_files;
-  for (int s = 0; s < kSloShards; ++s) {
-    const auto sub = exp::shard_grid(slo_grid, s, kSloShards);
-    const auto owned_runs =
-        exp::shard_run_indices(slo_grid.size(), s, kSloShards);
-    const auto sub_results = exp::run_sweep(sub, /*n_threads=*/1);
-    exp::ShardHeader h;
-    h.shard = s;
-    h.n_shards = kSloShards;
-    h.total_runs = slo_grid.size();
-    std::string content = exp::shard_header_json(h) + "\n";
-    for (std::size_t i = 0; i < sub_results.size(); ++i) {
-      content += exp::shard_line_json(owned_runs[i], sub_results[i]) + "\n";
-    }
-    slo_shard_files.emplace_back("shard" + std::to_string(s), content);
-  }
-  const exp::MergeReport slo_merge = exp::merge_shard_streams(slo_shard_files);
-  bool slo_fold_identical = slo_merge.ok() &&
-                            slo_merge.merged == slo_serial.size();
-  exp::SweepStats slo_stats_serial, slo_stats_merged;
-  for (std::size_t i = 0; i < slo_serial.size(); ++i) {
-    slo_stats_serial.add(slo_serial[i]);
-    if (slo_fold_identical) {
-      slo_fold_identical =
-          exp::results_identical(slo_serial[i], slo_merge.results[i]);
-      slo_stats_merged.add(slo_merge.results[i]);
-    }
-  }
-  if (slo_fold_identical) {
+  bool slo_fold_identical = true;
+  std::vector<exp::RunResult> slo_parsed(slo_serial.size());
+  for (std::size_t i = 0; slo_fold_identical && i < slo_serial.size(); ++i) {
     slo_fold_identical =
-        slo_stats_serial.slo() == slo_stats_merged.slo() &&
-        slo_stats_serial.slo_digest_xor() == slo_stats_merged.slo_digest_xor() &&
-        !slo_stats_serial.slo().empty();
+        exp::result_from_json(exp::result_json(slo_serial[i]), &slo_parsed[i],
+                              nullptr) &&
+        exp::results_identical(slo_serial[i], slo_parsed[i]);
   }
+  exp::SweepStats slo_stats_fwd, slo_stats_rev;
+  for (const exp::RunResult& r : slo_serial) slo_stats_fwd.add(r);
+  for (auto it = slo_parsed.rbegin(); it != slo_parsed.rend(); ++it) {
+    slo_stats_rev.add(*it);
+  }
+  const exp::RunResult& slo_fwd = slo_stats_fwd.blocks();
+  const exp::RunResult& slo_rev = slo_stats_rev.blocks();
+  slo_fold_identical = slo_fold_identical && slo_fwd.slo == slo_rev.slo &&
+                       slo_fwd.slo_digest == slo_rev.slo_digest &&
+                       !slo_fwd.slo.empty();
   const double slo_overhead_pct = (slo_on_sec / slo_off_sec - 1.0) * 100.0;
   constexpr double kSloOverheadLimitPct = 5.0;
   constexpr double kSloMemoryRatioGate = 10.0;
@@ -613,10 +526,6 @@ int main(int argc, char** argv) {
       << "  \"deepqueue_ns_default_tight\": " << dq_default_tight << ",\n"
       << "  \"deepqueue_speedup_vs_binary\": " << dq_speedup << ",\n"
       << "  \"sweep_runs\": " << grid.size() << ",\n"
-      << "  \"sweep_shard\": \"" << shard_str << "\",\n"
-      << "  \"sweep_shard_ndjson_status\": " << shard_ndjson_status << ",\n"
-      << "  \"sweep_shard_ndjson_ok\": "
-      << (shard_ndjson_ok ? "true" : "false") << ",\n"
       << "  \"sweep_seeds_per_point\": " << seeds << ",\n"
       << "  \"sweep_secs_serial\": " << serial_sec << ",\n"
       << "  \"sweep_secs_parallel\": " << par_sec << ",\n"
@@ -634,7 +543,6 @@ int main(int argc, char** argv) {
       << "  \"slo_overhead_pct\": " << slo_overhead_pct << ",\n"
       << "  \"slo_memory_bytes_1e6\": " << slo_memory_bytes << ",\n"
       << "  \"slo_memory_ratio\": " << slo_memory_ratio << ",\n"
-      << "  \"slo_fold_shards\": " << kSloShards << ",\n"
       << "  \"slo_fold_identical\": "
       << (slo_fold_identical ? "true" : "false") << ",\n"
       << "  \"forensics_sweep_secs_off\": " << forensics_off_sec << ",\n"
@@ -676,8 +584,8 @@ int main(int argc, char** argv) {
             << "slo: +" << slo_overhead_pct << "% recording overhead, "
             << slo_memory_bytes / 1024.0 << "KiB for 1e6 samples ("
             << slo_memory_ratio << "x less than exact), fold "
-            << (slo_fold_identical ? "bit-identical across " : "DIVERGED at ")
-            << kSloShards << " shards\n"
+            << (slo_fold_identical ? "bit-identical" : "DIVERGED!")
+            << " through result_json in reverse order\n"
             << "forensics: +" << forensics_overhead_pct
             << "% recording overhead (on " << forensics_on_sec << "s vs off "
             << forensics_off_sec << "s); analyzer "
@@ -716,11 +624,6 @@ int main(int argc, char** argv) {
               << "ns, ratio " << dq_speedup << ")\n";
     return 1;
   }
-  if (!shard_ndjson_ok) {
-    std::cerr << "FAIL: shard NDJSON stream failed merge verification "
-              << "(status " << shard_ndjson_status << ")\n";
-    return 1;
-  }
   // Windowed SLO recording must stay within 5% of the raw-counter cost on
   // the serving shape it instruments (the add() path is a clamp + a bucket
   // index + three integer updates — anything above noise means a
@@ -738,8 +641,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!slo_fold_identical) {
-    std::cerr << "FAIL: SLO blocks did not fold bit-identically across "
-              << kSloShards << " NDJSON shards vs the serial sweep\n";
+    std::cerr << "FAIL: SLO blocks did not survive result_json or did not "
+              << "fold bit-identically in reverse order\n";
     return 1;
   }
   // Per-request forensics recording must stay within 5% of the trace+SLO

@@ -21,7 +21,6 @@
 #include "src/exp/grids.h"
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
-#include "src/exp/shard.h"
 #include "src/exp/sweep.h"
 
 namespace irs::bench {
@@ -54,71 +53,20 @@ class SweepGrid {
     return cells_.size() - 1;
   }
 
-  /// Name the grid for shard-file headers (lets a merge's repair plan emit
-  /// runnable `irs_sweep --fig` commands). Optional; empty is fine.
-  void set_fig(std::string fig) { fig_ = std::move(fig); }
-
   /// Execute every registered run on the sweep pool. Call exactly once.
-  ///
-  /// Returns true when the full grid ran and avg() is usable. When
-  /// IRS_BENCH_SHARD=i/N is set, only that round-robin shard of the grid
-  /// runs, streamed in exp::shard NDJSON form (header + one line per run,
-  /// keyed by *global* run index) to IRS_BENCH_NDJSON — required in shard
-  /// mode — and run() returns false: averages would be partial, so callers
-  /// skip table rendering and the shards are instead merged with
-  /// irs_sweep_merge. One shard file per grid: binaries that run several
-  /// panels should shard only single-grid figures (e.g. bench_report).
-  ///
-  /// Without IRS_BENCH_SHARD, IRS_BENCH_NDJSON still streams every result
-  /// as one result_json per line, appended in run order.
-  [[nodiscard]] bool run() {
-    if (const char* spec = std::getenv("IRS_BENCH_SHARD")) {
-      exp::ShardSpec shard;
-      if (!exp::parse_shard_spec(spec, &shard)) {
-        std::cerr << "error: bad IRS_BENCH_SHARD '" << spec
-                  << "' (want i/N)\n";
-        std::exit(64);
-      }
-      const char* path = std::getenv("IRS_BENCH_NDJSON");
-      if (path == nullptr) {
-        std::cerr << "error: IRS_BENCH_SHARD requires IRS_BENCH_NDJSON "
-                     "(a shard's results only exist in its NDJSON file)\n";
-        std::exit(64);
-      }
-      std::ofstream out(path, std::ios::app);
-      if (!out) {
-        std::cerr << "error: cannot open IRS_BENCH_NDJSON path '" << path
-                  << "'\n";
-        std::exit(64);
-      }
-      exp::ShardHeader h;
-      h.shard = shard.index;
-      h.n_shards = shard.count;
-      h.total_runs = cfgs_.size();
-      h.fig = fig_;
-      h.seeds = exp::bench_seeds();
-      out << exp::shard_header_json(h) << '\n';
-      out.flush();
-      const auto owned =
-          exp::shard_run_indices(cfgs_.size(), shard.index, shard.count);
-      exp::run_sweep(exp::shard_grid(cfgs_, shard.index, shard.count),
-                     [&](std::size_t i, const exp::RunResult& r) {
-                       out << exp::shard_line_json(owned[i], r) << '\n';
-                       out.flush();
-                     });
-      return false;
-    }
+  /// IRS_BENCH_NDJSON=PATH also streams every result as one result_json
+  /// per line, appended in run order.
+  void run() {
     if (const char* path = std::getenv("IRS_BENCH_NDJSON")) {
       std::ofstream out(path, std::ios::app);
       if (out) {
         results_ = exp::run_sweep(cfgs_, exp::ndjson_consumer(out));
-        return true;
+        return;
       }
       std::cerr << "warning: cannot open IRS_BENCH_NDJSON path '" << path
                 << "'; streaming disabled\n";
     }
     results_ = exp::run_sweep(cfgs_);
-    return true;
   }
 
   /// Seed-averaged result of one cell (run() must have completed).
@@ -136,7 +84,6 @@ class SweepGrid {
     std::size_t offset = 0;
     std::size_t len = 0;
   };
-  std::string fig_;
   std::vector<Cell> cells_;
   std::vector<exp::ScenarioConfig> cfgs_;
   std::vector<exp::RunResult> results_;
@@ -181,7 +128,7 @@ void strategy_panel(const std::string& title,
     }
     points.push_back(std::move(row));
   }
-  if (!grid.run()) return;  // shard mode: results live in the NDJSON file
+  grid.run();
 
   for (std::size_t a = 0; a < apps.size(); ++a) {
     std::vector<std::string> row = {apps[a]};

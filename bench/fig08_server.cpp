@@ -63,7 +63,7 @@ int main() {
     }
     open_points.push_back(std::move(row));
   }
-  if (!grid.run()) return 0;  // shard mode: results live in the NDJSON file
+  grid.run();
 
   for (std::size_t a = 0; a < apps.size(); ++a) {
     const std::string& app = apps[a];

@@ -37,7 +37,7 @@ int main() {
       }
       points.push_back(std::move(prow));
     }
-    if (!grid.run()) continue;  // shard mode: results live in the NDJSON file
+    grid.run();
 
     const int inter_levels[] = {1, 2, 4};
     for (std::size_t i = 0; i < points.size(); ++i) {

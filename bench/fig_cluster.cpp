@@ -5,7 +5,7 @@
 // the protected VM burns steal budget, so its tail should sit below the
 // placement-only baselines once interference crowds host 0 (>= 2 hogs).
 // Cells mirror exp::figure_grid("fig_cluster") so `irs_sweep --fig
-// fig_cluster` shards the same grid.
+// fig_cluster` runs the same grid.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -22,7 +22,6 @@ int main() {
   exp::banner(std::cerr, "(running...)");
 
   bench::SweepGrid grid;
-  grid.set_fig("fig_cluster");
   struct Point {
     std::size_t base;
     std::size_t irs;
@@ -48,7 +47,7 @@ int main() {
     }
     points.push_back(std::move(row));
   }
-  if (!grid.run()) return 0;  // shard mode: results live in the NDJSON file
+  grid.run();
 
   exp::Table t({"policy", "hogs", "strategy", "p999", "thr", "migr",
                 "decisions", "downtime", "steal(host0)"});

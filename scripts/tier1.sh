@@ -8,10 +8,6 @@ cmake -B build -S . "$@"
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
-# Sharded-sweep round-trip: N local shard subprocesses merged must be
-# byte-identical to the single-process sweep.
-scripts/shard_roundtrip.sh
-
 # Forensics smoke: one traced serving run end-to-end through the
 # per-request causal decomposition — the cause table, the violating-window
 # root-cause rows, and the CSV renderer must all produce output.
@@ -36,16 +32,27 @@ for pol in random irs; do
       build/cluster_smoke_trace.json > /dev/null
 done
 
-# Bad-config smoke: each input must exit 2 with a message, never crash.
-for bad in "--inter 9" "--inter -1" "--bg-vms -3" "--cluster-policy bogus"; do
-  status=0
-  # shellcheck disable=SC2086  # word-split the flag and its value
-  ./build/tools/irs_trace_dump $bad build/bad_config_trace.json \
-      > /dev/null 2>&1 || status=$?
-  if [[ "$status" != 2 ]]; then
-    echo "FAIL: irs_trace_dump $bad exited $status, want 2" >&2
+# Bad-input smoke: each input must exit with its usage status and a
+# message, never crash or run on a silent default — irs_trace_dump exits 2,
+# irs_sweep 64.
+expect_bad() {
+  local want="$1"
+  shift
+  local status=0
+  "$@" > /dev/null 2> build/bad_input.err || status=$?
+  if [[ "$status" != "$want" || ! -s build/bad_input.err ]]; then
+    echo "FAIL: $* exited $status (want $want with a message)" >&2
     exit 1
   fi
+}
+for bad in "--inter 9" "--inter -1" "--bg-vms -3" "--cluster-policy bogus"; do
+  # shellcheck disable=SC2086  # word-split the flag and its value
+  expect_bad 2 ./build/tools/irs_trace_dump $bad build/bad_config_trace.json
+done
+for bad in "--jobs 2x" "--seeds 2abc" "--jobs 0" "--seeds -1" \
+           "--jobs 99999999999" "--fig nope"; do
+  # shellcheck disable=SC2086  # word-split the flag and its value
+  expect_bad 64 ./build/tools/irs_sweep --fig fig02 $bad
 done
 
 # Engine deep-queue bench smoke: every EventQueue backend variant (binary,
@@ -73,7 +80,7 @@ done
 
 # Gate check: bench_report fails (exit 1) if deepqueue_speedup_vs_binary
 # < 0.9, or any determinism/overhead gate trips (including the SLO
-# recording-overhead, histogram-memory, cross-shard fold-identity, and
+# recording-overhead, histogram-memory, result_json fold-identity, and
 # open-loop front-end per-request overhead gates). IRS_BENCH_FAST keeps
 # the sweep portion smoke-sized.
 IRS_BENCH_FAST=1 ./build/bench/bench_report build/BENCH_tier1_smoke.json

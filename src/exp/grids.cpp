@@ -1,7 +1,6 @@
 #include "src/exp/grids.h"
 
 #include "src/exp/sweep.h"
-#include "src/obs/sampler.h"
 #include "src/wl/npb.h"
 #include "src/wl/parsec.h"
 
@@ -193,30 +192,13 @@ void fig_cluster(Grid& g, bool fast) {
   }
 }
 
-void smoke(Grid& g) {
-  // Tiny sampler-armed grid for CI round-trips: 2 apps x {baseline, IRS}
-  // x 2 interference levels, scaled way down. Sampling is on so digests
-  // are nonzero and the merge identity check covers them.
-  for (const char* app : {"blackscholes", "streamcluster"}) {
-    for (const auto s : {core::Strategy::kBaseline, core::Strategy::kIrs}) {
-      for (const int n : {1, 2}) {
-        PanelOptions o;
-        o.work_scale = 0.05;
-        ScenarioConfig cfg = panel_cfg(app, s, n, o);
-        cfg.sample_period = obs::Sampler::kDefaultPeriod;
-        g.add(cfg);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<std::string> figure_grid_names() {
   return {"fig02",  "fig05",  "fig05a", "fig05b", "fig05c", "fig06",
           "fig06a", "fig06b", "fig06c", "fig07",  "fig07a", "fig07b",
           "fig08",  "fig08_open",        "fig09",  "fig09a", "fig09b",
-          "fig10",  "fig11",  "fig12",  "fig13",  "fig_cluster", "smoke"};
+          "fig10",  "fig11",  "fig12",  "fig13",  "fig_cluster"};
 }
 
 std::vector<ScenarioConfig> figure_grid(const std::string& name,
@@ -273,8 +255,6 @@ std::vector<ScenarioConfig> figure_grid(const std::string& name,
     g.strategy_panel(trim_apps(wl::parsec_names(), fast), o);
   } else if (name == "fig_cluster") {
     fig_cluster(g, fast);
-  } else if (name == "smoke") {
-    smoke(g);
   } else {
     return {};
   }

@@ -1,11 +1,9 @@
 // Named figure grids: every plain-sweep figure of the paper (fig02,
 // fig05-fig13) as a deterministic function from a name to the flat
-// vector<ScenarioConfig> its benchmark executes. This is the unit the
-// sharded-sweep tooling distributes: `irs_sweep --fig fig05 --shard 2/8`
-// runs rows {i : i % 8 == 2} of exactly this grid, and a merge of all
-// shards is bit-identical to running the grid in one process.
+// vector<ScenarioConfig> its benchmark executes. `irs_sweep --fig fig05`
+// runs exactly this grid, and the repo benchmark times it.
 //
-// Grid order is part of the contract (run index == NDJSON merge key):
+// Grid order is part of the contract (run index == NDJSON line number):
 // panels in figure order, then apps, then interference levels, then
 // strategies (baseline first), then seeds innermost — the same nesting the
 // bench binaries register. fig01 is excluded: it is a bespoke procedure
@@ -52,15 +50,12 @@ struct GridOptions {
   /// Seeds per data point; 0 = bench_seeds() (IRS_BENCH_SEEDS/FAST aware).
   int seeds = 0;
   /// Trim the grid the way IRS_BENCH_FAST trims the bench binaries
-  /// (fewer apps/levels, first panel only). Changes the grid size, so
-  /// every shard of one sweep must agree on it (the NDJSON header's
-  /// total_runs check catches a mismatch).
+  /// (fewer apps/levels, first panel only).
   bool fast = false;
 };
 
 /// Names accepted by figure_grid, in display order. Multi-panel figures
-/// are listed both whole ("fig05") and per panel ("fig05a".."fig05c");
-/// "smoke" is a 16-run sampler-armed CI grid.
+/// are listed both whole ("fig05") and per panel ("fig05a".."fig05c").
 std::vector<std::string> figure_grid_names();
 
 /// The named grid, seeds expanded (derive_seed per point). Returns an

@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "src/obs/json.h"
-#include "src/obs/slo.h"
 
 namespace irs::exp {
 
@@ -94,7 +93,10 @@ void banner(std::ostream& os, const std::string& title) {
   os << "\n=== " << title << " ===\n";
 }
 
-void result_json_fields(obs::JsonWriter& w, const RunResult& r) {
+namespace {
+
+void write_result(obs::JsonWriter& w, const RunResult& r) {
+  w.begin_object();
   w.field("finished", r.finished);
   w.field("fg_makespan_ns", static_cast<std::int64_t>(r.fg_makespan));
   w.field("fg_util_vs_fair", r.fg_util_vs_fair);
@@ -113,33 +115,14 @@ void result_json_fields(obs::JsonWriter& w, const RunResult& r) {
   w.field("sampler_digest", r.sampler_digest);
   w.field("trace_dropped", r.trace_dropped);
   w.field("trace_total_recorded", r.trace_total_recorded);
-  w.field("slo_digest", r.slo_digest);
-  if (!r.slo.empty()) {
-    w.key("slo");
-    obs::slo_result_json(w, r.slo);
-  }
-  w.field("forensics_digest", r.forensics_digest);
-  if (!r.forensics.empty()) {
-    w.key("forensics");
-    obs::forensics_json(w, r.forensics);
-  }
-  w.field("frontend_digest", r.frontend_digest);
-  if (!r.frontend.empty()) {
-    w.key("frontend");
-    obs::frontend_json(w, r.frontend);
-  }
-  w.field("cluster_digest", r.cluster_digest);
-  if (!r.cluster.empty()) {
-    w.key("cluster");
-    obs::cluster_json(w, r.cluster);
-  }
-}
-
-namespace {
-
-void write_result(obs::JsonWriter& w, const RunResult& r) {
-  w.begin_object();
-  result_json_fields(w, r);
+  for_each_block([&](const char* key, const char* digest_key, auto block,
+                     auto digest) {
+    w.field(digest_key, r.*digest);
+    if (!(r.*block).empty()) {
+      w.key(key);
+      write_block(w, r.*block);
+    }
+  });
   w.end_object();
 }
 
@@ -176,17 +159,6 @@ std::string result_json(const RunResult& r) {
   return w.str();
 }
 
-std::string sweep_json(const std::vector<RunResult>& rs) {
-  obs::JsonWriter w(obs::JsonWriter::Doubles::kRoundTrip);
-  w.begin_object();
-  w.key("results");
-  w.begin_array();
-  for (const RunResult& r : rs) write_result(w, r);
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
 bool result_from_value(const obs::JsonValue& v, RunResult* r,
                        std::string* err) {
   if (!v.is_object()) {
@@ -206,11 +178,7 @@ bool result_from_value(const obs::JsonValue& v, RunResult* r,
   if (!read_field(v, "throughput", &out.throughput, err)) return false;
   if (!read_duration(v, "lat_mean_ns", &out.lat_mean, err)) return false;
   if (!read_duration(v, "lat_p99_ns", &out.lat_p99, err)) return false;
-  // Absent in pre-cluster captures (like forensics/frontend below).
-  if (v.find("lat_p999_ns") != nullptr &&
-      !read_duration(v, "lat_p999_ns", &out.lat_p999, err)) {
-    return false;
-  }
+  if (!read_duration(v, "lat_p999_ns", &out.lat_p999, err)) return false;
   if (!read_field(v, "lhp", &out.lhp, err)) return false;
   if (!read_field(v, "lwp", &out.lwp, err)) return false;
   if (!read_field(v, "irs_migrations", &out.irs_migrations, err)) return false;
@@ -224,33 +192,16 @@ bool result_from_value(const obs::JsonValue& v, RunResult* r,
   if (!read_field(v, "trace_total_recorded", &out.trace_total_recorded, err)) {
     return false;
   }
-  if (!read_field(v, "slo_digest", &out.slo_digest, err)) return false;
-  if (const obs::JsonValue* slo = v.find("slo")) {
-    if (!obs::slo_result_from_value(*slo, &out.slo, err)) return false;
-  }
-  // Absent in pre-forensics captures: default to 0/empty so old NDJSON
-  // shards stay parseable.
-  if (v.find("forensics_digest") != nullptr &&
-      !read_field(v, "forensics_digest", &out.forensics_digest, err)) {
-    return false;
-  }
-  if (const obs::JsonValue* fz = v.find("forensics")) {
-    if (!obs::forensics_from_value(*fz, &out.forensics, err)) return false;
-  }
-  if (v.find("frontend_digest") != nullptr &&
-      !read_field(v, "frontend_digest", &out.frontend_digest, err)) {
-    return false;
-  }
-  if (const obs::JsonValue* fe = v.find("frontend")) {
-    if (!obs::frontend_from_value(*fe, &out.frontend, err)) return false;
-  }
-  if (v.find("cluster_digest") != nullptr &&
-      !read_field(v, "cluster_digest", &out.cluster_digest, err)) {
-    return false;
-  }
-  if (const obs::JsonValue* cl = v.find("cluster")) {
-    if (!obs::cluster_from_value(*cl, &out.cluster, err)) return false;
-  }
+  bool ok = true;
+  for_each_block([&](const char* key, const char* digest_key, auto block,
+                     auto digest) {
+    if (!ok) return;
+    ok = read_field(v, digest_key, &(out.*digest), err);
+    // result_json omits an empty block; a present one must parse.
+    const obs::JsonValue* b = v.find(key);
+    if (ok && b != nullptr) ok = read_block(*b, &(out.*block), err);
+  });
+  if (!ok) return false;
   *r = out;
   return true;
 }

@@ -45,18 +45,15 @@ void banner(std::ostream& os, const std::string& title);
 
 /// Stable JSON rendering of a RunResult: one object, fixed key order,
 /// durations in nanoseconds as integers, doubles in shortest round-trip
-/// form (so result_from_json recovers the exact bits). The machine-readable
+/// form (so result_from_json recovers the exact bits), and each non-empty
+/// result block (see for_each_block) after its digest. The machine-readable
 /// sibling of the text tables — sweeps stream one object per run.
 std::string result_json(const RunResult& r);
 
-/// Append the result_json fields (same keys, same order) to an object that
-/// is already open on `w`. Lets callers prefix extra fields (the sharded
-/// sweeps prepend the global run index) while keeping one field list.
-void result_json_fields(obs::JsonWriter& w, const RunResult& r);
-
 /// Inverse of result_json over a parsed object: every field is required and
-/// type-checked, unknown keys are ignored. On failure returns false and
-/// names the offending field in *err (when non-null).
+/// type-checked (a result block itself is omitted when empty, its digest
+/// never is), unknown keys are ignored. On failure returns false and names
+/// the offending field in *err (when non-null).
 bool result_from_value(const obs::JsonValue& v, RunResult* r,
                        std::string* err);
 
@@ -65,10 +62,6 @@ bool result_from_value(const obs::JsonValue& v, RunResult* r,
 /// that was serialized (round-trip doubles).
 bool result_from_json(const std::string& json, RunResult* r,
                       std::string* err);
-
-/// JSON for a whole sweep: {"results": [result_json...]} with the input
-/// order preserved.
-std::string sweep_json(const std::vector<RunResult>& rs);
 
 /// Streaming NDJSON sink over run_sweep's in-order consumer overload: one
 /// result_json object per line, flushed per run so a killed sweep leaves a

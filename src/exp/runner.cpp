@@ -364,24 +364,11 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
 
 }  // namespace
 
-bool results_identical(const RunResult& a, const RunResult& b) {
-  return a.finished == b.finished && a.fg_makespan == b.fg_makespan &&
-         a.fg_util_vs_fair == b.fg_util_vs_fair &&
-         a.fg_efficiency == b.fg_efficiency &&
-         a.bg_progress_rate == b.bg_progress_rate &&
-         a.throughput == b.throughput && a.lat_mean == b.lat_mean &&
-         a.lat_p99 == b.lat_p99 && a.lat_p999 == b.lat_p999 &&
-         a.lhp == b.lhp && a.lwp == b.lwp &&
-         a.irs_migrations == b.irs_migrations && a.sa_sent == b.sa_sent &&
-         a.sa_acked == b.sa_acked && a.sa_delay_avg == b.sa_delay_avg &&
-         a.sampler_digest == b.sampler_digest &&
-         a.trace_dropped == b.trace_dropped &&
-         a.trace_total_recorded == b.trace_total_recorded &&
-         a.slo == b.slo && a.slo_digest == b.slo_digest &&
-         a.forensics == b.forensics &&
-         a.forensics_digest == b.forensics_digest &&
-         a.frontend == b.frontend && a.frontend_digest == b.frontend_digest &&
-         a.cluster == b.cluster && a.cluster_digest == b.cluster_digest;
+void fold_blocks(RunResult& acc, const RunResult& r) {
+  for_each_block([&](const char*, const char*, auto block, auto digest) {
+    fold_block(acc.*block, r.*block);
+    acc.*digest ^= r.*digest;
+  });
 }
 
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture) {

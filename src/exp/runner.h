@@ -151,30 +151,94 @@ struct RunResult {
   /// Determinism sentinel: equal configs must produce equal digests
   /// regardless of sweep thread count.
   std::uint64_t sampler_digest = 0;
-  /// Trace-ring truncation telemetry (0/0 when tracing was off): folds and
-  /// merges warn instead of silently aggregating a truncated run.
+  /// Trace-ring truncation telemetry (0/0 when tracing was off), so a
+  /// consumer can tell a run whose ring wrapped from a complete one.
   std::uint64_t trace_dropped = 0;
   std::uint64_t trace_total_recorded = 0;
-  /// Windowed SLO capture (empty unless a server workload ran with
-  /// cfg.slo_window >= 0) and its digest — XOR-folded through sweeps like
-  /// sampler_digest, and the merge's bucket-exactness sentinel.
+  /// The result blocks (see for_each_block), each stored with its digest:
+  /// windowed SLO capture (empty unless a server workload ran with
+  /// cfg.slo_window >= 0), per-request causal decomposition (empty unless
+  /// cfg.forensics), open-loop front-end conservation ledger (empty unless
+  /// fg == "frontend"), and cluster placement/migration ledger (empty
+  /// unless cluster.n_hosts >= 2).
   obs::SloResult slo;
   std::uint64_t slo_digest = 0;
-  /// Per-request causal decomposition (empty unless cfg.forensics) and its
-  /// digest — folded through sweeps exactly like the SLO capture.
   obs::ForensicsResult forensics;
   std::uint64_t forensics_digest = 0;
-  /// Open-loop front-end conservation ledger (empty unless fg ==
-  /// "frontend") and its digest — folded through sweeps like the SLO
-  /// capture (counters add exactly, maxes take the max).
   obs::FrontendResult frontend;
   std::uint64_t frontend_digest = 0;
-  /// Cluster placement/migration ledger (empty unless cluster.n_hosts >= 2)
-  /// and its digest — folded through sweeps like the front-end ledger
-  /// (counters add exactly; see src/obs/cluster_stats.h).
   obs::ClusterResult cluster;
   std::uint64_t cluster_digest = 0;
+
+  /// Exact equality over every field (doubles via ==), so no field can be
+  /// left out of the identity check.
+  bool operator==(const RunResult&) const = default;
 };
+
+/// The result-block list: calls f(key, digest_key, &RunResult::<block>,
+/// &RunResult::<block>_digest) once per block, in result_json order. Every
+/// generic site (result_json, result_from_value, fold_blocks) iterates it,
+/// so a new block is one line here plus its three overloads below.
+template <typename F>
+void for_each_block(F&& f) {
+  f("slo", "slo_digest", &RunResult::slo, &RunResult::slo_digest);
+  f("forensics", "forensics_digest", &RunResult::forensics,
+    &RunResult::forensics_digest);
+  f("frontend", "frontend_digest", &RunResult::frontend,
+    &RunResult::frontend_digest);
+  f("cluster", "cluster_digest", &RunResult::cluster,
+    &RunResult::cluster_digest);
+}
+
+/// Per-block JSON write, JSON read (false + *err naming the block on a
+/// malformed value), and exact fold, overloaded on the block type.
+inline void write_block(obs::JsonWriter& w, const obs::SloResult& b) {
+  obs::slo_result_json(w, b);
+}
+inline void write_block(obs::JsonWriter& w, const obs::ForensicsResult& b) {
+  obs::forensics_json(w, b);
+}
+inline void write_block(obs::JsonWriter& w, const obs::FrontendResult& b) {
+  obs::frontend_json(w, b);
+}
+inline void write_block(obs::JsonWriter& w, const obs::ClusterResult& b) {
+  obs::cluster_json(w, b);
+}
+inline bool read_block(const obs::JsonValue& v, obs::SloResult* b,
+                       std::string* err) {
+  return obs::slo_result_from_value(v, b, err);
+}
+inline bool read_block(const obs::JsonValue& v, obs::ForensicsResult* b,
+                       std::string* err) {
+  return obs::forensics_from_value(v, b, err);
+}
+inline bool read_block(const obs::JsonValue& v, obs::FrontendResult* b,
+                       std::string* err) {
+  return obs::frontend_from_value(v, b, err);
+}
+inline bool read_block(const obs::JsonValue& v, obs::ClusterResult* b,
+                       std::string* err) {
+  return obs::cluster_from_value(v, b, err);
+}
+inline void fold_block(obs::SloResult& acc, const obs::SloResult& r) {
+  obs::fold_slo(acc, r);
+}
+inline void fold_block(obs::ForensicsResult& acc,
+                       const obs::ForensicsResult& r) {
+  obs::fold_forensics(acc, r);
+}
+inline void fold_block(obs::FrontendResult& acc,
+                       const obs::FrontendResult& r) {
+  obs::fold_frontend(acc, r);
+}
+inline void fold_block(obs::ClusterResult& acc, const obs::ClusterResult& r) {
+  obs::fold_cluster(acc, r);
+}
+
+/// Fold every result block of `r` into `acc` exactly and XOR its digest
+/// in. Order- and grouping-independent: average_results and SweepStats
+/// reach the same blocks in any run order.
+void fold_blocks(RunResult& acc, const RunResult& r);
 
 /// A run's trace, captured for export: the ring snapshot (oldest first;
 /// with forensics, merged with the request brackets) plus the
@@ -190,11 +254,12 @@ struct TraceDump {
   obs::ForensicsResult forensics;
 };
 
-/// Exact equality over every RunResult field (doubles compared bitwise via
-/// ==). The determinism contract of this repo: equal configs on equal seeds
-/// must compare identical regardless of thread count, process count, or a
-/// trip through NDJSON.
-bool results_identical(const RunResult& a, const RunResult& b);
+/// The determinism contract of this repo: equal configs on equal seeds
+/// must compare identical regardless of thread count, queue backend, or a
+/// trip through result_json.
+inline bool results_identical(const RunResult& a, const RunResult& b) {
+  return a == b;
+}
 
 /// Capture options for run_scenario: new capture surfaces extend this
 /// struct instead of multiplying overloads. Any requested capture enables
@@ -231,7 +296,7 @@ double improvement_pct(const RunResult& base, const RunResult& x);
 double weighted_speedup_pct(const RunResult& base, const RunResult& x);
 
 /// Number of seeds per data point, honouring the IRS_BENCH_SEEDS and
-/// IRS_BENCH_FAST environment variables (default 3).
+/// IRS_BENCH_FAST (1 seed) environment variables (default 2).
 int bench_seeds();
 
 }  // namespace irs::exp

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <istream>
 
-#include "src/exp/report.h"
 #include "src/obs/json.h"
-#include "src/obs/json_reader.h"
 
 namespace irs::exp {
 
@@ -78,25 +75,6 @@ double StatAccumulator::percentile(double p) const {
   return max_;  // unreachable: bucket counts sum to n_
 }
 
-void StatAccumulator::merge(const StatAccumulator& o) {
-  if (o.n_ == 0) return;
-  if (n_ == 0) {
-    *this = o;
-    return;
-  }
-  // Chan et al. parallel combine of (n, mean, M2).
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(o.n_);
-  const double d = o.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += d * (nb / n_total);
-  m2_ += o.m2_ + d * d * (na * nb / n_total);
-  n_ += o.n_;
-  min_ = std::min(min_, o.min_);
-  max_ = std::max(max_, o.max_);
-  for (const auto& [key, cnt] : o.buckets_) buckets_[key] += cnt;
-}
-
 // ---------------------------------------------------------------------------
 // SweepStats
 // ---------------------------------------------------------------------------
@@ -153,58 +131,7 @@ void SweepStats::add(const RunResult& r) {
   ++runs_;
   if (r.finished) ++finished_;
   for (std::size_t i = 0; i < kNMetrics; ++i) acc_[i].add(kMetrics[i].get(r));
-  slo_digest_xor_ ^= r.slo_digest;
-  fold_slo(slo_, r.slo);
-  forensics_digest_xor_ ^= r.forensics_digest;
-  obs::fold_forensics(forensics_, r.forensics);
-  frontend_digest_xor_ ^= r.frontend_digest;
-  obs::fold_frontend(frontend_, r.frontend);
-  cluster_digest_xor_ ^= r.cluster_digest;
-  obs::fold_cluster(cluster_, r.cluster);
-}
-
-void fold_slo(obs::SloResult& acc, const obs::SloResult& r) {
-  if (r.empty()) return;
-  if (acc.empty()) {
-    acc = r;
-    return;
-  }
-  for (const obs::SloClassResult& c : r.classes) {
-    obs::SloClassResult* dst = nullptr;
-    for (obs::SloClassResult& d : acc.classes) {
-      if (d.name == c.name) {
-        dst = &d;
-        break;
-      }
-    }
-    if (dst == nullptr) {
-      acc.classes.push_back(c);
-      continue;
-    }
-    dst->total.merge(c.total);
-    for (const obs::SloWindow& w : c.windows) {
-      obs::SloWindow* dw = nullptr;
-      for (obs::SloWindow& x : dst->windows) {
-        if (x.index == w.index) {
-          dw = &x;
-          break;
-        }
-      }
-      if (dw == nullptr) {
-        dst->windows.push_back(w);
-      } else {
-        dw->count += w.count;
-        dw->violations += w.violations;
-        dw->p50 = std::max(dw->p50, w.p50);
-        dw->p99 = std::max(dw->p99, w.p99);
-        dw->p999 = std::max(dw->p999, w.p999);
-      }
-    }
-    std::sort(dst->windows.begin(), dst->windows.end(),
-              [](const obs::SloWindow& a, const obs::SloWindow& b) {
-                return a.index < b.index;
-              });
-  }
+  fold_blocks(blocks_, r);
 }
 
 const StatAccumulator& SweepStats::metric(std::size_t i) const {
@@ -235,11 +162,12 @@ std::string sweep_stats_json(const SweepStats& s) {
     w.end_object();
   }
   w.end_object();
-  if (!s.slo().empty()) {
-    const obs::SloResult& slo = s.slo();
+  const RunResult& b = s.blocks();
+  if (!b.slo.empty()) {
+    const obs::SloResult& slo = b.slo;
     w.key("slo");
     w.begin_object();
-    w.field("digest_xor", s.slo_digest_xor());
+    w.field("digest_xor", b.slo_digest);
     w.field("window_ns", static_cast<std::int64_t>(slo.window));
     w.key("classes");
     w.begin_array();
@@ -263,11 +191,11 @@ std::string sweep_stats_json(const SweepStats& s) {
     w.end_array();
     w.end_object();
   }
-  if (!s.forensics().empty()) {
-    const obs::ForensicsResult& fz = s.forensics();
+  if (!b.forensics.empty()) {
+    const obs::ForensicsResult& fz = b.forensics;
     w.key("forensics");
     w.begin_object();
-    w.field("digest_xor", s.forensics_digest_xor());
+    w.field("digest_xor", b.forensics_digest);
     w.field("window_ns", static_cast<std::int64_t>(fz.window));
     w.key("classes");
     w.begin_array();
@@ -291,70 +219,24 @@ std::string sweep_stats_json(const SweepStats& s) {
     w.end_array();
     w.end_object();
   }
-  if (!s.frontend().empty()) {
+  if (!b.frontend.empty()) {
     w.key("frontend");
     w.begin_object();
-    w.field("digest_xor", s.frontend_digest_xor());
+    w.field("digest_xor", b.frontend_digest);
     w.key("totals");
-    obs::frontend_json(w, s.frontend());
+    obs::frontend_json(w, b.frontend);
     w.end_object();
   }
-  if (!s.cluster().empty()) {
+  if (!b.cluster.empty()) {
     w.key("cluster");
     w.begin_object();
-    w.field("digest_xor", s.cluster_digest_xor());
+    w.field("digest_xor", b.cluster_digest);
     w.key("totals");
-    obs::cluster_json(w, s.cluster());
+    obs::cluster_json(w, b.cluster);
     w.end_object();
   }
   w.end_object();
   return w.str();
-}
-
-// ---------------------------------------------------------------------------
-// Streaming NDJSON fold
-// ---------------------------------------------------------------------------
-
-NdjsonFoldReport fold_ndjson_stream(std::istream& in, SweepStats* stats) {
-  constexpr std::size_t kMaxErrors = 8;
-  NdjsonFoldReport rep;
-  std::string line;
-  RunResult r;  // the only result-sized state, reused per line
-  auto note = [&](std::uint64_t line_no, const std::string& msg) {
-    ++rep.bad_lines;
-    if (rep.errors.size() < kMaxErrors) {
-      rep.errors.push_back("line " + std::to_string(line_no) + ": " + msg);
-    }
-  };
-  while (std::getline(in, line)) {
-    ++rep.lines;
-    if (line.empty()) continue;
-    obs::JsonReader reader;
-    obs::JsonValue v;
-    if (!reader.parse(line, &v) || !v.is_object()) {
-      note(rep.lines, reader.error().empty() ? "not a JSON object"
-                                             : reader.error());
-      continue;
-    }
-    if (v.find("run") == nullptr) {
-      // Shard headers carry grid identity, not samples.
-      if (v.find("shard") != nullptr) {
-        ++rep.headers;
-      } else {
-        note(rep.lines, "object has neither 'run' nor 'shard'");
-      }
-      continue;
-    }
-    std::string err;
-    if (!result_from_value(v, &r, &err)) {
-      note(rep.lines, err);
-      continue;
-    }
-    ++rep.results;
-    if (r.trace_dropped > 0) ++rep.truncated_traces;
-    stats->add(r);
-  }
-  return rep;
 }
 
 }  // namespace irs::exp

@@ -1,27 +1,20 @@
 // Streaming aggregate statistics over sweep results.
 //
-// The NDJSON sweep files (exp/shard.h) can hold hundreds of thousands of
-// runs across a sharded fleet; consumers that only want aggregates (count,
-// mean, spread, tail percentiles) should not have to materialise a
-// std::vector<RunResult> first. This header provides the streaming
-// alternative to the result_from_json -> vector pattern:
+// Consumers that only want aggregates (count, mean, spread, tail
+// percentiles) should not have to materialise a std::vector<RunResult>
+// first. This header folds results one at a time, e.g. from run_sweep's
+// streaming consumer:
 //
 //   * StatAccumulator — one metric's running count/mean/variance (Welford),
 //     exact min/max, and a log-linear histogram sketch for percentiles
 //     (~3 % relative error, fixed memory, deterministic);
-//   * SweepStats — one StatAccumulator per RunResult metric, folded one
-//     run at a time: feed it from run_sweep's streaming consumer, from a
-//     merge, or line-by-line from an NDJSON file;
-//   * fold_ndjson_stream — parse an NDJSON sweep stream (shard or merged
-//     canonical file) with a single RunResult of state, folding every
-//     result line into a SweepStats. O(1) memory in the number of runs.
+//   * SweepStats — one StatAccumulator per RunResult metric plus the exact
+//     fold of every result block, added one run at a time.
 //
-// `irs_sweep_merge --stats[-only]` and bench_report's merged-file gate are
-// the in-tree consumers.
+// bench_report and the repo benchmark fold their sweeps through it.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -50,12 +43,6 @@ class StatAccumulator {
   /// the returned value is within ~3 % (one half mantissa bucket) of the
   /// exact order statistic. p <= 0 returns min(), p >= 100 returns max().
   [[nodiscard]] double percentile(double p) const;
-
-  /// Fold another accumulator in, as if its samples had been add()ed here:
-  /// count/min/max and the percentile sketch merge exactly; mean/m2 merge
-  /// via Chan's parallel update (deterministic for a fixed merge order,
-  /// equal to serial accumulation up to float rounding).
-  void merge(const StatAccumulator& o);
 
  private:
   /// Order-preserving bucket key: 0 for zero, positive for positive v,
@@ -89,91 +76,21 @@ class SweepStats {
   /// Accumulator for metric_names()[i].
   [[nodiscard]] const StatAccumulator& metric(std::size_t i) const;
 
-  /// Sweep-wide SLO fold: class histograms merged bucket-exact across every
-  /// run seen (see fold_slo). Empty when no run carried an slo block.
-  [[nodiscard]] const obs::SloResult& slo() const { return slo_; }
-  /// XOR of every run's slo_digest — the order-independent identity
-  /// sentinel the shard merge checks, mirroring sampler digests.
-  [[nodiscard]] std::uint64_t slo_digest_xor() const {
-    return slo_digest_xor_;
-  }
-
-  /// Sweep-wide forensics fold: per-cause histograms merged exactly across
-  /// every run seen (see obs::fold_forensics). Empty when no run carried a
-  /// forensics block.
-  [[nodiscard]] const obs::ForensicsResult& forensics() const {
-    return forensics_;
-  }
-  /// XOR of every run's forensics_digest (see slo_digest_xor).
-  [[nodiscard]] std::uint64_t forensics_digest_xor() const {
-    return forensics_digest_xor_;
-  }
-
-  /// Sweep-wide front-end fold: the conservation ledgers of every run
-  /// summed exactly (see obs::fold_frontend). Empty when no run carried a
-  /// frontend block.
-  [[nodiscard]] const obs::FrontendResult& frontend() const {
-    return frontend_;
-  }
-  /// XOR of every run's frontend_digest (see slo_digest_xor).
-  [[nodiscard]] std::uint64_t frontend_digest_xor() const {
-    return frontend_digest_xor_;
-  }
-
-  /// Sweep-wide cluster fold: every run's placement/migration ledger summed
-  /// exactly (see obs::fold_cluster). Empty when no run was a cluster run.
-  [[nodiscard]] const obs::ClusterResult& cluster() const { return cluster_; }
-  /// XOR of every run's cluster_digest (see slo_digest_xor).
-  [[nodiscard]] std::uint64_t cluster_digest_xor() const {
-    return cluster_digest_xor_;
-  }
+  /// Sweep-wide block fold: every run's result blocks folded exactly and
+  /// their digests XORed (see fold_blocks). Only the block and *_digest
+  /// fields are set; a block stays empty when no run carried it.
+  [[nodiscard]] const RunResult& blocks() const { return blocks_; }
 
  private:
   std::uint64_t runs_ = 0;
   std::uint64_t finished_ = 0;
   std::vector<StatAccumulator> acc_;
-  obs::SloResult slo_;
-  std::uint64_t slo_digest_xor_ = 0;
-  obs::ForensicsResult forensics_;
-  std::uint64_t forensics_digest_xor_ = 0;
-  obs::FrontendResult frontend_;
-  std::uint64_t frontend_digest_xor_ = 0;
-  obs::ClusterResult cluster_;
-  std::uint64_t cluster_digest_xor_ = 0;
+  RunResult blocks_;
 };
-
-/// Fold one run's SLO capture into `acc`: classes match by name, totals
-/// merge bucket-exact (integer histogram fold — order- and
-/// grouping-independent), windows merge by index summing count/violations
-/// and keeping the max percentile (a conservative "worst run" envelope:
-/// percentiles of disjoint streams do not average). Shared by
-/// average_results and SweepStats.
-void fold_slo(obs::SloResult& acc, const obs::SloResult& r);
 
 /// Stable JSON rendering of a SweepStats (fixed key order; count, mean,
-/// stddev, min, max, p50/p90/p99 per metric; an "slo" section with the
-/// folded per-class distributions when any run carried one).
+/// stddev, min, max, p50/p90/p99 per metric; then a summary section with
+/// the digest XOR for each block the fold holds).
 std::string sweep_stats_json(const SweepStats& s);
-
-/// Outcome of a streaming fold over an NDJSON sweep stream.
-struct NdjsonFoldReport {
-  std::uint64_t lines = 0;    // total lines seen (including headers)
-  std::uint64_t headers = 0;  // shard-header lines skipped
-  std::uint64_t results = 0;  // result lines folded
-  std::uint64_t bad_lines = 0;
-  /// Result lines whose run had a truncated trace ring (trace_dropped > 0):
-  /// their timeline-derived numbers are partial, so consumers warn rather
-  /// than silently folding them.
-  std::uint64_t truncated_traces = 0;
-  std::vector<std::string> errors;  // one per bad line, capped
-  [[nodiscard]] bool ok() const { return bad_lines == 0; }
-};
-
-/// Fold every result line of an NDJSON sweep stream (shard file, merged
-/// canonical file, or a concatenation) into `stats`, line by line, holding
-/// a single RunResult of state. Shard-header lines (objects with a
-/// "shard" key and no "run" key) are skipped and counted. A trailing
-/// newline-less line is processed if parseable, counted bad otherwise.
-NdjsonFoldReport fold_ndjson_stream(std::istream& in, SweepStats* stats);
 
 }  // namespace irs::exp

@@ -8,8 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#include "src/exp/stats.h"
-
 namespace irs::exp {
 
 namespace {
@@ -186,16 +184,9 @@ RunResult average_results(const std::vector<RunResult>& rs) {
     // XOR keeps the digest order-independent and zero when sampling was off
     // everywhere; an average would be meaningless for a hash.
     acc.sampler_digest ^= r.sampler_digest;
-    acc.slo_digest ^= r.slo_digest;
-    acc.forensics_digest ^= r.forensics_digest;
-    acc.frontend_digest ^= r.frontend_digest;
-    acc.cluster_digest ^= r.cluster_digest;
     acc.trace_dropped += r.trace_dropped;
     acc.trace_total_recorded += r.trace_total_recorded;
-    fold_slo(acc.slo, r.slo);  // bucket-exact class fold (see exp/stats.h)
-    obs::fold_forensics(acc.forensics, r.forensics);
-    obs::fold_frontend(acc.frontend, r.frontend);
-    obs::fold_cluster(acc.cluster, r.cluster);
+    fold_blocks(acc, r);
   }
   const double n = static_cast<double>(rs.size());
   acc.fg_makespan = static_cast<sim::Duration>(makespan / n);

@@ -63,7 +63,8 @@ std::vector<ScenarioConfig> seed_grid(const ScenarioConfig& cfg, int n_seeds);
 
 /// Average a batch of runs: the exact aggregation run_averaged applies
 /// (means for continuous metrics, per-run means for lhp/lwp, sums for the
-/// remaining counters).
+/// remaining counters, XOR for the sampler digest, fold_blocks for the
+/// result blocks).
 RunResult average_results(const std::vector<RunResult>& rs);
 
 }  // namespace irs::exp

@@ -12,7 +12,7 @@
 //   sum_i placed_i == vms
 //
 // are test invariants (tests/cluster_test.cpp), and like every obs result
-// the block is integer-exact, folds across sweep shards order-independently
+// the block is integer-exact, folds across a sweep's runs order-independently
 // (fold_cluster), serializes round-trip (cluster_json / cluster_from_value),
 // and condenses to one FNV-1a digest() word.
 #pragma once
@@ -64,7 +64,7 @@ struct ClusterResult {
 
 /// Exact fold of `r` into `acc` (for sweep averaging): counters add
 /// element-wise (the hosts vector grows to the larger size), n_hosts and
-/// policy take the max. Folding N shards in any order is bit-identical to
+/// policy take the max. Folding N runs in any order is bit-identical to
 /// any other order.
 void fold_cluster(ClusterResult& acc, const ClusterResult& r);
 

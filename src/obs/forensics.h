@@ -39,7 +39,7 @@
 // reproduces the total latency sum bit-exactly, which tests assert.
 //
 // Like every obs result, ForensicsResult is integer-exact, merges across
-// sweep shards bit-identically (fold_forensics), serializes round-trip
+// a sweep's runs bit-identically (fold_forensics), serializes round-trip
 // (forensics_json / forensics_from_value), and condenses to one FNV-1a
 // digest() word for cross-process identity checks.
 #pragma once
@@ -172,7 +172,7 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
                                   const std::string& vm = "fg");
 
 /// Exact fold of `r` into `acc` (for sweep averaging): histograms merge
-/// integer-exactly, windows merge by index, counters add. Folding N shards
+/// integer-exactly, windows merge by index, counters add. Folding N runs
 /// in any order is bit-identical to any other order.
 void fold_forensics(ForensicsResult& acc, const ForensicsResult& r);
 

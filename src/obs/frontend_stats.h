@@ -9,7 +9,7 @@
 //   arrivals == completed + tail_dropped + admit_rejected + shed + in_flight
 //
 // is a test invariant (tests/frontend_test.cpp), and like every obs result
-// the block is integer-exact, folds across sweep shards order-independently
+// the block is integer-exact, folds across a sweep's runs order-independently
 // (fold_frontend), serializes round-trip (frontend_json /
 // frontend_from_value), and condenses to one FNV-1a digest() word.
 #pragma once
@@ -51,7 +51,7 @@ struct FrontendResult {
 };
 
 /// Exact fold of `r` into `acc` (for sweep averaging): counters add, the
-/// max fields take the max. Folding N shards in any order is bit-identical
+/// max fields take the max. Folding N runs in any order is bit-identical
 /// to any other order.
 void fold_frontend(FrontendResult& acc, const FrontendResult& r);
 

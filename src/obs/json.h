@@ -15,8 +15,8 @@ class JsonWriter {
   /// Double rendering policy. kCompact ("%.6g") is the human-oriented
   /// default used by the trace exporters. kRoundTrip emits the shortest
   /// decimal that parses back to the exact same double (std::to_chars), so
-  /// a value can cross an NDJSON file and come back bit-identical — the
-  /// sharded-sweep merge depends on this.
+  /// a value can cross an NDJSON file and come back bit-identical —
+  /// result_from_json's round trip depends on this.
   enum class Doubles { kCompact, kRoundTrip };
 
   explicit JsonWriter(Doubles doubles = Doubles::kCompact)

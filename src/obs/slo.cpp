@@ -399,8 +399,52 @@ SloResult SloTracker::result() const {
 }
 
 // ---------------------------------------------------------------------------
-// JSON
+// Fold and JSON
 // ---------------------------------------------------------------------------
+
+void fold_slo(SloResult& acc, const SloResult& r) {
+  if (r.empty()) return;
+  if (acc.empty()) {
+    acc = r;
+    return;
+  }
+  for (const SloClassResult& c : r.classes) {
+    SloClassResult* dst = nullptr;
+    for (SloClassResult& d : acc.classes) {
+      if (d.name == c.name) {
+        dst = &d;
+        break;
+      }
+    }
+    if (dst == nullptr) {
+      acc.classes.push_back(c);
+      continue;
+    }
+    dst->total.merge(c.total);
+    for (const SloWindow& w : c.windows) {
+      SloWindow* dw = nullptr;
+      for (SloWindow& x : dst->windows) {
+        if (x.index == w.index) {
+          dw = &x;
+          break;
+        }
+      }
+      if (dw == nullptr) {
+        dst->windows.push_back(w);
+      } else {
+        dw->count += w.count;
+        dw->violations += w.violations;
+        dw->p50 = std::max(dw->p50, w.p50);
+        dw->p99 = std::max(dw->p99, w.p99);
+        dw->p999 = std::max(dw->p999, w.p999);
+      }
+    }
+    std::sort(dst->windows.begin(), dst->windows.end(),
+              [](const SloWindow& a, const SloWindow& b) {
+                return a.index < b.index;
+              });
+  }
+}
 
 void slo_result_json(JsonWriter& w, const SloResult& s) {
   w.begin_object();

@@ -2,7 +2,7 @@
 //
 // The serving-workload figures (Fig. 8) are about *tail* latency under
 // interference, but core::Histogram keeps every sample (O(requests)
-// memory), cannot be merged across sweep shards, and has no time
+// memory), cannot be merged across a sweep's runs, and has no time
 // resolution — it answers "what was p999 over the whole run", never "what
 // was p999 *during* the hog burst vs after the migrator reacted". This
 // header provides the streaming, mergeable, time-resolved alternative:
@@ -11,7 +11,7 @@
 //     fixed-geometry log-linear buckets with <= 1/64 (~1.6 %) relative
 //     error from 1 ns to 100 s, O(1) add, O(buckets) memory, and
 //     deterministic *exact-integer* merge — merging the histograms of N
-//     shards is bit-identical to recording the union stream, in any merge
+//     streams is bit-identical to recording the union stream, in any merge
 //     order. Counts, sum, min, max are exact; only percentiles are
 //     quantised to bucket representatives.
 //
@@ -25,8 +25,8 @@
 //     same run without it.
 //
 // Everything here is integer-exact except SloSpec::objective (a double,
-// serialized in round-trip form), so results fold across NDJSON sweep
-// shards bit-identically and digests are comparable across processes.
+// serialized in round-trip form), so results fold across a sweep's runs
+// bit-identically and digests are comparable across processes.
 #pragma once
 
 #include <cstdint>
@@ -244,6 +244,13 @@ class SloTracker {
   sim::Duration window_;
   std::vector<ClassState> classes_;
 };
+
+/// Fold one run's SLO capture into `acc`: classes match by name, totals
+/// merge bucket-exact (integer histogram fold — order- and
+/// grouping-independent), windows merge by index summing count/violations
+/// and keeping the max percentile (a conservative "worst run" envelope:
+/// percentiles of disjoint streams do not average).
+void fold_slo(SloResult& acc, const SloResult& r);
 
 /// Serialize `s` as one JSON object on an open writer (fixed key order,
 /// integers exact, objective in round-trip form):

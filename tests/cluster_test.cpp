@@ -2,8 +2,8 @@
 // JSON round-trip), admission-policy placement determinism, the migration
 // conservation identities from src/obs/cluster_stats.h, the cluster
 // determinism battery (bit-identical RunResults across queue backends,
-// sweep thread counts, and a 2-shard NDJSON fold in either order), the
-// fig_cluster acceptance fixture (IRS placement beats random
+// sweep thread counts, and a result_json round trip folded in either
+// order), the fig_cluster acceptance fixture (IRS placement beats random
 // under co-located hogs), the RunCapture per-host dump surface, and the
 // HostNode VmId-validation errors the cluster API split made load-bearing.
 #include "src/cluster/cluster.h"
@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "src/core/world.h"
+#include "src/exp/report.h"
 #include "src/exp/runner.h"
-#include "src/exp/shard.h"
 #include "src/exp/stats.h"
 #include "src/exp/sweep.h"
 #include "src/obs/cluster_stats.h"
@@ -335,57 +335,37 @@ TEST(ClusterDeterminism, BitIdenticalAcrossBackendsBatchAndThreads) {
   }
 }
 
-TEST(ClusterDeterminism, TwoShardNdjsonFoldsBitIdenticallyInEitherOrder) {
+TEST(ClusterDeterminism, ResultJsonRoundTripFoldsBitIdenticallyInEitherOrder) {
   const auto cfgs = battery_cells(sim::default_queue_kind());
   const auto runs = exp::run_sweep(cfgs, /*n_threads=*/2);
   ASSERT_EQ(runs.size(), 2u);
 
-  // Serialize as a 2-shard NDJSON sweep (shard s owns run s) and merge the
-  // files in both orders: the merged results, the folded cluster ledger,
-  // and the XOR digest sentinel must not depend on arrival order.
-  auto stream = [&](int shard) {
-    exp::ShardHeader h;
-    h.shard = shard;
-    h.n_shards = 2;
-    h.total_runs = runs.size();
-    h.fig = "fig_cluster";
-    h.seeds = 1;
-    return exp::shard_header_json(h) + "\n" +
-           exp::shard_line_json(static_cast<std::size_t>(shard),
-                                runs[static_cast<std::size_t>(shard)]) +
-           "\n";
-  };
-  const std::string s0 = stream(0);
-  const std::string s1 = stream(1);
-  const exp::MergeReport fwd =
-      exp::merge_shard_streams({{"s0", s0}, {"s1", s1}});
-  const exp::MergeReport rev =
-      exp::merge_shard_streams({{"s1", s1}, {"s0", s0}});
-  ASSERT_TRUE(fwd.ok()) << exp::merge_summary_json(fwd);
-  ASSERT_TRUE(rev.ok()) << exp::merge_summary_json(rev);
-  ASSERT_EQ(fwd.results.size(), runs.size());
-  ASSERT_EQ(rev.results.size(), runs.size());
+  // Every run survives result_json bit-identically, cluster block included.
+  std::vector<exp::RunResult> parsed(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_TRUE(exp::results_identical(runs[i], fwd.results[i]));
-    EXPECT_TRUE(exp::results_identical(runs[i], rev.results[i]));
+    std::string err;
+    ASSERT_TRUE(exp::result_from_json(exp::result_json(runs[i]), &parsed[i],
+                                      &err))
+        << err;
+    EXPECT_TRUE(exp::results_identical(runs[i], parsed[i]));
   }
-  // The sweep-stats cluster fold is integer-exact, so folding the two runs
-  // in either order produces the same totals and digest XOR.
+  // The sweep-stats cluster fold is integer-exact, so folding the parsed
+  // runs in either order produces the same totals and digest XOR.
   exp::SweepStats a;
-  a.add(runs[0]);
-  a.add(runs[1]);
+  a.add(parsed[0]);
+  a.add(parsed[1]);
   exp::SweepStats b;
-  b.add(runs[1]);
-  b.add(runs[0]);
-  EXPECT_EQ(a.cluster(), b.cluster());
-  EXPECT_EQ(a.cluster_digest_xor(), b.cluster_digest_xor());
-  EXPECT_EQ(a.cluster_digest_xor(),
+  b.add(parsed[1]);
+  b.add(parsed[0]);
+  EXPECT_EQ(a.blocks().cluster, b.blocks().cluster);
+  EXPECT_EQ(a.blocks().cluster_digest, b.blocks().cluster_digest);
+  EXPECT_EQ(a.blocks().cluster_digest,
             runs[0].cluster_digest ^ runs[1].cluster_digest);
   obs::ClusterResult direct;
   obs::fold_cluster(direct, runs[0].cluster);
   obs::fold_cluster(direct, runs[1].cluster);
-  EXPECT_EQ(a.cluster(), direct);
+  EXPECT_EQ(a.blocks().cluster, direct);
 }
 
 // ---------------------------------------------------------------------------

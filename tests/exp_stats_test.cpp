@@ -1,17 +1,11 @@
 // Streaming sweep statistics: StatAccumulator's moments and percentile
-// sketch, SweepStats folding, JSON rendering, and the line-by-line NDJSON
-// fold — which must agree exactly with folding the same results directly
-// (the property that lets irs_sweep_merge --stats-only and bench_report's
-// in-process consumer report identical aggregates).
+// sketch, SweepStats folding, and JSON rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/exp/report.h"
-#include "src/exp/shard.h"
 #include "src/exp/stats.h"
 #include "src/sim/rng.h"
 
@@ -111,47 +105,6 @@ TEST(StatAccumulator, ParetoTailStaysWithinSketchError) {
   EXPECT_EQ(a.max(), vals.back());
 }
 
-TEST(StatAccumulator, MergeMatchesSerialFeed) {
-  // Chan's parallel combine for the moments plus exact bucket-count folds
-  // for the sketch: merging per-shard accumulators must agree with one
-  // serial accumulator over the union stream.
-  sim::Rng rng(31);
-  std::vector<double> stream;
-  for (int i = 0; i < 30000; ++i) {
-    stream.push_back(rng.next_double() * 1e6 - 2e5);  // mixed-sign values
-  }
-  exp::StatAccumulator serial;
-  for (double v : stream) serial.add(v);
-
-  for (int shards : {2, 5}) {
-    std::vector<exp::StatAccumulator> parts(
-        static_cast<std::size_t>(shards));
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      parts[i % static_cast<std::size_t>(shards)].add(stream[i]);
-    }
-    exp::StatAccumulator merged;
-    for (const auto& p : parts) merged.merge(p);
-    EXPECT_EQ(merged.count(), serial.count());
-    EXPECT_EQ(merged.min(), serial.min());
-    EXPECT_EQ(merged.max(), serial.max());
-    EXPECT_NEAR(merged.mean(), serial.mean(), 1e-9 * std::abs(serial.mean()));
-    EXPECT_NEAR(merged.stddev(), serial.stddev(), 1e-9 * serial.stddev());
-    // Bucket counts fold exactly, so percentiles are identical.
-    for (double p : {10.0, 50.0, 90.0, 99.0}) {
-      EXPECT_DOUBLE_EQ(merged.percentile(p), serial.percentile(p)) << p;
-    }
-  }
-
-  // Merging into an empty accumulator is a copy; merging empty is a no-op.
-  exp::StatAccumulator empty;
-  exp::StatAccumulator copy;
-  copy.merge(serial);
-  copy.merge(empty);
-  EXPECT_EQ(copy.count(), serial.count());
-  EXPECT_DOUBLE_EQ(copy.mean(), serial.mean());
-  EXPECT_DOUBLE_EQ(copy.percentile(50), serial.percentile(50));
-}
-
 exp::RunResult fake_result(sim::Rng* rng, bool finished = true) {
   exp::RunResult r;
   r.finished = finished;
@@ -200,86 +153,6 @@ TEST(SweepStats, JsonHasEveryMetricInOrder) {
                           "\"p99\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
-}
-
-TEST(NdjsonFold, StreamFoldMatchesDirectFoldExactly) {
-  // Serialize a shard file, fold it back through the streaming parser, and
-  // require the rendered stats to be byte-identical to folding the same
-  // RunResults directly — round-trip serialization must not perturb any
-  // aggregate.
-  sim::Rng rng(13);
-  std::vector<exp::RunResult> results;
-  for (int i = 0; i < 40; ++i) results.push_back(fake_result(&rng, i != 7));
-
-  std::ostringstream file;
-  exp::ShardHeader h;
-  h.total_runs = results.size();
-  file << exp::shard_header_json(h) << '\n';
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    file << exp::shard_line_json(i, results[i]) << '\n';
-  }
-
-  exp::SweepStats direct;
-  for (const auto& r : results) direct.add(r);
-
-  std::istringstream in(file.str());
-  exp::SweepStats streamed;
-  const exp::NdjsonFoldReport rep = exp::fold_ndjson_stream(in, &streamed);
-  EXPECT_TRUE(rep.ok());
-  EXPECT_EQ(rep.lines, 41u);
-  EXPECT_EQ(rep.headers, 1u);
-  EXPECT_EQ(rep.results, 40u);
-  EXPECT_EQ(rep.bad_lines, 0u);
-  EXPECT_EQ(exp::sweep_stats_json(streamed), exp::sweep_stats_json(direct));
-  EXPECT_EQ(streamed.finished(), 39u);
-}
-
-TEST(NdjsonFold, SkipsBlankLinesReportsGarbage) {
-  sim::Rng rng(14);
-  std::ostringstream file;
-  exp::ShardHeader h;
-  h.total_runs = 2;
-  file << exp::shard_header_json(h) << '\n';
-  file << exp::shard_line_json(0, fake_result(&rng)) << '\n';
-  file << '\n';                   // blank: ignored
-  file << "{not json at all\n";   // garbage: counted + reported
-  file << exp::shard_line_json(1, fake_result(&rng));  // no trailing \n: ok
-
-  std::istringstream in(file.str());
-  exp::SweepStats stats;
-  const exp::NdjsonFoldReport rep = exp::fold_ndjson_stream(in, &stats);
-  EXPECT_FALSE(rep.ok());
-  EXPECT_EQ(rep.results, 2u);
-  EXPECT_EQ(rep.bad_lines, 1u);
-  ASSERT_EQ(rep.errors.size(), 1u);
-  EXPECT_EQ(stats.runs(), 2u);
-}
-
-TEST(NdjsonFold, ConcatenatedShardFilesFoldAsOneStream) {
-  // --stats-only feeds shard files sequentially; a concatenation with
-  // multiple headers must fold cleanly, every header skipped.
-  sim::Rng rng(15);
-  std::ostringstream file;
-  for (int shard = 0; shard < 3; ++shard) {
-    exp::ShardHeader h;
-    h.shard = shard;
-    h.n_shards = 3;
-    h.total_runs = 6;
-    file << exp::shard_header_json(h) << '\n';
-    for (int i = 0; i < 2; ++i) {
-      file << exp::shard_line_json(
-                  static_cast<std::size_t>(shard + 3 * i),
-                  fake_result(&rng))
-           << '\n';
-    }
-  }
-  std::istringstream in(file.str());
-  exp::SweepStats stats;
-  const exp::NdjsonFoldReport rep = exp::fold_ndjson_stream(in, &stats);
-  EXPECT_TRUE(rep.ok());
-  EXPECT_EQ(rep.headers, 3u);
-  EXPECT_EQ(rep.results, 6u);
-  EXPECT_EQ(stats.runs(), 6u);
 }
 
 }  // namespace

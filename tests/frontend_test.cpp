@@ -6,7 +6,7 @@
 //     expected_count, MMPP overdispersion, and per-seed determinism;
 //   * scenario-level determinism — the "frontend" workload's results are
 //     bit-identical across reruns, event-queue backends, sweep thread
-//     counts, and a 2-shard fold (digest-XOR order independence);
+//     counts, and a regrouped fold (digest-XOR order independence);
 //   * the overload fault matrix — queue-full x {drop, admit, shed} x
 //     keepalive {on, off}, asserting the conservation identity
 //     arrivals == completed + dropped + shed + in_flight, the per-policy
@@ -252,16 +252,17 @@ TEST(FrontendDeterminism, SweepThreadCountAndFoldOrderInvariant) {
     EXPECT_NE(serial[i].frontend_digest, 0u) << i;
     EXPECT_TRUE(exp::results_identical(serial[i], parallel[i])) << i;
   }
-  // 2-shard fold order independence: folding (evens, odds) must equal
-  // folding in run order — the XOR digest and the exact counter fold are
-  // both grouping- and order-independent.
+  // Fold order independence: folding (evens, odds) must equal folding in
+  // run order — the XOR digest and the exact counter fold are both
+  // grouping- and order-independent.
   exp::SweepStats in_order, shuffled;
   for (const auto& r : serial) in_order.add(r);
   for (std::size_t i = 0; i < serial.size(); i += 2) shuffled.add(serial[i]);
   for (std::size_t i = 1; i < serial.size(); i += 2) shuffled.add(serial[i]);
-  EXPECT_EQ(in_order.frontend(), shuffled.frontend());
-  EXPECT_EQ(in_order.frontend_digest_xor(), shuffled.frontend_digest_xor());
-  EXPECT_FALSE(in_order.frontend().empty());
+  EXPECT_EQ(in_order.blocks().frontend, shuffled.blocks().frontend);
+  EXPECT_EQ(in_order.blocks().frontend_digest,
+            shuffled.blocks().frontend_digest);
+  EXPECT_FALSE(in_order.blocks().frontend.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -126,17 +126,6 @@ TEST(ObsExport, ResultJsonHasStableShape) {
   EXPECT_LT(j.find("\"lhp\""), j.find("\"sa_delay_avg_ns\""));
 }
 
-TEST(ObsExport, SweepJsonPreservesOrder) {
-  exp::RunResult a;
-  a.lhp = 1;
-  exp::RunResult b;
-  b.lhp = 2;
-  const std::string j = exp::sweep_json({a, b});
-  EXPECT_TRUE(balanced_json(j)) << j;
-  EXPECT_NE(j.find("\"results\":["), std::string::npos) << j;
-  EXPECT_LT(j.find("\"lhp\":1"), j.find("\"lhp\":2"));
-}
-
 // ---------------------------------------------------------------------------
 // Chrome trace JSON
 // ---------------------------------------------------------------------------

@@ -262,8 +262,7 @@ TEST(ForensicsJson, ResultJsonCarriesTheBlockAndRoundTrips) {
   EXPECT_TRUE(exp::results_identical(parsed, r));
   EXPECT_EQ(exp::result_json(parsed), json);
 
-  // Disabled runs carry no block (and old captures parse fine without one —
-  // result_from_value treats both fields as optional).
+  // Disabled runs carry no block (only its zero digest).
   exp::ScenarioConfig off = forensics_cfg("specjbb", core::Strategy::kBaseline);
   off.forensics = false;
   const exp::RunResult plain = exp::run_scenario(off);

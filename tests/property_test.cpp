@@ -11,7 +11,6 @@
 
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
-#include "src/exp/shard.h"
 #include "src/sim/rng.h"
 
 namespace irs::exp {
@@ -198,8 +197,8 @@ RunResult random_result(sim::Rng& rng) {
 }
 
 /// serialize -> parse -> re-serialize is byte-identical, and the parsed
-/// result is bit-identical, for arbitrary RunResults — the property the
-/// sharded sweeps' merge-equals-single-process guarantee rests on.
+/// result is bit-identical, for arbitrary RunResults — the property every
+/// NDJSON consumer of a sweep rests on.
 TEST(NdjsonRoundTrip, RandomResultsSurviveByteAndBitIdentical) {
   sim::Rng rng(20260805);
   for (int i = 0; i < 500; ++i) {
@@ -210,23 +209,6 @@ TEST(NdjsonRoundTrip, RandomResultsSurviveByteAndBitIdentical) {
     ASSERT_TRUE(result_from_json(json, &parsed, &err)) << err << "\n" << json;
     EXPECT_TRUE(results_identical(r, parsed)) << json;
     EXPECT_EQ(result_json(parsed), json);
-  }
-}
-
-TEST(NdjsonRoundTrip, RandomShardLinesSurviveByteAndBitIdentical) {
-  sim::Rng rng(42);
-  for (int i = 0; i < 200; ++i) {
-    const RunResult r = random_result(rng);
-    const std::size_t idx = static_cast<std::size_t>(rng.next_below(1u << 20));
-    const std::string line = shard_line_json(idx, r);
-    std::size_t parsed_idx = 0;
-    RunResult parsed;
-    std::string err;
-    ASSERT_TRUE(parse_shard_line(line, &parsed_idx, &parsed, &err))
-        << err << "\n" << line;
-    EXPECT_EQ(parsed_idx, idx);
-    EXPECT_TRUE(results_identical(r, parsed)) << line;
-    EXPECT_EQ(shard_line_json(parsed_idx, parsed), line);
   }
 }
 

@@ -1,47 +1,29 @@
-// irs_sweep — run a named figure grid (or one shard of it) and stream
-// shard-format NDJSON, or spawn every shard as a local subprocess.
+// irs_sweep — run a named figure grid and stream its results as NDJSON:
+// one result_json object per line, in run order (the format
+// IRS_BENCH_NDJSON writes).
 //
-//   # whole grid, one process (canonical single-shard file):
-//   $ irs_sweep --fig fig05 --ndjson fig05.ndjson
-//
-//   # shard 2 of 8 (e.g. on host 2 of an 8-host pool):
-//   $ irs_sweep --fig fig05 --shard 2/8 --ndjson shard2.ndjson
-//
-//   # all 8 shards as local subprocesses, then merge + verify:
-//   $ irs_sweep --fig fig05 --shards 8 --out-dir sweep/ --merge fig05.ndjson
+//   $ irs_sweep --fig fig05 --jobs 4 --ndjson fig05.ndjson
 //
 // Options:
 //   --fig NAME       named grid (see --list)
 //   --seeds N        seeds per data point       (bench_seeds(): env-aware)
 //   --fast           trim the grid like IRS_BENCH_FAST
-//   --shard i/N      run only round-robin shard i of N        (0/1)
-//   --runs a,b,c     only these global run indices (repair reruns; must
-//                    belong to the shard)
 //   --ndjson PATH    output file                              (stdout)
 //   --jobs N         sweep worker threads                     (sweep_jobs())
-//   --shards N       spawn mode: run shards 0..N-1 as subprocesses
-//   --out-dir DIR    spawn mode: write DIR/shard<i>.ndjson    (.)
-//   --merge PATH     spawn mode: merge + verify into PATH afterwards; the
-//                    process exits with the merge status bits
 //   --list           print known grid names and sizes
 //
-// Exit: 0 on success; 64 on usage errors; spawn mode propagates a failed
-// child (1) or, with --merge, the MergeStatus bits (src/exp/shard.h).
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cstdint>
+// Exit: 0 on success; 1 when the output cannot be written; 64 on usage
+// errors (unknown flag or grid, a malformed or non-positive number).
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "src/exp/grids.h"
 #include "src/exp/report.h"
-#include "src/exp/shard.h"
 #include "src/exp/sweep.h"
 
 namespace {
@@ -51,191 +33,34 @@ using namespace irs;
 constexpr int kExitUsage = 64;
 
 [[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --fig NAME [--seeds N] [--fast] [--shard i/N]\n"
-      "          [--runs a,b,c] [--ndjson PATH] [--jobs N]\n"
-      "       %s --fig NAME --shards N [--out-dir DIR] [--merge PATH]\n"
-      "       %s --list\n",
-      argv0, argv0, argv0);
+  std::fprintf(stderr,
+               "usage: %s --fig NAME [--seeds N] [--fast] [--ndjson PATH] "
+               "[--jobs N]\n"
+               "       %s --list [--seeds N] [--fast]\n",
+               argv0, argv0);
   std::exit(kExitUsage);
 }
 
-bool parse_runs(const std::string& s, std::vector<std::size_t>* out) {
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t end = s.find(',', pos);
-    if (end == std::string::npos) end = s.size();
-    if (end == pos) return false;
-    char* stop = nullptr;
-    const unsigned long long v =
-        std::strtoull(s.c_str() + pos, &stop, 10);
-    if (stop != s.c_str() + end) return false;
-    out->push_back(static_cast<std::size_t>(v));
-    pos = end + 1;
+/// The whole of `s` as a positive int, or exit 64 naming `flag`.
+int parse_count(const char* flag, const char* s) {
+  int v = 0;
+  const char* end = s + std::strlen(s);
+  const auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc{} || ptr != end || v <= 0) {
+    std::fprintf(stderr, "error: bad %s '%s' (want a positive integer)\n",
+                 flag, s);
+    std::exit(kExitUsage);
   }
-  return !out->empty();
-}
-
-struct Options {
-  std::string fig;
-  int seeds = 0;
-  bool fast = false;
-  exp::ShardSpec shard;
-  bool have_runs = false;
-  std::vector<std::size_t> runs;
-  std::string ndjson;  // empty = stdout
-  int jobs = 0;
-  int spawn_shards = 0;
-  std::string out_dir = ".";
-  std::string merge_path;
-};
-
-/// Run one shard in this process, streaming header + per-run lines.
-int run_shard(const Options& o) {
-  const exp::GridOptions gopt{o.seeds, o.fast};
-  const auto grid = exp::figure_grid(o.fig, gopt);
-  if (grid.empty()) {
-    std::fprintf(stderr, "error: unknown grid '%s' (see --list)\n",
-                 o.fig.c_str());
-    return kExitUsage;
-  }
-
-  std::vector<std::size_t> owned =
-      exp::shard_run_indices(grid.size(), o.shard.index, o.shard.count);
-  if (o.have_runs) {
-    // Repair mode: keep only the requested indices; reject ones this
-    // shard does not own so a bad repair plan fails loudly.
-    std::vector<std::size_t> filtered;
-    for (const std::size_t r : o.runs) {
-      if (r >= grid.size() ||
-          r % static_cast<std::size_t>(o.shard.count) !=
-              static_cast<std::size_t>(o.shard.index)) {
-        std::fprintf(stderr,
-                     "error: run %zu is not owned by shard %d/%d\n", r,
-                     o.shard.index, o.shard.count);
-        return kExitUsage;
-      }
-      filtered.push_back(r);
-    }
-    owned = std::move(filtered);
-  }
-
-  std::ofstream file;
-  if (!o.ndjson.empty()) {
-    file.open(o.ndjson, std::ios::trunc);
-    if (!file) {
-      std::fprintf(stderr, "error: cannot open %s for writing\n",
-                   o.ndjson.c_str());
-      return 1;
-    }
-  }
-  std::ostream& out = o.ndjson.empty() ? std::cout : file;
-
-  exp::ShardHeader header;
-  header.shard = o.shard.index;
-  header.n_shards = o.shard.count;
-  header.total_runs = grid.size();
-  header.fig = o.fig;
-  header.seeds = o.seeds > 0 ? o.seeds : exp::bench_seeds();
-  out << exp::shard_header_json(header) << '\n';
-  out.flush();
-
-  std::vector<exp::ScenarioConfig> cfgs;
-  cfgs.reserve(owned.size());
-  for (const std::size_t i : owned) cfgs.push_back(grid[i]);
-
-  exp::run_sweep(
-      cfgs,
-      [&](std::size_t i, const exp::RunResult& r) {
-        out << exp::shard_line_json(owned[i], r) << '\n';
-        out.flush();
-      },
-      o.jobs);
-
-  std::fprintf(stderr, "irs_sweep: shard %d/%d of %s: %zu of %zu runs\n",
-               o.shard.index, o.shard.count, o.fig.c_str(), owned.size(),
-               grid.size());
-  return out.good() ? 0 : 1;
-}
-
-/// Spawn mode: exec this binary once per shard, wait for all, optionally
-/// merge + verify.
-int spawn_shards(const Options& o, const char* self) {
-  std::vector<pid_t> pids;
-  std::vector<std::string> paths;
-  for (int s = 0; s < o.spawn_shards; ++s) {
-    const std::string shard_arg =
-        std::to_string(s) + "/" + std::to_string(o.spawn_shards);
-    const std::string path =
-        o.out_dir + "/shard" + std::to_string(s) + ".ndjson";
-    paths.push_back(path);
-
-    std::vector<std::string> args = {self,     "--fig",    o.fig,
-                                     "--shard", shard_arg, "--ndjson", path};
-    if (o.seeds > 0) {
-      args.push_back("--seeds");
-      args.push_back(std::to_string(o.seeds));
-    }
-    if (o.fast) args.push_back("--fast");
-    if (o.jobs > 0) {
-      args.push_back("--jobs");
-      args.push_back(std::to_string(o.jobs));
-    }
-
-    const pid_t pid = fork();
-    if (pid < 0) {
-      std::perror("fork");
-      return 1;
-    }
-    if (pid == 0) {
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      execv(self, argv.data());
-      std::perror("execv");
-      _exit(127);
-    }
-    pids.push_back(pid);
-  }
-
-  bool child_failed = false;
-  for (const pid_t pid : pids) {
-    int status = 0;
-    if (waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      child_failed = true;
-    }
-  }
-  if (child_failed) {
-    std::fprintf(stderr, "irs_sweep: at least one shard failed\n");
-    // Fall through to the merge when requested: its verification report
-    // and repair plan are exactly what the operator needs now.
-    if (o.merge_path.empty()) return 1;
-  }
-
-  if (o.merge_path.empty()) return 0;
-
-  const exp::MergeReport rep = exp::merge_shards(paths);
-  std::ofstream out(o.merge_path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n",
-                 o.merge_path.c_str());
-    return 1;
-  }
-  exp::write_merged_ndjson(out, rep);
-  out.close();
-  std::cout << exp::merge_summary_json(rep) << '\n';
-  const std::string plan = exp::repair_plan(rep);
-  if (!plan.empty()) std::cout << plan;
-  return rep.status;
+  return v;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options o;
+  std::string fig;
+  std::string ndjson;  // empty = stdout
+  exp::GridOptions gopt;
+  int jobs = 0;
   bool list = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -244,35 +69,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--fig") {
-      o.fig = next();
+      fig = next();
     } else if (arg == "--seeds") {
-      o.seeds = std::atoi(next());
-      if (o.seeds <= 0) usage(argv[0]);
+      gopt.seeds = parse_count("--seeds", next());
     } else if (arg == "--fast") {
-      o.fast = true;
-    } else if (arg == "--shard") {
-      if (!exp::parse_shard_spec(next(), &o.shard)) {
-        std::fprintf(stderr, "error: bad --shard '%s' (want i/N)\n", argv[i]);
-        return kExitUsage;
-      }
-    } else if (arg == "--runs") {
-      o.have_runs = true;
-      if (!parse_runs(next(), &o.runs)) {
-        std::fprintf(stderr, "error: bad --runs '%s'\n", argv[i]);
-        return kExitUsage;
-      }
+      gopt.fast = true;
     } else if (arg == "--ndjson") {
-      o.ndjson = next();
+      ndjson = next();
     } else if (arg == "--jobs") {
-      o.jobs = std::atoi(next());
-      if (o.jobs <= 0) usage(argv[0]);
-    } else if (arg == "--shards") {
-      o.spawn_shards = std::atoi(next());
-      if (o.spawn_shards <= 0) usage(argv[0]);
-    } else if (arg == "--out-dir") {
-      o.out_dir = next();
-    } else if (arg == "--merge") {
-      o.merge_path = next();
+      jobs = parse_count("--jobs", next());
     } else if (arg == "--list") {
       list = true;
     } else {
@@ -281,16 +86,31 @@ int main(int argc, char** argv) {
   }
 
   if (list) {
-    for (const std::string& name : irs::exp::figure_grid_names()) {
-      const auto grid = irs::exp::figure_grid(name, {o.seeds, o.fast});
-      std::printf("%-8s %zu runs\n", name.c_str(), grid.size());
+    for (const std::string& name : exp::figure_grid_names()) {
+      std::printf("%-8s %zu runs\n", name.c_str(),
+                  exp::figure_grid(name, gopt).size());
     }
     return 0;
   }
-  if (o.fig.empty()) usage(argv[0]);
-  if (o.spawn_shards > 0) {
-    if (o.have_runs || o.shard.count != 1) usage(argv[0]);
-    return spawn_shards(o, argv[0]);
+  if (fig.empty()) usage(argv[0]);
+  const auto grid = exp::figure_grid(fig, gopt);
+  if (grid.empty()) {
+    std::fprintf(stderr, "error: unknown grid '%s' (see --list)\n",
+                 fig.c_str());
+    return kExitUsage;
   }
-  return run_shard(o);
+
+  std::ofstream file;
+  if (!ndjson.empty()) {
+    file.open(ndjson, std::ios::trunc);
+    if (!file) {
+      std::fprintf(stderr, "error: cannot open %s for writing\n",
+                   ndjson.c_str());
+      return 1;
+    }
+  }
+  std::ostream& out = ndjson.empty() ? std::cout : file;
+  exp::run_sweep(grid, exp::ndjson_consumer(out), jobs);
+  std::fprintf(stderr, "irs_sweep: %s: %zu runs\n", fig.c_str(), grid.size());
+  return out.good() ? 0 : 1;
 }
