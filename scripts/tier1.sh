@@ -54,6 +54,11 @@ for bad in "--jobs 2x" "--seeds 2abc" "--jobs 0" "--seeds -1" \
   # shellcheck disable=SC2086  # word-split the flag and its value
   expect_bad 64 ./build/tools/irs_sweep --fig fig02 $bad
 done
+# A misspelt queue backend must fail, not quietly run the default wheel
+# (the oracle below would then compare the wheel with itself).
+expect_bad 2 env IRS_ENGINE_QUEUE=bogus ./build/tools/irs_trace_dump \
+    build/bad_config_trace.json
+expect_bad 64 env IRS_ENGINE_QUEUE=bogus ./build/tools/irs_sweep --fig fig02
 
 # Engine deep-queue bench smoke: every EventQueue backend variant (binary,
 # quad, wheel x tight/timer shapes) must run clean. The old-vs-new ratio
@@ -64,8 +69,9 @@ done
 
 # Queue oracle on whole grids: the default hybrid wheel must produce
 # byte-identical NDJSON to the binary-heap oracle on a compute grid
-# (fig05) and the multi-host grid (fig_cluster).
-for fig in fig05 fig_cluster; do
+# (fig05), the PLE spin grid (fig06, where the dormant PLE watch and the
+# re-armed timers run at volume) and the multi-host grid (fig_cluster).
+for fig in fig05 fig06 fig_cluster; do
   for q in binary wheel; do
     IRS_ENGINE_QUEUE="$q" ./build/tools/irs_sweep --fig "$fig" --jobs 4 \
         --ndjson "build/oracle_${fig}_${q}.ndjson" > /dev/null

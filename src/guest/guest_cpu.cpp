@@ -13,7 +13,16 @@
 namespace irs::guest {
 
 GuestCpu::GuestCpu(GuestKernel& kernel, int idx)
-    : kernel_(kernel), idx_(idx), steal_(kernel.config().steal_avg_tau) {
+    : kernel_(kernel),
+      idx_(idx),
+      tick_timer_(kernel.engine(), [this]() { on_tick(); }, "guest.tick"),
+      idle_poll_(
+          kernel.engine(),
+          [this]() {
+            if (!vcpu_running_ && guest_idle()) kernel_.kick_if_blocked(idx_);
+          },
+          "guest.idle_poll"),
+      steal_(kernel.config().steal_avg_tau) {
   softirq_.set_handler(SoftirqNr::kTimer, [this]() { timer_softirq(); });
   softirq_.set_handler(SoftirqNr::kUpcall, [this]() { upcall_softirq(); });
   // Stagger the first periodic balance so CPUs don't all balance at once.
@@ -462,25 +471,17 @@ void GuestCpu::on_vcpu_stop(hv::StopReason reason) {
 void GuestCpu::arm_idle_housekeeping() {
   const sim::Duration poll = kernel_.config().idle_poll_period;
   if (poll <= 0) return;
-  idle_poll_ = kernel_.engine().schedule(
-      poll,
-      [this]() {
-        if (!vcpu_running_ && guest_idle()) {
-          kernel_.kick_if_blocked(idx_);
-        }
-      },
-      "guest.idle_poll");
+  // Armed only while disarmed (boot, or a block after on_vcpu_start's
+  // cancel), so re-arming never drops a pending wake.
+  assert(!idle_poll_.pending());
+  idle_poll_.arm(poll);
 }
 
 // ---------------------------------------------------------------------------
 // Timer tick
 // ---------------------------------------------------------------------------
 
-void GuestCpu::arm_tick() {
-  tick_timer_.cancel();
-  tick_timer_ = kernel_.engine().schedule(
-      kernel_.config().tick_period, [this]() { on_tick(); }, "guest.tick");
-}
+void GuestCpu::arm_tick() { tick_timer_.arm(kernel_.config().tick_period); }
 
 void GuestCpu::on_tick() {
   if (!vcpu_running_) return;

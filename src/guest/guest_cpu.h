@@ -159,10 +159,10 @@ class GuestCpu {
   bool lock_hint_ = false;       // last paravirtual lock hint sent
 
   sim::EventHandle op_done_;
-  sim::EventHandle tick_timer_;
+  sim::Timer tick_timer_;          // re-armed on every vCPU start
   sim::EventHandle sa_bh_timer_;   // delayed UPCALL softirq processing
   sim::EventHandle resched_evt_;
-  sim::EventHandle idle_poll_;     // housekeeping wake for blocked vCPUs
+  sim::Timer idle_poll_;           // housekeeping wake for blocked vCPUs
 
   sim::Time next_balance_ = 0;
 

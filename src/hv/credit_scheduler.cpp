@@ -16,7 +16,12 @@ CreditScheduler::CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
       pcpus_(pcpus),
       vms_(vms),
       counters_(counters),
-      trace_(trace) {}
+      trace_(trace) {
+  for (auto& p : pcpus_) {
+    slice_timers_.emplace_back(
+        eng_, [this, pp = &p]() { request_resched(*pp); }, "hv.slice");
+  }
+}
 
 const SchedStats& CreditScheduler::stats() const {
   stats_cache_.context_switches = counters_.fold_u(obs::Cnt::kHvCtxSwitches);
@@ -120,7 +125,7 @@ void CreditScheduler::block(Vcpu& v) {
   v.set_state(VcpuState::kBlocked, eng_.now());
   v.set_pcpu(kNoPcpu);
   p.set_current(nullptr);
-  p.slice_timer.cancel();
+  slice_timer(p).cancel();
   trace_.record(eng_.now(), sim::TraceKind::kHvBlock, v.id(), p.id());
   request_resched(p);
 }
@@ -138,7 +143,7 @@ void CreditScheduler::yield(Vcpu& v) {
   v.set_state(VcpuState::kRunnable, eng_.now());
   v.set_pcpu(kNoPcpu);
   p.set_current(nullptr);
-  p.slice_timer.cancel();
+  slice_timer(p).cancel();
   p.enqueue(&v);  // tail of its priority class
   request_resched(p);
 }
@@ -161,7 +166,7 @@ void CreditScheduler::deschedule_current(Pcpu& p, StopReason reason) {
   cur->set_state(VcpuState::kRunnable, eng_.now());
   cur->set_pcpu(kNoPcpu);
   p.set_current(nullptr);
-  p.slice_timer.cancel();
+  slice_timer(p).cancel();
   p.enqueue(cur);
   // OVER means the vCPU burned through its credit share: the deschedule is
   // a credit throttle, not generic contention — forensics separates the two.
@@ -207,11 +212,7 @@ void CreditScheduler::switch_to(Pcpu& p, Vcpu* next) {
   next->slice_start = eng_.now();
   p.set_current(next);
   trace_.record(eng_.now(), sim::TraceKind::kHvSchedule, next->id(), p.id());
-  // Slice-expiry timer.
-  p.slice_timer.cancel();
-  p.slice_timer = eng_.schedule(
-      cfg_.time_slice, [this, pp = &p]() { request_resched(*pp); },
-      "hv.slice");
+  slice_timer(p).arm(cfg_.time_slice);
   // Deliver vcpu_started after the world-switch cost.
   next->start_notice.cancel();
   next->guest_active = false;
@@ -269,10 +270,7 @@ void CreditScheduler::do_schedule(Pcpu& p) {
       if (slice_expired) {
         // Nobody eligible to take over: renew the slice in place.
         cur->slice_start = eng_.now();
-        p.slice_timer.cancel();
-        p.slice_timer = eng_.schedule(
-            cfg_.time_slice, [this, pp = &p]() { request_resched(*pp); },
-            "hv.slice");
+        slice_timer(p).arm(cfg_.time_slice);
       }
       return;
     }

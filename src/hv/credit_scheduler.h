@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -106,6 +107,10 @@ class CreditScheduler {
   Vcpu* steal_for(Pcpu& p);
   /// Notify the guest that its vCPU stopped, with LHP/LWP classification.
   void notify_stopped(Vcpu& v, StopReason reason);
+  /// `p`'s slice-expiry timer.
+  sim::Timer& slice_timer(const Pcpu& p) {
+    return slice_timers_[static_cast<std::size_t>(p.id())];
+  }
 
   static bool prio_better(const Vcpu& a, const Vcpu& b) {
     return static_cast<int>(a.prio()) < static_cast<int>(b.prio());
@@ -121,6 +126,10 @@ class CreditScheduler {
   obs::Counters& counters_;
   sim::Trace& trace_;
   PreemptHook* hook_ = nullptr;
+  /// One slice-expiry timer per pCPU, re-armed on every switch — Xen's
+  /// per-pCPU s_timer. Indexed by PcpuId; a deque because a Timer cannot
+  /// move.
+  std::deque<sim::Timer> slice_timers_;
   mutable SchedStats stats_cache_;  // fold target for stats()
 };
 

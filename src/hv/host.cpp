@@ -123,6 +123,7 @@ void Host::enable_delay_preempt() {
 void Host::enable_ple() {
   ple_ = std::make_unique<PleMonitor>(eng_, cfg_, *sched_, pcpus_, counters_,
                                       trace_);
+  for (auto& p : pcpus_) p.set_ple(ple_.get());
 }
 
 void Host::enable_relaxed_co() {

@@ -4,7 +4,18 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/hv/ple.h"
+
 namespace irs::hv {
+
+void Pcpu::set_current(Vcpu* v) {
+  wake_ple();  // the running vCPU (if any) leaves Running
+  current_ = v;
+}
+
+void Pcpu::wake_ple() {
+  if (ple_ != nullptr && current_ != nullptr) ple_->wake(*current_);
+}
 
 void Pcpu::enqueue(Vcpu* v) {
   assert(v != nullptr);
@@ -15,6 +26,7 @@ void Pcpu::enqueue(Vcpu* v) {
   });
   runq_.insert(it, v);
   v->set_resident(id_);
+  wake_ple();
 }
 
 void Pcpu::enqueue_front(Vcpu* v) {
@@ -25,6 +37,7 @@ void Pcpu::enqueue_front(Vcpu* v) {
   });
   runq_.insert(it, v);
   v->set_resident(id_);
+  wake_ple();
 }
 
 bool Pcpu::remove(Vcpu* v) {

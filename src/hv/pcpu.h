@@ -11,6 +11,8 @@
 
 namespace irs::hv {
 
+class PleMonitor;
+
 /// A physical CPU. The runqueue holds runnable vCPUs grouped by priority
 /// class (BOOST, UNDER, OVER), FIFO within a class — credit1's layout.
 class Pcpu {
@@ -20,7 +22,7 @@ class Pcpu {
   [[nodiscard]] PcpuId id() const { return id_; }
 
   [[nodiscard]] Vcpu* current() const { return current_; }
-  void set_current(Vcpu* v) { current_ = v; }
+  void set_current(Vcpu* v);
   [[nodiscard]] bool idle() const { return current_ == nullptr; }
 
   /// Fold the busy/idle interval since the last sample into the decayed
@@ -56,14 +58,23 @@ class Pcpu {
 
   /// Pending one-shot resched event (coalesces schedule requests).
   bool sched_pending = false;
-  /// Slice-expiry timer for the running vCPU.
-  sim::EventHandle slice_timer;
   /// Periodic credit-burn tick.
   sim::EventHandle tick_timer;
 
+  /// Route runqueue growth and the running vCPU's departure to the PLE
+  /// monitor (null: PLE off). See PleMonitor::wake.
+  void set_ple(PleMonitor* ple) { ple_ = ple; }
+
  private:
+  /// The one PLE hook: enqueue(), enqueue_front() and set_current() call
+  /// it, which covers every runqueue growth (wake, yield, deschedule,
+  /// queue rebuild, relaxed-co's boost) and every way the running vCPU
+  /// leaves Running (block, yield, deschedule).
+  void wake_ple();
+
   PcpuId id_;
   Vcpu* current_ = nullptr;
+  PleMonitor* ple_ = nullptr;
   std::deque<Vcpu*> runq_;
   double util_avg_ = 0.0;
   sim::Time last_util_sample_ = 0;

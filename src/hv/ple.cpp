@@ -17,16 +17,25 @@ PleMonitor::PleMonitor(sim::Engine& eng, const HvConfig& cfg,
 void PleMonitor::on_spin_signal(Vcpu& v, bool spinning) {
   if (!spinning || v.state() != VcpuState::kRunning) {
     v.ple_timer.cancel();
+    v.ple_dormant = false;
     return;
   }
-  if (v.ple_timer.pending()) return;  // window already counting
-  arm(v);
+  // The window is already counting, polled or dormant.
+  if (v.ple_timer.pending() || v.ple_dormant) return;
+  poll_at(v, eng_.now() + cfg_.ple_window);
 }
 
-void PleMonitor::arm(Vcpu& v) {
+void PleMonitor::wake(Vcpu& v) {
+  if (!v.ple_dormant) return;
+  v.ple_dormant = false;
+  const sim::Duration w = cfg_.ple_window;
+  poll_at(v, v.ple_anchor + ((eng_.now() - v.ple_anchor) / w + 1) * w);
+}
+
+void PleMonitor::poll_at(Vcpu& v, sim::Time when) {
   Vcpu* vp = &v;
   v.ple_timer =
-      eng_.schedule(cfg_.ple_window, [this, vp]() { fire(*vp); }, "hv.ple");
+      eng_.schedule_at(when, [this, vp]() { fire(*vp); }, "hv.ple");
 }
 
 void PleMonitor::fire(Vcpu& v) {
@@ -34,8 +43,10 @@ void PleMonitor::fire(Vcpu& v) {
   if (v.state() != VcpuState::kRunning || !v.spinning()) return;
   Pcpu& p = pcpus_[v.pcpu()];
   if (p.queue_len() == 0) {
-    // Nobody to yield to; keep running and keep watching.
-    arm(v);
+    // Nobody to yield to: keep running, and keep counting windows without
+    // polling until someone could be yielded to.
+    v.ple_dormant = true;
+    v.ple_anchor = eng_.now();
     return;
   }
   counters_.inc(cnt_shard(v), obs::Cnt::kPleExits);

@@ -7,6 +7,14 @@
 // the vCPU holds a pCPU, the vCPU is charged the exit cost and yielded —
 // but only if some other vCPU is waiting (yielding to nobody is pointless,
 // matching Xen's behaviour).
+//
+// The window is checked at boundaries ple_window apart, counted from the
+// spin signal. A boundary that finds nobody waiting leaves the watch
+// dormant instead of polling every window: it records the boundary as its
+// anchor, and queues nothing until the pCPU's runqueue grows or the vCPU
+// leaves Running (Pcpu's hook calls wake()). The poll then comes back at
+// the first anchor + k·ple_window strictly after now, the boundary the
+// polling chain would have fired at next.
 #pragma once
 
 #include "src/hv/credit_scheduler.h"
@@ -27,8 +35,12 @@ class PleMonitor {
   /// a pCPU, since preemption resets the hardware's continuity counter).
   void on_spin_signal(Vcpu& v, bool spinning);
 
+  /// `v`'s pCPU gained a waiter or `v` is leaving Running: a dormant watch
+  /// queues its poll at the next window boundary. No-op otherwise.
+  void wake(Vcpu& v);
+
  private:
-  void arm(Vcpu& v);
+  void poll_at(Vcpu& v, sim::Time when);
   void fire(Vcpu& v);
 
   sim::Engine& eng_;

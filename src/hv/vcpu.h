@@ -62,7 +62,12 @@ class Vcpu {
   // --- spin tracking (for PLE) ---
   [[nodiscard]] bool spinning() const { return spinning_; }
   void set_spinning(bool s) { spinning_ = s; }
+  /// The PLE window-boundary poll, while one is queued.
   sim::EventHandle ple_timer;
+  /// Dormant PLE watch: the spin window keeps counting from `ple_anchor`
+  /// (a boundary) with no poll queued, because nobody waits on the pCPU.
+  bool ple_dormant = false;
+  sim::Time ple_anchor = 0;
 
   // --- relaxed co-scheduling ---
   bool co_stopped = false;

@@ -1,5 +1,6 @@
 #include "src/sim/engine.h"
 
+#include <cassert>
 #include <utility>
 
 #include "src/sim/trace.h"
@@ -13,11 +14,16 @@ EventHandle Engine::schedule(Duration delay, Callback fn, const char* label) {
 
 EventHandle Engine::schedule_at(Time when, Callback fn, const char* label) {
   if (when < now_) when = now_;
+  return schedule_reserved(when, next_seq_++, std::move(fn), label);
+}
+
+EventHandle Engine::schedule_reserved(Time when, std::uint64_t seq,
+                                      Callback fn, const char* label) {
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.label = label;
-  queue_->push(QEntry{when, next_seq_++, slot, s.gen});
+  queue_->push(QEntry{when, seq, slot, s.gen});
   return EventHandle{this, slot, s.gen};
 }
 
@@ -40,8 +46,9 @@ void Engine::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-void Engine::cancel_event(std::uint32_t slot, std::uint32_t gen) {
-  if (!event_pending(slot, gen)) return;
+void Engine::cancel_event(std::uint32_t slot,
+                          [[maybe_unused]] std::uint32_t gen) {
+  assert(event_pending(slot, gen));
   release_slot(slot);
   ++cancelled_shells_;  // the queue entry stays behind as a stale shell
   // The trigger (shells > size/2 with size >= kCompactMinQueue) requires
@@ -118,6 +125,36 @@ Engine::RunOutcome Engine::run(std::uint64_t max_events) {
     }
   }
   return out;
+}
+
+void Timer::arm(Duration delay) {
+  if (delay < 0) delay = 0;
+  deadline_ = eng_.now() + delay;
+  seq_ = eng_.reserve_seq();
+  armed_ = true;
+  if (queued_.pending()) {
+    // Due first (equal times: its older seq sorts first): keep it, and let
+    // fire() move it to the new key.
+    if (queued_when_ <= deadline_) return;
+    queued_.cancel();
+  }
+  queue();
+}
+
+void Timer::queue() {
+  queued_ = eng_.schedule_reserved(deadline_, seq_, [this] { fire(); }, label_);
+  queued_when_ = deadline_;
+  queued_seq_ = seq_;
+}
+
+void Timer::fire() {
+  if (!armed_) return;  // cancelled since it was queued
+  if (queued_seq_ != seq_) {
+    queue();  // re-armed later since it was queued: on to the armed key
+    return;
+  }
+  armed_ = false;
+  fn_();
 }
 
 }  // namespace irs::sim

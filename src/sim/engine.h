@@ -24,11 +24,16 @@
 //     invalidating every outstanding handle and leaving a stale "shell"
 //     entry in the queue that dispatch skips. When shells outnumber half
 //     the queue — counting shells parked in wheel buckets, not just the
-//     heap — the engine compacts them away in one O(n) pass.
+//     heap — the engine compacts them away in one O(n) pass;
+//   * a timer that is re-programmed on every context switch is a
+//     sim::Timer, not a handle cancelled and rescheduled each time: it
+//     keeps one queued entry and moves it only when it fires early, with
+//     the dispatch order of cancel-and-reschedule (see Timer below).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/callback.h"
@@ -38,6 +43,7 @@
 namespace irs::sim {
 
 class Engine;
+class Timer;
 class Trace;
 struct EngineTestAccess;
 
@@ -67,7 +73,8 @@ class EventHandle {
   /// not default-constructed). Distinguishes state 1 from state 3 above.
   [[nodiscard]] bool attached() const { return eng_ != nullptr; }
 
-  /// Prevent the event from firing. Safe to call repeatedly.
+  /// Prevent the event from firing. Safe to call repeatedly; on a spent or
+  /// detached handle it costs one inline check.
   void cancel();
 
  private:
@@ -154,6 +161,7 @@ class Engine {
 
  private:
   friend class EventHandle;
+  friend class Timer;
   friend struct EngineTestAccess;
 
   static constexpr std::uint32_t kNpos = UINT32_MAX;
@@ -174,7 +182,16 @@ class Engine {
                                    std::uint32_t gen) const {
     return slot < slots_.size() && slots_[slot].gen == gen;
   }
+  /// Cancel a pending event (callers check event_pending first).
   void cancel_event(std::uint32_t slot, std::uint32_t gen);
+
+  /// Draw the seq the next schedule() would take. Timer only: it reserves
+  /// the key a cancel-and-reschedule would have queued at.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+  /// Queue `fn` at the exact key {when, seq}; `when` >= now() and `seq`
+  /// came from reserve_seq(). The one place an entry is pushed.
+  EventHandle schedule_reserved(Time when, std::uint64_t seq, Callback fn,
+                                const char* label);
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
@@ -210,7 +227,63 @@ inline bool EventHandle::pending() const {
 }
 
 inline void EventHandle::cancel() {
-  if (eng_ != nullptr) eng_->cancel_event(slot_, gen_);
+  if (pending()) eng_->cancel_event(slot_, gen_);
 }
+
+/// A re-armable one-shot timer with a fixed callback: the model of a
+/// per-CPU timer its owner re-programs on every switch (Xen's per-pCPU
+/// s_timer, a guest's tick). It replaces an EventHandle that is cancelled
+/// and rescheduled, with the same dispatch order and far fewer queue
+/// operations:
+///   * arm(delay) draws the seq that `cancel(); schedule(delay)` would
+///     draw, at the same moment, and records {now + delay, seq} as the key
+///     the callback must run at. Every other event keeps its exact seq.
+///   * If the entry already queued is due no later than that key, it stays.
+///     When it fires early it re-queues itself at the recorded key and runs
+///     nothing; every backend orders strictly by {when, seq}, so the
+///     callback runs exactly where the rescheduled event would have.
+///   * If the new deadline is earlier, the queued entry is cancelled and a
+///     new one queued at the recorded key.
+///   * cancel() only clears the deadline: the queued entry later fires as
+///     a no-op, or the next arm() reuses it.
+/// Those stale fires run no model code. They show only in
+/// Engine::dispatched() and in the clock left behind by a run() that
+/// drains the queue. A Timer is neither copyable nor movable (its queued
+/// entry points at it), must not outlive its engine, and takes its queued
+/// entry with it when destroyed.
+class Timer {
+ public:
+  Timer(Engine& eng, Engine::Callback fn, const char* label = "")
+      : eng_(eng), fn_(std::move(fn)), label_(label) {}
+  ~Timer() { queued_.cancel(); }
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Run the callback `delay` ns from now (negative delays clamp to zero),
+  /// replacing any earlier arming: `cancel(); schedule(delay)`.
+  void arm(Duration delay);
+
+  /// Disarm; the callback does not run until the next arm().
+  void cancel() { armed_ = false; }
+
+  /// True while armed. False once the callback has started, and after
+  /// cancel() — the states an EventHandle's pending() reports.
+  [[nodiscard]] bool pending() const { return armed_; }
+
+ private:
+  /// Queue the trampoline at the armed key {deadline_, seq_}.
+  void queue();
+  void fire();
+
+  Engine& eng_;
+  Engine::Callback fn_;
+  const char* label_;
+  EventHandle queued_;             // the one queued entry, if any
+  Time queued_when_ = 0;           // its key
+  std::uint64_t queued_seq_ = 0;
+  Time deadline_ = 0;              // key the callback runs at, while armed
+  std::uint64_t seq_ = 0;
+  bool armed_ = false;
+};
 
 }  // namespace irs::sim

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace irs::sim {
@@ -356,7 +358,12 @@ bool parse_queue_kind(const char* s, QueueKind* out) {
 QueueKind default_queue_kind() {
   static const QueueKind kind = [] {
     QueueKind k = QueueKind::kHybridWheel;
-    parse_queue_kind(std::getenv("IRS_ENGINE_QUEUE"), &k);
+    const char* env = std::getenv("IRS_ENGINE_QUEUE");
+    if (env != nullptr && !parse_queue_kind(env, &k)) {
+      throw std::invalid_argument(std::string("IRS_ENGINE_QUEUE='") + env +
+                                  "' is not a queue backend (want binary, "
+                                  "quad or wheel)");
+    }
     return k;
   }();
   return kind;

@@ -147,8 +147,10 @@ class EventQueue {
 
 /// The backend the engine uses when none is requested explicitly:
 /// kHybridWheel, overridable for experiments via IRS_ENGINE_QUEUE
-/// ("binary", "quad", "wheel"); unknown values fall back to the default.
-/// Read once per process.
+/// ("binary", "quad", "wheel"). Read once per process. Throws
+/// std::invalid_argument naming the value when it is none of the three:
+/// running the default instead would let a binary-vs-wheel comparison
+/// with a typo compare the wheel with itself.
 QueueKind default_queue_kind();
 
 /// Parse a backend name ("binary", "quad", "wheel"). Returns false on

@@ -1,6 +1,7 @@
 // Tests for PLE and relaxed co-scheduling strategy components.
 #include <gtest/gtest.h>
 
+#include "src/hv/host.h"
 #include "tests/helpers.h"
 
 namespace irs {
@@ -116,6 +117,101 @@ TEST(Ple, DisabledUnderBaseline) {
   w.start();
   w.run_for(sim::milliseconds(500));
   EXPECT_EQ(w.host().strategy_stats().ple_exits, 0u);
+}
+
+// The dormant PLE watch, on guest-less VMs driven through the scheduler
+// API: vCPU `a` spins on pCPU 0, `b` is a waiter that queues there without
+// preempting it (OVER priority never beats `a`'s wake-up BOOST).
+class PleWatch : public ::testing::Test {
+ protected:
+  PleWatch() : host_(eng_, hv::HvConfig{}, 1) {
+    host_.enable_ple();
+    host_.trace().set_capacity(1 << 12);
+    a_ = &host_.add_vm(pinned("a", {0}));
+    b_ = &host_.add_vm(pinned("b", {0}));
+    host_.start();
+    host_.sched().wake(spinner());
+    eng_.run_until(sim::microseconds(100));
+  }
+
+  hv::Vcpu& spinner() { return a_->vcpu(0); }
+  sim::Duration window() const { return host_.config().ple_window; }
+
+  /// Queue the waiter on pCPU 0 behind the running spinner.
+  void enqueue_waiter() {
+    b_->vcpu(0).set_prio(hv::CreditPrio::kOver);
+    host_.sched().wake(b_->vcpu(0));
+    ASSERT_EQ(b_->vcpu(0).state(), hv::VcpuState::kRunnable);
+  }
+
+  std::vector<sim::Time> ple_exits() {
+    std::vector<sim::Time> at;
+    for (const auto& r : host_.trace().snapshot()) {
+      if (r.kind == sim::TraceKind::kPleExit) at.push_back(r.when);
+    }
+    return at;
+  }
+
+  sim::Engine eng_;
+  hv::Host host_;
+  hv::Vm* a_ = nullptr;
+  hv::Vm* b_ = nullptr;
+};
+
+TEST_F(PleWatch, SpinnerAloneDispatchesNoPollPerWindow) {
+  ASSERT_EQ(spinner().state(), hv::VcpuState::kRunning);
+  host_.note_spinning(*a_, 0, true);
+  const std::uint64_t before = eng_.dispatched();
+  eng_.run_until(eng_.now() + 20 * window());
+  // One poll finds nobody waiting; the watch then stays dormant instead of
+  // polling every window.
+  EXPECT_LE(eng_.dispatched() - before, 2u);
+  EXPECT_EQ(host_.strategy_stats().ple_exits, 0u);
+}
+
+TEST_F(PleWatch, WaiterMidWindowExitsAtTheNextBoundary) {
+  host_.note_spinning(*a_, 0, true);
+  // The first boundary finds nobody waiting: the anchor of the dormant watch.
+  const sim::Time anchor = eng_.now() + window();
+  constexpr int k = 7;
+  eng_.run_until(anchor + k * window() + window() / 2);  // mid-window k
+  enqueue_waiter();
+  eng_.run_until(anchor + (k + 3) * window());
+  EXPECT_EQ(ple_exits(), (std::vector<sim::Time>{anchor + (k + 1) * window()}));
+}
+
+TEST_F(PleWatch, DescheduledWhileDormantRestartsFromTheNewSpinSignal) {
+  // The spin signal stays raised across the deschedule, as when the guest
+  // never saw its vCPU stop; the vCPU is still off its pCPU at the next
+  // boundary, which ends the window.
+  host_.note_spinning(*a_, 0, true);
+  eng_.run_until(eng_.now() + 3 * window() + window() / 2);  // dormant
+  host_.sched().block(spinner());
+  eng_.run_until(eng_.now() + 2 * window());
+  host_.sched().wake(spinner());
+  eng_.run_until(eng_.now() + sim::microseconds(7));
+  ASSERT_EQ(spinner().state(), hv::VcpuState::kRunning);
+  host_.note_spinning(*a_, 0, true);  // re-signalled on regaining the pCPU
+  const sim::Time respin = eng_.now();
+  enqueue_waiter();
+  eng_.run_until(respin + 3 * window());
+  ASSERT_FALSE(ple_exits().empty());
+  EXPECT_EQ(ple_exits().front(), respin + window());
+}
+
+TEST_F(PleWatch, RescheduledWithinTheWindowKeepsItsBoundary) {
+  // Preempted and back on the pCPU before the next boundary: that boundary
+  // still counts, as the queued poll of a non-dormant window would.
+  host_.note_spinning(*a_, 0, true);
+  const sim::Time start = eng_.now();
+  eng_.run_until(start + 3 * window() + window() / 2);  // dormant
+  host_.sched().force_preempt(spinner());
+  eng_.run_until(eng_.now() + sim::microseconds(7));
+  ASSERT_EQ(spinner().state(), hv::VcpuState::kRunning);
+  host_.note_spinning(*a_, 0, true);
+  enqueue_waiter();
+  eng_.run_until(start + 6 * window());
+  EXPECT_EQ(ple_exits(), (std::vector<sim::Time>{start + 4 * window()}));
 }
 
 TEST(RelaxedCo, StopsLeaderUnderSkew) {

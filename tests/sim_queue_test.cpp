@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -425,6 +426,196 @@ TEST_P(EngineBackend, CancelFromCallbackIsHonoured) {
   EXPECT_TRUE(std::find(fired.begin(), fired.end(), 39) == fired.end());
   EXPECT_EQ(eng.cancelled_shells(), 0u);
   EXPECT_EQ(eng.queued(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// sim::Timer: re-arming keeps the dispatch order of cancel-and-reschedule
+// ---------------------------------------------------------------------------
+
+TEST_P(EngineBackend, TimerEarlierDeadlineRequeuesAtTheEarlierTime) {
+  sim::Engine eng(GetParam());
+  std::vector<sim::Time> fired;
+  sim::Timer t(eng, [&] { fired.push_back(eng.now()); });
+  t.arm(1000);
+  t.arm(500);  // earlier: the entry at 1000 is cancelled, a new one queued
+  EXPECT_EQ(eng.queued(), 2u);
+  EXPECT_EQ(eng.cancelled_shells(), 1u);
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<sim::Time>{500}));
+  EXPECT_EQ(eng.dispatched(), 1u);
+}
+
+TEST_P(EngineBackend, TimerLaterDeadlineKeepsItsEntryAndMovesIt) {
+  sim::Engine eng(GetParam());
+  std::vector<sim::Time> fired;
+  sim::Timer t(eng, [&] { fired.push_back(eng.now()); });
+  t.arm(500);
+  t.arm(1000);  // later: the entry at 500 stays and re-queues when it fires
+  EXPECT_EQ(eng.queued(), 1u);
+  EXPECT_EQ(eng.cancelled_shells(), 0u);
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<sim::Time>{1000}));
+  EXPECT_EQ(eng.dispatched(), 2u);  // the early fire ran no callback
+}
+
+TEST_P(EngineBackend, TimerPendingFollowsTheArmedState) {
+  sim::Engine eng(GetParam());
+  bool pending_inside = true;
+  int runs = 0;
+  sim::Timer* self = nullptr;
+  sim::Timer t(eng, [&] {
+    ++runs;
+    pending_inside = self->pending();
+  });
+  self = &t;
+  EXPECT_FALSE(t.pending());
+  t.arm(100);
+  EXPECT_TRUE(t.pending());
+  t.cancel();
+  EXPECT_FALSE(t.pending());
+  eng.run_until(200);  // the cancelled entry fires as a no-op
+  EXPECT_EQ(runs, 0);
+  t.arm(100);
+  EXPECT_TRUE(t.pending());
+  t.cancel();
+  t.cancel();  // idempotent
+  t.arm(50);
+  EXPECT_TRUE(t.pending());
+  eng.run_until(400);
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(pending_inside);  // already disarmed while it runs
+  EXPECT_FALSE(t.pending());
+}
+
+TEST_P(EngineBackend, DestroyedTimerNeverRunsItsCallback) {
+  sim::Engine eng(GetParam());
+  int runs = 0;
+  auto armed = std::make_unique<sim::Timer>(eng, [&] { ++runs; });
+  auto cancelled = std::make_unique<sim::Timer>(eng, [&] { ++runs; });
+  auto moved = std::make_unique<sim::Timer>(eng, [&] { ++runs; });
+  armed->arm(100);
+  cancelled->arm(100);
+  cancelled->cancel();  // its entry stays queued
+  moved->arm(100);
+  moved->arm(300);  // its entry at 100 will re-queue to 300
+  eng.run_until(50);
+  armed.reset();
+  cancelled.reset();
+  eng.run_until(200);  // `moved` re-queues itself at 300
+  moved.reset();       // destroyed with its re-queued entry pending
+  eng.run();
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(eng.queued(), 0u);
+
+  // Destroyed from inside another event, at the instant it was due.
+  auto late = std::make_unique<sim::Timer>(eng, [&] { ++runs; });
+  late->arm(10);
+  eng.schedule(10, [&] { late.reset(); });
+  late->arm(10);  // re-armed: now behind the killer at the same instant
+  eng.run();
+  EXPECT_EQ(runs, 0);
+}
+
+/// One dispatch of a timer script: the dispatch time, the id (timers are
+/// 0..kTimers-1, plain events >= 1000), and which timers read pending().
+struct TimerDispatch {
+  sim::Time when;
+  int id;
+  unsigned pending_mask;
+  bool operator==(const TimerDispatch&) const = default;
+};
+
+/// A random script of timer arms, re-arms (earlier and later), cancels and
+/// plain events, some issued from inside callbacks. `use_timer` runs it on
+/// sim::Timer; otherwise every arm is `cancel(); schedule()` on an
+/// EventHandle — the reference the Timer must match exactly.
+std::vector<TimerDispatch> run_timer_script(sim::QueueKind kind,
+                                            std::uint64_t seed,
+                                            bool use_timer) {
+  constexpr int kTimers = 8;
+  sim::Engine eng(kind);
+  sim::Rng rng(seed);
+  std::vector<TimerDispatch> log;
+  std::function<void(int)> fire;
+  std::deque<sim::Timer> timers;
+  std::vector<sim::EventHandle> handles(kTimers);
+  for (int i = 0; i < kTimers; ++i) {
+    timers.emplace_back(eng, [&fire, i] { fire(i); });
+  }
+
+  auto pending_mask = [&] {
+    unsigned m = 0;
+    for (int i = 0; i < kTimers; ++i) {
+      const bool p = use_timer ? timers[i].pending() : handles[i].pending();
+      if (p) m |= 1u << i;
+    }
+    return m;
+  };
+  // Delays cluster on a few values so re-arms often tie with queued
+  // entries, and span the open bucket, the wheel and beyond its horizon.
+  auto random_delay = [&]() -> sim::Duration {
+    switch (rng.next_below(5)) {
+      case 0:  return 0;
+      case 1:  return static_cast<sim::Duration>(rng.next_below(4)) * 100;
+      case 2:  return static_cast<sim::Duration>(rng.next_below(kBucketNs));
+      case 3:  return static_cast<sim::Duration>(rng.next_below(kHorizonNs));
+      default: return static_cast<sim::Duration>(
+          kHorizonNs + rng.next_below(2 * kHorizonNs));
+    }
+  };
+  auto arm = [&](int i, sim::Duration d) {
+    if (use_timer) {
+      timers[i].arm(d);
+    } else {
+      handles[i].cancel();
+      handles[i] = eng.schedule(d, [&fire, i] { fire(i); });
+    }
+  };
+  auto cancel = [&](int i) {
+    if (use_timer) {
+      timers[i].cancel();
+    } else {
+      handles[i].cancel();
+    }
+  };
+  int next_plain = 1000;
+  auto plain = [&](sim::Duration d) {
+    const int id = next_plain++;
+    eng.schedule(d, [&fire, id] { fire(id); });
+  };
+  auto random_op = [&] {
+    const int i = static_cast<int>(rng.next_below(kTimers));
+    switch (rng.next_below(4)) {
+      case 0:
+      case 1:  arm(i, random_delay()); break;
+      case 2:  cancel(i); break;
+      default: plain(random_delay()); break;
+    }
+  };
+
+  fire = [&](int id) {
+    log.push_back({eng.now(), id, pending_mask()});
+    if (rng.next_below(2) == 0) random_op();
+    if (id < kTimers && rng.next_below(3) == 0) arm(id, random_delay());
+  };
+
+  for (int round = 0; round < 60; ++round) {
+    const int n = 1 + static_cast<int>(rng.next_below(12));
+    for (int k = 0; k < n; ++k) random_op();
+    eng.run_until(eng.now() + random_delay() + 1);
+  }
+  for (int i = 0; i < kTimers; ++i) cancel(i);
+  eng.run();
+  return log;
+}
+
+TEST_P(EngineBackend, TimerScriptMatchesCancelAndReschedule) {
+  for (std::uint64_t seed : {1ull, 77ull, 20261017ull, 0xfeedull}) {
+    const auto want = run_timer_script(GetParam(), seed, false);
+    ASSERT_GT(want.size(), 200u);
+    EXPECT_EQ(run_timer_script(GetParam(), seed, true), want)
+        << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------

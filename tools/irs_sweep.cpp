@@ -13,18 +13,21 @@
 //   --list           print known grid names and sizes
 //
 // Exit: 0 on success; 1 when the output cannot be written; 64 on usage
-// errors (unknown flag or grid, a malformed or non-positive number).
+// errors (unknown flag or grid, a malformed or non-positive number, an
+// unknown IRS_ENGINE_QUEUE).
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "src/exp/grids.h"
 #include "src/exp/report.h"
 #include "src/exp/sweep.h"
+#include "src/sim/event_queue.h"
 
 namespace {
 
@@ -57,6 +60,12 @@ int parse_count(const char* flag, const char* s) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  try {
+    sim::default_queue_kind();  // every run's engine reads it
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return kExitUsage;
+  }
   std::string fig;
   std::string ndjson;  // empty = stdout
   exp::GridOptions gopt;

@@ -431,10 +431,12 @@ int run(int argc, char** argv) {
 }  // namespace
 
 // Bad configurations (out-of-range pins, negative counts, an unknown
-// cluster policy) surface as exceptions from the library: report them and
-// exit 2, the same status as an unparsable flag.
+// cluster policy, an unknown IRS_ENGINE_QUEUE) surface as exceptions from
+// the library: report them and exit 2, the same status as an unparsable
+// flag.
 int main(int argc, char** argv) {
   try {
+    sim::default_queue_kind();  // checked before any flag is parsed
     return run(argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
