@@ -10,116 +10,80 @@ namespace {
 
 using namespace irs;
 
-exp::ScenarioConfig cfg_with(const std::string& app,
-                             const guest::GuestConfig& gc, int n_inter,
-                             core::Strategy strategy) {
-  bench::PanelOptions o;
-  exp::ScenarioConfig cfg = bench::make_cfg(app, strategy, n_inter, o);
-  cfg.fg_guest = gc;
-  return cfg;
+/// The guest knob an ablation group varies across its IRS arms.
+enum class Knob { kWakeupFix, kMigrator, kIdlePoll };
+
+Knob knob(const bench::Group& g) {
+  const guest::GuestConfig& a = g.arms.front().cfg.fg_guest;
+  const guest::GuestConfig& b = g.arms.back().cfg.fg_guest;
+  if (a.irs_wakeup_fix != b.irs_wakeup_fix) return Knob::kWakeupFix;
+  if (a.migrator_policy != b.migrator_policy) return Knob::kMigrator;
+  return Knob::kIdlePoll;
+}
+
+const char* title(Knob k) {
+  switch (k) {
+    case Knob::kWakeupFix:
+      return "Ablation: IRS wake-up fix (Fig. 4) on/off";
+    case Knob::kMigrator:
+      return "Ablation: migrator target policy (Algorithm 2)";
+    case Knob::kIdlePoll:
+      return "Ablation: idle housekeeping period";
+  }
+  return "?";
+}
+
+/// Column header of an IRS arm: its value of knob `k`.
+std::string label(Knob k, const guest::GuestConfig& gc) {
+  switch (k) {
+    case Knob::kWakeupFix:
+      return gc.irs_wakeup_fix ? "IRS (fix on)" : "IRS (fix off)";
+    case Knob::kMigrator:
+      switch (gc.migrator_policy) {
+        case guest::MigratorPolicy::kIdleThenLeastLoaded:
+          return "idle-then-least (paper)";
+        case guest::MigratorPolicy::kLeastLoadedOnly:
+          return "least-loaded only";
+        case guest::MigratorPolicy::kFirstRunning:
+          return "first-running";
+      }
+      return "?";
+    case Knob::kIdlePoll:
+      if (gc.idle_poll_period == 0) return "off";
+      return std::to_string(gc.idle_poll_period / sim::milliseconds(1)) +
+             "ms" +
+             (gc.idle_poll_period == guest::GuestConfig{}.idle_poll_period
+                  ? " (default)"
+                  : "");
+  }
+  return "?";
 }
 
 }  // namespace
 
 int main() {
-  const std::vector<std::string> apps = {"streamcluster", "fluidanimate",
-                                         "UA"};
-  const int seeds = exp::bench_seeds();
-
-  // All three ablation tables are independent simulations: register every
-  // cell up front and run one sweep over the union.
-  bench::SweepGrid grid;
-
-  struct WakeupRow {
-    std::size_t base, fix_on, fix_off;
-  };
-  std::vector<WakeupRow> wakeup;
-  for (const auto& app : apps) {
-    guest::GuestConfig on;
-    guest::GuestConfig off;
-    off.irs_wakeup_fix = false;
-    wakeup.push_back(WakeupRow{
-        grid.add(cfg_with(app, on, 1, core::Strategy::kBaseline), seeds),
-        grid.add(cfg_with(app, on, 1, core::Strategy::kIrs), seeds),
-        grid.add(cfg_with(app, off, 1, core::Strategy::kIrs), seeds)});
-  }
-
-  const std::vector<guest::MigratorPolicy> policies = {
-      guest::MigratorPolicy::kIdleThenLeastLoaded,
-      guest::MigratorPolicy::kLeastLoadedOnly,
-      guest::MigratorPolicy::kFirstRunning};
-  struct PolicyRow {
-    std::size_t base;
-    std::vector<std::size_t> per_policy;
-  };
-  std::vector<PolicyRow> policy_rows;
-  for (const auto& app : apps) {
-    guest::GuestConfig gc;
-    PolicyRow row;
-    row.base = grid.add(cfg_with(app, gc, 1, core::Strategy::kBaseline), seeds);
-    for (const auto pol : policies) {
-      gc.migrator_policy = pol;
-      row.per_policy.push_back(
-          grid.add(cfg_with(app, gc, 1, core::Strategy::kIrs), seeds));
+  const auto cells = bench::run_grid("abl_design");
+  const auto groups = bench::baseline_groups(cells);
+  for (const auto table : bench::runs_by(groups, knob)) {
+    const Knob k = knob(table.front());
+    // The wake-up table also shows the baseline makespan it compares with.
+    const bool base_column = k == Knob::kWakeupFix;
+    exp::banner(std::cout, title(k));
+    std::vector<std::string> headers = {"app"};
+    if (base_column) headers.push_back("baseline");
+    for (const bench::Cell& a : table.front().arms) {
+      headers.push_back(label(k, a.cfg.fg_guest));
     }
-    policy_rows.push_back(std::move(row));
-  }
-
-  const std::vector<long> idle_ms = {4L, 10L, 30L, 0L};
-  struct IdleRow {
-    std::size_t base;
-    std::vector<std::size_t> per_period;
-  };
-  std::vector<IdleRow> idle_rows;
-  for (const auto& app : apps) {
-    guest::GuestConfig gc;
-    IdleRow row;
-    row.base = grid.add(cfg_with(app, gc, 1, core::Strategy::kBaseline), seeds);
-    for (const long ms : idle_ms) {
-      gc.idle_poll_period = sim::milliseconds(ms);
-      row.per_period.push_back(
-          grid.add(cfg_with(app, gc, 1, core::Strategy::kIrs), seeds));
+    exp::Table t(std::move(headers));
+    for (const bench::Group& g : table) {
+      std::vector<std::string> row = {g.base.cfg.fg};
+      if (base_column) row.push_back(exp::fmt_ms(g.base.avg.fg_makespan));
+      for (const bench::Cell& a : g.arms) {
+        row.push_back(bench::improvement(g.base.avg, a.avg));
+      }
+      t.add_row(std::move(row));
     }
-    idle_rows.push_back(std::move(row));
+    t.print(std::cout);
   }
-
-  grid.run();
-
-  exp::banner(std::cout, "Ablation: IRS wake-up fix (Fig. 4) on/off");
-  exp::Table wf({"app", "baseline", "IRS (fix on)", "IRS (fix off)"});
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    const auto base = grid.avg(wakeup[i].base);
-    wf.add_row(
-        {apps[i], exp::fmt_ms(base.fg_makespan),
-         exp::fmt_pct(exp::improvement_pct(base, grid.avg(wakeup[i].fix_on))),
-         exp::fmt_pct(
-             exp::improvement_pct(base, grid.avg(wakeup[i].fix_off)))});
-  }
-  wf.print(std::cout);
-
-  exp::banner(std::cout, "Ablation: migrator target policy (Algorithm 2)");
-  exp::Table mp({"app", "idle-then-least (paper)", "least-loaded only",
-                 "first-running"});
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    const auto base = grid.avg(policy_rows[i].base);
-    std::vector<std::string> row = {apps[i]};
-    for (const std::size_t cell : policy_rows[i].per_policy) {
-      row.push_back(exp::fmt_pct(exp::improvement_pct(base, grid.avg(cell))));
-    }
-    mp.add_row(std::move(row));
-  }
-  mp.print(std::cout);
-
-  exp::banner(std::cout, "Ablation: idle housekeeping period");
-  exp::Table ip({"app", "4ms", "10ms (default)", "30ms", "off"});
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    const auto base = grid.avg(idle_rows[i].base);
-    std::vector<std::string> row = {apps[i]};
-    for (const std::size_t cell : idle_rows[i].per_period) {
-      row.push_back(exp::fmt_pct(exp::improvement_pct(base, grid.avg(cell))));
-    }
-    ip.add_row(std::move(row));
-  }
-  ip.print(std::cout);
   return 0;
 }

@@ -13,9 +13,9 @@
 int main() {
   using namespace irs;
 
+  const int seeds = bench::checked_seeds();
   exp::banner(std::cout, "Figure 1(a): slowdown under 1-vCPU interference");
   exp::Table a({"app", "sync style", "slowdown vs alone"});
-  const int seeds = exp::bench_seeds();
   struct Row {
     const char* app;
     const char* style;

@@ -2,32 +2,15 @@
 // under PLE / Relaxed-Co / IRS, relative to vanilla Xen/Linux, with three
 // interference types: (a) CPU-hog micro-benchmark, (b) streamcluster,
 // (c) fluidanimate.
-#include <cstdlib>
-#include <iostream>
-
 #include "bench/bench_util.h"
-#include "src/wl/parsec.h"
 
 int main() {
   using namespace irs;
-  const auto apps = wl::parsec_names();
-
-  bench::PanelOptions o;
-  o.bg = "hog";
-  bench::improvement_panel(
-      "Figure 5(a): PARSEC improvement w/ micro-benchmark interference",
-      apps, o);
-
-  if (std::getenv("IRS_BENCH_FAST") == nullptr) {
-    o.bg = "streamcluster";
-    bench::improvement_panel(
-        "Figure 5(b): PARSEC improvement w/ streamcluster interference",
-        apps, o);
-
-    o.bg = "fluidanimate";
-    bench::improvement_panel(
-        "Figure 5(c): PARSEC improvement w/ fluidanimate interference",
-        apps, o);
-  }
+  bench::comparison_tables(
+      bench::run_grid("fig05"),
+      {.title = [](std::size_t k, const exp::ScenarioConfig& c) {
+        return bench::panel("Figure 5", k) + "PARSEC improvement w/ " +
+               (c.bg == "hog" ? "micro-benchmark" : c.bg) + " interference";
+      }});
   return 0;
 }

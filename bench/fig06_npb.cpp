@@ -1,31 +1,15 @@
 // Figure 6 — NPB performance improvement (spinning synchronisation,
 // OMP_WAIT_POLICY=active) under PLE / Relaxed-Co / IRS with (a) CPU hogs,
 // (b) UA, (c) LU as interference.
-#include <cstdlib>
-#include <iostream>
-
 #include "bench/bench_util.h"
-#include "src/wl/npb.h"
 
 int main() {
   using namespace irs;
-  const auto apps = wl::npb_names();
-
-  bench::PanelOptions o;
-  o.npb_spinning = true;
-  o.bg = "hog";
-  bench::improvement_panel(
-      "Figure 6(a): NPB improvement w/ micro-benchmark interference", apps,
-      o);
-
-  if (std::getenv("IRS_BENCH_FAST") == nullptr) {
-    o.bg = "UA";
-    bench::improvement_panel(
-        "Figure 6(b): NPB improvement w/ UA interference", apps, o);
-
-    o.bg = "LU";
-    bench::improvement_panel(
-        "Figure 6(c): NPB improvement w/ LU interference", apps, o);
-  }
+  bench::comparison_tables(
+      bench::run_grid("fig06"),
+      {.title = [](std::size_t k, const exp::ScenarioConfig& c) {
+        return bench::panel("Figure 6", k) + "NPB improvement w/ " +
+               (c.bg == "hog" ? "micro-benchmark" : c.bg) + " interference";
+      }});
   return 0;
 }

@@ -1,26 +1,16 @@
 // Figure 7 — system-wide weighted speedup (fg PARSEC + bg real app),
 // percent; 100% = parity with vanilla Xen/Linux. Higher is better.
-#include <cstdlib>
-#include <iostream>
-
 #include "bench/bench_util.h"
-#include "src/wl/parsec.h"
 
 int main() {
   using namespace irs;
-  const auto apps = wl::parsec_names();
-
-  bench::PanelOptions o;
-  o.bg = "fluidanimate";
-  bench::weighted_panel(
-      "Figure 7(a): weighted speedup, PARSEC w/ fluidanimate background",
-      apps, o);
-
-  if (std::getenv("IRS_BENCH_FAST") == nullptr) {
-    o.bg = "streamcluster";
-    bench::weighted_panel(
-        "Figure 7(b): weighted speedup, PARSEC w/ streamcluster background",
-        apps, o);
-  }
+  bench::comparison_tables(
+      bench::run_grid("fig07"),
+      {.title =
+           [](std::size_t k, const exp::ScenarioConfig& c) {
+             return bench::panel("Figure 7", k) +
+                    "weighted speedup, PARSEC w/ " + c.bg + " background";
+           },
+       .value = bench::weighted});
   return 0;
 }

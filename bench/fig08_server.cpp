@@ -12,83 +12,44 @@
 
 int main() {
   using namespace irs;
-  const int seeds = exp::bench_seeds();
+  const auto cells = bench::run_grid("fig08");
+  const auto open_cells = bench::run_grid("fig08_open");
 
-  exp::banner(std::cout, "Figure 8(a): server throughput improvement (IRS)");
-  exp::Table thr({"workload", "1-inter", "2-inter", "3-inter", "4-inter"});
-  exp::banner(std::cerr, "(running...)");
-  exp::Table lat({"workload", "metric", "1-inter", "2-inter", "3-inter",
-                  "4-inter"});
+  bench::comparison_tables(
+      cells,
+      {.title = [](std::size_t, const exp::ScenarioConfig&) {
+         return "Figure 8(a): server throughput improvement (IRS)";
+       },
+       .corner = "workload",
+       .column = bench::inter,
+       .value = [](const exp::RunResult& base, const exp::RunResult& irs) {
+         return exp::fmt_pct(core::gain_pct(base.throughput, irs.throughput));
+       }});
 
-  // Register the full app x inter x {baseline, IRS} grid, run it in one
-  // parallel sweep, then format.
-  bench::SweepGrid grid;
-  struct Point {
-    std::size_t base;
-    std::size_t irs;
-  };
-  std::vector<std::vector<Point>> points;  // [app][inter-1]
-  const std::vector<std::string> apps = {"specjbb", "ab"};
-  for (const auto& app : apps) {
-    std::vector<Point> row;
-    for (int n = 1; n <= 4; ++n) {
-      bench::PanelOptions o;
-      exp::ScenarioConfig base_cfg =
-          bench::make_cfg(app, core::Strategy::kBaseline, n, o);
-      base_cfg.server_duration = sim::seconds(2);
-      exp::ScenarioConfig irs_cfg = base_cfg;
-      irs_cfg.strategy = core::Strategy::kIrs;
-      row.push_back(Point{grid.add(base_cfg, seeds), grid.add(irs_cfg, seeds)});
-    }
-    points.push_back(std::move(row));
-  }
-  // Open-loop cells for Figure 8(e): the "frontend" workload's arrivals
-  // keep coming during hog-induced freezes (no closed-loop back-off), so
-  // interference surfaces as queue growth, drops/sheds, and p999 blowups
-  // the jbb/ab panels cannot show. Two overload arms: tail-drop and
-  // SLO-burn shedding.
-  std::vector<std::vector<Point>> open_points;  // [policy][inter-1]
-  const std::vector<std::string> policies = {"drop", "shed"};
-  for (const auto& ov : policies) {
-    std::vector<Point> row;
-    for (int n = 1; n <= 4; ++n) {
-      bench::PanelOptions o;
-      exp::ScenarioConfig base_cfg =
-          bench::make_cfg("frontend", core::Strategy::kBaseline, n, o);
-      base_cfg.server_duration = sim::seconds(2);
-      base_cfg.fe_overload = ov;
-      exp::ScenarioConfig irs_cfg = base_cfg;
-      irs_cfg.strategy = core::Strategy::kIrs;
-      row.push_back(Point{grid.add(base_cfg, seeds), grid.add(irs_cfg, seeds)});
-    }
-    open_points.push_back(std::move(row));
-  }
-  grid.run();
-
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    const std::string& app = apps[a];
-    std::vector<std::string> trow = {app};
-    std::vector<std::string> lrow_mean = {
-        app, app == "ab" ? "p99 latency" : "mean latency"};
-    for (const Point& p : points[a]) {
-      const exp::RunResult base = grid.avg(p.base);
-      const exp::RunResult irs = grid.avg(p.irs);
-      trow.push_back(
-          exp::fmt_pct(core::gain_pct(base.throughput, irs.throughput)));
-      // The paper reports mean (new-order) latency for SPECjbb and tail
-      // (99th percentile) latency for ab.
-      const double base_lat =
-          static_cast<double>(app == "ab" ? base.lat_p99 : base.lat_mean);
-      const double irs_lat =
-          static_cast<double>(app == "ab" ? irs.lat_p99 : irs.lat_mean);
-      lrow_mean.push_back(
-          exp::fmt_pct(core::improvement_pct(base_lat, irs_lat)));
-    }
-    thr.add_row(std::move(trow));
-    lat.add_row(std::move(lrow_mean));
-  }
-  thr.print(std::cout);
+  // The paper reports mean (new-order) latency for SPECjbb and tail (99th
+  // percentile) latency for ab.
   exp::banner(std::cout, "Figure 8(b): server latency improvement (IRS)");
+  const auto groups = bench::baseline_groups(cells);
+  const auto rows = bench::runs_by(
+      groups, [](const bench::Group& g) { return g.base.cfg.fg; });
+  std::vector<std::string> lat_headers = {"workload", "metric"};
+  for (const bench::Group& g : rows.front()) {
+    lat_headers.push_back(bench::inter(g.base.cfg));
+  }
+  exp::Table lat(std::move(lat_headers));
+  for (const auto row : rows) {
+    const std::string& app = row.front().base.cfg.fg;
+    const bool p99 = app == "ab";
+    std::vector<std::string> line = {app, p99 ? "p99 latency" : "mean latency"};
+    for (const bench::Group& g : row) {
+      const exp::RunResult& base = g.base.avg;
+      const exp::RunResult& irs = g.arms.front().avg;
+      line.push_back(exp::fmt_pct(core::improvement_pct(
+          static_cast<double>(p99 ? base.lat_p99 : base.lat_mean),
+          static_cast<double>(p99 ? irs.lat_p99 : irs.lat_mean))));
+    }
+    lat.add_row(std::move(line));
+  }
   lat.print(std::cout);
 
   // Windowed SLO view of the same runs: whole-run p999, violation count,
@@ -99,58 +60,50 @@ int main() {
   exp::banner(std::cout, "Figure 8(c): windowed SLO (30ms windows)");
   exp::Table slo({"workload", "inter", "strategy", "p999", "viol",
                   "worst-win p999", "peak burn"});
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    for (std::size_t n = 0; n < points[a].size(); ++n) {
-      const Point& p = points[a][n];
-      for (const bool is_irs : {false, true}) {
-        const exp::RunResult r = grid.avg(is_irs ? p.irs : p.base);
-        if (r.slo.empty()) continue;
-        const obs::SloClassResult& c = r.slo.classes.front();
-        sim::Duration worst_p999 = 0;
-        double peak_burn = 0;
-        for (const obs::SloWindow& win : c.windows) {
-          worst_p999 = std::max(worst_p999, win.p999);
-          peak_burn = std::max(peak_burn, obs::burn_rate(win, c.spec));
-        }
-        slo.add_row({apps[a], std::to_string(n + 1),
-                     is_irs ? "IRS" : "Baseline",
-                     exp::fmt_ms(c.total.percentile(99.9)),
-                     std::to_string(c.violations()),
-                     exp::fmt_ms(worst_p999), exp::fmt_f(peak_burn, 2)});
-      }
+  for (const bench::Cell& cell : cells) {
+    const exp::RunResult& r = cell.avg;
+    if (r.slo.empty()) continue;
+    const obs::SloClassResult& c = r.slo.classes.front();
+    sim::Duration worst_p999 = 0;
+    double peak_burn = 0;
+    for (const obs::SloWindow& win : c.windows) {
+      worst_p999 = std::max(worst_p999, win.p999);
+      peak_burn = std::max(peak_burn, obs::burn_rate(win, c.spec));
     }
+    slo.add_row({cell.cfg.fg, std::to_string(cell.cfg.n_inter),
+                 bench::arm_name(cell.cfg),
+                 exp::fmt_ms(c.total.percentile(99.9)),
+                 std::to_string(c.violations()), exp::fmt_ms(worst_p999),
+                 exp::fmt_f(peak_burn, 2)});
   }
   slo.print(std::cout);
 
-  // Does IRS hold the tail when arrivals don't back off? Per (policy,
-  // inter, strategy): whole-run p999, the conservation ledger's refusal
-  // counts, the deepest the accept queue got, and the mean accept-queue
-  // wait of completed requests.
+  // Does IRS hold the tail when arrivals don't back off? The open-loop
+  // "frontend" workload's arrivals keep coming during hog-induced freezes,
+  // so interference surfaces as queue growth, drops/sheds and p999 blowups
+  // the jbb/ab panels cannot show. Per (overload policy, inter, strategy):
+  // whole-run p999, the conservation ledger's refusal counts, the deepest
+  // the accept queue got, and the mean accept-queue wait of completed
+  // requests.
   exp::banner(std::cout,
               "Figure 8(e): open-loop front-end (arrivals do not back off)");
   exp::Table open({"policy", "inter", "strategy", "p999", "completed",
                    "dropped", "shed", "max depth", "mean qwait"});
-  for (std::size_t a = 0; a < policies.size(); ++a) {
-    for (std::size_t n = 0; n < open_points[a].size(); ++n) {
-      const Point& p = open_points[a][n];
-      for (const bool is_irs : {false, true}) {
-        const exp::RunResult r = grid.avg(is_irs ? p.irs : p.base);
-        const obs::FrontendResult& f = r.frontend;
-        const sim::Duration p999 =
-            r.slo.empty() ? r.lat_p99
-                          : r.slo.classes.front().total.percentile(99.9);
-        const sim::Duration qwait_mean =
-            f.completed > 0 ? f.queue_wait_total /
-                                  static_cast<sim::Duration>(f.completed)
-                            : 0;
-        open.add_row({policies[a], std::to_string(n + 1),
-                      is_irs ? "IRS" : "Baseline", exp::fmt_ms(p999),
-                      std::to_string(f.completed),
-                      std::to_string(f.dropped()), std::to_string(f.shed),
-                      std::to_string(f.max_queue_depth),
-                      exp::fmt_us(qwait_mean)});
-      }
-    }
+  for (const bench::Cell& cell : open_cells) {
+    const exp::RunResult& r = cell.avg;
+    const obs::FrontendResult& f = r.frontend;
+    const sim::Duration p999 =
+        r.slo.empty() ? r.lat_p99
+                      : r.slo.classes.front().total.percentile(99.9);
+    const sim::Duration qwait_mean =
+        f.completed > 0
+            ? f.queue_wait_total / static_cast<sim::Duration>(f.completed)
+            : 0;
+    open.add_row({cell.cfg.fe_overload, std::to_string(cell.cfg.n_inter),
+                  bench::arm_name(cell.cfg), exp::fmt_ms(p999),
+                  std::to_string(f.completed), std::to_string(f.dropped()),
+                  std::to_string(f.shed), std::to_string(f.max_queue_depth),
+                  exp::fmt_us(qwait_mean)});
   }
   open.print(std::cout);
 
@@ -172,15 +125,11 @@ int main() {
     fheads.push_back(obs::cause_name(static_cast<obs::Cause>(i)));
   }
   exp::Table why(std::move(fheads));
-  std::vector<std::string> fapps(apps.begin(), apps.end());
-  fapps.push_back("specjbb-spin");
-  for (const auto& app : fapps) {
+  for (const std::string app : {"specjbb", "ab", "specjbb-spin"}) {
     const bool spin = app == "specjbb-spin";
-    for (const bool is_irs : {false, true}) {
-      bench::PanelOptions o;
-      exp::ScenarioConfig cfg = bench::make_cfg(
-          spin ? "specjbb" : app,
-          is_irs ? core::Strategy::kIrs : core::Strategy::kBaseline, 4, o);
+    for (const auto s : {core::Strategy::kBaseline, core::Strategy::kIrs}) {
+      exp::ScenarioConfig cfg = exp::panel_cfg(spin ? "specjbb" : app, s, 4,
+                                               exp::PanelOptions{});
       cfg.server_duration = sim::seconds(1);
       cfg.forensics = true;
       if (spin) {
@@ -207,7 +156,7 @@ int main() {
         if (win_causes[i] > win_causes[top]) top = i;
       }
       std::vector<std::string> row = {
-          app, is_irs ? "IRS" : "Baseline", std::to_string(c.spans),
+          app, bench::arm_name(cfg), std::to_string(c.spans),
           std::to_string(c.windows.size()),
           c.windows.empty() ? "-"
                             : obs::cause_name(static_cast<obs::Cause>(top))};

@@ -1,25 +1,16 @@
 // Figure 9 — system-wide weighted speedup for NPB (spinning) with real
 // application interference (LU and UA backgrounds).
-#include <cstdlib>
-#include <iostream>
-
 #include "bench/bench_util.h"
-#include "src/wl/npb.h"
 
 int main() {
   using namespace irs;
-  const auto apps = wl::npb_names();
-
-  bench::PanelOptions o;
-  o.npb_spinning = true;
-  o.bg = "LU";
-  bench::weighted_panel(
-      "Figure 9(a): weighted speedup, NPB w/ LU background", apps, o);
-
-  if (std::getenv("IRS_BENCH_FAST") == nullptr) {
-    o.bg = "UA";
-    bench::weighted_panel(
-        "Figure 9(b): weighted speedup, NPB w/ UA background", apps, o);
-  }
+  bench::comparison_tables(
+      bench::run_grid("fig09"),
+      {.title =
+           [](std::size_t k, const exp::ScenarioConfig& c) {
+             return bench::panel("Figure 9", k) + "weighted speedup, NPB w/ " +
+                    c.bg + " background";
+           },
+       .value = bench::weighted});
   return 0;
 }

@@ -2,20 +2,15 @@
 // unpinned on 4 pCPUs, 4-inter CPU hogs. Utilisation-driven, VM-oblivious
 // vCPU placement stacks sibling vCPUs; all three strategies help spinning
 // workloads here, IRS most.
-#include <iostream>
-
 #include "bench/bench_util.h"
-#include "src/wl/npb.h"
 
 int main() {
   using namespace irs;
-  bench::PanelOptions o;
-  o.bg = "hog";
-  o.pinned = false;
-  o.inter_levels = {4};
-  o.npb_spinning = true;
-  bench::improvement_panel(
-      "Figure 12: NPB under CPU stacking (unpinned, 4-inter hogs)",
-      wl::npb_names(), o);
+  bench::comparison_tables(
+      bench::run_grid("fig12"),
+      {.title = [](std::size_t, const exp::ScenarioConfig& c) {
+        return "Figure 12: NPB under CPU stacking (" +
+               bench::stacking(c) + ")";
+      }});
   return 0;
 }

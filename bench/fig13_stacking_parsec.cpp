@@ -2,19 +2,15 @@
 // blocking workloads, stacking is driven by deceptive idleness: PLE and
 // relaxed-co often make things worse; IRS keeps threads off idle vCPUs and
 // exposes the VM's real demand.
-#include <iostream>
-
 #include "bench/bench_util.h"
-#include "src/wl/parsec.h"
 
 int main() {
   using namespace irs;
-  bench::PanelOptions o;
-  o.bg = "hog";
-  o.pinned = false;
-  o.inter_levels = {4};
-  bench::improvement_panel(
-      "Figure 13: PARSEC under CPU stacking (unpinned, 4-inter hogs)",
-      wl::parsec_names(), o);
+  bench::comparison_tables(
+      bench::run_grid("fig13"),
+      {.title = [](std::size_t, const exp::ScenarioConfig& c) {
+        return "Figure 13: PARSEC under CPU stacking (" +
+               bench::stacking(c) + ")";
+      }});
   return 0;
 }

@@ -33,8 +33,8 @@ for pol in random irs; do
 done
 
 # Bad-input smoke: each input must exit with its usage status and a
-# message, never crash or run on a silent default — irs_trace_dump exits 2,
-# irs_sweep 64.
+# message, never crash or run on a silent default — irs_trace_dump, the
+# bench binaries and bench_report exit 2, irs_sweep 64.
 expect_bad() {
   local want="$1"
   shift
@@ -59,6 +59,17 @@ done
 expect_bad 2 env IRS_ENGINE_QUEUE=bogus ./build/tools/irs_trace_dump \
     build/bad_config_trace.json
 expect_bad 64 env IRS_ENGINE_QUEUE=bogus ./build/tools/irs_sweep --fig fig02
+for bad in "IRS_BENCH_SEEDS=abc" "IRS_BENCH_SEEDS=0" "IRS_BENCH_SEEDS=-2" \
+           "IRS_BENCH_SEEDS=2x" "IRS_BENCH_JOBS=zz"; do
+  expect_bad 64 env "$bad" ./build/tools/irs_sweep --fig fig02
+  expect_bad 2 env "$bad" ./build/bench/fig02_utilization
+done
+expect_bad 2 env IRS_BENCH_JOBS=zz ./build/bench/fig01_motivation
+expect_bad 2 env IRS_BENCH_JOBS=zz ./build/bench/bench_report \
+    build/bad_input_report.json
+
+# Every paper binary renders its trimmed registry grid (see the script).
+scripts/bench_smoke.sh build
 
 # Engine deep-queue bench smoke: every EventQueue backend variant (binary,
 # quad, wheel x tight/timer shapes) must run clean. The old-vs-new ratio
@@ -70,8 +81,9 @@ expect_bad 64 env IRS_ENGINE_QUEUE=bogus ./build/tools/irs_sweep --fig fig02
 # Queue oracle on whole grids: the default hybrid wheel must produce
 # byte-identical NDJSON to the binary-heap oracle on a compute grid
 # (fig05), the PLE spin grid (fig06, where the dormant PLE watch and the
-# re-armed timers run at volume) and the multi-host grid (fig_cluster).
-for fig in fig05 fig06 fig_cluster; do
+# re-armed timers run at volume), the multi-host grid (fig_cluster) and
+# the only grid with Delay-Preempt and IRS-Pull (abl_extensions).
+for fig in fig05 fig06 fig_cluster abl_extensions; do
   for q in binary wheel; do
     IRS_ENGINE_QUEUE="$q" ./build/tools/irs_sweep --fig "$fig" --jobs 4 \
         --ndjson "build/oracle_${fig}_${q}.ndjson" > /dev/null
@@ -84,8 +96,9 @@ for fig in fig05 fig06 fig_cluster; do
   fi
 done
 
-# Gate check: bench_report fails (exit 1) if deepqueue_speedup_vs_binary
-# < 0.9, or any determinism/overhead gate trips (including the SLO
+# Gate check: bench_report prints a PASS/FAIL line for each of its twelve
+# gates and fails (exit 1) if any tripped — deepqueue_speedup_vs_binary
+# < 0.9, or any determinism/overhead gate (including the SLO
 # recording-overhead, histogram-memory, result_json fold-identity, and
 # open-loop front-end per-request overhead gates). IRS_BENCH_FAST keeps
 # the sweep portion smoke-sized.

@@ -36,8 +36,8 @@ class Grid {
     for (const auto& c : seed_grid(cfg, seeds_)) cfgs_.push_back(c);
   }
 
-  /// One panel the shape of detail::strategy_panel: for every (app, level),
-  /// a baseline cell then one cell per compared strategy.
+  /// One strategy panel: for every (app, level), a baseline cell then one
+  /// cell per compared strategy.
   void strategy_panel(const std::vector<std::string>& apps,
                       const PanelOptions& o) {
     for (const auto& app : apps) {
@@ -55,17 +55,15 @@ class Grid {
   std::vector<ScenarioConfig> cfgs_;
 };
 
-/// IRS_BENCH_FAST trimming of an improvement/weighted panel's app and
-/// level lists, mirroring bench_util.h's behaviour.
+/// The fast grid's app list: the first three apps.
 std::vector<std::string> trim_apps(std::vector<std::string> apps, bool fast) {
   if (fast && apps.size() > 3) apps.resize(3);
   return apps;
 }
 
 /// Multi-panel improvement/weighted figure: one strategy_panel per
-/// background workload; fast mode keeps the first panel only and trims
-/// apps/levels (the bench binaries skip panels (b)/(c) under
-/// IRS_BENCH_FAST).
+/// background workload; the fast grid keeps the first panel only, at
+/// three apps and 1-inter.
 void bg_panels(Grid& g, const std::vector<std::string>& apps,
                const std::vector<std::string>& bgs, PanelOptions o,
                bool fast, char panel /* 0 = all */) {
@@ -192,13 +190,87 @@ void fig_cluster(Grid& g, bool fast) {
   }
 }
 
+/// §3.1 overhead check: SA processing delay per app under IRS at 1-inter,
+/// then the hard acknowledgement-cap sweep, all on one app (the renderer
+/// splits the two tables there).
+void abl_sa_overhead(Grid& g) {
+  const PanelOptions o;
+  for (const char* app :
+       {"streamcluster", "fluidanimate", "x264", "UA", "MG", "specjbb"}) {
+    g.add(panel_cfg(app, core::Strategy::kIrs, 1, o));
+  }
+  for (const long cap_us : {15L, 30L, 100L, 1000L}) {
+    ScenarioConfig cfg = panel_cfg("streamcluster", core::Strategy::kIrs, 1, o);
+    cfg.hv.sa_ack_cap = sim::microseconds(cap_us);
+    g.add(cfg);
+  }
+}
+
+/// IRS design ablations at 1-inter, one table each: the Fig. 4 wake-up fix
+/// on/off, the migrator's target policy (Algorithm 2 first), and the idle
+/// housekeeping period (0 = off). Every app's group leads with a baseline
+/// cell; the IRS arms differ from the default guest in one knob.
+void abl_design(Grid& g) {
+  const std::vector<std::string> apps = {"streamcluster", "fluidanimate",
+                                         "UA"};
+  auto add = [&](const std::string& app, core::Strategy s,
+                 const guest::GuestConfig& gc) {
+    ScenarioConfig cfg = panel_cfg(app, s, 1, PanelOptions{});
+    cfg.fg_guest = gc;
+    g.add(cfg);
+  };
+  const guest::GuestConfig dflt;
+  for (const auto& app : apps) {
+    guest::GuestConfig off;
+    off.irs_wakeup_fix = false;
+    add(app, core::Strategy::kBaseline, dflt);
+    add(app, core::Strategy::kIrs, dflt);
+    add(app, core::Strategy::kIrs, off);
+  }
+  for (const auto& app : apps) {
+    add(app, core::Strategy::kBaseline, dflt);
+    for (const auto pol : {guest::MigratorPolicy::kIdleThenLeastLoaded,
+                           guest::MigratorPolicy::kLeastLoadedOnly,
+                           guest::MigratorPolicy::kFirstRunning}) {
+      guest::GuestConfig gc;
+      gc.migrator_policy = pol;
+      add(app, core::Strategy::kIrs, gc);
+    }
+  }
+  for (const auto& app : apps) {
+    add(app, core::Strategy::kBaseline, dflt);
+    for (const long ms : {4L, 10L, 30L, 0L}) {
+      guest::GuestConfig gc;
+      gc.idle_poll_period = sim::milliseconds(ms);
+      add(app, core::Strategy::kIrs, gc);
+    }
+  }
+}
+
+/// Extension strategies beyond the paper (Delay-Preempt, IRS-Pull) next to
+/// IRS: eight apps at 1-inter, three at 4-inter. Full-length runs give the
+/// delay-preemption window enough preemption-in-CS coincidences to matter.
+void abl_extensions(Grid& g) {
+  PanelOptions o;
+  o.work_scale = 1.0;
+  o.strategies = {core::Strategy::kDelayPreempt, core::Strategy::kIrs,
+                  core::Strategy::kIrsPull};
+  o.inter_levels = {1};
+  g.strategy_panel({"x264", "fluidanimate", "streamcluster", "blackscholes",
+                    "UA", "MG", "EP", "raytrace"},
+                   o);
+  o.inter_levels = {4};
+  g.strategy_panel({"x264", "streamcluster", "UA"}, o);
+}
+
 }  // namespace
 
 std::vector<std::string> figure_grid_names() {
   return {"fig02",  "fig05",  "fig05a", "fig05b", "fig05c", "fig06",
           "fig06a", "fig06b", "fig06c", "fig07",  "fig07a", "fig07b",
           "fig08",  "fig08_open",        "fig09",  "fig09a", "fig09b",
-          "fig10",  "fig11",  "fig12",  "fig13",  "fig_cluster"};
+          "fig10",  "fig11",  "fig12",  "fig13",  "fig_cluster",
+          "abl_sa_overhead", "abl_design", "abl_extensions"};
 }
 
 std::vector<ScenarioConfig> figure_grid(const std::string& name,
@@ -255,6 +327,12 @@ std::vector<ScenarioConfig> figure_grid(const std::string& name,
     g.strategy_panel(trim_apps(wl::parsec_names(), fast), o);
   } else if (name == "fig_cluster") {
     fig_cluster(g, fast);
+  } else if (name == "abl_sa_overhead") {
+    abl_sa_overhead(g);
+  } else if (name == "abl_design") {
+    abl_design(g);
+  } else if (name == "abl_extensions") {
+    abl_extensions(g);
   } else {
     return {};
   }

@@ -1,7 +1,9 @@
 #include "src/exp/runner.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 #include "src/cluster/cluster.h"
@@ -404,13 +406,24 @@ double weighted_speedup_pct(const RunResult& base, const RunResult& x) {
   return 0.5 * (fg_speedup + bg_speedup) * 100.0;
 }
 
+int parse_count(const std::string& what, const char* text) {
+  int v = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || v <= 0) {
+    throw std::invalid_argument("bad " + what + " '" + text +
+                                "' (want a positive integer)");
+  }
+  return v;
+}
+
+bool bench_fast() { return std::getenv("IRS_BENCH_FAST") != nullptr; }
+
 int bench_seeds() {
   if (const char* s = std::getenv("IRS_BENCH_SEEDS")) {
-    const int n = std::atoi(s);
-    if (n > 0) return n;
+    return parse_count("IRS_BENCH_SEEDS", s);
   }
-  if (std::getenv("IRS_BENCH_FAST") != nullptr) return 1;
-  return 2;
+  return bench_fast() ? 1 : 2;
 }
 
 }  // namespace irs::exp

@@ -295,8 +295,18 @@ double improvement_pct(const RunResult& base, const RunResult& x);
 /// parity with vanilla Xen/Linux).
 double weighted_speedup_pct(const RunResult& base, const RunResult& x);
 
-/// Number of seeds per data point, honouring the IRS_BENCH_SEEDS and
-/// IRS_BENCH_FAST (1 seed) environment variables (default 2).
+/// The whole of `text` as a positive int. Anything else — trailing
+/// characters, a value <= 0 or out of range — throws std::invalid_argument
+/// naming `what` (a flag or environment variable) and the text.
+int parse_count(const std::string& what, const char* text);
+
+/// True when IRS_BENCH_FAST is set: the bench binaries then run the
+/// registry's trimmed grids (GridOptions::fast) at one seed.
+bool bench_fast();
+
+/// Number of seeds per data point: IRS_BENCH_SEEDS when set (parsed by
+/// parse_count, so a malformed value throws), else 1 under bench_fast()
+/// and 2 otherwise.
 int bench_seeds();
 
 }  // namespace irs::exp

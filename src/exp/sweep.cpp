@@ -56,8 +56,7 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t run_index) {
 
 int sweep_jobs() {
   if (const char* s = std::getenv("IRS_BENCH_JOBS")) {
-    const int n = std::atoi(s);
-    if (n > 0) return n;
+    return parse_count("IRS_BENCH_JOBS", s);
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;

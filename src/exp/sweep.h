@@ -23,8 +23,8 @@ namespace irs::exp {
 /// thread counts, and grid sizes.
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t run_index);
 
-/// Worker count for sweeps: IRS_BENCH_JOBS if set (>0), else
-/// hardware_concurrency. Always >= 1.
+/// Worker count for sweeps: IRS_BENCH_JOBS if set (parsed by parse_count,
+/// so a malformed value throws), else hardware_concurrency. Always >= 1.
 int sweep_jobs();
 
 /// Run fn(0..n-1) on a work-stealing pool with `n_threads` workers

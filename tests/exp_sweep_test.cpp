@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/exp/runner.h"
@@ -91,6 +93,38 @@ TEST(Sweep, JobsHonoursEnvVar) {
   EXPECT_EQ(sweep_jobs(), 3);
   unsetenv("IRS_BENCH_JOBS");
   EXPECT_GE(sweep_jobs(), 1);
+}
+
+/// `fn()` throws std::invalid_argument naming `var` and `value`.
+template <typename Fn>
+void expect_bad_env(const char* var, const char* value, Fn fn) {
+  SCOPED_TRACE(std::string(var) + "=" + value);
+  setenv(var, value, 1);
+  try {
+    fn();
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find(std::string("'") + value + "'"),
+              std::string::npos)
+        << e.what();
+  }
+  unsetenv(var);
+}
+
+TEST(Sweep, MalformedJobsEnvVarThrowsNamingIt) {
+  for (const char* v : {"zz", "0", "-2", "2x", "", "99999999999"}) {
+    expect_bad_env("IRS_BENCH_JOBS", v, [] { sweep_jobs(); });
+  }
+}
+
+TEST(Sweep, MalformedSeedsEnvVarThrowsNamingIt) {
+  for (const char* v : {"abc", "0", "-2", "2x", ""}) {
+    expect_bad_env("IRS_BENCH_SEEDS", v, [] { bench_seeds(); });
+  }
+  setenv("IRS_BENCH_SEEDS", "3", 1);
+  EXPECT_EQ(bench_seeds(), 3);
+  unsetenv("IRS_BENCH_SEEDS");
 }
 
 TEST(Sweep, OneThreadAndManyThreadsAreBitIdentical) {

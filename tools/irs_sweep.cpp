@@ -1,24 +1,23 @@
-// irs_sweep — run a named figure grid and stream its results as NDJSON:
-// one result_json object per line, in run order (the format
-// IRS_BENCH_NDJSON writes).
+// irs_sweep — run a named grid (the one definition the figure's bench
+// binary renders) and stream its results as NDJSON: one result_json object
+// per line, in run order.
 //
 //   $ irs_sweep --fig fig05 --jobs 4 --ndjson fig05.ndjson
 //
 // Options:
 //   --fig NAME       named grid (see --list)
 //   --seeds N        seeds per data point       (bench_seeds(): env-aware)
-//   --fast           trim the grid like IRS_BENCH_FAST
+//   --fast           the trimmed grid the bench binaries run under
+//                    IRS_BENCH_FAST
 //   --ndjson PATH    output file                              (stdout)
 //   --jobs N         sweep worker threads                     (sweep_jobs())
 //   --list           print known grid names and sizes
 //
 // Exit: 0 on success; 1 when the output cannot be written; 64 on usage
-// errors (unknown flag or grid, a malformed or non-positive number, an
-// unknown IRS_ENGINE_QUEUE).
-#include <charconv>
+// errors (unknown flag or grid, a malformed or non-positive number in a
+// flag or in IRS_BENCH_SEEDS/IRS_BENCH_JOBS, an unknown IRS_ENGINE_QUEUE).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -44,54 +43,45 @@ constexpr int kExitUsage = 64;
   std::exit(kExitUsage);
 }
 
-/// The whole of `s` as a positive int, or exit 64 naming `flag`.
-int parse_count(const char* flag, const char* s) {
-  int v = 0;
-  const char* end = s + std::strlen(s);
-  const auto [ptr, ec] = std::from_chars(s, end, v);
-  if (ec != std::errc{} || ptr != end || v <= 0) {
-    std::fprintf(stderr, "error: bad %s '%s' (want a positive integer)\n",
-                 flag, s);
-    std::exit(kExitUsage);
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    sim::default_queue_kind();  // every run's engine reads it
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return kExitUsage;
-  }
   std::string fig;
   std::string ndjson;  // empty = stdout
   exp::GridOptions gopt;
   int jobs = 0;
   bool list = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--fig") {
-      fig = next();
-    } else if (arg == "--seeds") {
-      gopt.seeds = parse_count("--seeds", next());
-    } else if (arg == "--fast") {
-      gopt.fast = true;
-    } else if (arg == "--ndjson") {
-      ndjson = next();
-    } else if (arg == "--jobs") {
-      jobs = parse_count("--jobs", next());
-    } else if (arg == "--list") {
-      list = true;
-    } else {
-      usage(argv[0]);
+  try {
+    // Every run reads these, so a malformed value is an error even where
+    // a flag overrides it.
+    sim::default_queue_kind();
+    exp::bench_seeds();
+    exp::sweep_jobs();
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) usage(argv[0]);
+        return argv[++i];
+      };
+      if (arg == "--fig") {
+        fig = next();
+      } else if (arg == "--seeds") {
+        gopt.seeds = exp::parse_count("--seeds", next());
+      } else if (arg == "--fast") {
+        gopt.fast = true;
+      } else if (arg == "--ndjson") {
+        ndjson = next();
+      } else if (arg == "--jobs") {
+        jobs = exp::parse_count("--jobs", next());
+      } else if (arg == "--list") {
+        list = true;
+      } else {
+        usage(argv[0]);
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return kExitUsage;
   }
 
   if (list) {
