@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     world.start();
     world.run_until_finished(server, sim::seconds(30));
 
-    auto& jbb = static_cast<wl::JbbWorkload&>(wl);
+    const wl::Serving& jbb = *wl.serving();
     std::printf("%-10s %10.0f %9.0fus %9.0fus %9.0fus %9.1fms\n",
                 core::strategy_name(strategy), jbb.throughput(),
                 sim::to_us(jbb.latency().mean()),

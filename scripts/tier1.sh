@@ -45,7 +45,10 @@ expect_bad() {
     exit 1
   fi
 }
-for bad in "--inter 9" "--inter -1" "--bg-vms -3" "--cluster-policy bogus"; do
+for bad in "--inter 9" "--inter -1" "--bg-vms -3" "--cluster-policy bogus" \
+           "--fg nope" "--bg nope" "--fg frontend --fe-overload nope" \
+           "--fg frontend --fe-arrival nope" "--fg frontend --fe-rate -5" \
+           "--fg frontend --fe-queue-cap -1"; do
   # shellcheck disable=SC2086  # word-split the flag and its value
   expect_bad 2 ./build/tools/irs_trace_dump $bad build/bad_config_trace.json
 done
@@ -81,9 +84,11 @@ scripts/bench_smoke.sh build
 # Queue oracle on whole grids: the default hybrid wheel must produce
 # byte-identical NDJSON to the binary-heap oracle on a compute grid
 # (fig05), the PLE spin grid (fig06, where the dormant PLE watch and the
-# re-armed timers run at volume), the multi-host grid (fig_cluster) and
-# the only grid with Delay-Preempt and IRS-Pull (abl_extensions).
-for fig in fig05 fig06 fig_cluster abl_extensions; do
+# re-armed timers run at volume), the single-host servers with SLO
+# windows (fig08: specjbb and ab), the only open-loop front-end grid
+# (fig08_open), the multi-host grid (fig_cluster) and the only grid with
+# Delay-Preempt and IRS-Pull (abl_extensions).
+for fig in fig05 fig06 fig08 fig08_open fig_cluster abl_extensions; do
   for q in binary wheel; do
     IRS_ENGINE_QUEUE="$q" ./build/tools/irs_sweep --fig "$fig" --jobs 4 \
         --ndjson "build/oracle_${fig}_${q}.ndjson" > /dev/null

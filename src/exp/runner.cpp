@@ -8,9 +8,8 @@
 
 #include "src/cluster/cluster.h"
 #include "src/exp/sweep.h"
-#include "src/wl/frontend.h"
 #include "src/wl/registry.h"
-#include "src/wl/server.h"
+#include "src/wl/serving.h"
 
 namespace irs::exp {
 
@@ -41,44 +40,33 @@ wl::WorkloadOptions fg_options(const ScenarioConfig& cfg) {
   return fg_opts;
 }
 
-/// Windowed SLO tracking (server workloads; passive, so the simulation is
-/// unperturbed). slo_window < 0 disables; 0 means the 30 ms default.
-void enable_slo_if_server(const ScenarioConfig& cfg, wl::Workload& fg_wl) {
-  if (cfg.slo_window < 0) return;
-  const sim::Duration w =
-      cfg.slo_window > 0 ? cfg.slo_window : obs::SloTracker::kDefaultWindow;
-  if (auto* jbb = dynamic_cast<wl::JbbWorkload*>(&fg_wl)) {
-    jbb->enable_slo(w);
-  } else if (auto* ab = dynamic_cast<wl::AbWorkload*>(&fg_wl)) {
-    ab->enable_slo(w);
-  } else if (auto* fe = dynamic_cast<wl::FrontendWorkload*>(&fg_wl)) {
-    fe->enable_slo(w);
+/// The foreground's request recorder, or null if it is not a server.
+/// Windowed SLO tracking is passive, so the simulation is unperturbed:
+/// slo_window < 0 disables it, 0 means the 30 ms default. `spans` turns on
+/// the request-span log forensics replays.
+wl::Serving* arm_serving(const ScenarioConfig& cfg, wl::Workload& fg_wl,
+                         bool spans) {
+  wl::Serving* srv = fg_wl.serving();
+  if (srv == nullptr) return nullptr;
+  if (cfg.slo_window >= 0) {
+    srv->enable_slo(cfg.slo_window > 0 ? cfg.slo_window
+                                       : obs::SloTracker::kDefaultWindow);
   }
+  if (spans) srv->enable_request_spans();
+  return srv;
 }
 
 /// Server metrics if the foreground was a server workload: throughput, the
 /// latency tail (p99 and the exact p999 fig_cluster compares), the SLO
-/// capture, and — front-end only — the conservation ledger.
-void extract_server_metrics(wl::Workload& fg_wl, sim::Time now, RunResult* r) {
-  if (auto* jbb = dynamic_cast<wl::JbbWorkload*>(&fg_wl)) {
-    r->throughput = jbb->throughput();
-    r->lat_mean = jbb->latency().mean();
-    r->lat_p99 = jbb->latency().percentile(99.0);
-    r->lat_p999 = jbb->latency().percentile(99.9);
-    r->slo = jbb->slo_result(now);
-  } else if (auto* ab = dynamic_cast<wl::AbWorkload*>(&fg_wl)) {
-    r->throughput = ab->throughput();
-    r->lat_mean = ab->latency().mean();
-    r->lat_p99 = ab->latency().percentile(99.0);
-    r->lat_p999 = ab->latency().percentile(99.9);
-    r->slo = ab->slo_result(now);
-  } else if (auto* fe = dynamic_cast<wl::FrontendWorkload*>(&fg_wl)) {
-    r->throughput = fe->throughput();
-    r->lat_mean = fe->latency().mean();
-    r->lat_p99 = fe->latency().percentile(99.0);
-    r->lat_p999 = fe->latency().percentile(99.9);
-    r->slo = fe->slo_result(now);
-    r->frontend = fe->frontend_result();
+/// capture, and the conservation ledger (empty but for the front-end).
+void extract_server_metrics(wl::Serving* srv, sim::Time now, RunResult* r) {
+  if (srv != nullptr) {
+    r->throughput = srv->throughput();
+    r->lat_mean = srv->latency().mean();
+    r->lat_p99 = srv->latency().percentile(99.0);
+    r->lat_p999 = srv->latency().percentile(99.9);
+    r->slo = srv->slo_result(now);
+    r->frontend = srv->frontend_result();
   }
   r->slo_digest = r->slo.digest();
   r->frontend_digest = r->frontend.digest();
@@ -144,16 +132,7 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
   wl::Workload& fg_wl =
       world.attach(fg, wl::make_workload(cfg.fg, fg_options(cfg)));
 
-  enable_slo_if_server(cfg, fg_wl);
-  if (cfg.forensics) {
-    if (auto* jbb = dynamic_cast<wl::JbbWorkload*>(&fg_wl)) {
-      jbb->enable_request_spans();
-    } else if (auto* ab = dynamic_cast<wl::AbWorkload*>(&fg_wl)) {
-      ab->enable_request_spans();
-    } else if (auto* fe = dynamic_cast<wl::FrontendWorkload*>(&fg_wl)) {
-      fe->enable_request_spans();
-    }
-  }
+  wl::Serving* srv = arm_serving(cfg, fg_wl, cfg.forensics);
 
   // Interfering VM(s): n_inter vCPUs pinned to pCPUs 0..n_inter-1, running
   // either CPU hogs or an endless real application (paper §5.1).
@@ -191,7 +170,7 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
     r.bg_progress_rate = rate;
   }
 
-  extract_server_metrics(fg_wl, world.engine().now(), &r);
+  extract_server_metrics(srv, world.engine().now(), &r);
 
   const hv::SchedStats& ss = world.host().sched_stats();
   r.lhp = ss.lhp_events;
@@ -217,21 +196,12 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
     TraceDump& d = dump != nullptr ? *dump : in_run;
     fill_node_dump(world.node(), title, cfg.n_pcpus, &d,
                    /*with_series=*/dump != nullptr);
-    if (cfg.forensics) {
-      // Request spans were captured in the workload's side log, not the
-      // ring; synthesize their kReqBegin/kReqEnd records into the snapshot
-      // so the analyzer and the exporters see one interleaved stream.
-      const std::vector<obs::ReqSpan>* spans = nullptr;
-      if (auto* jbb = dynamic_cast<wl::JbbWorkload*>(&fg_wl)) {
-        spans = &jbb->request_spans();
-      } else if (auto* ab = dynamic_cast<wl::AbWorkload*>(&fg_wl)) {
-        spans = &ab->request_spans();
-      } else if (auto* fe = dynamic_cast<wl::FrontendWorkload*>(&fg_wl)) {
-        spans = &fe->request_spans();
-      }
-      if (spans != nullptr && !spans->empty()) {
-        d.records = obs::with_request_spans(d.records, *spans);
-      }
+    // With forensics on, request spans were captured in the workload's
+    // side log, not the ring; synthesize their kReqBegin/kReqEnd records
+    // into the snapshot so the analyzer and the exporters see one
+    // interleaved stream.
+    if (srv != nullptr && !srv->request_spans().empty()) {
+      d.records = obs::with_request_spans(d.records, srv->request_spans());
     }
     if (cfg.forensics && cfg.forensics_analyze) {
       r.forensics = obs::request_forensics(d.records, d.meta, r.slo);
@@ -291,7 +261,7 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
   cl.set_protected(fg);
   wl::Workload& fg_wl =
       cl.attach(fg, wl::make_workload(cfg.fg, fg_options(cfg)));
-  enable_slo_if_server(cfg, fg_wl);
+  wl::Serving* srv = arm_serving(cfg, fg_wl, /*spans=*/false);
 
   // Interference: n_bg_vms migratable hog VMs, n_inter vCPUs/hogs each.
   if (!cfg.bg.empty() && cfg.n_inter > 0) {
@@ -312,7 +282,7 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
   // bg_progress_rate stays 0: hogs report no work units (same as the
   // single-host hog runs).
 
-  extract_server_metrics(fg_wl, cl.engine().now(), &r);
+  extract_server_metrics(srv, cl.engine().now(), &r);
 
   r.irs_migrations = cl.kernel(fg).stats().irs_migrations;
   std::uint64_t sa_completed = 0;

@@ -106,13 +106,13 @@ struct ScenarioConfig : obs::TelemetryConfig {
   /// Cluster topology (n_hosts >= 2 switches to the cluster runner).
   ClusterOptions cluster;
 
-  /// Windowed SLO tracking for server workloads (jbb/ab): 0 = on at the
-  /// default 30 ms credit-window cadence, >0 = on at that window, <0 = off
-  /// (the bench overhead gate's "raw counters only" arm). Tracking is
-  /// passive — every other result field is bit-identical either way.
+  /// Windowed SLO tracking for server workloads (jbb/ab/frontend): 0 = on
+  /// at the default 30 ms credit-window cadence, >0 = on at that window,
+  /// <0 = off (the bench overhead gate's "raw counters only" arm). Tracking
+  /// is passive — every other result field is bit-identical either way.
   sim::Duration slo_window = 0;
-  /// Per-request causal forensics for server workloads (jbb/ab): captures
-  /// a ReqSpan per transaction into a side log (the runner synthesizes
+  /// Per-request causal forensics for server workloads (jbb/ab/frontend):
+  /// captures a ReqSpan per request into a side log (the runner synthesizes
   /// kReqBegin/kReqEnd records from it at analysis time) and decomposes
   /// each request's latency by cause (see obs/forensics.h). Enables the
   /// trace ring if trace_capacity is 0 (at a generous default). Passive:

@@ -8,6 +8,8 @@
 #include <set>
 #include <vector>
 
+#include "src/obs/fnv.h"
+
 namespace irs::obs {
 
 const char* cause_name(Cause c) {
@@ -62,30 +64,8 @@ bool ForensicsResult::operator==(const ForensicsResult& o) const {
 }
 
 // ---------------------------------------------------------------------------
-// Digest (same FNV-1a scheme as SloResult::digest)
+// Digest (FNV-1a, obs/fnv.h, like every result block)
 // ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_str(std::uint64_t& h, const std::string& s) {
-  fnv(h, s.size());
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 std::uint64_t ForensicsResult::digest() const {
   if (classes.empty()) return 0;

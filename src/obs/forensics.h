@@ -3,9 +3,10 @@
 //
 // PR 7's SloTracker says *that* a window violated its SLO and obs::attribute
 // says *who* absorbed steal time run-wide — this module says *why a specific
-// request was slow*. Serving workloads (wl::server jbb/ab) log a ReqSpan
-// per transaction into a side log (one cheap append — nothing rides the
-// trace ring at runtime); with_request_spans() renders the log as
+// request was slow*. Server workloads (jbb, ab, the front-end; see
+// wl/serving.h) log a ReqSpan per request into a side log (one cheap
+// append — nothing rides the trace ring at runtime);
+// with_request_spans() renders the log as
 // kReqBegin/kReqEnd records (request id + SLO class in a/b, serving task
 // in c) merged into the trace snapshot, and request_forensics() walks that
 // merged stream once — the same snapshot obs::attribute consumes — replays

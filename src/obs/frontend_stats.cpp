@@ -2,21 +2,9 @@
 
 #include <algorithm>
 
+#include "src/obs/fnv.h"
+
 namespace irs::obs {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 std::uint64_t FrontendResult::digest() const {
   if (empty()) return 0;

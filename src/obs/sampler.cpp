@@ -1,5 +1,7 @@
 #include "src/obs/sampler.h"
 
+#include "src/obs/fnv.h"
+
 namespace irs::obs {
 
 Sampler::Sampler(sim::Engine& eng, sim::Duration period, std::size_t capacity)
@@ -102,14 +104,6 @@ std::vector<SeriesData> Sampler::dump() const {
 
 namespace {
 
-inline void fnv(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-}
-
 // splitmix64 finalizer: full-width word mixing so the sample loop hashes
 // 16 bytes per iteration instead of byte-at-a-time FNV (the digest runs
 // once per scenario and must stay off the sweep's critical path).
@@ -125,9 +119,9 @@ inline std::uint64_t mix(std::uint64_t x) {
 }  // namespace
 
 std::uint64_t Sampler::digest() const {
-  std::uint64_t h = 14695981039346656037ULL;
+  std::uint64_t h = kFnvOffset;
   for (const Series& s : series_) {
-    fnv(h, s.name().data(), s.name().size());
+    fnv_bytes(h, s.name().data(), s.name().size());
     h = mix(h ^ s.dropped());
     s.for_each([&h](const Sample& smp) {
       h = mix(h ^ static_cast<std::uint64_t>(smp.when));

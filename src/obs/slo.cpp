@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "src/obs/fnv.h"
+
 namespace irs::obs {
 
 // ---------------------------------------------------------------------------
@@ -211,28 +213,6 @@ void LatencyHistogram::clear() {
 std::size_t LatencyHistogram::memory_bytes() const {
   return sizeof(*this) + counts_.capacity() * sizeof(std::uint64_t);
 }
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_str(std::uint64_t& h, const std::string& s) {
-  fnv(h, s.size());
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 std::uint64_t LatencyHistogram::digest() const {
   std::uint64_t h = kFnvOffset;

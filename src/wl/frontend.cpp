@@ -5,6 +5,14 @@
 
 namespace irs::wl {
 
+namespace {
+
+// The refusal SLO classes, after the served class 0 (see the constructor).
+constexpr std::size_t kDropClass = 1;
+constexpr std::size_t kShedClass = 2;
+
+}  // namespace
+
 const char* overload_policy_name(OverloadPolicy p) {
   switch (p) {
     case OverloadPolicy::kTailDrop: return "drop";
@@ -31,6 +39,8 @@ bool overload_policy_from_name(const std::string& name, OverloadPolicy* out) {
 // ---------------------------------------------------------------------------
 
 void FrontendShape::note_completion(sim::Time now, sim::Duration latency) {
+  const sim::Duration shed_window = serving->slo_window();
+  const obs::SloSpec& spec = serving->spec();
   if (shed_window <= 0) return;
   while (now - win_start >= shed_window) {
     // Settle the window that just closed: shed the next one iff this one
@@ -54,51 +64,44 @@ void FrontendShape::note_completion(sim::Time now, sim::Duration latency) {
 // ---------------------------------------------------------------------------
 
 bool FeListenerBehavior::admit(sim::Time arrival, sim::Time now) {
-  obs::FrontendResult& st = *shape_.stats;
+  obs::FrontendResult& st = shape_.serving->ledger();
   ++st.arrivals;
   const auto depth = static_cast<std::uint64_t>(shape_.fifo.size());
   if (opts_.overload == OverloadPolicy::kShed && shape_.shed_active) {
     ++st.shed;
-    if (shape_.slo != nullptr) {
-      shape_.slo->record(shape_.shed_class, now, 1);
-    }
+    shape_.serving->refuse(kShedClass, now);
     return false;
   }
   if (opts_.overload == OverloadPolicy::kAdmit) {
     // Reject when the queue alone is predicted to eat the latency budget:
     // (depth + 1) requests ahead of or including this one, served at
-    // service_mean across n_workers.
-    const sim::Duration est =
-        static_cast<sim::Duration>(depth + 1) * shape_.service_mean /
-        std::max(1, opts_.n_workers);
-    if (est > shape_.spec.threshold) {
+    // kServiceMean across n_workers.
+    const sim::Duration est = static_cast<sim::Duration>(depth + 1) *
+                              kServiceMean / std::max(1, opts_.n_workers);
+    if (est > shape_.serving->spec().threshold) {
       ++st.admit_rejected;
-      if (shape_.slo != nullptr) {
-        shape_.slo->record(shape_.drop_class, now, 1);
-      }
+      shape_.serving->refuse(kDropClass, now);
       return false;
     }
   }
   if (static_cast<int>(depth) >= shape_.queue_cap) {
     ++st.tail_dropped;
-    if (shape_.slo != nullptr) {
-      shape_.slo->record(shape_.drop_class, now, 1);
-    }
+    shape_.serving->refuse(kDropClass, now);
     return false;
   }
   ++st.accepted;
   const auto conn = static_cast<std::size_t>(
       next_conn_++ % static_cast<std::int64_t>(conn_served_.size()));
   const bool fresh =
-      !opts_.keepalive ||
-      conn_served_[conn] % std::max(1, opts_.keepalive_max) == 0;
+      !opts_.keepalive || conn_served_[conn] % kKeepaliveMax == 0;
   ++conn_served_[conn];
   if (fresh) {
     ++st.conn_setups;
   } else {
     ++st.keepalive_reuses;
   }
-  shape_.fifo.push_back(FeRequest{arrival, shape_.next_req++, fresh});
+  shape_.fifo.push_back(
+      FeRequest{arrival, shape_.serving->next_req(), fresh});
   st.max_queue_depth =
       std::max(st.max_queue_depth,
                static_cast<std::uint64_t>(shape_.fifo.size()));
@@ -108,9 +111,8 @@ bool FeListenerBehavior::admit(sim::Time arrival, sim::Time now) {
 guest::Action FeListenerBehavior::next(guest::Task& /*t*/, sim::Time now,
                                        sim::Rng& rng) {
   if (conn_served_.empty()) {
-    const int conns = opts_.n_conns > 0 ? opts_.n_conns
-                                        : 8 * std::max(1, opts_.n_workers);
-    conn_served_.assign(static_cast<std::size_t>(conns), 0);
+    conn_served_.assign(
+        static_cast<std::size_t>(kConnsPerWorker * opts_.n_workers), 0);
   }
   if (!clock_init_) {
     clock_ = now;
@@ -177,33 +179,21 @@ guest::Action FeWorkerBehavior::next(guest::Task& t, sim::Time now,
         shape_.fifo.pop_front();
         serve_start_ = now;
         step_ = 2;
-        sim::Duration work = rng.jittered(shape_.service_mean, 0.5);
-        if (cur_.fresh_conn) work += shape_.conn_setup;
+        sim::Duration work = rng.jittered(kServiceMean, 0.5);
+        if (cur_.fresh_conn) work += kConnSetup;
         return guest::Action::compute(work);
       }
       case 2: {  // response sent
-        const sim::Duration latency = now - cur_.arrival;
+        // The span is back-dated to the arrival instant and carries the
+        // accept-queue wait, so the forensics replay charges [arrival,
+        // serve_start) to Cause::kQueueWait.
         const sim::Duration qwait = serve_start_ - cur_.arrival;
-        shape_.latency->add(latency);
-        if (shape_.span_log != nullptr) {
-          // Back-dated to the arrival instant, carrying the accept-queue
-          // wait so the forensics replay charges [arrival, serve_start)
-          // to Cause::kQueueWait.
-          shape_.span_log->push_back(obs::ReqSpan{
-              cur_.arrival, now, cur_.req,
-              static_cast<std::int32_t>(shape_.serve_class), t.id(), qwait});
-        }
-        if (shape_.slo != nullptr) {
-          shape_.slo->record(shape_.serve_class, now, latency);
-        }
-        if (shape_.work != nullptr) {
-          shape_.work->inc(task_shard(t), obs::Cnt::kWorkUnits);
-        }
-        obs::FrontendResult& st = *shape_.stats;
+        shape_.serving->complete(t, cur_.arrival, now, cur_.req, qwait);
+        obs::FrontendResult& st = shape_.serving->ledger();
         ++st.completed;
         st.queue_wait_total += qwait;
         st.queue_wait_max = std::max(st.queue_wait_max, qwait);
-        shape_.note_completion(now, latency);
+        shape_.note_completion(now, now - cur_.arrival);
         step_ = 0;
         continue;
       }
@@ -217,36 +207,34 @@ guest::Action FeWorkerBehavior::next(guest::Task& t, sim::Time now,
 // Workload
 // ---------------------------------------------------------------------------
 
+// Request SLO: 20 ms end-to-end (arrival -> completion) at three nines,
+// matching the ab arm it is benchmarked against. Refusals burn budget by
+// construction: threshold 0, so the 1 ns "latency" each refusal records is
+// always a violation.
 FrontendWorkload::FrontendWorkload(const FrontendOptions& opts)
-    : Workload("frontend"), opts_(opts) {
+    : Workload("frontend"),
+      opts_(opts),
+      serving_(work_, opts.run_for,
+               {{"fe", obs::SloSpec{sim::milliseconds(20), 0.999}},
+                {"fe.drop", obs::SloSpec{0, 0.999}},
+                {"fe.shed", obs::SloSpec{0, 0.999}}}) {
   if (opts_.n_workers < 1) opts_.n_workers = 1;
   if (opts_.queue_cap < 1) opts_.queue_cap = 1;
 }
 
 void FrontendWorkload::instantiate(guest::GuestKernel& k) {
-  kernel_ = &k;
   sync_ = std::make_unique<sync::SyncContext>(k);
   k.set_memory_intensity(0.8);
   shape_ = std::make_unique<FrontendShape>();
   shape_->end_time = k.engine().now() + opts_.run_for;
-  shape_->service_mean = opts_.service_mean;
-  shape_->conn_setup = opts_.conn_setup;
   // The pipe only carries wakeups; the deque is the real queue, bounded by
   // queue_cap at the listener. Oversize the pipe so an open-loop listener
   // can never block on its own accept ring.
   shape_->accept = &sync_->make_pipe(opts_.queue_cap + opts_.n_workers + 2,
                                      "fe.accept");
   shape_->queue_cap = opts_.queue_cap;
-  shape_->latency = &latency_;
-  shape_->work = &work_;
-  shape_->stats = &stats_;
-  shape_->spec = slo_spec_;
-  shape_->shed_window = slo_window_;
+  shape_->serving = &serving_;
   shape_->win_start = k.engine().now();
-  if (slo_ != nullptr) {
-    shape_->slo = slo_.get();
-  }
-  if (req_spans_) shape_->span_log = &spans_;
   behaviors_.push_back(
       std::make_unique<FeListenerBehavior>(*shape_, opts_));
   tasks_.push_back(&k.create_task("fe.listen", *behaviors_.back(), 0));
@@ -255,48 +243,6 @@ void FrontendWorkload::instantiate(guest::GuestKernel& k) {
     tasks_.push_back(&k.create_task("fe.w" + std::to_string(i),
                                     *behaviors_.back(), i % k.n_cpus()));
   }
-}
-
-double FrontendWorkload::throughput() const {
-  return progress() / sim::to_sec(opts_.run_for);
-}
-
-obs::SloSpec FrontendWorkload::default_slo() {
-  return obs::SloSpec{sim::milliseconds(20), 0.999};
-}
-
-void FrontendWorkload::enable_slo(sim::Duration window, obs::SloSpec spec) {
-  slo_spec_ = spec;
-  slo_window_ = window;
-  slo_ = std::make_unique<obs::SloTracker>(window);
-  slo_->add_class("fe", spec);
-  // Refusals burn budget by construction: threshold 0, so the 1 ns
-  // "latency" each refusal records is always a violation.
-  slo_->add_class("fe.drop", obs::SloSpec{0, spec.objective});
-  slo_->add_class("fe.shed", obs::SloSpec{0, spec.objective});
-  if (shape_ != nullptr) {  // enabled after instantiate(): wire in place
-    shape_->slo = slo_.get();
-    shape_->spec = spec;
-    shape_->shed_window = window;
-  }
-}
-
-obs::SloResult FrontendWorkload::slo_result(sim::Time end) {
-  if (slo_ == nullptr) return {};
-  slo_->flush(end);
-  return slo_->result();
-}
-
-void FrontendWorkload::enable_request_spans() {
-  req_spans_ = true;
-  spans_.reserve(std::size_t{1} << 17);  // see JbbWorkload
-  if (shape_ != nullptr) shape_->span_log = &spans_;
-}
-
-obs::FrontendResult FrontendWorkload::frontend_result() const {
-  obs::FrontendResult r = stats_;
-  r.in_flight = r.accepted - r.completed;
-  return r;
 }
 
 }  // namespace irs::wl

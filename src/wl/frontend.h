@@ -23,7 +23,7 @@
 // * Overload behaviour is a policy knob:
 //     kTailDrop — refuse arrivals only when the queue is full;
 //     kAdmit    — admission control: refuse when the estimated queue delay
-//                 (depth * service_mean / workers) exceeds the SLO
+//                 (depth * kServiceMean / workers) exceeds the SLO
 //                 threshold (plus tail-drop as the backstop);
 //     kShed     — SLO-burn-triggered shedding: a windowed controller
 //                 watches completions and sheds *all* arrivals for the next
@@ -31,7 +31,8 @@
 //                 tail-drop as the backstop.
 //   Refused arrivals are recorded into dedicated SloTracker drop/shed
 //   classes (threshold 0, so every one burns error budget) and counted in
-//   the obs::FrontendResult conservation ledger.
+//   the obs::FrontendResult conservation ledger, both kept by the
+//   workload's wl::Serving (wl/serving.h).
 // * Completed requests log an obs::ReqSpan back-dated to the arrival
 //   instant with qwait = accept-queue wait, so the forensics replay
 //   charges queue time to Cause::kQueueWait — cleanly separated from
@@ -42,12 +43,9 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/metrics.h"
-#include "src/obs/forensics.h"
-#include "src/obs/frontend_stats.h"
-#include "src/obs/slo.h"
 #include "src/wl/arrivals.h"
 #include "src/wl/behavior.h"
+#include "src/wl/serving.h"
 #include "src/wl/workload.h"
 
 namespace irs::wl {
@@ -59,24 +57,22 @@ const char* overload_policy_name(OverloadPolicy p);
 /// Inverse of overload_policy_name. Returns false for unknown names.
 bool overload_policy_from_name(const std::string& name, OverloadPolicy* out);
 
+/// Extra compute on the first request of a (re-)established connection.
+inline constexpr sim::Duration kConnSetup = sim::microseconds(200);
+/// Requests served per connection before keepalive expires and the next
+/// one re-pays kConnSetup (with keepalive off, every request pays it).
+inline constexpr int kKeepaliveMax = 16;
+/// Connections multiplexed over the worker pool, per worker.
+inline constexpr int kConnsPerWorker = 8;
+
+/// Every request's service compute is ab's, kServiceMean (wl/serving.h).
 struct FrontendOptions {
   int n_workers = 4;
   sim::Duration run_for = sim::seconds(3);
-  /// Per-request service compute (ab-like, so the bench_report overhead
-  /// gate compares the two pipelines at matched per-request work).
-  sim::Duration service_mean = sim::milliseconds(2);
-  /// Extra compute on the first request of a (re-)established connection.
-  sim::Duration conn_setup = sim::microseconds(200);
   ArrivalConfig arrivals{};
   int queue_cap = 64;
   OverloadPolicy overload = OverloadPolicy::kTailDrop;
   bool keepalive = true;
-  /// Requests served per connection before keepalive expires and the next
-  /// one re-pays conn_setup (ignored with keepalive off: every request
-  /// pays it).
-  int keepalive_max = 16;
-  /// Connections multiplexed over the worker pool; 0 = 8 * n_workers.
-  int n_conns = 0;
 };
 
 /// One queued request: everything a worker needs to serve it.
@@ -89,25 +85,13 @@ struct FeRequest {
 /// Shared front-end state (one per workload; behaviors hold a reference).
 struct FrontendShape {
   sim::Time end_time = 0;
-  sim::Duration service_mean = 0;
-  sim::Duration conn_setup = 0;
   sync::Pipe* accept = nullptr;       // wakeup channel (close() = shutdown)
   std::deque<FeRequest> fifo;         // payloads, bounded by queue_cap
   int queue_cap = 0;
-  core::Histogram* latency = nullptr;
-  obs::Counters* work = nullptr;
-  obs::SloTracker* slo = nullptr;     // may be null; class ids below
-  std::size_t serve_class = 0;
-  std::size_t drop_class = 1;
-  std::size_t shed_class = 2;
-  std::vector<obs::ReqSpan>* span_log = nullptr;
-  obs::FrontendResult* stats = nullptr;
-  std::int32_t next_req = 0;
+  Serving* serving = nullptr;
 
-  // Shed controller: tumbling window over completions; shed while the
-  // previous window burned its error budget.
-  obs::SloSpec spec{};                // threshold/objective the shed uses
-  sim::Duration shed_window = 0;
+  // Shed controller: tumbling window (the SLO window) over completions;
+  // shed while the previous window burned the served class's error budget.
   sim::Time win_start = 0;
   std::uint64_t win_requests = 0;
   std::uint64_t win_violations = 0;
@@ -156,39 +140,11 @@ class FrontendWorkload final : public Workload {
  public:
   explicit FrontendWorkload(const FrontendOptions& opts);
   void instantiate(guest::GuestKernel& k) override;
-
-  [[nodiscard]] core::Histogram& latency() { return latency_; }
-  /// Completed requests per simulated second.
-  [[nodiscard]] double throughput() const;
-
-  /// Default SLO: 20 ms end-to-end (arrival -> completion) at three nines,
-  /// matching the ab arm it is benchmarked against.
-  static obs::SloSpec default_slo();
-  /// Track windowed SLO latency plus the drop/shed request classes
-  /// (threshold 0: every refusal burns error budget). Passive.
-  void enable_slo(sim::Duration window = obs::SloTracker::kDefaultWindow,
-                  obs::SloSpec spec = default_slo());
-  [[nodiscard]] obs::SloResult slo_result(sim::Time end);
-  /// Capture a ReqSpan (with qwait) per completed request; see wl/server.h.
-  void enable_request_spans();
-  [[nodiscard]] const std::vector<obs::ReqSpan>& request_spans() const {
-    return spans_;
-  }
-
-  /// The conservation ledger; in_flight is settled here (accepted minus
-  /// completed at call time).
-  [[nodiscard]] obs::FrontendResult frontend_result() const;
+  [[nodiscard]] Serving* serving() override { return &serving_; }
 
  private:
   FrontendOptions opts_;
-  obs::SloSpec slo_spec_ = default_slo();
-  sim::Duration slo_window_ = obs::SloTracker::kDefaultWindow;
-  bool req_spans_ = false;
-  guest::GuestKernel* kernel_ = nullptr;
-  core::Histogram latency_;
-  std::vector<obs::ReqSpan> spans_;
-  obs::FrontendResult stats_;
-  std::unique_ptr<obs::SloTracker> slo_;
+  Serving serving_;
   std::unique_ptr<FrontendShape> shape_;
 };
 

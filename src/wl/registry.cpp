@@ -1,8 +1,7 @@
 #include "src/wl/registry.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "src/wl/frontend.h"
 #include "src/wl/hog.h"
@@ -52,7 +51,7 @@ std::unique_ptr<Workload> make_workload(const std::string& name,
   }
   if (name == "specjbb") {
     return std::make_unique<JbbWorkload>(
-        opts.n_threads, opts.server_duration, sim::microseconds(400),
+        opts.n_threads, opts.server_duration,
         opts.jbb_cs_len > 0 ? opts.jbb_cs_len : sim::microseconds(80),
         opts.jbb_cs_every > 0 ? opts.jbb_cs_every : 2, opts.jbb_cs_spin);
   }
@@ -66,15 +65,25 @@ std::unique_ptr<Workload> make_workload(const std::string& name,
     fe.n_workers = opts.n_threads;
     fe.run_for = opts.server_duration;
     if (!arrival_kind_from_name(opts.fe_arrival, &fe.arrivals.kind)) {
-      std::fprintf(stderr, "unknown arrival process: %s\n",
-                   opts.fe_arrival.c_str());
-      std::abort();
+      throw std::invalid_argument("make_workload: unknown arrival process '" +
+                                  opts.fe_arrival +
+                                  "' (want poisson|mmpp|diurnal)");
+    }
+    if (opts.fe_rate_hz < 0.0) {
+      throw std::invalid_argument(
+          "make_workload: fe_rate_hz must be >= 0 (got " +
+          std::to_string(opts.fe_rate_hz) + ")");
     }
     if (opts.fe_rate_hz > 0.0) fe.arrivals.rate_hz = opts.fe_rate_hz;
     if (!overload_policy_from_name(opts.fe_overload, &fe.overload)) {
-      std::fprintf(stderr, "unknown overload policy: %s\n",
-                   opts.fe_overload.c_str());
-      std::abort();
+      throw std::invalid_argument("make_workload: unknown overload policy '" +
+                                  opts.fe_overload +
+                                  "' (want drop|admit|shed)");
+    }
+    if (opts.fe_queue_cap < 0) {
+      throw std::invalid_argument(
+          "make_workload: fe_queue_cap must be >= 0 (got " +
+          std::to_string(opts.fe_queue_cap) + ")");
     }
     if (opts.fe_queue_cap > 0) fe.queue_cap = opts.fe_queue_cap;
     fe.keepalive = opts.fe_keepalive;
@@ -83,8 +92,8 @@ std::unique_ptr<Workload> make_workload(const std::string& name,
   if (name == "hog") {
     return std::make_unique<HogWorkload>(opts.n_threads);
   }
-  std::fprintf(stderr, "unknown workload: %s\n", name.c_str());
-  std::abort();
+  throw std::invalid_argument("make_workload: unknown workload '" + name +
+                              "'");
 }
 
 }  // namespace irs::wl

@@ -32,18 +32,21 @@ struct WorkloadOptions {
   /// Arrival process: "poisson", "mmpp", or "diurnal".
   std::string fe_arrival = "poisson";
   /// Base arrival rate in requests per simulated second (0 = model
-  /// default, 1800 — just under the 4-worker service capacity).
+  /// default, 1800 — just under the 4-worker service capacity; < 0 is an
+  /// error).
   double fe_rate_hz = 0.0;
   /// Overload policy: "drop" (tail-drop), "admit", or "shed".
   std::string fe_overload = "drop";
-  /// Accept-queue bound (0 = model default, 64).
+  /// Accept-queue bound (0 = model default, 64; < 0 is an error).
   int fe_queue_cap = 0;
   bool fe_keepalive = true;
 };
 
 /// Create a workload by name. Accepts every PARSEC name, every NPB name
-/// ("BT".."UA"), "specjbb", "ab", "frontend", and "hog". Aborts on unknown
-/// names.
+/// ("BT".."UA"), "specjbb", "ab", "frontend", and "hog". Throws
+/// std::invalid_argument naming the bad value for an unknown name, an
+/// unknown front-end arrival process or overload policy, and a negative
+/// fe_rate_hz or fe_queue_cap.
 std::unique_ptr<Workload> make_workload(const std::string& name,
                                         const WorkloadOptions& opts = {});
 

@@ -6,23 +6,25 @@
 // * AbWorkload — Apache-bench-like: many concurrent connection threads
 //   (far more than vCPUs), each a closed loop of short requests with a
 //   small think time; measures throughput and tail latency.
+//
+// Both record every request through their wl::Serving (wl/serving.h).
 #pragma once
 
 #include <memory>
-#include <vector>
 
-#include "src/core/metrics.h"
-#include "src/obs/forensics.h"
-#include "src/obs/slo.h"
 #include "src/wl/behavior.h"
+#include "src/wl/serving.h"
 #include "src/wl/workload.h"
 
 namespace irs::wl {
 
+/// Mean SPECjbb transaction compute.
+inline constexpr sim::Duration kTxnMean = sim::microseconds(400);
+/// Mean think time between an ab connection's requests.
+inline constexpr sim::Duration kThinkMean = sim::milliseconds(2);
+
 struct ServerShape {
   sim::Time end_time = 0;
-  sim::Duration service_mean = 0;
-  sim::Duration think_mean = 0;       // ab only
   sim::Duration cs_len = 0;           // jbb only
   int cs_every = 0;                   // jbb: lock every N transactions
   sync::Mutex* mutex = nullptr;       // jbb shared structure lock
@@ -32,20 +34,7 @@ struct ServerShape {
   /// LHP/LWP pathology, which blocking-mutex waiters largely sidestep by
   /// yielding their vCPU.
   sync::SpinLock* spin = nullptr;
-  core::Histogram* latency = nullptr;
-  /// Per-task counters of completed requests/transactions (may be null).
-  obs::Counters* work = nullptr;
-  /// Optional windowed SLO recorder (see obs/slo.h); recording is passive,
-  /// so runs are bit-identical with or without it.
-  obs::SloTracker* slo = nullptr;
-  std::size_t slo_class = 0;
-  /// Optional request-span capture (see obs::ReqSpan): one completed-span
-  /// append per request into the workload's side log — the trace ring is
-  /// untouched at runtime; the runner synthesizes kReqBegin/kReqEnd
-  /// records from the log for analysis and export. Null unless
-  /// enable_request_spans() was called; capture is passive.
-  std::vector<obs::ReqSpan>* span_log = nullptr;
-  std::int32_t next_req = 0;  // request ids, unique per shape
+  Serving* serving = nullptr;
 };
 
 class JbbWorkerBehavior final : public guest::Behavior {
@@ -80,78 +69,29 @@ class JbbWorkload final : public Workload {
   /// on-CPU — to make lock-holder/waiter preemption the dominant latency
   /// cause.
   JbbWorkload(int warehouses, sim::Duration run_for,
-              sim::Duration txn_mean = sim::microseconds(400),
               sim::Duration cs_len = sim::microseconds(80), int cs_every = 2,
               bool cs_spin = false);
   void instantiate(guest::GuestKernel& k) override;
-  [[nodiscard]] core::Histogram& latency() { return latency_; }
-  /// Transactions per simulated second.
-  [[nodiscard]] double throughput() const;
-
-  /// Default SLO: 10 ms transaction latency at three nines (25x the 400 us
-  /// service mean — comfortably met uncontended, blown once a hog steals a
-  /// 30 ms timeslice from a lock holder).
-  static obs::SloSpec default_slo();
-  /// Track windowed SLO latency (call before the run). Passive: the
-  /// simulation is bit-identical with or without it.
-  void enable_slo(sim::Duration window = obs::SloTracker::kDefaultWindow,
-                  obs::SloSpec spec = default_slo());
-  /// Flush open windows at `end` and snapshot. Empty if SLO not enabled.
-  [[nodiscard]] obs::SloResult slo_result(sim::Time end);
-  /// Capture a ReqSpan for every transaction into the side log (forensics
-  /// input; the runner turns it into kReqBegin/kReqEnd records at analysis
-  /// time). Passive: capture never perturbs the simulation.
-  void enable_request_spans();
-  [[nodiscard]] const std::vector<obs::ReqSpan>& request_spans() const {
-    return spans_;
-  }
+  [[nodiscard]] Serving* serving() override { return &serving_; }
 
  private:
   int warehouses_;
-  sim::Duration run_for_;
-  sim::Duration txn_mean_;
   sim::Duration cs_len_;
   int cs_every_;
   bool cs_spin_;
-  bool req_spans_ = false;
-  guest::GuestKernel* kernel_ = nullptr;
-  core::Histogram latency_;
-  std::vector<obs::ReqSpan> spans_;
-  std::unique_ptr<obs::SloTracker> slo_;
+  Serving serving_;
   std::unique_ptr<ServerShape> shape_;
 };
 
 class AbWorkload final : public Workload {
  public:
-  AbWorkload(int connections, sim::Duration run_for,
-             sim::Duration service_mean = sim::milliseconds(2),
-             sim::Duration think_mean = sim::milliseconds(2));
+  AbWorkload(int connections, sim::Duration run_for);
   void instantiate(guest::GuestKernel& k) override;
-  [[nodiscard]] core::Histogram& latency() { return latency_; }
-  [[nodiscard]] double throughput() const;
-
-  /// Default SLO: 20 ms request latency at three nines (10x the 2 ms
-  /// service mean; requests queue behind preempted vCPUs under hogs).
-  static obs::SloSpec default_slo();
-  void enable_slo(sim::Duration window = obs::SloTracker::kDefaultWindow,
-                  obs::SloSpec spec = default_slo());
-  [[nodiscard]] obs::SloResult slo_result(sim::Time end);
-  /// Capture a ReqSpan for every request (see JbbWorkload).
-  void enable_request_spans();
-  [[nodiscard]] const std::vector<obs::ReqSpan>& request_spans() const {
-    return spans_;
-  }
+  [[nodiscard]] Serving* serving() override { return &serving_; }
 
  private:
   int connections_;
-  sim::Duration run_for_;
-  sim::Duration service_mean_;
-  sim::Duration think_mean_;
-  bool req_spans_ = false;
-  guest::GuestKernel* kernel_ = nullptr;
-  core::Histogram latency_;
-  std::vector<obs::ReqSpan> spans_;
-  std::unique_ptr<obs::SloTracker> slo_;
+  Serving serving_;
   std::unique_ptr<ServerShape> shape_;
 };
 

@@ -13,6 +13,8 @@
 
 namespace irs::wl {
 
+class Serving;
+
 class Workload {
  public:
   explicit Workload(std::string name) : name_(std::move(name)) {}
@@ -25,6 +27,10 @@ class Workload {
   virtual void instantiate(guest::GuestKernel& k) = 0;
 
   [[nodiscard]] const std::string& name() const { return name_; }
+
+  /// The request recorder of a server workload (jbb, ab, the front-end;
+  /// see wl/serving.h). Null for every other workload.
+  [[nodiscard]] virtual Serving* serving() { return nullptr; }
 
   /// All tasks have finished (bounded workloads; endless ones never do).
   [[nodiscard]] bool finished() const {

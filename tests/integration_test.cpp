@@ -198,6 +198,34 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
          c->cluster.policy = "bogus";
        },
        "unknown cluster policy 'bogus'"},
+      {"unknown foreground workload",
+       [](ScenarioConfig* c) { c->fg = "nope"; }, "unknown workload 'nope'"},
+      {"unknown background workload",
+       [](ScenarioConfig* c) { c->bg = "nope"; }, "unknown workload 'nope'"},
+      {"unknown front-end overload policy",
+       [](ScenarioConfig* c) {
+         c->fg = "frontend";
+         c->fe_overload = "nope";
+       },
+       "unknown overload policy 'nope'"},
+      {"unknown front-end arrival process",
+       [](ScenarioConfig* c) {
+         c->fg = "frontend";
+         c->fe_arrival = "nope";
+       },
+       "unknown arrival process 'nope'"},
+      {"negative front-end arrival rate",
+       [](ScenarioConfig* c) {
+         c->fg = "frontend";
+         c->fe_rate_hz = -5.0;
+       },
+       "fe_rate_hz must be >= 0"},
+      {"negative front-end queue cap",
+       [](ScenarioConfig* c) {
+         c->fg = "frontend";
+         c->fe_queue_cap = -1;
+       },
+       "fe_queue_cap must be >= 0"},
   };
   for (const BadConfig& bad : table) {
     ScenarioConfig cfg = quick("streamcluster", core::Strategy::kIrs);

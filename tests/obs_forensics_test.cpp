@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,78 @@ TEST(ForensicsEndToEnd, InstrumentationIsPassiveAndDeterministic) {
   b.forensics_digest = a.forensics_digest;
   EXPECT_TRUE(exp::results_identical(a, b));
 }
+
+// Every server foreground, the front-end under each overload policy: SLO
+// tracking and request-span capture together change nothing but their own
+// blocks and the trace telemetry. The front-end runs the FrontendOverload
+// fixture (8000/s into 4 workers, a 64-slot queue), so admission control
+// and shedding engage; both must read the served class's SLO and the 30 ms
+// window whether or not tracking is on.
+struct ServerArm {
+  const char* fg;
+  const char* overload;  // front-end only
+};
+
+void PrintTo(const ServerArm& arm, std::ostream* os) {
+  *os << arm.fg << (*arm.overload != '\0' ? " " : "") << arm.overload;
+}
+
+class ServingPassivity : public ::testing::TestWithParam<ServerArm> {};
+
+TEST_P(ServingPassivity, SloAndForensicsChangeOnlyTheirBlocks) {
+  const ServerArm arm = GetParam();
+  exp::ScenarioConfig cfg = forensics_cfg(arm.fg, core::Strategy::kIrs);
+  if (cfg.fg == "frontend") {
+    cfg.bg = "";
+    cfg.seed = 21;
+    cfg.fe_rate_hz = 8000.0;
+    cfg.fe_queue_cap = 64;
+    cfg.fe_overload = arm.overload;
+  }
+  exp::ScenarioConfig off_cfg = cfg;
+  off_cfg.slo_window = -1;
+  off_cfg.forensics = false;
+  exp::ScenarioConfig on_cfg = cfg;
+  on_cfg.slo_window = 0;
+  on_cfg.forensics = true;
+  const exp::RunResult off = exp::run_scenario(off_cfg);
+  const exp::RunResult on = exp::run_scenario(on_cfg);
+
+  ASSERT_TRUE(off.finished);
+  EXPECT_TRUE(off.slo.empty());
+  EXPECT_TRUE(off.forensics.empty());
+  ASSERT_FALSE(on.slo.empty());
+  ASSERT_FALSE(on.forensics.empty());
+  const std::string policy = arm.overload;
+  if (policy == "admit") {
+    EXPECT_GT(on.frontend.admit_rejected, 0u);
+  } else if (policy == "shed") {
+    EXPECT_GT(on.frontend.shed, 0u);
+  }
+
+  // Mask what the instrumentation is allowed to change, then require
+  // every other field to match.
+  exp::RunResult a = off;
+  a.trace_dropped = on.trace_dropped;
+  a.trace_total_recorded = on.trace_total_recorded;
+  a.slo = on.slo;
+  a.slo_digest = on.slo_digest;
+  a.forensics = on.forensics;
+  a.forensics_digest = on.forensics_digest;
+  EXPECT_TRUE(exp::results_identical(a, on));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllServers, ServingPassivity,
+    ::testing::Values(ServerArm{"specjbb", ""}, ServerArm{"ab", ""},
+                      ServerArm{"frontend", "drop"},
+                      ServerArm{"frontend", "admit"},
+                      ServerArm{"frontend", "shed"}),
+    [](const ::testing::TestParamInfo<ServerArm>& info) {
+      const std::string overload = info.param.overload;
+      return std::string(info.param.fg) +
+             (overload.empty() ? "" : "_" + overload);
+    });
 
 // --- determinism across engine backends and thread counts ------------------
 

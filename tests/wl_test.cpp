@@ -6,7 +6,7 @@
 #include "src/wl/parallel_workload.h"
 #include "src/wl/parsec.h"
 #include "src/wl/registry.h"
-#include "src/wl/server.h"
+#include "src/wl/serving.h"
 #include "tests/helpers.h"
 
 namespace irs::wl {
@@ -64,6 +64,7 @@ TEST(Registry, ResolvesAllNames) {
   for (const auto& n : npb_names()) EXPECT_TRUE(workload_exists(n)) << n;
   EXPECT_TRUE(workload_exists("specjbb"));
   EXPECT_TRUE(workload_exists("ab"));
+  EXPECT_TRUE(workload_exists("frontend"));
   EXPECT_TRUE(workload_exists("hog"));
   EXPECT_FALSE(workload_exists("nonexistent"));
 }
@@ -202,10 +203,13 @@ TEST(Server, JbbRecordsThroughputAndLatency) {
   auto& wl = w.attach(vm, make_workload("specjbb", opts));
   w.start();
   ASSERT_TRUE(w.run_until_finished(vm, sim::seconds(5)));
-  auto& jbb = dynamic_cast<JbbWorkload&>(wl);
-  EXPECT_GT(jbb.throughput(), 1000.0);  // ~400us txns on 4 cpus
-  EXPECT_GT(jbb.latency().count(), 100u);
-  EXPECT_GE(jbb.latency().percentile(99), jbb.latency().percentile(50));
+  const Serving* jbb = wl.serving();
+  ASSERT_NE(jbb, nullptr);
+  EXPECT_GT(jbb->throughput(), 1000.0);  // ~400us txns on 4 cpus
+  EXPECT_GT(jbb->latency().count(), 100u);
+  EXPECT_GE(jbb->latency().percentile(99), jbb->latency().percentile(50));
+  // Closed loops never touch the front-end's conservation ledger.
+  EXPECT_TRUE(jbb->frontend_result().empty());
 }
 
 TEST(Server, AbHasManyMoreThreadsThanCpus) {
@@ -217,10 +221,11 @@ TEST(Server, AbHasManyMoreThreadsThanCpus) {
   w.start();
   ASSERT_TRUE(w.run_until_finished(vm, sim::seconds(60)));
   EXPECT_EQ(wl.tasks().size(), 512u);
-  auto& ab = dynamic_cast<AbWorkload&>(wl);
-  EXPECT_GT(ab.latency().count(), 500u);
+  const Serving* ab = wl.serving();
+  ASSERT_NE(ab, nullptr);
+  EXPECT_GT(ab->latency().count(), 500u);
   // Deep queues: p99 latency far above service time.
-  EXPECT_GT(ab.latency().percentile(99), sim::milliseconds(20));
+  EXPECT_GT(ab->latency().percentile(99), sim::milliseconds(20));
 }
 
 TEST(Server, JbbSpinLockMakesLhpAttributionNonzeroUnderHog) {

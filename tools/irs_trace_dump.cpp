@@ -17,7 +17,7 @@
 //   --attribution    print the per-task interference breakdown (stdout)
 //   --slo            add per-window SLO counter tracks (p50/p99/p999 ms +
 //                    error-budget burn) and print the window table (stdout;
-//                    server foregrounds only — specjbb/ab)
+//                    server foregrounds only — specjbb/ab/frontend)
 //   --forensics      per-request causal forensics: request lanes + per-cause
 //                    "why:" counter tracks in the timeline, plus per-class
 //                    cause-total tables and ranked root-cause tables for
@@ -372,7 +372,7 @@ int run(int argc, char** argv) {
     if (dump.slo.empty()) {
       std::fprintf(stderr,
                    "note: no SLO data — --slo needs a server foreground "
-                   "(--fg specjbb or --fg ab)\n");
+                   "(--fg specjbb, ab or frontend)\n");
     } else {
       for (const obs::SloClassResult& c : dump.slo.classes) {
         std::printf("slo class %s: threshold %.2fms objective %g — %llu "
@@ -399,7 +399,7 @@ int run(int argc, char** argv) {
     if (dump.forensics.empty()) {
       std::fprintf(stderr,
                    "note: no forensics data — --forensics needs a server "
-                   "foreground (--fg specjbb or --fg ab)\n");
+                   "foreground (--fg specjbb, ab or frontend)\n");
     } else {
       print_forensics(dump.forensics, csv);
     }
