@@ -34,7 +34,8 @@ done
 
 # Bad-input smoke: each input must exit with its usage status and a
 # message, never crash or run on a silent default — irs_trace_dump, the
-# bench binaries and bench_report exit 2, irs_sweep 64.
+# bench binaries and bench_report exit 2, irs_sweep 64. A numeric flag
+# takes the whole argument and nothing below its bound.
 expect_bad() {
   local want="$1"
   shift
@@ -48,7 +49,11 @@ expect_bad() {
 for bad in "--inter 9" "--inter -1" "--bg-vms -3" "--cluster-policy bogus" \
            "--fg nope" "--bg nope" "--fg frontend --fe-overload nope" \
            "--fg frontend --fe-arrival nope" "--fg frontend --fe-rate -5" \
-           "--fg frontend --fe-queue-cap -1"; do
+           "--fg frontend --fe-queue-cap -1" "--seed abc" "--seed -1" \
+           "--inter 2x" "--bg-vms 1x" "--fg frontend --fe-rate abc" \
+           "--fg frontend --fe-queue-cap 8x" "--capacity 12abc" \
+           "--capacity -1" "--cluster --cluster-hosts 1" \
+           "--cluster-hosts -4"; do
   # shellcheck disable=SC2086  # word-split the flag and its value
   expect_bad 2 ./build/tools/irs_trace_dump $bad build/bad_config_trace.json
 done

@@ -18,18 +18,15 @@ void Collector::start() {
 
 Collector::Totals Collector::totals(int vm_i) const {
   Totals t;
-  hv::Host& host = node_.host();
   const sim::Time now = eng_.now();
-  for (const hv::Vcpu* v : host.vm(vm_i).vcpus()) {
+  for (const hv::Vcpu* v : node_.host().vm(vm_i).vcpus()) {
     t.run += v->time_running(now);
     t.steal += v->time_runnable(now);
-    // LHP/LWP live on the vCPU's counter shard (shard vcpu_id + 1; shard 0
-    // is the host-global lane), which is what makes per-VM charge-back a
-    // plain sum over the VM's vCPUs.
-    t.lhp += host.counters().at(static_cast<std::size_t>(v->id()) + 1,
-                                obs::Cnt::kHvLhp);
-    t.lwp += host.counters().at(static_cast<std::size_t>(v->id()) + 1,
-                                obs::Cnt::kHvLwp);
+    // The scheduler counts LHP/LWP on the preempted vCPU as well as in the
+    // host total, which makes per-VM charge-back a plain sum over the VM's
+    // vCPUs.
+    t.lhp += static_cast<std::int64_t>(v->lhp);
+    t.lwp += static_cast<std::int64_t>(v->lwp);
   }
   return t;
 }

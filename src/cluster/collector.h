@@ -1,8 +1,8 @@
 // The per-host sampling daemon of a cluster::Cluster — the "collector"
 // half of the collector→scheduler split. On a fixed cadence it walks the
 // host's VMs and snapshots, per VM, the window deltas of: CPU time run,
-// steal (runnable-wait) time, and the LHP/LWP charge-back counters the IRS
-// machinery already maintains per vCPU shard. The central
+// steal (runnable-wait) time, and the LHP/LWP charge-back counts the
+// credit scheduler keeps on each vCPU (hv::Vcpu::lhp, lwp). The central
 // cluster::Scheduler reads the latest window when it decides; the host's
 // ClusterHostLedger accumulates the same deltas for the run result.
 #pragma once

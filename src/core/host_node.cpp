@@ -129,7 +129,12 @@ void HostNode::arm_sampler() {
   const std::string p = cfg_.prefix_series ? cfg_.name + "/" : "";
   hv::Host* host = host_.get();
   sim::Engine* eng = &eng_;
-  const obs::Counters* cnt = &host_->counters();
+  // An event counter's track is the rate view of the plain field.
+  const auto count = [](const std::uint64_t* c) {
+    return [c]() { return static_cast<std::int64_t>(*c); };
+  };
+  const hv::SchedStats& ss = host_->sched_stats();
+  const hv::StrategyStats& st = host_->strategy_stats();
 
   // Host-wide tracks.
   sampler_->add_gauge(p + "hv/runnable_vcpus", [host]() {
@@ -138,14 +143,14 @@ void HostNode::arm_sampler() {
   sampler_->add_rate(p + "hv/steal_ns", [host, eng]() {
     return static_cast<std::int64_t>(host->total_steal(eng->now()));
   });
-  sampler_->add_counter(p + "hv/preemptions", cnt, obs::Cnt::kHvPreemptions);
-  sampler_->add_counter(p + "hv/lhp", cnt, obs::Cnt::kHvLhp);
-  sampler_->add_counter(p + "hv/lwp", cnt, obs::Cnt::kHvLwp);
-  sampler_->add_counter(p + "hv/sa_sent", cnt, obs::Cnt::kSaSent);
-  sampler_->add_counter(p + "hv/sa_acked", cnt, obs::Cnt::kSaAcked);
+  sampler_->add_rate(p + "hv/preemptions", count(&ss.preemptions));
+  sampler_->add_rate(p + "hv/lhp", count(&ss.lhp_events));
+  sampler_->add_rate(p + "hv/lwp", count(&ss.lwp_events));
+  sampler_->add_rate(p + "hv/sa_sent", count(&st.sa_sent));
+  sampler_->add_rate(p + "hv/sa_acked", count(&st.sa_acked));
 
   // Per-vCPU tracks: steal rate from runstate accounting, SA deliveries
-  // from the vCPU's counter shard (shard vcpu_id + 1; shard 0 is global).
+  // from the vCPU's own count.
   for (int vm_i = 0; vm_i < host_->n_vms(); ++vm_i) {
     hv::Vm& vm = host_->vm(vm_i);
     const auto& vs = vm.vcpus();
@@ -156,8 +161,7 @@ void HostNode::arm_sampler() {
       sampler_->add_rate(base + "/steal_ns", [v, eng]() {
         return static_cast<std::int64_t>(v->time_runnable(eng->now()));
       });
-      sampler_->add_counter(base + "/sa_sent", cnt, obs::Cnt::kSaSent,
-                            v->id() + 1);
+      sampler_->add_rate(base + "/sa_sent", count(&v->sa_sent));
     }
   }
 

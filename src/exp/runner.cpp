@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/cluster/cluster.h"
 #include "src/exp/sweep.h"
@@ -376,22 +379,33 @@ double weighted_speedup_pct(const RunResult& base, const RunResult& x) {
   return 0.5 * (fg_speedup + bg_speedup) * 100.0;
 }
 
-int parse_count(const std::string& what, const char* text) {
-  int v = 0;
+template <typename T>
+T parse_number(const std::string& what, const char* text, T min) {
+  T v{};
   const char* end = text + std::strlen(text);
   const auto [ptr, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc{} || ptr != end || v <= 0) {
-    throw std::invalid_argument("bad " + what + " '" + text +
-                                "' (want a positive integer)");
+  bool ok = ec == std::errc{} && ptr == end && v >= min;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    std::ostringstream want;
+    want << (std::is_floating_point_v<T> ? "a finite number" : "an integer")
+         << " >= " << min;
+    throw std::invalid_argument("bad " + what + " '" + text + "' (want " +
+                                want.str() + ")");
   }
   return v;
 }
+
+template int parse_number(const std::string&, const char*, int);
+template std::uint64_t parse_number(const std::string&, const char*,
+                                    std::uint64_t);
+template double parse_number(const std::string&, const char*, double);
 
 bool bench_fast() { return std::getenv("IRS_BENCH_FAST") != nullptr; }
 
 int bench_seeds() {
   if (const char* s = std::getenv("IRS_BENCH_SEEDS")) {
-    return parse_count("IRS_BENCH_SEEDS", s);
+    return parse_number("IRS_BENCH_SEEDS", s, 1);
   }
   return bench_fast() ? 1 : 2;
 }

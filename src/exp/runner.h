@@ -295,17 +295,21 @@ double improvement_pct(const RunResult& base, const RunResult& x);
 /// parity with vanilla Xen/Linux).
 double weighted_speedup_pct(const RunResult& base, const RunResult& x);
 
-/// The whole of `text` as a positive int. Anything else — trailing
-/// characters, a value <= 0 or out of range — throws std::invalid_argument
-/// naming `what` (a flag or environment variable) and the text.
-int parse_count(const std::string& what, const char* text);
+/// The whole of `text` as a T (int, std::uint64_t or double) no smaller
+/// than `min`. Anything else — an empty string, leading space, trailing
+/// characters, a value below `min` or out of T's range, a double that is
+/// not finite — throws std::invalid_argument naming `what` (a flag or
+/// environment variable) and the text. The one number parser of the CLIs
+/// and the IRS_BENCH_* variables.
+template <typename T>
+T parse_number(const std::string& what, const char* text, T min);
 
 /// True when IRS_BENCH_FAST is set: the bench binaries then run the
 /// registry's trimmed grids (GridOptions::fast) at one seed.
 bool bench_fast();
 
 /// Number of seeds per data point: IRS_BENCH_SEEDS when set (parsed by
-/// parse_count, so a malformed value throws), else 1 under bench_fast()
+/// parse_number, so a malformed value throws), else 1 under bench_fast()
 /// and 2 otherwise.
 int bench_seeds();
 

@@ -56,7 +56,7 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t run_index) {
 
 int sweep_jobs() {
   if (const char* s = std::getenv("IRS_BENCH_JOBS")) {
-    return parse_count("IRS_BENCH_JOBS", s);
+    return parse_number("IRS_BENCH_JOBS", s, 1);
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;

@@ -23,7 +23,7 @@ namespace irs::exp {
 /// thread counts, and grid sizes.
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t run_index);
 
-/// Worker count for sweeps: IRS_BENCH_JOBS if set (parsed by parse_count,
+/// Worker count for sweeps: IRS_BENCH_JOBS if set (parsed by parse_number,
 /// so a malformed value throws), else hardware_concurrency. Always >= 1.
 int sweep_jobs();
 

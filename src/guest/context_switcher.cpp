@@ -20,7 +20,7 @@ void GuestCpu::upcall_softirq() {
   // migration limbo. Decline the activation and let the preemption proceed
   // vanilla-style.
   if (t != nullptr && !kernel_.sibling_may_execute(idx_)) {
-    kernel_.counters().inc(guest_shard(idx_), obs::Cnt::kGuestSaRepliedYield);
+    ++kernel_.stats().sa_replied_yield;
     kernel_.hypercalls().sched_yield(idx_);
     return;
   }
@@ -29,7 +29,7 @@ void GuestCpu::upcall_softirq() {
   // contended: descheduling would only cede this vCPU's share and
   // desynchronise the VM.
   if (t != nullptr && !kernel_.migrator().migration_worthwhile(idx_)) {
-    kernel_.counters().inc(guest_shard(idx_), obs::Cnt::kGuestSaRepliedYield);
+    ++kernel_.stats().sa_replied_yield;
     kernel_.hypercalls().sched_yield(idx_);
     return;
   }
@@ -57,10 +57,10 @@ void GuestCpu::upcall_softirq() {
   if (current_ == nullptr) trace_lane(-1, "sa-cs");
   // Acknowledge: return control to the hypervisor (Algorithm 1 line 15).
   if (current_ == nullptr && rq_.empty()) {
-    kernel_.counters().inc(guest_shard(idx_), obs::Cnt::kGuestSaRepliedBlock);
+    ++kernel_.stats().sa_replied_block;
     kernel_.hypercalls().sched_block(idx_);
   } else {
-    kernel_.counters().inc(guest_shard(idx_), obs::Cnt::kGuestSaRepliedYield);
+    ++kernel_.stats().sa_replied_yield;
     kernel_.hypercalls().sched_yield(idx_);
   }
 }

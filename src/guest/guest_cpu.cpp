@@ -357,7 +357,7 @@ void GuestCpu::install(Task* next, bool resume) {
                                                 : TaskState::kRunning);
   next->slice_used = 0;
   pending_overhead_ += kernel_.config().ctx_switch_cost;
-  kernel_.counters().inc(guest_shard(idx_), obs::Cnt::kGuestCtxSwitches);
+  ++kernel_.stats().guest_ctx_switches;
   if (resume) resume_current();
 }
 
@@ -423,9 +423,7 @@ void GuestCpu::enqueue_ready(Task& t, bool wake_preempt,
   if (!wake_preempt) return;
   const bool tag_preempt = (cfg.irs_enabled || cfg.irs_pull) &&
                            cfg.irs_wakeup_fix && current_->migrating_tag;
-  if (tag_preempt) {
-    kernel_.counters().inc(guest_shard(idx_), obs::Cnt::kGuestTagPreemptions);
-  }
+  if (tag_preempt) ++kernel_.stats().tag_preemptions;
   const bool beats =
       t.vruntime + cfg.wakeup_granularity < current_->vruntime;
   if (tag_preempt || beats) request_resched(tag_preempt);
@@ -570,7 +568,7 @@ void GuestCpu::run_stop_requests() {
       rq_.remove(t);
     }
     if (is_current || is_queued) {
-      kernel_.note_migration(t, idx_, r.dst, obs::Cnt::kGuestStopMigrations);
+      kernel_.note_migration(t, idx_, r.dst, &GuestStats::stop_migrations);
       kernel_.migrate_enqueue(t, idx_, r.dst, true);
     }
     if (r.done) r.done(kernel_.engine().now() - r.requested_at);

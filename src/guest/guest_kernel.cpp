@@ -16,8 +16,7 @@ GuestKernel::GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
       hc_(hc),
       spin_signal_(std::move(spin_signal)),
       lock_signal_(std::move(lock_signal)),
-      trace_(trace),
-      counters_(static_cast<std::size_t>(n_cpus) + 1) {
+      trace_(trace) {
   assert(n_cpus > 0);
   cpus_.reserve(static_cast<std::size_t>(n_cpus));
   for (int i = 0; i < n_cpus; ++i) {
@@ -28,30 +27,6 @@ GuestKernel::GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
 }
 
 GuestKernel::~GuestKernel() = default;
-
-const GuestStats& GuestKernel::stats() const {
-  stats_cache_.guest_ctx_switches =
-      counters_.fold_u(obs::Cnt::kGuestCtxSwitches);
-  stats_cache_.wake_migrations =
-      counters_.fold_u(obs::Cnt::kGuestWakeMigrations);
-  stats_cache_.push_migrations =
-      counters_.fold_u(obs::Cnt::kGuestPushMigrations);
-  stats_cache_.pull_migrations =
-      counters_.fold_u(obs::Cnt::kGuestPullMigrations);
-  stats_cache_.irs_migrations = counters_.fold_u(obs::Cnt::kGuestIrsMigrations);
-  stats_cache_.stop_migrations =
-      counters_.fold_u(obs::Cnt::kGuestStopMigrations);
-  stats_cache_.sa_received = counters_.fold_u(obs::Cnt::kGuestSaReceived);
-  stats_cache_.sa_replied_block =
-      counters_.fold_u(obs::Cnt::kGuestSaRepliedBlock);
-  stats_cache_.sa_replied_yield =
-      counters_.fold_u(obs::Cnt::kGuestSaRepliedYield);
-  stats_cache_.tag_preemptions =
-      counters_.fold_u(obs::Cnt::kGuestTagPreemptions);
-  stats_cache_.irs_pull_migrations =
-      counters_.fold_u(obs::Cnt::kGuestIrsPullMigrations);
-  return stats_cache_;
-}
 
 Task& GuestKernel::create_task(std::string name, Behavior& behavior,
                                int initial_cpu) {
@@ -144,7 +119,7 @@ void GuestKernel::wake_task(Task& t) {
   const int from = t.cpu();
   const int target = select_task_rq(t);
   if (target != from) {
-    note_migration(t, from, target, obs::Cnt::kGuestWakeMigrations);
+    note_migration(t, from, target, &GuestStats::wake_migrations);
   }
   trace_.record(eng_.now(), sim::TraceKind::kGuestWake, t.id(),
                 trace_gcpu(target));
@@ -202,12 +177,13 @@ void GuestKernel::migrate_enqueue(Task& t, int from, int to,
   cpu(to).enqueue_ready(t, wake_preempt, /*normalize_vruntime=*/false);
 }
 
-void GuestKernel::note_migration(Task& t, int from, int to, obs::Cnt ctr) {
+void GuestKernel::note_migration(Task& t, int from, int to,
+                                 std::uint64_t GuestStats::*ctr) {
   if (from == to) return;
   ++t.stats.migrations;
-  counters_.inc(guest_shard(to), ctr);
+  ++(stats_.*ctr);
   t.cache_debt += migration_penalty();
-  if (ctr == obs::Cnt::kGuestIrsMigrations) {
+  if (ctr == &GuestStats::irs_migrations) {
     ++t.stats.irs_migrations;  // tag stays: the wake-up fix needs it
   } else {
     t.migrating_tag = false;  // a regular balancer move retires the tag

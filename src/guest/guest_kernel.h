@@ -19,20 +19,14 @@
 #include "src/guest/types.h"
 #include "src/hv/guest_os.h"
 #include "src/hv/hypercalls.h"
-#include "src/obs/counters.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
 namespace irs::guest {
 
-/// Shard convention for the guest-side obs::Counters: shard 0 is the
-/// kernel-global lane, shard cpu+1 is the guest CPU's own lane.
-inline std::size_t guest_shard(int cpu) {
-  return static_cast<std::size_t>(cpu) + 1;
-}
-
-/// Guest-wide counters: a report-time fold of the per-CPU obs::Counters
-/// shards (producers increment the sharded registry, never this struct).
+/// Guest-wide counters, owned by the kernel and bumped by the component
+/// that sees the event (GuestCpu, the SA receiver and context switcher,
+/// the load balancer, the migrator).
 struct GuestStats {
   std::uint64_t guest_ctx_switches = 0;
   std::uint64_t wake_migrations = 0;   // wake-up balancing moved a task
@@ -97,8 +91,9 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   /// Wake-up CPU selection incl. the IRS wake-up fix (paper Fig. 4).
   [[nodiscard]] int select_task_rq(Task& t);
   /// Account a cross-CPU migration: stats, cache debt, tag bookkeeping.
-  /// `ctr` names the migration-kind counter to bump (kGuest*Migrations).
-  void note_migration(Task& t, int from, int to, obs::Cnt ctr);
+  /// `ctr` names the migration-kind counter to bump (a *_migrations field).
+  void note_migration(Task& t, int from, int to,
+                      std::uint64_t GuestStats::*ctr);
   /// Kick the vCPU behind `cpu` if the hypervisor reports it blocked.
   void kick_if_blocked(int cpu);
   /// True if any *other* vCPU is not hypervisor-blocked — i.e. someone will
@@ -125,12 +120,8 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   [[nodiscard]] hv::Hypercalls& hypercalls() { return hc_; }
   [[nodiscard]] Migrator& migrator() { return *migrator_; }
   [[nodiscard]] LoadBalancer& balancer() { return *balancer_; }
-  /// Snapshot of the guest counters, folded across shards on demand.
-  [[nodiscard]] const GuestStats& stats() const;
-  /// The kernel's sharded counter registry (shard 0 global, shard cpu+1
-  /// per guest CPU — see guest_shard()).
-  [[nodiscard]] obs::Counters& counters() { return counters_; }
-  [[nodiscard]] const obs::Counters& counters() const { return counters_; }
+  [[nodiscard]] GuestStats& stats() { return stats_; }
+  [[nodiscard]] const GuestStats& stats() const { return stats_; }
   /// The trace ring this kernel records into.
   [[nodiscard]] sim::Trace& trace() { return trace_; }
   /// Guest trace records identify CPUs by *global* vCPU id so one trace can
@@ -167,12 +158,11 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   std::function<void(int, bool)> spin_signal_;
   std::function<void(int, bool)> lock_signal_;
   sim::Trace& trace_;
-  obs::Counters counters_;
+  GuestStats stats_;
   std::vector<std::unique_ptr<GuestCpu>> cpus_;
   std::deque<std::unique_ptr<Task>> tasks_;
   std::unique_ptr<Migrator> migrator_;
   std::unique_ptr<LoadBalancer> balancer_;
-  mutable GuestStats stats_cache_;  // fold target for stats()
   std::function<void(Task&)> on_finished_;
   double memory_intensity_ = 1.0;
   sim::Rng task_seed_rng_{0xB0BACAFE};

@@ -31,7 +31,7 @@ GuestCpu* LoadBalancer::busiest_other(const GuestCpu& me) const {
 }
 
 bool LoadBalancer::move_one(GuestCpu& from, GuestCpu& to,
-                            std::uint64_t BalancerStats::*ctr) {
+                            std::uint64_t GuestStats::*ctr) {
   // Prefer returning an IRS-displaced task to its home vCPU (paper §3.3:
   // "we rely on the Linux load balancer to migrate the tagged task back to
   // the preempted vCPU when it is scheduled again").
@@ -39,17 +39,12 @@ bool LoadBalancer::move_one(GuestCpu& from, GuestCpu& to,
   if (t == nullptr) t = from.rq().hottest_to_steal();
   if (t == nullptr) return false;
   from.rq().remove(*t);
-  ++(stats_.*ctr);
-  kernel_.note_migration(*t, from.idx(), to.idx(),
-                         ctr == &BalancerStats::tasks_pulled
-                             ? obs::Cnt::kGuestPullMigrations
-                             : obs::Cnt::kGuestPushMigrations);
+  kernel_.note_migration(*t, from.idx(), to.idx(), ctr);
   kernel_.migrate_enqueue(*t, from.idx(), to.idx(), /*wake_preempt=*/false);
   return true;
 }
 
 void LoadBalancer::periodic(GuestCpu& me, int max_moves) {
-  ++stats_.periodic_calls;
   // Push side (models Linux's nohz-idle balancing on behalf of idle CPUs):
   // if we have excess runnable tasks and a sibling looks idle, hand one
   // over and kick its vCPU. The decision is capacity-aware: pushing onto a
@@ -66,7 +61,7 @@ void LoadBalancer::periodic(GuestCpu& me, int max_moves) {
       const double peer_cap = std::max(0.1, 1.0 - peer.steal_frac());
       const double peer_after = 1.0 / peer_cap;
       if (peer_after + 0.25 >= my_metric) continue;  // no balance gain
-      move_one(me, peer, &BalancerStats::tasks_pushed);
+      move_one(me, peer, &GuestStats::push_migrations);
       break;
     }
   }
@@ -79,12 +74,11 @@ void LoadBalancer::periodic(GuestCpu& me, int max_moves) {
     // a 2-vs-1 split is already balanced and moving would ping-pong).
     if (b->nr_running() < me.nr_running() + 2) return;
     if (load_metric(*b) - load_metric(me) < 1.0) return;
-    if (!move_one(*b, me, &BalancerStats::tasks_pushed)) return;
+    if (!move_one(*b, me, &GuestStats::push_migrations)) return;
   }
 }
 
 bool LoadBalancer::newidle(GuestCpu& me) {
-  ++stats_.newidle_calls;
   // Paper §6 extension: an idle CPU may pull the CURRENT task off a
   // sibling vCPU the hypervisor has preempted — "migrating a running task
   // from a preempted vCPU", which vanilla kernels cannot express.
@@ -101,12 +95,11 @@ bool LoadBalancer::newidle(GuestCpu& me) {
       }
       guest::Task* t = peer.yank_current_if_preempted();
       if (t == nullptr) continue;
-      kernel_.counters().inc(guest_shard(me.idx()),
-                             obs::Cnt::kGuestIrsPullMigrations);
+      ++kernel_.stats().irs_pull_migrations;
       t->migrating_tag = true;
       t->tag_runtime = 0;
       t->irs_home = c;
-      kernel_.note_migration(*t, c, me.idx(), obs::Cnt::kGuestIrsMigrations);
+      kernel_.note_migration(*t, c, me.idx(), &GuestStats::irs_migrations);
       kernel_.enqueue_task(*t, me.idx(), /*wake_preempt=*/false);
       return true;
     }
@@ -126,7 +119,7 @@ bool LoadBalancer::newidle(GuestCpu& me) {
     if (rs.state != hv::VcpuState::kRunnable) return false;
     if (kernel_.now() - rs.state_entered < sim::milliseconds(1)) return false;
   }
-  return move_one(*b, me, &BalancerStats::tasks_pulled);
+  return move_one(*b, me, &GuestStats::pull_migrations);
 }
 
 }  // namespace irs::guest

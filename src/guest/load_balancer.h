@@ -20,13 +20,7 @@ namespace irs::guest {
 class GuestCpu;
 class GuestKernel;
 class Task;
-
-struct BalancerStats {
-  std::uint64_t periodic_calls = 0;
-  std::uint64_t newidle_calls = 0;
-  std::uint64_t tasks_pushed = 0;  // moved by periodic balancing
-  std::uint64_t tasks_pulled = 0;  // moved by new-idle balancing
-};
+struct GuestStats;
 
 class LoadBalancer {
  public:
@@ -40,17 +34,16 @@ class LoadBalancer {
   /// a task was enqueued on `me`.
   bool newidle(GuestCpu& me);
 
-  [[nodiscard]] const BalancerStats& stats() const { return stats_; }
-
   /// Effective-capacity load metric used for imbalance decisions.
   [[nodiscard]] static double load_metric(const GuestCpu& c);
 
  private:
   GuestCpu* busiest_other(const GuestCpu& me) const;
-  bool move_one(GuestCpu& from, GuestCpu& to, std::uint64_t BalancerStats::*ctr);
+  /// Move one ready task and count it in the GuestStats field `ctr`
+  /// (push_migrations or pull_migrations).
+  bool move_one(GuestCpu& from, GuestCpu& to, std::uint64_t GuestStats::*ctr);
 
   GuestKernel& kernel_;
-  BalancerStats stats_;
 };
 
 }  // namespace irs::guest

@@ -98,7 +98,7 @@ void Migrator::execute() {
   }
   t.set_state(TaskState::kReady);
   if (target != r.src) {
-    kernel_.note_migration(t, r.src, target, obs::Cnt::kGuestIrsMigrations);
+    kernel_.note_migration(t, r.src, target, &GuestStats::irs_migrations);
   }
   // __migrate_task: enqueue on the destination, kicking its vCPU if idle.
   // Wake-style placement (no min_vruntime rebase): the descheduled task

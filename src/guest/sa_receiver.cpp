@@ -12,7 +12,7 @@ namespace irs::guest {
 
 void GuestCpu::on_sa_upcall() {
   if (!vcpu_running_) return;  // raced with a forced preemption
-  kernel_.counters().inc(guest_shard(idx_), obs::Cnt::kGuestSaReceived);
+  ++kernel_.stats().sa_received;
   softirq_.raise(SoftirqNr::kUpcall);
   const sim::Duration cost =
       kernel_.cost_rng().jittered(kernel_.config().sa_handler_cost, 0.15);

@@ -8,30 +8,12 @@ namespace irs::hv {
 
 CreditScheduler::CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
                                  std::vector<Pcpu>& pcpus,
-                                 std::vector<Vm*>& vms,
-                                 obs::Counters& counters,
-                                 sim::Trace& trace)
-    : eng_(eng),
-      cfg_(cfg),
-      pcpus_(pcpus),
-      vms_(vms),
-      counters_(counters),
-      trace_(trace) {
+                                 std::vector<Vm*>& vms, sim::Trace& trace)
+    : eng_(eng), cfg_(cfg), pcpus_(pcpus), vms_(vms), trace_(trace) {
   for (auto& p : pcpus_) {
     slice_timers_.emplace_back(
         eng_, [this, pp = &p]() { request_resched(*pp); }, "hv.slice");
   }
-}
-
-const SchedStats& CreditScheduler::stats() const {
-  stats_cache_.context_switches = counters_.fold_u(obs::Cnt::kHvCtxSwitches);
-  stats_cache_.preemptions = counters_.fold_u(obs::Cnt::kHvPreemptions);
-  stats_cache_.lhp_events = counters_.fold_u(obs::Cnt::kHvLhp);
-  stats_cache_.lwp_events = counters_.fold_u(obs::Cnt::kHvLwp);
-  stats_cache_.wakeups = counters_.fold_u(obs::Cnt::kHvWakeups);
-  stats_cache_.steals = counters_.fold_u(obs::Cnt::kHvSteals);
-  stats_cache_.migrations = counters_.fold_u(obs::Cnt::kHvMigrations);
-  return stats_cache_;
 }
 
 void CreditScheduler::start() {
@@ -91,7 +73,6 @@ PcpuId CreditScheduler::cpu_pick(const Vcpu& v) const {
 
 void CreditScheduler::wake(Vcpu& v) {
   if (v.state() != VcpuState::kBlocked) return;  // spurious kick
-  counters_.inc(cnt_shard(v), obs::Cnt::kHvWakeups);
   v.set_state(VcpuState::kRunnable, eng_.now());
   // credit1 BOOST: a waking vCPU that has not exhausted its credits gets
   // top priority so latency-sensitive guests run promptly.
@@ -99,9 +80,6 @@ void CreditScheduler::wake(Vcpu& v) {
     v.set_prio(CreditPrio::kBoost);
   }
   const PcpuId target = cpu_pick(v);
-  if (target != v.resident() && v.resident() != kNoPcpu) {
-    counters_.inc(cnt_shard(v), obs::Cnt::kHvMigrations);
-  }
   Pcpu& p = pcpus_[target];
   p.enqueue(&v);
   trace_.record(eng_.now(), sim::TraceKind::kHvWake, v.id(), target);
@@ -161,7 +139,7 @@ void CreditScheduler::force_preempt(Vcpu& v) {
 void CreditScheduler::deschedule_current(Pcpu& p, StopReason reason) {
   Vcpu* cur = p.current();
   assert(cur != nullptr && cur->state() == VcpuState::kRunning);
-  counters_.inc(cnt_shard(*cur), obs::Cnt::kHvPreemptions);
+  ++stats_.preemptions;
   notify_stopped(*cur, reason);
   cur->set_state(VcpuState::kRunnable, eng_.now());
   cur->set_pcpu(kNoPcpu);
@@ -186,12 +164,14 @@ void CreditScheduler::notify_stopped(Vcpu& v, StopReason reason) {
     // c carries the on-CPU task id and note the lock name so attribution
     // can charge the preemption window to a specific task/lock.
     if (pc.holds_lock) {
-      counters_.inc(cnt_shard(v), obs::Cnt::kHvLhp);
+      ++v.lhp;
+      ++stats_.lhp_events;
       trace_.record(eng_.now(), sim::TraceKind::kLhp, v.id(), v.pcpu(),
                    pc.lock_name != nullptr ? pc.lock_name : "", pc.task);
     }
     if (pc.waits_lock) {
-      counters_.inc(cnt_shard(v), obs::Cnt::kHvLwp);
+      ++v.lwp;
+      ++stats_.lwp_events;
       trace_.record(eng_.now(), sim::TraceKind::kLwp, v.id(), v.pcpu(),
                    pc.lock_name != nullptr ? pc.lock_name : "", pc.task);
     }
@@ -205,7 +185,7 @@ void CreditScheduler::switch_to(Pcpu& p, Vcpu* next) {
     p.set_current(nullptr);
     return;
   }
-  counters_.inc(cnt_shard(*next), obs::Cnt::kHvCtxSwitches);
+  ++stats_.context_switches;
   next->set_state(VcpuState::kRunning, eng_.now());
   next->set_pcpu(p.id());
   next->set_resident(p.id());
@@ -246,7 +226,6 @@ Vcpu* CreditScheduler::steal_for(Pcpu& p) {
   }
   if (best != nullptr) {
     from->remove(best);
-    counters_.inc(cnt_shard(*best), obs::Cnt::kHvSteals);
     trace_.record(eng_.now(), sim::TraceKind::kHvSchedule, best->id(), p.id(),
                  "steal");
   }

@@ -19,17 +19,10 @@
 #include "src/hv/types.h"
 #include "src/hv/vcpu.h"
 #include "src/hv/vm.h"
-#include "src/obs/counters.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
 namespace irs::hv {
-
-/// Shard convention for the hypervisor-side obs::Counters: shard 0 is the
-/// global lane, shard v.id()+1 is the vCPU's own lane.
-inline std::size_t cnt_shard(const Vcpu& v) {
-  return static_cast<std::size_t>(v.id()) + 1;
-}
 
 /// Installed by the IRS SA sender. Called when the scheduler is about to
 /// involuntarily preempt `cur`; returning true defers the preemption (the
@@ -43,24 +36,36 @@ class PreemptHook {
   virtual void note_ack(Vcpu& cur) = 0;
 };
 
-/// Scheduler event counters (exported through Host for metrics/tests).
-/// A report-time fold of the per-vCPU obs::Counters shards; producers
-/// increment the sharded registry, never this struct.
+/// Scheduler event counters, bumped by CreditScheduler and read through
+/// Host::sched_stats(). LHP and LWP are also counted on the preempted
+/// vCPU (Vcpu::lhp, Vcpu::lwp) for per-VM charge-back.
 struct SchedStats {
   std::uint64_t context_switches = 0;
   std::uint64_t preemptions = 0;  // involuntary deschedules
   std::uint64_t lhp_events = 0;   // preempted while current task held a lock
   std::uint64_t lwp_events = 0;   // preempted while current task waited
-  std::uint64_t wakeups = 0;
-  std::uint64_t steals = 0;       // vCPUs pulled by idle pCPUs
-  std::uint64_t migrations = 0;   // vCPU changed home pCPU on wake
+};
+
+/// Counters for the optional strategy components, owned by Host and bumped
+/// by the component that sees the event. SAs sent are also counted on the
+/// vCPU they went to (Vcpu::sa_sent) for the sampler's per-vCPU tracks.
+struct StrategyStats {
+  std::uint64_t sa_sent = 0;     // SA notifications delivered
+  std::uint64_t sa_acked = 0;    // guest acknowledged in time
+  std::uint64_t sa_forced = 0;   // hard cap expired, forced preemption
+  sim::Duration sa_delay_total = 0;  // cumulative preemption delay
+  std::uint64_t ple_exits = 0;
+  std::uint64_t co_stops = 0;
+  std::uint64_t delay_grants = 0;    // delay-preemption windows opened
+  std::uint64_t delay_released = 0;  // lock released inside the window
+  std::uint64_t delay_expired = 0;   // window hit the hard cap
 };
 
 class CreditScheduler {
  public:
   CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
                   std::vector<Pcpu>& pcpus, std::vector<Vm*>& vms,
-                  obs::Counters& counters, sim::Trace& trace);
+                  sim::Trace& trace);
 
   /// Arm the periodic tick and accounting timers. Call once.
   void start();
@@ -85,8 +90,7 @@ class CreditScheduler {
   /// Install the IRS pre-preemption hook (nullptr to remove).
   void set_preempt_hook(PreemptHook* hook) { hook_ = hook; }
 
-  /// Snapshot of the scheduler counters, folded across shards on demand.
-  [[nodiscard]] const SchedStats& stats() const;
+  [[nodiscard]] const SchedStats& stats() const { return stats_; }
 
   /// Re-sort all runqueues after a global priority refresh.
   void rebuild_queues();
@@ -123,14 +127,13 @@ class CreditScheduler {
   const HvConfig& cfg_;
   std::vector<Pcpu>& pcpus_;
   std::vector<Vm*>& vms_;
-  obs::Counters& counters_;
   sim::Trace& trace_;
+  SchedStats stats_;
   PreemptHook* hook_ = nullptr;
   /// One slice-expiry timer per pCPU, re-armed on every switch — Xen's
   /// per-pCPU s_timer. Indexed by PcpuId; a deque because a Timer cannot
   /// move.
   std::deque<sim::Timer> slice_timers_;
-  mutable SchedStats stats_cache_;  // fold target for stats()
 };
 
 }  // namespace irs::hv

@@ -6,8 +6,8 @@ namespace irs::hv {
 
 DelayPreemptHook::DelayPreemptHook(sim::Engine& eng, const HvConfig& cfg,
                                    CreditScheduler& sched,
-                                   obs::Counters& counters)
-    : eng_(eng), cfg_(cfg), sched_(sched), counters_(counters) {}
+                                   StrategyStats& stats)
+    : eng_(eng), cfg_(cfg), sched_(sched), stats_(stats) {}
 
 bool DelayPreemptHook::delay_preemption(Vcpu& cur) {
   if (cur.state() != VcpuState::kRunning) return false;
@@ -17,7 +17,7 @@ bool DelayPreemptHook::delay_preemption(Vcpu& cur) {
   // scheduler will not re-preempt while pending).
   cur.set_sa_pending(true);
   cur.sa_sent_at = eng_.now();
-  counters_.inc(cnt_shard(cur), obs::Cnt::kDelayGrants);
+  ++stats_.delay_grants;
   Vcpu* v = &cur;
   cur.sa_cap_timer = eng_.schedule(
       cfg_.delay_preempt_cap,
@@ -28,7 +28,7 @@ bool DelayPreemptHook::delay_preemption(Vcpu& cur) {
 void DelayPreemptHook::expire(Vcpu& v) {
   if (!v.sa_pending()) return;
   v.set_sa_pending(false);
-  counters_.inc(cnt_shard(v), obs::Cnt::kDelayExpired);
+  ++stats_.delay_expired;
   sched_.force_preempt(v);
 }
 
@@ -43,7 +43,7 @@ void DelayPreemptHook::on_lock_hint(Vcpu& v, bool holds_lock) {
     // deferred preemption now.
     v.sa_cap_timer.cancel();
     v.set_sa_pending(false);
-    counters_.inc(cnt_shard(v), obs::Cnt::kDelayReleased);
+    ++stats_.delay_released;
     if (v.state() == VcpuState::kRunning) sched_.force_preempt(v);
   }
 }

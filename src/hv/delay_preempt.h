@@ -11,7 +11,6 @@
 
 #include "src/hv/credit_scheduler.h"
 #include "src/hv/types.h"
-#include "src/obs/counters.h"
 #include "src/sim/engine.h"
 
 namespace irs::hv {
@@ -19,7 +18,7 @@ namespace irs::hv {
 class DelayPreemptHook final : public PreemptHook {
  public:
   DelayPreemptHook(sim::Engine& eng, const HvConfig& cfg,
-                   CreditScheduler& sched, obs::Counters& counters);
+                   CreditScheduler& sched, StrategyStats& stats);
 
   /// PreemptHook: defer while the guest signals a held lock, up to the cap.
   bool delay_preemption(Vcpu& cur) override;
@@ -34,7 +33,7 @@ class DelayPreemptHook final : public PreemptHook {
   sim::Engine& eng_;
   const HvConfig& cfg_;
   CreditScheduler& sched_;
-  obs::Counters& counters_;
+  StrategyStats& stats_;
 };
 
 }  // namespace irs::hv

@@ -44,24 +44,11 @@ Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
   pcpus_.reserve(static_cast<std::size_t>(n_pcpus));
   for (int i = 0; i < n_pcpus; ++i) pcpus_.emplace_back(i);
   sched_ = std::make_unique<CreditScheduler>(eng_, cfg_, pcpus_, vms_,
-                                             counters_, trace_);
+                                             trace_);
   evtchn_ = std::make_unique<EventChannel>(*sched_);
 }
 
 Host::~Host() = default;
-
-const StrategyStats& Host::strategy_stats() const {
-  sstats_cache_.sa_sent = counters_.fold_u(obs::Cnt::kSaSent);
-  sstats_cache_.sa_acked = counters_.fold_u(obs::Cnt::kSaAcked);
-  sstats_cache_.sa_forced = counters_.fold_u(obs::Cnt::kSaForced);
-  sstats_cache_.sa_delay_total = counters_.fold(obs::Cnt::kSaDelayTotalNs);
-  sstats_cache_.ple_exits = counters_.fold_u(obs::Cnt::kPleExits);
-  sstats_cache_.co_stops = counters_.fold_u(obs::Cnt::kCoStops);
-  sstats_cache_.delay_grants = counters_.fold_u(obs::Cnt::kDelayGrants);
-  sstats_cache_.delay_released = counters_.fold_u(obs::Cnt::kDelayReleased);
-  sstats_cache_.delay_expired = counters_.fold_u(obs::Cnt::kDelayExpired);
-  return sstats_cache_;
-}
 
 Vm& Host::add_vm(const VmConfig& vm_cfg) {
   // Validated before any state changes, in every build: a pin past the
@@ -111,24 +98,24 @@ void Host::start() {
 
 void Host::enable_irs() {
   sa_sender_ =
-      std::make_unique<SaSender>(eng_, cfg_, *sched_, counters_, trace_);
+      std::make_unique<SaSender>(eng_, cfg_, *sched_, sstats_, trace_);
   sched_->set_preempt_hook(sa_sender_.get());
 }
 
 void Host::enable_delay_preempt() {
-  delay_ = std::make_unique<DelayPreemptHook>(eng_, cfg_, *sched_, counters_);
+  delay_ = std::make_unique<DelayPreemptHook>(eng_, cfg_, *sched_, sstats_);
   sched_->set_preempt_hook(delay_.get());
 }
 
 void Host::enable_ple() {
-  ple_ = std::make_unique<PleMonitor>(eng_, cfg_, *sched_, pcpus_, counters_,
+  ple_ = std::make_unique<PleMonitor>(eng_, cfg_, *sched_, pcpus_, sstats_,
                                       trace_);
   for (auto& p : pcpus_) p.set_ple(ple_.get());
 }
 
 void Host::enable_relaxed_co() {
   relaxed_co_ = std::make_unique<RelaxedCoMonitor>(eng_, cfg_, *sched_,
-                                                   pcpus_, vms_, counters_,
+                                                   pcpus_, vms_, sstats_,
                                                    trace_);
 }
 

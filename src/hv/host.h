@@ -11,7 +11,6 @@
 #include "src/hv/types.h"
 #include "src/hv/vcpu.h"
 #include "src/hv/vm.h"
-#include "src/obs/counters.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
@@ -22,20 +21,6 @@ class PleMonitor;
 class RelaxedCoMonitor;
 class DelayPreemptHook;
 class EventChannel;
-
-/// Counters for the optional strategy components. Like SchedStats, this is
-/// a report-time fold of the sharded obs::Counters registry.
-struct StrategyStats {
-  std::uint64_t sa_sent = 0;     // SA notifications delivered
-  std::uint64_t sa_acked = 0;    // guest acknowledged in time
-  std::uint64_t sa_forced = 0;   // hard cap expired, forced preemption
-  sim::Duration sa_delay_total = 0;  // cumulative preemption delay
-  std::uint64_t ple_exits = 0;
-  std::uint64_t co_stops = 0;
-  std::uint64_t delay_grants = 0;    // delay-preemption windows opened
-  std::uint64_t delay_released = 0;  // lock released inside the window
-  std::uint64_t delay_expired = 0;   // window hit the hard cap
-};
 
 class Host {
  public:
@@ -72,13 +57,8 @@ class Host {
   [[nodiscard]] sim::Duration total_steal(sim::Time now) const;
   [[nodiscard]] CreditScheduler& sched() { return *sched_; }
   [[nodiscard]] const SchedStats& sched_stats() const { return sched_->stats(); }
-  /// Snapshot of the strategy counters, folded across shards on demand.
-  [[nodiscard]] const StrategyStats& strategy_stats() const;
+  [[nodiscard]] const StrategyStats& strategy_stats() const { return sstats_; }
   [[nodiscard]] sim::Trace& trace() { return trace_; }
-  /// The hypervisor's sharded counter registry (shard 0 global, shard
-  /// vcpu_id+1 per vCPU — see cnt_shard()).
-  [[nodiscard]] obs::Counters& counters() { return counters_; }
-  [[nodiscard]] const obs::Counters& counters() const { return counters_; }
 
   /// Per-VM hypercall surface handed to guest kernels.
   [[nodiscard]] Hypercalls& hypercalls(Vm& vm);
@@ -96,7 +76,7 @@ class Host {
 
   sim::Engine& eng_;
   HvConfig cfg_;
-  obs::Counters counters_;
+  StrategyStats sstats_;
   sim::Trace trace_;
   std::vector<Pcpu> pcpus_;
   std::vector<std::unique_ptr<Vm>> vm_storage_;
@@ -109,7 +89,6 @@ class Host {
   std::unique_ptr<DelayPreemptHook> delay_;
   std::unique_ptr<PleMonitor> ple_;
   std::unique_ptr<RelaxedCoMonitor> relaxed_co_;
-  mutable StrategyStats sstats_cache_;  // fold target for strategy_stats()
 };
 
 }  // namespace irs::hv

@@ -6,12 +6,12 @@ namespace irs::hv {
 
 PleMonitor::PleMonitor(sim::Engine& eng, const HvConfig& cfg,
                        CreditScheduler& sched, std::vector<Pcpu>& pcpus,
-                       obs::Counters& counters, sim::Trace& trace)
+                       StrategyStats& stats, sim::Trace& trace)
     : eng_(eng),
       cfg_(cfg),
       sched_(sched),
       pcpus_(pcpus),
-      counters_(counters),
+      stats_(stats),
       trace_(trace) {}
 
 void PleMonitor::on_spin_signal(Vcpu& v, bool spinning) {
@@ -49,7 +49,7 @@ void PleMonitor::fire(Vcpu& v) {
     v.ple_anchor = eng_.now();
     return;
   }
-  counters_.inc(cnt_shard(v), obs::Cnt::kPleExits);
+  ++stats_.ple_exits;
   trace_.record(eng_.now(), sim::TraceKind::kPleExit, v.id(), v.pcpu());
   // Charge the VM-exit cost, then let the scheduler pick someone else.
   Vcpu* vp = &v;

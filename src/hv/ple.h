@@ -19,7 +19,6 @@
 
 #include "src/hv/credit_scheduler.h"
 #include "src/hv/types.h"
-#include "src/obs/counters.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
@@ -28,7 +27,7 @@ namespace irs::hv {
 class PleMonitor {
  public:
   PleMonitor(sim::Engine& eng, const HvConfig& cfg, CreditScheduler& sched,
-             std::vector<Pcpu>& pcpus, obs::Counters& counters,
+             std::vector<Pcpu>& pcpus, StrategyStats& stats,
              sim::Trace& trace);
 
   /// Guest spin-state edge (also re-signalled when a spinning vCPU regains
@@ -47,7 +46,7 @@ class PleMonitor {
   const HvConfig& cfg_;
   CreditScheduler& sched_;
   std::vector<Pcpu>& pcpus_;
-  obs::Counters& counters_;
+  StrategyStats& stats_;
   sim::Trace& trace_;
 };
 

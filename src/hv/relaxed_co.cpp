@@ -10,14 +10,14 @@ RelaxedCoMonitor::RelaxedCoMonitor(sim::Engine& eng, const HvConfig& cfg,
                                    CreditScheduler& sched,
                                    std::vector<Pcpu>& pcpus,
                                    std::vector<Vm*>& vms,
-                                   obs::Counters& counters,
+                                   StrategyStats& stats,
                                    sim::Trace& trace)
     : eng_(eng),
       cfg_(cfg),
       sched_(sched),
       pcpus_(pcpus),
       vms_(vms),
-      counters_(counters),
+      stats_(stats),
       trace_(trace) {}
 
 void RelaxedCoMonitor::start() {
@@ -76,7 +76,7 @@ void RelaxedCoMonitor::check_vm(Vm& vm) {
   if (leader == nullptr || laggard == nullptr || leader == laggard) return;
   if (lead_prog - lag_prog <= cfg_.co_skew_threshold) return;
 
-  counters_.inc(cnt_shard(*leader), obs::Cnt::kCoStops);
+  ++stats_.co_stops;
   trace_.record(now, sim::TraceKind::kCoStop, leader->id(), laggard->id());
   const PcpuId freed =
       leader->state() == VcpuState::kRunning ? leader->pcpu() : kNoPcpu;

@@ -14,7 +14,6 @@
 
 #include "src/hv/credit_scheduler.h"
 #include "src/hv/types.h"
-#include "src/obs/counters.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
@@ -24,7 +23,7 @@ class RelaxedCoMonitor {
  public:
   RelaxedCoMonitor(sim::Engine& eng, const HvConfig& cfg,
                    CreditScheduler& sched, std::vector<Pcpu>& pcpus,
-                   std::vector<Vm*>& vms, obs::Counters& counters,
+                   std::vector<Vm*>& vms, StrategyStats& stats,
                    sim::Trace& trace);
 
   /// Arm the periodic skew check. Call once.
@@ -39,7 +38,7 @@ class RelaxedCoMonitor {
   CreditScheduler& sched_;
   std::vector<Pcpu>& pcpus_;
   std::vector<Vm*>& vms_;
-  obs::Counters& counters_;
+  StrategyStats& stats_;
   sim::Trace& trace_;
 
   // progress_[vcpu global id] = cumulative run+blocked time at last period.

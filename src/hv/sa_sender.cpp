@@ -5,9 +5,9 @@
 namespace irs::hv {
 
 SaSender::SaSender(sim::Engine& eng, const HvConfig& cfg,
-                   CreditScheduler& sched, obs::Counters& counters,
+                   CreditScheduler& sched, StrategyStats& stats,
                    sim::Trace& trace)
-    : eng_(eng), cfg_(cfg), sched_(sched), counters_(counters), trace_(trace) {}
+    : eng_(eng), cfg_(cfg), sched_(sched), stats_(stats), trace_(trace) {}
 
 bool SaSender::delay_preemption(Vcpu& cur) {
   // Algorithm 1, send_sa_event: only runnable (still willing to run) vCPUs
@@ -18,7 +18,8 @@ bool SaSender::delay_preemption(Vcpu& cur) {
 
   cur.set_sa_pending(true);
   cur.sa_sent_at = eng_.now();
-  counters_.inc(cnt_shard(cur), obs::Cnt::kSaSent);
+  ++cur.sa_sent;
+  ++stats_.sa_sent;
   trace_.record(eng_.now(), sim::TraceKind::kSaSend, cur.id(), cur.pcpu());
   cur.vm().guest().deliver_virq(cur.idx(), Virq::kSaUpcall);
 
@@ -29,9 +30,8 @@ bool SaSender::delay_preemption(Vcpu& cur) {
       [this, v]() {
         if (!v->sa_pending()) return;  // raced with a just-arrived ack
         v->set_sa_pending(false);
-        counters_.inc(cnt_shard(*v), obs::Cnt::kSaForced);
-        counters_.inc(cnt_shard(*v), obs::Cnt::kSaDelayTotalNs,
-                      eng_.now() - v->sa_sent_at);
+        ++stats_.sa_forced;
+        stats_.sa_delay_total += eng_.now() - v->sa_sent_at;
         sched_.force_preempt(*v);
       },
       "sa.cap");
@@ -39,9 +39,8 @@ bool SaSender::delay_preemption(Vcpu& cur) {
 }
 
 void SaSender::note_ack(Vcpu& v) {
-  counters_.inc(cnt_shard(v), obs::Cnt::kSaAcked);
-  counters_.inc(cnt_shard(v), obs::Cnt::kSaDelayTotalNs,
-                eng_.now() - v.sa_sent_at);
+  ++stats_.sa_acked;
+  stats_.sa_delay_total += eng_.now() - v.sa_sent_at;
   trace_.record(eng_.now(), sim::TraceKind::kSaAck, v.id(), v.pcpu());
 }
 

@@ -9,7 +9,6 @@
 
 #include "src/hv/credit_scheduler.h"
 #include "src/hv/types.h"
-#include "src/obs/counters.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
@@ -18,7 +17,7 @@ namespace irs::hv {
 class SaSender final : public PreemptHook {
  public:
   SaSender(sim::Engine& eng, const HvConfig& cfg, CreditScheduler& sched,
-           obs::Counters& counters, sim::Trace& trace);
+           StrategyStats& stats, sim::Trace& trace);
 
   /// PreemptHook: returns true if preemption was deferred pending guest ack.
   bool delay_preemption(Vcpu& cur) override;
@@ -31,7 +30,7 @@ class SaSender final : public PreemptHook {
   sim::Engine& eng_;
   const HvConfig& cfg_;
   CreditScheduler& sched_;
-  obs::Counters& counters_;
+  StrategyStats& stats_;
   sim::Trace& trace_;
 };
 

@@ -59,6 +59,13 @@ class Vcpu {
   /// Cancellable timer enforcing the SA acknowledgement hard cap.
   sim::EventHandle sa_cap_timer;
 
+  // --- per-vCPU event counts, bumped beside the host totals in
+  // SchedStats / StrategyStats. The cluster collector charges LHP and LWP
+  // to the VM that owns the vCPU; the sampler plots SAs per vCPU.
+  std::uint64_t lhp = 0;      // preempted holding a lock
+  std::uint64_t lwp = 0;      // preempted waiting for a lock
+  std::uint64_t sa_sent = 0;  // SA notifications delivered
+
   // --- spin tracking (for PLE) ---
   [[nodiscard]] bool spinning() const { return spinning_; }
   void set_spinning(bool s) { spinning_ = s; }

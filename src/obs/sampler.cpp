@@ -9,59 +9,30 @@ Sampler::Sampler(sim::Engine& eng, sim::Duration period, std::size_t capacity)
       period_(period > 0 ? period : kDefaultPeriod),
       capacity_(capacity > 0 ? capacity : kDefaultCapacity) {}
 
-std::size_t Sampler::add_channel(std::string name, Desc d,
-                                 std::function<std::int64_t()> fn) {
-  const std::size_t i = descs_.size();
-  descs_.push_back(d);
-  prev_.push_back(0);
+void Sampler::add_channel(std::string name, bool rate,
+                          std::function<std::int64_t()> fn) {
+  // A rate's first delta is taken against its value at registration.
+  prev_.push_back(rate ? fn() : 0);
+  rate_.push_back(rate ? 1 : 0);
   primed_.push_back(0);
   fns_.push_back(std::move(fn));
   series_.emplace_back(std::move(name), capacity_);
-  return i;
-}
-
-void Sampler::add_counter(std::string name, const Counters* src, Cnt c,
-                          int shard) {
-  Desc d;
-  d.kind = ChannelKind::kCounter;
-  d.src = src;
-  d.cnt = c;
-  d.shard = shard;
-  const std::size_t i = add_channel(std::move(name), d, nullptr);
-  prev_[i] = read_channel(i);
 }
 
 void Sampler::add_gauge(std::string name, std::function<std::int64_t()> fn) {
-  add_channel(std::move(name), Desc{}, std::move(fn));
+  add_channel(std::move(name), /*rate=*/false, std::move(fn));
 }
 
 void Sampler::add_rate(std::string name, std::function<std::int64_t()> fn) {
-  Desc d;
-  d.kind = ChannelKind::kRate;
-  const std::size_t i = add_channel(std::move(name), d, std::move(fn));
-  prev_[i] = fns_[i]();
-}
-
-std::int64_t Sampler::read_channel(std::size_t i) const {
-  const Desc& d = descs_[i];
-  switch (d.kind) {
-    case ChannelKind::kCounter:
-      return d.shard < 0
-                 ? d.src->fold(d.cnt)
-                 : d.src->at(static_cast<std::size_t>(d.shard), d.cnt);
-    case ChannelKind::kGauge:
-    case ChannelKind::kRate:
-      return fns_[i]();
-  }
-  return 0;
+  add_channel(std::move(name), /*rate=*/true, std::move(fn));
 }
 
 void Sampler::sample_now() {
   const sim::Time now = eng_.now();
-  const std::size_t n = descs_.size();
+  const std::size_t n = series_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t cur = read_channel(i);
-    if (descs_[i].kind == ChannelKind::kGauge) {
+    const std::int64_t cur = fns_[i]();
+    if (rate_[i] == 0) {
       // Sparse: a counter track carries its value forward, so only level
       // changes need a point (the first observation always does).
       if (primed_[i] == 0 || cur != prev_[i]) series_[i].push(now, cur);

@@ -1,10 +1,11 @@
-// Counter time-series sampler: periodic engine-driven snapshots of
-// obs::Counters (and arbitrary gauges) into fixed-capacity ring-buffered
-// series, exported as Perfetto "C" counter tracks.
+// Counter time-series sampler: periodic engine-driven snapshots of model
+// counters and levels into fixed-capacity ring-buffered series, exported as
+// Perfetto "C" counter tracks.
 //
 // The sampler lives entirely off the hot path: producers keep incrementing
-// their sharded counters exactly as before, and the sampler reads the
-// registry on a simulated-time cadence from an ordinary engine event. The
+// their plain counters (SchedStats, StrategyStats, the per-vCPU counts on
+// hv::Vcpu) exactly as before, and the sampler reads them through
+// callbacks on a simulated-time cadence from an ordinary engine event. The
 // tick is read-only — it mutates nothing any model object observes — so a
 // run with sampling enabled is bit-identical to the same run without it
 // (the engine's stable FIFO tie-break means extra same-time events never
@@ -18,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/counters.h"
 #include "src/sim/engine.h"
 #include "src/sim/time.h"
 
@@ -106,21 +106,18 @@ class Sampler {
           std::size_t capacity = kDefaultCapacity);
 
   // --- channel registration (before start()) ---
-  // Series are sparse: ticks where nothing changed push no sample. For
-  // delta channels an absent sample *is* a zero delta; for gauges a
-  // counter track carries its last value forward, so only level changes
-  // (and the first observation) need a point. This keeps idle channels
-  // free — most channels are idle most ticks.
-  /// Each tick reads Counters::at(shard, c) (shard < 0: fold across all
-  /// shards) and pushes the nonzero deltas — events-per-period "rate"
-  /// view of a monotone counter.
-  void add_counter(std::string name, const Counters* src, Cnt c,
-                   int shard = -1);
+  // Two channel kinds, rate and gauge. Series are sparse: ticks where
+  // nothing changed push no sample. For rates an absent sample *is* a zero
+  // delta; for gauges a counter track carries its last value forward, so
+  // only level changes (and the first observation) need a point. This
+  // keeps idle channels free — most channels are idle most ticks.
   /// Each tick reads fn() and pushes it when it changed (instantaneous
   /// level, e.g. runnable vCPUs).
   void add_gauge(std::string name, std::function<std::int64_t()> fn);
-  /// Each tick reads fn() and pushes the nonzero deltas (monotone sources
-  /// that are not Counters, e.g. cumulative steal nanoseconds).
+  /// Each tick reads fn() and pushes the nonzero deltas — the
+  /// events-per-period view of a monotone source: an event counter such
+  /// as SchedStats::lhp_events, or cumulative steal nanoseconds. The
+  /// first delta is taken against fn() at registration.
   void add_rate(std::string name, std::function<std::int64_t()> fn);
 
   /// Arm the periodic tick. Channels registered later join mid-run.
@@ -132,7 +129,7 @@ class Sampler {
   void sample_now();
 
   [[nodiscard]] sim::Duration period() const { return period_; }
-  [[nodiscard]] std::size_t n_series() const { return descs_.size(); }
+  [[nodiscard]] std::size_t n_series() const { return series_.size(); }
   [[nodiscard]] const Series& series(std::size_t i) const {
     return series_.at(i);
   }
@@ -146,27 +143,17 @@ class Sampler {
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
-  enum class ChannelKind : std::uint8_t { kCounter, kGauge, kRate };
-  /// Read descriptor — everything a tick needs to pull one value. Channel
-  /// state lives in parallel arrays (descs_/prev_/primed_/fns_/series_)
-  /// rather than one fat struct: a tick strides a few contiguous cache
-  /// lines, and the rings are only touched on the (sparse) pushes.
-  struct Desc {
-    ChannelKind kind = ChannelKind::kGauge;
-    Cnt cnt = Cnt::kCount;
-    int shard = -1;
-    const Counters* src = nullptr;
-  };
-
-  std::size_t add_channel(std::string name, Desc d,
-                          std::function<std::int64_t()> fn);
-  [[nodiscard]] std::int64_t read_channel(std::size_t i) const;
+  // Channel state lives in parallel arrays (rate_/prev_/primed_/fns_/
+  // series_) rather than one fat struct: a tick strides a few contiguous
+  // cache lines, and the rings are only touched on the (sparse) pushes.
+  void add_channel(std::string name, bool rate,
+                   std::function<std::int64_t()> fn);
   void tick();
 
   sim::Engine& eng_;
   sim::Duration period_;
   std::size_t capacity_;
-  std::vector<Desc> descs_;
+  std::vector<std::uint8_t> rate_;  // 1: push deltas, 0: push levels
   std::vector<std::int64_t> prev_;
   std::vector<std::uint8_t> primed_;  // gauge: first observation pushes
   std::vector<std::function<std::int64_t()>> fns_;

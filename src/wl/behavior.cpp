@@ -20,7 +20,7 @@ const char* sync_type_name(SyncType t) {
 }
 
 PhasedShape make_phased_shape(const AppSpec& spec, int n_threads,
-                              bool endless, obs::Counters* work) {
+                              bool endless, std::uint64_t* work) {
   PhasedShape s;
   s.spec = spec;
   s.n_threads = n_threads;
@@ -54,6 +54,7 @@ PhasedShape make_phased_shape(const AppSpec& spec, int n_threads,
 
 guest::Action PhasedBehavior::next(guest::Task& t, sim::Time now,
                                    sim::Rng& rng) {
+  (void)t;
   (void)now;
   const PhasedShape& s = shape_;
   const bool has_lock = s.mutex != nullptr || s.spin != nullptr;
@@ -88,7 +89,7 @@ guest::Action PhasedBehavior::next(guest::Task& t, sim::Time now,
         if (s.barrier != nullptr) return guest::Action::barrier(*s.barrier);
         continue;
       case 5:  // end of phase
-        if (s.work != nullptr) s.work->inc(task_shard(t), obs::Cnt::kWorkUnits);
+        if (s.work != nullptr) ++*s.work;
         ++phase_;
         if (!s.endless && phase_ >= s.n_phases) {
           return guest::Action::finish();
@@ -157,9 +158,7 @@ guest::Action PipelineBehavior::next(guest::Task& t, sim::Time now,
           return guest::Action::pipe_push(
               *shape_.pipes[static_cast<std::size_t>(stage_)]);
         }
-        if (shape_.work != nullptr) {
-          shape_.work->inc(task_shard(t), obs::Cnt::kWorkUnits);
-        }
+        if (shape_.work != nullptr) ++*shape_.work;
         continue;
       default:
         assert(false);
@@ -173,11 +172,10 @@ guest::Action PipelineBehavior::next(guest::Task& t, sim::Time now,
 
 guest::Action WorkStealBehavior::next(guest::Task& t, sim::Time now,
                                       sim::Rng& rng) {
+  (void)t;
   (void)now;
   if (auto w = shape_.pool->take()) {
-    if (shape_.work != nullptr) {
-      shape_.work->inc(task_shard(t), obs::Cnt::kWorkUnits);
-    }
+    if (shape_.work != nullptr) ++*shape_.work;
     return guest::Action::compute(rng.jittered(*w, shape_.spec.jitter));
   }
   return guest::Action::finish();

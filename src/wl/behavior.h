@@ -6,7 +6,6 @@
 
 #include "src/guest/action.h"
 #include "src/guest/task.h"
-#include "src/obs/counters.h"
 #include "src/sync/barrier.h"
 #include "src/sync/mutex.h"
 #include "src/sync/pipe.h"
@@ -15,12 +14,6 @@
 #include "src/wl/spec.h"
 
 namespace irs::wl {
-
-/// Shard convention for workload counters: shard 0 is the workload-global
-/// lane, shard task_id+1 is the task's own lane.
-inline std::size_t task_shard(const guest::Task& t) {
-  return static_cast<std::size_t>(t.id()) + 1;
-}
 
 /// Shared state of a phase-structured parallel application (barrier and/or
 /// critical-section rounds). One instance per workload.
@@ -35,13 +28,13 @@ struct PhasedShape {
   sync::Barrier* barrier = nullptr;
   sync::Mutex* mutex = nullptr;
   sync::SpinLock* spin = nullptr;
-  /// Per-task phase counters (kWorkUnits lanes; may be null).
-  obs::Counters* work = nullptr;
+  /// The workload's work counter, bumped per finished phase (may be null).
+  std::uint64_t* work = nullptr;
 };
 
 /// Derive round/phase structure from an AppSpec.
 PhasedShape make_phased_shape(const AppSpec& spec, int n_threads,
-                              bool endless, obs::Counters* work);
+                              bool endless, std::uint64_t* work);
 
 /// Executes the phase structure described by a PhasedShape. Covers
 /// kBarrierBlocking, kBarrierSpinning, kMutex, kSpinMutex, kMutexBarrier
@@ -68,8 +61,9 @@ struct PipelineShape {
   std::vector<sync::Pipe*> pipes;  // stages-1 pipes
   std::vector<int> stage_live;   // live workers per stage (for pipe close)
   int items_produced = 0;        // stage-0 generation counter
-  /// Per-task counters of items retired at the last stage (may be null).
-  obs::Counters* work = nullptr;
+  /// The workload's work counter, bumped per item retired at the last
+  /// stage (may be null).
+  std::uint64_t* work = nullptr;
 };
 
 class PipelineBehavior final : public guest::Behavior {
@@ -91,7 +85,7 @@ class PipelineBehavior final : public guest::Behavior {
 struct WorkStealShape {
   AppSpec spec;
   sync::WorkPool* pool = nullptr;
-  obs::Counters* work = nullptr;  // per-task chunk counters (may be null)
+  std::uint64_t* work = nullptr;  // bumped per chunk taken (may be null)
 };
 
 class WorkStealBehavior final : public guest::Behavior {

@@ -2,11 +2,9 @@
 
 #include <utility>
 
-#include "src/wl/behavior.h"
-
 namespace irs::wl {
 
-Serving::Serving(obs::Counters& work, sim::Duration run_for,
+Serving::Serving(std::uint64_t& work, sim::Duration run_for,
                  std::vector<SloClass> classes)
     : work_(work), run_for_(run_for), classes_(std::move(classes)) {}
 
@@ -30,11 +28,11 @@ void Serving::complete(const guest::Task& t, sim::Time begin, sim::Time now,
     spans_.push_back(obs::ReqSpan{begin, now, req, 0, t.id(), qwait});
   }
   if (slo_ != nullptr) slo_->record(0, now, now - begin);
-  work_.inc(task_shard(t), obs::Cnt::kWorkUnits);
+  ++work_;
 }
 
 double Serving::throughput() const {
-  return static_cast<double>(work_.fold(obs::Cnt::kWorkUnits)) /
+  return static_cast<double>(work_) /
          sim::to_sec(run_for_);
 }
 

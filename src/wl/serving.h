@@ -19,7 +19,6 @@
 
 #include "src/core/metrics.h"
 #include "src/guest/task.h"
-#include "src/obs/counters.h"
 #include "src/obs/forensics.h"
 #include "src/obs/frontend_stats.h"
 #include "src/obs/slo.h"
@@ -38,10 +37,10 @@ class Serving {
     obs::SloSpec spec;
   };
 
-  /// `work` is the owning workload's work-unit registry, `run_for` its
+  /// `work` is the owning workload's work counter, `run_for` its
   /// serving time. `classes[0]` is the served class every completion
   /// records into; any later ones are refusal classes (see refuse()).
-  Serving(obs::Counters& work, sim::Duration run_for,
+  Serving(std::uint64_t& work, sim::Duration run_for,
           std::vector<SloClass> classes);
   // Behaviours hold its address (through their shape) for the whole run.
   Serving(const Serving&) = delete;
@@ -92,7 +91,7 @@ class Serving {
   [[nodiscard]] obs::FrontendResult frontend_result() const;
 
  private:
-  obs::Counters& work_;
+  std::uint64_t& work_;
   sim::Duration run_for_;
   std::vector<SloClass> classes_;
   sim::Duration window_ = obs::SloTracker::kDefaultWindow;

@@ -2,12 +2,12 @@
 // primitives that can be instantiated into a guest kernel.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/guest/guest_kernel.h"
-#include "src/obs/counters.h"
 #include "src/sync/sync_context.h"
 #include "src/wl/spec.h"
 
@@ -41,17 +41,11 @@ class Workload {
     return true;
   }
 
-  /// Monotone work counter (phases / items / transactions completed),
-  /// folded across the per-task shards of the work registry.
+  /// Monotone work counter (phases / items / transactions completed).
   /// The throughput of endless background workloads is progress()/time.
   [[nodiscard]] double progress() const {
-    return static_cast<double>(work_.fold(obs::Cnt::kWorkUnits));
+    return static_cast<double>(work_);
   }
-
-  /// Per-task work-unit registry (behaviours increment their own shard;
-  /// see task_shard()).
-  [[nodiscard]] obs::Counters& work() { return work_; }
-  [[nodiscard]] const obs::Counters& work() const { return work_; }
 
   [[nodiscard]] const std::vector<guest::Task*>& tasks() const {
     return tasks_;
@@ -77,9 +71,9 @@ class Workload {
  protected:
   Workload(Workload&&) = default;
 
-  /// Shared by behaviours to report completed units of work, one
-  /// cache-line-padded shard per task.
-  obs::Counters work_;
+  /// Units of work completed, bumped by the behaviours (through their
+  /// shape) and by the serving recorder.
+  std::uint64_t work_ = 0;
 
   std::string name_;
   std::vector<guest::Task*> tasks_;

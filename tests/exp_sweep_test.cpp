@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -125,6 +126,71 @@ TEST(Sweep, MalformedSeedsEnvVarThrowsNamingIt) {
   setenv("IRS_BENCH_SEEDS", "3", 1);
   EXPECT_EQ(bench_seeds(), 3);
   unsetenv("IRS_BENCH_SEEDS");
+}
+
+// The one number parser behind both CLIs and the IRS_BENCH_* variables
+// takes the whole argument and nothing below its bound.
+template <typename T>
+struct ParseCase {
+  const char* text;
+  T min;
+  bool ok;
+  T want = 0;
+};
+
+template <typename T>
+void check_parse(const std::vector<ParseCase<T>>& cases) {
+  for (const ParseCase<T>& c : cases) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    if (c.ok) {
+      EXPECT_EQ(parse_number("--flag", c.text, c.min), c.want);
+      continue;
+    }
+    try {
+      parse_number("--flag", c.text, c.min);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--flag '") + c.text +
+                                           "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ParseNumber, TakesTheWholeArgumentAtOrAboveTheBound) {
+  check_parse<int>({{"0", 0, true, 0},
+                    {"7", 0, true, 7},
+                    {"2", 2, true, 2},
+                    {"", 0, false},
+                    {"2x", 0, false},
+                    {"abc", 0, false},
+                    {" 1", 0, false},
+                    {"+1", 0, false},
+                    {"-1", 0, false},
+                    {"1", 2, false},
+                    {"99999999999", 0, false}});
+  check_parse<std::uint64_t>({{"0", 0, true, 0},
+                              {"7", 0, true, 7},
+                              {"18446744073709551615", 0, true,
+                               18446744073709551615ULL},
+                              {"", 0, false},
+                              {"2x", 0, false},
+                              {"abc", 0, false},
+                              {" 1", 0, false},
+                              {"-1", 0, false},
+                              {"18446744073709551616", 0, false}});
+  check_parse<double>({{"0", 0.0, true, 0.0},
+                       {"7", 0.0, true, 7.0},
+                       {"1500.5", 0.0, true, 1500.5},
+                       {"", 0.0, false},
+                       {"2x", 0.0, false},
+                       {"abc", 0.0, false},
+                       {" 1", 0.0, false},
+                       {"-5", 0.0, false},
+                       {"inf", 0.0, false},
+                       {"nan", 0.0, false},
+                       {"1e999", 0.0, false}});
 }
 
 TEST(Sweep, OneThreadAndManyThreadsAreBitIdentical) {

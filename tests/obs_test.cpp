@@ -1,9 +1,6 @@
-// Unit tests for the observability substrate: sharded counters, the trace
-// ring (direct append from every producer, exact-suffix retention,
-// wrap-around accounting), owned trace notes, and the typed snapshot query
-// helper.
-#include "src/obs/counters.h"
-
+// Unit tests for the observability substrate: the trace ring (direct
+// append from every producer, exact-suffix retention, wrap-around
+// accounting), owned trace notes, and the typed snapshot query helper.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,51 +14,6 @@
 
 namespace irs::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Counters
-// ---------------------------------------------------------------------------
-
-TEST(ObsCounters, FoldSumsAcrossShards) {
-  Counters c(4);
-  c.inc(0, Cnt::kHvCtxSwitches);
-  c.inc(1, Cnt::kHvCtxSwitches, 10);
-  c.inc(3, Cnt::kHvCtxSwitches, 100);
-  EXPECT_EQ(c.at(0, Cnt::kHvCtxSwitches), 1);
-  EXPECT_EQ(c.at(1, Cnt::kHvCtxSwitches), 10);
-  EXPECT_EQ(c.at(2, Cnt::kHvCtxSwitches), 0);
-  EXPECT_EQ(c.fold(Cnt::kHvCtxSwitches), 111);
-  EXPECT_EQ(c.fold_u(Cnt::kHvCtxSwitches), 111u);
-  EXPECT_EQ(c.fold(Cnt::kHvPreemptions), 0);  // other counters untouched
-}
-
-TEST(ObsCounters, IncAutoGrowsShards) {
-  Counters c(1);
-  EXPECT_EQ(c.n_shards(), 1u);
-  c.inc(7, Cnt::kSaSent, 3);
-  EXPECT_GE(c.n_shards(), 8u);
-  EXPECT_EQ(c.at(7, Cnt::kSaSent), 3);
-  EXPECT_EQ(c.fold(Cnt::kSaSent), 3);
-}
-
-TEST(ObsCounters, CountersAreIndependentWithinAShard) {
-  Counters c(2);
-  c.inc(1, Cnt::kSaSent, 5);
-  c.inc(1, Cnt::kSaAcked, 4);
-  c.inc(1, Cnt::kSaDelayTotalNs, 123456);
-  EXPECT_EQ(c.at(1, Cnt::kSaSent), 5);
-  EXPECT_EQ(c.at(1, Cnt::kSaAcked), 4);
-  EXPECT_EQ(c.at(1, Cnt::kSaDelayTotalNs), 123456);
-}
-
-TEST(ObsCounters, ResetZeroesEveryShard) {
-  Counters c(3);
-  c.inc(0, Cnt::kWorkUnits, 9);
-  c.inc(2, Cnt::kWorkUnits, 9);
-  c.reset();
-  EXPECT_EQ(c.fold(Cnt::kWorkUnits), 0);
-  EXPECT_EQ(c.n_shards(), 3u);  // shard count survives a reset
-}
 
 // ---------------------------------------------------------------------------
 // The trace ring: producers append directly, so the snapshot is production

@@ -66,13 +66,13 @@ int main(int argc, char** argv) {
       if (arg == "--fig") {
         fig = next();
       } else if (arg == "--seeds") {
-        gopt.seeds = exp::parse_count("--seeds", next());
+        gopt.seeds = exp::parse_number("--seeds", next(), 1);
       } else if (arg == "--fast") {
         gopt.fast = true;
       } else if (arg == "--ndjson") {
         ndjson = next();
       } else if (arg == "--jobs") {
-        jobs = exp::parse_count("--jobs", next());
+        jobs = exp::parse_number("--jobs", next(), 1);
       } else if (arg == "--list") {
         list = true;
       } else {

@@ -41,6 +41,11 @@
 //   --csv            print the --slo window and --forensics tables as CSV
 //                    instead of fixed-width text
 //
+// A numeric value must be the whole argument: an integer >= 0 (0 keeps
+// meaning the default where one exists), --fe-rate a finite number >= 0,
+// --cluster-hosts an integer >= 2. Anything else exits 2 with a message
+// naming the flag and the text.
+//
 // Writes the timeline JSON to the output path (default trace.json) and
 // prints a one-line summary (records, span, drops) to stderr.
 #include <cstdint>
@@ -264,14 +269,14 @@ int run(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--inter") {
-      cfg.n_inter = std::atoi(next());
+      cfg.n_inter = exp::parse_number("--inter", next(), 0);
     } else if (arg == "--bg-vms") {
-      cfg.n_bg_vms = std::atoi(next());
+      cfg.n_bg_vms = exp::parse_number("--bg-vms", next(), 0);
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
+      cfg.seed = exp::parse_number<std::uint64_t>("--seed", next(), 0);
     } else if (arg == "--capacity") {
       cfg.trace_capacity = static_cast<std::size_t>(
-          std::strtoull(next(), nullptr, 10));
+          exp::parse_number<std::uint64_t>("--capacity", next(), 0));
     } else if (arg == "--summary") {
       print_summary = true;
     } else if (arg == "--guest-lanes") {
@@ -289,17 +294,17 @@ int run(int argc, char** argv) {
     } else if (arg == "--fe-arrival") {
       cfg.fe_arrival = next();
     } else if (arg == "--fe-rate") {
-      cfg.fe_rate_hz = std::atof(next());
+      cfg.fe_rate_hz = exp::parse_number("--fe-rate", next(), 0.0);
     } else if (arg == "--fe-overload") {
       cfg.fe_overload = next();
     } else if (arg == "--fe-queue-cap") {
-      cfg.fe_queue_cap = std::atoi(next());
+      cfg.fe_queue_cap = exp::parse_number("--fe-queue-cap", next(), 0);
     } else if (arg == "--no-keepalive") {
       cfg.fe_keepalive = false;
     } else if (arg == "--cluster") {
       cluster_mode = true;
     } else if (arg == "--cluster-hosts") {
-      cfg.cluster.n_hosts = std::atoi(next());
+      cfg.cluster.n_hosts = exp::parse_number("--cluster-hosts", next(), 2);
       cluster_mode = true;
     } else if (arg == "--cluster-policy") {
       cfg.cluster.policy = next();
@@ -314,7 +319,7 @@ int run(int argc, char** argv) {
   }
 
   cfg.forensics = forensics && !cluster_mode;
-  if (cluster_mode && cfg.cluster.n_hosts < 2) cfg.cluster.n_hosts = 2;
+  if (cluster_mode && cfg.cluster.n_hosts == 0) cfg.cluster.n_hosts = 2;
 
   exp::TraceDump dump;
   std::vector<exp::TraceDump> host_dumps;
