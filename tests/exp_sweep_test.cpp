@@ -14,28 +14,19 @@
 #include <string>
 #include <vector>
 
+#include "src/exp/grids.h"
+#include "src/exp/report.h"
 #include "src/exp/runner.h"
 
 namespace irs::exp {
 namespace {
 
-/// Field-by-field exact equality (doubles compared bitwise-equal via ==;
-/// deterministic simulations must reproduce them exactly).
+/// Every field of the two results, blocks and digests included (doubles
+/// compared bitwise-equal via ==; deterministic simulations must reproduce
+/// them exactly). Both result_json lines are printed on a mismatch.
 void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.finished, b.finished);
-  EXPECT_EQ(a.fg_makespan, b.fg_makespan);
-  EXPECT_EQ(a.fg_util_vs_fair, b.fg_util_vs_fair);
-  EXPECT_EQ(a.fg_efficiency, b.fg_efficiency);
-  EXPECT_EQ(a.bg_progress_rate, b.bg_progress_rate);
-  EXPECT_EQ(a.throughput, b.throughput);
-  EXPECT_EQ(a.lat_mean, b.lat_mean);
-  EXPECT_EQ(a.lat_p99, b.lat_p99);
-  EXPECT_EQ(a.lhp, b.lhp);
-  EXPECT_EQ(a.lwp, b.lwp);
-  EXPECT_EQ(a.irs_migrations, b.irs_migrations);
-  EXPECT_EQ(a.sa_sent, b.sa_sent);
-  EXPECT_EQ(a.sa_acked, b.sa_acked);
-  EXPECT_EQ(a.sa_delay_avg, b.sa_delay_avg);
+  EXPECT_TRUE(results_identical(a, b))
+      << "a: " << result_json(a) << "\nb: " << result_json(b);
 }
 
 /// A small fig05-style grid: apps x strategies x seeds, scaled down so the
@@ -194,14 +185,18 @@ TEST(ParseNumber, TakesTheWholeArgumentAtOrAboveTheBound) {
 }
 
 TEST(Sweep, OneThreadAndManyThreadsAreBitIdentical) {
-  const auto cfgs = small_grid();
-  const auto serial = run_sweep(cfgs, /*n_threads=*/1);
-  const auto parallel = run_sweep(cfgs, /*n_threads=*/4);
-  ASSERT_EQ(serial.size(), cfgs.size());
-  ASSERT_EQ(parallel.size(), cfgs.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_identical(serial[i], parallel[i]);
+  // The small grid, and panel (a) of Figure 5 as the bench binaries run it
+  // under IRS_BENCH_FAST.
+  for (const auto& cfgs :
+       {small_grid(), figure_grid("fig05a", {/*seeds=*/1, /*fast=*/true})}) {
+    const auto serial = run_sweep(cfgs, /*n_threads=*/1);
+    const auto parallel = run_sweep(cfgs, /*n_threads=*/4);
+    ASSERT_EQ(serial.size(), cfgs.size());
+    ASSERT_EQ(parallel.size(), cfgs.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_identical(serial[i], parallel[i]);
+    }
   }
 }
 

@@ -358,6 +358,32 @@ TEST(ForensicsJson, RejectsMalformedFields) {
   EXPECT_FALSE(err.empty());
 }
 
+// --- offline replay --------------------------------------------------------
+
+TEST(ForensicsReplay, OfflineReplayMatchesTheInRunBlock) {
+  // Every server foreground: a run that only records (no in-run analysis)
+  // and dumps its trace, replayed offline, must reproduce exactly the
+  // block and digest the in-run analyzer computes for the same config.
+  for (const char* fg : {"specjbb", "ab", "frontend"}) {
+    SCOPED_TRACE(fg);
+    exp::ScenarioConfig cfg = forensics_cfg(fg, core::Strategy::kBaseline);
+    const exp::RunResult in_run = exp::run_scenario(cfg);
+    ASSERT_FALSE(in_run.forensics.empty());
+
+    cfg.forensics_analyze = false;
+    exp::TraceDump dump;
+    const exp::RunResult recorded =
+        exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
+    EXPECT_TRUE(recorded.forensics.empty());
+    ASSERT_FALSE(dump.records.empty());
+
+    const obs::ForensicsResult replay =
+        obs::request_forensics(dump.records, dump.meta, dump.slo);
+    EXPECT_TRUE(replay == in_run.forensics);
+    EXPECT_EQ(replay.digest(), in_run.forensics_digest);
+  }
+}
+
 // --- sweep fold ------------------------------------------------------------
 
 TEST(ForensicsFold, FoldIsOrderIndependentAndExact) {

@@ -178,12 +178,21 @@ TEST(SloHistogram, DigestDistinguishesAndEmptyIsStable) {
 }
 
 TEST(SloHistogram, MemoryIsBucketsNotSamples) {
-  LatencyHistogram h;
-  for (int i = 0; i < 1'000'000; ++i) h.add(1000 + (i % 50000));
   // 1e6 exact 8-byte samples would be 8 MB; the histogram must be at
-  // least 10x smaller (the bench gates the same ratio).
-  EXPECT_EQ(h.count(), 1'000'000u);
-  EXPECT_LT(h.memory_bytes(), 8'000'000u / 10);
+  // least 10x smaller. Two inputs: a dense 1-51 us band, and latencies
+  // spread over 1 us .. ~1 s so buckets across ~20 octaves fill.
+  LatencyHistogram dense;
+  for (int i = 0; i < 1'000'000; ++i) dense.add(1000 + (i % 50000));
+  LatencyHistogram spread;
+  std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
+  for (int i = 0; i < 1'000'000; ++i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    spread.add(static_cast<sim::Duration>(1000 + (lcg >> 34)));
+  }
+  for (const LatencyHistogram* h : {&dense, &spread}) {
+    EXPECT_EQ(h->count(), 1'000'000u);
+    EXPECT_LT(h->memory_bytes(), 8'000'000u / 10);
+  }
 }
 
 // --- SloTracker windows ---------------------------------------------------
