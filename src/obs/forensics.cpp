@@ -694,7 +694,14 @@ void fold_forensics(ForensicsResult& acc, const ForensicsResult& r) {
       }
     }
     if (ac == nullptr) {
-      acc.classes.push_back(rc);
+      // A new class goes in at its name-sorted position (as in fold_slo).
+      acc.classes.insert(
+          std::lower_bound(acc.classes.begin(), acc.classes.end(), rc,
+                           [](const ForensicsClassResult& a,
+                              const ForensicsClassResult& b) {
+                             return a.name < b.name;
+                           }),
+          rc);
       continue;
     }
     ac->spans += rc.spans;

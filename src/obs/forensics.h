@@ -130,7 +130,7 @@ struct ForensicsResult {
 /// One completed request span, captured by the serving workloads into a
 /// plain side log instead of the trace ring: recording costs one small
 /// fixed-size append per request (no per-request ring traffic — the
-/// bench_report recording gate rides on this), and the
+/// bench_report forensics_overhead gate rides on this), and the
 /// analysis/export path re-synthesizes the kReqBegin/kReqEnd records from
 /// the log with with_request_spans().
 struct ReqSpan {
@@ -172,9 +172,11 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
                                   const TraceMeta& meta, const SloResult& slo,
                                   const std::string& vm = "fg");
 
-/// Exact fold of `r` into `acc` (for sweep averaging): histograms merge
+/// Exact fold of `r` into `acc` (for sweep averaging): classes match by
+/// name and a new one is inserted in name order, histograms merge
 /// integer-exactly, windows merge by index, counters add. Folding N runs
-/// in any order is bit-identical to any other order.
+/// whose class lists are name-sorted (every run's is) in any order is
+/// bit-identical to any other order.
 void fold_forensics(ForensicsResult& acc, const ForensicsResult& r);
 
 /// Serialize as one JSON object on an open writer (fixed key order,

@@ -245,8 +245,9 @@ class SloTracker {
   std::vector<ClassState> classes_;
 };
 
-/// Fold one run's SLO capture into `acc`: classes match by name, totals
-/// merge bucket-exact (integer histogram fold — order- and
+/// Fold one run's SLO capture into `acc`: classes match by name (a new
+/// one is inserted in name order, so runs with different classes fold the
+/// same in any order), totals merge bucket-exact (integer histogram fold — order- and
 /// grouping-independent), windows merge by index summing count/violations
 /// and keeping the max percentile (a conservative "worst run" envelope:
 /// percentiles of disjoint streams do not average).

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exp/report.h"
@@ -387,11 +388,14 @@ TEST(ForensicsReplay, OfflineReplayMatchesTheInRunBlock) {
 // --- sweep fold ------------------------------------------------------------
 
 TEST(ForensicsFold, FoldIsOrderIndependentAndExact) {
+  // Three specjbb seeds and one ab run: the fold must also be
+  // order-independent across classes.
   std::vector<exp::RunResult> runs;
-  for (std::uint64_t seed : {1ull, 5ull, 9ull}) {
-    exp::ScenarioConfig cfg = forensics_cfg("specjbb", core::Strategy::kIrs);
+  for (const auto& [fg, seed] :
+       {std::pair{"specjbb", 1}, {"specjbb", 5}, {"specjbb", 9}, {"ab", 1}}) {
+    exp::ScenarioConfig cfg = forensics_cfg(fg, core::Strategy::kIrs);
     cfg.server_duration = sim::milliseconds(200);
-    cfg.seed = seed;
+    cfg.seed = static_cast<std::uint64_t>(seed);
     runs.push_back(exp::run_scenario(cfg));
   }
   obs::ForensicsResult fwd;
@@ -400,6 +404,7 @@ TEST(ForensicsFold, FoldIsOrderIndependentAndExact) {
   for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
     obs::fold_forensics(rev, it->forensics);
   }
+  ASSERT_EQ(fwd.classes.size(), 2u);
   EXPECT_TRUE(fwd == rev);
   EXPECT_EQ(fwd.digest(), rev.digest());
 

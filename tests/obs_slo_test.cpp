@@ -9,8 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "src/exp/grids.h"
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
+#include "src/exp/stats.h"
+#include "src/exp/sweep.h"
 #include "src/obs/json.h"
 #include "src/obs/json_reader.h"
 #include "src/obs/slo.h"
@@ -376,6 +379,34 @@ TEST(SloEndToEnd, ResultJsonCarriesTheBlock) {
   const exp::RunResult c = exp::run_scenario(cpu);
   EXPECT_TRUE(c.slo.empty());
   EXPECT_EQ(exp::result_json(c).find("\"slo\":"), std::string::npos);
+}
+
+TEST(SloEndToEnd, ServingGridFoldsIdenticallyThroughResultJsonInReverse) {
+  // The fig08 grid: specjbb runs, then ab runs. Every run survives
+  // result_json bit-exactly, and the parsed runs folded in reverse give
+  // the same SLO block and digest as the runs folded forward — across
+  // the two classes too, which the fold keeps in name order.
+  const auto runs = exp::run_sweep(
+      exp::figure_grid("fig08", {/*seeds=*/1, /*fast=*/true}), /*n_threads=*/4);
+  std::vector<exp::RunResult> parsed(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(i);
+    std::string err;
+    ASSERT_TRUE(
+        exp::result_from_json(exp::result_json(runs[i]), &parsed[i], &err))
+        << err;
+    EXPECT_TRUE(exp::results_identical(runs[i], parsed[i]));
+  }
+  exp::SweepStats fwd;
+  exp::SweepStats rev;
+  for (const exp::RunResult& r : runs) fwd.add(r);
+  for (auto it = parsed.rbegin(); it != parsed.rend(); ++it) rev.add(*it);
+  const obs::SloResult& slo = fwd.blocks().slo;
+  ASSERT_EQ(slo.classes.size(), 2u);
+  EXPECT_EQ(slo.classes[0].name, "ab");
+  EXPECT_EQ(slo.classes[1].name, "jbb");
+  EXPECT_TRUE(slo == rev.blocks().slo);
+  EXPECT_EQ(fwd.blocks().slo_digest, rev.blocks().slo_digest);
 }
 
 }  // namespace
