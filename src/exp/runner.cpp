@@ -115,11 +115,12 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
   wc.hv = cfg.hv;
   wc.telemetry() = cfg.telemetry();
   wc.queue = cfg.queue;
-  if (dump != nullptr && wc.trace_capacity == 0) wc.trace_capacity = 1 << 16;
   // Forensics replays the scheduler trace around every request span, so it
   // needs the ring on — and roomy, so the scheduler evidence around early
-  // spans survives to analysis (spans themselves live in a side log).
+  // spans survives to analysis (spans themselves live in a side log). It
+  // comes before the dump default, so asking for a dump never shrinks it.
   if (cfg.forensics && wc.trace_capacity == 0) wc.trace_capacity = 1 << 18;
+  if (dump != nullptr && wc.trace_capacity == 0) wc.trace_capacity = 1 << 16;
   if (dump != nullptr && wc.sample_period == 0) {
     wc.sample_period = obs::Sampler::kDefaultPeriod;
   }

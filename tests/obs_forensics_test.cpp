@@ -117,6 +117,23 @@ TEST(ForensicsEndToEnd, InstrumentationIsPassiveAndDeterministic) {
   EXPECT_TRUE(exp::results_identical(a, b));
 }
 
+TEST(ForensicsEndToEnd, DumpCaptureKeepsTheForensicsRing) {
+  // Forensics sizes the ring itself when the config leaves it at 0; a
+  // dump must not swap in its smaller default. 20 s of specjbb fills more
+  // than the dump default and less than the forensics one.
+  exp::ScenarioConfig cfg =
+      forensics_cfg("specjbb", core::Strategy::kBaseline);
+  cfg.server_duration = sim::seconds(20);
+  const exp::RunResult plain = exp::run_scenario(cfg);
+  exp::TraceDump dump;
+  const exp::RunResult dumped =
+      exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
+  EXPECT_EQ(plain.trace_dropped, 0u);
+  EXPECT_EQ(dumped.trace_dropped, plain.trace_dropped);
+  EXPECT_TRUE(dumped.forensics == plain.forensics);
+  EXPECT_EQ(dumped.forensics_digest, plain.forensics_digest);
+}
+
 // Every server foreground, the front-end under each overload policy: SLO
 // tracking and request-span capture together change nothing but their own
 // blocks and the trace telemetry. The front-end runs the FrontendOverload
