@@ -749,23 +749,9 @@ void forensics_json(JsonWriter& w, const ForensicsResult& f) {
     w.key("causes");
     w.begin_array();
     for (int i = 0; i < kNumCauses; ++i) {
-      const LatencyHistogram& h = c.causes[i];
       w.begin_object();
       w.field("name", std::string(cause_name(static_cast<Cause>(i))));
-      w.field("count", h.count());
-      w.field("sum_lo", h.sum_lo());
-      w.field("sum_hi", h.sum_hi());
-      w.field("min_ns", static_cast<std::int64_t>(h.min()));
-      w.field("max_ns", static_cast<std::int64_t>(h.max()));
-      w.key("buckets");
-      w.begin_array();
-      h.for_each_bucket([&w](int idx, std::uint64_t cnt) {
-        w.begin_array();
-        w.value(idx);
-        w.value(cnt);
-        w.end_array();
-      });
-      w.end_array();
+      histogram_fields_json(w, c.causes[i]);
       w.end_object();
     }
     w.end_array();
@@ -862,41 +848,10 @@ bool forensics_from_value(const JsonValue& v, ForensicsResult* out,
       }
       const int ci = cause_index(cname);
       if (ci < 0) return fz_err(err, "forensics cause: unknown '" + cname + "'");
-      LatencyHistogram& h = c.causes[ci];
-      std::uint64_t count = 0, sum_lo = 0, sum_hi = 0;
-      std::int64_t min_ns = 0, max_ns = 0;
-      if ((fld = hv.find("count")) == nullptr || !fld->get(&count)) {
-        return fz_err(err, "forensics cause: missing 'count'");
+      if (!histogram_from_fields(hv, "forensics cause '" + cname + "'",
+                                 &c.causes[ci], err)) {
+        return false;
       }
-      if ((fld = hv.find("sum_lo")) == nullptr || !fld->get(&sum_lo)) {
-        return fz_err(err, "forensics cause: missing 'sum_lo'");
-      }
-      if ((fld = hv.find("sum_hi")) == nullptr || !fld->get(&sum_hi)) {
-        return fz_err(err, "forensics cause: missing 'sum_hi'");
-      }
-      if ((fld = hv.find("min_ns")) == nullptr || !fld->get(&min_ns)) {
-        return fz_err(err, "forensics cause: missing 'min_ns'");
-      }
-      if ((fld = hv.find("max_ns")) == nullptr || !fld->get(&max_ns)) {
-        return fz_err(err, "forensics cause: missing 'max_ns'");
-      }
-      const JsonValue* buckets = hv.find("buckets");
-      if (buckets == nullptr || !buckets->is_array()) {
-        return fz_err(err, "forensics cause: missing 'buckets'");
-      }
-      for (const JsonValue& bv : buckets->items) {
-        std::int64_t idx = 0;
-        std::uint64_t cnt = 0;
-        if (!bv.is_array() || bv.items.size() != 2 ||
-            !bv.items[0].get(&idx) || !bv.items[1].get(&cnt)) {
-          return fz_err(err, "forensics cause: bad bucket entry");
-        }
-        if (idx < 0 || idx >= LatencyHistogram::kNumBuckets) {
-          return fz_err(err, "forensics cause: bucket index out of range");
-        }
-        h.restore_bucket(static_cast<int>(idx), cnt);
-      }
-      h.restore_summary(count, sum_lo, sum_hi, min_ns, max_ns);
     }
     const JsonValue* windows = cv.find("windows");
     if (windows == nullptr || !windows->is_array()) {

@@ -433,6 +433,23 @@ void fold_slo(SloResult& acc, const SloResult& r) {
   }
 }
 
+void histogram_fields_json(JsonWriter& w, const LatencyHistogram& h) {
+  w.field("count", h.count());
+  w.field("sum_lo", h.sum_lo());
+  w.field("sum_hi", h.sum_hi());
+  w.field("min_ns", static_cast<std::int64_t>(h.min()));
+  w.field("max_ns", static_cast<std::int64_t>(h.max()));
+  w.key("buckets");
+  w.begin_array();
+  h.for_each_bucket([&w](int idx, std::uint64_t cnt) {
+    w.begin_array();
+    w.value(idx);
+    w.value(cnt);
+    w.end_array();
+  });
+  w.end_array();
+}
+
 void slo_result_json(JsonWriter& w, const SloResult& s) {
   w.begin_object();
   w.field("window_ns", static_cast<std::int64_t>(s.window));
@@ -443,20 +460,7 @@ void slo_result_json(JsonWriter& w, const SloResult& s) {
     w.field("name", c.name);
     w.field("threshold_ns", static_cast<std::int64_t>(c.spec.threshold));
     w.field("objective", c.spec.objective);
-    w.field("count", c.total.count());
-    w.field("sum_lo", c.total.sum_lo());
-    w.field("sum_hi", c.total.sum_hi());
-    w.field("min_ns", static_cast<std::int64_t>(c.total.min()));
-    w.field("max_ns", static_cast<std::int64_t>(c.total.max()));
-    w.key("buckets");
-    w.begin_array();
-    c.total.for_each_bucket([&w](int idx, std::uint64_t cnt) {
-      w.begin_array();
-      w.value(idx);
-      w.value(cnt);
-      w.end_array();
-    });
-    w.end_array();
+    histogram_fields_json(w, c.total);
     w.key("windows");
     w.begin_array();
     for (const SloWindow& win : c.windows) {
@@ -485,6 +489,59 @@ bool slo_err(std::string* err, const std::string& msg) {
 
 }  // namespace
 
+bool histogram_from_fields(const JsonValue& v, const std::string& what,
+                           LatencyHistogram* out, std::string* err) {
+  std::uint64_t count = 0, sum_lo = 0, sum_hi = 0;
+  std::int64_t min_ns = 0, max_ns = 0;
+  const JsonValue* f = nullptr;
+  if ((f = v.find("count")) == nullptr || !f->get(&count)) {
+    return slo_err(err, what + ": missing 'count'");
+  }
+  if ((f = v.find("sum_lo")) == nullptr || !f->get(&sum_lo)) {
+    return slo_err(err, what + ": missing 'sum_lo'");
+  }
+  if ((f = v.find("sum_hi")) == nullptr || !f->get(&sum_hi)) {
+    return slo_err(err, what + ": missing 'sum_hi'");
+  }
+  if ((f = v.find("min_ns")) == nullptr || !f->get(&min_ns)) {
+    return slo_err(err, what + ": missing 'min_ns'");
+  }
+  if ((f = v.find("max_ns")) == nullptr || !f->get(&max_ns)) {
+    return slo_err(err, what + ": missing 'max_ns'");
+  }
+  if (min_ns > max_ns) return slo_err(err, what + ": min_ns > max_ns");
+  const JsonValue* buckets = v.find("buckets");
+  if (buckets == nullptr || !buckets->is_array()) {
+    return slo_err(err, what + ": missing 'buckets'");
+  }
+  LatencyHistogram h;
+  std::int64_t prev = -1;
+  std::uint64_t total = 0;
+  for (const JsonValue& bv : buckets->items) {
+    std::int64_t idx = 0;
+    std::uint64_t cnt = 0;
+    if (!bv.is_array() || bv.items.size() != 2 || !bv.items[0].get(&idx) ||
+        !bv.items[1].get(&cnt)) {
+      return slo_err(err, what + ": bad bucket entry");
+    }
+    if (idx < 0 || idx >= LatencyHistogram::kNumBuckets) {
+      return slo_err(err, what + ": bucket index out of range");
+    }
+    if (idx <= prev) {
+      return slo_err(err, what + ": bucket indices not strictly ascending");
+    }
+    prev = idx;
+    total += cnt;
+    h.restore_bucket(static_cast<int>(idx), cnt);
+  }
+  if (total != count) {
+    return slo_err(err, what + ": 'count' is not the sum of the buckets");
+  }
+  h.restore_summary(count, sum_lo, sum_hi, min_ns, max_ns);
+  *out = std::move(h);
+  return true;
+}
+
 bool slo_result_from_value(const JsonValue& v, SloResult* out,
                            std::string* err) {
   if (!v.is_object()) return slo_err(err, "slo is not a JSON object");
@@ -502,8 +559,7 @@ bool slo_result_from_value(const JsonValue& v, SloResult* out,
   for (const JsonValue& cv : classes->items) {
     if (!cv.is_object()) return slo_err(err, "slo: class is not an object");
     SloClassResult c;
-    std::int64_t threshold = 0, min_ns = 0, max_ns = 0;
-    std::uint64_t count = 0, sum_lo = 0, sum_hi = 0;
+    std::int64_t threshold = 0;
     if ((f = cv.find("name")) == nullptr || !f->get(&c.name)) {
       return slo_err(err, "slo class: missing 'name'");
     }
@@ -515,38 +571,7 @@ bool slo_result_from_value(const JsonValue& v, SloResult* out,
       return slo_err(err, "slo class: missing 'objective'");
     }
     c.spec.threshold = threshold;
-    if ((f = cv.find("count")) == nullptr || !f->get(&count)) {
-      return slo_err(err, "slo class: missing 'count'");
-    }
-    if ((f = cv.find("sum_lo")) == nullptr || !f->get(&sum_lo)) {
-      return slo_err(err, "slo class: missing 'sum_lo'");
-    }
-    if ((f = cv.find("sum_hi")) == nullptr || !f->get(&sum_hi)) {
-      return slo_err(err, "slo class: missing 'sum_hi'");
-    }
-    if ((f = cv.find("min_ns")) == nullptr || !f->get(&min_ns)) {
-      return slo_err(err, "slo class: missing 'min_ns'");
-    }
-    if ((f = cv.find("max_ns")) == nullptr || !f->get(&max_ns)) {
-      return slo_err(err, "slo class: missing 'max_ns'");
-    }
-    const JsonValue* buckets = cv.find("buckets");
-    if (buckets == nullptr || !buckets->is_array()) {
-      return slo_err(err, "slo class: missing 'buckets'");
-    }
-    for (const JsonValue& bv : buckets->items) {
-      std::int64_t idx = 0;
-      std::uint64_t cnt = 0;
-      if (!bv.is_array() || bv.items.size() != 2 ||
-          !bv.items[0].get(&idx) || !bv.items[1].get(&cnt)) {
-        return slo_err(err, "slo class: bad bucket entry");
-      }
-      if (idx < 0 || idx >= LatencyHistogram::kNumBuckets) {
-        return slo_err(err, "slo class: bucket index out of range");
-      }
-      c.total.restore_bucket(static_cast<int>(idx), cnt);
-    }
-    c.total.restore_summary(count, sum_lo, sum_hi, min_ns, max_ns);
+    if (!histogram_from_fields(cv, "slo class", &c.total, err)) return false;
     const JsonValue* windows = cv.find("windows");
     if (windows == nullptr || !windows->is_array()) {
       return slo_err(err, "slo class: missing 'windows'");

@@ -253,6 +253,18 @@ class SloTracker {
 /// percentiles of disjoint streams do not average).
 void fold_slo(SloResult& acc, const SloResult& r);
 
+/// Write `h` as six fields of an open JSON object: "count", "sum_lo",
+/// "sum_hi", "min_ns", "max_ns" and "buckets" ([[idx,count],..] ascending).
+/// The one histogram encoding of the SLO and forensics blocks.
+void histogram_fields_json(JsonWriter& w, const LatencyHistogram& h);
+
+/// Inverse of histogram_fields_json over an object value. Rejects a
+/// missing field, a bucket entry that is malformed, out of range or not in
+/// strictly ascending index order, a count other than the bucket total,
+/// and min_ns > max_ns; *err (when non-null) then starts with `what`.
+bool histogram_from_fields(const JsonValue& v, const std::string& what,
+                           LatencyHistogram* out, std::string* err);
+
 /// Serialize `s` as one JSON object on an open writer (fixed key order,
 /// integers exact, objective in round-trip form):
 ///   {"window_ns":W,"classes":[{"name":..,"threshold_ns":..,"objective":..,

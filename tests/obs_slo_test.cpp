@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/exp/grids.h"
@@ -316,6 +317,35 @@ TEST(SloJson, RejectsMalformedFields) {
       "{\"window_ns\":30000000,\"classes\":[{\"name\":\"x\"}]}", &v));
   EXPECT_FALSE(obs::slo_result_from_value(v, &out, &err));
   EXPECT_FALSE(err.empty());
+
+  // An inconsistent histogram: each row breaks one field of a class that
+  // otherwise parses (two samples, 10 ns and 20 ns).
+  const std::string hist =
+      "\"count\":2,\"sum_lo\":30,\"sum_hi\":0,\"min_ns\":10,\"max_ns\":20,"
+      "\"buckets\":[[10,1],[20,1]]";
+  auto block = [](const std::string& h) {
+    return "{\"window_ns\":30000000,\"classes\":[{\"name\":\"x\","
+           "\"threshold_ns\":15,\"objective\":0.99," +
+           h + ",\"windows\":[]}]}";
+  };
+  ASSERT_TRUE(reader.parse(block(hist), &v));
+  ASSERT_TRUE(obs::slo_result_from_value(v, &out, &err)) << err;
+  EXPECT_EQ(out.classes[0].total.percentile(50), 10);
+  for (const auto& [from, to, why] :
+       {std::tuple{"\"min_ns\":10,\"max_ns\":20", "\"min_ns\":999999,\"max_ns\":5",
+                   "min_ns > max_ns"},
+        std::tuple{"\"count\":2", "\"count\":7", "sum of the buckets"},
+        std::tuple{"[[10,1],[20,1]]", "[[20,1],[10,1]]", "ascending"},
+        std::tuple{"[[10,1],[20,1]]", "[[10,1],[10,1]]", "ascending"}}) {
+    SCOPED_TRACE(to);
+    std::string bad = hist;
+    bad.replace(bad.find(from), std::string(from).size(), to);
+    ASSERT_TRUE(reader.parse(block(bad), &v));
+    err.clear();
+    EXPECT_FALSE(obs::slo_result_from_value(v, &out, &err));
+    EXPECT_NE(err.find("slo class"), std::string::npos) << err;
+    EXPECT_NE(err.find(why), std::string::npos) << err;
+  }
 }
 
 // --- end-to-end through the runner ---------------------------------------
