@@ -1,40 +1,27 @@
-// Machine-readable performance report for tracking the perf trajectory
-// across PRs. Emits BENCH_sweep.json (path overridable via argv[1]) with:
-//   * engine hot-path throughput: the schedule/cancel/dispatch churn
-//     microbench, in events/sec, plus the recorded seed-engine baseline
-//     (shared_ptr + std::function implementation) for the speedup ratio;
-//   * deep-queue extraction cost: 512 events in flight, binary-heap
-//     "before" vs the default queue backend "after", in the tight (1 ns)
-//     and timer-cadence (100 µs) shapes, with the timer-shape speedup
-//     ratio gated — the default backend must not lose to the binary heap
-//     on the traffic it exists for;
-//   * a fig05-sized sweep (PARSEC x {baseline,PLE,RelaxedCo,IRS} x
-//     {1,2,4}-inter x seeds) timed serially (1 job) and with the parallel
-//     sweep pool (IRS_BENCH_JOBS or 8), with a bit-identity check between
-//     the two result vectors (the parallel pass uses the streaming
-//     consumer, so in-order delivery is exercised too);
-//   * trace-pipeline overhead: ns/record appended to the ring, and wall
-//     time of a traced sweep vs an untraced one, plus the same traced
-//     sweep with the counter sampler armed at its default cadence.
+// Timing gates for the costs that only a timed comparison can show, written
+// to BENCH_sweep.json (path overridable via argv[1]):
+//   * trace_ns_per_record: ns per record appended to the trace ring, no
+//     more than 2x an existing report at the output path;
+//   * sampler_overhead: the counter sampler at its default cadence adds
+//     less than 6% to a traced fig05a slice;
+//   * deepqueue_speedup_vs_binary: with 512 events in flight at the 100 µs
+//     timer cadence, the default queue backend is at least 0.9x as fast as
+//     the binary heap "before" (the tight 1 ns shape is reported too);
+//   * slo_overhead and forensics_overhead: windowed SLO recording and
+//     request-span capture each add less than 5% on the fig08 serving
+//     shape;
+//   * forensics_analyze_ns_per_record: the one-pass analyzer stays under
+//     150 ns per merged trace record;
+//   * frontend_overhead: the open-loop front-end costs less than 5% more
+//     wall time per completed request than the closed-loop ab arm at a
+//     matched completion rate.
 //
-// The report also embeds streaming aggregate statistics (exp::SweepStats,
-// folded in the parallel pass's consumer).
-//
-// Twelve gates guard those numbers: the serial and parallel sweeps must be
-// bit-identical; the trace ns/record must not be more than 2x worse than
-// an existing report at the output path; the sampler must add less than
-// 6% on top of a traced sweep; the default queue backend must not regress
-// the timer-shape deep-queue bench vs the binary heap; SLO recording must
-// add less than 5%, its histogram must be 10x smaller than exact samples,
-// and its blocks must survive result_json and fold identically in either
-// order; forensics recording must add less than 5%, its analyzer must stay
-// under 150 ns per record and its offline replay must match the in-run
-// digest; and the open-loop front-end must cost < 5% more wall time per
-// completed request than the closed-loop ab arm at a matched completion
-// rate, with its conservation ledger intact. Every gate is evaluated and
-// printed as one PASS/FAIL line, and any failure exits 1, so one noisy
-// gate cannot hide another. Exit 2: a malformed IRS_BENCH_* variable or an
-// unwritable output path.
+// The deterministic properties beside these costs (serial = parallel
+// sweeps, histogram memory, fold identity through result_json, offline
+// forensics replay, front-end conservation) are ctest cases. Every gate is
+// evaluated and printed as one PASS/FAIL line, and any failure exits 1, so
+// one noisy gate cannot hide another. Exit 2: a malformed IRS_BENCH_*
+// variable or an unwritable output path.
 //
 // IRS_BENCH_FAST=1 runs the registry's trimmed grids for smoke runs.
 #include <algorithm>
@@ -50,45 +37,16 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/exp/stats.h"
-#include "src/obs/slo.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
-#include "src/wl/parsec.h"
 
 namespace {
 
 using namespace irs;
 
-/// Seed-engine churn throughput, measured on the pre-pool implementation
-/// (commit b128b84, shared_ptr<bool> + std::function per event) with the
-/// same loop as measure_churn(), -O2, on this repo's reference container.
-/// Kept as the fixed "before" of the events/sec trajectory.
-constexpr double kSeedChurnEventsPerSec = 7.30e6;
-
 double wall_seconds(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// The hot-path microbench: every iteration schedules one event that
-/// fires and one that is cancelled, then dispatches. 3 engine operations
-/// per iteration.
-double measure_churn() {
-  sim::Engine eng;
-  std::uint64_t sink = 0;
-  constexpr int kIters = 2000000;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) {
-    eng.schedule(1, [&] { ++sink; });
-    auto h = eng.schedule(1000, [&] { ++sink; });
-    h.cancel();
-    eng.run_until(eng.now() + 2);
-  }
-  eng.run_until(eng.now() + 10000);
-  const double sec = wall_seconds(t0);
-  if (sink != kIters) std::abort();  // keep the loop honest
-  return 3.0 * kIters / sec;
 }
 
 /// ns per dispatched event with 512 events in flight — the deep-queue
@@ -145,6 +103,48 @@ double timed_sweep(std::vector<exp::ScenarioConfig> grid, std::size_t capacity,
   return wall_seconds(t0);
 }
 
+/// Wall seconds of one run of `c`; aborts on a run that served nothing.
+double timed_run(const exp::ScenarioConfig& c) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const exp::RunResult r = exp::run_scenario(c);
+  if (!r.finished && r.throughput <= 0) std::abort();
+  return wall_seconds(t0);
+}
+
+/// Summed per-cell minima of an off arm and an on arm.
+struct ArmSeconds {
+  double off = 0;
+  double on = 0;
+};
+
+/// The estimator of the SLO, forensics and front-end gates. Each rep times
+/// every cell's two arms back to back, `time(i, on)` with the "on" arm
+/// first when rep + i is odd, and keeps each cell's per-arm minimum across
+/// reps; the result sums the minima over cells. The pair keeps the arms
+/// adjacent under machine drift, the alternation cancels the
+/// second-arm-reads-slower bias of a busy host, and per-cell minima filter
+/// noise at the finest granularity the grid offers.
+template <typename TimeFn>
+ArmSeconds alternating_minima(std::size_t n_cells, int reps, TimeFn time) {
+  std::vector<double> off(n_cells, 1e18);
+  std::vector<double> on(n_cells, 1e18);
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < n_cells; ++i) {
+      const bool on_first = ((rep + static_cast<int>(i)) % 2) != 0;
+      const double first = time(i, on_first);
+      const double second = time(i, !on_first);
+      off[i] = std::min(off[i], on_first ? second : first);
+      on[i] = std::min(on[i], on_first ? first : second);
+    }
+  }
+  ArmSeconds sum;
+  for (std::size_t i = 0; i < n_cells; ++i) {
+    sum.off += off[i];
+    sum.on += on[i];
+  }
+  return sum;
+}
+
 /// Extract "key": <number> from a previous report; NaN when absent.
 double read_metric(const std::string& path, const std::string& key) {
   std::ifstream in(path);
@@ -164,12 +164,6 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sweep.json";
   const int seeds = bench::checked_seeds();
   const bool fast = exp::bench_fast();
-  // The parallel pass runs 8 workers unless IRS_BENCH_JOBS says otherwise.
-  const int jobs =
-      std::getenv("IRS_BENCH_JOBS") != nullptr ? exp::sweep_jobs() : 8;
-
-  std::cerr << "[bench_report] engine churn microbench...\n";
-  const double churn = measure_churn();
 
   // Deep-queue microbench, binary-heap "before" vs the default backend
   // "after", in both shapes. Reps alternate backends back-to-back so
@@ -196,44 +190,11 @@ int main(int argc, char** argv) {
   // default wheel backend exists for; >1 means it beats the binary heap.
   const double dq_speedup = dq_binary_timer / dq_default_timer;
 
-  // The sweep is panel (a) of Figure 5 from the shared grid registry — the
-  // same rows `irs_sweep --fig fig05a` runs.
-  const auto grid = exp::figure_grid("fig05a", {seeds, fast});
-
-  std::cerr << "[bench_report] fig05-sized sweep, " << grid.size()
-            << " runs, serial...\n";
-  const auto t_serial = std::chrono::steady_clock::now();
-  const auto serial = exp::run_sweep(grid, /*n_threads=*/1);
-  const double serial_sec = wall_seconds(t_serial);
-
-  std::cerr << "[bench_report] same sweep, " << jobs
-            << " jobs, streaming consumer...\n";
-  std::size_t delivered = 0;
-  bool in_order = true;
-  // Aggregate statistics fold run by run in the streaming consumer, so the
-  // report carries sweep-level aggregates without a second pass.
-  exp::SweepStats stats;
-  const auto t_par = std::chrono::steady_clock::now();
-  const auto parallel = exp::run_sweep(
-      grid,
-      [&](std::size_t i, const exp::RunResult& r) {
-        in_order = in_order && i == delivered;
-        ++delivered;
-        stats.add(r);
-      },
-      jobs);
-  const double par_sec = wall_seconds(t_par);
-
-  bool bit_identical = serial.size() == parallel.size() &&
-                       delivered == grid.size() && in_order;
-  for (std::size_t i = 0; bit_identical && i < serial.size(); ++i) {
-    bit_identical = exp::results_identical(serial[i], parallel[i]);
-  }
-
   std::cerr << "[bench_report] trace pipeline overhead...\n";
   const double trace_direct_ns = measure_trace_ns();
-  // A traced-sweep slice; the untraced run anchors the overhead.
-  auto slice = grid;
+  // A traced-sweep slice of panel (a) of Figure 5 from the shared grid
+  // registry; the untraced run anchors the overhead.
+  auto slice = exp::figure_grid("fig05a", {seeds, fast});
   const std::size_t kSliceRuns = 48;
   if (slice.size() > kSliceRuns) slice.resize(kSliceRuns);
   // The overhead ratios below are single-digit percent, while this
@@ -242,9 +203,7 @@ int main(int argc, char** argv) {
   // back-to-back inside each rep — adjacent sweeps share the machine
   // phase, so the drift cancels out of the within-rep ratio — and gate on
   // the median ratio across reps, which shrugs off the odd rep where a
-  // phase change landed mid-rep. The absolute seconds reported are
-  // per-setting minima (informational only).
-  double sweep_traced_sec = 0, sweep_sampled_sec = 0;
+  // phase change landed mid-rep.
   constexpr int kSweepReps = 7;
   std::vector<double> r_traced, r_sampled;
   for (int rep = 0; rep < kSweepReps; ++rep) {
@@ -252,8 +211,6 @@ int main(int argc, char** argv) {
     const double traced = timed_sweep(slice, 1 << 15);
     const double smp =
         timed_sweep(slice, 1 << 15, obs::Sampler::kDefaultPeriod);
-    if (rep == 0 || traced < sweep_traced_sec) sweep_traced_sec = traced;
-    if (rep == 0 || smp < sweep_sampled_sec) sweep_sampled_sec = smp;
     r_traced.push_back(traced / off);
     r_sampled.push_back(smp / traced);
   }
@@ -267,8 +224,9 @@ int main(int argc, char** argv) {
   const double overhead_sampled_pct = (median(r_sampled) - 1.0) * 100.0;
   constexpr double kSampledOverheadLimitPct = 6.0;
 
-  // SLO observability: recording overhead on the fig08 serving shape,
-  // histogram memory vs exact samples, and fold bit-identity.
+  // SLO recording overhead on the fig08 serving shape: "off" (raw
+  // core::Histogram counters only, slo_window = -1) vs "on" (windowed SLO
+  // recording alongside).
   std::cerr << "[bench_report] SLO recording overhead (fig08 serving shape)...\n";
   auto slo_grid = exp::figure_grid("fig08", {/*seeds=*/1, fast});
   const std::size_t kSloRuns = fast ? 4 : 6;
@@ -278,90 +236,16 @@ int main(int argc, char** argv) {
   // measurable over this machine's run-to-run jitter. The per-request
   // recording cost is duration-independent, so the ratio is the same —
   // only the noise floor drops.
-  auto timed_slo_cell = [&](const exp::ScenarioConfig& cell,
-                            sim::Duration slo_window) {
-    auto c = cell;
-    c.slo_window = slo_window;
-    c.server_duration = sim::seconds(10);
-    const auto t0 = std::chrono::steady_clock::now();
-    const exp::RunResult r = exp::run_scenario(c);
-    if (!r.finished && r.throughput <= 0) std::abort();
-    return wall_seconds(t0);
-  };
-  // Per-cell per-arm minima with the arm order alternating — "off" (raw
-  // core::Histogram counters only, slo_window = -1) vs "on" (windowed SLO
-  // recording alongside), back-to-back per cell per rep. The pair keeps
-  // the arms adjacent under drift, the alternation cancels the
-  // second-arm-reads-slower bias of a busy host, and per-cell minima
-  // filter noise at the finest granularity available; the overhead ratio
-  // compares the summed minima.
-  constexpr int kSloReps = 25;
-  std::vector<double> slo_cell_off(slo_grid.size(), 1e18);
-  std::vector<double> slo_cell_on(slo_grid.size(), 1e18);
-  for (int rep = 0; rep < kSloReps; ++rep) {
-    for (std::size_t i = 0; i < slo_grid.size(); ++i) {
-      const bool on_first = ((rep + static_cast<int>(i)) % 2) != 0;
-      const double first = timed_slo_cell(slo_grid[i], on_first ? 0 : -1);
-      const double second = timed_slo_cell(slo_grid[i], on_first ? -1 : 0);
-      const double off = on_first ? second : first;
-      const double on = on_first ? first : second;
-      if (off < slo_cell_off[i]) slo_cell_off[i] = off;
-      if (on < slo_cell_on[i]) slo_cell_on[i] = on;
-    }
-  }
-  double slo_off_sec = 0, slo_on_sec = 0;
-  for (std::size_t i = 0; i < slo_grid.size(); ++i) {
-    slo_off_sec += slo_cell_off[i];
-    slo_on_sec += slo_cell_on[i];
-  }
-
-  // Histogram memory at 1e6 recorded latencies vs keeping exact samples
-  // (8 bytes each, what core::Histogram stores).
-  std::cerr << "[bench_report] SLO histogram memory...\n";
-  constexpr std::uint64_t kMemSamples = 1000000;
-  obs::LatencyHistogram mem_hist;
-  std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
-  for (std::uint64_t i = 0; i < kMemSamples; ++i) {
-    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-    // Latencies spread over 1 us .. ~1 s so buckets across ~20 octaves fill.
-    mem_hist.add(static_cast<sim::Duration>(1000 + (lcg >> 34)));
-  }
-  if (mem_hist.count() != kMemSamples) std::abort();
-  const double slo_memory_bytes =
-      static_cast<double>(mem_hist.memory_bytes());
-  const double slo_memory_ratio =
-      static_cast<double>(kMemSamples * sizeof(sim::Duration)) /
-      slo_memory_bytes;
-
-  // Fold identity: run the slice serially, round-trip every result through
-  // result_json, and require (a) per-run bit-identity (slo blocks included)
-  // and (b) the parsed results folded in reverse order to give the same
-  // per-class histograms and digest XOR as the forward fold. This is the
-  // "merges buckets exactly" guarantee, checked end-to-end through
-  // serialization.
-  std::cerr << "[bench_report] SLO fold identity...\n";
-  const auto slo_serial = exp::run_sweep(slo_grid, /*n_threads=*/1);
-  bool slo_fold_identical = true;
-  std::vector<exp::RunResult> slo_parsed(slo_serial.size());
-  for (std::size_t i = 0; slo_fold_identical && i < slo_serial.size(); ++i) {
-    slo_fold_identical =
-        exp::result_from_json(exp::result_json(slo_serial[i]), &slo_parsed[i],
-                              nullptr) &&
-        exp::results_identical(slo_serial[i], slo_parsed[i]);
-  }
-  exp::SweepStats slo_stats_fwd, slo_stats_rev;
-  for (const exp::RunResult& r : slo_serial) slo_stats_fwd.add(r);
-  for (auto it = slo_parsed.rbegin(); it != slo_parsed.rend(); ++it) {
-    slo_stats_rev.add(*it);
-  }
-  const exp::RunResult& slo_fwd = slo_stats_fwd.blocks();
-  const exp::RunResult& slo_rev = slo_stats_rev.blocks();
-  slo_fold_identical = slo_fold_identical && slo_fwd.slo == slo_rev.slo &&
-                       slo_fwd.slo_digest == slo_rev.slo_digest &&
-                       !slo_fwd.slo.empty();
-  const double slo_overhead_pct = (slo_on_sec / slo_off_sec - 1.0) * 100.0;
+  for (auto& c : slo_grid) c.server_duration = sim::seconds(10);
+  constexpr int kReps = 25;
+  const ArmSeconds slo = alternating_minima(
+      slo_grid.size(), kReps, [&](std::size_t i, bool on) {
+        auto c = slo_grid[i];
+        c.slo_window = on ? 0 : -1;
+        return timed_run(c);
+      });
+  const double slo_overhead_pct = (slo.on / slo.off - 1.0) * 100.0;
   constexpr double kSloOverheadLimitPct = 5.0;
-  constexpr double kSloMemoryRatioGate = 10.0;
 
   // Forensics recording: incremental cost of capturing request spans on
   // the same serving shape. Both arms run the trace ring and SLO tracking;
@@ -369,7 +253,7 @@ int main(int argc, char** argv) {
   // completed request (forensics_analyze=false on both arms keeps the
   // end-of-run snapshot + analyzer out of the timed region), so the ratio
   // isolates the always-on capture cost — the only part of forensics that
-  // runs while the simulation serves.
+  // runs while the simulation serves. The effect is ~1 ms per ~30 ms run.
   std::cerr << "[bench_report] forensics recording overhead (fig08 serving "
                "shape)...\n";
   auto forensics_cells = slo_grid;
@@ -377,73 +261,35 @@ int main(int argc, char** argv) {
     c.slo_window = 0;
     c.trace_capacity = 1 << 18;
     c.forensics_analyze = false;
-    c.server_duration = sim::seconds(10);
   }
-  auto timed_forensics_cell = [&](const exp::ScenarioConfig& cell,
-                                  bool forensics) {
-    auto c = cell;
-    c.forensics = forensics;
-    const auto t0 = std::chrono::steady_clock::now();
-    const exp::RunResult r = exp::run_scenario(c);
-    if (r.slo.empty()) std::abort();
-    return wall_seconds(t0);
-  };
-  // The effect is ~1 ms per ~30 ms run against scheduler noise far larger,
-  // and whichever arm runs second in a pair reads systematically slower on
-  // a busy host. So: time each grid cell individually with the arm order
-  // alternating, keep the per-cell per-arm minimum across reps (filters
-  // noise at the finest granularity the sweep offers), and compare the
-  // summed minima.
-  constexpr int kForensicsReps = 25;
-  std::vector<double> fo_off(forensics_cells.size(), 1e18);
-  std::vector<double> fo_on(forensics_cells.size(), 1e18);
-  for (int rep = 0; rep < kForensicsReps; ++rep) {
-    for (std::size_t i = 0; i < forensics_cells.size(); ++i) {
-      const bool on_first = ((rep + static_cast<int>(i)) % 2) != 0;
-      const double first = timed_forensics_cell(forensics_cells[i], on_first);
-      const double second =
-          timed_forensics_cell(forensics_cells[i], !on_first);
-      const double off = on_first ? second : first;
-      const double on = on_first ? first : second;
-      if (off < fo_off[i]) fo_off[i] = off;
-      if (on < fo_on[i]) fo_on[i] = on;
-    }
-  }
-  double forensics_off_sec = 0, forensics_on_sec = 0;
-  for (std::size_t i = 0; i < forensics_cells.size(); ++i) {
-    forensics_off_sec += fo_off[i];
-    forensics_on_sec += fo_on[i];
-  }
-  const double forensics_overhead_pct =
-      (forensics_on_sec / forensics_off_sec - 1.0) * 100.0;
+  const ArmSeconds fo = alternating_minima(
+      forensics_cells.size(), kReps, [&](std::size_t i, bool on) {
+        auto c = forensics_cells[i];
+        c.forensics = on;
+        return timed_run(c);
+      });
+  const double forensics_overhead_pct = (fo.on / fo.off - 1.0) * 100.0;
   constexpr double kForensicsOverheadLimitPct = 5.0;
 
   // Forensics analysis: the one-pass decomposition runs once, after the
   // run (or offline over a dump), so its budget is absolute — ns per
   // merged trace record — rather than a percentage of simulation time.
-  // The offline re-run must also reproduce the in-run result bit-exactly.
   std::cerr << "[bench_report] forensics analyzer (one-pass replay)...\n";
   exp::TraceDump fdump;
-  std::uint64_t forensics_run_digest = 0;
   {
     auto c = slo_grid.front();
     c.slo_window = 0;
     c.trace_capacity = 1 << 18;
     c.forensics = true;
-    c.server_duration = sim::seconds(10);
-    const exp::RunResult res =
-        exp::run_scenario(c, exp::RunCapture{.dump = &fdump});
-    forensics_run_digest = res.forensics_digest;
+    exp::run_scenario(c, exp::RunCapture{.dump = &fdump});
   }
   double forensics_analyze_sec = 0;
-  bool forensics_replay_identical = true;
-  for (int rep = 0; rep < kSloReps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     const obs::ForensicsResult f =
         obs::request_forensics(fdump.records, fdump.meta, fdump.slo);
     const double sec = wall_seconds(t0);
-    forensics_replay_identical =
-        forensics_replay_identical && f.digest() == forensics_run_digest;
+    if (f.empty()) std::abort();
     if (rep == 0 || sec < forensics_analyze_sec) forensics_analyze_sec = sec;
   }
   const double forensics_analyze_ns_per_record =
@@ -458,9 +304,9 @@ int main(int argc, char** argv) {
   // "ab" workload it generalises. Matched arms: probe ab's completed-
   // request rate on the scenario shape once, drive the frontend's Poisson
   // arrivals at exactly that rate, and compare wall seconds per completed
-  // request. Same alternating-arm per-rep-minimum discipline as the SLO
-  // and forensics gates; the shared substrate (hog, scheduler, SLO
-  // recording) is common to both arms and cancels out of the ratio.
+  // request, the front-end being one cell of the same estimator; the
+  // shared substrate (hog, scheduler, SLO recording) is common to both
+  // arms and cancels out of the ratio.
   std::cerr << "[bench_report] open-loop front-end overhead (frontend vs ab, "
                "matched completion count)...\n";
   exp::PanelOptions fe_po;
@@ -474,35 +320,16 @@ int main(int argc, char** argv) {
   const double ab_completed =
       std::max(1.0, ab_probe.throughput * fe_duration_sec);
   fe_cell.fe_rate_hz = std::max(1.0, ab_probe.throughput);
-  const exp::RunResult fe_probe = exp::run_scenario(fe_cell);
-  const obs::FrontendResult& fe_ledger = fe_probe.frontend;
-  const double fe_completed =
-      std::max<double>(1.0, static_cast<double>(fe_ledger.completed));
   // Both runs are deterministic, so the probes' completion counts hold for
-  // every timed rep; the conservation identity guards the fe arm's ledger.
-  const bool fe_conserved =
-      fe_ledger.arrivals == fe_ledger.completed + fe_ledger.dropped() +
-                                fe_ledger.shed + fe_ledger.in_flight &&
-      fe_ledger.completed > 0;
-  auto timed_fe_cell = [&](const exp::ScenarioConfig& c) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const exp::RunResult r = exp::run_scenario(c);
-    if (!r.finished && r.throughput <= 0) std::abort();
-    return wall_seconds(t0);
-  };
+  // every timed rep.
+  const double fe_completed = std::max<double>(
+      1.0, static_cast<double>(exp::run_scenario(fe_cell).frontend.completed));
   constexpr int kFrontendReps = 15;
-  double fe_on_sec = 1e18, fe_ab_sec = 1e18;
-  for (int rep = 0; rep < kFrontendReps; ++rep) {
-    const bool fe_first = (rep % 2) != 0;
-    const double first = timed_fe_cell(fe_first ? fe_cell : ab_cell);
-    const double second = timed_fe_cell(fe_first ? ab_cell : fe_cell);
-    const double fe = fe_first ? first : second;
-    const double ab = fe_first ? second : first;
-    if (fe < fe_on_sec) fe_on_sec = fe;
-    if (ab < fe_ab_sec) fe_ab_sec = ab;
-  }
-  const double frontend_ns_per_req = fe_on_sec * 1e9 / fe_completed;
-  const double ab_ns_per_req = fe_ab_sec * 1e9 / ab_completed;
+  const ArmSeconds fe = alternating_minima(
+      1, kFrontendReps,
+      [&](std::size_t, bool on) { return timed_run(on ? fe_cell : ab_cell); });
+  const double frontend_ns_per_req = fe.on * 1e9 / fe_completed;
+  const double ab_ns_per_req = fe.off * 1e9 / ab_completed;
   const double frontend_overhead_pct =
       (frontend_ns_per_req / ab_ns_per_req - 1.0) * 100.0;
   constexpr double kFrontendOverheadLimitPct = 5.0;
@@ -518,90 +345,56 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out.precision(6);
   out << "{\n"
-      << "  \"engine_churn_events_per_sec\": " << churn << ",\n"
-      << "  \"seed_engine_churn_events_per_sec\": " << kSeedChurnEventsPerSec
-      << ",\n"
-      << "  \"churn_speedup_vs_seed\": " << churn / kSeedChurnEventsPerSec
-      << ",\n"
       << "  \"engine_queue_backend\": \"" << default_name << "\",\n"
       << "  \"deepqueue_ns_binary_timer\": " << dq_binary_timer << ",\n"
       << "  \"deepqueue_ns_default_timer\": " << dq_default_timer << ",\n"
       << "  \"deepqueue_ns_binary_tight\": " << dq_binary_tight << ",\n"
       << "  \"deepqueue_ns_default_tight\": " << dq_default_tight << ",\n"
       << "  \"deepqueue_speedup_vs_binary\": " << dq_speedup << ",\n"
-      << "  \"sweep_runs\": " << grid.size() << ",\n"
-      << "  \"sweep_seeds_per_point\": " << seeds << ",\n"
-      << "  \"sweep_secs_serial\": " << serial_sec << ",\n"
-      << "  \"sweep_secs_parallel\": " << par_sec << ",\n"
-      << "  \"sweep_jobs\": " << jobs << ",\n"
-      << "  \"sweep_speedup\": " << serial_sec / par_sec << ",\n"
-      << "  \"sweep_bit_identical\": " << (bit_identical ? "true" : "false")
-      << ",\n"
       << "  \"trace_ns_per_record_direct\": " << trace_direct_ns << ",\n"
       << "  \"traced_sweep_overhead_pct\": " << overhead_traced_pct << ",\n"
       << "  \"traced_sampled_sweep_overhead_pct\": " << overhead_sampled_pct
       << ",\n"
       << "  \"slo_sweep_runs\": " << slo_grid.size() << ",\n"
-      << "  \"slo_sweep_secs_off\": " << slo_off_sec << ",\n"
-      << "  \"slo_sweep_secs_on\": " << slo_on_sec << ",\n"
+      << "  \"slo_sweep_secs_off\": " << slo.off << ",\n"
+      << "  \"slo_sweep_secs_on\": " << slo.on << ",\n"
       << "  \"slo_overhead_pct\": " << slo_overhead_pct << ",\n"
-      << "  \"slo_memory_bytes_1e6\": " << slo_memory_bytes << ",\n"
-      << "  \"slo_memory_ratio\": " << slo_memory_ratio << ",\n"
-      << "  \"slo_fold_identical\": "
-      << (slo_fold_identical ? "true" : "false") << ",\n"
-      << "  \"forensics_sweep_secs_off\": " << forensics_off_sec << ",\n"
-      << "  \"forensics_sweep_secs_on\": " << forensics_on_sec << ",\n"
+      << "  \"forensics_sweep_secs_off\": " << fo.off << ",\n"
+      << "  \"forensics_sweep_secs_on\": " << fo.on << ",\n"
       << "  \"forensics_overhead_pct\": " << forensics_overhead_pct << ",\n"
       << "  \"forensics_records\": " << fdump.records.size() << ",\n"
       << "  \"forensics_analyze_secs\": " << forensics_analyze_sec << ",\n"
       << "  \"forensics_analyze_ns_per_record\": "
       << forensics_analyze_ns_per_record << ",\n"
-      << "  \"forensics_replay_identical\": "
-      << (forensics_replay_identical ? "true" : "false") << ",\n"
       << "  \"frontend_completed\": " << fe_completed << ",\n"
       << "  \"frontend_ab_completed\": " << ab_completed << ",\n"
-      << "  \"frontend_secs\": " << fe_on_sec << ",\n"
-      << "  \"frontend_ab_secs\": " << fe_ab_sec << ",\n"
+      << "  \"frontend_secs\": " << fe.on << ",\n"
+      << "  \"frontend_ab_secs\": " << fe.off << ",\n"
       << "  \"frontend_ns_per_req\": " << frontend_ns_per_req << ",\n"
       << "  \"frontend_ab_ns_per_req\": " << ab_ns_per_req << ",\n"
       << "  \"frontend_overhead_pct\": " << frontend_overhead_pct << ",\n"
-      << "  \"frontend_conserved\": " << (fe_conserved ? "true" : "false")
-      << ",\n"
-      << "  \"sweep_stats\": " << exp::sweep_stats_json(stats) << ",\n"
       << "  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency() << "\n"
       << "}\n";
   out.close();
 
-  std::cout << "churn: " << churn / 1e6 << "M events/s ("
-            << churn / kSeedChurnEventsPerSec << "x vs seed)\n"
-            << "deep queue (timer cadence): " << dq_binary_timer
+  std::cout << "deep queue (timer cadence): " << dq_binary_timer
             << "ns/event binary vs " << dq_default_timer << "ns/event "
             << default_name << " (" << dq_speedup << "x); tight: "
             << dq_binary_tight << "ns vs " << dq_default_tight << "ns\n"
-            << "sweep: " << serial_sec << "s serial vs " << par_sec << "s @ "
-            << jobs << " jobs (" << serial_sec / par_sec << "x), "
-            << (bit_identical ? "bit-identical" : "RESULTS DIVERGED!") << "\n"
             << "trace: " << trace_direct_ns << "ns/rec; traced sweep +"
             << overhead_traced_pct << "%, +" << overhead_sampled_pct
             << "% with sampling\n"
-            << "slo: +" << slo_overhead_pct << "% recording overhead, "
-            << slo_memory_bytes / 1024.0 << "KiB for 1e6 samples ("
-            << slo_memory_ratio << "x less than exact), fold "
-            << (slo_fold_identical ? "bit-identical" : "DIVERGED!")
-            << " through result_json in reverse order\n"
+            << "slo: +" << slo_overhead_pct << "% recording overhead (on "
+            << slo.on << "s vs off " << slo.off << "s)\n"
             << "forensics: +" << forensics_overhead_pct
-            << "% recording overhead (on " << forensics_on_sec << "s vs off "
-            << forensics_off_sec << "s); analyzer "
-            << forensics_analyze_ns_per_record << "ns/rec over "
-            << fdump.records.size() << " records, offline replay "
-            << (forensics_replay_identical ? "bit-identical" : "DIVERGED!")
-            << "\n"
+            << "% recording overhead (on " << fo.on << "s vs off " << fo.off
+            << "s); analyzer " << forensics_analyze_ns_per_record
+            << "ns/rec over " << fdump.records.size() << " records\n"
             << "frontend: " << frontend_ns_per_req << "ns/req ("
             << fe_completed << " completed) vs ab " << ab_ns_per_req
             << "ns/req (" << ab_completed << " completed), +"
-            << frontend_overhead_pct << "% per completed request, ledger "
-            << (fe_conserved ? "conserved" : "NOT CONSERVED!") << "\n";
+            << frontend_overhead_pct << "% per completed request\n";
   // One verdict per gate, each value beside its bound. The default queue
   // backend must not lose to the binary-heap "before" on its motivating
   // timer-cadence shape (0.9 leaves headroom for machine noise; the real
@@ -624,7 +417,6 @@ int main(int argc, char** argv) {
     return os.str();
   };
   const std::vector<Gate> gates = {
-      {"sweep_bit_identical", bit_identical, ""},
       {"trace_ns_per_record", !trace_regressed,
        std::isnan(prev_trace_ns)
            ? str(trace_direct_ns, "ns/rec (no previous report)")
@@ -637,9 +429,6 @@ int main(int argc, char** argv) {
        str(dq_speedup, "x (>= 0.9x)")},
       {"slo_overhead", slo_overhead_pct < kSloOverheadLimitPct,
        str(slo_overhead_pct, "% (< ", kSloOverheadLimitPct, "%)")},
-      {"slo_memory_ratio", slo_memory_ratio >= kSloMemoryRatioGate,
-       str(slo_memory_ratio, "x (>= ", kSloMemoryRatioGate, "x)")},
-      {"slo_fold_identical", slo_fold_identical, ""},
       {"forensics_overhead",
        forensics_overhead_pct < kForensicsOverheadLimitPct,
        str(forensics_overhead_pct, "% (< ", kForensicsOverheadLimitPct, "%)")},
@@ -647,11 +436,9 @@ int main(int argc, char** argv) {
        forensics_analyze_ns_per_record < kForensicsAnalyzeNsPerRecordLimit,
        str(forensics_analyze_ns_per_record, "ns/rec (< ",
            kForensicsAnalyzeNsPerRecordLimit, "ns/rec)")},
-      {"forensics_replay_identical", forensics_replay_identical, ""},
       {"frontend_overhead", frontend_overhead_pct < kFrontendOverheadLimitPct,
        str(frontend_overhead_pct, "% per completed request (< ",
            kFrontendOverheadLimitPct, "%)")},
-      {"frontend_conserved", fe_conserved, ""},
   };
   int failed = 0;
   for (const Gate& g : gates) {

@@ -1,10 +1,10 @@
 // Result-block tests: the byte-pinned result_json of a fixture carrying
-// all four result blocks, the sweep-stats fold over it, the NDJSON stream
+// all four result blocks, the SweepStats fold over it, the NDJSON stream
 // of a sampled grid, and one typed suite that checks the block protocol
 // (JSON round trip, omission when empty, required digest, malformed-value
 // rejection, order-independent fold, deep equality) for every block.
 //
-// tests/golden/result_blocks.ndjson and result_blocks_stats.json pin the
+// tests/golden/result_blocks.ndjson and result_blocks_fold.ndjson pin the
 // serialized bytes; they are fixtures, not regenerated by the tests.
 #include <gtest/gtest.h>
 
@@ -204,11 +204,22 @@ TEST(ResultBlocksGolden, ResultJsonMatchesGoldenLines) {
   }
 }
 
-TEST(ResultBlocksGolden, SweepStatsJsonUnchanged) {
+TEST(ResultBlocksGolden, SweepFoldMatchesGoldenLine) {
   SweepStats s;
   for (std::uint64_t i = 0; i < 4; ++i) s.add(synth(i));
-  EXPECT_EQ(sweep_stats_json(s) + "\n",
-            read_file(golden_path("result_blocks_stats.json")));
+  EXPECT_EQ(result_json(s.blocks()) + "\n",
+            read_file(golden_path("result_blocks_fold.ndjson")));
+}
+
+TEST(SweepStats, CountsRunsAndFinished) {
+  SweepStats s;
+  for (int i = 0; i < 10; ++i) {
+    RunResult r;
+    r.finished = i % 3 != 0;
+    s.add(r);
+  }
+  EXPECT_EQ(s.runs(), 10u);
+  EXPECT_EQ(s.finished(), 6u);
 }
 
 // ---------------------------------------------------------------------------
