@@ -122,10 +122,8 @@ void HostNode::start() {
 }
 
 void HostNode::arm_sampler() {
-  sampler_ = std::make_unique<obs::Sampler>(
-      eng_, cfg_.telemetry.sample_period,
-      cfg_.telemetry.sample_capacity > 0 ? cfg_.telemetry.sample_capacity
-                                         : obs::Sampler::kDefaultCapacity);
+  sampler_ =
+      std::make_unique<obs::Sampler>(eng_, cfg_.telemetry.sample_period);
   const std::string p = cfg_.prefix_series ? cfg_.name + "/" : "";
   hv::Host* host = host_.get();
   sim::Engine* eng = &eng_;

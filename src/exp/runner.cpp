@@ -238,12 +238,6 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
                                 cfg.cluster.policy +
                                 "' (want random|firstfit|irs)");
   }
-  cc.collect_period = cfg.cluster.collect_period;
-  cc.decide_period = cfg.cluster.decide_period;
-  cc.migration.downtime = cfg.cluster.migration_downtime;
-  cc.migration.warmup_debt = cfg.cluster.warmup_debt;
-  cc.burn_frac = cfg.cluster.burn_frac;
-  cc.cooldown = cfg.cluster.cooldown;
   const bool want_dump =
       capture.dump != nullptr || capture.host_dumps != nullptr;
   if (want_dump && cc.telemetry.trace_capacity == 0) {

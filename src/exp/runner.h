@@ -26,25 +26,14 @@ namespace irs::exp {
 struct ClusterOptions {
   /// 0 or 1 = classic single-host run; >= 2 = cluster run.
   int n_hosts = 0;
-  /// Placement policy name: "random", "firstfit", or "irs".
+  /// Placement policy name: "random", "firstfit", or "irs". Cadences and
+  /// the migration cost are cluster::ClusterConfig's defaults.
   std::string policy = "irs";
-  /// Per-host collector sampling cadence.
-  sim::Duration collect_period = sim::milliseconds(10);
-  /// Central scheduler decision cadence (irs policy only).
-  sim::Duration decide_period = sim::milliseconds(30);
-  /// Migration cost model: blackout + per-task cache warmup debt.
-  sim::Duration migration_downtime = sim::milliseconds(20);
-  sim::Duration warmup_debt = sim::microseconds(500);
-  /// Steal fraction of a collector window that counts as the protected VM
-  /// "burning budget" and triggers an eviction.
-  double burn_frac = 0.1;
-  /// Minimum spacing between migrations of one VM.
-  sim::Duration cooldown = sim::milliseconds(90);
 };
 
 /// One experimental condition (paper §5.1 "Experimental Settings").
-/// Inherits the telemetry knobs (trace_capacity, sample_period,
-/// sample_capacity) from obs::TelemetryConfig — the one
+/// Inherits the telemetry knobs (trace_capacity, sample_period) from
+/// obs::TelemetryConfig — the one
 /// definition shared with WorldConfig and HostNodeConfig.
 struct ScenarioConfig : obs::TelemetryConfig {
   core::Strategy strategy = core::Strategy::kBaseline;

@@ -4,10 +4,8 @@
 
 namespace irs::obs {
 
-Sampler::Sampler(sim::Engine& eng, sim::Duration period, std::size_t capacity)
-    : eng_(eng),
-      period_(period > 0 ? period : kDefaultPeriod),
-      capacity_(capacity > 0 ? capacity : kDefaultCapacity) {}
+Sampler::Sampler(sim::Engine& eng, sim::Duration period)
+    : eng_(eng), period_(period > 0 ? period : kDefaultPeriod) {}
 
 void Sampler::add_channel(std::string name, bool rate,
                           std::function<std::int64_t()> fn) {
@@ -16,7 +14,7 @@ void Sampler::add_channel(std::string name, bool rate,
   rate_.push_back(rate ? 1 : 0);
   primed_.push_back(0);
   fns_.push_back(std::move(fn));
-  series_.emplace_back(std::move(name), capacity_);
+  series_.emplace_back(std::move(name), kDefaultCapacity);
 }
 
 void Sampler::add_gauge(std::string name, std::function<std::int64_t()> fn) {

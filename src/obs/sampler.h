@@ -102,8 +102,7 @@ class Sampler {
   static constexpr sim::Duration kDefaultPeriod = sim::milliseconds(30);
   static constexpr std::size_t kDefaultCapacity = 8192;
 
-  Sampler(sim::Engine& eng, sim::Duration period = kDefaultPeriod,
-          std::size_t capacity = kDefaultCapacity);
+  explicit Sampler(sim::Engine& eng, sim::Duration period = kDefaultPeriod);
 
   // --- channel registration (before start()) ---
   // Two channel kinds, rate and gauge. Series are sparse: ticks where
@@ -152,7 +151,6 @@ class Sampler {
 
   sim::Engine& eng_;
   sim::Duration period_;
-  std::size_t capacity_;
   std::vector<std::uint8_t> rate_;  // 1: push deltas, 0: push levels
   std::vector<std::int64_t> prev_;
   std::vector<std::uint8_t> primed_;  // gauge: first observation pushes

@@ -243,7 +243,7 @@ TEST(ClusterMigration, ConservationIdentitiesHoldAcrossMigrations) {
   // The cost model books exactly one downtime per migration.
   EXPECT_EQ(c.downtime_total,
             static_cast<sim::Duration>(c.migrations) *
-                exp::ScenarioConfig{}.cluster.migration_downtime);
+                cluster::ClusterConfig{}.migration.downtime);
   // The conservation identities from src/obs/cluster_stats.h.
   ASSERT_EQ(c.hosts.size(), 2u);
   std::uint64_t placed = 0;

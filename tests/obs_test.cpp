@@ -1,6 +1,6 @@
 // Unit tests for the observability substrate: the trace ring (direct
 // append from every producer, exact-suffix retention, wrap-around
-// accounting), owned trace notes, and the typed snapshot query helper.
+// accounting) and owned trace notes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/exp/runner.h"
-#include "src/obs/trace_query.h"
 #include "src/sim/rng.h"
 #include "src/sim/trace.h"
 
@@ -217,27 +216,6 @@ TEST(TraceNote, TruncatesLongNotes) {
   EXPECT_TRUE(empty.empty());
   const sim::TraceNote null_note(nullptr);
   EXPECT_TRUE(null_note.empty());
-}
-
-// ---------------------------------------------------------------------------
-// TraceQuery
-// ---------------------------------------------------------------------------
-
-TEST(ObsTraceQuery, FiltersChain) {
-  sim::Trace t(64);
-  t.record(1, sim::TraceKind::kLhp, 0, 10);
-  t.record(2, sim::TraceKind::kLhp, 1, 11);
-  t.record(3, sim::TraceKind::kLwp, 0, 12);
-  t.record(4, sim::TraceKind::kLhp, 0, 13);
-
-  const TraceQuery q(t);
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.of_kind(sim::TraceKind::kLhp).size(), 3u);
-  EXPECT_EQ(q.of_kind(sim::TraceKind::kLhp).with_a(0).size(), 2u);
-  EXPECT_EQ(q.between(2, 3).size(), 2u);  // bounds inclusive
-  EXPECT_EQ(q.with_b(12).first().kind, sim::TraceKind::kLwp);
-  EXPECT_TRUE(q.of_kind(sim::TraceKind::kSaSend).empty());
-  EXPECT_EQ(q.last().when, 4);
 }
 
 }  // namespace
