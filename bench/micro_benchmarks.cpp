@@ -38,10 +38,10 @@ void BM_EngineCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancel);
 
-/// The combined hot-path churn BENCH_sweep.json tracks: each iteration
-/// schedules one event that fires and one that is cancelled, then
-/// dispatches — 3 engine operations. Exercises slot reuse, shell skipping,
-/// and inline callback storage together.
+/// The combined hot-path churn loop: each iteration schedules one event
+/// that fires and one that is cancelled, then dispatches — 3 engine
+/// operations. Exercises slot reuse, shell skipping, and inline callback
+/// storage together.
 void BM_EngineScheduleCancelDispatch(benchmark::State& state) {
   sim::Engine eng;
   std::uint64_t sink = 0;

@@ -106,12 +106,15 @@ for fig in fig05 fig06 fig08 fig08_open fig_cluster abl_extensions; do
   fi
 done
 
-# Gate check: bench_report prints a PASS/FAIL line for each of its twelve
-# gates and fails (exit 1) if any tripped — deepqueue_speedup_vs_binary
-# < 0.9, or any determinism/overhead gate (including the SLO
-# recording-overhead, histogram-memory, result_json fold-identity, and
-# open-loop front-end per-request overhead gates). IRS_BENCH_FAST keeps
-# the sweep portion smoke-sized.
+# Gate check: bench_report prints a PASS/FAIL line for each of its seven
+# timing gates and fails (exit 1) if any tripped — trace ns/record more
+# than 2x the previous report, sampler >= 6%, deepqueue_speedup_vs_binary
+# < 0.9, SLO or forensics recording >= 5%, the forensics analyzer >= 150
+# ns/record, or the open-loop front-end >= 5% per completed request. The
+# determinism checks (serial = parallel sweeps, fold identity through
+# result_json, offline forensics replay, histogram memory, front-end
+# conservation) are ctest cases, run above. IRS_BENCH_FAST keeps the grid
+# slices smoke-sized.
 IRS_BENCH_FAST=1 ./build/bench/bench_report build/BENCH_tier1_smoke.json
 
 # Optional UBSan pass (separate build tree, ~one extra compile): set

@@ -104,14 +104,16 @@ struct ScenarioConfig : obs::TelemetryConfig {
   /// captures a ReqSpan per request into a side log (the runner synthesizes
   /// kReqBegin/kReqEnd records from it at analysis time) and decomposes
   /// each request's latency by cause (see obs/forensics.h). Enables the
-  /// trace ring if trace_capacity is 0 (at a generous default). Passive:
-  /// only the trace-telemetry and forensics fields of the result change.
+  /// trace ring if trace_capacity is 0 (at a generous default, which a
+  /// RunCapture dump does not shrink). Passive: only the trace-telemetry
+  /// and forensics fields of the result change.
   bool forensics = false;
   /// With forensics on, run the decomposition at the end of the run
   /// (ring snapshot + one-pass analyzer). false records the request
-  /// brackets but leaves RunResult::forensics empty — how bench_report
-  /// times the always-on recording cost separately from the explicit
-  /// analysis pass.
+  /// brackets but leaves RunResult::forensics empty: bench_report's
+  /// forensics_overhead gate times the recording cost that way, and a
+  /// RunCapture dump of such a run replays offline through
+  /// obs::request_forensics to the same block.
   bool forensics_analyze = true;
 };
 

@@ -400,10 +400,11 @@ void fold_slo(SloResult& acc, const SloResult& r) {
       // A new class goes in at its name-sorted position, so runs of
       // different workloads fold to the same block in any order.
       acc.classes.insert(
-          std::lower_bound(acc.classes.begin(), acc.classes.end(), c,
-                           [](const SloClassResult& a, const SloClassResult& b) {
-                             return a.name < b.name;
-                           }),
+          std::lower_bound(
+              acc.classes.begin(), acc.classes.end(), c,
+              [](const SloClassResult& a, const SloClassResult& b) {
+                return a.name < b.name;
+              }),
           c);
       continue;
     }

@@ -247,10 +247,10 @@ class SloTracker {
 
 /// Fold one run's SLO capture into `acc`: classes match by name (a new
 /// one is inserted in name order, so runs with different classes fold the
-/// same in any order), totals merge bucket-exact (integer histogram fold — order- and
-/// grouping-independent), windows merge by index summing count/violations
-/// and keeping the max percentile (a conservative "worst run" envelope:
-/// percentiles of disjoint streams do not average).
+/// same in any order), totals merge bucket-exact (integer histogram fold —
+/// order- and grouping-independent), windows merge by index summing
+/// count/violations and keeping the max percentile (a conservative "worst
+/// run" envelope: percentiles of disjoint streams do not average).
 void fold_slo(SloResult& acc, const SloResult& r);
 
 /// Write `h` as six fields of an open JSON object: "count", "sum_lo",

@@ -27,7 +27,7 @@ namespace irs::wl {
 
 /// Mean per-request service compute of ab and the front-end. One constant
 /// makes the two pipelines' per-request work match by construction, which
-/// the bench_report front-end overhead gate relies on.
+/// bench_report's frontend_overhead gate relies on.
 inline constexpr sim::Duration kServiceMean = sim::milliseconds(2);
 
 class Serving {

@@ -1,7 +1,7 @@
 // Tests for the parallel sweep runner: seed derivation, pool coverage, and
 // the bit-identical-to-serial guarantee the figure benches rely on.
-// The Sweep* suites also run under TSan (scripts/tsan.sh / the
-// sweep_determinism_tsan CTest job) to prove the pool is race-free.
+// scripts/tsan.sh runs them under TSan with the rest of the suite to prove
+// the pool is race-free.
 #include "src/exp/sweep.h"
 
 #include <gtest/gtest.h>

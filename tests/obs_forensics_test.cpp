@@ -392,8 +392,8 @@ TEST(ForensicsJson, RejectsMalformedFields) {
   ASSERT_TRUE(obs::forensics_from_value(v, &out, &err)) << err;
   EXPECT_EQ(out.classes[0].cause_total(obs::Cause::kRun), 30);
   for (const auto& [from, to, why] :
-       {std::tuple{"\"min_ns\":10,\"max_ns\":20", "\"min_ns\":999999,\"max_ns\":5",
-                   "min_ns > max_ns"},
+       {std::tuple{"\"min_ns\":10,\"max_ns\":20",
+                   "\"min_ns\":999999,\"max_ns\":5", "min_ns > max_ns"},
         std::tuple{"\"count\":2", "\"count\":7", "sum of the buckets"},
         std::tuple{"[[10,1],[20,1]]", "[[20,1],[10,1]]", "ascending"},
         std::tuple{"[[10,1],[20,1]]", "[[10,1],[10,1]]", "ascending"}}) {
