@@ -2,12 +2,14 @@
 // all four result blocks, the SweepStats fold over it, the NDJSON stream
 // of a sampled grid, and one typed suite that checks the block protocol
 // (JSON round trip, omission when empty, required digest, malformed-value
-// rejection, order-independent fold, deep equality) for every block.
+// rejection, order-independent fold, folded-block round trip, deep
+// equality) for every block.
 //
 // tests/golden/result_blocks.ndjson and result_blocks_fold.ndjson pin the
 // serialized bytes; they are fixtures, not regenerated by the tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -386,6 +388,49 @@ TYPED_TEST(ResultBlock, FoldIsOrderIndependent) {
   EXPECT_FALSE((fwd.*this->block_).empty());
   EXPECT_TRUE(fwd == rev);
   EXPECT_EQ(fwd.*this->digest_, digest_xor);
+}
+
+TYPED_TEST(ResultBlock, FoldIsTheSameInEveryOrderAcrossWorkloads) {
+  // Three runs; where the block has classes, each run carries another
+  // workload's class. All six fold orders give one block, with classes
+  // in name order (two of the orders insert one in the middle).
+  const std::vector<std::string> names = {"ab", "fe", "jbb"};
+  std::vector<RunResult> runs;
+  for (const std::string& name : names) {
+    RunResult r = this->only_block(runs.size());
+    if constexpr (requires(TypeParam b) { b.classes[0].name; }) {
+      (r.*this->block_).classes[0].name = name;
+      r.*this->digest_ = (r.*this->block_).digest();
+    }
+    runs.push_back(r);
+  }
+  std::vector<std::size_t> order = {0, 1, 2};
+  RunResult first;
+  do {
+    RunResult acc;
+    for (std::size_t i : order) fold_blocks(acc, runs[i]);
+    if constexpr (requires(TypeParam b) { b.classes[0].name; }) {
+      std::vector<std::string> got;
+      for (const auto& c : (acc.*this->block_).classes) got.push_back(c.name);
+      EXPECT_EQ(got, names);
+    }
+    if ((first.*this->block_).empty()) first = acc;
+    EXPECT_TRUE(acc == first) << order[0] << order[1] << order[2];
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TYPED_TEST(ResultBlock, FoldedBlockRoundTripsThroughResultJson) {
+  // A sweep's folded blocks are written as a result too, so they must
+  // pass the reader's consistency checks and come back bit-identical.
+  SweepStats s;
+  for (std::uint64_t i = 0; i < 4; ++i) s.add(this->only_block(i));
+  ASSERT_FALSE((s.blocks().*this->block_).empty());
+  const std::string json = result_json(s.blocks());
+  RunResult parsed;
+  std::string err;
+  ASSERT_TRUE(result_from_json(json, &parsed, &err)) << err;
+  EXPECT_TRUE(results_identical(parsed, s.blocks()));
+  EXPECT_EQ(result_json(parsed), json);
 }
 
 TYPED_TEST(ResultBlock, EqualitySeesOneFieldInsideTheBlock) {
