@@ -12,17 +12,15 @@
 //   sum_i placed_i == vms
 //
 // are test invariants (tests/cluster_test.cpp), and like every obs result
-// the block is integer-exact, folds across a sweep's runs order-independently
-// (fold_cluster), serializes round-trip (cluster_json / cluster_from_value),
-// and condenses to one FNV-1a digest() word.
+// the block is integer-exact and lists its fields once (see fields.h), so
+// it folds across a sweep's runs order-independently, serializes
+// round-trip, and condenses to one FNV-1a digest() word.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "src/obs/json.h"
-#include "src/obs/json_reader.h"
+#include "src/obs/fields.h"
 #include "src/sim/time.h"
 
 namespace irs::obs {
@@ -40,6 +38,20 @@ struct ClusterHostLedger {
   sim::Duration steal = 0;       // collector-observed steal time
 
   bool operator==(const ClusterHostLedger& o) const = default;
+
+  /// A positional row [placed,in,out,active,samples,lhp,lwp,steal_ns].
+  static constexpr bool kRow = true;
+  template <typename F>
+  static void fields(F&& f) {
+    f("placed", &ClusterHostLedger::placed, kSum);
+    f("migr_in", &ClusterHostLedger::migr_in, kSum);
+    f("migr_out", &ClusterHostLedger::migr_out, kSum);
+    f("active_end", &ClusterHostLedger::active_end, kSum);
+    f("samples", &ClusterHostLedger::samples, kSum);
+    f("lhp", &ClusterHostLedger::lhp, kSum);
+    f("lwp", &ClusterHostLedger::lwp, kSum);
+    f("steal_ns", &ClusterHostLedger::steal, kSum);
+  }
 };
 
 struct ClusterResult {
@@ -58,21 +70,24 @@ struct ClusterResult {
   /// No cluster ran (every field at its default).
   [[nodiscard]] bool empty() const { return *this == ClusterResult{}; }
   /// FNV-1a over every field. 0 is reserved for the empty result.
-  [[nodiscard]] std::uint64_t digest() const;
+  [[nodiscard]] std::uint64_t digest() const { return block_digest(*this); }
   bool operator==(const ClusterResult& o) const = default;
+
+  /// Counters add (hosts element-wise, the vector growing to the larger
+  /// size); n_hosts and policy take the max.
+  static constexpr const char* kWhat = "cluster";
+  template <typename F>
+  static void fields(F&& f) {
+    f("n_hosts", &ClusterResult::n_hosts, kMax);
+    f("policy", &ClusterResult::policy, kMax);
+    f("vms", &ClusterResult::vms, kSum);
+    f("migratable", &ClusterResult::migratable, kSum);
+    f("decisions", &ClusterResult::decisions, kSum);
+    f("migrations", &ClusterResult::migrations, kSum);
+    f("in_transit_end", &ClusterResult::in_transit_end, kSum);
+    f("downtime_total_ns", &ClusterResult::downtime_total, kSum);
+    f("hosts", &ClusterResult::hosts, kSum);
+  }
 };
-
-/// Exact fold of `r` into `acc` (for sweep averaging): counters add
-/// element-wise (the hosts vector grows to the larger size), n_hosts and
-/// policy take the max. Folding N runs in any order is bit-identical to
-/// any other order.
-void fold_cluster(ClusterResult& acc, const ClusterResult& r);
-
-/// Serialize as one JSON object on an open writer (fixed key order,
-/// integers exact; hosts as [[placed,in,out,active,samples,lhp,lwp,
-/// steal_ns],..]). Inverse below round-trips bit-identically.
-void cluster_json(JsonWriter& w, const ClusterResult& c);
-bool cluster_from_value(const JsonValue& v, ClusterResult* out,
-                        std::string* err);
 
 }  // namespace irs::obs

@@ -1,14 +1,12 @@
 #include "src/obs/forensics.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
 #include <set>
 #include <vector>
 
-#include "src/obs/fnv.h"
 
 namespace irs::obs {
 
@@ -29,69 +27,11 @@ const char* cause_name(Cause c) {
   return "?";
 }
 
-bool ForensicsWindow::operator==(const ForensicsWindow& o) const {
-  if (index != o.index || requests != o.requests ||
-      violations != o.violations) {
-    return false;
-  }
-  for (int c = 0; c < kNumCauses; ++c) {
-    if (causes[c] != o.causes[c]) return false;
-  }
-  return true;
-}
-
 sim::Duration ForensicsClassResult::cause_total(Cause c) const {
   const LatencyHistogram& h = causes[static_cast<int>(c)];
   const unsigned __int128 s =
       (static_cast<unsigned __int128>(h.sum_hi()) << 64) | h.sum_lo();
   return static_cast<sim::Duration>(s);
-}
-
-bool ForensicsClassResult::operator==(const ForensicsClassResult& o) const {
-  if (name != o.name || !(spec == o.spec) || spans != o.spans ||
-      truncated != o.truncated || open != o.open || windows != o.windows) {
-    return false;
-  }
-  for (int c = 0; c < kNumCauses; ++c) {
-    if (!(causes[c] == o.causes[c])) return false;
-  }
-  return true;
-}
-
-bool ForensicsResult::operator==(const ForensicsResult& o) const {
-  return window == o.window && head_truncated_at == o.head_truncated_at &&
-         classes == o.classes;
-}
-
-// ---------------------------------------------------------------------------
-// Digest (FNV-1a, obs/fnv.h, like every result block)
-// ---------------------------------------------------------------------------
-
-std::uint64_t ForensicsResult::digest() const {
-  if (classes.empty()) return 0;
-  std::uint64_t h = kFnvOffset;
-  fnv(h, static_cast<std::uint64_t>(window));
-  fnv(h, static_cast<std::uint64_t>(head_truncated_at));
-  fnv(h, classes.size());
-  for (const ForensicsClassResult& c : classes) {
-    fnv_str(h, c.name);
-    fnv(h, static_cast<std::uint64_t>(c.spec.threshold));
-    fnv(h, std::bit_cast<std::uint64_t>(c.spec.objective));
-    fnv(h, c.spans);
-    fnv(h, c.truncated);
-    fnv(h, c.open);
-    for (int i = 0; i < kNumCauses; ++i) fnv(h, c.causes[i].digest());
-    fnv(h, c.windows.size());
-    for (const ForensicsWindow& w : c.windows) {
-      fnv(h, static_cast<std::uint64_t>(w.index));
-      fnv(h, w.requests);
-      fnv(h, w.violations);
-      for (int i = 0; i < kNumCauses; ++i) {
-        fnv(h, static_cast<std::uint64_t>(w.causes[i]));
-      }
-    }
-  }
-  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -675,215 +615,44 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
 }
 
 // ---------------------------------------------------------------------------
-// Fold
+// JSON of the cause histograms
 // ---------------------------------------------------------------------------
 
-void fold_forensics(ForensicsResult& acc, const ForensicsResult& r) {
-  if (r.empty()) return;
-  if (acc.empty()) {
-    acc = r;
-    return;
-  }
-  acc.head_truncated_at = std::max(acc.head_truncated_at, r.head_truncated_at);
-  for (const ForensicsClassResult& rc : r.classes) {
-    ForensicsClassResult* ac = nullptr;
-    for (ForensicsClassResult& c : acc.classes) {
-      if (c.name == rc.name) {
-        ac = &c;
-        break;
-      }
-    }
-    if (ac == nullptr) {
-      // A new class goes in at its name-sorted position (as in fold_slo).
-      acc.classes.insert(
-          std::lower_bound(acc.classes.begin(), acc.classes.end(), rc,
-                           [](const ForensicsClassResult& a,
-                              const ForensicsClassResult& b) {
-                             return a.name < b.name;
-                           }),
-          rc);
-      continue;
-    }
-    ac->spans += rc.spans;
-    ac->truncated += rc.truncated;
-    ac->open += rc.open;
-    for (int c = 0; c < kNumCauses; ++c) ac->causes[c].merge(rc.causes[c]);
-    for (const ForensicsWindow& rw : rc.windows) {
-      auto it = std::find_if(
-          ac->windows.begin(), ac->windows.end(),
-          [&rw](const ForensicsWindow& w) { return w.index == rw.index; });
-      if (it == ac->windows.end()) {
-        ac->windows.push_back(rw);
-      } else {
-        it->requests += rw.requests;
-        it->violations += rw.violations;
-        for (int c = 0; c < kNumCauses; ++c) it->causes[c] += rw.causes[c];
-      }
-    }
-    std::sort(ac->windows.begin(), ac->windows.end(),
-              [](const ForensicsWindow& x, const ForensicsWindow& y) {
-                return x.index < y.index;
-              });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// JSON
-// ---------------------------------------------------------------------------
-
-void forensics_json(JsonWriter& w, const ForensicsResult& f) {
-  w.begin_object();
-  w.field("window_ns", static_cast<std::int64_t>(f.window));
-  w.field("head_truncated_at",
-          static_cast<std::int64_t>(f.head_truncated_at));
-  w.key("classes");
+void CausesByName::write(JsonWriter& w, const char* key,
+                         const LatencyHistogram (&causes)[kNumCauses]) {
+  w.key(key);
   w.begin_array();
-  for (const ForensicsClassResult& c : f.classes) {
+  for (int i = 0; i < kNumCauses; ++i) {
     w.begin_object();
-    w.field("name", c.name);
-    w.field("threshold_ns", static_cast<std::int64_t>(c.spec.threshold));
-    w.field("objective", c.spec.objective);
-    w.field("spans", c.spans);
-    w.field("truncated", c.truncated);
-    w.field("open", c.open);
-    w.key("causes");
-    w.begin_array();
-    for (int i = 0; i < kNumCauses; ++i) {
-      w.begin_object();
-      w.field("name", std::string(cause_name(static_cast<Cause>(i))));
-      histogram_fields_json(w, c.causes[i]);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("windows");
-    w.begin_array();
-    for (const ForensicsWindow& win : c.windows) {
-      w.begin_array();
-      w.value(static_cast<std::int64_t>(win.index));
-      w.value(win.requests);
-      w.value(win.violations);
-      for (int i = 0; i < kNumCauses; ++i) {
-        w.value(static_cast<std::int64_t>(win.causes[i]));
-      }
-      w.end_array();
-    }
-    w.end_array();
+    w.field("name", std::string(cause_name(static_cast<Cause>(i))));
+    HistogramFields::write(w, key, causes[i]);
     w.end_object();
   }
   w.end_array();
-  w.end_object();
 }
 
-namespace {
-
-bool fz_err(std::string* err, const std::string& msg) {
-  if (err != nullptr) *err = msg;
-  return false;
-}
-
-int cause_index(const std::string& name) {
-  for (int i = 0; i < kNumCauses; ++i) {
-    if (name == cause_name(static_cast<Cause>(i))) return i;
+bool CausesByName::read(const JsonValue& v, const char* key,
+                        const std::string& what,
+                        LatencyHistogram (*causes)[kNumCauses],
+                        std::string* err) {
+  const JsonValue* list = v.find(key);
+  if (list == nullptr || !list->is_array()) {
+    return fail(err, what + ": missing or bad '" + key + "'");
   }
-  return -1;
-}
-
-}  // namespace
-
-bool forensics_from_value(const JsonValue& v, ForensicsResult* out,
-                          std::string* err) {
-  if (!v.is_object()) return fz_err(err, "forensics is not a JSON object");
-  ForensicsResult f;
-  std::int64_t window = 0, head = 0;
-  const JsonValue* fld = v.find("window_ns");
-  if (fld == nullptr || !fld->get(&window)) {
-    return fz_err(err, "forensics: missing or bad 'window_ns'");
+  for (const JsonValue& hv : list->items) {
+    if (!hv.is_object()) return fail(err, "forensics cause is not an object");
+    std::string name;
+    if (!read_field(hv, "name", "forensics cause", &name, err)) return false;
+    int ci = 0;
+    while (ci < kNumCauses && name != cause_name(static_cast<Cause>(ci))) ++ci;
+    if (ci == kNumCauses) {
+      return fail(err, "forensics cause: unknown '" + name + "'");
+    }
+    if (!HistogramFields::read(hv, key, "forensics cause '" + name + "'",
+                               &(*causes)[ci], err)) {
+      return false;
+    }
   }
-  f.window = window;
-  if ((fld = v.find("head_truncated_at")) == nullptr || !fld->get(&head)) {
-    return fz_err(err, "forensics: missing 'head_truncated_at'");
-  }
-  f.head_truncated_at = head;
-  const JsonValue* classes = v.find("classes");
-  if (classes == nullptr || !classes->is_array()) {
-    return fz_err(err, "forensics: missing or bad 'classes'");
-  }
-  for (const JsonValue& cv : classes->items) {
-    if (!cv.is_object()) {
-      return fz_err(err, "forensics: class is not an object");
-    }
-    ForensicsClassResult c;
-    std::int64_t threshold = 0;
-    if ((fld = cv.find("name")) == nullptr || !fld->get(&c.name)) {
-      return fz_err(err, "forensics class: missing 'name'");
-    }
-    if ((fld = cv.find("threshold_ns")) == nullptr || !fld->get(&threshold)) {
-      return fz_err(err, "forensics class: missing 'threshold_ns'");
-    }
-    c.spec.threshold = threshold;
-    if ((fld = cv.find("objective")) == nullptr ||
-        !fld->get(&c.spec.objective)) {
-      return fz_err(err, "forensics class: missing 'objective'");
-    }
-    if ((fld = cv.find("spans")) == nullptr || !fld->get(&c.spans)) {
-      return fz_err(err, "forensics class: missing 'spans'");
-    }
-    if ((fld = cv.find("truncated")) == nullptr || !fld->get(&c.truncated)) {
-      return fz_err(err, "forensics class: missing 'truncated'");
-    }
-    if ((fld = cv.find("open")) == nullptr || !fld->get(&c.open)) {
-      return fz_err(err, "forensics class: missing 'open'");
-    }
-    const JsonValue* causes = cv.find("causes");
-    if (causes == nullptr || !causes->is_array()) {
-      return fz_err(err, "forensics class: missing 'causes'");
-    }
-    for (const JsonValue& hv : causes->items) {
-      if (!hv.is_object()) {
-        return fz_err(err, "forensics class: cause is not an object");
-      }
-      std::string cname;
-      if ((fld = hv.find("name")) == nullptr || !fld->get(&cname)) {
-        return fz_err(err, "forensics cause: missing 'name'");
-      }
-      const int ci = cause_index(cname);
-      if (ci < 0) return fz_err(err, "forensics cause: unknown '" + cname + "'");
-      if (!histogram_from_fields(hv, "forensics cause '" + cname + "'",
-                                 &c.causes[ci], err)) {
-        return false;
-      }
-    }
-    const JsonValue* windows = cv.find("windows");
-    if (windows == nullptr || !windows->is_array()) {
-      return fz_err(err, "forensics class: missing 'windows'");
-    }
-    for (const JsonValue& wv : windows->items) {
-      // Window causes are positional (enum order); causes append, so a
-      // capture from before a cause existed is shorter — accept it and
-      // default the missing tail to 0. Longer than we know is malformed.
-      if (!wv.is_array() || wv.items.size() < 3 ||
-          wv.items.size() > static_cast<std::size_t>(3 + kNumCauses)) {
-        return fz_err(err, "forensics class: bad window entry");
-      }
-      ForensicsWindow win;
-      std::int64_t idx = 0;
-      if (!wv.items[0].get(&idx) || !wv.items[1].get(&win.requests) ||
-          !wv.items[2].get(&win.violations)) {
-        return fz_err(err, "forensics class: bad window field");
-      }
-      win.index = idx;
-      for (int i = 0; 3 + i < static_cast<int>(wv.items.size()); ++i) {
-        std::int64_t d = 0;
-        if (!wv.items[static_cast<std::size_t>(3 + i)].get(&d)) {
-          return fz_err(err, "forensics class: bad window cause");
-        }
-        win.causes[i] = d;
-      }
-      c.windows.push_back(win);
-    }
-    f.classes.push_back(std::move(c));
-  }
-  *out = std::move(f);
   return true;
 }
 

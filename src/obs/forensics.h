@@ -39,10 +39,11 @@
 // request (zeros included) — so summing the per-cause histogram sums
 // reproduces the total latency sum bit-exactly, which tests assert.
 //
-// Like every obs result, ForensicsResult is integer-exact, merges across
-// a sweep's runs bit-identically (fold_forensics), serializes round-trip
-// (forensics_json / forensics_from_value), and condenses to one FNV-1a
-// digest() word for cross-process identity checks.
+// Like every obs result, ForensicsResult is integer-exact and lists its
+// fields once (see fields.h), so it merges across a sweep's runs
+// bit-identically (fold_block), serializes round-trip (write_block /
+// read_block), and condenses to one FNV-1a digest() word for
+// cross-process identity checks.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +51,6 @@
 #include <vector>
 
 #include "src/obs/chrome_trace.h"
-#include "src/obs/json.h"
-#include "src/obs/json_reader.h"
 #include "src/obs/slo.h"
 #include "src/sim/time.h"
 #include "src/sim/trace.h"
@@ -78,6 +77,16 @@ inline constexpr int kNumCauses = static_cast<int>(Cause::kQueueWait) + 1;
 /// Stable short name ("run", "ready_wait", ... "queue_wait").
 const char* cause_name(Cause c);
 
+/// The cause histograms' JSON, as a field codec (see fields.h):
+/// "causes":[{"name":"run",<histogram>},..] in enum order, read back by
+/// name, so a capture from before a cause existed leaves it empty.
+struct CausesByName {
+  static void write(JsonWriter& w, const char* key,
+                    const LatencyHistogram (&causes)[kNumCauses]);
+  static bool read(const JsonValue& v, const char* key, const std::string& what,
+                   LatencyHistogram (*causes)[kNumCauses], std::string* err);
+};
+
 /// Per-cause latency totals of the SLO-violating requests that completed in
 /// one violating window — the ranked root-cause table is sorted from these.
 struct ForensicsWindow {
@@ -86,7 +95,20 @@ struct ForensicsWindow {
   std::uint64_t violations = 0; // of those, latency > spec.threshold
   sim::Duration causes[kNumCauses] = {};  // totals over violating spans
 
-  bool operator==(const ForensicsWindow& o) const;
+  bool operator==(const ForensicsWindow& o) const = default;
+
+  /// A positional row [index,requests,violations,<cause totals>..]. The
+  /// causes are in enum order and new ones append, so a row written
+  /// before a cause existed is shorter; its missing tail reads as 0.
+  static constexpr bool kRow = true;
+  static constexpr std::size_t kMinRow = 3;
+  template <typename F>
+  static void fields(F&& f) {
+    f("index", &ForensicsWindow::index, kKeep);
+    f("requests", &ForensicsWindow::requests, kSum);
+    f("violations", &ForensicsWindow::violations, kSum);
+    f("causes", &ForensicsWindow::causes, kSum);
+  }
 };
 
 /// One SLO class's forensic capture: per-cause latency distributions over
@@ -107,11 +129,25 @@ struct ForensicsClassResult {
   /// Total latency charged to `c` across all completed spans (exact).
   [[nodiscard]] sim::Duration cause_total(Cause c) const;
 
-  bool operator==(const ForensicsClassResult& o) const;
+  bool operator==(const ForensicsClassResult& o) const = default;
+
+  static constexpr const char* kWhat = "forensics class";
+  template <typename F>
+  static void fields(F&& f) {
+    f("name", &ForensicsClassResult::name, kKeep);
+    f("spec", &ForensicsClassResult::spec, kKeep);
+    f("spans", &ForensicsClassResult::spans, kSum);
+    f("truncated", &ForensicsClassResult::truncated, kSum);
+    f("open", &ForensicsClassResult::open, kSum);
+    f("causes", &ForensicsClassResult::causes, kSum, CausesByName{});
+    f("windows", &ForensicsClassResult::windows, kByIndex);
+  }
 };
 
 /// The full forensic capture of one run — what RunResult carries,
-/// result_json serializes, and the sweep folder merges.
+/// result_json serializes, and the sweep folder merges (see fields.h:
+/// classes match by name, histograms merge integer-exactly, windows merge
+/// by index, counters add).
 struct ForensicsResult {
   sim::Duration window = 0;        // violation-window length; 0 = untracked
   /// retained_head(): when the ring wrapped, the oldest retained ring
@@ -123,8 +159,16 @@ struct ForensicsResult {
 
   [[nodiscard]] bool empty() const { return classes.empty(); }
   /// FNV-1a over every field. 0 is reserved for the empty result.
-  [[nodiscard]] std::uint64_t digest() const;
-  bool operator==(const ForensicsResult& o) const;
+  [[nodiscard]] std::uint64_t digest() const { return block_digest(*this); }
+  bool operator==(const ForensicsResult& o) const = default;
+
+  static constexpr const char* kWhat = "forensics";
+  template <typename F>
+  static void fields(F&& f) {
+    f("window_ns", &ForensicsResult::window, kKeep);
+    f("head_truncated_at", &ForensicsResult::head_truncated_at, kMax);
+    f("classes", &ForensicsResult::classes, kByName);
+  }
 };
 
 /// One completed request span, captured by the serving workloads into a
@@ -171,18 +215,5 @@ std::vector<sim::TraceRecord> with_request_spans(
 ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
                                   const TraceMeta& meta, const SloResult& slo,
                                   const std::string& vm = "fg");
-
-/// Exact fold of `r` into `acc` (for sweep averaging): classes match by
-/// name and a new one is inserted in name order, histograms merge
-/// integer-exactly, windows merge by index, counters add. Folding N runs
-/// whose class lists are name-sorted (every run's is) in any order is
-/// bit-identical to any other order.
-void fold_forensics(ForensicsResult& acc, const ForensicsResult& r);
-
-/// Serialize as one JSON object on an open writer (fixed key order,
-/// integers exact). Inverse below round-trips bit-identically.
-void forensics_json(JsonWriter& w, const ForensicsResult& f);
-bool forensics_from_value(const JsonValue& v, ForensicsResult* out,
-                          std::string* err);
 
 }  // namespace irs::obs

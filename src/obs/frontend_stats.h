@@ -9,16 +9,15 @@
 //   arrivals == completed + tail_dropped + admit_rejected + shed + in_flight
 //
 // is a test invariant (tests/frontend_test.cpp), and like every obs result
-// the block is integer-exact, folds across a sweep's runs order-independently
-// (fold_frontend), serializes round-trip (frontend_json /
-// frontend_from_value), and condenses to one FNV-1a digest() word.
+// the block is integer-exact and lists its fields once (see fields.h), so
+// it folds across a sweep's runs order-independently (counters add, the
+// max fields take the max), serializes round-trip, and condenses to one
+// FNV-1a digest() word.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "src/obs/json.h"
-#include "src/obs/json_reader.h"
+#include "src/obs/fields.h"
 #include "src/sim/time.h"
 
 namespace irs::obs {
@@ -46,19 +45,25 @@ struct FrontendResult {
   /// No front-end ran (every field at its default).
   [[nodiscard]] bool empty() const { return *this == FrontendResult{}; }
   /// FNV-1a over every field. 0 is reserved for the empty result.
-  [[nodiscard]] std::uint64_t digest() const;
+  [[nodiscard]] std::uint64_t digest() const { return block_digest(*this); }
   bool operator==(const FrontendResult& o) const = default;
+
+  static constexpr const char* kWhat = "frontend";
+  template <typename F>
+  static void fields(F&& f) {
+    f("arrivals", &FrontendResult::arrivals, kSum);
+    f("accepted", &FrontendResult::accepted, kSum);
+    f("completed", &FrontendResult::completed, kSum);
+    f("tail_dropped", &FrontendResult::tail_dropped, kSum);
+    f("admit_rejected", &FrontendResult::admit_rejected, kSum);
+    f("shed", &FrontendResult::shed, kSum);
+    f("in_flight", &FrontendResult::in_flight, kSum);
+    f("conn_setups", &FrontendResult::conn_setups, kSum);
+    f("keepalive_reuses", &FrontendResult::keepalive_reuses, kSum);
+    f("max_queue_depth", &FrontendResult::max_queue_depth, kMax);
+    f("queue_wait_total_ns", &FrontendResult::queue_wait_total, kSum);
+    f("queue_wait_max_ns", &FrontendResult::queue_wait_max, kMax);
+  }
 };
-
-/// Exact fold of `r` into `acc` (for sweep averaging): counters add, the
-/// max fields take the max. Folding N runs in any order is bit-identical
-/// to any other order.
-void fold_frontend(FrontendResult& acc, const FrontendResult& r);
-
-/// Serialize as one JSON object on an open writer (fixed key order,
-/// integers exact). Inverse below round-trips bit-identically.
-void frontend_json(JsonWriter& w, const FrontendResult& f);
-bool frontend_from_value(const JsonValue& v, FrontendResult* out,
-                         std::string* err);
 
 }  // namespace irs::obs

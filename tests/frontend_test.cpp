@@ -369,7 +369,7 @@ obs::FrontendResult sample_ledger() {
 
 std::string to_json(const obs::FrontendResult& f) {
   obs::JsonWriter w(obs::JsonWriter::Doubles::kRoundTrip);
-  obs::frontend_json(w, f);
+  obs::write_block(w, f);
   return w.str();
 }
 
@@ -381,7 +381,7 @@ TEST(FrontendJson, RoundTripsByteIdentical) {
   ASSERT_TRUE(reader.parse(json, &v)) << reader.error();
   obs::FrontendResult parsed;
   std::string err;
-  ASSERT_TRUE(obs::frontend_from_value(v, &parsed, &err)) << err;
+  ASSERT_TRUE(obs::read_block(v, &parsed, &err)) << err;
   EXPECT_EQ(parsed, f);
   EXPECT_EQ(parsed.digest(), f.digest());
   EXPECT_EQ(to_json(parsed), json);  // byte-identical re-emit
@@ -394,7 +394,7 @@ TEST(FrontendJson, RejectsMalformedBlocks) {
   obs::JsonValue v;
   // Not an object.
   ASSERT_TRUE(reader.parse("[1,2]", &v));
-  EXPECT_FALSE(obs::frontend_from_value(v, &out, &err));
+  EXPECT_FALSE(obs::read_block(v, &out, &err));
   // Each required key, individually missing (renamed), is rejected with an
   // error naming the key.
   const std::string full = to_json(sample_ledger());
@@ -409,12 +409,12 @@ TEST(FrontendJson, RejectsMalformedBlocks) {
     broken.replace(pos, needle.size(), std::string("\"x_") + key + "\"");
     ASSERT_TRUE(reader.parse(broken, &v)) << key;
     err.clear();
-    EXPECT_FALSE(obs::frontend_from_value(v, &out, &err)) << key;
+    EXPECT_FALSE(obs::read_block(v, &out, &err)) << key;
     EXPECT_NE(err.find(key), std::string::npos) << err;
   }
   // Wrong type.
   ASSERT_TRUE(reader.parse(R"({"arrivals":"many"})", &v));
-  EXPECT_FALSE(obs::frontend_from_value(v, &out, &err));
+  EXPECT_FALSE(obs::read_block(v, &out, &err));
 }
 
 std::string golden_path(const std::string& name) {
@@ -453,7 +453,7 @@ TEST(FrontendGolden, SerializedBlockMatchesFixtureByteForByte) {
   ASSERT_TRUE(reader.parse(want, &v)) << reader.error();
   obs::FrontendResult parsed;
   std::string err;
-  ASSERT_TRUE(obs::frontend_from_value(v, &parsed, &err)) << err;
+  ASSERT_TRUE(obs::read_block(v, &parsed, &err)) << err;
   EXPECT_EQ(parsed, sample_ledger());
 }
 
@@ -465,10 +465,10 @@ TEST(FrontendFold, ExactOrderIndependentWithMaxSemantics) {
   b.max_queue_depth = 200;
   b.queue_wait_max = a.queue_wait_max + 5;
   obs::FrontendResult ab, ba;
-  obs::fold_frontend(ab, a);
-  obs::fold_frontend(ab, b);
-  obs::fold_frontend(ba, b);
-  obs::fold_frontend(ba, a);
+  obs::fold_block(ab, a);
+  obs::fold_block(ab, b);
+  obs::fold_block(ba, b);
+  obs::fold_block(ba, a);
   EXPECT_EQ(ab, ba);
   EXPECT_EQ(ab.arrivals, a.arrivals + b.arrivals);
   EXPECT_EQ(ab.completed, a.completed + b.completed);
@@ -477,7 +477,7 @@ TEST(FrontendFold, ExactOrderIndependentWithMaxSemantics) {
   EXPECT_EQ(ab.queue_wait_total, a.queue_wait_total + b.queue_wait_total);
   // Folding an empty ledger is a no-op; empty digests are 0, others not.
   obs::FrontendResult untouched = ab;
-  obs::fold_frontend(ab, obs::FrontendResult{});
+  obs::fold_block(ab, obs::FrontendResult{});
   EXPECT_EQ(ab, untouched);
   EXPECT_EQ(obs::FrontendResult{}.digest(), 0u);
   EXPECT_NE(ab.digest(), 0u);

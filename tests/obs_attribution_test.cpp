@@ -160,11 +160,6 @@ TEST(ObsAttribution, ReportRenderingIsWellFormed) {
   const std::string text = os.str();
   EXPECT_NE(text.find("fg/worker0"), std::string::npos) << text;
   EXPECT_NE(text.find("head truncated"), std::string::npos) << text;
-
-  const std::string json = exp::attribution_json(a);
-  EXPECT_NE(json.find("\"label\":\"fg/worker0\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"runq\":3000000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"coverage\":"), std::string::npos) << json;
 }
 
 TEST(ObsAttribution, TwoVmScenarioChargesMeasuredSteal) {

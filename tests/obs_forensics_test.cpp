@@ -324,7 +324,7 @@ TEST(ForensicsJson, RoundTripsBitIdentically) {
   ASSERT_FALSE(r.forensics.empty());
 
   obs::JsonWriter w;
-  obs::forensics_json(w, r.forensics);
+  obs::write_block(w, r.forensics);
   const std::string text = w.str();
 
   obs::JsonReader reader;
@@ -332,12 +332,12 @@ TEST(ForensicsJson, RoundTripsBitIdentically) {
   ASSERT_TRUE(reader.parse(text, &v)) << reader.error();
   obs::ForensicsResult parsed;
   std::string err;
-  ASSERT_TRUE(obs::forensics_from_value(v, &parsed, &err)) << err;
+  ASSERT_TRUE(obs::read_block(v, &parsed, &err)) << err;
   EXPECT_TRUE(parsed == r.forensics);
   EXPECT_EQ(parsed.digest(), r.forensics.digest());
 
   obs::JsonWriter w2;
-  obs::forensics_json(w2, parsed);
+  obs::write_block(w2, parsed);
   EXPECT_EQ(w2.str(), text);  // byte-identical re-serialization
 }
 
@@ -368,12 +368,12 @@ TEST(ForensicsJson, RejectsMalformedFields) {
   obs::ForensicsResult out;
   std::string err;
   ASSERT_TRUE(reader.parse("{\"classes\":[]}", &v));
-  EXPECT_FALSE(obs::forensics_from_value(v, &out, &err));  // no window_ns
+  EXPECT_FALSE(obs::read_block(v, &out, &err));  // no window_ns
   ASSERT_TRUE(reader.parse(
       "{\"window_ns\":30000000,\"head_truncated_at\":-1,"
       "\"classes\":[{\"name\":\"x\"}]}",
       &v));
-  EXPECT_FALSE(obs::forensics_from_value(v, &out, &err));
+  EXPECT_FALSE(obs::read_block(v, &out, &err));
   EXPECT_FALSE(err.empty());
 
   // An inconsistent cause histogram: each row breaks one field of a block
@@ -389,7 +389,7 @@ TEST(ForensicsJson, RejectsMalformedFields) {
            h + "}],\"windows\":[]}]}";
   };
   ASSERT_TRUE(reader.parse(block(hist), &v));
-  ASSERT_TRUE(obs::forensics_from_value(v, &out, &err)) << err;
+  ASSERT_TRUE(obs::read_block(v, &out, &err)) << err;
   EXPECT_EQ(out.classes[0].cause_total(obs::Cause::kRun), 30);
   for (const auto& [from, to, why] :
        {std::tuple{"\"min_ns\":10,\"max_ns\":20",
@@ -402,7 +402,7 @@ TEST(ForensicsJson, RejectsMalformedFields) {
     bad.replace(bad.find(from), std::string(from).size(), to);
     ASSERT_TRUE(reader.parse(block(bad), &v));
     err.clear();
-    EXPECT_FALSE(obs::forensics_from_value(v, &out, &err));
+    EXPECT_FALSE(obs::read_block(v, &out, &err));
     EXPECT_NE(err.find("forensics cause 'run'"), std::string::npos) << err;
     EXPECT_NE(err.find(why), std::string::npos) << err;
   }
@@ -448,10 +448,10 @@ TEST(ForensicsFold, FoldIsOrderIndependentAndExact) {
     runs.push_back(exp::run_scenario(cfg));
   }
   obs::ForensicsResult fwd;
-  for (const exp::RunResult& r : runs) obs::fold_forensics(fwd, r.forensics);
+  for (const exp::RunResult& r : runs) obs::fold_block(fwd, r.forensics);
   obs::ForensicsResult rev;
   for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
-    obs::fold_forensics(rev, it->forensics);
+    obs::fold_block(rev, it->forensics);
   }
   ASSERT_EQ(fwd.classes.size(), 2u);
   EXPECT_TRUE(fwd == rev);
