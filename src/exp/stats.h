@@ -25,10 +25,15 @@ class SweepStats {
   [[nodiscard]] std::uint64_t runs() const { return runs_; }
   [[nodiscard]] std::uint64_t finished() const { return finished_; }
 
-  /// Sweep-wide block fold: every run's result blocks folded exactly and
-  /// their digests XORed (see fold_blocks). Only the block and *_digest
-  /// fields are set; a block stays empty when no run carried it.
-  [[nodiscard]] const RunResult& blocks() const { return blocks_; }
+  /// Sweep-wide block fold: every run's result blocks folded exactly (see
+  /// fold_blocks), each with its digest() computed here rather than on
+  /// every add(). Only the block and *_digest fields are set; a block
+  /// stays empty when no run carried it.
+  [[nodiscard]] RunResult blocks() const {
+    RunResult r = blocks_;
+    set_block_digests(r);
+    return r;
+  }
 
  private:
   std::uint64_t runs_ = 0;
