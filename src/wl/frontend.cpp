@@ -41,7 +41,6 @@ bool overload_policy_from_name(const std::string& name, OverloadPolicy* out) {
 void FrontendShape::note_completion(sim::Time now, sim::Duration latency) {
   const sim::Duration shed_window = serving->slo_window();
   const obs::SloSpec& spec = serving->spec();
-  if (shed_window <= 0) return;
   while (now - win_start >= shed_window) {
     // Settle the window that just closed: shed the next one iff this one
     // burned its error budget (> 1x the allowed violation fraction). A gap

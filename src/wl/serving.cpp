@@ -8,9 +8,8 @@ Serving::Serving(std::uint64_t& work, sim::Duration run_for,
                  std::vector<SloClass> classes)
     : work_(work), run_for_(run_for), classes_(std::move(classes)) {}
 
-void Serving::enable_slo(sim::Duration window) {
-  window_ = window;
-  slo_ = std::make_unique<obs::SloTracker>(window);
+void Serving::enable_slo() {
+  slo_ = std::make_unique<obs::SloTracker>();
   for (const SloClass& c : classes_) slo_->add_class(c.name, c.spec);
 }
 

@@ -47,7 +47,7 @@ class Serving {
   Serving& operator=(const Serving&) = delete;
 
   /// Track windowed SLO latency for every class (call before the run).
-  void enable_slo(sim::Duration window = obs::SloTracker::kDefaultWindow);
+  void enable_slo();
   /// Capture a ReqSpan per completed request into the side log (forensics
   /// input; the runner turns it into kReqBegin/kReqEnd records at analysis
   /// time).
@@ -77,8 +77,10 @@ class Serving {
   [[nodiscard]] const obs::SloSpec& spec() const {
     return classes_.front().spec;
   }
-  /// The SLO window: 30 ms unless enable_slo() chose another.
-  [[nodiscard]] sim::Duration slo_window() const { return window_; }
+  /// The SLO window, tracked or not: SloTracker's 30 ms.
+  [[nodiscard]] static constexpr sim::Duration slo_window() {
+    return obs::SloTracker::kDefaultWindow;
+  }
 
   /// Flush open windows at `end` and snapshot. Empty if SLO not enabled.
   [[nodiscard]] obs::SloResult slo_result(sim::Time end);
@@ -94,7 +96,6 @@ class Serving {
   std::uint64_t& work_;
   sim::Duration run_for_;
   std::vector<SloClass> classes_;
-  sim::Duration window_ = obs::SloTracker::kDefaultWindow;
   std::unique_ptr<obs::SloTracker> slo_;
   bool spans_on_ = false;
   std::vector<obs::ReqSpan> spans_;
