@@ -79,13 +79,6 @@ expect_bad 2 env IRS_BENCH_JOBS=zz ./build/bench/bench_report \
 # Every paper binary renders its trimmed registry grid (see the script).
 scripts/bench_smoke.sh build
 
-# Engine deep-queue bench smoke: every EventQueue backend variant (binary,
-# quad, wheel x tight/timer shapes) must run clean. The old-vs-new ratio
-# the perf trajectory tracks is recorded in BENCH_sweep.json as
-# deepqueue_speedup_vs_binary by bench/bench_report, which gates on it.
-./build/bench/micro_benchmarks --benchmark_filter=BM_EngineDeepQueue \
-    --benchmark_min_time=0.05
-
 # Queue oracle on whole grids: the default hybrid wheel must produce
 # byte-identical NDJSON to the binary-heap oracle on a compute grid
 # (fig05), the PLE spin grid (fig06, where the dormant PLE watch and the
@@ -108,8 +101,10 @@ done
 
 # Gate check: bench_report prints a PASS/FAIL line for each of its seven
 # timing gates and fails (exit 1) if any tripped — trace ns/record more
-# than 2x the previous report, sampler >= 6%, deepqueue_speedup_vs_binary
-# < 0.9, SLO or forensics recording >= 5%, the forensics analyzer >= 150
+# than 2x the previous report, sampler >= 6%, serial fig05 on the default
+# queue backend slower than 0.9x its binary-heap time
+# (wheel_fig05_speedup_vs_binary), SLO or forensics recording >= 5%, the
+# forensics analyzer >= 150
 # ns/record, or the open-loop front-end >= 5% per completed request. The
 # determinism checks (serial = parallel sweeps, fold identity through
 # result_json, offline forensics replay, histogram memory, front-end

@@ -161,8 +161,7 @@ void Cluster::migrate(int mig, int dst_host) {
           t->cache_debt += cfg_.migration.warmup_debt;
           k.wake_task(*t);
         }
-      },
-      "cluster.migrate.arrive");
+      });
 }
 
 obs::ClusterResult Cluster::result() const {

@@ -13,7 +13,7 @@ void Collector::start() {
   // Baseline snapshot so the first window measures [t0, t0+period), not
   // [time origin, t0+period).
   for (std::size_t i = 0; i < n; ++i) prev_[i] = totals(static_cast<int>(i));
-  eng_.schedule(period_, [this]() { collect(); }, "cluster.collect");
+  eng_.schedule(period_, [this]() { collect(); });
 }
 
 Collector::Totals Collector::totals(int vm_i) const {
@@ -55,7 +55,7 @@ void Collector::collect() {
     ledger_->lhp += static_cast<std::uint64_t>(host_lhp);
     ledger_->lwp += static_cast<std::uint64_t>(host_lwp);
   }
-  eng_.schedule(period_, [this]() { collect(); }, "cluster.collect");
+  eng_.schedule(period_, [this]() { collect(); });
 }
 
 const Collector::VmSample& Collector::sample(hv::VmId vm) const {

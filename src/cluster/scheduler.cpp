@@ -92,15 +92,13 @@ int Scheduler::place(int n_vcpus) {
 void Scheduler::start() {
   // The baselines are placement-only: no decision loop, no migrations.
   if (policy_ != Policy::kIrs) return;
-  cluster_.engine().schedule(decide_period_, [this]() { decide(); },
-                             "cluster.decide");
+  cluster_.engine().schedule(decide_period_, [this]() { decide(); });
 }
 
 void Scheduler::decide() {
   Cluster& c = cluster_;
   c.ledger_.decisions += 1;
-  c.engine().schedule(decide_period_, [this]() { decide(); },
-                      "cluster.decide");
+  c.engine().schedule(decide_period_, [this]() { decide(); });
   const CvmId prot = c.protected_vm();
   if (prot.host < 0 || c.n_hosts() < 2) return;
 

@@ -15,13 +15,12 @@ namespace irs::guest {
 GuestCpu::GuestCpu(GuestKernel& kernel, int idx)
     : kernel_(kernel),
       idx_(idx),
-      tick_timer_(kernel.engine(), [this]() { on_tick(); }, "guest.tick"),
+      tick_timer_(kernel.engine(), [this]() { on_tick(); }),
       idle_poll_(
           kernel.engine(),
           [this]() {
             if (!vcpu_running_ && guest_idle()) kernel_.kick_if_blocked(idx_);
-          },
-          "guest.idle_poll"),
+          }),
       steal_(kernel.config().steal_avg_tau) {
   softirq_.set_handler(SoftirqNr::kTimer, [this]() { timer_softirq(); });
   softirq_.set_handler(SoftirqNr::kUpcall, [this]() { upcall_softirq(); });
@@ -92,8 +91,8 @@ void GuestCpu::resume_current() {
     pending_overhead_ = 0;
     exec_start_ = kernel_.engine().now();
     exec_active_ = true;
-    op_done_ = kernel_.engine().schedule(
-        t.op_remaining, [this]() { on_op_complete(); }, "guest.op");
+    op_done_ = kernel_.engine().schedule(t.op_remaining,
+                                         [this]() { on_op_complete(); });
     return;
   }
   interpret();
@@ -154,8 +153,8 @@ void GuestCpu::interpret() {
         pending_overhead_ = 0;
         exec_start_ = kernel_.engine().now();
         exec_active_ = true;
-        op_done_ = kernel_.engine().schedule(
-            t.op_remaining, [this]() { on_op_complete(); }, "guest.op");
+        op_done_ = kernel_.engine().schedule(t.op_remaining,
+                                             [this]() { on_op_complete(); });
         return;
       }
       case ActionKind::kLock: {
@@ -229,7 +228,7 @@ void GuestCpu::interpret() {
         t.has_op = false;
         Task* tp = &t;
         t.sleep_timer = kernel_.engine().schedule(
-            a.dur, [this, tp]() { kernel_.wake_task(*tp); }, "guest.sleep");
+            a.dur, [this, tp]() { kernel_.wake_task(*tp); });
         block_current(TaskState::kSleeping);
         return;
       }
@@ -288,8 +287,7 @@ void GuestCpu::request_resched(bool force) {
         0,
         [this]() {
           if (vcpu_running_) maybe_resched();
-        },
-        "guest.resched");
+        });
   }
 }
 
@@ -382,8 +380,7 @@ void GuestCpu::pick_next_or_idle() {
           2 * kernel_.config().migrator_cost,
           [this]() {
             if (vcpu_running_ && current_ == nullptr) pick_next_or_idle();
-          },
-          "guest.idle_spin");
+          });
     }
     return;
   }
@@ -412,8 +409,7 @@ void GuestCpu::enqueue_ready(Task& t, bool wake_preempt,
               if (vcpu_running_ && current_ == nullptr && !rq_.empty()) {
                 pick_next_or_idle();
               }
-            },
-            "guest.pick");
+            });
       }
     } else {
       kernel_.kick_if_blocked(idx_);
@@ -525,8 +521,7 @@ void GuestCpu::request_stop_migration(Task& victim, int dst,
         0,
         [this]() {
           if (vcpu_running_) run_stop_requests();
-        },
-        "guest.stopper");
+        });
   }
   // Otherwise the request executes when the vCPU next gets a pCPU — the
   // very delay Fig. 1b measures.

@@ -23,8 +23,7 @@ void GuestCpu::on_sa_upcall() {
         // timer tick is processed first (run_pending drains in order), so
         // a task the timer wanted to switch out is not migrated by IRS.
         if (vcpu_running_) softirq_.run_pending(SoftirqNr::kUpcall);
-      },
-      "guest.sa_bh");
+      });
 }
 
 }  // namespace irs::guest

@@ -11,8 +11,8 @@ CreditScheduler::CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
                                  std::vector<Vm*>& vms, sim::Trace& trace)
     : eng_(eng), cfg_(cfg), pcpus_(pcpus), vms_(vms), trace_(trace) {
   for (auto& p : pcpus_) {
-    slice_timers_.emplace_back(
-        eng_, [this, pp = &p]() { request_resched(*pp); }, "hv.slice");
+    slice_timers_.emplace_back(eng_,
+                               [this, pp = &p]() { request_resched(*pp); });
   }
 }
 
@@ -21,16 +21,15 @@ void CreditScheduler::start() {
     Pcpu* pp = &p;
     // Stagger nothing: ticks are per-pCPU but deterministic order by id.
     std::function<void()> tick = [this, pp]() { on_tick(*pp); };
-    p.tick_timer = eng_.schedule(cfg_.tick_period, tick, "hv.tick");
+    p.tick_timer = eng_.schedule(cfg_.tick_period, tick);
   }
-  eng_.schedule(cfg_.accounting_period, [this]() { on_accounting(); },
-                "hv.acct");
+  eng_.schedule(cfg_.accounting_period, [this]() { on_accounting(); });
 }
 
 void CreditScheduler::request_resched(Pcpu& p) {
   if (p.sched_pending) return;
   p.sched_pending = true;
-  eng_.schedule(0, [this, pp = &p]() { do_schedule(*pp); }, "hv.sched");
+  eng_.schedule(0, [this, pp = &p]() { do_schedule(*pp); });
 }
 
 PcpuId CreditScheduler::cpu_pick(const Vcpu& v) const {
@@ -202,8 +201,7 @@ void CreditScheduler::switch_to(Pcpu& p, Vcpu* next) {
       [nv]() {
         nv->guest_active = true;
         if (nv->vm().has_guest()) nv->vm().guest().vcpu_started(nv->idx());
-      },
-      "hv.vcpu_start");
+      });
 }
 
 Vcpu* CreditScheduler::steal_for(Pcpu& p) {
@@ -276,8 +274,8 @@ void CreditScheduler::on_tick(Pcpu& p) {
     // Idle pCPU with queued/stealable work (can happen transiently).
     request_resched(p);
   }
-  p.tick_timer = eng_.schedule(
-      cfg_.tick_period, [this, pp = &p]() { on_tick(*pp); }, "hv.tick");
+  p.tick_timer =
+      eng_.schedule(cfg_.tick_period, [this, pp = &p]() { on_tick(*pp); });
 }
 
 void CreditScheduler::on_accounting() {
@@ -318,8 +316,7 @@ void CreditScheduler::on_accounting() {
   }
   rebuild_queues();
   for (auto& p : pcpus_) request_resched(p);
-  eng_.schedule(cfg_.accounting_period, [this]() { on_accounting(); },
-                "hv.acct");
+  eng_.schedule(cfg_.accounting_period, [this]() { on_accounting(); });
 }
 
 void CreditScheduler::rebuild_queues() {

@@ -19,9 +19,8 @@ bool DelayPreemptHook::delay_preemption(Vcpu& cur) {
   cur.sa_sent_at = eng_.now();
   ++stats_.delay_grants;
   Vcpu* v = &cur;
-  cur.sa_cap_timer = eng_.schedule(
-      cfg_.delay_preempt_cap,
-      [this, v]() { expire(*v); }, "hv.delay_preempt");
+  cur.sa_cap_timer =
+      eng_.schedule(cfg_.delay_preempt_cap, [this, v]() { expire(*v); });
   return true;
 }
 

@@ -34,8 +34,7 @@ void PleMonitor::wake(Vcpu& v) {
 
 void PleMonitor::poll_at(Vcpu& v, sim::Time when) {
   Vcpu* vp = &v;
-  v.ple_timer =
-      eng_.schedule_at(when, [this, vp]() { fire(*vp); }, "hv.ple");
+  v.ple_timer = eng_.schedule_at(when, [this, vp]() { fire(*vp); });
 }
 
 void PleMonitor::fire(Vcpu& v) {
@@ -57,8 +56,7 @@ void PleMonitor::fire(Vcpu& v) {
       cfg_.ple_exit_cost,
       [this, vp]() {
         if (vp->state() == VcpuState::kRunning) sched_.force_preempt(*vp);
-      },
-      "hv.ple_exit");
+      });
 }
 
 }  // namespace irs::hv

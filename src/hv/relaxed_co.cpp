@@ -21,7 +21,7 @@ RelaxedCoMonitor::RelaxedCoMonitor(sim::Engine& eng, const HvConfig& cfg,
       trace_(trace) {}
 
 void RelaxedCoMonitor::start() {
-  eng_.schedule(cfg_.accounting_period, [this]() { on_period(); }, "hv.co");
+  eng_.schedule(cfg_.accounting_period, [this]() { on_period(); });
 }
 
 void RelaxedCoMonitor::on_period() {
@@ -40,7 +40,7 @@ void RelaxedCoMonitor::on_period() {
   for (Vm* vm : vms_) {
     if (vm->n_vcpus() > 1) check_vm(*vm);
   }
-  eng_.schedule(cfg_.accounting_period, [this]() { on_period(); }, "hv.co");
+  eng_.schedule(cfg_.accounting_period, [this]() { on_period(); });
 }
 
 void RelaxedCoMonitor::check_vm(Vm& vm) {
@@ -97,8 +97,7 @@ void RelaxedCoMonitor::check_vm(Vm& vm) {
             lead->resident() != kNoPcpu) {
           sched_.request_resched(pcpus_[lead->resident()]);
         }
-      },
-      "hv.co_unstop");
+      });
   // The paper's optimisation: switch the stopped leader with the slowest
   // sibling — boost the laggard into the freed slot.
   if (laggard->state() == VcpuState::kRunnable) {

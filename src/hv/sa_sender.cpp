@@ -33,8 +33,7 @@ bool SaSender::delay_preemption(Vcpu& cur) {
         ++stats_.sa_forced;
         stats_.sa_delay_total += eng_.now() - v->sa_sent_at;
         sched_.force_preempt(*v);
-      },
-      "sa.cap");
+      });
   return true;
 }
 

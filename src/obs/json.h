@@ -12,14 +12,14 @@ namespace irs::obs {
 
 class JsonWriter {
  public:
-  /// Double rendering policy. kCompact ("%.6g") is the human-oriented
+  /// Double rendering policy. kSixDigits ("%.6g") is the human-oriented
   /// default used by the trace exporters. kRoundTrip emits the shortest
   /// decimal that parses back to the exact same double (std::to_chars), so
   /// a value can cross an NDJSON file and come back bit-identical —
   /// result_from_json's round trip depends on this.
-  enum class Doubles { kCompact, kRoundTrip };
+  enum class Doubles { kSixDigits, kRoundTrip };
 
-  explicit JsonWriter(Doubles doubles = Doubles::kCompact)
+  explicit JsonWriter(Doubles doubles = Doubles::kSixDigits)
       : doubles_(doubles) {}
 
   JsonWriter& begin_object();
@@ -54,7 +54,7 @@ class JsonWriter {
   // One entry per open container: number of elements emitted so far.
   std::vector<std::size_t> counts_;
   bool after_key_ = false;
-  Doubles doubles_ = Doubles::kCompact;
+  Doubles doubles_ = Doubles::kSixDigits;
 };
 
 /// JSON string literal (quotes + escapes applied).

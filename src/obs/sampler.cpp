@@ -48,13 +48,13 @@ void Sampler::sample_now() {
 
 void Sampler::tick() {
   sample_now();
-  tick_evt_ = eng_.schedule(period_, [this]() { tick(); }, "obs.sample");
+  tick_evt_ = eng_.schedule(period_, [this]() { tick(); });
 }
 
 void Sampler::start() {
   if (started_) return;
   started_ = true;
-  tick_evt_ = eng_.schedule(period_, [this]() { tick(); }, "obs.sample");
+  tick_evt_ = eng_.schedule(period_, [this]() { tick(); });
 }
 
 void Sampler::stop() {

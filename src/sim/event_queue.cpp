@@ -54,17 +54,6 @@ class BinaryHeapQueue final : public EventQueue {
 
   [[nodiscard]] std::size_t size() const override { return h_.size(); }
 
-  std::size_t compact(LiveFn live, void* ctx) override {
-    const std::size_t before = h_.size();
-    h_.erase(std::remove_if(h_.begin(), h_.end(),
-                            [&](const QEntry& e) {
-                              return !live(ctx, e.slot, e.gen);
-                            }),
-             h_.end());
-    std::make_heap(h_.begin(), h_.end(), Later{});
-    return before - h_.size();
-  }
-
  private:
   std::vector<QEntry> h_;
 };
@@ -94,20 +83,6 @@ class QuadHeap {
     h_.front() = h_.back();
     h_.pop_back();
     if (!h_.empty()) sift_down(0);
-  }
-
-  std::size_t compact(EventQueue::LiveFn live, void* ctx) {
-    const std::size_t before = h_.size();
-    h_.erase(std::remove_if(h_.begin(), h_.end(),
-                            [&](const QEntry& e) {
-                              return !live(ctx, e.slot, e.gen);
-                            }),
-             h_.end());
-    // Floyd heapify: sift down every internal node, last parent first.
-    if (h_.size() > 1) {
-      for (std::size_t i = (h_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
-    }
-    return before - h_.size();
   }
 
  private:
@@ -164,10 +139,6 @@ class QuadHeapQueue final : public EventQueue {
   }
 
   [[nodiscard]] std::size_t size() const override { return h_.size(); }
-
-  std::size_t compact(LiveFn live, void* ctx) override {
-    return h_.compact(live, ctx);
-  }
 
  private:
   QuadHeap h_;
@@ -237,43 +208,6 @@ class HybridWheelQueue final : public EventQueue {
 
   [[nodiscard]] std::size_t size() const override {
     return heap_.size() + wheel_count_ + (due_.size() - due_pos_);
-  }
-
-  std::size_t compact(LiveFn live, void* ctx) override {
-    std::size_t removed = heap_.compact(live, ctx);
-
-    // Unconsumed tail of the open bucket (order is preserved by filtering).
-    std::vector<QEntry> kept;
-    kept.reserve(due_.size() - due_pos_);
-    for (std::size_t i = due_pos_; i < due_.size(); ++i) {
-      if (live(ctx, due_[i].slot, due_[i].gen)) {
-        kept.push_back(due_[i]);
-      } else {
-        ++removed;
-      }
-    }
-    due_ = std::move(kept);
-    due_pos_ = 0;
-
-    // Wheel-resident shells: a cancel-heavy workload confined to the wheel
-    // must compact here, not just in the heap.
-    for (std::size_t slot = 0; slot < kWheelBuckets; ++slot) {
-      std::vector<QEntry>& b = buckets_[slot];
-      if (b.empty()) continue;
-      const std::size_t before = b.size();
-      b.erase(std::remove_if(b.begin(), b.end(),
-                             [&](const QEntry& e) {
-                               return !live(ctx, e.slot, e.gen);
-                             }),
-              b.end());
-      const std::size_t dropped = before - b.size();
-      removed += dropped;
-      wheel_count_ -= dropped;
-      if (b.empty()) {
-        words_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-      }
-    }
-    return removed;
   }
 
   [[nodiscard]] QueueKind kind() const override {

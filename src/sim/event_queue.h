@@ -1,11 +1,10 @@
 // Priority-queue backends for the discrete-event engine.
 //
 // The engine's schedule/cancel/dispatch loop is the hottest code in the
-// repo, and everything it needs from a queue is four operations over a
-// 24-byte POD entry: push, peek-min, deadline-bounded pop, and an
-// occasional stale-shell compaction sweep. `EventQueue` pins that contract
-// down as a small interface so backends can compete on cache behaviour
-// while the engine's determinism story stays in one place:
+// repo, and everything it needs from a queue is three operations over a
+// 24-byte POD entry: push, peek-min and deadline-bounded pop. `EventQueue`
+// pins that contract down as a small interface so backends can compete on
+// cache behaviour while the engine's determinism story stays in one place:
 //
 //   * total order — entries are ordered by {when, seq}; `seq` is the
 //     engine's monotone schedule counter, so same-timestamp events fire in
@@ -14,13 +13,13 @@
 //     backends, which the randomized oracle tests assert.
 //   * shells — the engine cancels events by bumping the slot generation
 //     and leaving the entry behind as a stale "shell". Backends store
-//     shells like any other entry; the engine discards them on pop and
-//     triggers compact() when shells outnumber half the queue, wherever
-//     they sit (heap or wheel bucket).
+//     shells like any other entry until they are popped; the engine
+//     discards them then.
 //
 // Backends (make_event_queue):
 //   * kBinaryHeap — the original std::push_heap/pop_heap binary heap; kept
-//     as the reference oracle and the "before" of the deep-queue bench.
+//     as the reference oracle and the "before" of bench_report's
+//     end-to-end wheel gate.
 //   * kQuadHeap — 4-ary implicit heap. Half the tree depth of a binary
 //     heap, and the four children of a node share at most two cache lines,
 //     so deep-queue sifts touch fewer lines per level. A thin wrapper over
@@ -44,20 +43,6 @@ namespace irs::sim {
 // ---------------------------------------------------------------------------
 // Tuning constants, each derived from the simulator's event cadence
 // ---------------------------------------------------------------------------
-
-/// Engine shell-compaction trigger: compact when stale shells outnumber
-/// half the queue AND the queue holds at least this many entries. Below
-/// 64 entries an O(n) sweep saves less than the bookkeeping costs — the
-/// steady-state queue of a 2-VM simulation (per-pCPU slice timers, hv
-/// ticks, softirqs) is ~50-200 entries, so 64 ≈ "at least a typical
-/// queue's worth of entries".
-inline constexpr std::size_t kCompactMinQueue = 64;
-
-/// Shell count below which the trigger above cannot possibly fire
-/// (shells > size/2 with size >= kCompactMinQueue requires more than
-/// kCompactMinQueue/2 shells). cancel_event skips the queue-size query —
-/// a virtual call — entirely until the count clears this floor.
-inline constexpr std::size_t kCompactShellFloor = kCompactMinQueue / 2;
 
 /// Default timer-wheel bucket width, as a log2 of nanoseconds: 2^17 ns =
 /// 131.072 µs. Derived from the scheduling cadence the simulations are
@@ -101,14 +86,9 @@ enum class QueueKind : std::uint8_t {
 
 /// Minimal priority-queue contract the engine dispatch loop needs.
 /// Entries are opaque to the queue apart from the {when, seq} order;
-/// liveness is the engine's business (see compact()).
+/// liveness is the engine's business.
 class EventQueue {
  public:
-  /// Liveness predicate for compaction: returns true if the entry
-  /// {slot, gen} is still live. Plain function pointer + context so
-  /// backends stay free of std::function on any path.
-  using LiveFn = bool (*)(void* ctx, std::uint32_t slot, std::uint32_t gen);
-
   virtual ~EventQueue() = default;
 
   [[nodiscard]] virtual QueueKind kind() const = 0;
@@ -135,14 +115,9 @@ class EventQueue {
   /// Remove and return the earliest entry; false when empty.
   bool pop(QEntry* out) { return pop_until(kTimeMax, out); }
 
-  /// Entries currently stored, including stale shells — the denominator of
-  /// the engine's shell-ratio compaction trigger, so it must count every
-  /// resident entry wherever it sits (heap, wheel bucket, or open bucket).
+  /// Entries currently stored, including stale shells, wherever they sit
+  /// (heap, wheel bucket, or open bucket). Engine::queued() reports it.
   [[nodiscard]] virtual std::size_t size() const = 0;
-
-  /// Drop every entry for which `live` returns false, preserving the
-  /// {when, seq} order of the survivors. Returns the number removed.
-  virtual std::size_t compact(LiveFn live, void* ctx) = 0;
 };
 
 /// The backend the engine uses when none is requested explicitly:
