@@ -340,14 +340,18 @@ void set_block_digests(RunResult& r) {
 }
 
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture) {
-  if (cfg.n_inter < 0) {
-    throw std::invalid_argument("run_scenario: n_inter must be >= 0 (got " +
-                                std::to_string(cfg.n_inter) + ")");
-  }
-  if (cfg.n_bg_vms < 0) {
-    throw std::invalid_argument("run_scenario: n_bg_vms must be >= 0 (got " +
-                                std::to_string(cfg.n_bg_vms) + ")");
-  }
+  // Checked in every build. hv::Host rejects a zero pCPU or vCPU count;
+  // a foreground without threads would run to its timeout.
+  const auto require_at_least = [](const char* field, int v, int min) {
+    if (v < min) {
+      throw std::invalid_argument(std::string("run_scenario: ") + field +
+                                  " must be >= " + std::to_string(min) +
+                                  " (got " + std::to_string(v) + ")");
+    }
+  };
+  require_at_least("n_inter", cfg.n_inter, 0);
+  require_at_least("n_bg_vms", cfg.n_bg_vms, 0);
+  require_at_least("fg_threads", cfg.fg_threads, 1);
   RunResult r = cfg.cluster.n_hosts >= 2 ? run_cluster(cfg, capture)
                                           : run_single(cfg, capture);
   set_block_digests(r);

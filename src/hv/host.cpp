@@ -1,6 +1,5 @@
 #include "src/hv/host.h"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -40,7 +39,11 @@ class Host::VmHypercalls final : public Hypercalls {
 };
 
 Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
-  assert(n_pcpus > 0);
+  // add_vm places unpinned vCPUs round-robin over the pCPUs.
+  if (n_pcpus < 1) {
+    throw std::invalid_argument("Host: n_pcpus must be >= 1 (got " +
+                                std::to_string(n_pcpus) + ")");
+  }
   pcpus_.reserve(static_cast<std::size_t>(n_pcpus));
   for (int i = 0; i < n_pcpus; ++i) pcpus_.emplace_back(i);
   sched_ = std::make_unique<CreditScheduler>(eng_, cfg_, pcpus_, vms_,
@@ -51,8 +54,14 @@ Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
 Host::~Host() = default;
 
 Vm& Host::add_vm(const VmConfig& vm_cfg) {
-  // Validated before any state changes, in every build: a pin past the
-  // last pCPU would index the scheduler's per-pCPU tables out of bounds.
+  // Validated before any state changes, in every build: a VM without
+  // vCPUs divides by zero in the guest, and a pin past the last pCPU
+  // would index the scheduler's per-pCPU tables out of bounds.
+  if (vm_cfg.n_vcpus < 1) {
+    throw std::invalid_argument("VM '" + vm_cfg.name +
+                                "': n_vcpus must be >= 1 (got " +
+                                std::to_string(vm_cfg.n_vcpus) + ")");
+  }
   if (!vm_cfg.pin_map.empty()) {
     if (vm_cfg.pin_map.size() < static_cast<std::size_t>(vm_cfg.n_vcpus)) {
       throw std::invalid_argument(

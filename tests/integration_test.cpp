@@ -192,6 +192,26 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
        [](ScenarioConfig* c) { c->n_inter = -1; }, "n_inter must be >= 0"},
       {"negative interfering VMs",
        [](ScenarioConfig* c) { c->n_bg_vms = -3; }, "n_bg_vms must be >= 0"},
+      {"no pCPUs, unpinned",
+       [](ScenarioConfig* c) {
+         c->n_pcpus = 0;
+         c->pinned = false;
+       },
+       "n_pcpus must be >= 1"},
+      {"no pCPUs per cluster host",
+       [](ScenarioConfig* c) {
+         c->n_pcpus = 0;
+         c->cluster.n_hosts = 2;
+       },
+       "n_pcpus must be >= 1"},
+      {"no foreground vCPUs, unpinned",
+       [](ScenarioConfig* c) {
+         c->n_vcpus = 0;
+         c->pinned = false;
+       },
+       "n_vcpus must be >= 1"},
+      {"no foreground threads",
+       [](ScenarioConfig* c) { c->fg_threads = 0; }, "fg_threads must be >= 1"},
       {"unknown cluster policy",
        [](ScenarioConfig* c) {
          c->cluster.n_hosts = 2;
