@@ -97,8 +97,9 @@ sim::Duration LatencyHistogram::percentile(double p) const {
   const auto k = static_cast<std::uint64_t>(
       std::ceil(p / 100.0 * static_cast<double>(count_)));
   const std::uint64_t rank = std::max<std::uint64_t>(k, 1);
+  const auto [lo, hi] = occupied();
   std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = lo; i < hi; ++i) {
     cum += counts_[i];
     if (cum >= rank) {
       return std::clamp<sim::Duration>(bucket_value(static_cast<int>(i)),
@@ -118,15 +119,12 @@ void LatencyHistogram::percentiles3(sim::Duration* p50, sim::Duration* p99,
             std::ceil(p / 100.0 * static_cast<double>(count_))),
         1);
   };
-  // Ranks are ordered, so one cumulative pass resolves all three; the scan
-  // stops at max()'s bucket, not the vector end.
+  // Ranks are ordered, so one cumulative pass over the occupied range
+  // resolves all three.
   const std::uint64_t r50 = rank_of(50.0);
   const std::uint64_t r99 = rank_of(99.0);
   const std::uint64_t r999 = rank_of(99.9);
-  const auto lo = static_cast<std::size_t>(bucket_index_impl(min_));
-  const auto hi =
-      std::min(static_cast<std::size_t>(bucket_index_impl(max_)) + 1,
-               counts_.size());
+  const auto [lo, hi] = occupied();
   std::uint64_t cum = 0;
   int stage = 0;  // next unresolved: 0 = p50, 1 = p99, 2 = p999
   for (std::size_t i = lo; i < hi && stage < 3; ++i) {
@@ -157,12 +155,10 @@ std::uint64_t LatencyHistogram::count_above(sim::Duration threshold) const {
   // Buckets strictly above the one containing the threshold are certain
   // violations; the threshold's own bucket counts as within-SLO (values
   // there are indistinguishable from the threshold at bucket resolution).
-  const int t = bucket_index_impl(threshold);
-  const auto hi =
-      std::min(static_cast<std::size_t>(bucket_index_impl(max_)) + 1,
-               counts_.size());
+  const auto [lo, hi] = occupied();
+  const auto t = static_cast<std::size_t>(bucket_index_impl(threshold));
   std::uint64_t above = 0;
-  for (std::size_t i = static_cast<std::size_t>(t) + 1; i < hi; ++i) {
+  for (std::size_t i = std::max(t + 1, lo); i < hi; ++i) {
     above += counts_[i];
   }
   return above;
@@ -180,30 +176,21 @@ void LatencyHistogram::merge(const LatencyHistogram& o) {
   }
   count_ += o.count_;
   sum_ += o.sum_;
-  // o's nonzero buckets all lie in [index(o.min), index(o.max)] — a 30 ms
-  // serving window spans ~100 buckets, not the full table, and per-window
-  // merges are on the tracker's near-hot path.
-  const auto lo = static_cast<std::size_t>(bucket_index_impl(o.min_));
-  const auto hi = std::min(
-      static_cast<std::size_t>(bucket_index_impl(o.max_)) + 1,
-      o.counts_.size());
+  // Only o's occupied range: a 30 ms serving window spans ~100 buckets,
+  // not the full table, and per-window merges are on the tracker's
+  // near-hot path.
+  const auto [lo, hi] = o.occupied();
   for (std::size_t i = lo; i < hi; ++i) {
     counts_[i] += o.counts_[i];
   }
 }
 
 void LatencyHistogram::clear() {
-  // Zero only the occupied range (add() never touches outside
-  // [index(min), index(max)]); per-window clears would otherwise sweep the
-  // whole table 33 times a simulated second.
-  if (count_ > 0 && !counts_.empty()) {
-    const auto lo = static_cast<std::size_t>(bucket_index_impl(min_));
-    const auto hi = std::min(
-        static_cast<std::size_t>(bucket_index_impl(max_)) + 1,
-        counts_.size());
-    std::fill(counts_.begin() + static_cast<std::ptrdiff_t>(lo),
-              counts_.begin() + static_cast<std::ptrdiff_t>(hi), 0);
-  }
+  // Zero only the occupied range; per-window clears would otherwise sweep
+  // the whole table 33 times a simulated second.
+  const auto [lo, hi] = occupied();
+  std::fill(counts_.begin() + static_cast<std::ptrdiff_t>(lo),
+            counts_.begin() + static_cast<std::ptrdiff_t>(hi), 0);
   count_ = 0;
   sum_ = 0;
   min_ = 0;
@@ -250,14 +237,11 @@ bool LatencyHistogram::operator==(const LatencyHistogram& o) const {
       max() != o.max()) {
     return false;
   }
-  // Lazily-sized vectors: compare as-if zero-extended.
-  const std::size_t n = std::max(counts_.size(), o.counts_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t a = i < counts_.size() ? counts_[i] : 0;
-    const std::uint64_t b = i < o.counts_.size() ? o.counts_[i] : 0;
-    if (a != b) return false;
-  }
-  return true;
+  // Equal min and max: both occupy the same range.
+  const auto [lo, hi] = occupied();
+  return std::equal(counts_.begin() + static_cast<std::ptrdiff_t>(lo),
+                    counts_.begin() + static_cast<std::ptrdiff_t>(hi),
+                    o.counts_.begin() + static_cast<std::ptrdiff_t>(lo));
 }
 
 // ---------------------------------------------------------------------------
@@ -369,6 +353,8 @@ bool HistogramFields::read(const JsonValue& v, const char* /*key*/,
     return false;
   }
   if (min_ns > max_ns) return fail(err, what + ": min_ns > max_ns");
+  const int lo = LatencyHistogram::bucket_index(min_ns);
+  const int hi = LatencyHistogram::bucket_index(max_ns);
   const JsonValue* buckets = v.find("buckets");
   if (buckets == nullptr || !buckets->is_array()) {
     return fail(err, what + ": missing or bad 'buckets'");
@@ -383,8 +369,9 @@ bool HistogramFields::read(const JsonValue& v, const char* /*key*/,
         !bv.items[1].get(&cnt)) {
       return fail(err, what + ": bad bucket entry");
     }
-    if (idx < 0 || idx >= LatencyHistogram::kNumBuckets) {
-      return fail(err, what + ": bucket index out of range");
+    if (idx < lo || idx > hi) {
+      return fail(err, what + ": bucket index outside [index(min_ns), "
+                              "index(max_ns)]");
     }
     if (idx <= prev) {
       return fail(err, what + ": bucket indices not strictly ascending");

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/fields.h"
@@ -107,14 +108,15 @@ class LatencyHistogram {
   /// Visit nonzero buckets ascending: fn(index, count).
   template <typename Fn>
   void for_each_bucket(Fn&& fn) const {
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
+    const auto [lo, hi] = occupied();
+    for (std::size_t i = lo; i < hi; ++i) {
       if (counts_[i] != 0) fn(static_cast<int>(i), counts_[i]);
     }
   }
 
   /// Restore one bucket (deserialization; index from a prior
-  /// for_each_bucket walk). count/sum/min/max are restored separately via
-  /// restore_summary().
+  /// for_each_bucket walk, inside [index(min), index(max)]). count/sum/
+  /// min/max are restored separately via restore_summary().
   void restore_bucket(int idx, std::uint64_t count);
   void restore_summary(std::uint64_t count, std::uint64_t sum_lo,
                        std::uint64_t sum_hi, sim::Duration min,
@@ -125,6 +127,15 @@ class LatencyHistogram {
  private:
   void ensure_buckets() {
     if (counts_.empty()) counts_.assign(static_cast<std::size_t>(kNumBuckets), 0);
+  }
+
+  /// Bucket range [lo, hi) that can hold samples: add(), merge() and the
+  /// reader keep every nonzero count in [index(min), index(max)], so no
+  /// walk needs to look outside it. Empty while count() is 0.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> occupied() const {
+    if (count_ == 0) return {0, 0};
+    return {static_cast<std::size_t>(bucket_index(min_)),
+            static_cast<std::size_t>(bucket_index(max_)) + 1};
   }
 
   std::uint64_t count_ = 0;
@@ -138,9 +149,10 @@ class LatencyHistogram {
 /// codec (see fields.h): six fields of the enclosing object — "count",
 /// "sum_lo", "sum_hi", "min_ns", "max_ns" and "buckets" ([[idx,count],..]
 /// ascending) — so the entry's key names only the member. read() rejects
-/// a missing field, a bucket entry that is malformed, out of range or not
-/// in strictly ascending index order, a count other than the bucket total,
-/// and min_ns > max_ns; *err then starts with `what`.
+/// a missing field, a bucket entry that is malformed, outside
+/// [index(min_ns), index(max_ns)] or not in strictly ascending index
+/// order, a count other than the bucket total, and min_ns > max_ns; *err
+/// then starts with `what`.
 struct HistogramFields {
   static void write(JsonWriter& w, const char* key, const LatencyHistogram& h);
   static bool read(const JsonValue& v, const char* key, const std::string& what,
