@@ -70,12 +70,10 @@ void extract_server_metrics(wl::Serving* srv, sim::Time now, RunResult* r) {
   }
 }
 
-/// Fill a TraceDump's records and meta from one host node. Sampler series
-/// are copied only `with_series`: in-run forensics reads the trace alone.
-void fill_node_dump(core::HostNode& node, const std::string& title,
-                    int n_pcpus, TraceDump* dump, bool with_series = true) {
+/// The topology and drop accounting of one host node's trace.
+obs::TraceMeta node_meta(core::HostNode& node, const std::string& title,
+                         int n_pcpus) {
   const sim::Trace& trace = node.host().trace();
-  dump->records = trace.snapshot();
   obs::TraceMeta meta;
   meta.title = title;
   meta.n_pcpus = n_pcpus;
@@ -95,9 +93,15 @@ void fill_node_dump(core::HostNode& node, const std::string& title,
   meta.end = node.engine().now();
   meta.dropped = trace.dropped();
   meta.total_recorded = trace.total_recorded();
-  dump->meta = std::move(meta);
-  obs::Sampler* smp = node.sampler();
-  if (with_series && smp != nullptr) dump->series = smp->dump();
+  return meta;
+}
+
+/// Fill a TraceDump's records, meta and sampler series from one host node.
+void fill_node_dump(core::HostNode& node, const std::string& title,
+                    int n_pcpus, TraceDump* dump) {
+  dump->records = node.host().trace().snapshot();
+  dump->meta = node_meta(node, title, n_pcpus);
+  if (obs::Sampler* smp = node.sampler()) dump->series = smp->dump();
 }
 
 /// The classic single-host run (cfg.cluster.n_hosts < 2).
@@ -188,26 +192,31 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
   r.trace_dropped = world.host().trace().dropped();
   r.trace_total_recorded = world.host().trace().total_recorded();
 
-  if (dump != nullptr || (cfg.forensics && cfg.forensics_analyze)) {
+  const bool analyze = cfg.forensics && cfg.forensics_analyze;
+  if (dump != nullptr || analyze) {
     const std::string title = cfg.fg + (cfg.bg.empty() ? "" : "+" + cfg.bg) +
                               " [" + core::strategy_name(cfg.strategy) + "]";
-    TraceDump in_run;  // forensics without a dump
-    TraceDump& d = dump != nullptr ? *dump : in_run;
-    fill_node_dump(world.node(), title, cfg.n_pcpus, &d,
-                   /*with_series=*/dump != nullptr);
     // With forensics on, request spans were captured in the workload's
-    // side log, not the ring; synthesize their kReqBegin/kReqEnd records
-    // into the snapshot so the analyzer and the exporters see one
-    // interleaved stream.
-    if (srv != nullptr && !srv->request_spans().empty()) {
-      d.records = obs::with_request_spans(d.records, srv->request_spans());
-    }
-    if (cfg.forensics && cfg.forensics_analyze) {
-      r.forensics = obs::request_forensics(d.records, d.meta, r.slo);
-    }
+    // side log, not the ring. A dump writes their kReqBegin/kReqEnd records
+    // into its snapshot; in-run analysis merges them on the fly instead,
+    // reading the ring where it lies.
+    const std::vector<obs::ReqSpan> no_spans;
+    const std::vector<obs::ReqSpan>& spans =
+        srv != nullptr ? srv->request_spans() : no_spans;
     if (dump != nullptr) {
+      fill_node_dump(world.node(), title, cfg.n_pcpus, dump);
+      if (!spans.empty()) {
+        dump->records = obs::with_request_spans(dump->records, spans);
+      }
+      if (analyze) {
+        r.forensics = obs::request_forensics(dump->records, dump->meta, r.slo);
+      }
       dump->slo = r.slo;
       dump->forensics = r.forensics;
+    } else {
+      r.forensics = obs::request_forensics(
+          world.host().trace().view(), spans,
+          node_meta(world.node(), title, cfg.n_pcpus), r.slo);
     }
   }
   return r;

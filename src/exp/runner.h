@@ -109,11 +109,11 @@ struct ScenarioConfig : obs::TelemetryConfig {
   /// RunCapture dump does not shrink). Passive: only the trace-telemetry
   /// and forensics fields of the result change.
   bool forensics = false;
-  /// With forensics on, run the decomposition at the end of the run
-  /// (ring snapshot + one-pass analyzer). false records the request
-  /// brackets but leaves RunResult::forensics empty: bench_report's
-  /// forensics_overhead gate times the recording cost that way, and a
-  /// RunCapture dump of such a run replays offline through
+  /// With forensics on, run the decomposition at the end of the run (one
+  /// pass over the ring in place, merged with the span log). false records
+  /// the request spans but leaves RunResult::forensics empty:
+  /// bench_report's forensics_overhead gate times the recording cost that
+  /// way, and a RunCapture dump of such a run replays offline through
   /// obs::request_forensics to the same block.
   bool forensics_analyze = true;
 };

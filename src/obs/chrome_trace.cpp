@@ -136,7 +136,7 @@ void instant_event(JsonWriter& w, const std::string& name, int pid, int tid,
 
 }  // namespace
 
-sim::Time retained_head(const std::vector<sim::TraceRecord>& records,
+sim::Time retained_head(std::span<const sim::TraceRecord> records,
                         const TraceMeta& meta) {
   if (meta.dropped == 0) return -1;
   for (const sim::TraceRecord& r : records) {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,8 +61,10 @@ struct TraceMeta {
 /// time of the oldest retained ring record, i.e. the first record that is
 /// not a synthesized kReqBegin/kReqEnd (request brackets come from a side
 /// log and never drop; a back-dated kReqBegin can sort ahead of the ring).
-/// meta.end when no ring record survives at all.
-sim::Time retained_head(const std::vector<sim::TraceRecord>& records,
+/// meta.end when no ring record survives at all. `records` is a merged
+/// stream, or the `older` segment of a ring's TraceView, which starts at
+/// the oldest retained record.
+sim::Time retained_head(std::span<const sim::TraceRecord> records,
                         const TraceMeta& meta);
 
 struct ChromeTraceOptions {

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <numeric>
-#include <set>
+#include <limits>
 #include <vector>
-
 
 namespace irs::obs {
 
@@ -114,6 +112,18 @@ struct TaskState {
   sim::Duration mig_debt = 0;
 };
 
+/// Per-class bookkeeping beside ForensicsClassResult, O(1) per span.
+struct ClassTally {
+  /// Window number -> its row in ForensicsClassResult::windows, kNoRow for
+  /// a violating window no span has completed in yet, kCalm otherwise.
+  std::vector<std::int32_t> row;
+  /// Spans whose charge to each cause was 0: added in bulk at the end
+  /// (add_zeros), since most of a span's causes are 0.
+  std::uint64_t zeros[kNumCauses] = {};
+};
+constexpr std::int32_t kCalm = -2;
+constexpr std::int32_t kNoRow = -1;
+
 struct Analyzer {
   const SloResult& slo;
   sim::Duration window = 0;
@@ -132,7 +142,7 @@ struct Analyzer {
   std::vector<std::int32_t> lane{};        // fg gcpu -> on-lane task, -1 idle
   std::vector<TaskState> tasks{};          // task id -> state
   ForensicsResult out{};
-  std::vector<std::set<std::int64_t>> violating{};  // per class: window idxs
+  std::vector<ClassTally> tally{};  // parallel to out.classes
 
   [[nodiscard]] bool fg_vcpu(int v) const {
     return v >= 0 && v < static_cast<int>(is_fg.size()) && is_fg[v] != 0;
@@ -153,13 +163,20 @@ struct Analyzer {
         c.name = "class" + std::to_string(i);
       }
       out.classes.push_back(std::move(c));
-      std::set<std::int64_t> viol;
+      // The SLO windows are the run's own, so their numbers stay below
+      // the run's end over the window length.
+      ClassTally t;
       if (i < slo.classes.size()) {
         for (const SloWindow& w : slo.classes[i].windows) {
-          if (burn_rate(w, slo.classes[i].spec) > 1.0) viol.insert(w.index);
+          if (w.index < 0 || burn_rate(w, slo.classes[i].spec) <= 1.0) {
+            continue;
+          }
+          const auto idx = static_cast<std::size_t>(w.index);
+          if (idx >= t.row.size()) t.row.resize(idx + 1, kCalm);
+          t.row[idx] = kNoRow;
         }
       }
-      violating.push_back(std::move(viol));
+      tally.push_back(std::move(t));
     }
   }
 
@@ -341,7 +358,7 @@ struct Analyzer {
     }
   }
 
-  void on_req_begin(const sim::TraceRecord& r) {
+  void on_req_begin(const sim::TraceRecord& r, sim::Duration qwait) {
     // a = req id, b = SLO class, c = task
     if (r.c < 0) return;
     TaskState& ts = task(r.c);
@@ -357,11 +374,10 @@ struct Analyzer {
     ts.req_active = true;
     ts.req_cls = r.b >= 0 ? r.b : 0;
     for (int c = 0; c < kNumCauses; ++c) ts.causes[c] = 0;
-    // The bracket sits at the service start; the note carries the
-    // accept-queue wait (ns) the request spent before any task touched it.
-    // Back-date the span and pre-charge the wait so the end-to-end total
-    // still covers arrival -> completion, exactly.
-    const sim::Duration qwait = std::atoll(r.note.c_str());
+    // The bracket sits at the service start; `qwait` is the accept-queue
+    // wait the request spent before any task touched it. Back-date the
+    // span and pre-charge the wait so the end-to-end total still covers
+    // arrival -> completion, exactly.
     ts.req_begin = r.when - qwait;
     ts.causes[static_cast<int>(Cause::kQueueWait)] = qwait;
   }
@@ -404,25 +420,29 @@ struct Analyzer {
     if (total > charged) {
       ts.causes[static_cast<int>(Cause::kUntracked)] += total - charged;
     }
-    for (int c = 0; c < kNumCauses; ++c) cr.causes[c].add(ts.causes[c]);
-    ++cr.spans;
-    const std::int64_t idx = window > 0 ? r.when / window : 0;
-    if (violating[static_cast<std::size_t>(cls)].count(idx) != 0) {
-      auto wit = std::find_if(
-          cr.windows.begin(), cr.windows.end(),
-          [idx](const ForensicsWindow& w) { return w.index == idx; });
-      if (wit == cr.windows.end()) {
-        ForensicsWindow w;
-        w.index = idx;
-        cr.windows.push_back(w);
-        wit = cr.windows.end() - 1;
+    ClassTally& tl = tally[static_cast<std::size_t>(cls)];
+    for (int c = 0; c < kNumCauses; ++c) {
+      // add() records a negative value as 0 too.
+      if (ts.causes[c] > 0) {
+        cr.causes[c].add(ts.causes[c]);
+      } else {
+        ++tl.zeros[c];
       }
-      ++wit->requests;
+    }
+    ++cr.spans;
+    const std::int64_t idx = r.when / window;
+    if (idx >= 0 && idx < static_cast<std::int64_t>(tl.row.size()) &&
+        tl.row[static_cast<std::size_t>(idx)] != kCalm) {
+      std::int32_t& row = tl.row[static_cast<std::size_t>(idx)];
+      if (row == kNoRow) {
+        row = static_cast<std::int32_t>(cr.windows.size());
+        cr.windows.push_back(ForensicsWindow{.index = idx});
+      }
+      ForensicsWindow& w = cr.windows[static_cast<std::size_t>(row)];
+      ++w.requests;
       if (total > cr.spec.threshold) {
-        ++wit->violations;
-        for (int c = 0; c < kNumCauses; ++c) {
-          wit->causes[c] += ts.causes[c];
-        }
+        ++w.violations;
+        for (int c = 0; c < kNumCauses; ++c) w.causes[c] += ts.causes[c];
       }
     }
     ts.req_active = false;
@@ -495,54 +515,95 @@ struct Analyzer {
 
 }  // namespace
 
+SpanMerge::SpanMerge(sim::TraceView ring, const std::vector<ReqSpan>& spans)
+    : ring_(ring.older.data()),
+      ring_end_(ring.older.data() + ring.older.size()),
+      newer_(ring.newer),
+      spans_(spans) {
+  begins_.reserve(spans.size());
+  ends_.reserve(spans.size());
+  for (std::uint32_t i = 0; i < spans.size(); ++i) {
+    begins_.push_back({spans[i].begin + spans[i].qwait, i});
+    ends_.push_back({spans[i].end, i});
+  }
+  // The keys start in span order, so a stable sort by time is the order
+  // by (time, span).
+  const auto by_time = [](const Key& x, const Key& y) {
+    return x.when < y.when;
+  };
+  std::stable_sort(begins_.begin(), begins_.end(), by_time);
+  if (!std::is_sorted(ends_.begin(), ends_.end(), by_time)) {
+    std::stable_sort(ends_.begin(), ends_.end(), by_time);
+  }
+  find_next_bracket();
+}
+
+void SpanMerge::find_next_bracket() {
+  // A begin goes first unless the end is earlier, or equally early and of
+  // an earlier span (k = 2*span < 2*span'+1 exactly when span <= span').
+  const std::size_t n = spans_.size();
+  next_is_begin_ =
+      nb_ < n && (ne_ == n || begins_[nb_].when < ends_[ne_].when ||
+                  (begins_[nb_].when == ends_[ne_].when &&
+                   begins_[nb_].span <= ends_[ne_].span));
+  next_when_ = next_is_begin_ ? begins_[nb_].when
+               : ne_ < n      ? ends_[ne_].when
+                              : std::numeric_limits<sim::Time>::max();
+}
+
+const sim::TraceRecord* SpanMerge::next(sim::Duration* qwait) {
+  *qwait = 0;
+  if (ring_ == ring_end_ && !newer_.empty()) {
+    ring_ = newer_.data();
+    ring_end_ = newer_.data() + newer_.size();
+    newer_ = {};
+  }
+  if (ring_ != ring_end_ && ring_->when <= next_when_) {
+    const sim::TraceRecord* r = ring_++;
+    if (r->kind == sim::TraceKind::kReqBegin) {
+      *qwait = std::atoll(r->note.c_str());
+    }
+    return r;
+  }
+  if (nb_ == spans_.size() && ne_ == spans_.size()) return nullptr;
+  const Key& k = next_is_begin_ ? begins_[nb_++] : ends_[ne_++];
+  const ReqSpan& s = spans_[k.span];
+  bracket_.when = k.when;
+  bracket_.a = s.req;
+  bracket_.b = s.cls;
+  bracket_.c = s.task;
+  if (next_is_begin_) {
+    bracket_.kind = sim::TraceKind::kReqBegin;
+    *qwait = s.qwait;
+  } else {
+    bracket_.kind = sim::TraceKind::kReqEnd;
+  }
+  find_next_bracket();
+  return &bracket_;
+}
+
 std::vector<sim::TraceRecord> with_request_spans(
     const std::vector<sim::TraceRecord>& records,
     const std::vector<ReqSpan>& spans) {
-  // Bracket k is span k/2's begin (k even) or end (k odd). The begin sits
-  // at the service start; a nonzero accept-queue wait rides in the note
-  // (decimal ns) and the analyzer back-dates the span by it (see header).
-  const auto when = [&spans](std::uint32_t k) {
-    const ReqSpan& s = spans[k / 2];
-    return k % 2 == 0 ? s.begin + s.qwait : s.end;
-  };
-  // Order by (when, k): brackets at equal times stay in span order, each
-  // begin ahead of its own end (ab back-dates begins to the arrival
-  // instant, so they need sorting). Sorting 4-byte ids in place, not
-  // stable-sorting records, keeps a serving run's peak memory down.
-  std::vector<std::uint32_t> order(2 * spans.size());
-  std::iota(order.begin(), order.end(), 0U);
-  std::sort(order.begin(), order.end(),
-            [&when](std::uint32_t x, std::uint32_t y) {
-              return when(x) != when(y) ? when(x) < when(y) : x < y;
-            });
   std::vector<sim::TraceRecord> merged;
-  merged.reserve(records.size() + order.size());
-  auto ring = records.begin();
-  for (const std::uint32_t k : order) {
-    const sim::Time t = when(k);
-    // Ring records first on ties: where a bracket recorded at that instant
-    // would have landed.
-    while (ring != records.end() && ring->when <= t) merged.push_back(*ring++);
-    const ReqSpan& s = spans[k / 2];
-    sim::TraceRecord r{t,
-                       k % 2 == 0 ? sim::TraceKind::kReqBegin
-                                  : sim::TraceKind::kReqEnd,
-                       s.req, s.cls, s.task, ""};
-    if (k % 2 == 0 && s.qwait > 0) {
+  merged.reserve(records.size() + 2 * spans.size());
+  SpanMerge cursor({records, {}}, spans);
+  sim::Duration qwait = 0;
+  while (const sim::TraceRecord* r = cursor.next(&qwait)) {
+    merged.push_back(*r);
+    if (qwait > 0) {
       // A 15-char note holds any wait below ~11.5 simulated days;
       // TraceNote truncates (never overflows) beyond that.
       char buf[24];
-      std::snprintf(buf, sizeof buf, "%lld",
-                    static_cast<long long>(s.qwait));
-      r.note = buf;
+      std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(qwait));
+      merged.back().note = buf;
     }
-    merged.push_back(r);
   }
-  merged.insert(merged.end(), ring, records.end());
   return merged;
 }
 
-ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
+ForensicsResult request_forensics(sim::TraceView ring,
+                                  const std::vector<ReqSpan>& spans,
                                   const TraceMeta& meta, const SloResult& slo,
                                   const std::string& vm) {
   Analyzer az{slo, slo.window > 0 ? slo.window : SloTracker::kDefaultWindow};
@@ -559,14 +620,18 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
   int max_task = -1;
   for (const TaskInfo& t : meta.tasks) max_task = std::max(max_task, t.id);
   az.tasks.resize(static_cast<std::size_t>(max_task + 1));
-  az.out.head_truncated_at = retained_head(records, meta);
-  // Classes (and their violating-window sets) exist up front so an
+  // The ring never holds brackets, and a dump's `older` is all of it.
+  az.out.head_truncated_at = retained_head(ring.older, meta);
+  // Classes (and their violating-window rows) exist up front so an
   // all-truncated capture still reports per-class truncation counts.
   for (std::size_t i = 0; i < slo.classes.size(); ++i) {
     az.ensure_class(static_cast<int>(i));
   }
 
-  for (const sim::TraceRecord& r : records) {
+  SpanMerge cursor(ring, spans);
+  sim::Duration qwait = 0;
+  while (const sim::TraceRecord* rec = cursor.next(&qwait)) {
+    const sim::TraceRecord& r = *rec;
     switch (r.kind) {
       case sim::TraceKind::kGuestSwitch:
         if (az.fg_vcpu(r.a)) az.on_guest_switch(r);
@@ -578,7 +643,7 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
         if (az.fg_vcpu(r.b)) az.on_migrate(r);
         break;
       case sim::TraceKind::kReqBegin:
-        az.on_req_begin(r);
+        az.on_req_begin(r, qwait);
         break;
       case sim::TraceKind::kReqEnd:
         az.on_req_end(r);
@@ -605,13 +670,23 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
       ++az.out.classes[static_cast<std::size_t>(ts.req_cls)].open;
     }
   }
-  for (ForensicsClassResult& c : az.out.classes) {
+  for (std::size_t i = 0; i < az.out.classes.size(); ++i) {
+    ForensicsClassResult& c = az.out.classes[i];
+    for (int k = 0; k < kNumCauses; ++k) {
+      c.causes[k].add_zeros(az.tally[i].zeros[k]);
+    }
     std::sort(c.windows.begin(), c.windows.end(),
               [](const ForensicsWindow& x, const ForensicsWindow& y) {
                 return x.index < y.index;
               });
   }
   return az.out;
+}
+
+ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
+                                  const TraceMeta& meta, const SloResult& slo,
+                                  const std::string& vm) {
+  return request_forensics({records, {}}, {}, meta, slo, vm);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@
 // says *who* absorbed steal time run-wide — this module says *why a specific
 // request was slow*. Server workloads (jbb, ab, the front-end; see
 // wl/serving.h) log a ReqSpan per request into a side log (one cheap
-// append — nothing rides the trace ring at runtime);
-// with_request_spans() renders the log as
-// kReqBegin/kReqEnd records (request id + SLO class in a/b, serving task
-// in c) merged into the trace snapshot, and request_forensics() walks that
-// merged stream once — the same snapshot obs::attribute consumes — replays
-// the scheduler state around each request span, and splits its end-to-end
-// latency into named causal segments:
+// append — nothing rides the trace ring at runtime). SpanMerge is the one
+// merge of that log with the trace ring: it reads the ring in place and
+// renders each span as kReqBegin/kReqEnd records (request id + SLO class in
+// a/b, serving task in c) on the fly, the begin carrying the span's
+// accept-queue wait as an integer. request_forensics() walks that merged
+// stream once, replays the scheduler state around each request span, and
+// splits its end-to-end latency into named causal segments:
 //
 //   run        on-CPU compute (vCPU held a pCPU, no SA grace pending)
 //   ready_wait runnable in the guest runqueue, vCPU present but busy
@@ -39,6 +39,13 @@
 // request (zeros included) — so summing the per-cause histogram sums
 // reproduces the total latency sum bit-exactly, which tests assert.
 //
+// Entry points. The runner analyses a run where its ring lies:
+// request_forensics(ring view, span log) builds no merged copy. Only a
+// dump writes the merge out, with with_request_spans(), each nonzero wait
+// as a decimal-ns note. perfbench, bench_report, the tests and the offline
+// replay call request_forensics over such a dump; that overload feeds the
+// same analyzer loop through the same cursor, which reads the notes back.
+//
 // Like every obs result, ForensicsResult is integer-exact and lists its
 // fields once (see fields.h), so it merges across a sweep's runs
 // bit-identically (fold_block), serializes round-trip (write_block /
@@ -47,6 +54,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -174,9 +182,8 @@ struct ForensicsResult {
 /// One completed request span, captured by the serving workloads into a
 /// plain side log instead of the trace ring: recording costs one small
 /// fixed-size append per request (no per-request ring traffic — the
-/// bench_report forensics_overhead gate rides on this), and the
-/// analysis/export path re-synthesizes the kReqBegin/kReqEnd records from
-/// the log with with_request_spans().
+/// bench_report forensics_overhead gate rides on this), and SpanMerge
+/// renders the kReqBegin/kReqEnd records from the log at analysis time.
 struct ReqSpan {
   sim::Time begin = 0;       // service start (jbb) / arrival (ab, frontend)
   sim::Time end = 0;         // completion — the SLO-recording instant
@@ -190,28 +197,79 @@ struct ReqSpan {
   sim::Duration qwait = 0;
 };
 
-/// Render `spans` as kReqBegin/kReqEnd records and merge them into a
-/// trace snapshot (oldest first), preserving its order. The brackets are
-/// ordered by time (ties in span order, each begin ahead of its own end),
-/// and at equal timestamps they follow every ring record, the place a
-/// bracket recorded at that instant would have taken.
-/// A span with qwait > 0 synthesizes its kReqBegin at the *service start*
-/// (begin + qwait) carrying the wait as a decimal-ns note — the same idiom
-/// kMigrate uses for its penalty — so the replay never mischarges worker
-/// activity that happened while the request sat in the accept queue.
+/// The merge of a trace ring with a request-span log: the one definition
+/// of where request brackets fall among ring records. next() yields the
+/// ring's records in place and each span's kReqBegin/kReqEnd bracket,
+/// built on the fly, in this order:
+///   * brackets by (time, k), where k is 2*span for a begin and 2*span+1
+///     for an end: at equal times in span order, each begin ahead of its
+///     own end;
+///   * at equal times every ring record ahead of the brackets, the place a
+///     bracket recorded at that instant would have taken.
+/// A span with qwait > 0 puts its kReqBegin at the service start (begin +
+/// qwait), so the replay never mischarges worker activity that happened
+/// while the request sat in the accept queue, and next() hands the wait
+/// out as an integer. A kReqBegin already in the ring (a dump that
+/// with_request_spans() wrote out) carries it as a decimal-ns note, which
+/// next() reads back.
+///
+/// Only the begins are sorted: every log wl::Serving writes appends at
+/// completion, so its ends are already in order (checked, and sorted too
+/// when a log is not). Borrows `ring` and `spans`, which must outlive it.
+class SpanMerge {
+ public:
+  SpanMerge(sim::TraceView ring, const std::vector<ReqSpan>& spans);
+
+  /// The next record, or nullptr at the end; valid until the next call.
+  /// *qwait is a kReqBegin's accept-queue wait and 0 for any other record.
+  const sim::TraceRecord* next(sim::Duration* qwait);
+
+ private:
+  struct Key {
+    sim::Time when;
+    std::uint32_t span;
+  };
+
+  /// Point next_when_ and next_is_begin_ at the earlier of the next begin
+  /// and the next end.
+  void find_next_bracket();
+
+  const sim::TraceRecord* ring_;      // next ring record
+  const sim::TraceRecord* ring_end_;  // end of its segment
+  std::span<const sim::TraceRecord> newer_;  // the segment after it
+  const std::vector<ReqSpan>& spans_;
+  std::vector<Key> begins_;  // (service start, span), sorted
+  std::vector<Key> ends_;    // (completion, span), sorted
+  std::size_t nb_ = 0;       // next begin
+  std::size_t ne_ = 0;       // next end
+  sim::Time next_when_ = 0;  // the next bracket's time; the max when none
+  bool next_is_begin_ = false;
+  sim::TraceRecord bracket_;  // the bracket next() returned last
+};
+
+/// SpanMerge written out, a kReqBegin's nonzero wait as its decimal-ns note
+/// (the idiom kMigrate uses for its penalty): the records of a TraceDump.
+/// Only dumps need this; in-run analysis reads the cursor directly.
 std::vector<sim::TraceRecord> with_request_spans(
     const std::vector<sim::TraceRecord>& records,
     const std::vector<ReqSpan>& spans);
 
-/// Walk `records` (snapshot order: oldest first) once and decompose
+/// Walk the merge of `ring` and `spans` (SpanMerge) once and decompose
 /// every request span of the VM named `vm`. `meta` supplies the vCPU→VM
 /// mapping and the dropped count; `slo` supplies class names/specs, the
 /// window length, and which windows violated (burn rate > 1) — pass an
-/// empty SloResult to decompose without violation tables.
-/// Request spans ride in as the synthesized bracket records of
-/// with_request_spans(); spans that began before the retained ring head
-/// (head_truncated_at) have partial scheduler evidence and are reported as
-/// `truncated`, never charged.
+/// empty SloResult to decompose without violation tables. Spans that
+/// began before the retained ring head (head_truncated_at) have partial
+/// scheduler evidence and are reported as `truncated`, never charged.
+/// The runner calls this over the live ring, so no merged copy is built.
+ForensicsResult request_forensics(sim::TraceView ring,
+                                  const std::vector<ReqSpan>& spans,
+                                  const TraceMeta& meta, const SloResult& slo,
+                                  const std::string& vm = "fg");
+
+/// The same analysis over a dump whose brackets are already inline (as
+/// with_request_spans() writes them): the offline replay of perfbench,
+/// bench_report and the tests.
 ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
                                   const TraceMeta& meta, const SloResult& slo,
                                   const std::string& vm = "fg");

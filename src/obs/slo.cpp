@@ -77,6 +77,15 @@ void LatencyHistogram::add(sim::Duration v) {
   ++counts_[static_cast<std::size_t>(bucket_index_impl(clamped))];
 }
 
+void LatencyHistogram::add_zeros(std::uint64_t n) {
+  if (n == 0) return;
+  ensure_buckets();
+  if (count_ == 0) max_ = 0;
+  min_ = 0;  // every recorded value is clamped to >= 0
+  count_ += n;
+  counts_[0] += n;
+}
+
 sim::Duration LatencyHistogram::mean() const {
   if (count_ == 0) return 0;
   return static_cast<sim::Duration>(sum_ / count_);

@@ -64,6 +64,9 @@ class LatencyHistogram {
   static const int kNumBuckets;
 
   void add(sim::Duration v);
+  /// Exactly `n` add(0) calls: count, sum, min, max and buckets do not
+  /// depend on the order values arrive in, so zeros can be added in bulk.
+  void add_zeros(std::uint64_t n);
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] sim::Duration min() const { return count_ > 0 ? min_ : 0; }

@@ -50,13 +50,18 @@ void Trace::set_capacity(std::size_t capacity) {
   total_ = 0;
 }
 
-std::vector<TraceRecord> Trace::snapshot() const {
+TraceView Trace::view() const {
   // head_ stays 0 until the ring wraps; after that it is the oldest slot.
-  const auto head = ring_.begin() + static_cast<std::ptrdiff_t>(head_);
+  const std::span<const TraceRecord> all(ring_);
+  return {all.subspan(head_), all.first(head_)};
+}
+
+std::vector<TraceRecord> Trace::snapshot() const {
+  const TraceView v = view();
   std::vector<TraceRecord> out;
-  out.reserve(ring_.size());
-  out.insert(out.end(), head, ring_.end());
-  out.insert(out.end(), ring_.begin(), head);
+  out.reserve(v.size());
+  out.insert(out.end(), v.older.begin(), v.older.end());
+  out.insert(out.end(), v.newer.begin(), v.newer.end());
   return out;
 }
 

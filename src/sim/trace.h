@@ -4,13 +4,15 @@
 //
 // Every producer (the hypervisor, the guest kernels, the engine) appends
 // straight to the ring and stamps the engine's current time, so append
-// order is time order: the ring is chronological by construction,
-// snapshot() is a rotation, and a wrap drops exactly the oldest records —
-// what survives is an exact suffix of everything recorded.
+// order is time order: the ring is chronological by construction, view()
+// reads it in place as two segments oldest first, snapshot() copies that
+// view, and a wrap drops exactly the oldest records — what survives is an
+// exact suffix of everything recorded.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +92,21 @@ struct TraceRecord {
 };
 static_assert(sizeof(TraceRecord) == 40, "ring memory is sized per record");
 
+/// Retained ring records in place, oldest first: every record of `older`,
+/// then every record of `newer`. In a Trace::view(), `newer` is empty
+/// until the ring wraps and `older` is empty only when nothing is
+/// retained; the view borrows the ring's storage, so it is valid until the
+/// ring's next record(), set_capacity() or clear(). A snapshot vector
+/// reads as `{records, {}}`.
+struct TraceView {
+  std::span<const TraceRecord> older;
+  std::span<const TraceRecord> newer;
+
+  [[nodiscard]] std::size_t size() const {
+    return older.size() + newer.size();
+  }
+};
+
 /// Fixed-capacity ring of trace records.
 ///
 /// Capacity overflow is not silent: `dropped()` counts overwritten records
@@ -118,8 +135,11 @@ class Trace {
     ++dropped_;
   }
 
-  /// Retained records in production order (oldest first): the ring rotated
-  /// to start at its oldest slot.
+  /// Retained records in production order (oldest first), in place: the
+  /// ring split at its oldest slot.
+  [[nodiscard]] TraceView view() const;
+
+  /// A copy of view(), concatenated.
   [[nodiscard]] std::vector<TraceRecord> snapshot() const;
 
   /// Count of records of a given kind currently retained.

@@ -4,6 +4,7 @@
 // hogs; IRS shifts the mass back to run/ready-wait).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -245,75 +246,81 @@ TEST(ForensicsEndToEnd, BitIdenticalAcrossQueueBackendsBatchesAndThreads) {
 // --- ring-wrap truncation --------------------------------------------------
 
 TEST(ForensicsTruncation, WrappedSpansAreReportedNeverCharged) {
-  // Fuzz the ring capacity: spans live in the side log and never drop, but
-  // when the wrap eats the scheduler evidence under a span (it began before
-  // the oldest retained ring record), the span must be counted in
-  // `truncated` — and never charged into any cause histogram (every cause
-  // count stays equal to `spans`). Same capacity twice must reproduce the
-  // same block bit-for-bit. Attribution, forensics and the exporter's
-  // truncation marker must all put the head at that oldest ring record.
+  // Fuzz the ring capacity for every server foreground: spans live in the
+  // side log and never drop, but when the wrap eats the scheduler evidence
+  // under a span (it began before the oldest retained ring record), the
+  // span must be counted in `truncated` — and never charged into any cause
+  // histogram (every cause count stays equal to `spans`). A run with a dump
+  // analyses the records it writes out; the same run without one analyses
+  // the ring in place, and both must give the same block bit-for-bit.
+  // Attribution, forensics and the exporter's truncation marker must all
+  // put the head at that oldest ring record.
   sim::Rng rng(2026);
-  bool saw_truncation = false;
-  for (int iter = 0; iter < 5; ++iter) {
-    // The 200 ms scenario below records ~3.6k trace records, so any
-    // capacity in [128, 1152) is guaranteed to wrap the ring.
-    const std::size_t capacity = 128 + rng.next_below(1024);
-    exp::ScenarioConfig cfg = forensics_cfg("specjbb", core::Strategy::kIrs);
+  for (const char* fg : {"specjbb", "ab", "frontend"}) {
+    SCOPED_TRACE(fg);
+    exp::ScenarioConfig cfg = forensics_cfg(fg, core::Strategy::kIrs);
     cfg.server_duration = sim::milliseconds(200);
-    cfg.trace_capacity = capacity;
-    exp::TraceDump dump;
-    const exp::RunResult r1 =
-        exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
-    const exp::RunResult r2 = exp::run_scenario(cfg);
-    ASSERT_TRUE(r1.forensics == r2.forensics) << "capacity " << capacity;
-    ASSERT_EQ(r1.forensics_digest, r2.forensics_digest);
-    ASSERT_GT(r1.trace_dropped, 0u) << "capacity " << capacity
-                                    << " did not wrap; shrink the fuzz range";
-    // The oldest retained ring record: the first one the span log did not
-    // synthesize.
-    sim::Time oldest = -1;
-    for (const sim::TraceRecord& rec : dump.records) {
-      if (rec.kind != sim::TraceKind::kReqBegin &&
-          rec.kind != sim::TraceKind::kReqEnd) {
-        oldest = rec.when;
-        break;
+    // Capacities below a third of what the run records always wrap.
+    const std::uint64_t recorded = exp::run_scenario(cfg).trace_total_recorded;
+    ASSERT_GT(recorded, 3u * 256u);
+    bool saw_truncation = false;
+    for (int iter = 0; iter < 5; ++iter) {
+      const std::size_t capacity = 128 + rng.next_below(recorded / 3 - 128);
+      cfg.trace_capacity = capacity;
+      exp::TraceDump dump;
+      const exp::RunResult r1 =
+          exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
+      const exp::RunResult r2 = exp::run_scenario(cfg);
+      ASSERT_TRUE(r1.forensics == r2.forensics) << "capacity " << capacity;
+      ASSERT_EQ(r1.forensics_digest, r2.forensics_digest);
+      ASSERT_GT(r1.trace_dropped, 0u) << "capacity " << capacity
+                                      << " did not wrap; shrink the fuzz range";
+      // The oldest retained ring record: the first one the span log did not
+      // synthesize.
+      sim::Time oldest = -1;
+      for (const sim::TraceRecord& rec : dump.records) {
+        if (rec.kind != sim::TraceKind::kReqBegin &&
+            rec.kind != sim::TraceKind::kReqEnd) {
+          oldest = rec.when;
+          break;
+        }
       }
+      ASSERT_GE(oldest, 0) << "capacity " << capacity;
+      EXPECT_EQ(r1.forensics.head_truncated_at, oldest)
+          << "capacity " << capacity;
+      EXPECT_EQ(obs::attribute(dump.records, dump.meta).head_truncated_at,
+                oldest)
+          << "capacity " << capacity;
+      obs::JsonWriter head_us;  // the exporter's compact number format
+      head_us.value(sim::to_us(oldest));
+      EXPECT_NE(obs::chrome_trace_json(dump.records, dump.meta)
+                    .find("\"head_us\":" + head_us.str() + ","),
+                std::string::npos)
+          << "capacity " << capacity;
+      std::uint64_t truncated = 0;
+      for (const obs::ForensicsClassResult& c : r1.forensics.classes) {
+        truncated += c.truncated;
+        for (int k = 0; k < obs::kNumCauses; ++k) {
+          EXPECT_EQ(c.causes[k].count(), c.spans)
+              << "capacity " << capacity << " cause "
+              << obs::cause_name(static_cast<obs::Cause>(k));
+        }
+        // Retained spans can never exceed what the SLO tracker (which does
+        // not ride the ring) saw complete.
+        ASSERT_FALSE(r1.slo.empty());
+        const obs::SloClassResult* s = nullptr;
+        for (const obs::SloClassResult& sc : r1.slo.classes) {
+          if (sc.name == c.name) s = &sc;
+        }
+        ASSERT_NE(s, nullptr);
+        EXPECT_LE(c.spans + c.truncated, s->total.count());
+      }
+      saw_truncation = saw_truncation || truncated > 0;
     }
-    ASSERT_GE(oldest, 0) << "capacity " << capacity;
-    EXPECT_EQ(r1.forensics.head_truncated_at, oldest)
-        << "capacity " << capacity;
-    EXPECT_EQ(obs::attribute(dump.records, dump.meta).head_truncated_at,
-              oldest)
-        << "capacity " << capacity;
-    obs::JsonWriter head_us;  // the exporter's compact number format
-    head_us.value(sim::to_us(oldest));
-    EXPECT_NE(obs::chrome_trace_json(dump.records, dump.meta)
-                  .find("\"head_us\":" + head_us.str() + ","),
-              std::string::npos)
-        << "capacity " << capacity;
-    std::uint64_t truncated = 0;
-    for (const obs::ForensicsClassResult& c : r1.forensics.classes) {
-      truncated += c.truncated;
-      for (int k = 0; k < obs::kNumCauses; ++k) {
-        EXPECT_EQ(c.causes[k].count(), c.spans)
-            << "capacity " << capacity << " cause "
-            << obs::cause_name(static_cast<obs::Cause>(k));
-      }
-      // Retained spans can never exceed what the SLO tracker (which does
-      // not ride the ring) saw complete.
-      ASSERT_FALSE(r1.slo.empty());
-      const obs::SloClassResult* s = nullptr;
-      for (const obs::SloClassResult& sc : r1.slo.classes) {
-        if (sc.name == c.name) s = &sc;
-      }
-      ASSERT_NE(s, nullptr);
-      EXPECT_LE(c.spans + c.truncated, s->total.count());
-    }
-    saw_truncation = saw_truncation || truncated > 0;
+    // Across the fuzz range at least one capacity must actually have cut a
+    // span in half — otherwise the test proves nothing.
+    EXPECT_TRUE(saw_truncation);
   }
-  // Across the whole fuzz range at least one capacity must actually have
-  // cut a span in half — otherwise the test proves nothing.
-  EXPECT_TRUE(saw_truncation);
 }
 
 // --- serialization ---------------------------------------------------------
@@ -431,6 +438,161 @@ TEST(ForensicsReplay, OfflineReplayMatchesTheInRunBlock) {
         obs::request_forensics(dump.records, dump.meta, dump.slo);
     EXPECT_TRUE(replay == in_run.forensics);
     EXPECT_EQ(replay.digest(), in_run.forensics_digest);
+  }
+}
+
+// --- the merge cursor --------------------------------------------------------
+
+// A hand-built foreground (vCPUs 0 and 1, tasks 101..103) whose span log
+// has every tie shape the bracket order settles. Times are in µs.
+struct CursorFixture {
+  sim::Trace trace;
+  std::vector<obs::ReqSpan> spans;
+  obs::TraceMeta meta;
+  obs::SloResult slo;
+};
+
+CursorFixture cursor_fixture(std::size_t capacity) {
+  using K = sim::TraceKind;
+  const auto us = [](std::int64_t n) { return sim::microseconds(n); };
+  CursorFixture f;
+  f.trace.set_capacity(capacity);
+  const std::tuple<std::int64_t, K, int, int, const char*> ring[] = {
+      {10, K::kHvSchedule, 0, 0, ""},    {10, K::kGuestSwitch, 0, 101, ""},
+      {20, K::kHvSchedule, 1, 1, ""},    {20, K::kGuestSwitch, 1, 102, ""},
+      {30, K::kHvPreempt, 0, 0, ""},     {40, K::kHvSchedule, 0, 0, ""},
+      {50, K::kGuestSwitch, 1, 103, ""}, {60, K::kGuestWake, 102, 1, ""},
+      {70, K::kGuestSwitch, 1, 102, ""}, {80, K::kHvPreempt, 1, 1, "throttle"},
+      {90, K::kHvSchedule, 1, 1, ""}};
+  for (const auto& [t, kind, a, b, note] : ring) {
+    f.trace.record(us(t), kind, a, b, note);
+  }
+  // In completion order, as wl::Serving appends.
+  f.spans = {
+      // Begin and end at one instant, tied with two ring records.
+      {us(20), us(20), 1, 0, 102, 0},
+      // ab-style: back-dated ahead of the oldest ring record, and ending
+      // at the instant of a ring record.
+      {us(5), us(30), 0, 0, 101, 0},
+      // Two begins at one instant, tied with a ring record.
+      {us(40), us(60), 2, 0, 101, 0},
+      {us(40), us(70), 3, 0, 103, 0},
+      // Front-end: arrived at 45, queued 10, served from 55.
+      {us(45), us(90), 4, 0, 102, us(10)}};
+  f.meta.vcpus = {{0, "fg", 0}, {1, "fg", 1}};
+  f.meta.tasks = {{101, "fg", "w0"}, {102, "fg", "w1"}, {103, "fg", "w2"}};
+  f.meta.end = us(100);
+  f.meta.dropped = f.trace.dropped();
+  f.meta.total_recorded = f.trace.total_recorded();
+  // Window 0 ([0, 50 µs)) burns its budget twice over; window 1 is calm.
+  f.slo.window = us(50);
+  obs::SloClassResult cls;
+  cls.name = "req";
+  cls.spec = obs::SloSpec{us(15), 0.5};
+  cls.windows = {obs::SloWindow{0, 2, 2, 0, 0, 0},
+                 obs::SloWindow{1, 3, 0, 0, 0, 0}};
+  f.slo.classes.push_back(cls);
+  return f;
+}
+
+struct Step {
+  std::int64_t us;
+  sim::TraceKind kind;
+  int a;
+};
+
+/// Every record of the fixture, ring first on ties, each begin ahead of
+/// its own end, equal begins in span order.
+std::vector<Step> expected_order() {
+  using K = sim::TraceKind;
+  return {{5, K::kReqBegin, 0},    {10, K::kHvSchedule, 0},
+          {10, K::kGuestSwitch, 0}, {20, K::kHvSchedule, 1},
+          {20, K::kGuestSwitch, 1}, {20, K::kReqBegin, 1},
+          {20, K::kReqEnd, 1},      {30, K::kHvPreempt, 0},
+          {30, K::kReqEnd, 0},      {40, K::kHvSchedule, 0},
+          {40, K::kReqBegin, 2},    {40, K::kReqBegin, 3},
+          {50, K::kGuestSwitch, 1}, {55, K::kReqBegin, 4},
+          {60, K::kGuestWake, 102}, {60, K::kReqEnd, 2},
+          {70, K::kGuestSwitch, 1}, {70, K::kReqEnd, 3},
+          {80, K::kHvPreempt, 1},   {90, K::kHvSchedule, 1},
+          {90, K::kReqEnd, 4}};
+}
+
+/// The cursor's output must be `want`, and with_request_spans() over the
+/// ring's snapshot the same records, the wait as a decimal note.
+void expect_merge(const CursorFixture& f, const std::vector<Step>& want) {
+  std::vector<std::pair<sim::TraceRecord, sim::Duration>> got;
+  obs::SpanMerge cursor(f.trace.view(), f.spans);
+  sim::Duration qwait = -1;
+  while (const sim::TraceRecord* r = cursor.next(&qwait)) {
+    got.emplace_back(*r, qwait);
+  }
+  const std::vector<sim::TraceRecord> merged =
+      obs::with_request_spans(f.trace.snapshot(), f.spans);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(merged.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto& [r, wait] = got[i];
+    EXPECT_EQ(r.when, sim::microseconds(want[i].us));
+    EXPECT_EQ(r.kind, want[i].kind);
+    EXPECT_EQ(r.a, want[i].a);
+    const bool fe_begin = r.kind == sim::TraceKind::kReqBegin && r.a == 4;
+    EXPECT_EQ(wait, fe_begin ? sim::microseconds(10) : 0);
+    const sim::TraceRecord& m = merged[i];
+    EXPECT_EQ(m.when, r.when);
+    EXPECT_EQ(m.kind, r.kind);
+    EXPECT_EQ(m.a, r.a);
+    EXPECT_EQ(m.b, r.b);
+    EXPECT_EQ(m.c, r.c);
+    EXPECT_EQ(std::string(m.note.c_str()),
+              fe_begin ? std::to_string(wait) : std::string(r.note.c_str()));
+  }
+}
+
+TEST(ForensicsCursor, OneBracketOrderInPlaceAndMaterialised) {
+  for (const bool wrapped : {false, true}) {
+    SCOPED_TRACE(wrapped ? "wrapped" : "unwrapped");
+    // 8 slots keep the newest 8 of 11 records: the oldest retained one is
+    // at 20 µs, and the ring's two segments split at 70 µs.
+    const CursorFixture f = cursor_fixture(wrapped ? 8 : 64);
+    ASSERT_EQ(f.trace.dropped(), wrapped ? 3u : 0u);
+    std::vector<Step> want = expected_order();
+    if (wrapped) want.erase(want.begin() + 1, want.begin() + 4);
+    expect_merge(f, want);
+
+    // A log whose ends are not in completion order merges the same way:
+    // swapping spans 2 and 3 swaps only their begins' tie at 40 µs.
+    CursorFixture swapped = f;
+    std::swap(swapped.spans[2], swapped.spans[3]);
+    std::vector<Step> swapped_want = want;
+    const auto b2 = std::find_if(want.begin(), want.end(), [](const Step& s) {
+      return s.kind == sim::TraceKind::kReqBegin && s.a == 2;
+    });
+    std::iter_swap(swapped_want.begin() + (b2 - want.begin()),
+                   swapped_want.begin() + (b2 - want.begin()) + 1);
+    expect_merge(swapped, swapped_want);
+
+    // In place and written out, the analysis reads one stream.
+    const obs::ForensicsResult in_place =
+        obs::request_forensics(f.trace.view(), f.spans, f.meta, f.slo);
+    const std::vector<sim::TraceRecord> merged =
+        obs::with_request_spans(f.trace.snapshot(), f.spans);
+    const obs::ForensicsResult materialised =
+        obs::request_forensics(merged, f.meta, f.slo);
+    EXPECT_TRUE(in_place == materialised);
+    EXPECT_EQ(in_place.digest(), materialised.digest());
+    EXPECT_EQ(in_place.head_truncated_at, obs::retained_head(merged, f.meta));
+    EXPECT_EQ(in_place.head_truncated_at,
+              wrapped ? sim::microseconds(20) : -1);
+    ASSERT_EQ(in_place.classes.size(), 1u);
+    const obs::ForensicsClassResult& c = in_place.classes[0];
+    // The back-dated span began before the head once the ring wrapped.
+    EXPECT_EQ(c.truncated, wrapped ? 1u : 0u);
+    EXPECT_EQ(c.spans, wrapped ? 4u : 5u);
+    EXPECT_EQ(c.cause_total(obs::Cause::kQueueWait), sim::microseconds(10));
+    ASSERT_EQ(c.windows.size(), 1u);
+    EXPECT_EQ(c.windows[0].index, 0);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/exp/grids.h"
@@ -168,6 +169,57 @@ TEST(SloHistogram, MergeIsBitIdenticalToSerialInAnyOrderOrGrouping) {
     EXPECT_EQ(merged.digest(), serial.digest());
     EXPECT_EQ(merged.mean(), serial.mean());
     EXPECT_EQ(merged.percentile(99.9), serial.percentile(99.9));
+  }
+}
+
+TEST(SloHistogram, BulkZerosEqualZerosAddedOneByOne) {
+  // The same values two ways: one by one, zeros wherever the random
+  // interleaving puts them; and the non-zero values in order, the zeros
+  // added in two add_zeros() calls at random points among them. Trial 0
+  // adds nothing (the empty histogram), trial 1 only zeros.
+  sim::Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::uint64_t n = trial == 0 ? 0 : 1 + rng.next_below(300);
+    const std::uint64_t zero_pct = trial == 1 ? 100 : rng.next_below(101);
+    LatencyHistogram one_by_one;
+    std::vector<std::int64_t> nonzero;
+    std::uint64_t zeros = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (rng.next_below(100) < zero_pct) {
+        one_by_one.add(0);
+        ++zeros;
+      } else {
+        const auto v =
+            static_cast<std::int64_t>(1 + rng.next_below(sim::seconds(2)));
+        one_by_one.add(v);
+        nonzero.push_back(v);
+      }
+    }
+    const std::uint64_t first = rng.next_below(zeros + 1);
+    std::size_t at[2] = {rng.next_below(nonzero.size() + 1),
+                         rng.next_below(nonzero.size() + 1)};
+    if (at[0] > at[1]) std::swap(at[0], at[1]);
+    LatencyHistogram bulk;
+    for (std::size_t i = 0; i <= nonzero.size(); ++i) {
+      if (i == at[0]) bulk.add_zeros(first);
+      if (i == at[1]) bulk.add_zeros(zeros - first);
+      if (i < nonzero.size()) bulk.add(nonzero[i]);
+    }
+
+    EXPECT_TRUE(bulk == one_by_one);
+    EXPECT_EQ(bulk.digest(), one_by_one.digest());
+    EXPECT_EQ(bulk.count(), n);
+    EXPECT_EQ(bulk.min(), one_by_one.min());
+    EXPECT_EQ(bulk.max(), one_by_one.max());
+    EXPECT_EQ(bulk.sum_lo(), one_by_one.sum_lo());
+    EXPECT_EQ(bulk.sum_hi(), one_by_one.sum_hi());
+    std::vector<std::pair<int, std::uint64_t>> want;
+    std::vector<std::pair<int, std::uint64_t>> got;
+    one_by_one.for_each_bucket(
+        [&](int i, std::uint64_t c) { want.emplace_back(i, c); });
+    bulk.for_each_bucket([&](int i, std::uint64_t c) { got.emplace_back(i, c); });
+    EXPECT_EQ(got, want);
   }
 }
 
