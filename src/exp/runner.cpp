@@ -43,6 +43,17 @@ wl::WorkloadOptions fg_options(const ScenarioConfig& cfg) {
   return fg_opts;
 }
 
+/// Checked in every build: throws std::invalid_argument naming `field`
+/// unless `ok`.
+template <typename T>
+void require(bool ok, const char* field, const char* want, T got) {
+  if (ok) return;
+  std::ostringstream os;
+  os << "run_scenario: " << field << " must be " << want << " (got " << got
+     << ")";
+  throw std::invalid_argument(os.str());
+}
+
 /// The foreground's request recorder, or null if it is not a server.
 /// Windowed SLO tracking is passive, so the simulation is unperturbed:
 /// slo_window < 0 disables it. `spans` turns on the request-span log
@@ -51,6 +62,9 @@ wl::Serving* arm_serving(const ScenarioConfig& cfg, wl::Workload& fg_wl,
                          bool spans) {
   wl::Serving* srv = fg_wl.serving();
   if (srv == nullptr) return nullptr;
+  // Throughput divides by it; only servers read it.
+  require(cfg.server_duration > 0, "server_duration", "> 0",
+          cfg.server_duration);
   if (cfg.slo_window >= 0) srv->enable_slo();
   if (spans) srv->enable_request_spans();
   return srv;
@@ -349,18 +363,15 @@ void set_block_digests(RunResult& r) {
 }
 
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture) {
-  // Checked in every build. hv::Host rejects a zero pCPU or vCPU count;
-  // a foreground without threads would run to its timeout.
-  const auto require_at_least = [](const char* field, int v, int min) {
-    if (v < min) {
-      throw std::invalid_argument(std::string("run_scenario: ") + field +
-                                  " must be >= " + std::to_string(min) +
-                                  " (got " + std::to_string(v) + ")");
-    }
-  };
-  require_at_least("n_inter", cfg.n_inter, 0);
-  require_at_least("n_bg_vms", cfg.n_bg_vms, 0);
-  require_at_least("fg_threads", cfg.fg_threads, 1);
+  // hv::Host rejects a zero pCPU or vCPU count; a foreground without
+  // threads would run to its timeout, and a run without one would stop
+  // at once.
+  require(cfg.n_inter >= 0, "n_inter", ">= 0", cfg.n_inter);
+  require(cfg.n_bg_vms >= 0, "n_bg_vms", ">= 0", cfg.n_bg_vms);
+  require(cfg.fg_threads >= 1, "fg_threads", ">= 1", cfg.fg_threads);
+  require(cfg.timeout > 0, "timeout", "> 0", cfg.timeout);
+  require(std::isfinite(cfg.work_scale) && cfg.work_scale > 0, "work_scale",
+          "finite and > 0", cfg.work_scale);
   RunResult r = cfg.cluster.n_hosts >= 2 ? run_cluster(cfg, capture)
                                           : run_single(cfg, capture);
   set_block_digests(r);

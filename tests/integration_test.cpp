@@ -2,6 +2,8 @@
 // simulator (shapes, not absolute numbers).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -246,6 +248,34 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
          c->fe_queue_cap = -1;
        },
        "fe_queue_cap must be >= 0"},
+      {"zero serving time",
+       [](ScenarioConfig* c) {
+         c->fg = "specjbb";
+         c->server_duration = 0;
+       },
+       "server_duration must be > 0"},
+      {"negative serving time",
+       [](ScenarioConfig* c) {
+         c->fg = "frontend";
+         c->server_duration = -5;
+       },
+       "server_duration must be > 0"},
+      {"zero timeout", [](ScenarioConfig* c) { c->timeout = 0; },
+       "timeout must be > 0"},
+      {"negative timeout", [](ScenarioConfig* c) { c->timeout = -1; },
+       "timeout must be > 0"},
+      {"zero work scale", [](ScenarioConfig* c) { c->work_scale = 0; },
+       "work_scale must be finite and > 0"},
+      {"negative work scale", [](ScenarioConfig* c) { c->work_scale = -1; },
+       "work_scale must be finite and > 0"},
+      {"NaN work scale",
+       [](ScenarioConfig* c) { c->work_scale = std::nan(""); },
+       "work_scale must be finite and > 0"},
+      {"infinite work scale",
+       [](ScenarioConfig* c) {
+         c->work_scale = std::numeric_limits<double>::infinity();
+       },
+       "work_scale must be finite and > 0"},
   };
   for (const BadConfig& bad : table) {
     ScenarioConfig cfg = quick("streamcluster", core::Strategy::kIrs);
