@@ -76,14 +76,15 @@ struct VcpuState {
   int open_steal = -1;              // class of the open steal window, or -1
 };
 
-/// A closed sub-span of an off-CPU chain whose cause (blocked vs
-/// ready-wait) is not yet known: both candidate charges are precomputed
-/// from accumulator deltas so resolution is a pure re-labeling.
-struct SubCharge {
-  sim::Duration dur = 0;
+/// The closed in-request sub-spans of an off-CPU chain whose cause
+/// (blocked vs ready-wait) is not yet known: both candidate charges are
+/// summed from accumulator deltas as each sub-span closes, so resolution
+/// is a pure re-labeling.
+struct ChainCharge {
   sim::Duration steal[kNumStealClasses] = {};  // ready-wait resolution
-  sim::Duration lhp_active = 0;                // blocked resolution
-  bool in_req = false;
+  sim::Duration ready_wait = 0;                // ready-wait resolution
+  sim::Duration lhp = 0;                       // blocked resolution
+  sim::Duration block = 0;                     // blocked resolution
 };
 
 enum TaskPhase : int {
@@ -97,12 +98,13 @@ struct TaskState {
   int phase = kPhUnknown;
   int vcpu = -1;           // lane (on) or assigned runqueue (off)
   sim::Time seg_start = -1;
-  // Accumulator snapshots of `vcpu` taken at seg_start:
+  // Accumulator snapshots of `seg_vcpu` taken at seg_start:
+  int seg_vcpu = -1;
   sim::Duration run0 = 0;
   sim::Duration sa0 = 0;
   sim::Duration steal0[kNumStealClasses] = {};
   sim::Duration lhp_active0 = 0;
-  std::vector<SubCharge> chain;  // closed sub-spans of the open off-chain
+  ChainCharge chain;  // the open off-chain's closed sub-spans
   // Active request span:
   bool req_active = false;
   sim::Time req_begin = 0;
@@ -114,15 +116,13 @@ struct TaskState {
 
 /// Per-class bookkeeping beside ForensicsClassResult, O(1) per span.
 struct ClassTally {
-  /// Window number -> its row in ForensicsClassResult::windows, kNoRow for
-  /// a violating window no span has completed in yet, kCalm otherwise.
+  /// Window number -> its row in ForensicsClassResult::windows, or -1 for
+  /// a window that did not violate.
   std::vector<std::int32_t> row;
   /// Spans whose charge to each cause was 0: added in bulk at the end
   /// (add_zeros), since most of a span's causes are 0.
   std::uint64_t zeros[kNumCauses] = {};
 };
-constexpr std::int32_t kCalm = -2;
-constexpr std::int32_t kNoRow = -1;
 
 struct Analyzer {
   const SloResult& slo;
@@ -163,8 +163,10 @@ struct Analyzer {
         c.name = "class" + std::to_string(i);
       }
       out.classes.push_back(std::move(c));
-      // The SLO windows are the run's own, so their numbers stay below
-      // the run's end over the window length.
+      // Every violating window gets its row up front; the rows no charged
+      // span completes in are dropped at the end. The SLO windows are the
+      // run's own, so their numbers stay below its end over the window.
+      std::vector<ForensicsWindow>& rows = out.classes.back().windows;
       ClassTally t;
       if (i < slo.classes.size()) {
         for (const SloWindow& w : slo.classes[i].windows) {
@@ -172,8 +174,9 @@ struct Analyzer {
             continue;
           }
           const auto idx = static_cast<std::size_t>(w.index);
-          if (idx >= t.row.size()) t.row.resize(idx + 1, kCalm);
-          t.row[idx] = kNoRow;
+          if (idx >= t.row.size()) t.row.resize(idx + 1, -1);
+          t.row[idx] = static_cast<std::int32_t>(rows.size());
+          rows.push_back(ForensicsWindow{.index = w.index});
         }
       }
       tally.push_back(std::move(t));
@@ -191,7 +194,12 @@ struct Analyzer {
 
   /// Snapshot the accumulators of ts.vcpu at t and restart the segment.
   void snapshot(TaskState& ts, sim::Time t) {
+    // Starting or stopping an accumulator at t leaves its value at t
+    // unchanged, so a second snapshot at one instant of one vCPU (a span
+    // ending where the next begins, say) would read the same values.
+    if (ts.seg_start == t && ts.seg_vcpu == ts.vcpu) return;
     ts.seg_start = t;
+    ts.seg_vcpu = ts.vcpu;
     ts.lhp_active0 = lhp_active.value(t);
     if (fg_vcpu(ts.vcpu)) {
       VcpuState& v = vc(ts.vcpu);
@@ -206,20 +214,28 @@ struct Analyzer {
     }
   }
 
-  /// Settle an on-lane segment [seg_start, t]: charge run / SA / steal /
-  /// migration overlaps to the active request (when there is one) and
-  /// consume migration debt either way.
+  /// Settle an on-lane segment [seg_start, t] and restart it at t, as
+  /// snapshot(ts, t) would, from the values just read: charge run / SA /
+  /// steal / migration overlaps to the active request (when there is one)
+  /// and consume migration debt either way.
   void close_on(TaskState& ts, sim::Time t) {
-    if (ts.seg_start < 0 || t <= ts.seg_start) return;
+    if (ts.seg_start < 0 || t <= ts.seg_start) {
+      snapshot(ts, t);
+      return;
+    }
     const sim::Duration dur = t - ts.seg_start;
+    sim::Duration run = 0, sa = 0, steal[kNumStealClasses] = {};
     sim::Duration d_run = 0, d_sa = 0, d_steal[kNumStealClasses] = {};
     sim::Duration steal_sum = 0;
     if (fg_vcpu(ts.vcpu)) {
       VcpuState& v = vc(ts.vcpu);
-      d_run = v.run.value(t) - ts.run0;
-      d_sa = v.sa.value(t) - ts.sa0;
+      run = v.run.value(t);
+      sa = v.sa.value(t);
+      d_run = run - ts.run0;
+      d_sa = sa - ts.sa0;
       for (int c = 0; c < kNumStealClasses; ++c) {
-        d_steal[c] = v.steal[c].value(t) - ts.steal0[c];
+        steal[c] = v.steal[c].value(t);
+        d_steal[c] = steal[c] - ts.steal0[c];
         steal_sum += d_steal[c];
       }
     }
@@ -237,24 +253,34 @@ struct Analyzer {
       const sim::Duration rest = dur - d_run - steal_sum;
       if (rest > 0) ts.causes[static_cast<int>(Cause::kUntracked)] += rest;
     }
+    ts.seg_start = t;
+    ts.seg_vcpu = ts.vcpu;
+    ts.lhp_active0 = lhp_active.value(t);
+    ts.run0 = run;
+    ts.sa0 = sa;
+    for (int c = 0; c < kNumStealClasses; ++c) ts.steal0[c] = steal[c];
   }
 
-  /// Close the current off-chain sub-span [seg_start, t] with both
-  /// candidate charges; resolution happens when the chain's cause is known.
+  /// Close the current off-chain sub-span [seg_start, t] and, inside a
+  /// request, add both candidate charges to the chain; resolution happens
+  /// when the chain's cause is known.
   void close_off_sub(TaskState& ts, sim::Time t) {
-    if (ts.seg_start < 0 || t <= ts.seg_start) return;
-    SubCharge s;
-    s.dur = t - ts.seg_start;
-    s.in_req = ts.req_active;
-    s.lhp_active = lhp_active.value(t) - ts.lhp_active0;
-    if (s.lhp_active > s.dur) s.lhp_active = s.dur;
+    if (ts.seg_start < 0 || t <= ts.seg_start || !ts.req_active) return;
+    const sim::Duration dur = t - ts.seg_start;
+    const sim::Duration lhp =
+        std::min(lhp_active.value(t) - ts.lhp_active0, dur);
+    ts.chain.lhp += lhp;
+    ts.chain.block += dur - lhp;
+    sim::Duration steal_sum = 0;
     if (fg_vcpu(ts.vcpu)) {
       VcpuState& v = vc(ts.vcpu);
       for (int c = 0; c < kNumStealClasses; ++c) {
-        s.steal[c] = v.steal[c].value(t) - ts.steal0[c];
+        const sim::Duration d = v.steal[c].value(t) - ts.steal0[c];
+        ts.chain.steal[c] += d;
+        steal_sum += d;
       }
     }
-    ts.chain.push_back(s);
+    if (dur > steal_sum) ts.chain.ready_wait += dur - steal_sum;
   }
 
   /// The chain's cause became known: `blocked` chains (ended by a wake)
@@ -262,22 +288,16 @@ struct Analyzer {
   /// (reached the lane with no wake) split into runqueue-vCPU steal
   /// overlaps + genuine CPU contention (ready_wait).
   void resolve_chain(TaskState& ts, bool blocked) {
-    for (const SubCharge& s : ts.chain) {
-      if (!s.in_req) continue;
-      if (blocked) {
-        ts.causes[static_cast<int>(Cause::kLhp)] += s.lhp_active;
-        ts.causes[static_cast<int>(Cause::kBlock)] += s.dur - s.lhp_active;
-      } else {
-        sim::Duration steal_sum = 0;
-        for (int c = 0; c < kNumStealClasses; ++c) {
-          ts.causes[static_cast<int>(kStealCause[c])] += s.steal[c];
-          steal_sum += s.steal[c];
-        }
-        const sim::Duration rest = s.dur - steal_sum;
-        if (rest > 0) ts.causes[static_cast<int>(Cause::kReadyWait)] += rest;
+    if (blocked) {
+      ts.causes[static_cast<int>(Cause::kLhp)] += ts.chain.lhp;
+      ts.causes[static_cast<int>(Cause::kBlock)] += ts.chain.block;
+    } else {
+      for (int c = 0; c < kNumStealClasses; ++c) {
+        ts.causes[static_cast<int>(kStealCause[c])] += ts.chain.steal[c];
       }
+      ts.causes[static_cast<int>(Cause::kReadyWait)] += ts.chain.ready_wait;
     }
-    ts.chain.clear();
+    ts.chain = {};
   }
 
   // --- event handlers -----------------------------------------------------
@@ -290,7 +310,6 @@ struct Analyzer {
       if (ot.phase == kPhOn && ot.vcpu == gcpu) {
         close_on(ot, r.when);
         ot.phase = kPhPending;
-        snapshot(ot, r.when);
       }
     }
     lane[static_cast<std::size_t>(gcpu)] = r.b;
@@ -366,7 +385,6 @@ struct Analyzer {
     // so nothing before the begin instant is ever charged to this span.
     if (ts.phase == kPhOn) {
       close_on(ts, r.when);
-      snapshot(ts, r.when);
     } else if (ts.phase == kPhPending || ts.phase == kPhWaiting) {
       close_off_sub(ts, r.when);
       snapshot(ts, r.when);
@@ -398,7 +416,6 @@ struct Analyzer {
     }
     if (ts.phase == kPhOn) {
       close_on(ts, r.when);
-      snapshot(ts, r.when);
     } else if (ts.phase == kPhPending || ts.phase == kPhWaiting) {
       close_off_sub(ts, r.when);
       resolve_chain(ts, /*blocked=*/false);
@@ -432,13 +449,9 @@ struct Analyzer {
     ++cr.spans;
     const std::int64_t idx = r.when / window;
     if (idx >= 0 && idx < static_cast<std::int64_t>(tl.row.size()) &&
-        tl.row[static_cast<std::size_t>(idx)] != kCalm) {
-      std::int32_t& row = tl.row[static_cast<std::size_t>(idx)];
-      if (row == kNoRow) {
-        row = static_cast<std::int32_t>(cr.windows.size());
-        cr.windows.push_back(ForensicsWindow{.index = idx});
-      }
-      ForensicsWindow& w = cr.windows[static_cast<std::size_t>(row)];
+        tl.row[static_cast<std::size_t>(idx)] >= 0) {
+      ForensicsWindow& w = cr.windows[static_cast<std::size_t>(
+          tl.row[static_cast<std::size_t>(idx)])];
       ++w.requests;
       if (total > cr.spec.threshold) {
         ++w.violations;
@@ -675,6 +688,8 @@ ForensicsResult request_forensics(sim::TraceView ring,
     for (int k = 0; k < kNumCauses; ++k) {
       c.causes[k].add_zeros(az.tally[i].zeros[k]);
     }
+    std::erase_if(c.windows,
+                  [](const ForensicsWindow& w) { return w.requests == 0; });
     std::sort(c.windows.begin(), c.windows.end(),
               [](const ForensicsWindow& x, const ForensicsWindow& y) {
                 return x.index < y.index;
