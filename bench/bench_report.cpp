@@ -3,7 +3,7 @@
 //   * trace_ns_per_record: ns per record appended to the trace ring, no
 //     more than 2x an existing report at the output path;
 //   * sampler_overhead: the counter sampler at its default cadence adds
-//     less than 6% to a traced fig05a slice;
+//     less than 6% to the runs of a traced fig05a slice;
 //   * wheel_fig05_speedup_vs_binary: serial fig05, every run timed on the
 //     binary heap "before" and on the default queue backend, reads at
 //     least 0.9x as fast on the default backend;
@@ -16,7 +16,7 @@
 //     wall time per completed request than the closed-loop ab arm at a
 //     matched completion rate.
 // Every overhead gate and the wheel gate read the median of paired
-// ratios.
+// ratios, at least 100 of them outside the SLO and forensics arms.
 //
 // The deterministic properties beside these costs (serial = parallel
 // sweeps, histogram memory, fold identity through result_json, offline
@@ -66,20 +66,6 @@ double measure_trace_ns() {
   return sec / kRecords * 1e9;
 }
 
-/// One serial timed sweep with the given trace settings (capacity 0 =
-/// tracing off).
-double timed_sweep(std::vector<exp::ScenarioConfig> grid, std::size_t capacity,
-                   sim::Duration sample_period = 0) {
-  for (auto& cfg : grid) {
-    cfg.trace_capacity = capacity;
-    cfg.sample_period = sample_period;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto results = exp::run_sweep(grid, /*n_threads=*/1);
-  if (results.size() != grid.size()) std::abort();
-  return wall_seconds(t0);
-}
-
 /// Wall seconds of one run of `c`; aborts on a run that served nothing.
 double timed_run(const exp::ScenarioConfig& c) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -94,8 +80,8 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// The estimator of the wheel, SLO, forensics and front-end gates, as of
-/// sampler_overhead: the median of paired on/off ratios. Each rep times
+/// The estimator of every timed comparison here: the median of paired
+/// on/off ratios. Each rep times
 /// every cell's two arms back to back, `time(i, on)` with the "on" arm
 /// first when rep + i is odd, and each (rep, cell) pair gives one ratio.
 /// The pair keeps the arms adjacent under machine drift, the alternation
@@ -113,6 +99,11 @@ double paired_median_ratio(std::size_t n_cells, int reps, TimeFn time) {
     }
   }
   return median(ratios);
+}
+
+/// Reps of an `n_cells` grid that give the median at least 100 pairs.
+int reps_for_100_pairs(std::size_t n_cells) {
+  return static_cast<int>((n_cells + 99) / n_cells);
 }
 
 /// Extract "key": <number> from a previous report; NaN when absent.
@@ -145,9 +136,8 @@ int main(int argc, char** argv) {
             << "...\n";
   const auto wheel_grid = exp::figure_grid("fig05", {seeds, fast});
   // One rep of the full grid gives 864 pairs per seed; the fast grid
-  // repeats until the median reads at least 100.
-  const int wheel_reps = static_cast<int>((wheel_grid.size() + 99) /
-                                          wheel_grid.size());
+  // repeats.
+  const int wheel_reps = reps_for_100_pairs(wheel_grid.size());
   const double wheel_speedup = paired_median_ratio(
       wheel_grid.size(), wheel_reps, [&](std::size_t i, bool binary) {
         auto c = wheel_grid[i];
@@ -158,31 +148,36 @@ int main(int argc, char** argv) {
   std::cerr << "[bench_report] trace pipeline overhead...\n";
   const double trace_direct_ns = measure_trace_ns();
   // A traced-sweep slice of panel (a) of Figure 5 from the shared grid
-  // registry; the untraced run anchors the overhead.
+  // registry; the untraced run anchors the overhead. Every run of the
+  // slice is one cell of the paired estimator, repeated to 100 pairs.
   auto slice = exp::figure_grid("fig05a", {seeds, fast});
   const std::size_t kSliceRuns = 48;
   if (slice.size() > kSliceRuns) slice.resize(kSliceRuns);
-  // The overhead ratios below are single-digit percent, while this
-  // machine's throughput can drift tens of percent between measurements
-  // (other tenants, frequency scaling). So: run the three settings
-  // back-to-back inside each rep — adjacent sweeps share the machine
-  // phase, so the drift cancels out of the within-rep ratio — and gate on
-  // the median ratio across reps, which shrugs off the odd rep where a
-  // phase change landed mid-rep.
-  constexpr int kSweepReps = 7;
-  std::vector<double> r_traced, r_sampled;
-  for (int rep = 0; rep < kSweepReps; ++rep) {
-    const double off = timed_sweep(slice, 0);
-    const double traced = timed_sweep(slice, 1 << 15);
-    const double smp =
-        timed_sweep(slice, 1 << 15, obs::Sampler::kDefaultPeriod);
-    r_traced.push_back(traced / off);
-    r_sampled.push_back(smp / traced);
-  }
-  const double overhead_traced_pct = (median(r_traced) - 1.0) * 100.0;
-  // Incremental cost of the counter sampler on top of a traced sweep —
+  const int slice_reps = reps_for_100_pairs(slice.size());
+  // Traced against untraced.
+  const double overhead_traced_pct =
+      (paired_median_ratio(slice.size(), slice_reps,
+                           [&](std::size_t i, bool on) {
+                             auto c = slice[i];
+                             c.trace_capacity = on ? 1 << 15 : 0;
+                             c.sample_period = 0;
+                             return timed_run(c);
+                           }) -
+       1.0) *
+      100.0;
+  // Incremental cost of the counter sampler on top of a traced run —
   // gated below: the series must stay (nearly) free at the default cadence.
-  const double overhead_sampled_pct = (median(r_sampled) - 1.0) * 100.0;
+  const double overhead_sampled_pct =
+      (paired_median_ratio(slice.size(), slice_reps,
+                           [&](std::size_t i, bool on) {
+                             auto c = slice[i];
+                             c.trace_capacity = 1 << 15;
+                             c.sample_period =
+                                 on ? obs::Sampler::kDefaultPeriod : 0;
+                             return timed_run(c);
+                           }) -
+       1.0) *
+      100.0;
   constexpr double kSampledOverheadLimitPct = 6.0;
 
   // SLO recording overhead on the fig08 serving shape: "off" (raw
@@ -214,9 +209,10 @@ int main(int argc, char** argv) {
   // the same serving shape. Both arms run the trace ring and SLO tracking;
   // the "on" arm adds one ReqSpan append to the workload's side log per
   // completed request (forensics_analyze=false on both arms keeps the
-  // end-of-run snapshot + analyzer out of the timed region), so the ratio
-  // isolates the always-on capture cost — the only part of forensics that
-  // runs while the simulation serves. The effect is ~1 ms per ~30 ms run.
+  // end-of-run analysis, one pass over the ring in place, out of the timed
+  // region), so the ratio isolates the always-on capture cost — the only
+  // part of forensics that runs while the simulation serves. The effect is
+  // ~1 ms per ~30 ms run.
   std::cerr << "[bench_report] forensics recording overhead (fig08 serving "
                "shape)...\n";
   auto forensics_cells = slo_grid;
@@ -313,6 +309,7 @@ int main(int argc, char** argv) {
       << ",\n"
       << "  \"wheel_fig05_speedup_vs_binary\": " << wheel_speedup << ",\n"
       << "  \"trace_ns_per_record_direct\": " << trace_direct_ns << ",\n"
+      << "  \"sweep_overhead_pairs\": " << slice.size() * slice_reps << ",\n"
       << "  \"traced_sweep_overhead_pct\": " << overhead_traced_pct << ",\n"
       << "  \"traced_sampled_sweep_overhead_pct\": " << overhead_sampled_pct
       << ",\n"
@@ -334,9 +331,10 @@ int main(int argc, char** argv) {
   std::cout << "queue: serial fig05 runs " << wheel_speedup << "x as fast on "
             << default_name << " as on the binary heap (median of "
             << wheel_grid.size() * wheel_reps << " paired runs)\n"
-            << "trace: " << trace_direct_ns << "ns/rec; traced sweep +"
+            << "trace: " << trace_direct_ns << "ns/rec; traced runs +"
             << overhead_traced_pct << "%, +" << overhead_sampled_pct
-            << "% with sampling\n"
+            << "% with sampling (medians of " << slice.size() * slice_reps
+            << " paired runs)\n"
             << "slo: " << slo_overhead_pct
             << "% recording overhead (median of paired on/off runs)\n"
             << "forensics: " << forensics_overhead_pct
