@@ -363,9 +363,9 @@ void set_block_digests(RunResult& r) {
 }
 
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture) {
-  // hv::Host rejects a zero pCPU or vCPU count; a foreground without
-  // threads would run to its timeout, and a run without one would stop
-  // at once.
+  // hv::Host rejects a zero pCPU or vCPU count. A foreground without
+  // threads would run to its timeout, and a timeout of 0 or less would
+  // end the run before it starts.
   require(cfg.n_inter >= 0, "n_inter", ">= 0", cfg.n_inter);
   require(cfg.n_bg_vms >= 0, "n_bg_vms", ">= 0", cfg.n_bg_vms);
   require(cfg.fg_threads >= 1, "fg_threads", ">= 1", cfg.fg_threads);
