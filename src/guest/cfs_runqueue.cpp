@@ -1,50 +1,42 @@
 #include "src/guest/cfs_runqueue.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace irs::guest {
 
 void CfsRunqueue::enqueue(Task& t) {
-  by_vruntime_.emplace(t.vruntime, &t);
+  // Keys descend towards the back. The new entry goes behind every larger
+  // key and ahead of its equals: they queued first, so they run first.
+  const auto pos = std::partition_point(
+      queue_.begin(), queue_.end(),
+      [k = t.vruntime](const Entry& e) { return e.key > k; });
+  queue_.insert(pos, Entry{t.vruntime, &t});
   advance_min_vruntime(leftmost()->vruntime);
 }
 
 bool CfsRunqueue::remove(Task& t) {
-  auto [lo, hi] = by_vruntime_.equal_range(t.vruntime);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == &t) {
-      by_vruntime_.erase(it);
-      return true;
-    }
+  const auto is_t = [&t](const Entry& e) { return e.task == &t; };
+  // The entries keyed at the task's vruntime, in run order (back to front).
+  const auto [lo, hi] = std::equal_range(
+      queue_.begin(), queue_.end(), Entry{t.vruntime, nullptr},
+      [](const Entry& a, const Entry& b) { return a.key > b.key; });
+  auto it = std::find_if(std::make_reverse_iterator(hi),
+                         std::make_reverse_iterator(lo), is_t);
+  if (it == std::make_reverse_iterator(lo)) {
+    // The task's vruntime key may be stale if it changed while queued;
+    // fall back to a scan of the whole queue (should not happen in
+    // practice).
+    it = std::find_if(queue_.rbegin(), queue_.rend(), is_t);
+    if (it == queue_.rend()) return false;
   }
-  // The task's vruntime key may be stale if it changed while queued; fall
-  // back to a linear scan (should not happen in practice).
-  for (auto it = by_vruntime_.begin(); it != by_vruntime_.end(); ++it) {
-    if (it->second == &t) {
-      by_vruntime_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-Task* CfsRunqueue::leftmost() const {
-  return by_vruntime_.empty() ? nullptr : by_vruntime_.begin()->second;
-}
-
-Task* CfsRunqueue::pop_leftmost() {
-  if (by_vruntime_.empty()) return nullptr;
-  Task* t = by_vruntime_.begin()->second;
-  by_vruntime_.erase(by_vruntime_.begin());
-  return t;
-}
-
-Task* CfsRunqueue::hottest_to_steal() const {
-  return by_vruntime_.empty() ? nullptr : by_vruntime_.rbegin()->second;
+  queue_.erase(std::prev(it.base()));
+  return true;
 }
 
 Task* CfsRunqueue::tagged_for(int cpu) const {
-  for (const auto& [vr, t] : by_vruntime_) {
+  for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
+    Task* t = it->task;
     if (t->migrating_tag && t->irs_home == cpu) return t;
   }
   return nullptr;
