@@ -15,10 +15,7 @@ namespace irs::core {
 /// so we keep every value and compute exact percentiles).
 class Histogram {
  public:
-  void add(sim::Duration v) {
-    samples_.push_back(v);
-    sorted_ = false;
-  }
+  void add(sim::Duration v) { samples_.push_back(v); }
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
 
@@ -36,21 +33,21 @@ class Histogram {
   /// Exact percentile, p in [0, 100]: linear interpolation between closest
   /// ranks (the "C = 1" / numpy default convention), so e.g. the median of
   /// {10, 20} is 15 rather than either sample.
+  /// Selection, not a sort: the sample of rank `lo` is placed by
+  /// nth_element, and its interpolation neighbour of rank lo + 1 is the
+  /// smallest sample above it.
   [[nodiscard]] sim::Duration percentile(double p) const {
     if (samples_.empty()) return 0;
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    }
     p = std::min(100.0, std::max(0.0, p));
     const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
     const auto lo = static_cast<std::size_t>(rank);
     const double frac = rank - static_cast<double>(lo);
-    const double below = static_cast<double>(samples_[lo]);
-    if (frac == 0.0 || lo + 1 >= samples_.size()) {
-      return samples_[lo];
-    }
-    const double above = static_cast<double>(samples_[lo + 1]);
+    const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(samples_.begin(), nth, samples_.end());
+    if (frac == 0.0 || lo + 1 >= samples_.size()) return *nth;
+    const double below = static_cast<double>(*nth);
+    const double above =
+        static_cast<double>(*std::min_element(nth + 1, samples_.end()));
     return static_cast<sim::Duration>(
         std::llround(below + frac * (above - below)));
   }
@@ -60,17 +57,12 @@ class Histogram {
     return *std::max_element(samples_.begin(), samples_.end());
   }
 
-  void clear() {
-    samples_.clear();
-    sorted_ = false;
-  }
+  void clear() { samples_.clear(); }
 
  private:
-  // Sort-on-demand cache: percentile() is logically const (the sample
-  // multiset is unchanged), so the storage order and its validity flag are
-  // mutable.
+  // percentile() is logically const (the sample multiset is unchanged), so
+  // the storage order it permutes is mutable.
   mutable std::vector<sim::Duration> samples_;
-  mutable bool sorted_ = false;
 };
 
 /// Per-VM summary extracted from a finished run.

@@ -1,9 +1,15 @@
 // Unit tests for core measurement utilities, chiefly the exact-percentile
 // histogram: known quantiles of hand-built sample sets, interpolation
-// between ranks, and const-correct sort-on-demand behaviour.
+// between ranks, const-correct selection, and agreement with the
+// sort-based formula on random sample sets.
 #include "src/core/metrics.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <random>
+#include <vector>
 
 namespace irs::core {
 namespace {
@@ -70,11 +76,47 @@ TEST(Histogram, PercentileIsConstAndSurvivesInterleavedAdds) {
   h.add(10);
   const Histogram& ch = h;  // percentile must be callable through const ref
   EXPECT_EQ(ch.percentile(100.0), 30);
-  h.add(50);  // invalidates the sorted cache
+  h.add(50);  // after a percentile() reordered the samples
   EXPECT_EQ(ch.percentile(100.0), 50);
   EXPECT_EQ(ch.percentile(50.0), 30);
   EXPECT_EQ(ch.mean(), 30);
   EXPECT_EQ(ch.max(), 50);
+}
+
+/// The textbook formula percentile() must equal: sort, then interpolate
+/// between the samples of ranks floor(r) and floor(r) + 1.
+sim::Duration sorted_percentile(std::vector<sim::Duration> v, double p) {
+  std::sort(v.begin(), v.end());
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  if (frac == 0.0 || lo + 1 >= v.size()) return v[lo];
+  const double below = static_cast<double>(v[lo]);
+  const double above = static_cast<double>(v[lo + 1]);
+  return static_cast<sim::Duration>(
+      std::llround(below + frac * (above - below)));
+}
+
+TEST(Histogram, SelectionMatchesTheSortedFormulaOnRandomSamples) {
+  std::mt19937_64 rng(20171211);
+  for (std::size_t n : {1, 2, 3, 7, 100, 1000, 4099}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Few distinct values on odd trials, so most ranks sit among
+      // duplicates.
+      const std::uint64_t span = trial % 2 == 1 ? 5 : 1'000'000;
+      std::vector<sim::Duration> v(n);
+      Histogram h;
+      for (auto& x : v) {
+        x = static_cast<sim::Duration>(rng() % span);
+        h.add(x);
+      }
+      for (double p : {0.0, 50.0, 99.0, 99.9, 100.0}) {
+        EXPECT_EQ(h.percentile(p), sorted_percentile(v, p))
+            << "n=" << n << " trial=" << trial << " p=" << p;
+      }
+      EXPECT_EQ(h.max(), *std::max_element(v.begin(), v.end()));
+    }
+  }
 }
 
 TEST(Histogram, MeanDoesNotOverflowInt64) {
