@@ -6,18 +6,18 @@
 
 namespace irs::sim {
 
-EventHandle Engine::schedule(Duration delay, Callback fn) {
+EventHandle Engine::schedule(Duration delay, Callback&& fn) {
   if (delay < 0) delay = 0;
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-EventHandle Engine::schedule_at(Time when, Callback fn) {
+EventHandle Engine::schedule_at(Time when, Callback&& fn) {
   if (when < now_) when = now_;
   return schedule_reserved(when, next_seq_++, std::move(fn));
 }
 
 EventHandle Engine::schedule_reserved(Time when, std::uint64_t seq,
-                                      Callback fn) {
+                                      Callback&& fn) {
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.fn = std::move(fn);

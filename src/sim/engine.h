@@ -105,10 +105,12 @@ class Engine {
 
   /// Schedule `fn` to run `delay` ns from now. Negative delays are clamped
   /// to zero (fires this instant, after already-queued same-time events).
-  EventHandle schedule(Duration delay, Callback fn);
+  /// The schedule calls take `fn` by reference, so the callable is
+  /// relocated once into its slot and once out at dispatch.
+  EventHandle schedule(Duration delay, Callback&& fn);
 
   /// Schedule `fn` at an absolute timestamp (clamped to now()).
-  EventHandle schedule_at(Time when, Callback fn);
+  EventHandle schedule_at(Time when, Callback&& fn);
 
   /// Run events until the queue drains or `deadline` passes, then move the
   /// clock to `deadline` — unless stop() ended the run, in which case the
@@ -181,7 +183,8 @@ class Engine {
   std::uint64_t reserve_seq() { return next_seq_++; }
   /// Queue `fn` at the exact key {when, seq}; `when` >= now() and `seq`
   /// came from reserve_seq(). The one place an entry is pushed.
-  EventHandle schedule_reserved(Time when, std::uint64_t seq, Callback fn);
+  EventHandle schedule_reserved(Time when, std::uint64_t seq,
+                                Callback&& fn);
 
   std::uint32_t acquire_slot();
   /// Free `slot` and bump its generation, so every handle and queue entry

@@ -527,6 +527,31 @@ TEST(InlineFn, MoveTransfersOwnership) {
   EXPECT_EQ(calls, 2);
 }
 
+TEST(InlineFn, ScheduleMovesTheCallableOnceInAndOnceOut) {
+  // Copied once into the callback, the callable is then moved into its
+  // slot and out of it at dispatch. A by-value hop between schedule(),
+  // schedule_at() and schedule_reserved() would add a move each.
+  struct CountsMoves {
+    int* moves;
+    bool* ran;
+    CountsMoves(int* m, bool* r) : moves(m), ran(r) {}
+    CountsMoves(const CountsMoves&) = default;
+    CountsMoves(CountsMoves&& o) noexcept : moves(o.moves), ran(o.ran) {
+      ++*moves;
+    }
+    void operator()() const { *ran = true; }
+  };
+  static_assert(InlineFn::stores_inline<CountsMoves>());
+  int moves = 0;
+  bool ran = false;
+  const CountsMoves fn(&moves, &ran);
+  Engine eng;
+  eng.schedule(1, fn);
+  eng.run();
+  EXPECT_TRUE(ran);
+  EXPECT_LE(moves, 2);
+}
+
 TEST(EngineTime, ConversionHelpers) {
   EXPECT_EQ(microseconds(1), 1000);
   EXPECT_EQ(milliseconds(1), 1000 * 1000);
