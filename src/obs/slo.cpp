@@ -1,7 +1,6 @@
 #include "src/obs/slo.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "src/obs/fnv.h"
@@ -9,41 +8,11 @@
 namespace irs::obs {
 
 // ---------------------------------------------------------------------------
-// LatencyHistogram — bucket geometry
+// LatencyHistogram — bucket geometry (the index function is in slo.h)
 // ---------------------------------------------------------------------------
-//
-// Index layout (kSub = 32):
-//   v in [0, 64)            -> index v                (unit buckets, exact)
-//   v in [2^(k), 2^(k+1)),
-//        k >= 6             -> shift = k - 5,
-//                              index = shift*32 + (v >> shift)  (32/octave)
-// Consecutive octaves tile contiguously: the first log octave [64, 128)
-// maps to [64, 96), the next to [96, 128), and so on — index is a
-// monotone, gap-free function of v.
-
-namespace {
-
-int bucket_index_impl(std::int64_t v) {
-  if (v <= 0) return 0;
-  if (v > LatencyHistogram::kMaxValueNs) v = LatencyHistogram::kMaxValueNs;
-  const auto u = static_cast<std::uint64_t>(v);
-  if (u < 2 * static_cast<std::uint64_t>(LatencyHistogram::kSub)) {
-    return static_cast<int>(u);
-  }
-  const int shift = std::bit_width(u) - (LatencyHistogram::kMantissaBits + 1);
-  return static_cast<int>(
-      (static_cast<std::uint64_t>(shift) << LatencyHistogram::kMantissaBits) +
-      (u >> shift));
-}
-
-}  // namespace
-
-int LatencyHistogram::bucket_index(std::int64_t v) {
-  return bucket_index_impl(v);
-}
 
 const int LatencyHistogram::kNumBuckets =
-    bucket_index_impl(LatencyHistogram::kMaxValueNs) + 1;
+    LatencyHistogram::bucket_index(LatencyHistogram::kMaxValueNs) + 1;
 
 std::int64_t LatencyHistogram::bucket_lower(int idx) {
   if (idx < 2 * kSub) return idx;
@@ -59,22 +28,6 @@ std::int64_t LatencyHistogram::bucket_value(int idx) {
   const std::int64_t lower = bucket_lower(idx);
   // Midpoint of [lower, lower + 2^shift).
   return lower + (std::int64_t{1} << shift) / 2;
-}
-
-void LatencyHistogram::add(sim::Duration v) {
-  ensure_buckets();
-  std::int64_t clamped = v < 0 ? 0 : v;
-  if (clamped > kMaxValueNs) clamped = kMaxValueNs;
-  if (count_ == 0) {
-    min_ = clamped;
-    max_ = clamped;
-  } else {
-    min_ = std::min(min_, clamped);
-    max_ = std::max(max_, clamped);
-  }
-  ++count_;
-  sum_ += static_cast<unsigned __int128>(clamped);
-  ++counts_[static_cast<std::size_t>(bucket_index_impl(clamped))];
 }
 
 void LatencyHistogram::add_zeros(std::uint64_t n) {
@@ -130,32 +83,22 @@ void LatencyHistogram::percentiles3(sim::Duration* p50, sim::Duration* p99,
   };
   // Ranks are ordered, so one cumulative pass over the occupied range
   // resolves all three.
-  const std::uint64_t r50 = rank_of(50.0);
-  const std::uint64_t r99 = rank_of(99.0);
-  const std::uint64_t r999 = rank_of(99.9);
+  const std::uint64_t ranks[3] = {rank_of(50.0), rank_of(99.0),
+                                  rank_of(99.9)};
+  sim::Duration* const out[3] = {p50, p99, p999};
   const auto [lo, hi] = occupied();
   std::uint64_t cum = 0;
   int stage = 0;  // next unresolved: 0 = p50, 1 = p99, 2 = p999
   for (std::size_t i = lo; i < hi && stage < 3; ++i) {
     cum += counts_[i];
+    if (cum < ranks[stage]) continue;
+    // A bucket's representative is computed only where a rank resolves.
     const sim::Duration v = std::clamp<sim::Duration>(
         bucket_value(static_cast<int>(i)), min_, max_);
-    if (stage == 0 && cum >= r50) {
-      *p50 = v;
-      stage = 1;
-    }
-    if (stage == 1 && cum >= r99) {
-      *p99 = v;
-      stage = 2;
-    }
-    if (stage == 2 && cum >= r999) {
-      *p999 = v;
-      stage = 3;
-    }
+    while (stage < 3 && cum >= ranks[stage]) *out[stage++] = v;
   }
-  if (stage < 3) *p999 = max_;  // unreachable: counts sum to count_
-  if (stage < 2) *p99 = max_;
-  if (stage < 1) *p50 = max_;
+  // Unreachable: the bucket counts sum to count_.
+  for (; stage < 3; ++stage) *out[stage] = max_;
 }
 
 std::uint64_t LatencyHistogram::count_above(sim::Duration threshold) const {
@@ -165,7 +108,7 @@ std::uint64_t LatencyHistogram::count_above(sim::Duration threshold) const {
   // violations; the threshold's own bucket counts as within-SLO (values
   // there are indistinguishable from the threshold at bucket resolution).
   const auto [lo, hi] = occupied();
-  const auto t = static_cast<std::size_t>(bucket_index_impl(threshold));
+  const auto t = static_cast<std::size_t>(bucket_index(threshold));
   std::uint64_t above = 0;
   for (std::size_t i = std::max(t + 1, lo); i < hi; ++i) {
     above += counts_[i];
@@ -296,19 +239,13 @@ void SloTracker::close_window(ClassState& c) {
   c.cur_index = -1;
 }
 
-void SloTracker::record(std::size_t cls, sim::Time when,
-                        sim::Duration latency) {
-  ClassState& c = classes_[cls];
-  // Hot path: staying inside the open window is one compare. The division
-  // only runs when a window boundary is crossed (or on the first record).
-  if (c.cur_index < 0 || when >= c.cur_end) {
-    close_window(c);
-    const std::int64_t idx = when / kDefaultWindow;
-    c.cur_index = idx;
-    c.cur_end = (idx + 1) * kDefaultWindow;
-  }
-  c.cur.add(latency);
-  if (latency > c.out.spec.threshold) ++c.cur_violations;
+void SloTracker::open_window(ClassState& c, sim::Time when) {
+  // The division runs only here, when record() crosses a window boundary
+  // (or on the first record).
+  close_window(c);
+  const std::int64_t idx = when / kDefaultWindow;
+  c.cur_index = idx;
+  c.cur_end = (idx + 1) * kDefaultWindow;
 }
 
 void SloTracker::flush(sim::Time /*end*/) {

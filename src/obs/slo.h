@@ -29,6 +29,8 @@
 // bit-identically and digests are comparable across processes.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -56,14 +58,41 @@ class LatencyHistogram {
   static constexpr std::int64_t kMaxValueNs = 100'000'000'000'000 / 1000;
 
   /// Bucket index for a clamped value; total bucket count in kNumBuckets.
-  static int bucket_index(std::int64_t v);
+  /// Above the unit buckets, index = shift*kSub + (v >> shift) with
+  /// shift = bit_width(v) - (kMantissaBits + 1): the octaves tile
+  /// contiguously, so the index is a monotone, gap-free function of v.
+  static constexpr int bucket_index(std::int64_t v) {
+    if (v <= 0) return 0;
+    if (v > kMaxValueNs) v = kMaxValueNs;
+    const auto u = static_cast<std::uint64_t>(v);
+    if (u < 2 * static_cast<std::uint64_t>(kSub)) return static_cast<int>(u);
+    const int shift = std::bit_width(u) - (kMantissaBits + 1);
+    return static_cast<int>(
+        (static_cast<std::uint64_t>(shift) << kMantissaBits) + (u >> shift));
+  }
   /// Inclusive lower bound of bucket `idx`.
   static std::int64_t bucket_lower(int idx);
   /// Deterministic representative (midpoint, exact for unit buckets).
   static std::int64_t bucket_value(int idx);
   static const int kNumBuckets;
 
-  void add(sim::Duration v);
+  /// Defined here, like bucket_index() and SloTracker::record(), so the
+  /// per-request record path inlines into its caller.
+  void add(sim::Duration v) {
+    ensure_buckets();
+    std::int64_t clamped = v < 0 ? 0 : v;
+    if (clamped > kMaxValueNs) clamped = kMaxValueNs;
+    if (count_ == 0) {
+      min_ = clamped;
+      max_ = clamped;
+    } else {
+      min_ = std::min(min_, clamped);
+      max_ = std::max(max_, clamped);
+    }
+    ++count_;
+    sum_ += static_cast<unsigned __int128>(clamped);
+    ++counts_[static_cast<std::size_t>(bucket_index(clamped))];
+  }
   /// Exactly `n` add(0) calls: count, sum, min, max and buckets do not
   /// depend on the order values arrive in, so zeros can be added in bulk.
   void add_zeros(std::uint64_t n);
@@ -275,8 +304,14 @@ class SloTracker {
 
   /// Record one request latency observed at simulated time `when` (its
   /// completion time — the window it lands in). `when` must be
-  /// non-decreasing per class (simulated time is).
-  void record(std::size_t cls, sim::Time when, sim::Duration latency);
+  /// non-decreasing per class (simulated time is). Staying inside the open
+  /// window is one compare; only crossing a boundary calls out of line.
+  void record(std::size_t cls, sim::Time when, sim::Duration latency) {
+    ClassState& c = classes_[cls];
+    if (c.cur_index < 0 || when >= c.cur_end) open_window(c, when);
+    c.cur.add(latency);
+    if (latency > c.out.spec.threshold) ++c.cur_violations;
+  }
 
   /// Close the in-progress window of every class (call at run end with
   /// engine.now()). Idempotent; record() after flush() reopens windows.
@@ -300,7 +335,9 @@ class SloTracker {
 
   /// Append c's open window, if it holds a request, to `out`.
   static void append_open(const ClassState& c, SloClassResult* out);
-  void close_window(ClassState& c);
+  static void close_window(ClassState& c);
+  /// Close c's open window and open the one holding `when`.
+  static void open_window(ClassState& c, sim::Time when);
 
   std::vector<ClassState> classes_;
 };

@@ -117,6 +117,25 @@ TEST(SloHistogram, PercentilesTrackExactOrderStatistics) {
   EXPECT_EQ(h.percentile(100), vals.back());
 }
 
+TEST(SloHistogram, Percentiles3EqualsThreePercentileCalls) {
+  // One pass resolves all three ranks, several of them in one bucket when
+  // values repeat (odd trials draw from four values).
+  sim::Rng rng(3);
+  for (int trial = 0; trial < 200; ++trial) {
+    LatencyHistogram h;
+    const int n = 1 + static_cast<int>(rng.next_below(3000));
+    for (int i = 0; i < n; ++i) {
+      h.add(trial % 2 == 1 ? 1'000 * rng.uniform(1, 4)
+                           : rng.uniform(0, 50'000'000));
+    }
+    sim::Duration got[3];
+    h.percentiles3(&got[0], &got[1], &got[2]);
+    EXPECT_EQ(got[0], h.percentile(50.0)) << "trial " << trial;
+    EXPECT_EQ(got[1], h.percentile(99.0)) << "trial " << trial;
+    EXPECT_EQ(got[2], h.percentile(99.9)) << "trial " << trial;
+  }
+}
+
 TEST(SloHistogram, CountAboveIsExactAtBucketBoundaries) {
   LatencyHistogram h;
   const std::int64_t threshold = sim::milliseconds(10);
