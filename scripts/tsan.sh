@@ -11,5 +11,5 @@ cd "$(dirname "$0")/.."
 # assert in src/ runs under the sanitizer too.
 cmake -B build-tsan -S . -DIRS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
-cmake --build build-tsan -j --target irs_tests
+cmake --build build-tsan -j --target irs_tests irs_alloc_tests
 cd build-tsan && ctest --output-on-failure -j

@@ -12,5 +12,5 @@ cd "$(dirname "$0")/.."
 # assert in src/ runs under the sanitizer too.
 cmake -B build-ubsan -S . -DIRS_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
-cmake --build build-ubsan -j --target irs_tests
+cmake --build build-ubsan -j --target irs_tests irs_alloc_tests
 cd build-ubsan && ctest --output-on-failure -j

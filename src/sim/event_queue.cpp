@@ -155,8 +155,17 @@ class QuadHeapQueue final : public EventQueue {
 /// beyond the horizon. Pops merge the open bucket's sorted due list with
 /// the heap top, so the {when, seq} order is exact whichever side an entry
 /// landed on.
+///
+/// Bucket storage is one node pool shared by every bucket: a bucket is the
+/// head of a singly linked list threaded through `nodes_`, and freed nodes
+/// go on a free list. The pool grows to the high-water mark of
+/// wheel-resident entries and is reused from then on, so a push costs no
+/// allocation after warm-up and a fresh wheel makes a handful of pool
+/// growths instead of one vector per touched bucket.
 class HybridWheelQueue final : public EventQueue {
  public:
+  HybridWheelQueue() { heads_.fill(kNil); }
+
   void push(const QEntry& e) override {
     const std::uint64_t idx =
         static_cast<std::uint64_t>(e.when) >> kDefaultWheelShift;
@@ -169,7 +178,15 @@ class HybridWheelQueue final : public EventQueue {
     }
     if (idx > open_idx_ && idx - open_idx_ <= kMask) {
       const std::size_t slot = static_cast<std::size_t>(idx) & kMask;
-      buckets_[slot].push_back(e);
+      std::uint32_t n = free_head_;
+      if (n != kNil) {
+        free_head_ = nodes_[n].next;
+      } else {
+        n = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+      }
+      nodes_[n] = Node{e, heads_[slot]};
+      heads_[slot] = n;
       words_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
       ++wheel_count_;
       return;
@@ -218,6 +235,14 @@ class HybridWheelQueue final : public EventQueue {
  private:
   static constexpr std::size_t kMask = kWheelBuckets - 1;
   static constexpr std::size_t kWords = kWheelBuckets / 64;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  /// One wheel-resident entry and the next node of its bucket (or of the
+  /// free list).
+  struct Node {
+    QEntry e;
+    std::uint32_t next = kNil;
+  };
 
   /// Refill the due list from the next non-empty wheel bucket. Returns true
   /// if due_[due_pos_] is valid afterwards.
@@ -229,7 +254,16 @@ class HybridWheelQueue final : public EventQueue {
     const std::uint64_t idx = next_nonempty();
     open_idx_ = idx;
     const std::size_t slot = static_cast<std::size_t>(idx) & kMask;
-    due_.swap(buckets_[slot]);
+    // Copy the bucket out and splice its whole list onto the free list.
+    const std::uint32_t first = heads_[slot];
+    std::uint32_t last = first;
+    for (std::uint32_t n = first; n != kNil; n = nodes_[n].next) {
+      due_.push_back(nodes_[n].e);
+      last = n;
+    }
+    nodes_[last].next = free_head_;
+    free_head_ = first;
+    heads_[slot] = kNil;
     words_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
     wheel_count_ -= due_.size();
     std::sort(due_.begin(), due_.end(),
@@ -261,14 +295,17 @@ class HybridWheelQueue final : public EventQueue {
     std::abort();  // unreachable: wheel_count_ > 0 implies a set bit
   }
 
-  std::array<std::vector<QEntry>, kWheelBuckets> buckets_;
+  /// Per bucket, the first node of its list in `nodes_` (kNil: empty).
+  std::array<std::uint32_t, kWheelBuckets> heads_;
   std::array<std::uint64_t, kWords> words_{};  // non-empty bucket bitmap
+  std::vector<Node> nodes_;  // every bucket's entries, plus free nodes
+  std::uint32_t free_head_ = kNil;
   /// Absolute index of the bucket last drained into `due_` (the "open"
   /// bucket). Monotone; only buckets strictly after it accept entries.
   std::uint64_t open_idx_ = 0;
   std::vector<QEntry> due_;  // open bucket, sorted ascending, consumed from
   std::size_t due_pos_ = 0;  // due_pos_
-  std::size_t wheel_count_ = 0;  // entries resident in buckets_
+  std::size_t wheel_count_ = 0;  // entries resident in buckets
 
   QuadHeap heap_;  // behind-the-cursor + beyond-the-horizon spill
 };

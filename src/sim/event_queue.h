@@ -28,7 +28,9 @@
 //     wheel of fixed geometry (kWheelBuckets buckets of 2^kDefaultWheelShift
 //     ns) that absorbs dense periodic tick/slice/softirq traffic in O(1)
 //     pushes, backed by a 4-ary spill heap for entries behind the cursor or
-//     beyond the wheel horizon. Buckets are sorted lazily when the dispatch
+//     beyond the wheel horizon. Every bucket's entries live in one pooled
+//     node store, so a push allocates nothing once the pool has grown to
+//     its high-water mark. Buckets are sorted lazily when the dispatch
 //     cursor reaches them, and pops merge-compare the open bucket against
 //     the heap top, preserving the {when, seq} order exactly.
 #pragma once

@@ -137,15 +137,93 @@ TEST_P(QueueBackend, SizeCountsEveryResidentEntry) {
 TEST_P(QueueBackend, RandomChurnMatchesBinaryHeapPopUntil) {
   // Queue-level oracle: bursts of pushes over every region (open bucket,
   // mid-wheel, just past the horizon, far spill) and deadline-bounded
-  // drains. Every pop must match the binary heap's, entry for entry.
+  // drains. Every pop must match the binary heap's, entry for entry. The
+  // churn also covers what reuses the wheel's bucket nodes hardest:
+  //   * seqs pushed out of push order, as sim::Timer pushes the key it
+  //     reserved at arm() time after later schedules;
+  //   * buckets holding more than 64 entries;
+  //   * more than 1,000 rotations of the cursor around the wheel;
+  //   * idle gaps: the queue drained, then pushes far past the horizon,
+  //     where the wheel teleports its cursor.
+  // Each is counted below, so a change to the churn cannot silently drop
+  // one.
   for (std::uint64_t seed : {11ull, 20260808ull, 0xfeedc0deull}) {
     auto oracle = sim::make_event_queue(sim::QueueKind::kBinaryHeap);
     auto dut = sim::make_event_queue(GetParam());
     sim::Rng rng(seed);
     std::uint64_t seq = 0;
     sim::Time popped_floor = 0;  // push contract: when >= last popped
+    std::vector<std::uint64_t> reserved;  // seqs drawn, not yet pushed
+    std::uint64_t out_of_order = 0;
+    std::uint64_t dense_buckets = 0;
+    std::uint64_t idle_gaps = 0;
+    sim::Time walked = 0;  // floor advance by pops, not by idle gaps
 
-    for (int round = 0; round < 200; ++round) {
+    auto push = [&](sim::Time when, std::uint64_t key) {
+      const sim::QEntry e{when, key, static_cast<std::uint32_t>(key & 0xffff),
+                          0};
+      oracle->push(e);
+      dut->push(e);
+    };
+    // A later seq than the one an earlier reservation holds, so pushing
+    // that reservation now is out of push order.
+    auto push_next = [&](sim::Time when) {
+      if (!reserved.empty() && rng.next_below(4) == 0) {
+        const std::size_t i = rng.next_below(reserved.size());
+        push(when, reserved[i]);
+        reserved[i] = reserved.back();
+        reserved.pop_back();
+        ++out_of_order;
+      } else if (rng.next_below(8) == 0) {
+        reserved.push_back(seq++);  // pushed by a later round
+      } else {
+        push(when, seq++);
+      }
+    };
+    // Pop up to `want` entries due by `deadline`, comparing each.
+    auto drain = [&](sim::Time deadline, std::uint64_t want) {
+      for (; want > 0; --want) {
+        sim::QEntry expect;
+        sim::QEntry got;
+        const bool have = oracle->pop_until(deadline, &expect);
+        ASSERT_EQ(dut->pop_until(deadline, &got), have);
+        if (!have) return;
+        ASSERT_EQ(got.when, expect.when);
+        ASSERT_EQ(got.seq, expect.seq);
+        walked += expect.when - popped_floor;
+        popped_floor = expect.when;
+      }
+    };
+
+    for (int round = 0; round < 3000; ++round) {
+      SCOPED_TRACE(round);
+      switch (rng.next_below(40)) {
+        case 0: {  // idle gap: drain, then jump far past the horizon
+          drain(sim::kTimeMax, UINT64_MAX);
+          for (std::uint64_t key : reserved) push(popped_floor, key);
+          out_of_order += reserved.size();
+          reserved.clear();
+          drain(sim::kTimeMax, UINT64_MAX);
+          ASSERT_EQ(dut->size(), 0u);
+          popped_floor += (10 + static_cast<sim::Time>(rng.next_below(100))) *
+                          kHorizonNs;
+          ++idle_gaps;
+          break;
+        }
+        case 1: {  // a dense bucket a few buckets ahead of the floor
+          const sim::Time base =
+              (popped_floor / kBucketNs +
+               2 + static_cast<sim::Time>(rng.next_below(100))) *
+              kBucketNs;
+          const std::uint64_t n = 65 + rng.next_below(100);
+          for (std::uint64_t i = 0; i < n; ++i) {
+            push_next(base + static_cast<sim::Time>(rng.next_below(kBucketNs)));
+          }
+          ++dense_buckets;
+          break;
+        }
+        default: break;
+      }
       const std::uint64_t n = 1 + rng.next_below(30);
       for (std::uint64_t i = 0; i < n; ++i) {
         sim::Time when = popped_floor;
@@ -162,26 +240,17 @@ TEST_P(QueueBackend, RandomChurnMatchesBinaryHeapPopUntil) {
                     static_cast<sim::Time>(rng.next_below(40 * kHorizonNs));
             break;
         }
-        const sim::QEntry e{when, seq,
-                            static_cast<std::uint32_t>(seq & 0xffff), 0};
-        ++seq;
-        oracle->push(e);
-        dut->push(e);
+        push_next(when);
       }
-      const sim::Time deadline =
-          popped_floor + static_cast<sim::Time>(rng.next_below(4 * kHorizonNs));
-      for (std::uint64_t want = rng.next_below(40); want > 0; --want) {
-        sim::QEntry expect;
-        sim::QEntry got;
-        const bool have = oracle->pop_until(deadline, &expect);
-        ASSERT_EQ(dut->pop_until(deadline, &got), have) << "round " << round;
-        if (!have) break;
-        EXPECT_EQ(got.when, expect.when);
-        EXPECT_EQ(got.seq, expect.seq);
-        popped_floor = expect.when;
-      }
-      EXPECT_EQ(oracle->size(), dut->size());
+      drain(popped_floor +
+                static_cast<sim::Time>(rng.next_below(4 * kHorizonNs)),
+            rng.next_below(80));
+      ASSERT_EQ(oracle->size(), dut->size());
     }
+    EXPECT_GT(out_of_order, 1000u) << "seed " << seed;
+    EXPECT_GT(dense_buckets, 30u) << "seed " << seed;
+    EXPECT_GT(idle_gaps, 30u) << "seed " << seed;
+    EXPECT_GT(walked / kHorizonNs, 1000) << "seed " << seed;
   }
 }
 
