@@ -1,6 +1,5 @@
 #include "src/hv/credit_scheduler.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -48,18 +47,19 @@ PcpuId CreditScheduler::cpu_pick(const Vcpu& v) const {
   //    VM-sibling-oblivious: blocking-sync vCPUs read deceptively idle, so
   //    several of them "fit" on one pCPU next to a full hog elsewhere —
   //    the CPU-stacking behaviour of §5.6.
-  std::vector<double> score(pcpus_.size(), 0.0);
+  score_.assign(pcpus_.size(), 0.0);
   for (const Vm* vm : vms_) {
     for (const Vcpu* w : vm->vcpus()) {
       if (w == &v || w->resident() == kNoPcpu) continue;
-      score[static_cast<std::size_t>(w->resident())] += w->load_avg(eng_.now());
+      score_[static_cast<std::size_t>(w->resident())] +=
+          w->load_avg(eng_.now());
     }
   }
   PcpuId best = kNoPcpu;
   double best_score = std::numeric_limits<double>::max();
   for (const auto& p : pcpus_) {
     if (!v.allowed_on(p.id())) continue;
-    const double s = score[static_cast<std::size_t>(p.id())] +
+    const double s = score_[static_cast<std::size_t>(p.id())] +
                      0.05 * static_cast<double>(p.queue_len());
     if (s < best_score) {
       best_score = s;
@@ -320,15 +320,14 @@ void CreditScheduler::on_accounting() {
 }
 
 void CreditScheduler::rebuild_queues() {
+  // Re-enqueueing in the old order sorts the queue stably by class:
+  // enqueue() puts each vCPU at the tail of its class.
   for (auto& p : pcpus_) {
-    std::vector<Vcpu*> q(p.queue().begin(), p.queue().end());
+    requeue_.assign(p.queue().begin(), p.queue().end());
     while (p.queue_len() > 0) {
       p.remove(p.queue().front());
     }
-    std::stable_sort(q.begin(), q.end(), [](const Vcpu* a, const Vcpu* b) {
-      return static_cast<int>(a->prio()) < static_cast<int>(b->prio());
-    });
-    for (Vcpu* v : q) p.enqueue(v);
+    for (Vcpu* v : requeue_) p.enqueue(v);
   }
 }
 

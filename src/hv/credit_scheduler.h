@@ -134,6 +134,10 @@ class CreditScheduler {
   /// per-pCPU s_timer. Indexed by PcpuId; a deque because a Timer cannot
   /// move.
   std::deque<sim::Timer> slice_timers_;
+  /// Scratch reused by every call, so neither allocates once warm:
+  /// cpu_pick's per-pCPU load scores and rebuild_queues' old queue order.
+  mutable std::vector<double> score_;
+  std::vector<Vcpu*> requeue_;
 };
 
 }  // namespace irs::hv

@@ -28,9 +28,13 @@ BarrierResult Barrier::arrive(guest::Task& t) {
   arrived_ = 0;
   ++generation_;
   if (kind_ == BarrierKind::kBlocking) {
-    std::deque<guest::Task*> to_wake;
-    to_wake.swap(blocked_);
-    for (guest::Task* w : to_wake) api_.wake_task(*w);
+    // Only the tasks blocked now: one that arrives again while this runs
+    // queues behind them for the next generation.
+    for (std::size_t n = blocked_.size(); n > 0; --n) {
+      guest::Task* w = blocked_.front();
+      blocked_.pop_front();
+      api_.wake_task(*w);
+    }
   } else {
     // Release every spinner whose loop is actually executing right now;
     // preempted spinners notice on poll() when their vCPU runs again.

@@ -20,13 +20,10 @@ bool CondVar::signal() {
 }
 
 int CondVar::broadcast() {
-  int n = 0;
-  std::deque<guest::Task*> to_wake;
-  to_wake.swap(waiters_);
-  for (guest::Task* w : to_wake) {
-    api_.wake_task(*w);
-    ++n;
-  }
+  // Wake exactly the waiters queued now, front first; a task that waits
+  // again while this runs queues behind them and stays asleep.
+  const int n = static_cast<int>(waiters_.size());
+  for (int i = 0; i < n; ++i) signal();
   return n;
 }
 

@@ -52,9 +52,11 @@ AcquireResult Pipe::pop(guest::Task& t) {
 
 void Pipe::close() {
   closed_ = true;
-  std::deque<guest::Task*> to_wake;
-  to_wake.swap(consumers_);
-  for (guest::Task* c : to_wake) {
+  // Only the consumers blocked now. After the close no pop() blocks, so
+  // none can queue while this runs.
+  for (std::size_t n = consumers_.size(); n > 0; --n) {
+    guest::Task* c = consumers_.front();
+    consumers_.pop_front();
     c->wake_value = 0;  // woken by close: no item
     api_.wake_task(*c);
   }

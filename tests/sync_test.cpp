@@ -2,6 +2,7 @@
 // SchedApi so no scheduler machinery is involved.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -18,10 +19,14 @@ namespace irs::sync {
 namespace {
 
 /// Fake scheduler: tracks wakes/grants; "executing" is an explicit set.
+/// `on_wake`, when set, runs inside each wake, as a woken task would.
 class FakeSched final : public guest::SchedApi {
  public:
   [[nodiscard]] sim::Time now() const override { return now_; }
-  void wake_task(guest::Task& t) override { woken.push_back(&t); }
+  void wake_task(guest::Task& t) override {
+    woken.push_back(&t);
+    if (on_wake) on_wake(t);
+  }
   [[nodiscard]] bool task_executing(const guest::Task& t) const override {
     for (const auto* e : executing) {
       if (e == &t) return true;
@@ -34,6 +39,7 @@ class FakeSched final : public guest::SchedApi {
   std::vector<guest::Task*> woken;
   std::vector<guest::Task*> granted;
   std::vector<const guest::Task*> executing;
+  std::function<void(guest::Task&)> on_wake;
 };
 
 class SyncTest : public ::testing::Test {
@@ -330,6 +336,33 @@ TEST_F(SyncTest, CondVarBroadcastWakesAll) {
   EXPECT_EQ(cv.broadcast(), 3);
   EXPECT_EQ(api_.woken.size(), 3u);
   EXPECT_EQ(cv.n_waiters(), 0u);
+}
+
+TEST_F(SyncTest, CondVarBroadcastWakesOnlyTheWaitersItStartedWith) {
+  // While the broadcast runs, the first woken task makes a new task wait
+  // and the second waits again itself. Neither may be woken by this
+  // broadcast: each woken once at most, both left queued.
+  Mutex m(api_);
+  CondVar cv(api_);
+  for (int i = 0; i < 3; ++i) {
+    m.lock(task(i));
+    cv.wait(task(i), m);
+  }
+  api_.on_wake = [&](guest::Task& t) {
+    if (&t == &task(2)) return;
+    guest::Task& waiter = &t == &task(0) ? task(3) : t;  // task 1: itself
+    m.lock(waiter);
+    cv.wait(waiter, m);
+  };
+  EXPECT_EQ(cv.broadcast(), 3);
+  EXPECT_EQ(api_.woken,
+            (std::vector<guest::Task*>{&task(0), &task(1), &task(2)}));
+  EXPECT_EQ(cv.n_waiters(), 2u);
+  api_.on_wake = nullptr;
+  EXPECT_EQ(cv.broadcast(), 2);  // the next one wakes them, in wait order
+  EXPECT_EQ(api_.woken, (std::vector<guest::Task*>{&task(0), &task(1),
+                                                   &task(2), &task(3),
+                                                   &task(1)}));
 }
 
 TEST_F(SyncTest, CondVarSignalEmptyReturnsFalse) {
