@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace irs::cluster {
 
@@ -9,6 +10,16 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), eng_(cfg.queue) {
   if (cfg_.n_hosts < 1) {
     throw std::invalid_argument("ClusterConfig.n_hosts must be >= 1");
   }
+  // A period that is not positive re-arms its loop at the same instant
+  // forever, so the clock never moves.
+  const auto require_period = [](sim::Duration period, const char* field) {
+    if (period > 0) return;
+    throw std::invalid_argument(std::string("ClusterConfig.") + field +
+                                " must be > 0 (got " + std::to_string(period) +
+                                ")");
+  };
+  require_period(cfg_.collect_period, "collect_period");
+  require_period(cfg_.decide_period, "decide_period");
   ledger_.n_hosts = static_cast<std::uint32_t>(cfg_.n_hosts);
   ledger_.policy = static_cast<std::uint32_t>(cfg_.policy);
   ledger_.hosts.resize(static_cast<std::size_t>(cfg_.n_hosts));

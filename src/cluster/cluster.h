@@ -71,6 +71,8 @@ struct ClusterConfig {
 
 class Cluster {
  public:
+  /// Throws std::invalid_argument when `n_hosts` < 1 or `collect_period`
+  /// or `decide_period` is not positive.
   explicit Cluster(ClusterConfig cfg);
   ~Cluster();
   Cluster(const Cluster&) = delete;

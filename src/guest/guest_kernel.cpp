@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace irs::guest {
 
@@ -18,6 +20,13 @@ GuestKernel::GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
       lock_signal_(std::move(lock_signal)),
       trace_(trace) {
   assert(n_cpus > 0);
+  // Checked in every build: a tick period that is not positive re-arms
+  // the tick at the same instant forever, so the clock never moves.
+  if (cfg_.tick_period <= 0) {
+    throw std::invalid_argument(
+        "GuestKernel: GuestConfig.tick_period must be > 0 (got " +
+        std::to_string(cfg_.tick_period) + ")");
+  }
   cpus_.reserve(static_cast<std::size_t>(n_cpus));
   for (int i = 0; i < n_cpus; ++i) {
     cpus_.push_back(std::make_unique<GuestCpu>(*this, i));

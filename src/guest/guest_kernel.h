@@ -48,7 +48,8 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   /// ring drops them). `spin_signal(cpu, spinning)` reports PAUSE-loop
   /// activity to the host (consumed by the PLE monitor);
   /// `lock_signal(cpu, holds)` reports paravirtual lock hints
-  /// (delay-preemption baseline). Either may be empty.
+  /// (delay-preemption baseline). Either may be empty. Throws
+  /// std::invalid_argument when `cfg.tick_period` is not positive.
   GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
               hv::Hypercalls& hc, sim::Trace& trace,
               std::function<void(int, bool)> spin_signal = {},

@@ -38,12 +38,28 @@ class Host::VmHypercalls final : public Hypercalls {
   EventChannel& evtchn_;
 };
 
+namespace {
+
+/// Checked in every build: a period that is not positive re-arms its event
+/// at the same instant forever, so the clock never moves.
+void require_period(sim::Duration period, const char* field) {
+  if (period > 0) return;
+  throw std::invalid_argument(std::string("Host: HvConfig.") + field +
+                              " must be > 0 (got " + std::to_string(period) +
+                              ")");
+}
+
+}  // namespace
+
 Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
   // add_vm places unpinned vCPUs round-robin over the pCPUs.
   if (n_pcpus < 1) {
     throw std::invalid_argument("Host: n_pcpus must be >= 1 (got " +
                                 std::to_string(n_pcpus) + ")");
   }
+  require_period(cfg_.time_slice, "time_slice");
+  require_period(cfg_.tick_period, "tick_period");
+  require_period(cfg_.accounting_period, "accounting_period");
   pcpus_.reserve(static_cast<std::size_t>(n_pcpus));
   for (int i = 0; i < n_pcpus; ++i) pcpus_.emplace_back(i);
   sched_ = std::make_unique<CreditScheduler>(eng_, cfg_, pcpus_, vms_,

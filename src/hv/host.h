@@ -24,6 +24,8 @@ class EventChannel;
 
 class Host {
  public:
+  /// Throws std::invalid_argument when `n_pcpus` < 1 or a period of `cfg`
+  /// (time_slice, tick_period, accounting_period) is not positive.
   Host(sim::Engine& eng, HvConfig cfg, int n_pcpus);
   ~Host();
   Host(const Host&) = delete;

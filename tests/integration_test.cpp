@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/cluster/cluster.h"
 #include "src/exp/runner.h"
 #include "src/exp/scenarios.h"
 
@@ -276,6 +277,30 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
          c->work_scale = std::numeric_limits<double>::infinity();
        },
        "work_scale must be finite and > 0"},
+      // A period that is not positive re-arms its event at the same
+      // instant forever (before these checks, the run never returned).
+      {"zero hypervisor time slice",
+       [](ScenarioConfig* c) { c->hv.time_slice = 0; },
+       "HvConfig.time_slice must be > 0 (got 0)"},
+      {"zero hypervisor tick", [](ScenarioConfig* c) { c->hv.tick_period = 0; },
+       "HvConfig.tick_period must be > 0 (got 0)"},
+      {"negative credit accounting period",
+       [](ScenarioConfig* c) { c->hv.accounting_period = -1; },
+       "HvConfig.accounting_period must be > 0 (got -1)"},
+      {"zero hypervisor tick on a cluster host",
+       [](ScenarioConfig* c) {
+         c->cluster.n_hosts = 2;
+         c->hv.tick_period = 0;
+       },
+       "HvConfig.tick_period must be > 0 (got 0)"},
+      {"zero guest tick", [](ScenarioConfig* c) { c->fg_guest.tick_period = 0; },
+       "GuestConfig.tick_period must be > 0 (got 0)"},
+      {"zero guest tick on a cluster host",
+       [](ScenarioConfig* c) {
+         c->cluster.n_hosts = 2;
+         c->fg_guest.tick_period = 0;
+       },
+       "GuestConfig.tick_period must be > 0 (got 0)"},
   };
   for (const BadConfig& bad : table) {
     ScenarioConfig cfg = quick("streamcluster", core::Strategy::kIrs);
@@ -287,6 +312,21 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(bad.message), std::string::npos)
           << bad.what << ": " << e.what();
+    }
+  }
+  // The cluster's own cadences, checked by the Cluster constructor.
+  for (const bool collect : {true, false}) {
+    cluster::ClusterConfig cc;
+    (collect ? cc.collect_period : cc.decide_period) = 0;
+    try {
+      cluster::Cluster cl(cc);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    collect ? "ClusterConfig.collect_period must be > 0"
+                            : "ClusterConfig.decide_period must be > 0"),
+                std::string::npos)
+          << e.what();
     }
   }
 }
