@@ -285,9 +285,8 @@ int main(int argc, char** argv) {
   // every timed rep.
   const double fe_completed = std::max<double>(
       1.0, static_cast<double>(exp::run_scenario(fe_cell).frontend.completed));
-  constexpr int kFrontendReps = 15;
   const double fe_time_ratio = paired_median_ratio(
-      1, kFrontendReps,
+      1, reps_for_100_pairs(1),
       [&](std::size_t, bool on) { return timed_run(on ? fe_cell : ab_cell); });
   const double frontend_overhead_pct =
       (fe_time_ratio * ab_completed / fe_completed - 1.0) * 100.0;

@@ -84,9 +84,10 @@ scripts/bench_smoke.sh build
 # (fig05), the PLE spin grid (fig06, where the dormant PLE watch and the
 # re-armed timers run at volume), the single-host servers with SLO
 # windows (fig08: specjbb and ab), the only open-loop front-end grid
-# (fig08_open), the multi-host grid (fig_cluster) and the only grid with
-# Delay-Preempt and IRS-Pull (abl_extensions).
-for fig in fig05 fig06 fig08 fig08_open fig_cluster abl_extensions; do
+# (fig08_open), the multi-host grid (fig_cluster), the only grid with
+# Delay-Preempt and IRS-Pull (abl_extensions) and the grid with the
+# deepest single-host queues (fig10, up to 323 entries).
+for fig in fig05 fig06 fig08 fig08_open fig_cluster abl_extensions fig10; do
   for q in binary wheel; do
     IRS_ENGINE_QUEUE="$q" ./build/tools/irs_sweep --fig "$fig" --jobs 4 \
         --ndjson "build/oracle_${fig}_${q}.ndjson" > /dev/null
