@@ -179,7 +179,7 @@ void CreditScheduler::notify_stopped(Vcpu& v, StopReason reason) {
   if (v.vm().has_guest()) v.vm().guest().vcpu_stopped(v.idx(), reason);
 }
 
-void CreditScheduler::switch_to(Pcpu& p, Vcpu* next) {
+void CreditScheduler::switch_to(Pcpu& p, Vcpu* next, bool stolen) {
   if (next == nullptr) {
     p.set_current(nullptr);
     return;
@@ -190,7 +190,8 @@ void CreditScheduler::switch_to(Pcpu& p, Vcpu* next) {
   next->set_resident(p.id());
   next->slice_start = eng_.now();
   p.set_current(next);
-  trace_.record(eng_.now(), sim::TraceKind::kHvSchedule, next->id(), p.id());
+  trace_.record(eng_.now(), sim::TraceKind::kHvSchedule, next->id(), p.id(),
+               stolen ? "steal" : "");
   slice_timer(p).arm(cfg_.time_slice);
   // Deliver vcpu_started after the world-switch cost.
   next->start_notice.cancel();
@@ -222,11 +223,7 @@ Vcpu* CreditScheduler::steal_for(Pcpu& p) {
       break;  // queue is sorted best-first; first eligible is its best
     }
   }
-  if (best != nullptr) {
-    from->remove(best);
-    trace_.record(eng_.now(), sim::TraceKind::kHvSchedule, best->id(), p.id(),
-                 "steal");
-  }
+  if (best != nullptr) from->remove(best);
   return best;
 }
 
@@ -257,8 +254,12 @@ void CreditScheduler::do_schedule(Pcpu& p) {
     deschedule_current(p, StopReason::kPreempted);
   }
   Vcpu* next = p.pop_best();
-  if (next == nullptr && cfg_.work_stealing) next = steal_for(p);
-  switch_to(p, next);
+  bool stolen = false;
+  if (next == nullptr && cfg_.work_stealing) {
+    next = steal_for(p);
+    stolen = next != nullptr;
+  }
+  switch_to(p, next, stolen);
 }
 
 void CreditScheduler::on_tick(Pcpu& p) {

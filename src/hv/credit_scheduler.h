@@ -106,8 +106,10 @@ class CreditScheduler {
   /// Move `cur` off `p` into the runnable queue (involuntary).
   void deschedule_current(Pcpu& p, StopReason reason);
   /// Install `next` (may be nullptr -> idle) on `p` and start its slice.
-  void switch_to(Pcpu& p, Vcpu* next);
-  /// Try to steal a runnable vCPU for idle pCPU `p` from its peers.
+  /// Its one kHvSchedule record is noted "steal" when `stolen`.
+  void switch_to(Pcpu& p, Vcpu* next, bool stolen);
+  /// Try to steal a runnable vCPU for idle pCPU `p` from its peers, taking
+  /// it off its old queue.
   Vcpu* steal_for(Pcpu& p);
   /// Notify the guest that its vCPU stopped, with LHP/LWP classification.
   void notify_stopped(Vcpu& v, StopReason reason);
