@@ -364,10 +364,13 @@ void set_block_digests(RunResult& r) {
 
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture) {
   // hv::Host rejects a zero pCPU or vCPU count. A foreground without
-  // threads would run to its timeout, and a timeout of 0 or less would
-  // end the run before it starts.
+  // threads would run to its timeout, a timeout of 0 or less would end the
+  // run before it starts, and a negative host count would quietly run one
+  // host.
   require(cfg.n_inter >= 0, "n_inter", ">= 0", cfg.n_inter);
   require(cfg.n_bg_vms >= 0, "n_bg_vms", ">= 0", cfg.n_bg_vms);
+  require(cfg.cluster.n_hosts >= 0, "cluster.n_hosts", ">= 0",
+          cfg.cluster.n_hosts);
   require(cfg.fg_threads >= 1, "fg_threads", ">= 1", cfg.fg_threads);
   require(cfg.timeout > 0, "timeout", "> 0", cfg.timeout);
   require(std::isfinite(cfg.work_scale) && cfg.work_scale > 0, "work_scale",

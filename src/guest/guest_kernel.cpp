@@ -20,13 +20,19 @@ GuestKernel::GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
       lock_signal_(std::move(lock_signal)),
       trace_(trace) {
   assert(n_cpus > 0);
-  // Checked in every build: a tick period that is not positive re-arms
-  // the tick at the same instant forever, so the clock never moves.
-  if (cfg_.tick_period <= 0) {
-    throw std::invalid_argument(
-        "GuestKernel: GuestConfig.tick_period must be > 0 (got " +
-        std::to_string(cfg_.tick_period) + ")");
-  }
+  // Checked in every build: a tick or balance period that is not positive
+  // re-arms at the same instant forever, so the clock never moves, and a
+  // CFS latency or granularity that is not positive has no meaning.
+  const auto require_period = [](sim::Duration period, const char* field) {
+    if (period > 0) return;
+    throw std::invalid_argument(std::string("GuestKernel: GuestConfig.") +
+                                field + " must be > 0 (got " +
+                                std::to_string(period) + ")");
+  };
+  require_period(cfg_.tick_period, "tick_period");
+  require_period(cfg_.balance_interval, "balance_interval");
+  require_period(cfg_.sched_latency, "sched_latency");
+  require_period(cfg_.min_granularity, "min_granularity");
   cpus_.reserve(static_cast<std::size_t>(n_cpus));
   for (int i = 0; i < n_cpus; ++i) {
     cpus_.push_back(std::make_unique<GuestCpu>(*this, i));

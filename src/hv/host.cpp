@@ -41,7 +41,8 @@ class Host::VmHypercalls final : public Hypercalls {
 namespace {
 
 /// Checked in every build: a period that is not positive re-arms its event
-/// at the same instant forever, so the clock never moves.
+/// at the same instant forever, so the clock never moves, and an SA ack cap
+/// or PLE window that is not positive quietly turns its strategy off.
 void require_period(sim::Duration period, const char* field) {
   if (period > 0) return;
   throw std::invalid_argument(std::string("Host: HvConfig.") + field +
@@ -60,6 +61,8 @@ Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
   require_period(cfg_.time_slice, "time_slice");
   require_period(cfg_.tick_period, "tick_period");
   require_period(cfg_.accounting_period, "accounting_period");
+  require_period(cfg_.sa_ack_cap, "sa_ack_cap");
+  require_period(cfg_.ple_window, "ple_window");
   pcpus_.reserve(static_cast<std::size_t>(n_pcpus));
   for (int i = 0; i < n_pcpus; ++i) pcpus_.emplace_back(i);
   sched_ = std::make_unique<CreditScheduler>(eng_, cfg_, pcpus_, vms_,

@@ -301,6 +301,26 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
          c->fg_guest.tick_period = 0;
        },
        "GuestConfig.tick_period must be > 0 (got 0)"},
+      // Tunables without a meaning at 0 or below. Before these checks each
+      // ran silently: an SA ack cap of 0 ran IRS as Baseline, and -3 hosts
+      // ran one.
+      {"zero SA ack cap", [](ScenarioConfig* c) { c->hv.sa_ack_cap = 0; },
+       "HvConfig.sa_ack_cap must be > 0 (got 0)"},
+      {"negative PLE window",
+       [](ScenarioConfig* c) { c->hv.ple_window = -1; },
+       "HvConfig.ple_window must be > 0 (got -1)"},
+      {"negative guest balance interval",
+       [](ScenarioConfig* c) { c->fg_guest.balance_interval = -1; },
+       "GuestConfig.balance_interval must be > 0 (got -1)"},
+      {"zero CFS latency",
+       [](ScenarioConfig* c) { c->fg_guest.sched_latency = 0; },
+       "GuestConfig.sched_latency must be > 0 (got 0)"},
+      {"zero CFS granularity",
+       [](ScenarioConfig* c) { c->fg_guest.min_granularity = 0; },
+       "GuestConfig.min_granularity must be > 0 (got 0)"},
+      {"negative host count",
+       [](ScenarioConfig* c) { c->cluster.n_hosts = -3; },
+       "cluster.n_hosts must be >= 0 (got -3)"},
   };
   for (const BadConfig& bad : table) {
     ScenarioConfig cfg = quick("streamcluster", core::Strategy::kIrs);
