@@ -21,6 +21,15 @@ cmake --build build -j
 ./build/tools/irs_trace_dump --fg frontend --strategy IRS \
     --frontend --fe-overload drop --csv > /dev/null
 
+# Attribution smoke: the per-task steal breakdown (the runstate replay's
+# classified steal windows) with the guest lanes and counter tracks in the
+# timeline, under IRS (SA windows) and under PLE (pause-loop exits).
+for strategy in IRS PLE; do
+  ./build/tools/irs_trace_dump --fg streamcluster --strategy "$strategy" \
+      --attribution --guest-lanes --counters \
+      build/attribution_smoke_trace.json > /dev/null
+done
+
 # Cluster smoke: the two-host virtual datacenter end-to-end — a protected
 # "ab" server fixed on host 0 plus one migratable hog VM, admitted by the
 # random baseline and by the IRS-informed policy. The placement/migration

@@ -6,15 +6,13 @@
 // This makes the paper's reverse semantic gap visible *per task*: the
 // end-of-run counters say how often LHP/LWP happened, the timeline shows
 // when, and this profiler says who absorbed the time and through which
-// lock. Windows open at kHvPreempt / kHvWake (the vCPU became runnable
-// without a pCPU), close at the next kHvSchedule for that vCPU, and are
-// charged to the task the guest-lane records (kGuestSwitch) place on the
-// vCPU. A kLhp/kLwp record emitted at deschedule time (same timestamp,
-// recorded just before the kHvPreempt) refines the charge with the lock
-// name.
-// Wake windows on an idle lane are charged to the task whose guest-side
-// wake (kGuestWake) triggered them — the task is runnable but has not
-// reached the lane yet, so the lane alone would under-charge.
+// lock. The windows are obs::RunstateReplay's (runstate.h). A window the
+// sync layer classed LHP/LWP is charged to the task and lock its
+// kLhp/kLwp record names; any other to the task the guest-lane records
+// (kGuestSwitch) place on the vCPU. Wake windows on an idle lane are
+// charged to the task whose guest-side wake (kGuestWake) triggered them —
+// the task is runnable but has not reached the lane yet, so the lane alone
+// would under-charge.
 //
 // Truncated traces are handled explicitly: when the ring wrapped, windows
 // whose opening record was dropped are never charged (no kHvPreempt/kHvWake
@@ -48,7 +46,7 @@ struct TaskCharge {
 };
 
 struct AttributionResult {
-  /// Sum of every closed steal window (preempt/wake -> schedule).
+  /// Sum of every steal window.
   sim::Duration total_steal = 0;
   /// Portion charged to a specific task.
   sim::Duration charged = 0;

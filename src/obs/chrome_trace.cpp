@@ -5,6 +5,7 @@
 
 #include "src/obs/forensics.h"
 #include "src/obs/json.h"
+#include "src/obs/runstate.h"
 
 namespace irs::obs {
 
@@ -91,22 +92,10 @@ void flow_event(JsonWriter& w, const char* ph, const std::string& name,
   w.end_object();
 }
 
+/// A Perfetto counter sample; `value` is a std::int64_t or a double.
+template <typename T>
 void counter_event(JsonWriter& w, const std::string& name, sim::Time when,
-                   std::int64_t value) {
-  w.begin_object()
-      .field("name", name)
-      .field("ph", "C")
-      .field("pid", kPidCounters)
-      .field("ts", sim::to_us(when))
-      .key("args")
-      .begin_object()
-      .field("value", value)
-      .end_object()
-      .end_object();
-}
-
-void counter_event_f(JsonWriter& w, const std::string& name, sim::Time when,
-                     double value) {
+                   T value) {
   w.begin_object()
       .field("name", name)
       .field("ph", "C")
@@ -133,6 +122,19 @@ void instant_event(JsonWriter& w, const std::string& name, int pid, int tid,
   }
   w.end_object();
 }
+
+/// Draws each on-CPU span of the runstate replay when it closes: on its
+/// pCPU's lane and on its vCPU's.
+struct CpuLanes : RunstateHooks {
+  JsonWriter& w;
+  const TraceMeta& meta;
+
+  void span_close(int vcpu, const CpuSpan& s, sim::Time end) {
+    span_event(w, vcpu_label(meta, vcpu), kPidPcpus, s.pcpu, s.start, end);
+    span_event(w, "on pCPU " + std::to_string(s.pcpu), kPidVcpus, vcpu,
+               s.start, end);
+  }
+};
 
 }  // namespace
 
@@ -206,8 +208,8 @@ std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
         .end_object();
   }
 
-  // vCPU id -> (pcpu, on-cpu-since) for the currently open span.
-  std::map<int, std::pair<int, sim::Time>> on_cpu;
+  RunstateReplay replay;
+  CpuLanes lanes{{}, w, meta};
   // vCPU id -> flow id of an SA send still awaiting its ack.
   std::map<int, std::uint64_t> pending_sa;
   // Guest lanes: vCPU id -> (task, on-vcpu-since) for the open task span.
@@ -229,33 +231,9 @@ std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
     span_event(w, task_label(meta, vcpu, task), kPidGuest, vcpu, start, end);
   };
 
-  auto close_span = [&](int vcpu, int pcpu, sim::Time start, sim::Time end) {
-    const std::string label = vcpu_label(meta, vcpu);
-    span_event(w, label, kPidPcpus, pcpu, start, end);
-    span_event(w, "on pCPU " + std::to_string(pcpu), kPidVcpus, vcpu, start,
-               end);
-  };
-
   for (const auto& r : records) {
+    replay.step(r, lanes);
     switch (r.kind) {
-      case sim::TraceKind::kHvSchedule: {
-        // A reschedule of an already-running vCPU closes its prior span.
-        auto it = on_cpu.find(r.a);
-        if (it != on_cpu.end()) {
-          close_span(r.a, it->second.first, it->second.second, r.when);
-        }
-        on_cpu[r.a] = {r.b, r.when};
-        break;
-      }
-      case sim::TraceKind::kHvPreempt:
-      case sim::TraceKind::kHvBlock: {
-        auto it = on_cpu.find(r.a);
-        if (it != on_cpu.end()) {
-          close_span(r.a, it->second.first, it->second.second, r.when);
-          on_cpu.erase(it);
-        }
-        break;
-      }
       case sim::TraceKind::kSaSend: {
         const std::uint64_t id = next_flow_id++;
         pending_sa[r.a] = id;
@@ -320,11 +298,9 @@ std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
     }
   }
 
-  // Close spans still open at the end of the trace (std::map iteration
-  // gives deterministic vCPU-id order).
-  for (const auto& [vcpu, span] : on_cpu) {
-    close_span(vcpu, span.first, span.second, meta.end);
-  }
+  // Close spans still open at the end of the trace, in vCPU-id order
+  // (std::map iteration gives the same order for the guest lanes).
+  replay.finish(meta.end, lanes);
   for (const auto& [vcpu, span] : on_vcpu) {
     close_guest_span(vcpu, span.first, span.second, meta.end);
   }
@@ -348,12 +324,12 @@ std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
         // value until the next sample, so gaps (empty windows) read as the
         // previous window's level — acceptable for a step series.
         const sim::Time at = win.index * opt.slo->window;
-        counter_event_f(w, "slo:" + c.name + ":p50", at, sim::to_ms(win.p50));
-        counter_event_f(w, "slo:" + c.name + ":p99", at, sim::to_ms(win.p99));
-        counter_event_f(w, "slo:" + c.name + ":p999", at,
-                        sim::to_ms(win.p999));
-        counter_event_f(w, "slo:" + c.name + ":burn", at,
-                        burn_rate(win, c.spec));
+        counter_event(w, "slo:" + c.name + ":p50", at, sim::to_ms(win.p50));
+        counter_event(w, "slo:" + c.name + ":p99", at, sim::to_ms(win.p99));
+        counter_event(w, "slo:" + c.name + ":p999", at,
+                      sim::to_ms(win.p999));
+        counter_event(w, "slo:" + c.name + ":burn", at,
+                      burn_rate(win, c.spec));
       }
     }
   }
@@ -367,7 +343,7 @@ std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
       for (const ForensicsWindow& win : c.windows) {
         const sim::Time at = win.index * opt.forensics->window;
         for (int i = 0; i < kNumCauses; ++i) {
-          counter_event_f(
+          counter_event(
               w, "why:" + c.name + ":" + cause_name(static_cast<Cause>(i)),
               at, sim::to_ms(win.causes[i]));
         }

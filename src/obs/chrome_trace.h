@@ -3,8 +3,7 @@
 // Renders a run's trace as a timeline loadable in chrome://tracing or
 // ui.perfetto.dev:
 //   - one "pCPUs" process with a lane per pCPU, showing which vCPU is
-//     on-CPU as complete ("X") spans, opened at kHvSchedule and closed at
-//     the matching kHvPreempt/kHvBlock (or the trace end);
+//     on-CPU as complete ("X") spans, the runstate replay's (runstate.h);
 //   - one "vCPUs" process mirroring the same spans per vCPU lane, where SA
 //     send→ack pairs render as flow ("s"/"f") arrows and LHP/LWP events as
 //     instants ("i");

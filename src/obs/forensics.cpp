@@ -6,6 +6,8 @@
 #include <limits>
 #include <vector>
 
+#include "src/obs/runstate.h"
+
 namespace irs::obs {
 
 const char* cause_name(Cause c) {
@@ -59,21 +61,15 @@ struct Accum {
   }
 };
 
-/// Steal-window classes (index into VcpuState::steal).
-constexpr int kStLhp = 0;
-constexpr int kStLwp = 1;
-constexpr int kStThrottle = 2;
-constexpr int kStOther = 3;
-constexpr int kNumStealClasses = 4;
-
+/// The cause each StealClass charges.
 constexpr Cause kStealCause[kNumStealClasses] = {
     Cause::kLhp, Cause::kLwp, Cause::kThrottle, Cause::kSteal};
 
+/// Stopwatches over one vCPU's runstate, driven by the replay's hooks.
 struct VcpuState {
   Accum run;                        // holds a pCPU
   Accum sa;                         // running inside an SA grace window
   Accum steal[kNumStealClasses];    // runnable without a pCPU, by class
-  int open_steal = -1;              // class of the open steal window, or -1
 };
 
 /// The closed in-request sub-spans of an off-CPU chain whose cause
@@ -131,16 +127,16 @@ struct Analyzer {
   int lhp_open = 0;
   // Flat id-indexed state: vCPU and task ids are small dense integers
   // (TraceMeta enumerates them), so the per-record lookups on the replay
-  // hot path are array loads, not tree walks. The four vCPU arrays are
-  // sized together up front from the meta; every handler reaches them only
+  // hot path are array loads, not tree walks. The vCPU arrays are sized
+  // together up front from the meta; every handler reaches them only
   // through the bounds-checked fg_vcpu() test, so ids beyond the meta
   // (foreign or synthetic records) are simply not foreground. Task state
-  // grows on demand.
-  std::vector<VcpuState> vcpus{};          // global vCPU id -> state
-  std::vector<signed char> is_fg{};        // global vCPU id -> foreground?
-  std::vector<signed char> pending_cls{};  // vCPU -> steal hint, -1 none
-  std::vector<std::int32_t> lane{};        // fg gcpu -> on-lane task, -1 idle
-  std::vector<TaskState> tasks{};          // task id -> state
+  // and the runstate replay grow on demand.
+  RunstateReplay runstate{};        // fg vCPUs' spans and steal windows
+  std::vector<VcpuState> vcpus{};   // global vCPU id -> state
+  std::vector<signed char> is_fg{}; // global vCPU id -> foreground?
+  std::vector<std::int32_t> lane{}; // fg gcpu -> on-lane task, -1 idle
+  std::vector<TaskState> tasks{};   // task id -> state
   ForensicsResult out{};
   std::vector<ClassTally> tally{};  // parallel to out.classes
 
@@ -181,13 +177,6 @@ struct Analyzer {
       }
       tally.push_back(std::move(t));
     }
-  }
-
-  void lhp_inc(sim::Time t) {
-    if (lhp_open++ == 0) lhp_active.start(t);
-  }
-  void lhp_dec(sim::Time t) {
-    if (--lhp_open == 0) lhp_active.stop(t);
   }
 
   VcpuState& vc(int v) { return vcpus[static_cast<std::size_t>(v)]; }
@@ -461,68 +450,22 @@ struct Analyzer {
     ts.req_active = false;
   }
 
-  void on_hv(const sim::TraceRecord& r) {
-    VcpuState& v = vc(r.a);
-    switch (r.kind) {
-      case sim::TraceKind::kHvSchedule:
-        if (v.open_steal >= 0) {
-          v.steal[v.open_steal].stop(r.when);
-          if (v.open_steal == kStLhp) lhp_dec(r.when);
-          v.open_steal = -1;
-        }
-        v.run.start(r.when);
-        pending_cls[static_cast<std::size_t>(r.a)] = -1;
-        break;
-      case sim::TraceKind::kHvPreempt: {
-        v.run.stop(r.when);
-        v.sa.stop(r.when);
-        int cls = pending_cls[static_cast<std::size_t>(r.a)];
-        if (cls >= 0) {
-          pending_cls[static_cast<std::size_t>(r.a)] = -1;
-        } else if (r.note == "throttle") {
-          cls = kStThrottle;
-        } else {
-          cls = kStOther;
-        }
-        if (v.open_steal < 0) {
-          v.open_steal = cls;
-          v.steal[cls].start(r.when);
-          if (cls == kStLhp) lhp_inc(r.when);
-        }
-        break;
-      }
-      case sim::TraceKind::kHvBlock:
-        v.run.stop(r.when);
-        v.sa.stop(r.when);
-        if (v.open_steal >= 0) {
-          v.steal[v.open_steal].stop(r.when);
-          if (v.open_steal == kStLhp) lhp_dec(r.when);
-          v.open_steal = -1;
-        }
-        pending_cls[static_cast<std::size_t>(r.a)] = -1;
-        break;
-      case sim::TraceKind::kHvWake:
-        // Runnable-wait half of steal time (often zero-length).
-        if (!v.run.active() && v.open_steal < 0) {
-          v.open_steal = kStOther;
-          v.steal[kStOther].start(r.when);
-        }
-        break;
-      case sim::TraceKind::kSaSend:
-        if (v.run.active()) v.sa.start(r.when);
-        break;
-      case sim::TraceKind::kSaAck:
-        v.sa.stop(r.when);
-        break;
-      case sim::TraceKind::kLhp:
-        pending_cls[static_cast<std::size_t>(r.a)] = kStLhp;
-        break;
-      case sim::TraceKind::kLwp:
-        pending_cls[static_cast<std::size_t>(r.a)] = kStLwp;
-        break;
-      default:
-        break;
+  // --- runstate hooks (see runstate.h) ------------------------------------
+
+  void span_open(int v, const CpuSpan& s) { vc(v).run.start(s.start); }
+  void span_close(int v, const CpuSpan& /*s*/, sim::Time end) {
+    vc(v).run.stop(end);
+    vc(v).sa.stop(end);
+  }
+  void window_open(int v, const StealWindow& w) {
+    vc(v).steal[static_cast<int>(w.cls)].start(w.start);
+    if (w.cls == StealClass::kLhp && lhp_open++ == 0) {
+      lhp_active.start(w.start);
     }
+  }
+  void window_close(int v, const StealWindow& w, sim::Time end) {
+    vc(v).steal[static_cast<int>(w.cls)].stop(end);
+    if (w.cls == StealClass::kLhp && --lhp_open == 0) lhp_active.stop(end);
   }
 };
 
@@ -625,7 +568,6 @@ ForensicsResult request_forensics(sim::TraceView ring,
   for (const VcpuInfo& v : meta.vcpus) max_vcpu = std::max(max_vcpu, v.id);
   az.vcpus.resize(static_cast<std::size_t>(max_vcpu + 1));
   az.is_fg.assign(static_cast<std::size_t>(max_vcpu + 1), 0);
-  az.pending_cls.assign(static_cast<std::size_t>(max_vcpu + 1), -1);
   az.lane.assign(static_cast<std::size_t>(max_vcpu + 1), -1);
   for (const VcpuInfo& v : meta.vcpus) {
     if (v.vm == vm) az.is_fg[static_cast<std::size_t>(v.id)] = 1;
@@ -661,17 +603,17 @@ ForensicsResult request_forensics(sim::TraceView ring,
       case sim::TraceKind::kReqEnd:
         az.on_req_end(r);
         break;
-      case sim::TraceKind::kHvSchedule:
-      case sim::TraceKind::kHvPreempt:
-      case sim::TraceKind::kHvBlock:
-      case sim::TraceKind::kHvWake:
       case sim::TraceKind::kSaSend:
-      case sim::TraceKind::kSaAck:
-      case sim::TraceKind::kLhp:
-      case sim::TraceKind::kLwp:
-        if (az.fg_vcpu(r.a)) az.on_hv(r);
+        // An SA grace window runs while the vCPU holds its pCPU.
+        if (az.fg_vcpu(r.a) && az.vc(r.a).run.active()) {
+          az.vc(r.a).sa.start(r.when);
+        }
         break;
-      default:
+      case sim::TraceKind::kSaAck:
+        if (az.fg_vcpu(r.a)) az.vc(r.a).sa.stop(r.when);
+        break;
+      default:  // the runstate records; step() ignores any other kind
+        if (az.fg_vcpu(r.a)) az.runstate.step(r, az);
         break;
     }
   }

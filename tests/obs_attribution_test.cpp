@@ -54,7 +54,9 @@ TEST(ObsAttribution, ChargesWindowsToTasksAndLocks) {
   t.add(sim::milliseconds(4), TraceKind::kLwp, 1, 1, "flock", 102);
   t.add(sim::milliseconds(4), TraceKind::kHvPreempt, 1, 1);
   t.add(sim::milliseconds(6), TraceKind::kHvSchedule, 1, 1);
-  // Plain runnable-wait on vCPU 0: woke at 7ms, placed at 8ms.
+  // Plain runnable-wait on vCPU 0: blocked at 6ms, woke at 7ms, placed at
+  // 8ms. (The hypervisor records a wake only for a blocked vCPU.)
+  t.add(sim::milliseconds(6), TraceKind::kHvBlock, 0, 0);
   t.add(sim::milliseconds(7), TraceKind::kHvWake, 0, 0);
   t.add(sim::milliseconds(8), TraceKind::kHvSchedule, 0, 0);
   // Window still open at the trace end: vCPU 1 preempted at 9ms.
@@ -105,12 +107,16 @@ TEST(ObsAttribution, IdleVcpuWindowsGoUncharged) {
 TEST(ObsAttribution, BlockCancelsOpenWindow) {
   TraceBuilder t;
   t.add(sim::milliseconds(1), TraceKind::kGuestSwitch, 0, 101);
-  // Woken but blocked again before getting a pCPU: not steal.
+  // Woken but blocked again before getting a pCPU. The hypervisor never
+  // records this (it blocks only a running vCPU), so the one runstate rule
+  // applies: the block closes the window, and the wait until it counts.
   t.add(sim::milliseconds(2), TraceKind::kHvWake, 0, 0);
   t.add(sim::milliseconds(3), TraceKind::kHvBlock, 0, 0);
   const AttributionResult a = attribute(t.records(), two_vm_meta());
-  EXPECT_EQ(a.total_steal, 0);
-  EXPECT_TRUE(a.tasks.empty());
+  EXPECT_EQ(a.total_steal, sim::milliseconds(1));
+  ASSERT_EQ(a.tasks.size(), 1u);
+  EXPECT_EQ(a.tasks[0].task, 101);
+  EXPECT_EQ(a.tasks[0].total, sim::milliseconds(1));
 }
 
 TEST(ObsAttribution, TruncatedHeadIsExplicitAndNeverMischarged) {
