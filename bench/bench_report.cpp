@@ -10,8 +10,9 @@
 //   * slo_overhead and forensics_overhead: windowed SLO recording and
 //     request-span capture each add less than 5% on the fig08 serving
 //     shape;
-//   * forensics_analyze_ns_per_record: the one-pass analyzer stays under
-//     150 ns per merged trace record;
+//   * forensics_analyze_ns_per_record: the one-pass analyzer, run the way
+//     the runner runs it (over the ring in place, the span log merged by
+//     the cursor), stays under 150 ns per merged trace record;
 //   * frontend_overhead: the open-loop front-end costs less than 5% more
 //     wall time per completed request than the closed-loop ab arm at a
 //     matched completion rate.
@@ -36,6 +37,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -72,6 +74,39 @@ double timed_run(const exp::ScenarioConfig& c) {
   const exp::RunResult r = exp::run_scenario(c);
   if (!r.finished && r.throughput <= 0) std::abort();
   return wall_seconds(t0);
+}
+
+/// A dump split back into what the runner analyses in place: the ring's
+/// records and the request-span log, spans in kReqEnd order (the log's
+/// completion order). A span's begin is its kReqBegin's time minus the
+/// accept-queue wait the bracket's note carries.
+struct SplitDump {
+  std::vector<sim::TraceRecord> ring;
+  std::vector<obs::ReqSpan> spans;
+};
+
+SplitDump split_dump(const std::vector<sim::TraceRecord>& records) {
+  SplitDump out;
+  std::unordered_map<std::int32_t, obs::ReqSpan> open;  // by request id
+  for (const sim::TraceRecord& r : records) {
+    if (r.kind == sim::TraceKind::kReqBegin) {
+      obs::ReqSpan& s = open[r.a];
+      s.qwait = std::atoll(r.note.c_str());
+      s.begin = r.when - s.qwait;
+      s.req = r.a;
+      s.cls = r.b;
+      s.task = r.c;
+    } else if (r.kind == sim::TraceKind::kReqEnd) {
+      const auto it = open.find(r.a);
+      if (it == open.end()) std::abort();
+      it->second.end = r.when;
+      out.spans.push_back(it->second);
+      open.erase(it);
+    } else {
+      out.ring.push_back(r);
+    }
+  }
+  return out;
 }
 
 /// Median of `v` (the upper one for an even count).
@@ -218,7 +253,7 @@ int main(int argc, char** argv) {
   auto forensics_cells = slo_grid;
   for (auto& c : forensics_cells) {
     c.slo_window = 0;
-    c.trace_capacity = 1 << 18;
+    c.trace_capacity = exp::kForensicsRing;
     c.forensics_analyze = false;
   }
   const double forensics_overhead_pct =
@@ -233,24 +268,34 @@ int main(int argc, char** argv) {
   constexpr double kForensicsOverheadLimitPct = 5.0;
 
   // Forensics analysis: the one-pass decomposition runs once, after the
-  // run (or offline over a dump), so its budget is absolute — ns per
-  // merged trace record — rather than a percentage of simulation time.
-  std::cerr << "[bench_report] forensics analyzer (one-pass replay)...\n";
+  // run, so its budget is absolute — ns per merged trace record — rather
+  // than a percentage of simulation time. It is timed on the runner's
+  // path: the dump split back into the ring and the span log, so the
+  // cursor builds and sorts the brackets under the clock, and the result
+  // must equal the offline replay of the dump.
+  std::cerr << "[bench_report] forensics analyzer (in-run replay)...\n";
   exp::TraceDump fdump;
   {
     auto c = slo_grid.front();
     c.slo_window = 0;
-    c.trace_capacity = 1 << 18;
+    c.trace_capacity = exp::kForensicsRing;
     c.forensics = true;
     exp::run_scenario(c, exp::RunCapture{.dump = &fdump});
   }
+  const SplitDump split = split_dump(fdump.records);
+  const std::uint64_t offline_digest =
+      obs::request_forensics(fdump.records, fdump.meta, fdump.slo).digest();
   double forensics_analyze_sec = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    const obs::ForensicsResult f =
-        obs::request_forensics(fdump.records, fdump.meta, fdump.slo);
+    const obs::ForensicsResult f = obs::request_forensics(
+        sim::TraceView{split.ring, {}}, split.spans, fdump.meta, fdump.slo);
     const double sec = wall_seconds(t0);
-    if (f.empty()) std::abort();
+    if (f.empty() || f.digest() != offline_digest) {
+      std::cerr << "error: the in-run analysis of the split dump differs "
+                   "from its offline replay\n";
+      std::abort();
+    }
     if (rep == 0 || sec < forensics_analyze_sec) forensics_analyze_sec = sec;
   }
   const double forensics_analyze_ns_per_record =
@@ -337,7 +382,7 @@ int main(int argc, char** argv) {
             << "slo: " << slo_overhead_pct
             << "% recording overhead (median of paired on/off runs)\n"
             << "forensics: " << forensics_overhead_pct
-            << "% recording overhead; analyzer "
+            << "% recording overhead; in-run analyzer "
             << forensics_analyze_ns_per_record << "ns/rec over "
             << fdump.records.size() << " records\n"
             << "frontend: " << frontend_overhead_pct

@@ -123,7 +123,8 @@ done
 IRS_BENCH_FAST=1 ./build/bench/bench_report build/BENCH_tier1_smoke.json
 
 # Optional UBSan pass (separate build tree, ~one extra compile): set
-# IRS_TIER1_UBSAN=1 to run scripts/ubsan.sh as part of the tier-1 line.
+# IRS_TIER1_UBSAN=1 to run scripts/sanitize.sh undefined as part of the
+# tier-1 line.
 if [[ "${IRS_TIER1_UBSAN:-0}" == "1" ]]; then
-  scripts/ubsan.sh
+  scripts/sanitize.sh undefined
 fi

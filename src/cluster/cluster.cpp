@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace irs::cluster {
 
@@ -25,24 +26,20 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), eng_(cfg.queue) {
   ledger_.hosts.resize(static_cast<std::size_t>(cfg_.n_hosts));
   fixed_per_host_.assign(static_cast<std::size_t>(cfg_.n_hosts), 0);
   for (int h = 0; h < cfg_.n_hosts; ++h) {
-    core::HostNodeConfig nc;
-    nc.name = "host" + std::to_string(h);
-    nc.n_pcpus = cfg_.n_pcpus;
-    nc.hv = cfg_.hv;
-    nc.strategy = cfg_.strategy;
-    nc.seed = cfg_.seed + static_cast<std::uint64_t>(h);
-    nc.telemetry = cfg_.telemetry;
+    core::HostNodeConfig nc = cfg_;
+    nc.seed += static_cast<std::uint64_t>(h);
+    const std::string name = "host" + std::to_string(h);
     // N hosts share one engine and one sampler namespace: prefix series
     // with the host name so "hv/steal_ns" stays unambiguous.
-    nc.prefix_series = true;
-    nodes_.push_back(std::make_unique<core::HostNode>(eng_, std::move(nc)));
+    nodes_.push_back(std::make_unique<core::HostNode>(eng_, std::move(nc), name,
+                                                      name + "/"));
     collectors_.push_back(std::make_unique<Collector>(
         eng_, *nodes_.back(), cfg_.collect_period,
         &ledger_.hosts[static_cast<std::size_t>(h)]));
   }
   // Engine-level trace diagnostics go to host 0's ring (one ring per
   // engine; per-host rings still capture their own host's records).
-  if (cfg_.telemetry.trace_capacity > 0) {
+  if (cfg_.trace_capacity > 0) {
     eng_.set_trace(&nodes_.front()->host().trace());
   }
   sched_ = std::make_unique<Scheduler>(*this, cfg_.policy, cfg_.seed,
@@ -127,11 +124,7 @@ void Cluster::run_for(sim::Duration d) {
 
 bool Cluster::run_until_finished(CvmId vm, sim::Duration timeout) {
   assert(started_);
-  return core::run_until_finished(node(vm.host), vm.vm, timeout);
-}
-
-core::VmMetrics Cluster::vm_metrics(CvmId vm) const {
-  return nodes_.at(static_cast<std::size_t>(vm.host))->vm_metrics(vm.vm);
+  return node(vm.host).run_until_finished(vm.vm, timeout);
 }
 
 int Cluster::assigned_host(int mig) const {

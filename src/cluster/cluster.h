@@ -29,8 +29,8 @@
 #include "src/cluster/collector.h"
 #include "src/cluster/scheduler.h"
 #include "src/core/host_node.h"
+#include "src/core/world.h"
 #include "src/obs/cluster_stats.h"
-#include "src/obs/telemetry.h"
 #include "src/sim/engine.h"
 #include "src/wl/hog.h"
 
@@ -44,18 +44,11 @@ struct CvmId {
   bool operator==(const CvmId&) const = default;
 };
 
-struct ClusterConfig {
+/// The inherited host shape is every host's (the homogeneous-rack case),
+/// except that host h derives seed + h so replicas on different hosts draw
+/// independent streams.
+struct ClusterConfig : core::WorldConfig {
   int n_hosts = 2;
-  /// Per-host shape (every host identical — the homogeneous-rack case).
-  int n_pcpus = 4;
-  hv::HvConfig hv;
-  core::Strategy strategy = core::Strategy::kBaseline;
-  /// Base seed; host h derives seed + h so replicas on different hosts
-  /// draw independent streams.
-  std::uint64_t seed = 1;
-  obs::TelemetryConfig telemetry;
-  sim::QueueKind queue = sim::default_queue_kind();
-
   Policy policy = Policy::kIrs;
   /// Collector sampling cadence (per host).
   sim::Duration collect_period = sim::milliseconds(10);
@@ -79,7 +72,7 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Add a fixed (non-migratable) VM on an explicit host — the foreground
-  /// VM in fig_cluster. Same contract as World::add_vm.
+  /// VM in fig_cluster. Same contract as HostNode::add_vm.
   CvmId add_vm(int host, const hv::VmConfig& vm_cfg, bool irs_capable,
                guest::GuestConfig guest_cfg = {});
 
@@ -119,10 +112,6 @@ class Cluster {
   [[nodiscard]] guest::GuestKernel& kernel(CvmId vm) {
     return node(vm.host).kernel(vm.vm);
   }
-  [[nodiscard]] wl::Workload& workload(CvmId vm, std::size_t i = 0) {
-    return node(vm.host).workload(vm.vm, i);
-  }
-  [[nodiscard]] core::VmMetrics vm_metrics(CvmId vm) const;
   [[nodiscard]] int n_migratable() const {
     return static_cast<int>(migs_.size());
   }

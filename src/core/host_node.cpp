@@ -7,11 +7,15 @@
 
 namespace irs::core {
 
-HostNode::HostNode(sim::Engine& eng, HostNodeConfig cfg)
-    : cfg_(std::move(cfg)), eng_(eng) {
+HostNode::HostNode(sim::Engine& eng, HostNodeConfig cfg, std::string name,
+                   std::string series_prefix)
+    : cfg_(std::move(cfg)),
+      name_(std::move(name)),
+      series_prefix_(std::move(series_prefix)),
+      eng_(eng) {
   host_ = std::make_unique<hv::Host>(eng_, cfg_.hv, cfg_.n_pcpus);
-  if (cfg_.telemetry.trace_capacity > 0) {
-    host_->trace().set_capacity(cfg_.telemetry.trace_capacity);
+  if (cfg_.trace_capacity > 0) {
+    host_->trace().set_capacity(cfg_.trace_capacity);
   }
   switch (cfg_.strategy) {
     case Strategy::kBaseline:
@@ -47,7 +51,7 @@ const HostNode::Slot& HostNode::slot(hv::VmId vm, const char* what) const {
   if (vm < 0 || i >= slots_.size()) {
     throw std::out_of_range(
         std::string(what) + ": VmId " + std::to_string(vm) +
-        " is not a VM of host '" + cfg_.name + "' (" +
+        " is not a VM of host '" + name_ + "' (" +
         std::to_string(slots_.size()) +
         " VMs; ids are host-local — a foreign or stale id?)");
   }
@@ -58,7 +62,7 @@ wl::Workload& HostNode::workload(hv::VmId vm, std::size_t i) {
   Slot& s = slot(vm, "workload");
   if (i >= s.workloads.size()) {
     throw std::out_of_range(
-        "workload: VM " + std::to_string(vm) + " on host '" + cfg_.name +
+        "workload: VM " + std::to_string(vm) + " on host '" + name_ +
         "' has " + std::to_string(s.workloads.size()) +
         " workloads, index " + std::to_string(i) + " requested");
   }
@@ -118,13 +122,12 @@ void HostNode::start() {
     for (auto& w : slot.workloads) w->instantiate(*slot.kernel);
     slot.kernel->start();
   }
-  if (cfg_.telemetry.sample_period > 0) arm_sampler();
+  if (cfg_.sample_period > 0) arm_sampler();
 }
 
 void HostNode::arm_sampler() {
-  sampler_ =
-      std::make_unique<obs::Sampler>(eng_, cfg_.telemetry.sample_period);
-  const std::string p = cfg_.prefix_series ? cfg_.name + "/" : "";
+  sampler_ = std::make_unique<obs::Sampler>(eng_, cfg_.sample_period);
+  const std::string& p = series_prefix_;
   hv::Host* host = host_.get();
   sim::Engine* eng = &eng_;
   // An event counter's track is the rate view of the plain field.
@@ -186,19 +189,18 @@ bool HostNode::workloads_finished(hv::VmId vm) const {
   return workloads_finished(slot(vm, "workloads_finished"));
 }
 
-bool run_until_finished(HostNode& node, hv::VmId vm, sim::Duration timeout) {
-  assert(node.started());
-  if (node.workloads_finished(vm)) return true;
-  sim::Engine& eng = node.engine();
-  guest::GuestKernel& k = node.kernel(vm);
+bool HostNode::run_until_finished(hv::VmId vm, sim::Duration timeout) {
+  assert(started_);
+  if (workloads_finished(vm)) return true;
+  guest::GuestKernel& k = kernel(vm);
   // Only a task finishing can flip workloads_finished, so this hook sees
   // the moment it becomes true.
   k.set_on_task_finished([&](guest::Task&) {
-    if (node.workloads_finished(vm)) eng.stop();
+    if (workloads_finished(vm)) eng_.stop();
   });
-  eng.run_until(eng.now() + timeout);
+  eng_.run_until(eng_.now() + timeout);
   k.set_on_task_finished(nullptr);
-  return node.workloads_finished(vm);
+  return workloads_finished(vm);
 }
 
 sim::Duration HostNode::fair_share(const Slot& s,

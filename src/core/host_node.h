@@ -1,8 +1,8 @@
 // HostNode: one simulated host assembly — an hv::Host, its VMs with guest
 // kernels, attached workloads, a scheduling strategy, and (optionally) a
 // per-host sampler — built on an engine the *caller* owns. core::World is
-// the one-host special case (it owns the engine); cluster::Cluster composes
-// N HostNodes on one shared engine.
+// the one-host HostNode that owns its engine; cluster::Cluster composes N
+// HostNodes on one shared engine.
 #pragma once
 
 #include <cstdint>
@@ -21,27 +21,28 @@
 
 namespace irs::core {
 
-struct HostNodeConfig {
-  /// Host name — appears in VmId-validation error messages and (when
-  /// `prefix_series` is set) in front of every sampler series.
-  std::string name = "host";
+/// The host shape: every config that builds hosts (WorldConfig,
+/// cluster::ClusterConfig, exp::ScenarioConfig) inherits it, and a host
+/// is built from the slice. The telemetry knobs (trace_capacity,
+/// sample_period) come from obs::TelemetryConfig.
+struct HostNodeConfig : obs::TelemetryConfig {
   int n_pcpus = 4;
-  hv::HvConfig hv;
+  // Beside n_pcpus, so the two 4-byte fields share one 8-byte slot.
   Strategy strategy = Strategy::kBaseline;
+  hv::HvConfig hv;
   /// Base seed for all randomness on this host (fully deterministic).
   std::uint64_t seed = 1;
-  obs::TelemetryConfig telemetry;
-  /// Prefix sampler series with "<name>/" so N hosts on one engine keep
-  /// distinct series. World leaves this off — single-host series names
-  /// (and their digests) are unchanged by the HostNode extraction.
-  bool prefix_series = false;
 };
 
 class HostNode {
  public:
   /// The engine must outlive the node; the node registers events on it but
-  /// never owns or advances it.
-  HostNode(sim::Engine& eng, HostNodeConfig cfg);
+  /// never owns or advances it. `name` appears in VmId-validation error
+  /// messages; `series_prefix` goes in front of every sampler series, so N
+  /// hosts on one engine keep distinct series (a lone host leaves it
+  /// empty, and its series names and digests stay the single-host ones).
+  HostNode(sim::Engine& eng, HostNodeConfig cfg, std::string name = "host",
+           std::string series_prefix = "");
   ~HostNode();
   HostNode(const HostNode&) = delete;
   HostNode& operator=(const HostNode&) = delete;
@@ -57,6 +58,12 @@ class HostNode {
 
   /// Instantiate workloads and start the host and guests. Call once.
   void start();
+
+  /// Advance the engine until every bounded workload on `vm` has finished
+  /// or `timeout` of simulated time elapses; returns whether they
+  /// finished. The run ends through Engine::stop() from the VM kernel's
+  /// task-finished hook, so the clock stays at the finishing event.
+  bool run_until_finished(hv::VmId vm, sim::Duration timeout);
 
   /// True when every bounded workload on `vm` has finished.
   [[nodiscard]] bool workloads_finished(hv::VmId vm) const;
@@ -77,10 +84,10 @@ class HostNode {
   }
   [[nodiscard]] std::size_t n_vms() const { return slots_.size(); }
   [[nodiscard]] Strategy strategy() const { return cfg_.strategy; }
-  [[nodiscard]] const std::string& name() const { return cfg_.name; }
+  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] sim::Time started_at() const { return t0_; }
   [[nodiscard]] bool started() const { return started_; }
-  /// Null unless cfg.telemetry.sample_period > 0 and start() has run.
+  /// Null unless cfg.sample_period > 0 and start() has run.
   [[nodiscard]] obs::Sampler* sampler() { return sampler_.get(); }
 
  private:
@@ -104,6 +111,8 @@ class HostNode {
   void arm_sampler();
 
   HostNodeConfig cfg_;
+  std::string name_;
+  std::string series_prefix_;
   sim::Engine& eng_;
   std::unique_ptr<hv::Host> host_;
   std::unique_ptr<obs::Sampler> sampler_;
@@ -111,11 +120,5 @@ class HostNode {
   sim::Time t0_ = 0;
   bool started_ = false;
 };
-
-/// Advance `node`'s engine until every bounded workload on `vm` has
-/// finished or `timeout` elapses; returns whether they finished. The run
-/// ends through Engine::stop() from the VM kernel's task-finished hook, so
-/// the clock stays at the finishing event. World and Cluster share this.
-bool run_until_finished(HostNode& node, hv::VmId vm, sim::Duration timeout);
 
 }  // namespace irs::core

@@ -54,13 +54,37 @@ void require(bool ok, const char* field, const char* want, T got) {
   throw std::invalid_argument(os.str());
 }
 
-/// The foreground's request recorder, or null if it is not a server.
-/// Windowed SLO tracking is passive, so the simulation is unperturbed:
-/// slo_window < 0 disables it. `spans` turns on the request-span log
-/// forensics replays.
-wl::Serving* arm_serving(const ScenarioConfig& cfg, wl::Workload& fg_wl,
-                         bool spans) {
-  wl::Serving* srv = fg_wl.serving();
+/// Slice cfg's host shape into *wc, turning the ring and the sampler on at
+/// their defaults where a capture needs them: forensics' roomier ring
+/// wins, so asking for a dump never shrinks it.
+void host_shape(const ScenarioConfig& cfg, bool forensics, bool dump,
+                core::WorldConfig* wc) {
+  *wc = cfg;
+  if (wc->trace_capacity == 0) {
+    wc->trace_capacity = forensics ? kForensicsRing : dump ? kDumpRing : 0;
+  }
+  if (dump && wc->sample_period == 0) {
+    wc->sample_period = obs::Sampler::kDefaultPeriod;
+  }
+}
+
+/// The foreground VM, its vCPU i pinned to pCPU i unless cfg unpins it.
+hv::VmConfig fg_vm(const ScenarioConfig& cfg) {
+  hv::VmConfig vm;
+  vm.name = "fg";
+  vm.n_vcpus = cfg.n_vcpus;
+  if (cfg.pinned) vm.pin_map = identity_pins(cfg.n_vcpus);
+  return vm;
+}
+
+/// Attach the foreground workload to VM `fg` of `node`. Returns its
+/// request recorder, or null if it is not a server. Windowed SLO tracking
+/// is passive, so the simulation is unperturbed: slo_window < 0 disables
+/// it. `spans` turns on the request-span log forensics replays.
+wl::Serving* attach_fg(const ScenarioConfig& cfg, core::HostNode& node,
+                       hv::VmId fg, bool spans) {
+  wl::Serving* srv =
+      node.attach(fg, wl::make_workload(cfg.fg, fg_options(cfg))).serving();
   if (srv == nullptr) return nullptr;
   // Throughput divides by it; only servers read it.
   require(cfg.server_duration > 0, "server_duration", "> 0",
@@ -70,27 +94,61 @@ wl::Serving* arm_serving(const ScenarioConfig& cfg, wl::Workload& fg_wl,
   return srv;
 }
 
-/// Server metrics if the foreground was a server workload: throughput, the
-/// latency tail (p99 and the exact p999 fig_cluster compares), the SLO
-/// capture, and the conservation ledger (empty but for the front-end).
-void extract_server_metrics(wl::Serving* srv, sim::Time now, RunResult* r) {
+/// The foreground's metrics: makespan, utilisation and efficiency against
+/// its fair share, its guest's IRS migrations and, for a server, the
+/// throughput, the latency tail (p99 and the exact p999 fig_cluster
+/// compares), the SLO capture and the conservation ledger (empty but for
+/// the front-end).
+void read_fg(core::HostNode& node, hv::VmId fg, wl::Serving* srv,
+             RunResult* r) {
+  const core::VmMetrics fgm = node.vm_metrics(fg);
+  r->fg_makespan = fgm.makespan >= 0 ? fgm.makespan : fgm.elapsed;
+  r->fg_util_vs_fair = fgm.util_vs_fair();
+  r->fg_efficiency = fgm.efficiency_vs_fair();
+  r->irs_migrations = node.kernel(fg).stats().irs_migrations;
   if (srv != nullptr) {
     r->throughput = srv->throughput();
     r->lat_mean = srv->latency().mean();
     r->lat_p99 = srv->latency().percentile(99.0);
     r->lat_p999 = srv->latency().percentile(99.9);
-    r->slo = srv->slo_result(now);
+    r->slo = srv->slo_result(node.engine().now());
     r->frontend = srv->frontend_result();
   }
 }
 
+/// Fold every host's scheduler, SA, sampler and trace counters into *r:
+/// counters add, sampler digests XOR, and the SA delay averages over the
+/// SAs every host completed. A single-host run is a one-node list.
+void read_hosts(const std::vector<core::HostNode*>& hosts, RunResult* r) {
+  std::uint64_t sa_completed = 0;
+  sim::Duration sa_delay_total = 0;
+  for (core::HostNode* node : hosts) {
+    const hv::SchedStats& ss = node->host().sched_stats();
+    r->lhp += ss.lhp_events;
+    r->lwp += ss.lwp_events;
+    const hv::StrategyStats& st = node->host().strategy_stats();
+    r->sa_sent += st.sa_sent;
+    r->sa_acked += st.sa_acked;
+    sa_completed += st.sa_acked + st.sa_forced;
+    sa_delay_total += st.sa_delay_total;
+    if (obs::Sampler* smp = node->sampler()) {
+      r->sampler_digest ^= smp->digest();
+    }
+    r->trace_dropped += node->host().trace().dropped();
+    r->trace_total_recorded += node->host().trace().total_recorded();
+  }
+  r->sa_delay_avg =
+      sa_completed > 0
+          ? sa_delay_total / static_cast<sim::Duration>(sa_completed)
+          : 0;
+}
+
 /// The topology and drop accounting of one host node's trace.
-obs::TraceMeta node_meta(core::HostNode& node, const std::string& title,
-                         int n_pcpus) {
+obs::TraceMeta node_meta(core::HostNode& node, const std::string& title) {
   const sim::Trace& trace = node.host().trace();
   obs::TraceMeta meta;
   meta.title = title;
-  meta.n_pcpus = n_pcpus;
+  meta.n_pcpus = node.host().n_pcpus();
   for (int vm_i = 0; vm_i < node.host().n_vms(); ++vm_i) {
     const hv::Vm& vm = node.host().vm(vm_i);
     int idx = 0;
@@ -112,9 +170,9 @@ obs::TraceMeta node_meta(core::HostNode& node, const std::string& title,
 
 /// Fill a TraceDump's records, meta and sampler series from one host node.
 void fill_node_dump(core::HostNode& node, const std::string& title,
-                    int n_pcpus, TraceDump* dump) {
+                    TraceDump* dump) {
   dump->records = node.host().trace().snapshot();
-  dump->meta = node_meta(node, title, n_pcpus);
+  dump->meta = node_meta(node, title);
   if (obs::Sampler* smp = node.sampler()) dump->series = smp->dump();
 }
 
@@ -122,34 +180,12 @@ void fill_node_dump(core::HostNode& node, const std::string& title,
 RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
   TraceDump* dump = capture.dump;
   core::WorldConfig wc;
-  wc.n_pcpus = cfg.n_pcpus;
-  wc.strategy = cfg.strategy;
-  wc.seed = cfg.seed;
-  wc.hv = cfg.hv;
-  wc.telemetry() = cfg.telemetry();
-  wc.queue = cfg.queue;
-  // Forensics replays the scheduler trace around every request span, so it
-  // needs the ring on — and roomy, so the scheduler evidence around early
-  // spans survives to analysis (spans themselves live in a side log). It
-  // comes before the dump default, so asking for a dump never shrinks it.
-  if (cfg.forensics && wc.trace_capacity == 0) wc.trace_capacity = 1 << 18;
-  if (dump != nullptr && wc.trace_capacity == 0) wc.trace_capacity = 1 << 16;
-  if (dump != nullptr && wc.sample_period == 0) {
-    wc.sample_period = obs::Sampler::kDefaultPeriod;
-  }
+  host_shape(cfg, cfg.forensics, dump != nullptr, &wc);
   core::World world(wc);
 
-  // Foreground VM.
-  hv::VmConfig fg_vm;
-  fg_vm.name = "fg";
-  fg_vm.n_vcpus = cfg.n_vcpus;
-  if (cfg.pinned) fg_vm.pin_map = identity_pins(cfg.n_vcpus);
-  const hv::VmId fg = world.add_vm(fg_vm, /*irs_capable=*/true, cfg.fg_guest);
-
-  wl::Workload& fg_wl =
-      world.attach(fg, wl::make_workload(cfg.fg, fg_options(cfg)));
-
-  wl::Serving* srv = arm_serving(cfg, fg_wl, cfg.forensics);
+  const hv::VmId fg =
+      world.add_vm(fg_vm(cfg), /*irs_capable=*/true, cfg.fg_guest);
+  wl::Serving* srv = attach_fg(cfg, world, fg, cfg.forensics);
 
   // Interfering VM(s): n_inter vCPUs pinned to pCPUs 0..n_inter-1, running
   // either CPU hogs or an endless real application (paper §5.1).
@@ -173,11 +209,8 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
   world.start();
   RunResult r;
   r.finished = world.run_until_finished(fg, cfg.timeout);
-
-  const core::VmMetrics fgm = world.vm_metrics(fg);
-  r.fg_makespan = fgm.makespan >= 0 ? fgm.makespan : fgm.elapsed;
-  r.fg_util_vs_fair = fgm.util_vs_fair();
-  r.fg_efficiency = fgm.efficiency_vs_fair();
+  read_fg(world, fg, srv, &r);
+  read_hosts({&world}, &r);
   if (!bgs.empty()) {
     double rate = 0;
     for (const hv::VmId bg : bgs) {
@@ -186,25 +219,6 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
     }
     r.bg_progress_rate = rate;
   }
-
-  extract_server_metrics(srv, world.engine().now(), &r);
-
-  const hv::SchedStats& ss = world.host().sched_stats();
-  r.lhp = ss.lhp_events;
-  r.lwp = ss.lwp_events;
-  r.irs_migrations = world.kernel(fg).stats().irs_migrations;
-  const hv::StrategyStats& st = world.host().strategy_stats();
-  r.sa_sent = st.sa_sent;
-  r.sa_acked = st.sa_acked;
-  const std::uint64_t completed = st.sa_acked + st.sa_forced;
-  r.sa_delay_avg = completed > 0
-                       ? st.sa_delay_total / static_cast<sim::Duration>(completed)
-                       : 0;
-  if (obs::Sampler* smp = world.sampler()) {
-    r.sampler_digest = smp->digest();
-  }
-  r.trace_dropped = world.host().trace().dropped();
-  r.trace_total_recorded = world.host().trace().total_recorded();
 
   const bool analyze = cfg.forensics && cfg.forensics_analyze;
   if (dump != nullptr || analyze) {
@@ -218,7 +232,7 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
     const std::vector<obs::ReqSpan>& spans =
         srv != nullptr ? srv->request_spans() : no_spans;
     if (dump != nullptr) {
-      fill_node_dump(world.node(), title, cfg.n_pcpus, dump);
+      fill_node_dump(world, title, dump);
       if (!spans.empty()) {
         dump->records = obs::with_request_spans(dump->records, spans);
       }
@@ -228,9 +242,8 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
       dump->slo = r.slo;
       dump->forensics = r.forensics;
     } else {
-      r.forensics = obs::request_forensics(
-          world.host().trace().view(), spans,
-          node_meta(world.node(), title, cfg.n_pcpus), r.slo);
+      r.forensics = obs::request_forensics(world.host().trace().view(), spans,
+                                           node_meta(world, title), r.slo);
     }
   }
   return r;
@@ -242,41 +255,24 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
 /// is ignored here; everything else folds across hosts (counters add,
 /// sampler digests XOR).
 RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
+  const bool want_dump =
+      capture.dump != nullptr || capture.host_dumps != nullptr;
   cluster::ClusterConfig cc;
+  host_shape(cfg, /*forensics=*/false, want_dump, &cc);
   cc.n_hosts = cfg.cluster.n_hosts;
-  cc.n_pcpus = cfg.n_pcpus;
-  cc.hv = cfg.hv;
-  cc.strategy = cfg.strategy;
-  cc.seed = cfg.seed;
-  cc.telemetry = cfg.telemetry();
-  cc.queue = cfg.queue;
   if (!cluster::policy_from_name(cfg.cluster.policy, &cc.policy)) {
     throw std::invalid_argument("run_scenario: unknown cluster policy '" +
                                 cfg.cluster.policy +
                                 "' (want random|firstfit|irs)");
   }
-  const bool want_dump =
-      capture.dump != nullptr || capture.host_dumps != nullptr;
-  if (want_dump && cc.telemetry.trace_capacity == 0) {
-    cc.telemetry.trace_capacity = 1 << 16;
-  }
-  if (want_dump && cc.telemetry.sample_period == 0) {
-    cc.telemetry.sample_period = obs::Sampler::kDefaultPeriod;
-  }
   cluster::Cluster cl(cc);
 
   // Foreground VM: fixed on host 0 and protected — the kIrs policy defends
   // its SLO budget by evicting noisy co-tenants from host 0.
-  hv::VmConfig fg_vm;
-  fg_vm.name = "fg";
-  fg_vm.n_vcpus = cfg.n_vcpus;
-  if (cfg.pinned) fg_vm.pin_map = identity_pins(cfg.n_vcpus);
   const cluster::CvmId fg =
-      cl.add_vm(0, fg_vm, /*irs_capable=*/true, cfg.fg_guest);
+      cl.add_vm(0, fg_vm(cfg), /*irs_capable=*/true, cfg.fg_guest);
   cl.set_protected(fg);
-  wl::Workload& fg_wl =
-      cl.attach(fg, wl::make_workload(cfg.fg, fg_options(cfg)));
-  wl::Serving* srv = arm_serving(cfg, fg_wl, /*spans=*/false);
+  wl::Serving* srv = attach_fg(cfg, cl.node(0), fg.vm, /*spans=*/false);
 
   // Interference: n_bg_vms migratable hog VMs, n_inter vCPUs/hogs each.
   if (!cfg.bg.empty() && cfg.n_inter > 0) {
@@ -289,40 +285,12 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
   cl.start();
   RunResult r;
   r.finished = cl.run_until_finished(fg, cfg.timeout);
-
-  const core::VmMetrics fgm = cl.vm_metrics(fg);
-  r.fg_makespan = fgm.makespan >= 0 ? fgm.makespan : fgm.elapsed;
-  r.fg_util_vs_fair = fgm.util_vs_fair();
-  r.fg_efficiency = fgm.efficiency_vs_fair();
   // bg_progress_rate stays 0: hogs report no work units (same as the
   // single-host hog runs).
-
-  extract_server_metrics(srv, cl.engine().now(), &r);
-
-  r.irs_migrations = cl.kernel(fg).stats().irs_migrations;
-  std::uint64_t sa_completed = 0;
-  sim::Duration sa_delay_total = 0;
-  for (int h = 0; h < cl.n_hosts(); ++h) {
-    core::HostNode& node = cl.node(h);
-    const hv::SchedStats& ss = node.host().sched_stats();
-    r.lhp += ss.lhp_events;
-    r.lwp += ss.lwp_events;
-    const hv::StrategyStats& st = node.host().strategy_stats();
-    r.sa_sent += st.sa_sent;
-    r.sa_acked += st.sa_acked;
-    sa_completed += st.sa_acked + st.sa_forced;
-    sa_delay_total += st.sa_delay_total;
-    if (obs::Sampler* smp = node.sampler()) {
-      r.sampler_digest ^= smp->digest();
-    }
-    r.trace_dropped += node.host().trace().dropped();
-    r.trace_total_recorded += node.host().trace().total_recorded();
-  }
-  r.sa_delay_avg =
-      sa_completed > 0
-          ? sa_delay_total / static_cast<sim::Duration>(sa_completed)
-          : 0;
-
+  read_fg(cl.node(0), fg.vm, srv, &r);
+  std::vector<core::HostNode*> hosts;
+  for (int h = 0; h < cl.n_hosts(); ++h) hosts.push_back(&cl.node(h));
+  read_hosts(hosts, &r);
   r.cluster = cl.result();
 
   if (want_dump) {
@@ -334,14 +302,14 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
       capture.host_dumps->assign(n, TraceDump{});
       for (std::size_t h = 0; h < n; ++h) {
         core::HostNode& node = cl.node(static_cast<int>(h));
-        fill_node_dump(node, title + " " + node.name(), cfg.n_pcpus,
+        fill_node_dump(node, title + " " + node.name(),
                        &(*capture.host_dumps)[h]);
       }
       (*capture.host_dumps)[0].slo = r.slo;
       if (capture.dump != nullptr) *capture.dump = (*capture.host_dumps)[0];
     } else if (capture.dump != nullptr) {
       fill_node_dump(cl.node(0), title + " " + cl.node(0).name(),
-                     cfg.n_pcpus, capture.dump);
+                     capture.dump);
       capture.dump->slo = r.slo;
     }
   }

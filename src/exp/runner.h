@@ -3,6 +3,7 @@
 // extracts the metrics the figures report.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -14,7 +15,6 @@
 #include "src/obs/forensics.h"
 #include "src/obs/frontend_stats.h"
 #include "src/obs/slo.h"
-#include "src/obs/telemetry.h"
 
 namespace irs::exp {
 
@@ -31,13 +31,12 @@ struct ClusterOptions {
   std::string policy = "irs";
 };
 
-/// One experimental condition (paper §5.1 "Experimental Settings").
-/// Inherits the telemetry knobs (trace_capacity, sample_period) from
-/// obs::TelemetryConfig — the one
-/// definition shared with WorldConfig and HostNodeConfig.
-struct ScenarioConfig : obs::TelemetryConfig {
-  core::Strategy strategy = core::Strategy::kBaseline;
-
+/// One experimental condition (paper §5.1 "Experimental Settings"). The
+/// inherited core::WorldConfig is the shape of every host of the run
+/// (n_pcpus, hypervisor tunables such as the SA ack cap, strategy, seed,
+/// trace ring and sampler) plus the engine's queue backend, which must not
+/// change any result.
+struct ScenarioConfig : core::WorldConfig {
   /// Foreground workload (PARSEC/NPB name, "specjbb", "ab").
   std::string fg = "streamcluster";
   int fg_threads = 4;  // matches n_vcpus in the paper
@@ -51,7 +50,6 @@ struct ScenarioConfig : obs::TelemetryConfig {
   int n_bg_vms = 1;
 
   int n_vcpus = 4;
-  int n_pcpus = 4;
   /// Pinned topology (§5.1 "CPU pinning") vs. free placement (§5.6).
   bool pinned = true;
 
@@ -59,7 +57,6 @@ struct ScenarioConfig : obs::TelemetryConfig {
   double work_scale = 1.0;
   sim::Duration server_duration = sim::seconds(3);
   sim::Duration timeout = sim::seconds(150);
-  std::uint64_t seed = 1;
 
   /// SPECjbb lock-contention knobs (0 = the model's defaults): critical
   /// section length and "every Nth transaction takes the lock". Cranking
@@ -82,15 +79,9 @@ struct ScenarioConfig : obs::TelemetryConfig {
   int fe_queue_cap = 0;
   bool fe_keepalive = true;
 
-  /// Event-queue backend override (see WorldConfig::queue); defaults to
-  /// the process-wide default. Results must be backend-independent.
-  sim::QueueKind queue = sim::default_queue_kind();
-
   /// Guest kernel tunables for the foreground VM (ablation knobs; the IRS
   /// enable flag is controlled by `strategy`, not here).
   guest::GuestConfig fg_guest{};
-  /// Hypervisor tunables (e.g. SA ack cap sweeps).
-  hv::HvConfig hv{};
 
   /// Cluster topology (n_hosts >= 2 switches to the cluster runner).
   ClusterOptions cluster;
@@ -105,9 +96,9 @@ struct ScenarioConfig : obs::TelemetryConfig {
   /// captures a ReqSpan per request into a side log (the runner synthesizes
   /// kReqBegin/kReqEnd records from it at analysis time) and decomposes
   /// each request's latency by cause (see obs/forensics.h). Enables the
-  /// trace ring if trace_capacity is 0 (at a generous default, which a
-  /// RunCapture dump does not shrink). Passive: only the trace-telemetry
-  /// and forensics fields of the result change.
+  /// trace ring at kForensicsRing if trace_capacity is 0 (a RunCapture
+  /// dump does not shrink it). Passive: only the trace-telemetry and
+  /// forensics fields of the result change.
   bool forensics = false;
   /// With forensics on, run the decomposition at the end of the run (one
   /// pass over the ring in place, merged with the span log). false records
@@ -241,10 +232,19 @@ inline bool results_identical(const RunResult& a, const RunResult& b) {
   return a == b;
 }
 
+/// The trace ring capacities a run gets when its config leaves
+/// trace_capacity at 0: kDumpRing when a RunCapture asks for a dump (also
+/// irs_trace_dump's --capacity default), kForensicsRing with forensics on,
+/// roomy so the scheduler evidence around early spans survives to
+/// analysis. Forensics' ring applies first, so asking for a dump never
+/// shrinks it.
+inline constexpr std::size_t kDumpRing = 1 << 16;
+inline constexpr std::size_t kForensicsRing = 1 << 18;
+
 /// Capture options for run_scenario: new capture surfaces extend this
 /// struct instead of multiplying overloads. Any requested capture enables
-/// the trace ring (and sampler) at generous defaults when the config left
-/// them off.
+/// the trace ring at kDumpRing and the sampler at its default period when
+/// the config left them off.
 struct RunCapture {
   /// Capture the run's trace: single-host runs fill it with the host's
   /// timeline; cluster runs with host 0's.

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace irs::guest {
 
@@ -21,18 +22,38 @@ GuestKernel::GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
       trace_(trace) {
   assert(n_cpus > 0);
   // Checked in every build: a tick or balance period that is not positive
-  // re-arms at the same instant forever, so the clock never moves, and a
-  // CFS latency or granularity that is not positive has no meaning.
-  const auto require_period = [](sim::Duration period, const char* field) {
-    if (period > 0) return;
+  // re-arms at the same instant forever, so the clock never moves; a CFS
+  // latency or granularity, a steal-average time constant or a tag cap
+  // that is not positive has no meaning. A cost, penalty or wakeup
+  // granularity may be 0 (none), and so may the idle poll period (off),
+  // but none may be negative.
+  const auto require = [](bool ok, const char* field, const char* want,
+                          sim::Duration got) {
+    if (ok) return;
     throw std::invalid_argument(std::string("GuestKernel: GuestConfig.") +
-                                field + " must be > 0 (got " +
-                                std::to_string(period) + ")");
+                                field + " must be " + want + " (got " +
+                                std::to_string(got) + ")");
   };
-  require_period(cfg_.tick_period, "tick_period");
-  require_period(cfg_.balance_interval, "balance_interval");
-  require_period(cfg_.sched_latency, "sched_latency");
-  require_period(cfg_.min_granularity, "min_granularity");
+  const std::pair<sim::Duration, const char*> positive[] = {
+      {cfg_.tick_period, "tick_period"},
+      {cfg_.balance_interval, "balance_interval"},
+      {cfg_.sched_latency, "sched_latency"},
+      {cfg_.min_granularity, "min_granularity"},
+      {cfg_.steal_avg_tau, "steal_avg_tau"},
+      {cfg_.tag_ttl, "tag_ttl"},
+  };
+  for (const auto& [got, field] : positive) require(got > 0, field, "> 0", got);
+  const std::pair<sim::Duration, const char*> non_negative[] = {
+      {cfg_.wakeup_granularity, "wakeup_granularity"},
+      {cfg_.ctx_switch_cost, "ctx_switch_cost"},
+      {cfg_.idle_poll_period, "idle_poll_period"},
+      {cfg_.sa_handler_cost, "sa_handler_cost"},
+      {cfg_.migrator_cost, "migrator_cost"},
+      {cfg_.migration_cache_penalty, "migration_cache_penalty"},
+  };
+  for (const auto& [got, field] : non_negative) {
+    require(got >= 0, field, ">= 0", got);
+  }
   cpus_.reserve(static_cast<std::size_t>(n_cpus));
   for (int i = 0; i < n_cpus; ++i) {
     cpus_.push_back(std::make_unique<GuestCpu>(*this, i));

@@ -1,7 +1,9 @@
 #include "src/hv/host.h"
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/hv/delay_preempt.h"
 #include "src/hv/event_channel.h"
@@ -40,14 +42,13 @@ class Host::VmHypercalls final : public Hypercalls {
 
 namespace {
 
-/// Checked in every build: a period that is not positive re-arms its event
-/// at the same instant forever, so the clock never moves, and an SA ack cap
-/// or PLE window that is not positive quietly turns its strategy off.
-void require_period(sim::Duration period, const char* field) {
-  if (period > 0) return;
+/// Checked in every build: throws std::invalid_argument naming `field`
+/// unless `ok`.
+void require(bool ok, const char* field, const char* want, std::int64_t got) {
+  if (ok) return;
   throw std::invalid_argument(std::string("Host: HvConfig.") + field +
-                              " must be > 0 (got " + std::to_string(period) +
-                              ")");
+                              " must be " + want + " (got " +
+                              std::to_string(got) + ")");
 }
 
 }  // namespace
@@ -58,11 +59,32 @@ Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
     throw std::invalid_argument("Host: n_pcpus must be >= 1 (got " +
                                 std::to_string(n_pcpus) + ")");
   }
-  require_period(cfg_.time_slice, "time_slice");
-  require_period(cfg_.tick_period, "tick_period");
-  require_period(cfg_.accounting_period, "accounting_period");
-  require_period(cfg_.sa_ack_cap, "sa_ack_cap");
-  require_period(cfg_.ple_window, "ple_window");
+  // A period that is not positive re-arms its event at the same instant
+  // forever, so the clock never moves. A cap, window or threshold that is
+  // not positive quietly turns its strategy off (an SA ack cap or a
+  // Delay-Preempt cap of 0 runs Baseline), and a credit amount that is not
+  // positive inverts or stops the accounting. A cost may be 0 (none), never
+  // negative.
+  const std::pair<std::int64_t, const char*> positive[] = {
+      {cfg_.time_slice, "time_slice"},
+      {cfg_.tick_period, "tick_period"},
+      {cfg_.accounting_period, "accounting_period"},
+      {cfg_.credits_per_tick, "credits_per_tick"},
+      {cfg_.credit_cap, "credit_cap"},
+      {cfg_.sa_ack_cap, "sa_ack_cap"},
+      {cfg_.ple_window, "ple_window"},
+      {cfg_.delay_preempt_cap, "delay_preempt_cap"},
+      {cfg_.co_skew_threshold, "co_skew_threshold"},
+      {cfg_.co_stop_duration, "co_stop_duration"},
+  };
+  for (const auto& [got, field] : positive) require(got > 0, field, "> 0", got);
+  const std::pair<std::int64_t, const char*> non_negative[] = {
+      {cfg_.vcpu_switch_cost, "vcpu_switch_cost"},
+      {cfg_.ple_exit_cost, "ple_exit_cost"},
+  };
+  for (const auto& [got, field] : non_negative) {
+    require(got >= 0, field, ">= 0", got);
+  }
   pcpus_.reserve(static_cast<std::size_t>(n_pcpus));
   for (int i = 0; i < n_pcpus; ++i) pcpus_.emplace_back(i);
   sched_ = std::make_unique<CreditScheduler>(eng_, cfg_, pcpus_, vms_,

@@ -42,9 +42,10 @@
 // Entry points. The runner analyses a run where its ring lies:
 // request_forensics(ring view, span log) builds no merged copy. Only a
 // dump writes the merge out, with with_request_spans(), each nonzero wait
-// as a decimal-ns note. perfbench, bench_report, the tests and the offline
-// replay call request_forensics over such a dump; that overload feeds the
-// same analyzer loop through the same cursor, which reads the notes back.
+// as a decimal-ns note. perfbench, the tests and the offline replay call
+// request_forensics over such a dump (bench_report times the runner's
+// entry point on one split back); that overload feeds the same analyzer
+// loop through the same cursor, which reads the notes back.
 //
 // Like every obs result, ForensicsResult is integer-exact and lists its
 // fields once (see fields.h), so it merges across a sweep's runs
@@ -268,8 +269,8 @@ ForensicsResult request_forensics(sim::TraceView ring,
                                   const std::string& vm = "fg");
 
 /// The same analysis over a dump whose brackets are already inline (as
-/// with_request_spans() writes them): the offline replay of perfbench,
-/// bench_report and the tests.
+/// with_request_spans() writes them): the offline replay of perfbench and
+/// the tests, and the oracle of bench_report's in-run timing.
 ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
                                   const TraceMeta& meta, const SloResult& slo,
                                   const std::string& vm = "fg");

@@ -1,12 +1,9 @@
-// Telemetry knobs shared by every host assembly.
+// Telemetry knobs of one host: the trace ring and the counter sampler.
 //
-// WorldConfig and ScenarioConfig used to carry verbatim copies of the same
-// observability fields (trace ring capacity, sampler cadence);
-// core::HostNode and
-// cluster::Cluster would have grown a third and fourth copy. This struct is
-// the single definition: the config structs inherit it (so existing
-// `cfg.trace_capacity = ...` call sites compile unchanged) and the host
-// assembly layers take it by value.
+// core::HostNodeConfig, the host shape every layer builds, inherits this
+// struct, and WorldConfig, cluster::ClusterConfig and exp::ScenarioConfig
+// inherit that shape, so `cfg.trace_capacity = ...` reads the same at
+// every layer and a config slices down to the host it describes.
 #pragma once
 
 #include <cstddef>
@@ -21,11 +18,6 @@ struct TelemetryConfig {
   /// >0 arms an obs::Sampler at start() on this simulated-time cadence.
   /// 0 (default) disables sampling entirely.
   sim::Duration sample_period = 0;
-
-  /// The knobs as one assignable unit: `wc.telemetry() = sc.telemetry()`
-  /// copies exactly the shared fields between two unrelated config structs.
-  [[nodiscard]] TelemetryConfig& telemetry() { return *this; }
-  [[nodiscard]] const TelemetryConfig& telemetry() const { return *this; }
 };
 
 }  // namespace irs::obs

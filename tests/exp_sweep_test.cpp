@@ -1,7 +1,7 @@
 // Tests for the parallel sweep runner: seed derivation, pool coverage, and
 // the bit-identical-to-serial guarantee the figure benches rely on.
-// scripts/tsan.sh runs them under TSan with the rest of the suite to prove
-// the pool is race-free.
+// `scripts/sanitize.sh thread` runs them under TSan with the rest of the
+// suite to prove the pool is race-free.
 #include "src/exp/sweep.h"
 
 #include <gtest/gtest.h>

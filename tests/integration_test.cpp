@@ -318,6 +318,53 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
       {"zero CFS granularity",
        [](ScenarioConfig* c) { c->fg_guest.min_granularity = 0; },
        "GuestConfig.min_granularity must be > 0 (got 0)"},
+      // Before these checks, credits_per_tick -100 ran streamcluster at
+      // 1.06x its fair share, a Relaxed-Co skew threshold of 0 took 646 ms
+      // against 506, and a negative steal_avg_tau ran IRS as Baseline.
+      {"negative credits per tick",
+       [](ScenarioConfig* c) { c->hv.credits_per_tick = -100; },
+       "HvConfig.credits_per_tick must be > 0 (got -100)"},
+      {"zero credit cap", [](ScenarioConfig* c) { c->hv.credit_cap = 0; },
+       "HvConfig.credit_cap must be > 0 (got 0)"},
+      {"zero Delay-Preempt cap",
+       [](ScenarioConfig* c) { c->hv.delay_preempt_cap = 0; },
+       "HvConfig.delay_preempt_cap must be > 0 (got 0)"},
+      {"zero co-scheduling skew threshold",
+       [](ScenarioConfig* c) { c->hv.co_skew_threshold = 0; },
+       "HvConfig.co_skew_threshold must be > 0 (got 0)"},
+      {"negative co-stop duration",
+       [](ScenarioConfig* c) { c->hv.co_stop_duration = -1; },
+       "HvConfig.co_stop_duration must be > 0 (got -1)"},
+      {"negative vCPU switch cost",
+       [](ScenarioConfig* c) { c->hv.vcpu_switch_cost = -1; },
+       "HvConfig.vcpu_switch_cost must be >= 0 (got -1)"},
+      {"negative PLE exit cost",
+       [](ScenarioConfig* c) { c->hv.ple_exit_cost = -1; },
+       "HvConfig.ple_exit_cost must be >= 0 (got -1)"},
+      {"zero steal-average time constant",
+       [](ScenarioConfig* c) { c->fg_guest.steal_avg_tau = 0; },
+       "GuestConfig.steal_avg_tau must be > 0 (got 0)"},
+      {"zero migration tag cap",
+       [](ScenarioConfig* c) { c->fg_guest.tag_ttl = 0; },
+       "GuestConfig.tag_ttl must be > 0 (got 0)"},
+      {"negative wakeup granularity",
+       [](ScenarioConfig* c) { c->fg_guest.wakeup_granularity = -1; },
+       "GuestConfig.wakeup_granularity must be >= 0 (got -1)"},
+      {"negative guest context switch cost",
+       [](ScenarioConfig* c) { c->fg_guest.ctx_switch_cost = -1; },
+       "GuestConfig.ctx_switch_cost must be >= 0 (got -1)"},
+      {"negative idle poll period",
+       [](ScenarioConfig* c) { c->fg_guest.idle_poll_period = -1; },
+       "GuestConfig.idle_poll_period must be >= 0 (got -1)"},
+      {"negative SA handler cost",
+       [](ScenarioConfig* c) { c->fg_guest.sa_handler_cost = -1; },
+       "GuestConfig.sa_handler_cost must be >= 0 (got -1)"},
+      {"negative migrator cost",
+       [](ScenarioConfig* c) { c->fg_guest.migrator_cost = -1; },
+       "GuestConfig.migrator_cost must be >= 0 (got -1)"},
+      {"negative migration cache penalty",
+       [](ScenarioConfig* c) { c->fg_guest.migration_cache_penalty = -1; },
+       "GuestConfig.migration_cache_penalty must be >= 0 (got -1)"},
       {"negative host count",
        [](ScenarioConfig* c) { c->cluster.n_hosts = -3; },
        "cluster.n_hosts must be >= 0 (got -3)"},

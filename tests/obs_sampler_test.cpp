@@ -213,7 +213,7 @@ std::uint64_t run_fixture(const exp::ScenarioConfig& cfg,
     cluster::ClusterConfig cc;
     cc.n_hosts = cfg.cluster.n_hosts;
     cc.strategy = cfg.strategy;
-    cc.telemetry.sample_period = cfg.sample_period;
+    cc.sample_period = cfg.sample_period;
     cluster::Cluster cl(cc);
     const cluster::CvmId fg = cl.add_vm(0, fg_vm, /*irs_capable=*/true);
     cl.set_protected(fg);
@@ -245,7 +245,7 @@ std::uint64_t run_fixture(const exp::ScenarioConfig& cfg,
   world.attach(bg, wl::make_workload(cfg.bg, bg_opts));
   world.start();
   world.run_until_finished(fg, cfg.timeout);
-  check(world.node());
+  check(world);
   return world.sampler()->digest();
 }
 
@@ -300,8 +300,9 @@ TEST_P(SamplerGolden, PerVcpuSaSeriesSumToHostSeries) {
   }
 }
 
-// Also runs under the obs_pipeline_tsan CTest job (scripts/tsan.sh): the
-// digest comparison races if sampling leaks state across pool workers.
+// Also runs under TSan with the rest of the suite (`scripts/sanitize.sh
+// thread`): the digest comparison races if sampling leaks state across
+// pool workers.
 TEST(SweepSampler, DigestsBitIdenticalAcrossThreadCounts) {
   exp::ScenarioConfig cfg;
   cfg.fg = "blackscholes";

@@ -241,7 +241,7 @@ bool parse_strategy(const std::string& name, core::Strategy* out) {
 int run(int argc, char** argv) {
   exp::ScenarioConfig cfg;
   cfg.strategy = core::Strategy::kIrs;
-  cfg.trace_capacity = 1 << 16;
+  cfg.trace_capacity = exp::kDumpRing;
   std::string out_path = "trace.json";
   bool print_summary = false;
   bool guest_lanes = false;
