@@ -94,9 +94,13 @@ scripts/bench_smoke.sh build
 # re-armed timers run at volume), the single-host servers with SLO
 # windows (fig08: specjbb and ab), the only open-loop front-end grid
 # (fig08_open), the multi-host grid (fig_cluster), the only grid with
-# Delay-Preempt and IRS-Pull (abl_extensions) and the grid with the
-# deepest single-host queues (fig10, up to 323 entries).
-for fig in fig05 fig06 fig08 fig08_open fig_cluster abl_extensions fig10; do
+# Delay-Preempt and IRS-Pull (abl_extensions), the grid with the
+# deepest single-host queues (fig10, up to 323 entries), and the only
+# grids that set the surviving tunables: abl_design (idle polling off
+# among its guest knobs) and abl_sa_overhead (a 15 us SA ack cap that
+# forces SAs).
+for fig in fig05 fig06 fig08 fig08_open fig_cluster abl_extensions fig10 \
+           abl_design abl_sa_overhead; do
   for q in binary wheel; do
     IRS_ENGINE_QUEUE="$q" ./build/tools/irs_sweep --fig "$fig" --jobs 4 \
         --ndjson "build/oracle_${fig}_${q}.ndjson" > /dev/null

@@ -11,16 +11,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), eng_(cfg.queue) {
   if (cfg_.n_hosts < 1) {
     throw std::invalid_argument("ClusterConfig.n_hosts must be >= 1");
   }
-  // A period that is not positive re-arms its loop at the same instant
-  // forever, so the clock never moves.
-  const auto require_period = [](sim::Duration period, const char* field) {
-    if (period > 0) return;
-    throw std::invalid_argument(std::string("ClusterConfig.") + field +
-                                " must be > 0 (got " + std::to_string(period) +
-                                ")");
-  };
-  require_period(cfg_.collect_period, "collect_period");
-  require_period(cfg_.decide_period, "decide_period");
   ledger_.n_hosts = static_cast<std::uint32_t>(cfg_.n_hosts);
   ledger_.policy = static_cast<std::uint32_t>(cfg_.policy);
   ledger_.hosts.resize(static_cast<std::size_t>(cfg_.n_hosts));
@@ -34,17 +24,14 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), eng_(cfg.queue) {
     nodes_.push_back(std::make_unique<core::HostNode>(eng_, std::move(nc), name,
                                                       name + "/"));
     collectors_.push_back(std::make_unique<Collector>(
-        eng_, *nodes_.back(), cfg_.collect_period,
-        &ledger_.hosts[static_cast<std::size_t>(h)]));
+        eng_, *nodes_.back(), &ledger_.hosts[static_cast<std::size_t>(h)]));
   }
   // Engine-level trace diagnostics go to host 0's ring (one ring per
   // engine; per-host rings still capture their own host's records).
   if (cfg_.trace_capacity > 0) {
     eng_.set_trace(&nodes_.front()->host().trace());
   }
-  sched_ = std::make_unique<Scheduler>(*this, cfg_.policy, cfg_.seed,
-                                       cfg_.decide_period, cfg_.migration,
-                                       cfg_.burn_frac, cfg_.cooldown);
+  sched_ = std::make_unique<Scheduler>(*this, cfg_.policy, cfg_.seed);
 }
 
 Cluster::~Cluster() = default;
@@ -64,10 +51,10 @@ Collector& Cluster::collector(int host) {
 }
 
 CvmId Cluster::add_vm(int host, const hv::VmConfig& vm_cfg, bool irs_capable,
-                      guest::GuestConfig guest_cfg) {
+                      const guest::GuestConfig& guest_cfg) {
   assert(!started_);
   core::HostNode& n = node(host);
-  const hv::VmId id = n.add_vm(vm_cfg, irs_capable, std::move(guest_cfg));
+  const hv::VmId id = n.add_vm(vm_cfg, irs_capable, guest_cfg);
   sched_->note_fixed(host, vm_cfg.n_vcpus);
   fixed_per_host_[static_cast<std::size_t>(host)] += 1;
   ledger_.vms += 1;
@@ -144,13 +131,13 @@ void Cluster::migrate(int mig, int dst_host) {
   mv.last_moved = eng_.now();
 
   ledger_.migrations += 1;
-  ledger_.downtime_total += cfg_.migration.downtime;
+  ledger_.downtime_total += kMigrationDowntime;
   ledger_.hosts[static_cast<std::size_t>(src)].migr_out += 1;
   ledger_.hosts[static_cast<std::size_t>(dst_host)].migr_in += 1;
 
   const int dst = dst_host;
   eng_.schedule(
-      cfg_.migration.downtime,
+      kMigrationDowntime,
       [this, mig, dst]() {
         MigVm& m = migs_[static_cast<std::size_t>(mig)];
         m.in_transit = false;
@@ -162,7 +149,7 @@ void Cluster::migrate(int mig, int dst_host) {
         for (guest::Task* t : w.tasks()) {
           // Transient warmup: the first burst on the destination stretches
           // by the cache/working-set refill cost.
-          t->cache_debt += cfg_.migration.warmup_debt;
+          t->cache_debt += kMigrationWarmupDebt;
           k.wake_task(*t);
         }
       });

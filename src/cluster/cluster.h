@@ -13,9 +13,10 @@
 // and park off-CPU otherwise. Exactly one gate per logical VM is open at
 // any time. A migration at decision time t closes the source gate (tasks
 // park at the next burst boundary — the pre-copy brownout), flips the
-// assignment, and schedules the arrival at t + downtime: the destination
-// gate opens, every destination task is woken and charged `warmup_debt` of
-// cache_debt (stretching its first burst — the transient warmup penalty).
+// assignment, and schedules the arrival at t + kMigrationDowntime: the
+// destination gate opens, every destination task is woken and charged
+// kMigrationWarmupDebt of cache_debt (stretching its first burst — the
+// transient warmup penalty).
 // The ledger (obs::ClusterResult) counts placements, migrations per host,
 // downtime, and the collectors' observations; its conservation identities
 // are listed in src/obs/cluster_stats.h.
@@ -36,6 +37,14 @@
 
 namespace irs::cluster {
 
+/// Modeled blackout: the migrated VM executes on neither host for this
+/// long (source parks at the decision, destination resumes this much
+/// later).
+inline constexpr sim::Duration kMigrationDowntime = sim::milliseconds(20);
+/// Transient cache/warmup penalty: added to every migrated task's
+/// cache_debt, stretching its first burst on the destination.
+inline constexpr sim::Duration kMigrationWarmupDebt = sim::microseconds(500);
+
 /// Cluster-scoped VM identity: host-local VmIds repeat across hosts, so
 /// every cross-host API takes the pair.
 struct CvmId {
@@ -50,22 +59,11 @@ struct CvmId {
 struct ClusterConfig : core::WorldConfig {
   int n_hosts = 2;
   Policy policy = Policy::kIrs;
-  /// Collector sampling cadence (per host).
-  sim::Duration collect_period = sim::milliseconds(10);
-  /// Scheduler decision cadence (kIrs only).
-  sim::Duration decide_period = sim::milliseconds(30);
-  MigrationCost migration;
-  /// Fraction of a collector window the protected VM must spend stolen
-  /// before the kIrs loop evicts a co-tenant.
-  double burn_frac = 0.1;
-  /// Minimum spacing between migrations of one VM.
-  sim::Duration cooldown = sim::milliseconds(90);
 };
 
 class Cluster {
  public:
-  /// Throws std::invalid_argument when `n_hosts` < 1 or `collect_period`
-  /// or `decide_period` is not positive.
+  /// Throws std::invalid_argument when `n_hosts` < 1.
   explicit Cluster(ClusterConfig cfg);
   ~Cluster();
   Cluster(const Cluster&) = delete;
@@ -74,7 +72,7 @@ class Cluster {
   /// Add a fixed (non-migratable) VM on an explicit host — the foreground
   /// VM in fig_cluster. Same contract as HostNode::add_vm.
   CvmId add_vm(int host, const hv::VmConfig& vm_cfg, bool irs_capable,
-               guest::GuestConfig guest_cfg = {});
+               const guest::GuestConfig& guest_cfg = {});
 
   /// Attach a workload to a fixed VM.
   wl::Workload& attach(CvmId vm, std::unique_ptr<wl::Workload> w);

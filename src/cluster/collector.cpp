@@ -3,8 +3,8 @@
 namespace irs::cluster {
 
 Collector::Collector(sim::Engine& eng, core::HostNode& node,
-                     sim::Duration period, obs::ClusterHostLedger* ledger)
-    : eng_(eng), node_(node), period_(period), ledger_(ledger) {}
+                     obs::ClusterHostLedger* ledger)
+    : eng_(eng), node_(node), ledger_(ledger) {}
 
 void Collector::start() {
   const auto n = static_cast<std::size_t>(node_.host().n_vms());
@@ -13,7 +13,7 @@ void Collector::start() {
   // Baseline snapshot so the first window measures [t0, t0+period), not
   // [time origin, t0+period).
   for (std::size_t i = 0; i < n; ++i) prev_[i] = totals(static_cast<int>(i));
-  eng_.schedule(period_, [this]() { collect(); });
+  eng_.schedule(kCollectPeriod, [this]() { collect(); });
 }
 
 Collector::Totals Collector::totals(int vm_i) const {
@@ -55,7 +55,7 @@ void Collector::collect() {
     ledger_->lhp += static_cast<std::uint64_t>(host_lhp);
     ledger_->lwp += static_cast<std::uint64_t>(host_lwp);
   }
-  eng_.schedule(period_, [this]() { collect(); });
+  eng_.schedule(kCollectPeriod, [this]() { collect(); });
 }
 
 const Collector::VmSample& Collector::sample(hv::VmId vm) const {

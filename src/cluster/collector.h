@@ -17,6 +17,9 @@
 
 namespace irs::cluster {
 
+/// Sampling cadence (per host).
+inline constexpr sim::Duration kCollectPeriod = sim::milliseconds(10);
+
 class Collector {
  public:
   /// One VM's activity inside the latest completed sample window.
@@ -29,7 +32,7 @@ class Collector {
 
   /// `ledger` (owned by the cluster's ClusterResult) accumulates window
   /// deltas host-wide; must outlive the collector.
-  Collector(sim::Engine& eng, core::HostNode& node, sim::Duration period,
+  Collector(sim::Engine& eng, core::HostNode& node,
             obs::ClusterHostLedger* ledger);
 
   /// Arm the periodic sampling event. Call once, after node.start().
@@ -42,8 +45,6 @@ class Collector {
   /// Host-wide run delta of the latest window (the scheduler's load signal
   /// for destination choice).
   [[nodiscard]] sim::Duration host_run_delta() const;
-
-  [[nodiscard]] sim::Duration period() const { return period_; }
 
  private:
   struct Totals {
@@ -58,7 +59,6 @@ class Collector {
 
   sim::Engine& eng_;
   core::HostNode& node_;
-  sim::Duration period_;
   obs::ClusterHostLedger* ledger_;
   std::vector<Totals> prev_;
   std::vector<VmSample> latest_;

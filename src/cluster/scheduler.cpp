@@ -28,16 +28,10 @@ bool policy_from_name(std::string_view name, Policy* out) {
   return false;
 }
 
-Scheduler::Scheduler(Cluster& cluster, Policy policy, std::uint64_t seed,
-                     sim::Duration decide_period, MigrationCost cost,
-                     double burn_frac, sim::Duration cooldown)
+Scheduler::Scheduler(Cluster& cluster, Policy policy, std::uint64_t seed)
     : cluster_(cluster),
       policy_(policy),
       rng_(seed ^ 0xC1057E12ULL),
-      decide_period_(decide_period),
-      cost_(cost),
-      burn_frac_(burn_frac),
-      cooldown_(cooldown),
       placed_vcpus_(static_cast<std::size_t>(cluster.n_hosts()), 0) {}
 
 void Scheduler::note_fixed(int host, int n_vcpus) {
@@ -92,13 +86,13 @@ int Scheduler::place(int n_vcpus) {
 void Scheduler::start() {
   // The baselines are placement-only: no decision loop, no migrations.
   if (policy_ != Policy::kIrs) return;
-  cluster_.engine().schedule(decide_period_, [this]() { decide(); });
+  cluster_.engine().schedule(kDecidePeriod, [this]() { decide(); });
 }
 
 void Scheduler::decide() {
   Cluster& c = cluster_;
   c.ledger_.decisions += 1;
-  c.engine().schedule(decide_period_, [this]() { decide(); });
+  c.engine().schedule(kDecidePeriod, [this]() { decide(); });
   const CvmId prot = c.protected_vm();
   if (prot.host < 0 || c.n_hosts() < 2) return;
 
@@ -106,9 +100,8 @@ void Scheduler::decide() {
   // collector window over the burn threshold says yes.
   const Collector& pc = c.collector(prot.host);
   const Collector::VmSample& ps = pc.sample(prot.vm);
-  const auto threshold =
-      static_cast<sim::Duration>(static_cast<double>(pc.period()) *
-                                 burn_frac_);
+  const auto threshold = static_cast<sim::Duration>(
+      static_cast<double>(kCollectPeriod) * kBurnFrac);
   if (ps.steal_delta <= threshold) return;
 
   // Victim: the noisiest migratable co-tenant on the protected host —
@@ -121,7 +114,7 @@ void Scheduler::decide() {
   for (int m = 0; m < c.n_migratable(); ++m) {
     const Cluster::MigVm& mv = c.migs_[static_cast<std::size_t>(m)];
     if (mv.assigned != prot.host || mv.in_transit) continue;
-    if (mv.last_moved >= 0 && now - mv.last_moved < cooldown_) continue;
+    if (mv.last_moved >= 0 && now - mv.last_moved < kCooldown) continue;
     const Collector::VmSample& s =
         pc.sample(mv.replica[static_cast<std::size_t>(prot.host)]);
     const std::int64_t chatter = s.lhp_delta + s.lwp_delta;

@@ -35,25 +35,17 @@ enum class Policy : std::uint8_t { kRandom = 0, kFirstFit = 1, kIrs = 2 };
 /// unknown name, leaving *out untouched.
 bool policy_from_name(std::string_view name, Policy* out);
 
-struct MigrationCost {
-  /// Modeled blackout: the migrated VM executes on neither host for this
-  /// long (source parks at the decision, destination resumes this much
-  /// later).
-  sim::Duration downtime = sim::milliseconds(20);
-  /// Transient cache/warmup penalty: added to every migrated task's
-  /// cache_debt, stretching its first burst on the destination.
-  sim::Duration warmup_debt = sim::microseconds(500);
-};
+/// Decision cadence of the kIrs loop.
+inline constexpr sim::Duration kDecidePeriod = sim::milliseconds(30);
+/// Fraction of a collector window the protected VM must spend stolen
+/// before the kIrs loop evicts a co-tenant.
+inline constexpr double kBurnFrac = 0.1;
+/// Minimum spacing between migrations of one VM.
+inline constexpr sim::Duration kCooldown = sim::milliseconds(90);
 
 class Scheduler {
  public:
-  /// `decide_period` arms the kIrs decision loop (ignored by the static
-  /// baselines); `burn_frac` is the fraction of a collector window the
-  /// protected VM must spend stolen before an eviction triggers;
-  /// `cooldown` is the minimum spacing between moves of one VM.
-  Scheduler(Cluster& cluster, Policy policy, std::uint64_t seed,
-            sim::Duration decide_period, MigrationCost cost,
-            double burn_frac, sim::Duration cooldown);
+  Scheduler(Cluster& cluster, Policy policy, std::uint64_t seed);
 
   /// Admission placement for a VM with `n_vcpus` vCPUs; also records the
   /// load for subsequent placements. Called for migratable VMs.
@@ -65,7 +57,6 @@ class Scheduler {
   void start();
 
   [[nodiscard]] Policy policy() const { return policy_; }
-  [[nodiscard]] const MigrationCost& cost() const { return cost_; }
 
  private:
   void decide();
@@ -73,10 +64,6 @@ class Scheduler {
   Cluster& cluster_;
   Policy policy_;
   sim::Rng rng_;
-  sim::Duration decide_period_;
-  MigrationCost cost_;
-  double burn_frac_;
-  sim::Duration cooldown_;
   std::vector<int> placed_vcpus_;  // per host, for bin-packing/spread
 };
 

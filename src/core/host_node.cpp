@@ -70,24 +70,22 @@ wl::Workload& HostNode::workload(hv::VmId vm, std::size_t i) {
 }
 
 hv::VmId HostNode::add_vm(const hv::VmConfig& vm_cfg, bool irs_capable,
-                          guest::GuestConfig guest_cfg) {
+                          const guest::GuestConfig& guest_cfg) {
   assert(!started_);
   hv::Vm& vm = host_->add_vm(vm_cfg);
-  guest_cfg.irs_enabled = cfg_.strategy == Strategy::kIrs && irs_capable;
-  if (cfg_.strategy == Strategy::kIrsPull && irs_capable) {
-    guest_cfg.irs_pull = true;
-  }
+  guest::ParavirtRole role;
+  role.irs_enabled = cfg_.strategy == Strategy::kIrs && irs_capable;
+  role.irs_pull = cfg_.strategy == Strategy::kIrsPull && irs_capable;
   // Paravirtual lock hints apply to every guest under the delay-preemption
   // baseline (it is a guest-kernel feature, not per-VM opt-in).
-  if (cfg_.strategy == Strategy::kDelayPreempt) {
-    guest_cfg.paravirt_lock_hints = true;
-  }
+  role.paravirt_lock_hints = cfg_.strategy == Strategy::kDelayPreempt;
   Slot slot;
   slot.vm = &vm;
   hv::Host* host = host_.get();
   hv::Vm* vmp = &vm;
   slot.kernel = std::make_unique<guest::GuestKernel>(
-      eng_, guest_cfg, vm_cfg.n_vcpus, host_->hypercalls(vm), host_->trace(),
+      eng_, guest_cfg, role, vm_cfg.n_vcpus, host_->hypercalls(vm),
+      host_->trace(),
       [host, vmp](int cpu, bool spinning) {
         host->note_spinning(*vmp, cpu, spinning);
       },

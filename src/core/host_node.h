@@ -47,11 +47,14 @@ class HostNode {
   HostNode(const HostNode&) = delete;
   HostNode& operator=(const HostNode&) = delete;
 
-  /// Add a VM. `irs_capable` marks guests that register VIRQ_SA_UPCALL —
-  /// the foreground VM in the paper's setup; it only takes effect under
-  /// Strategy::kIrs. Returns the VM id (host-local).
+  /// Add a VM. `irs_capable` marks the guests IRS runs in — the
+  /// foreground VM in the paper's setup. The guest's paravirtual role
+  /// follows from it and the strategy alone: the SA receiver under
+  /// Strategy::kIrs and the pull path under kIrsPull on an IRS-capable
+  /// guest, and lock hints on every guest under kDelayPreempt. Returns the
+  /// VM id (host-local).
   hv::VmId add_vm(const hv::VmConfig& vm_cfg, bool irs_capable,
-                  guest::GuestConfig guest_cfg = {});
+                  const guest::GuestConfig& guest_cfg = {});
 
   /// Attach a workload to a VM (may be called multiple times per VM).
   wl::Workload& attach(hv::VmId vm, std::unique_ptr<wl::Workload> w);

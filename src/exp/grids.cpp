@@ -12,7 +12,7 @@ ScenarioConfig panel_cfg(const std::string& app, core::Strategy strategy,
                          int n_inter, const PanelOptions& o) {
   ScenarioConfig cfg;
   cfg.fg = app;
-  cfg.fg_threads = o.n_vcpus;
+  cfg.n_threads = o.n_vcpus;
   cfg.strategy = strategy;
   cfg.bg = o.bg;
   cfg.n_inter = n_inter;

@@ -25,24 +25,6 @@ std::vector<hv::PcpuId> identity_pins(int n) {
   return pins;
 }
 
-/// Foreground workload options shared by the single-host and cluster paths.
-wl::WorkloadOptions fg_options(const ScenarioConfig& cfg) {
-  wl::WorkloadOptions fg_opts;
-  fg_opts.n_threads = cfg.fg_threads;
-  fg_opts.npb_spinning = cfg.npb_spinning;
-  fg_opts.work_scale = cfg.work_scale;
-  fg_opts.server_duration = cfg.server_duration;
-  fg_opts.jbb_cs_len = cfg.jbb_cs_len;
-  fg_opts.jbb_cs_every = cfg.jbb_cs_every;
-  fg_opts.jbb_cs_spin = cfg.jbb_cs_spin;
-  fg_opts.fe_arrival = cfg.fe_arrival;
-  fg_opts.fe_rate_hz = cfg.fe_rate_hz;
-  fg_opts.fe_overload = cfg.fe_overload;
-  fg_opts.fe_queue_cap = cfg.fe_queue_cap;
-  fg_opts.fe_keepalive = cfg.fe_keepalive;
-  return fg_opts;
-}
-
 /// Checked in every build: throws std::invalid_argument naming `field`
 /// unless `ok`.
 template <typename T>
@@ -84,7 +66,7 @@ hv::VmConfig fg_vm(const ScenarioConfig& cfg) {
 wl::Serving* attach_fg(const ScenarioConfig& cfg, core::HostNode& node,
                        hv::VmId fg, bool spans) {
   wl::Serving* srv =
-      node.attach(fg, wl::make_workload(cfg.fg, fg_options(cfg))).serving();
+      node.attach(fg, wl::make_workload(cfg.fg, cfg)).serving();
   if (srv == nullptr) return nullptr;
   // Throughput divides by it; only servers read it.
   require(cfg.server_duration > 0, "server_duration", "> 0",
@@ -199,16 +181,15 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
       const hv::VmId bg = world.add_vm(bg_vm, /*irs_capable=*/false);
       wl::WorkloadOptions bg_opts;
       bg_opts.n_threads = cfg.n_inter;
-      bg_opts.endless = true;
       bg_opts.npb_spinning = cfg.npb_spinning;
-      world.attach(bg, wl::make_workload(cfg.bg, bg_opts));
+      world.attach(bg, wl::make_workload(cfg.bg, bg_opts, /*endless=*/true));
       bgs.push_back(bg);
     }
   }
 
   world.start();
   RunResult r;
-  r.finished = world.run_until_finished(fg, cfg.timeout);
+  r.finished = world.run_until_finished(fg, kRunTimeout);
   read_fg(world, fg, srv, &r);
   read_hosts({&world}, &r);
   if (!bgs.empty()) {
@@ -284,7 +265,7 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
 
   cl.start();
   RunResult r;
-  r.finished = cl.run_until_finished(fg, cfg.timeout);
+  r.finished = cl.run_until_finished(fg, kRunTimeout);
   // bg_progress_rate stays 0: hogs report no work units (same as the
   // single-host hog runs).
   read_fg(cl.node(0), fg.vm, srv, &r);
@@ -332,15 +313,13 @@ void set_block_digests(RunResult& r) {
 
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture) {
   // hv::Host rejects a zero pCPU or vCPU count. A foreground without
-  // threads would run to its timeout, a timeout of 0 or less would end the
-  // run before it starts, and a negative host count would quietly run one
-  // host.
+  // threads would run to its timeout, and a negative host count would
+  // quietly run one host.
   require(cfg.n_inter >= 0, "n_inter", ">= 0", cfg.n_inter);
   require(cfg.n_bg_vms >= 0, "n_bg_vms", ">= 0", cfg.n_bg_vms);
   require(cfg.cluster.n_hosts >= 0, "cluster.n_hosts", ">= 0",
           cfg.cluster.n_hosts);
-  require(cfg.fg_threads >= 1, "fg_threads", ">= 1", cfg.fg_threads);
-  require(cfg.timeout > 0, "timeout", "> 0", cfg.timeout);
+  require(cfg.n_threads >= 1, "n_threads", ">= 1", cfg.n_threads);
   require(std::isfinite(cfg.work_scale) && cfg.work_scale > 0, "work_scale",
           "finite and > 0", cfg.work_scale);
   RunResult r = cfg.cluster.n_hosts >= 2 ? run_cluster(cfg, capture)

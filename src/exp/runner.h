@@ -15,6 +15,7 @@
 #include "src/obs/forensics.h"
 #include "src/obs/frontend_stats.h"
 #include "src/obs/slo.h"
+#include "src/wl/registry.h"
 
 namespace irs::exp {
 
@@ -27,19 +28,24 @@ struct ClusterOptions {
   /// 0 or 1 = classic single-host run; >= 2 = cluster run.
   int n_hosts = 0;
   /// Placement policy name: "random", "firstfit", or "irs". Cadences and
-  /// the migration cost are cluster::ClusterConfig's defaults.
+  /// the migration cost are the cluster layer's constants.
   std::string policy = "irs";
 };
 
+/// How long a run may take in simulated time before run_scenario gives up
+/// on the foreground (RunResult::finished stays false).
+inline constexpr sim::Duration kRunTimeout = sim::seconds(150);
+
 /// One experimental condition (paper §5.1 "Experimental Settings"). The
 /// inherited core::WorldConfig is the shape of every host of the run
-/// (n_pcpus, hypervisor tunables such as the SA ack cap, strategy, seed,
-/// trace ring and sampler) plus the engine's queue backend, which must not
-/// change any result.
-struct ScenarioConfig : core::WorldConfig {
-  /// Foreground workload (PARSEC/NPB name, "specjbb", "ab").
+/// (n_pcpus, the hypervisor's SA ack cap, strategy, seed, trace ring and
+/// sampler) plus the engine's queue backend, which must not
+/// change any result. The inherited wl::WorkloadOptions are the foreground
+/// workload's: its thread count (n_threads), work scale, serving time, and
+/// the SPECjbb lock-contention and open-loop front-end knobs.
+struct ScenarioConfig : core::WorldConfig, wl::WorkloadOptions {
+  /// Foreground workload (PARSEC/NPB name, "specjbb", "ab", "frontend").
   std::string fg = "streamcluster";
-  int fg_threads = 4;  // matches n_vcpus in the paper
 
   /// Interference: "hog" or a real application name; empty = run alone.
   std::string bg = "hog";
@@ -53,34 +59,8 @@ struct ScenarioConfig : core::WorldConfig {
   /// Pinned topology (§5.1 "CPU pinning") vs. free placement (§5.6).
   bool pinned = true;
 
-  bool npb_spinning = true;  // OMP_WAIT_POLICY for NPB models
-  double work_scale = 1.0;
-  sim::Duration server_duration = sim::seconds(3);
-  sim::Duration timeout = sim::seconds(150);
-
-  /// SPECjbb lock-contention knobs (0 = the model's defaults): critical
-  /// section length and "every Nth transaction takes the lock". Cranking
-  /// these — and flipping `jbb_cs_spin` so the section takes a ticket
-  /// spinlock whose waiters burn CPU instead of yielding their vCPU —
-  /// makes lock-holder/waiter preemption the dominant interference
-  /// channel — how the forensics tests reproduce the paper's LHP story on
-  /// a small fixture.
-  sim::Duration jbb_cs_len = 0;
-  int jbb_cs_every = 0;
-  bool jbb_cs_spin = false;
-
-  /// Open-loop front-end knobs (fg == "frontend"; see src/wl/frontend.h):
-  /// arrival process ("poisson"/"mmpp"/"diurnal"), base rate (0 = model
-  /// default), overload policy ("drop"/"admit"/"shed"), accept-queue bound
-  /// (0 = model default), and connection keepalive.
-  std::string fe_arrival = "poisson";
-  double fe_rate_hz = 0.0;
-  std::string fe_overload = "drop";
-  int fe_queue_cap = 0;
-  bool fe_keepalive = true;
-
-  /// Guest kernel tunables for the foreground VM (ablation knobs; the IRS
-  /// enable flag is controlled by `strategy`, not here).
+  /// Guest kernel tunables for the foreground VM (ablation knobs; its
+  /// paravirtual role follows from `strategy`).
   guest::GuestConfig fg_guest{};
 
   /// Cluster topology (n_hosts >= 2 switches to the cluster runner).

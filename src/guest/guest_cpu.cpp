@@ -21,11 +21,11 @@ GuestCpu::GuestCpu(GuestKernel& kernel, int idx)
           [this]() {
             if (!vcpu_running_ && guest_idle()) kernel_.kick_if_blocked(idx_);
           }),
-      steal_(kernel.config().steal_avg_tau) {
+      steal_(kStealAvgTau) {
   softirq_.set_handler(SoftirqNr::kTimer, [this]() { timer_softirq(); });
   softirq_.set_handler(SoftirqNr::kUpcall, [this]() { upcall_softirq(); });
   // Stagger the first periodic balance so CPUs don't all balance at once.
-  next_balance_ = kernel_.config().balance_interval * (idx + 1);
+  next_balance_ = kBalanceInterval * (idx + 1);
 }
 
 double GuestCpu::load_score() const {
@@ -35,10 +35,9 @@ double GuestCpu::load_score() const {
 }
 
 sim::Duration GuestCpu::cfs_slice() const {
-  const auto& cfg = kernel_.config();
   const auto nr = std::max<std::size_t>(1, nr_running());
-  return std::max(cfg.sched_latency / static_cast<sim::Duration>(nr),
-                  cfg.min_granularity);
+  return std::max(kSchedLatency / static_cast<sim::Duration>(nr),
+                  kMinGranularity);
 }
 
 // ---------------------------------------------------------------------------
@@ -62,7 +61,7 @@ void GuestCpu::stop_exec() {
   }
   if (t.migrating_tag) {
     t.tag_runtime += delta;
-    if (t.tag_runtime >= kernel_.config().tag_ttl) t.migrating_tag = false;
+    if (t.tag_runtime >= kTagTtl) t.migrating_tag = false;
   }
   if (t.state() == TaskState::kSpinning) {
     t.stats.spin_time += delta;
@@ -266,8 +265,7 @@ bool GuestCpu::maybe_resched() {
   if (cand == nullptr) return false;
   Task& cur = *current_;
   if (!force) {
-    const auto& cfg = kernel_.config();
-    const bool beats = cand->vruntime + cfg.wakeup_granularity < cur.vruntime;
+    const bool beats = cand->vruntime + kWakeupGranularity < cur.vruntime;
     if (!beats) return false;
   }
   stop_exec();
@@ -354,7 +352,7 @@ void GuestCpu::install(Task* next, bool resume) {
   next->set_state(next->spin_waiting != nullptr ? TaskState::kSpinning
                                                 : TaskState::kRunning);
   next->slice_used = 0;
-  pending_overhead_ += kernel_.config().ctx_switch_cost;
+  pending_overhead_ += kCtxSwitchCost;
   ++kernel_.stats().guest_ctx_switches;
   if (resume) resume_current();
 }
@@ -377,7 +375,7 @@ void GuestCpu::pick_next_or_idle() {
   if (vcpu_running_ && kernel_.migrator().backlog() > 0) {
     if (!resched_evt_.pending()) {
       resched_evt_ = kernel_.engine().schedule(
-          2 * kernel_.config().migrator_cost,
+          2 * kMigratorCost,
           [this]() {
             if (vcpu_running_ && current_ == nullptr) pick_next_or_idle();
           });
@@ -391,13 +389,12 @@ void GuestCpu::pick_next_or_idle() {
 
 void GuestCpu::enqueue_ready(Task& t, bool wake_preempt,
                              bool normalize_vruntime) {
-  const auto& cfg = kernel_.config();
   t.set_state(TaskState::kReady);
   t.set_cpu(idx_);
   // Wake-up vruntime normalisation: sleepers re-enter slightly behind the
   // queue head so they get scheduled soon but cannot monopolise.
   if (normalize_vruntime) {
-    t.vruntime = std::max(t.vruntime, rq_.min_vruntime() - cfg.sched_latency);
+    t.vruntime = std::max(t.vruntime, rq_.min_vruntime() - kSchedLatency);
   }
   rq_.enqueue(t);
   if (current_ == nullptr) {
@@ -417,11 +414,9 @@ void GuestCpu::enqueue_ready(Task& t, bool wake_preempt,
     return;
   }
   if (!wake_preempt) return;
-  const bool tag_preempt = (cfg.irs_enabled || cfg.irs_pull) &&
-                           cfg.irs_wakeup_fix && current_->migrating_tag;
+  const bool tag_preempt = kernel_.wakeup_fix() && current_->migrating_tag;
   if (tag_preempt) ++kernel_.stats().tag_preemptions;
-  const bool beats =
-      t.vruntime + cfg.wakeup_granularity < current_->vruntime;
+  const bool beats = t.vruntime + kWakeupGranularity < current_->vruntime;
   if (tag_preempt || beats) request_resched(tag_preempt);
 }
 
@@ -475,7 +470,7 @@ void GuestCpu::arm_idle_housekeeping() {
 // Timer tick
 // ---------------------------------------------------------------------------
 
-void GuestCpu::arm_tick() { tick_timer_.arm(kernel_.config().tick_period); }
+void GuestCpu::arm_tick() { tick_timer_.arm(kTickPeriod); }
 
 void GuestCpu::on_tick() {
   if (!vcpu_running_) return;
@@ -503,7 +498,7 @@ void GuestCpu::timer_softirq() {
     }
   }
   if (now >= next_balance_) {
-    next_balance_ = now + kernel_.config().balance_interval;
+    next_balance_ = now + kBalanceInterval;
     kernel_.balancer().periodic(*this);
   }
 }

@@ -19,6 +19,24 @@ namespace irs::guest {
 
 class GuestKernel;
 
+/// Linux 3.18 CFS, as the paper's guests ran it (CONFIG_HZ=250).
+inline constexpr sim::Duration kTickPeriod = sim::milliseconds(4);
+inline constexpr sim::Duration kSchedLatency = sim::milliseconds(6);
+inline constexpr sim::Duration kMinGranularity = sim::microseconds(750);
+inline constexpr sim::Duration kWakeupGranularity = sim::microseconds(1000);
+inline constexpr sim::Duration kCtxSwitchCost = sim::microseconds(2);
+/// Period of the per-CPU periodic (push) load balancer.
+inline constexpr sim::Duration kBalanceInterval = sim::milliseconds(16);
+/// Decay time constant of the per-CPU steal-fraction estimate feeding
+/// rt_avg.
+inline constexpr sim::Duration kStealAvgTau = sim::milliseconds(100);
+/// vIRQ handler + context switch cost charged while acknowledging an SA
+/// (paper §3.1 measures 20–26 us end to end; jittered at runtime).
+inline constexpr sim::Duration kSaHandlerCost = sim::microseconds(20);
+/// A task stays "migrating"-tagged until the load balancer moves it back
+/// or it blocks; this cap on tagged CPU time is only a safety valve.
+inline constexpr sim::Duration kTagTtl = sim::milliseconds(100);
+
 /// Pending Fig-1b-style stop migration: move `victim` to `dst` once this
 /// CPU actually executes (requires the backing vCPU to hold a pCPU —
 /// which is exactly why migration latency explodes under contention).

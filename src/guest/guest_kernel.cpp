@@ -10,49 +10,24 @@
 
 namespace irs::guest {
 
-GuestKernel::GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
-                         hv::Hypercalls& hc, sim::Trace& trace,
+GuestKernel::GuestKernel(sim::Engine& eng, GuestConfig cfg, ParavirtRole role,
+                         int n_cpus, hv::Hypercalls& hc, sim::Trace& trace,
                          std::function<void(int, bool)> spin_signal,
                          std::function<void(int, bool)> lock_signal)
     : eng_(eng),
       cfg_(cfg),
+      role_(role),
       hc_(hc),
       spin_signal_(std::move(spin_signal)),
       lock_signal_(std::move(lock_signal)),
       trace_(trace) {
   assert(n_cpus > 0);
-  // Checked in every build: a tick or balance period that is not positive
-  // re-arms at the same instant forever, so the clock never moves; a CFS
-  // latency or granularity, a steal-average time constant or a tag cap
-  // that is not positive has no meaning. A cost, penalty or wakeup
-  // granularity may be 0 (none), and so may the idle poll period (off),
-  // but none may be negative.
-  const auto require = [](bool ok, const char* field, const char* want,
-                          sim::Duration got) {
-    if (ok) return;
-    throw std::invalid_argument(std::string("GuestKernel: GuestConfig.") +
-                                field + " must be " + want + " (got " +
-                                std::to_string(got) + ")");
-  };
-  const std::pair<sim::Duration, const char*> positive[] = {
-      {cfg_.tick_period, "tick_period"},
-      {cfg_.balance_interval, "balance_interval"},
-      {cfg_.sched_latency, "sched_latency"},
-      {cfg_.min_granularity, "min_granularity"},
-      {cfg_.steal_avg_tau, "steal_avg_tau"},
-      {cfg_.tag_ttl, "tag_ttl"},
-  };
-  for (const auto& [got, field] : positive) require(got > 0, field, "> 0", got);
-  const std::pair<sim::Duration, const char*> non_negative[] = {
-      {cfg_.wakeup_granularity, "wakeup_granularity"},
-      {cfg_.ctx_switch_cost, "ctx_switch_cost"},
-      {cfg_.idle_poll_period, "idle_poll_period"},
-      {cfg_.sa_handler_cost, "sa_handler_cost"},
-      {cfg_.migrator_cost, "migrator_cost"},
-      {cfg_.migration_cache_penalty, "migration_cache_penalty"},
-  };
-  for (const auto& [got, field] : non_negative) {
-    require(got >= 0, field, ">= 0", got);
+  // Checked in every build: the idle poll period may be 0 (off), never
+  // negative.
+  if (cfg_.idle_poll_period < 0) {
+    throw std::invalid_argument(
+        "GuestKernel: GuestConfig.idle_poll_period must be >= 0 (got " +
+        std::to_string(cfg_.idle_poll_period) + ")");
   }
   cpus_.reserve(static_cast<std::size_t>(n_cpus));
   for (int i = 0; i < n_cpus; ++i) {
@@ -175,8 +150,7 @@ int GuestKernel::select_task_rq(Task& t) {
   // 2) IRS wake-up fix (Fig. 4): if the previous CPU currently runs a task
   //    that was force-migrated there by IRS, wake in place and preempt it
   //    rather than ping-ponging away.
-  if ((cfg_.irs_enabled || cfg_.irs_pull) && cfg_.irs_wakeup_fix &&
-      pc.current() != nullptr && pc.current()->migrating_tag) {
+  if (wakeup_fix() && pc.current() != nullptr && pc.current()->migrating_tag) {
     return prev;
   }
   // 3) select_idle_sibling: first guest-idle CPU, scanning from prev+1.
@@ -263,7 +237,7 @@ bool GuestKernel::any_cpu_executing() const {
 
 sim::Duration GuestKernel::migration_penalty() const {
   const double p =
-      static_cast<double>(cfg_.migration_cache_penalty) * memory_intensity_;
+      static_cast<double>(kMigrationCachePenalty) * memory_intensity_;
   return static_cast<sim::Duration>(p);
 }
 
@@ -276,7 +250,7 @@ void GuestKernel::signal_spin(int c, bool spinning) {
 }
 
 void GuestKernel::signal_lock_hint(int c, bool holds_lock) {
-  if (cfg_.paravirt_lock_hints && lock_signal_) lock_signal_(c, holds_lock);
+  if (role_.paravirt_lock_hints && lock_signal_) lock_signal_(c, holds_lock);
 }
 
 }  // namespace irs::guest

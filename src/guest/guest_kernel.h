@@ -24,6 +24,10 @@
 
 namespace irs::guest {
 
+/// Base cache-refill penalty charged to a task's next compute burst after
+/// a cross-CPU migration; workloads scale it by their memory intensity.
+inline constexpr sim::Duration kMigrationCachePenalty = sim::microseconds(60);
+
 /// Guest-wide counters, owned by the kernel and bumped by the component
 /// that sees the event (GuestCpu, the SA receiver and context switcher,
 /// the load balancer, the migrator).
@@ -49,9 +53,9 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   /// activity to the host (consumed by the PLE monitor);
   /// `lock_signal(cpu, holds)` reports paravirtual lock hints
   /// (delay-preemption baseline). Either may be empty. Throws
-  /// std::invalid_argument when `cfg.tick_period` is not positive.
-  GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
-              hv::Hypercalls& hc, sim::Trace& trace,
+  /// std::invalid_argument when `cfg.idle_poll_period` is negative.
+  GuestKernel(sim::Engine& eng, GuestConfig cfg, ParavirtRole role,
+              int n_cpus, hv::Hypercalls& hc, sim::Trace& trace,
               std::function<void(int, bool)> spin_signal = {},
               std::function<void(int, bool)> lock_signal = {});
   ~GuestKernel() override;
@@ -71,7 +75,7 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   void vcpu_stopped(int vcpu, hv::StopReason reason) override;
   void deliver_virq(int vcpu, hv::Virq irq) override;
   [[nodiscard]] bool sa_registered() const override {
-    return cfg_.irs_enabled;
+    return role_.irs_enabled;
   }
   [[nodiscard]] hv::PreemptClass classify_preemption(int vcpu) const override;
 
@@ -117,6 +121,12 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
     return *cpus_.at(static_cast<std::size_t>(i));
   }
   [[nodiscard]] const GuestConfig& config() const { return cfg_; }
+  [[nodiscard]] const ParavirtRole& role() const { return role_; }
+  /// The Fig. 4 wake-up fix applies: an IRS role tags the tasks it
+  /// migrates, and the ablation knob leaves the fix on.
+  [[nodiscard]] bool wakeup_fix() const {
+    return (role_.irs_enabled || role_.irs_pull) && cfg_.irs_wakeup_fix;
+  }
   [[nodiscard]] sim::Engine& engine() { return eng_; }
   [[nodiscard]] hv::Hypercalls& hypercalls() { return hc_; }
   [[nodiscard]] Migrator& migrator() { return *migrator_; }
@@ -155,6 +165,7 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
  private:
   sim::Engine& eng_;
   GuestConfig cfg_;
+  ParavirtRole role_;
   hv::Hypercalls& hc_;
   std::function<void(int, bool)> spin_signal_;
   std::function<void(int, bool)> lock_signal_;

@@ -82,8 +82,7 @@ bool LoadBalancer::newidle(GuestCpu& me) {
   // Paper §6 extension: an idle CPU may pull the CURRENT task off a
   // sibling vCPU the hypervisor has preempted — "migrating a running task
   // from a preempted vCPU", which vanilla kernels cannot express.
-  const auto& cfg = kernel_.config();
-  if (cfg.irs_pull) {
+  if (kernel_.role().irs_pull) {
     for (int c = 0; c < kernel_.n_cpus(); ++c) {
       GuestCpu& peer = kernel_.cpu(c);
       if (&peer == &me || peer.current() == nullptr || peer.vcpu_running()) {

@@ -23,7 +23,7 @@ void Migrator::pump() {
   // executing (though not the source one — paper §4.2).
   if (!kernel_.any_cpu_executing()) return;
   busy_ = true;
-  eng_.schedule(kernel_.config().migrator_cost, [this]() { execute(); });
+  eng_.schedule(kMigratorCost, [this]() { execute(); });
 }
 
 int Migrator::pick_target(int src_cpu) const {

@@ -14,8 +14,7 @@ void GuestCpu::on_sa_upcall() {
   if (!vcpu_running_) return;  // raced with a forced preemption
   ++kernel_.stats().sa_received;
   softirq_.raise(SoftirqNr::kUpcall);
-  const sim::Duration cost =
-      kernel_.cost_rng().jittered(kernel_.config().sa_handler_cost, 0.15);
+  const sim::Duration cost = kernel_.cost_rng().jittered(kSaHandlerCost, 0.15);
   sa_bh_timer_ = kernel_.engine().schedule(
       cost,
       [this]() {

@@ -1,4 +1,4 @@
-// Shared types and tunables for the guest-kernel substrate.
+// Shared types, constants and tunables for the guest-kernel substrate.
 //
 // The guest model follows Linux 3.18-era CFS: per-CPU runqueues ordered by
 // vruntime, a 250 Hz tick, wake-up preemption, and push/pull/wake-up load
@@ -38,36 +38,30 @@ enum class MigratorPolicy : std::uint8_t {
   kFirstRunning,         // naive: first sibling the hypervisor says runs
 };
 
-/// Guest-kernel tunables (defaults model Linux 3.18 CFS + the paper's
-/// measured IRS costs).
+/// Delay before the asynchronously woken migrator performs a migration.
+inline constexpr sim::Duration kMigratorCost = sim::microseconds(4);
+
+/// Guest-kernel tunables: the three IRS design choices the ablations vary.
+/// Every other CFS parameter and IRS cost is a constant beside the
+/// component that reads it (DESIGN §5.1 lists them).
 struct GuestConfig {
-  sim::Duration tick_period = sim::milliseconds(4);  // CONFIG_HZ=250
-  sim::Duration sched_latency = sim::milliseconds(6);
-  sim::Duration min_granularity = sim::microseconds(750);
-  sim::Duration wakeup_granularity = sim::microseconds(1000);
-  sim::Duration ctx_switch_cost = sim::microseconds(2);
-  /// Period of the per-CPU periodic (push) load balancer.
-  sim::Duration balance_interval = sim::milliseconds(16);
-  /// Decay time constant of the per-CPU steal-fraction estimate feeding
-  /// rt_avg.
-  sim::Duration steal_avg_tau = sim::milliseconds(100);
   /// Idle housekeeping period: a blocked (idle) vCPU wakes this often for
   /// residual timers/RCU work and runs a new-idle balance before blocking
   /// again — this is how work drifts back onto a vCPU that went idle.
   /// 0 disables (full tickless idle).
   sim::Duration idle_poll_period = sim::milliseconds(10);
-
-  // --- IRS guest half ---
-  bool irs_enabled = false;
-  /// vIRQ handler + context switch cost charged while acknowledging an SA
-  /// (paper §3.1 measures 20–26 us end to end; jittered at runtime).
-  sim::Duration sa_handler_cost = sim::microseconds(20);
-  /// Delay before the asynchronously woken migrator performs a migration.
-  sim::Duration migrator_cost = sim::microseconds(4);
   MigratorPolicy migrator_policy = MigratorPolicy::kIdleThenLeastLoaded;
   /// Fix of Fig. 4: a waking task preempts a tagged (IRS-migrated) task on
   /// its old CPU instead of being bounced to another CPU.
   bool irs_wakeup_fix = true;
+};
+
+/// The guest's paravirtual role. core::HostNode derives it from the host's
+/// strategy and whether the VM is IRS-capable; no caller sets it.
+struct ParavirtRole {
+  /// IRS guest half: the SA receiver, context switcher and migrator
+  /// (registers VIRQ_SA_UPCALL).
+  bool irs_enabled = false;
   /// Paper §6 extension ("the ideal migration should be pull-based"):
   /// an idle guest CPU may pull the *current* task off a sibling vCPU that
   /// the hypervisor has preempted — the "migrate a running task" mechanism
@@ -76,14 +70,6 @@ struct GuestConfig {
   /// Paravirtual lock hints (delay-preemption baseline): the guest tells
   /// the hypervisor whenever the current task holds a lock.
   bool paravirt_lock_hints = false;
-  /// A task stays "migrating"-tagged until the load balancer moves it back
-  /// or it blocks; this cap on tagged CPU time is only a safety valve.
-  sim::Duration tag_ttl = sim::milliseconds(100);
-
-  // --- locality model ---
-  /// Base cache-refill penalty charged to a task's next compute burst after
-  /// a cross-CPU migration; workloads scale it by their memory intensity.
-  sim::Duration migration_cache_penalty = sim::microseconds(60);
 };
 
 }  // namespace irs::guest

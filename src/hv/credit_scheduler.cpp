@@ -5,10 +5,9 @@
 
 namespace irs::hv {
 
-CreditScheduler::CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
-                                 std::vector<Pcpu>& pcpus,
+CreditScheduler::CreditScheduler(sim::Engine& eng, std::vector<Pcpu>& pcpus,
                                  std::vector<Vm*>& vms, sim::Trace& trace)
-    : eng_(eng), cfg_(cfg), pcpus_(pcpus), vms_(vms), trace_(trace) {
+    : eng_(eng), pcpus_(pcpus), vms_(vms), trace_(trace) {
   for (auto& p : pcpus_) {
     slice_timers_.emplace_back(eng_,
                                [this, pp = &p]() { request_resched(*pp); });
@@ -20,9 +19,9 @@ void CreditScheduler::start() {
     Pcpu* pp = &p;
     // Stagger nothing: ticks are per-pCPU but deterministic order by id.
     std::function<void()> tick = [this, pp]() { on_tick(*pp); };
-    p.tick_timer = eng_.schedule(cfg_.tick_period, tick);
+    p.tick_timer = eng_.schedule(kTickPeriod, tick);
   }
-  eng_.schedule(cfg_.accounting_period, [this]() { on_accounting(); });
+  eng_.schedule(kAccountingPeriod, [this]() { on_accounting(); });
 }
 
 void CreditScheduler::request_resched(Pcpu& p) {
@@ -192,13 +191,13 @@ void CreditScheduler::switch_to(Pcpu& p, Vcpu* next, bool stolen) {
   p.set_current(next);
   trace_.record(eng_.now(), sim::TraceKind::kHvSchedule, next->id(), p.id(),
                stolen ? "steal" : "");
-  slice_timer(p).arm(cfg_.time_slice);
+  slice_timer(p).arm(kTimeSlice);
   // Deliver vcpu_started after the world-switch cost.
   next->start_notice.cancel();
   next->guest_active = false;
   Vcpu* nv = next;
   next->start_notice = eng_.schedule(
-      cfg_.vcpu_switch_cost,
+      kVcpuSwitchCost,
       [nv]() {
         nv->guest_active = true;
         if (nv->vm().has_guest()) nv->vm().guest().vcpu_started(nv->idx());
@@ -234,8 +233,7 @@ void CreditScheduler::do_schedule(Pcpu& p) {
     // Inside an SA grace window the vCPU keeps the pCPU until the guest
     // acknowledges (or the hard cap fires); never re-preempt here.
     if (cur->sa_pending()) return;
-    const bool slice_expired =
-        eng_.now() - cur->slice_start >= cfg_.time_slice;
+    const bool slice_expired = eng_.now() - cur->slice_start >= kTimeSlice;
     Vcpu* best = p.peek_best();
     const bool boosted_waiter = best != nullptr && prio_better(*best, *cur);
     const bool rotate =
@@ -244,7 +242,7 @@ void CreditScheduler::do_schedule(Pcpu& p) {
       if (slice_expired) {
         // Nobody eligible to take over: renew the slice in place.
         cur->slice_start = eng_.now();
-        slice_timer(p).arm(cfg_.time_slice);
+        slice_timer(p).arm(kTimeSlice);
       }
       return;
     }
@@ -255,7 +253,7 @@ void CreditScheduler::do_schedule(Pcpu& p) {
   }
   Vcpu* next = p.pop_best();
   bool stolen = false;
-  if (next == nullptr && cfg_.work_stealing) {
+  if (next == nullptr && kWorkStealing) {
     next = steal_for(p);
     stolen = next != nullptr;
   }
@@ -266,24 +264,23 @@ void CreditScheduler::on_tick(Pcpu& p) {
   p.sample_util(eng_.now());
   Vcpu* cur = p.current();
   if (cur != nullptr) {
-    cur->add_credits(-cfg_.credits_per_tick, cfg_.credit_cap);
+    cur->add_credits(-kCreditsPerTick, kCreditCap);
     // Ticks degrade BOOST back to a credit-derived priority.
     cur->refresh_prio();
     Vcpu* best = p.peek_best();
     if (best != nullptr && prio_better(*best, *cur)) request_resched(p);
-  } else if (p.queue_len() > 0 || cfg_.work_stealing) {
+  } else if (p.queue_len() > 0 || kWorkStealing) {
     // Idle pCPU with queued/stealable work (can happen transiently).
     request_resched(p);
   }
   p.tick_timer =
-      eng_.schedule(cfg_.tick_period, [this, pp = &p]() { on_tick(*pp); });
+      eng_.schedule(kTickPeriod, [this, pp = &p]() { on_tick(*pp); });
 }
 
 void CreditScheduler::on_accounting() {
   // Total credits minted per accounting period across the host.
-  const std::int64_t ticks_per_period =
-      cfg_.accounting_period / cfg_.tick_period;
-  const std::int64_t total = ticks_per_period * cfg_.credits_per_tick *
+  const std::int64_t ticks_per_period = kAccountingPeriod / kTickPeriod;
+  const std::int64_t total = ticks_per_period * kCreditsPerTick *
                              static_cast<std::int64_t>(pcpus_.size());
 
   // A VM is active if any of its vCPUs is not blocked.
@@ -308,7 +305,7 @@ void CreditScheduler::on_accounting() {
       const std::int64_t share = total * vm->weight() / total_weight;
       const std::int32_t per_vcpu = static_cast<std::int32_t>(
           share / static_cast<std::int64_t>(vm->n_vcpus()));
-      for (Vcpu* v : vm->vcpus()) v->add_credits(per_vcpu, cfg_.credit_cap);
+      for (Vcpu* v : vm->vcpus()) v->add_credits(per_vcpu, kCreditCap);
     }
   }
   // Refresh priorities (clears BOOST) and re-sort queues accordingly.
@@ -317,7 +314,7 @@ void CreditScheduler::on_accounting() {
   }
   rebuild_queues();
   for (auto& p : pcpus_) request_resched(p);
-  eng_.schedule(cfg_.accounting_period, [this]() { on_accounting(); });
+  eng_.schedule(kAccountingPeriod, [this]() { on_accounting(); });
 }
 
 void CreditScheduler::rebuild_queues() {

@@ -24,6 +24,19 @@
 
 namespace irs::hv {
 
+/// credit1's parameters (Xen 4.5), which the paper runs unchanged; the
+/// accounting period is kAccountingPeriod in types.h.
+inline constexpr sim::Duration kTimeSlice = sim::milliseconds(30);
+inline constexpr sim::Duration kTickPeriod = sim::milliseconds(10);
+/// Credits debited from the running vCPU per tick (credit1 uses 100).
+inline constexpr std::int32_t kCreditsPerTick = 100;
+/// Credit clamp (credit1 caps at one accounting period's worth per pCPU).
+inline constexpr std::int32_t kCreditCap = 300;
+/// Cost of a hypervisor-level vCPU context switch (world switch).
+inline constexpr sim::Duration kVcpuSwitchCost = sim::microseconds(3);
+/// Whether idle pCPUs steal runnable vCPUs from busy peers (credit1 does).
+inline constexpr bool kWorkStealing = true;
+
 /// Installed by the IRS SA sender. Called when the scheduler is about to
 /// involuntarily preempt `cur`; returning true defers the preemption (the
 /// hook is then responsible for eventually completing it via the guest's
@@ -63,9 +76,8 @@ struct StrategyStats {
 
 class CreditScheduler {
  public:
-  CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
-                  std::vector<Pcpu>& pcpus, std::vector<Vm*>& vms,
-                  sim::Trace& trace);
+  CreditScheduler(sim::Engine& eng, std::vector<Pcpu>& pcpus,
+                  std::vector<Vm*>& vms, sim::Trace& trace);
 
   /// Arm the periodic tick and accounting timers. Call once.
   void start();
@@ -126,7 +138,6 @@ class CreditScheduler {
   }
 
   sim::Engine& eng_;
-  const HvConfig& cfg_;
   std::vector<Pcpu>& pcpus_;
   std::vector<Vm*>& vms_;
   sim::Trace& trace_;

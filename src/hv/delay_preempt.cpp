@@ -4,10 +4,9 @@
 
 namespace irs::hv {
 
-DelayPreemptHook::DelayPreemptHook(sim::Engine& eng, const HvConfig& cfg,
-                                   CreditScheduler& sched,
+DelayPreemptHook::DelayPreemptHook(sim::Engine& eng, CreditScheduler& sched,
                                    StrategyStats& stats)
-    : eng_(eng), cfg_(cfg), sched_(sched), stats_(stats) {}
+    : eng_(eng), sched_(sched), stats_(stats) {}
 
 bool DelayPreemptHook::delay_preemption(Vcpu& cur) {
   if (cur.state() != VcpuState::kRunning) return false;
@@ -20,7 +19,7 @@ bool DelayPreemptHook::delay_preemption(Vcpu& cur) {
   ++stats_.delay_grants;
   Vcpu* v = &cur;
   cur.sa_cap_timer =
-      eng_.schedule(cfg_.delay_preempt_cap, [this, v]() { expire(*v); });
+      eng_.schedule(kDelayPreemptCap, [this, v]() { expire(*v); });
   return true;
 }
 

@@ -15,10 +15,13 @@
 
 namespace irs::hv {
 
+/// Upper bound on how long a lock-holding vCPU's preemption is deferred.
+inline constexpr sim::Duration kDelayPreemptCap = sim::microseconds(500);
+
 class DelayPreemptHook final : public PreemptHook {
  public:
-  DelayPreemptHook(sim::Engine& eng, const HvConfig& cfg,
-                   CreditScheduler& sched, StrategyStats& stats);
+  DelayPreemptHook(sim::Engine& eng, CreditScheduler& sched,
+                   StrategyStats& stats);
 
   /// PreemptHook: defer while the guest signals a held lock, up to the cap.
   bool delay_preemption(Vcpu& cur) override;
@@ -31,7 +34,6 @@ class DelayPreemptHook final : public PreemptHook {
   void expire(Vcpu& v);
 
   sim::Engine& eng_;
-  const HvConfig& cfg_;
   CreditScheduler& sched_;
   StrategyStats& stats_;
 };

@@ -1,9 +1,7 @@
 #include "src/hv/host.h"
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "src/hv/delay_preempt.h"
 #include "src/hv/event_channel.h"
@@ -40,55 +38,20 @@ class Host::VmHypercalls final : public Hypercalls {
   EventChannel& evtchn_;
 };
 
-namespace {
-
-/// Checked in every build: throws std::invalid_argument naming `field`
-/// unless `ok`.
-void require(bool ok, const char* field, const char* want, std::int64_t got) {
-  if (ok) return;
-  throw std::invalid_argument(std::string("Host: HvConfig.") + field +
-                              " must be " + want + " (got " +
-                              std::to_string(got) + ")");
-}
-
-}  // namespace
-
 Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
   // add_vm places unpinned vCPUs round-robin over the pCPUs.
   if (n_pcpus < 1) {
     throw std::invalid_argument("Host: n_pcpus must be >= 1 (got " +
                                 std::to_string(n_pcpus) + ")");
   }
-  // A period that is not positive re-arms its event at the same instant
-  // forever, so the clock never moves. A cap, window or threshold that is
-  // not positive quietly turns its strategy off (an SA ack cap or a
-  // Delay-Preempt cap of 0 runs Baseline), and a credit amount that is not
-  // positive inverts or stops the accounting. A cost may be 0 (none), never
-  // negative.
-  const std::pair<std::int64_t, const char*> positive[] = {
-      {cfg_.time_slice, "time_slice"},
-      {cfg_.tick_period, "tick_period"},
-      {cfg_.accounting_period, "accounting_period"},
-      {cfg_.credits_per_tick, "credits_per_tick"},
-      {cfg_.credit_cap, "credit_cap"},
-      {cfg_.sa_ack_cap, "sa_ack_cap"},
-      {cfg_.ple_window, "ple_window"},
-      {cfg_.delay_preempt_cap, "delay_preempt_cap"},
-      {cfg_.co_skew_threshold, "co_skew_threshold"},
-      {cfg_.co_stop_duration, "co_stop_duration"},
-  };
-  for (const auto& [got, field] : positive) require(got > 0, field, "> 0", got);
-  const std::pair<std::int64_t, const char*> non_negative[] = {
-      {cfg_.vcpu_switch_cost, "vcpu_switch_cost"},
-      {cfg_.ple_exit_cost, "ple_exit_cost"},
-  };
-  for (const auto& [got, field] : non_negative) {
-    require(got >= 0, field, ">= 0", got);
+  // An SA ack cap that is not positive quietly runs IRS as Baseline.
+  if (cfg_.sa_ack_cap <= 0) {
+    throw std::invalid_argument("Host: HvConfig.sa_ack_cap must be > 0 (got " +
+                                std::to_string(cfg_.sa_ack_cap) + ")");
   }
   pcpus_.reserve(static_cast<std::size_t>(n_pcpus));
   for (int i = 0; i < n_pcpus; ++i) pcpus_.emplace_back(i);
-  sched_ = std::make_unique<CreditScheduler>(eng_, cfg_, pcpus_, vms_,
-                                             trace_);
+  sched_ = std::make_unique<CreditScheduler>(eng_, pcpus_, vms_, trace_);
   evtchn_ = std::make_unique<EventChannel>(*sched_);
 }
 
@@ -96,12 +59,19 @@ Host::~Host() = default;
 
 Vm& Host::add_vm(const VmConfig& vm_cfg) {
   // Validated before any state changes, in every build: a VM without
-  // vCPUs divides by zero in the guest, and a pin past the last pCPU
-  // would index the scheduler's per-pCPU tables out of bounds.
+  // vCPUs divides by zero in the guest, a weight below credit1's floor of
+  // 1 mints no or negative credit and skews every fair share, and a pin
+  // past the last pCPU would index the scheduler's per-pCPU tables out of
+  // bounds.
   if (vm_cfg.n_vcpus < 1) {
     throw std::invalid_argument("VM '" + vm_cfg.name +
                                 "': n_vcpus must be >= 1 (got " +
                                 std::to_string(vm_cfg.n_vcpus) + ")");
+  }
+  if (vm_cfg.weight < 1) {
+    throw std::invalid_argument("VM '" + vm_cfg.name +
+                                "': weight must be >= 1 (got " +
+                                std::to_string(vm_cfg.weight) + ")");
   }
   if (!vm_cfg.pin_map.empty()) {
     if (vm_cfg.pin_map.size() < static_cast<std::size_t>(vm_cfg.n_vcpus)) {
@@ -153,20 +123,18 @@ void Host::enable_irs() {
 }
 
 void Host::enable_delay_preempt() {
-  delay_ = std::make_unique<DelayPreemptHook>(eng_, cfg_, *sched_, sstats_);
+  delay_ = std::make_unique<DelayPreemptHook>(eng_, *sched_, sstats_);
   sched_->set_preempt_hook(delay_.get());
 }
 
 void Host::enable_ple() {
-  ple_ = std::make_unique<PleMonitor>(eng_, cfg_, *sched_, pcpus_, sstats_,
-                                      trace_);
+  ple_ = std::make_unique<PleMonitor>(eng_, *sched_, pcpus_, sstats_, trace_);
   for (auto& p : pcpus_) p.set_ple(ple_.get());
 }
 
 void Host::enable_relaxed_co() {
-  relaxed_co_ = std::make_unique<RelaxedCoMonitor>(eng_, cfg_, *sched_,
-                                                   pcpus_, vms_, sstats_,
-                                                   trace_);
+  relaxed_co_ = std::make_unique<RelaxedCoMonitor>(eng_, *sched_, pcpus_,
+                                                   vms_, sstats_, trace_);
 }
 
 int Host::runnable_vcpus() const {

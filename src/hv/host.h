@@ -24,14 +24,16 @@ class EventChannel;
 
 class Host {
  public:
-  /// Throws std::invalid_argument when `n_pcpus` < 1 or a period of `cfg`
-  /// (time_slice, tick_period, accounting_period) is not positive.
+  /// Throws std::invalid_argument when `n_pcpus` < 1 or `cfg.sa_ack_cap` is
+  /// not positive.
   Host(sim::Engine& eng, HvConfig cfg, int n_pcpus);
   ~Host();
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
 
-  /// Create a VM and its vCPUs (pinned per cfg.pin_map if given).
+  /// Create a VM and its vCPUs (pinned per cfg.pin_map if given). Throws
+  /// std::invalid_argument when `cfg.n_vcpus` or `cfg.weight` is below 1
+  /// or a pin is out of range.
   Vm& add_vm(const VmConfig& cfg);
 
   /// Arm periodic timers. Call once after all VMs are added.
@@ -45,7 +47,6 @@ class Host {
 
   // --- accessors ---
   [[nodiscard]] sim::Engine& engine() { return eng_; }
-  [[nodiscard]] const HvConfig& config() const { return cfg_; }
   [[nodiscard]] int n_pcpus() const { return static_cast<int>(pcpus_.size()); }
   [[nodiscard]] Pcpu& pcpu(PcpuId id) { return pcpus_.at(id); }
   [[nodiscard]] int n_vms() const { return static_cast<int>(vms_.size()); }

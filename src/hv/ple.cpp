@@ -4,15 +4,10 @@
 
 namespace irs::hv {
 
-PleMonitor::PleMonitor(sim::Engine& eng, const HvConfig& cfg,
-                       CreditScheduler& sched, std::vector<Pcpu>& pcpus,
-                       StrategyStats& stats, sim::Trace& trace)
-    : eng_(eng),
-      cfg_(cfg),
-      sched_(sched),
-      pcpus_(pcpus),
-      stats_(stats),
-      trace_(trace) {}
+PleMonitor::PleMonitor(sim::Engine& eng, CreditScheduler& sched,
+                       std::vector<Pcpu>& pcpus, StrategyStats& stats,
+                       sim::Trace& trace)
+    : eng_(eng), sched_(sched), pcpus_(pcpus), stats_(stats), trace_(trace) {}
 
 void PleMonitor::on_spin_signal(Vcpu& v, bool spinning) {
   if (!spinning || v.state() != VcpuState::kRunning) {
@@ -22,13 +17,13 @@ void PleMonitor::on_spin_signal(Vcpu& v, bool spinning) {
   }
   // The window is already counting, polled or dormant.
   if (v.ple_timer.pending() || v.ple_dormant) return;
-  poll_at(v, eng_.now() + cfg_.ple_window);
+  poll_at(v, eng_.now() + kPleWindow);
 }
 
 void PleMonitor::wake(Vcpu& v) {
   if (!v.ple_dormant) return;
   v.ple_dormant = false;
-  const sim::Duration w = cfg_.ple_window;
+  const sim::Duration w = kPleWindow;
   poll_at(v, v.ple_anchor + ((eng_.now() - v.ple_anchor) / w + 1) * w);
 }
 
@@ -53,7 +48,7 @@ void PleMonitor::fire(Vcpu& v) {
   // Charge the VM-exit cost, then let the scheduler pick someone else.
   Vcpu* vp = &v;
   eng_.schedule(
-      cfg_.ple_exit_cost,
+      kPleExitCost,
       [this, vp]() {
         if (vp->state() == VcpuState::kRunning) sched_.force_preempt(*vp);
       });

@@ -3,17 +3,17 @@
 // Real PLE hardware counts PAUSE iterations inside a guest and forces a
 // VM-exit when a spin loop exceeds the PLE window; Xen's credit scheduler
 // then yields the spinning vCPU. We model the same observable behaviour:
-// when a vCPU's guest has been continuously spinning for `ple_window` while
+// when a vCPU's guest has been continuously spinning for kPleWindow while
 // the vCPU holds a pCPU, the vCPU is charged the exit cost and yielded —
 // but only if some other vCPU is waiting (yielding to nobody is pointless,
 // matching Xen's behaviour).
 //
-// The window is checked at boundaries ple_window apart, counted from the
+// The window is checked at boundaries kPleWindow apart, counted from the
 // spin signal. A boundary that finds nobody waiting leaves the watch
 // dormant instead of polling every window: it records the boundary as its
 // anchor, and queues nothing until the pCPU's runqueue grows or the vCPU
 // leaves Running (Pcpu's hook calls wake()). The poll then comes back at
-// the first anchor + k·ple_window strictly after now, the boundary the
+// the first anchor + k·kPleWindow strictly after now, the boundary the
 // polling chain would have fired at next.
 #pragma once
 
@@ -24,9 +24,14 @@
 
 namespace irs::hv {
 
+/// Continuous guest spin time that triggers a PLE VM-exit.
+inline constexpr sim::Duration kPleWindow = sim::microseconds(50);
+/// VM-exit + hypervisor handling overhead charged per PLE exit.
+inline constexpr sim::Duration kPleExitCost = sim::microseconds(5);
+
 class PleMonitor {
  public:
-  PleMonitor(sim::Engine& eng, const HvConfig& cfg, CreditScheduler& sched,
+  PleMonitor(sim::Engine& eng, CreditScheduler& sched,
              std::vector<Pcpu>& pcpus, StrategyStats& stats,
              sim::Trace& trace);
 
@@ -43,7 +48,6 @@ class PleMonitor {
   void fire(Vcpu& v);
 
   sim::Engine& eng_;
-  const HvConfig& cfg_;
   CreditScheduler& sched_;
   std::vector<Pcpu>& pcpus_;
   StrategyStats& stats_;

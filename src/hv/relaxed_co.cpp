@@ -6,14 +6,11 @@
 
 namespace irs::hv {
 
-RelaxedCoMonitor::RelaxedCoMonitor(sim::Engine& eng, const HvConfig& cfg,
-                                   CreditScheduler& sched,
+RelaxedCoMonitor::RelaxedCoMonitor(sim::Engine& eng, CreditScheduler& sched,
                                    std::vector<Pcpu>& pcpus,
-                                   std::vector<Vm*>& vms,
-                                   StrategyStats& stats,
+                                   std::vector<Vm*>& vms, StrategyStats& stats,
                                    sim::Trace& trace)
     : eng_(eng),
-      cfg_(cfg),
       sched_(sched),
       pcpus_(pcpus),
       vms_(vms),
@@ -21,7 +18,7 @@ RelaxedCoMonitor::RelaxedCoMonitor(sim::Engine& eng, const HvConfig& cfg,
       trace_(trace) {}
 
 void RelaxedCoMonitor::start() {
-  eng_.schedule(cfg_.accounting_period, [this]() { on_period(); });
+  eng_.schedule(kAccountingPeriod, [this]() { on_period(); });
 }
 
 void RelaxedCoMonitor::on_period() {
@@ -40,7 +37,7 @@ void RelaxedCoMonitor::on_period() {
   for (Vm* vm : vms_) {
     if (vm->n_vcpus() > 1) check_vm(*vm);
   }
-  eng_.schedule(cfg_.accounting_period, [this]() { on_period(); });
+  eng_.schedule(kAccountingPeriod, [this]() { on_period(); });
 }
 
 void RelaxedCoMonitor::check_vm(Vm& vm) {
@@ -74,7 +71,7 @@ void RelaxedCoMonitor::check_vm(Vm& vm) {
     }
   }
   if (leader == nullptr || laggard == nullptr || leader == laggard) return;
-  if (lead_prog - lag_prog <= cfg_.co_skew_threshold) return;
+  if (lead_prog - lag_prog <= kCoSkewThreshold) return;
 
   ++stats_.co_stops;
   trace_.record(now, sim::TraceKind::kCoStop, leader->id(), laggard->id());
@@ -89,7 +86,7 @@ void RelaxedCoMonitor::check_vm(Vm& vm) {
   // guests for dozens of phases.
   Vcpu* lead = leader;
   eng_.schedule(
-      cfg_.co_stop_duration,
+      kCoStopDuration,
       [this, lead]() {
         if (!lead->co_stopped) return;
         lead->co_stopped = false;

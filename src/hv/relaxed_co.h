@@ -19,12 +19,19 @@
 
 namespace irs::hv {
 
+/// Skew threshold beyond which the leading vCPU is stopped.
+inline constexpr sim::Duration kCoSkewThreshold = sim::milliseconds(15);
+/// How long a leading vCPU stays stopped — long enough for the boosted
+/// laggard to close the skew, well short of a full accounting period
+/// (ESX re-evaluates continuously rather than stopping for whole
+/// periods).
+inline constexpr sim::Duration kCoStopDuration = sim::milliseconds(8);
+
 class RelaxedCoMonitor {
  public:
-  RelaxedCoMonitor(sim::Engine& eng, const HvConfig& cfg,
-                   CreditScheduler& sched, std::vector<Pcpu>& pcpus,
-                   std::vector<Vm*>& vms, StrategyStats& stats,
-                   sim::Trace& trace);
+  RelaxedCoMonitor(sim::Engine& eng, CreditScheduler& sched,
+                   std::vector<Pcpu>& pcpus, std::vector<Vm*>& vms,
+                   StrategyStats& stats, sim::Trace& trace);
 
   /// Arm the periodic skew check. Call once.
   void start();
@@ -34,7 +41,6 @@ class RelaxedCoMonitor {
   void check_vm(Vm& vm);
 
   sim::Engine& eng_;
-  const HvConfig& cfg_;
   CreditScheduler& sched_;
   std::vector<Pcpu>& pcpus_;
   std::vector<Vm*>& vms_;

@@ -1,4 +1,5 @@
-// Core identifier types and tunables for the hypervisor substrate.
+// Core identifier types, constants and the tunable for the hypervisor
+// substrate.
 //
 // The hypervisor model follows Xen's credit scheduler (credit1) as described
 // in the IRS paper: 30 ms time slices, 10 ms ticks, 30 ms credit accounting,
@@ -43,48 +44,19 @@ enum class Virq : std::uint8_t {
   kSaUpcall,  // VIRQ_SA_UPCALL — the IRS scheduler-activation notification
 };
 
-/// Hypervisor tunables. Defaults mirror Xen 4.5 credit1 and the paper's
-/// measured IRS costs.
+/// Credit accounting period: credits are minted weight-proportionally
+/// this often (credit1's 30 ms). The relaxed co-scheduling monitor
+/// re-evaluates skew on the same cadence.
+inline constexpr sim::Duration kAccountingPeriod = sim::milliseconds(30);
+
+/// The hypervisor's one tunable. Every other credit1 parameter and every
+/// strategy cost or window is a constant beside the component that reads
+/// it (DESIGN §5.1 lists them).
 struct HvConfig {
-  sim::Duration time_slice = sim::milliseconds(30);
-  sim::Duration tick_period = sim::milliseconds(10);
-  sim::Duration accounting_period = sim::milliseconds(30);
-
-  /// Credits debited from the running vCPU per tick (credit1 uses 100).
-  std::int32_t credits_per_tick = 100;
-  /// Credit clamp (credit1 caps at one accounting period's worth per pCPU).
-  std::int32_t credit_cap = 300;
-
-  /// Cost of a hypervisor-level vCPU context switch (world switch).
-  sim::Duration vcpu_switch_cost = sim::microseconds(3);
-
-  /// Whether idle pCPUs steal runnable vCPUs from busy peers (credit1 does;
-  /// disabled automatically when every vCPU is pinned to one pCPU).
-  bool work_stealing = true;
-
-  /// --- IRS scheduler-activation knobs (hypervisor half, §3.1/§4.1) ---
+  /// --- IRS scheduler-activation knob (hypervisor half, §3.1/§4.1) ---
   /// Hard cap on how long a preemption may be delayed waiting for the guest
   /// to acknowledge an SA (defends against rogue guests).
   sim::Duration sa_ack_cap = sim::microseconds(100);
-
-  /// --- PLE (pause-loop exiting) knobs ---
-  /// Continuous guest spin time that triggers a PLE VM-exit.
-  sim::Duration ple_window = sim::microseconds(50);
-  /// VM-exit + hypervisor handling overhead charged per PLE exit.
-  sim::Duration ple_exit_cost = sim::microseconds(5);
-
-  /// --- Delay-preemption baseline (Uhlig et al., paper §2.2) ---
-  /// Upper bound on how long a lock-holding vCPU's preemption is deferred.
-  sim::Duration delay_preempt_cap = sim::microseconds(500);
-
-  /// --- Relaxed co-scheduling knobs (§5.1 "Relaxed-Co") ---
-  /// Skew threshold beyond which the leading vCPU is stopped.
-  sim::Duration co_skew_threshold = sim::milliseconds(15);
-  /// How long a leading vCPU stays stopped — long enough for the boosted
-  /// laggard to close the skew, well short of a full accounting period
-  /// (ESX re-evaluates continuously rather than stopping for whole
-  /// periods).
-  sim::Duration co_stop_duration = sim::milliseconds(8);
 };
 
 }  // namespace irs::hv

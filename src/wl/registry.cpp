@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "src/wl/frontend.h"
 #include "src/wl/hog.h"
@@ -30,6 +31,17 @@ AppSpec scaled(AppSpec s, double scale) {
   return s;
 }
 
+/// Throws std::invalid_argument naming `field` when `v` is negative (0
+/// means the model's default).
+template <typename T>
+void require_non_negative(T v, const char* field) {
+  if (v < 0) {
+    throw std::invalid_argument(std::string("make_workload: ") + field +
+                                " must be >= 0 (got " + std::to_string(v) +
+                                ")");
+  }
+}
+
 }  // namespace
 
 bool workload_exists(const std::string& name) {
@@ -38,18 +50,20 @@ bool workload_exists(const std::string& name) {
 }
 
 std::unique_ptr<Workload> make_workload(const std::string& name,
-                                        const WorkloadOptions& opts) {
+                                        const WorkloadOptions& opts,
+                                        bool endless) {
   if (is_parsec(name)) {
     return std::make_unique<ParallelWorkload>(
-        scaled(parsec_spec(name), opts.work_scale), opts.n_threads,
-        opts.endless);
+        scaled(parsec_spec(name), opts.work_scale), opts.n_threads, endless);
   }
   if (is_npb(name)) {
     return std::make_unique<ParallelWorkload>(
         scaled(npb_spec(name, opts.npb_spinning), opts.work_scale),
-        opts.n_threads, opts.endless);
+        opts.n_threads, endless);
   }
   if (name == "specjbb") {
+    require_non_negative(opts.jbb_cs_len, "jbb_cs_len");
+    require_non_negative(opts.jbb_cs_every, "jbb_cs_every");
     return std::make_unique<JbbWorkload>(
         opts.n_threads, opts.server_duration,
         opts.jbb_cs_len > 0 ? opts.jbb_cs_len : sim::microseconds(80),
@@ -69,22 +83,14 @@ std::unique_ptr<Workload> make_workload(const std::string& name,
                                   opts.fe_arrival +
                                   "' (want poisson|mmpp|diurnal)");
     }
-    if (opts.fe_rate_hz < 0.0) {
-      throw std::invalid_argument(
-          "make_workload: fe_rate_hz must be >= 0 (got " +
-          std::to_string(opts.fe_rate_hz) + ")");
-    }
+    require_non_negative(opts.fe_rate_hz, "fe_rate_hz");
     if (opts.fe_rate_hz > 0.0) fe.arrivals.rate_hz = opts.fe_rate_hz;
     if (!overload_policy_from_name(opts.fe_overload, &fe.overload)) {
       throw std::invalid_argument("make_workload: unknown overload policy '" +
                                   opts.fe_overload +
                                   "' (want drop|admit|shed)");
     }
-    if (opts.fe_queue_cap < 0) {
-      throw std::invalid_argument(
-          "make_workload: fe_queue_cap must be >= 0 (got " +
-          std::to_string(opts.fe_queue_cap) + ")");
-    }
+    require_non_negative(opts.fe_queue_cap, "fe_queue_cap");
     if (opts.fe_queue_cap > 0) fe.queue_cap = opts.fe_queue_cap;
     fe.keepalive = opts.fe_keepalive;
     return std::make_unique<FrontendWorkload>(fe);

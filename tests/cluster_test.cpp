@@ -241,9 +241,8 @@ TEST(ClusterMigration, ConservationIdentitiesHoldAcrossMigrations) {
   EXPECT_GT(c.decisions, 0u);
   EXPECT_LE(c.in_transit_end, c.migrations);
   // The cost model books exactly one downtime per migration.
-  EXPECT_EQ(c.downtime_total,
-            static_cast<sim::Duration>(c.migrations) *
-                cluster::ClusterConfig{}.migration.downtime);
+  EXPECT_EQ(c.downtime_total, static_cast<sim::Duration>(c.migrations) *
+                                  cluster::kMigrationDowntime);
   // The conservation identities from src/obs/cluster_stats.h.
   ASSERT_EQ(c.hosts.size(), 2u);
   std::uint64_t placed = 0;

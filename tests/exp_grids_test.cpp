@@ -43,7 +43,7 @@ TEST(Grids, RunCountOfEveryGridIsPinned) {
 
 /// Every config field a bench renderer reads to label or place a cell.
 auto rendered_fields(const ScenarioConfig& c) {
-  return std::tuple(c.strategy, c.fg, c.fg_threads, c.bg, c.n_inter,
+  return std::tuple(c.strategy, c.fg, c.n_threads, c.bg, c.n_inter,
                     c.n_bg_vms, c.n_vcpus, c.n_pcpus, c.pinned,
                     c.npb_spinning, c.work_scale, c.server_duration,
                     c.fe_overload, c.cluster.n_hosts, c.cluster.policy,

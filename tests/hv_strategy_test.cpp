@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include "src/hv/host.h"
+#include "src/hv/ple.h"
 #include "tests/helpers.h"
 
 namespace irs {
 namespace {
 
+using hv::kPleWindow;
 using test::ScriptedBehavior;
 using test::TestWorkload;
 
@@ -135,7 +137,6 @@ class PleWatch : public ::testing::Test {
   }
 
   hv::Vcpu& spinner() { return a_->vcpu(0); }
-  sim::Duration window() const { return host_.config().ple_window; }
 
   /// Queue the waiter on pCPU 0 behind the running spinner.
   void enqueue_waiter() {
@@ -162,7 +163,7 @@ TEST_F(PleWatch, SpinnerAloneDispatchesNoPollPerWindow) {
   ASSERT_EQ(spinner().state(), hv::VcpuState::kRunning);
   host_.note_spinning(*a_, 0, true);
   const std::uint64_t before = eng_.dispatched();
-  eng_.run_until(eng_.now() + 20 * window());
+  eng_.run_until(eng_.now() + 20 * kPleWindow);
   // One poll finds nobody waiting; the watch then stays dormant instead of
   // polling every window.
   EXPECT_LE(eng_.dispatched() - before, 2u);
@@ -172,12 +173,13 @@ TEST_F(PleWatch, SpinnerAloneDispatchesNoPollPerWindow) {
 TEST_F(PleWatch, WaiterMidWindowExitsAtTheNextBoundary) {
   host_.note_spinning(*a_, 0, true);
   // The first boundary finds nobody waiting: the anchor of the dormant watch.
-  const sim::Time anchor = eng_.now() + window();
+  const sim::Time anchor = eng_.now() + kPleWindow;
   constexpr int k = 7;
-  eng_.run_until(anchor + k * window() + window() / 2);  // mid-window k
+  eng_.run_until(anchor + k * kPleWindow + kPleWindow / 2);  // mid-window k
   enqueue_waiter();
-  eng_.run_until(anchor + (k + 3) * window());
-  EXPECT_EQ(ple_exits(), (std::vector<sim::Time>{anchor + (k + 1) * window()}));
+  eng_.run_until(anchor + (k + 3) * kPleWindow);
+  EXPECT_EQ(ple_exits(),
+            (std::vector<sim::Time>{anchor + (k + 1) * kPleWindow}));
 }
 
 TEST_F(PleWatch, DescheduledWhileDormantRestartsFromTheNewSpinSignal) {
@@ -185,18 +187,18 @@ TEST_F(PleWatch, DescheduledWhileDormantRestartsFromTheNewSpinSignal) {
   // never saw its vCPU stop; the vCPU is still off its pCPU at the next
   // boundary, which ends the window.
   host_.note_spinning(*a_, 0, true);
-  eng_.run_until(eng_.now() + 3 * window() + window() / 2);  // dormant
+  eng_.run_until(eng_.now() + 3 * kPleWindow + kPleWindow / 2);  // dormant
   host_.sched().block(spinner());
-  eng_.run_until(eng_.now() + 2 * window());
+  eng_.run_until(eng_.now() + 2 * kPleWindow);
   host_.sched().wake(spinner());
   eng_.run_until(eng_.now() + sim::microseconds(7));
   ASSERT_EQ(spinner().state(), hv::VcpuState::kRunning);
   host_.note_spinning(*a_, 0, true);  // re-signalled on regaining the pCPU
   const sim::Time respin = eng_.now();
   enqueue_waiter();
-  eng_.run_until(respin + 3 * window());
+  eng_.run_until(respin + 3 * kPleWindow);
   ASSERT_FALSE(ple_exits().empty());
-  EXPECT_EQ(ple_exits().front(), respin + window());
+  EXPECT_EQ(ple_exits().front(), respin + kPleWindow);
 }
 
 TEST_F(PleWatch, RescheduledWithinTheWindowKeepsItsBoundary) {
@@ -204,14 +206,14 @@ TEST_F(PleWatch, RescheduledWithinTheWindowKeepsItsBoundary) {
   // still counts, as the queued poll of a non-dormant window would.
   host_.note_spinning(*a_, 0, true);
   const sim::Time start = eng_.now();
-  eng_.run_until(start + 3 * window() + window() / 2);  // dormant
+  eng_.run_until(start + 3 * kPleWindow + kPleWindow / 2);  // dormant
   host_.sched().force_preempt(spinner());
   eng_.run_until(eng_.now() + sim::microseconds(7));
   ASSERT_EQ(spinner().state(), hv::VcpuState::kRunning);
   host_.note_spinning(*a_, 0, true);
   enqueue_waiter();
-  eng_.run_until(start + 6 * window());
-  EXPECT_EQ(ple_exits(), (std::vector<sim::Time>{start + 4 * window()}));
+  eng_.run_until(start + 6 * kPleWindow);
+  EXPECT_EQ(ple_exits(), (std::vector<sim::Time>{start + 4 * kPleWindow}));
 }
 
 TEST(RelaxedCo, StopsLeaderUnderSkew) {

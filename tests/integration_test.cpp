@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/cluster/cluster.h"
+#include "src/core/world.h"
 #include "src/exp/runner.h"
 #include "src/exp/scenarios.h"
 
@@ -214,7 +214,7 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
        },
        "n_vcpus must be >= 1"},
       {"no foreground threads",
-       [](ScenarioConfig* c) { c->fg_threads = 0; }, "fg_threads must be >= 1"},
+       [](ScenarioConfig* c) { c->n_threads = 0; }, "n_threads must be >= 1"},
       {"unknown cluster policy",
        [](ScenarioConfig* c) {
          c->cluster.n_hosts = 2;
@@ -249,6 +249,20 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
          c->fe_queue_cap = -1;
        },
        "fe_queue_cap must be >= 0"},
+      // Before these checks, a negative critical section ran SPECjbb at the
+      // model's 80 us, and a negative lock cadence at every 2nd transaction.
+      {"negative SPECjbb critical section",
+       [](ScenarioConfig* c) {
+         c->fg = "specjbb";
+         c->jbb_cs_len = -1;
+       },
+       "jbb_cs_len must be >= 0 (got -1)"},
+      {"negative SPECjbb lock cadence",
+       [](ScenarioConfig* c) {
+         c->fg = "specjbb";
+         c->jbb_cs_every = -2;
+       },
+       "jbb_cs_every must be >= 0 (got -2)"},
       {"zero serving time",
        [](ScenarioConfig* c) {
          c->fg = "specjbb";
@@ -261,10 +275,6 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
          c->server_duration = -5;
        },
        "server_duration must be > 0"},
-      {"zero timeout", [](ScenarioConfig* c) { c->timeout = 0; },
-       "timeout must be > 0"},
-      {"negative timeout", [](ScenarioConfig* c) { c->timeout = -1; },
-       "timeout must be > 0"},
       {"zero work scale", [](ScenarioConfig* c) { c->work_scale = 0; },
        "work_scale must be finite and > 0"},
       {"negative work scale", [](ScenarioConfig* c) { c->work_scale = -1; },
@@ -277,94 +287,14 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
          c->work_scale = std::numeric_limits<double>::infinity();
        },
        "work_scale must be finite and > 0"},
-      // A period that is not positive re-arms its event at the same
-      // instant forever (before these checks, the run never returned).
-      {"zero hypervisor time slice",
-       [](ScenarioConfig* c) { c->hv.time_slice = 0; },
-       "HvConfig.time_slice must be > 0 (got 0)"},
-      {"zero hypervisor tick", [](ScenarioConfig* c) { c->hv.tick_period = 0; },
-       "HvConfig.tick_period must be > 0 (got 0)"},
-      {"negative credit accounting period",
-       [](ScenarioConfig* c) { c->hv.accounting_period = -1; },
-       "HvConfig.accounting_period must be > 0 (got -1)"},
-      {"zero hypervisor tick on a cluster host",
-       [](ScenarioConfig* c) {
-         c->cluster.n_hosts = 2;
-         c->hv.tick_period = 0;
-       },
-       "HvConfig.tick_period must be > 0 (got 0)"},
-      {"zero guest tick", [](ScenarioConfig* c) { c->fg_guest.tick_period = 0; },
-       "GuestConfig.tick_period must be > 0 (got 0)"},
-      {"zero guest tick on a cluster host",
-       [](ScenarioConfig* c) {
-         c->cluster.n_hosts = 2;
-         c->fg_guest.tick_period = 0;
-       },
-       "GuestConfig.tick_period must be > 0 (got 0)"},
       // Tunables without a meaning at 0 or below. Before these checks each
       // ran silently: an SA ack cap of 0 ran IRS as Baseline, and -3 hosts
       // ran one.
       {"zero SA ack cap", [](ScenarioConfig* c) { c->hv.sa_ack_cap = 0; },
        "HvConfig.sa_ack_cap must be > 0 (got 0)"},
-      {"negative PLE window",
-       [](ScenarioConfig* c) { c->hv.ple_window = -1; },
-       "HvConfig.ple_window must be > 0 (got -1)"},
-      {"negative guest balance interval",
-       [](ScenarioConfig* c) { c->fg_guest.balance_interval = -1; },
-       "GuestConfig.balance_interval must be > 0 (got -1)"},
-      {"zero CFS latency",
-       [](ScenarioConfig* c) { c->fg_guest.sched_latency = 0; },
-       "GuestConfig.sched_latency must be > 0 (got 0)"},
-      {"zero CFS granularity",
-       [](ScenarioConfig* c) { c->fg_guest.min_granularity = 0; },
-       "GuestConfig.min_granularity must be > 0 (got 0)"},
-      // Before these checks, credits_per_tick -100 ran streamcluster at
-      // 1.06x its fair share, a Relaxed-Co skew threshold of 0 took 646 ms
-      // against 506, and a negative steal_avg_tau ran IRS as Baseline.
-      {"negative credits per tick",
-       [](ScenarioConfig* c) { c->hv.credits_per_tick = -100; },
-       "HvConfig.credits_per_tick must be > 0 (got -100)"},
-      {"zero credit cap", [](ScenarioConfig* c) { c->hv.credit_cap = 0; },
-       "HvConfig.credit_cap must be > 0 (got 0)"},
-      {"zero Delay-Preempt cap",
-       [](ScenarioConfig* c) { c->hv.delay_preempt_cap = 0; },
-       "HvConfig.delay_preempt_cap must be > 0 (got 0)"},
-      {"zero co-scheduling skew threshold",
-       [](ScenarioConfig* c) { c->hv.co_skew_threshold = 0; },
-       "HvConfig.co_skew_threshold must be > 0 (got 0)"},
-      {"negative co-stop duration",
-       [](ScenarioConfig* c) { c->hv.co_stop_duration = -1; },
-       "HvConfig.co_stop_duration must be > 0 (got -1)"},
-      {"negative vCPU switch cost",
-       [](ScenarioConfig* c) { c->hv.vcpu_switch_cost = -1; },
-       "HvConfig.vcpu_switch_cost must be >= 0 (got -1)"},
-      {"negative PLE exit cost",
-       [](ScenarioConfig* c) { c->hv.ple_exit_cost = -1; },
-       "HvConfig.ple_exit_cost must be >= 0 (got -1)"},
-      {"zero steal-average time constant",
-       [](ScenarioConfig* c) { c->fg_guest.steal_avg_tau = 0; },
-       "GuestConfig.steal_avg_tau must be > 0 (got 0)"},
-      {"zero migration tag cap",
-       [](ScenarioConfig* c) { c->fg_guest.tag_ttl = 0; },
-       "GuestConfig.tag_ttl must be > 0 (got 0)"},
-      {"negative wakeup granularity",
-       [](ScenarioConfig* c) { c->fg_guest.wakeup_granularity = -1; },
-       "GuestConfig.wakeup_granularity must be >= 0 (got -1)"},
-      {"negative guest context switch cost",
-       [](ScenarioConfig* c) { c->fg_guest.ctx_switch_cost = -1; },
-       "GuestConfig.ctx_switch_cost must be >= 0 (got -1)"},
       {"negative idle poll period",
        [](ScenarioConfig* c) { c->fg_guest.idle_poll_period = -1; },
        "GuestConfig.idle_poll_period must be >= 0 (got -1)"},
-      {"negative SA handler cost",
-       [](ScenarioConfig* c) { c->fg_guest.sa_handler_cost = -1; },
-       "GuestConfig.sa_handler_cost must be >= 0 (got -1)"},
-      {"negative migrator cost",
-       [](ScenarioConfig* c) { c->fg_guest.migrator_cost = -1; },
-       "GuestConfig.migrator_cost must be >= 0 (got -1)"},
-      {"negative migration cache penalty",
-       [](ScenarioConfig* c) { c->fg_guest.migration_cache_penalty = -1; },
-       "GuestConfig.migration_cache_penalty must be >= 0 (got -1)"},
       {"negative host count",
        [](ScenarioConfig* c) { c->cluster.n_hosts = -3; },
        "cluster.n_hosts must be >= 0 (got -3)"},
@@ -381,17 +311,25 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
           << bad.what << ": " << e.what();
     }
   }
-  // The cluster's own cadences, checked by the Cluster constructor.
-  for (const bool collect : {true, false}) {
-    cluster::ClusterConfig cc;
-    (collect ? cc.collect_period : cc.decide_period) = 0;
+}
+
+TEST(Integration, VmWeightBelowOneThrowsInvalidArgument) {
+  // run_scenario never sets a weight, so a World carries the probe. Before
+  // this check, weight 0 against a 256 peer starved its VM (60 ms of CPU
+  // in 3 s) with a fair share of 0, and -256 minted no credit at all and
+  // read a fair share of -1536 s.
+  for (const int weight : {0, -256}) {
+    core::World world(core::WorldConfig{});
+    hv::VmConfig vm;
+    vm.name = "light";
+    vm.weight = weight;
     try {
-      cluster::Cluster cl(cc);
-      ADD_FAILURE() << "no exception";
+      world.add_vm(vm, /*irs_capable=*/false);
+      ADD_FAILURE() << "weight " << weight << ": no exception";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(
-                    collect ? "ClusterConfig.collect_period must be > 0"
-                            : "ClusterConfig.decide_period must be > 0"),
+                    "VM 'light': weight must be >= 1 (got " +
+                    std::to_string(weight) + ")"),
                 std::string::npos)
           << e.what();
     }

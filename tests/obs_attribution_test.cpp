@@ -175,7 +175,7 @@ TEST(ObsAttribution, TwoVmScenarioChargesMeasuredSteal) {
   // keeps the bg lane busy, the fg workers keep theirs).
   exp::ScenarioConfig cfg;
   cfg.fg = "blackscholes";
-  cfg.fg_threads = 2;
+  cfg.n_threads = 2;
   cfg.n_vcpus = 2;
   cfg.n_pcpus = 2;
   cfg.strategy = core::Strategy::kBaseline;

@@ -367,7 +367,7 @@ TEST(ObsExport, ScenarioTraceDumpIsWellFormed) {
   // exporter must emit valid JSON with on-CPU spans for the actual topology.
   exp::ScenarioConfig cfg;
   cfg.fg = "blackscholes";
-  cfg.fg_threads = 2;
+  cfg.n_threads = 2;
   cfg.n_vcpus = 2;
   cfg.n_pcpus = 2;
   cfg.strategy = core::Strategy::kIrs;
@@ -406,7 +406,7 @@ TEST(ObsExport, RunWithoutDumpStaysUntraced) {
   // The plain overload must not pay for tracing: same scenario, no dump.
   exp::ScenarioConfig cfg;
   cfg.fg = "blackscholes";
-  cfg.fg_threads = 2;
+  cfg.n_threads = 2;
   cfg.n_vcpus = 2;
   cfg.n_pcpus = 2;
   cfg.work_scale = 0.05;

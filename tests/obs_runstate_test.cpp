@@ -211,8 +211,7 @@ TEST(RunstateReplay, MatchesTheHypervisorsRunstateAccounting) {
       const hv::VmId bg = world.add_vm(bg_cfg, /*irs_capable=*/false);
       wl::WorkloadOptions bo;
       bo.n_threads = 2;
-      bo.endless = true;
-      world.attach(bg, wl::make_workload("hog", bo));
+      world.attach(bg, wl::make_workload("hog", bo, /*endless=*/true));
       world.start();
       ASSERT_TRUE(world.run_until_finished(fg, sim::seconds(20)));
 

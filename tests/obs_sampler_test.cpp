@@ -100,7 +100,7 @@ TEST(ObsSampler, DigestReflectsSeriesContent) {
 TEST(ObsSampler, SamplingDoesNotPerturbTheRun) {
   exp::ScenarioConfig cfg;
   cfg.fg = "blackscholes";
-  cfg.fg_threads = 2;
+  cfg.n_threads = 2;
   cfg.n_vcpus = 2;
   cfg.n_pcpus = 2;
   cfg.work_scale = 0.05;
@@ -118,7 +118,7 @@ TEST(ObsSampler, SamplingDoesNotPerturbTheRun) {
 TEST(ObsSampler, SeriesByteIdenticalAcrossRepeatRuns) {
   exp::ScenarioConfig cfg;
   cfg.fg = "blackscholes";
-  cfg.fg_threads = 2;
+  cfg.n_threads = 2;
   cfg.n_vcpus = 2;
   cfg.n_pcpus = 2;
   cfg.work_scale = 0.05;
@@ -220,7 +220,7 @@ std::uint64_t run_fixture(const exp::ScenarioConfig& cfg,
     cl.attach(fg, wl::make_workload(cfg.fg, wl::WorkloadOptions{}));
     cl.add_migratable_hog("bg0", cfg.n_inter, cfg.n_inter);
     cl.start();
-    cl.run_until_finished(fg, cfg.timeout);
+    cl.run_until_finished(fg, exp::kRunTimeout);
     std::uint64_t digest = 0;
     for (int h = 0; h < cl.n_hosts(); ++h) {
       check(cl.node(h));
@@ -241,10 +241,9 @@ std::uint64_t run_fixture(const exp::ScenarioConfig& cfg,
   const hv::VmId bg = world.add_vm(bg_vm, /*irs_capable=*/false);
   wl::WorkloadOptions bg_opts;
   bg_opts.n_threads = cfg.n_inter;
-  bg_opts.endless = true;
-  world.attach(bg, wl::make_workload(cfg.bg, bg_opts));
+  world.attach(bg, wl::make_workload(cfg.bg, bg_opts, /*endless=*/true));
   world.start();
-  world.run_until_finished(fg, cfg.timeout);
+  world.run_until_finished(fg, exp::kRunTimeout);
   check(world);
   return world.sampler()->digest();
 }
@@ -306,7 +305,7 @@ TEST_P(SamplerGolden, PerVcpuSaSeriesSumToHostSeries) {
 TEST(SweepSampler, DigestsBitIdenticalAcrossThreadCounts) {
   exp::ScenarioConfig cfg;
   cfg.fg = "blackscholes";
-  cfg.fg_threads = 2;
+  cfg.n_threads = 2;
   cfg.n_vcpus = 2;
   cfg.n_pcpus = 2;
   cfg.work_scale = 0.05;

@@ -41,7 +41,7 @@ hv::StrategyStats expect_sa_identity(const ScenarioConfig& cfg) {
   fg_vm.pin_map = pins(cfg.n_vcpus);
   const hv::VmId fg = world.add_vm(fg_vm, /*irs_capable=*/true, cfg.fg_guest);
   wl::WorkloadOptions fg_opts;
-  fg_opts.n_threads = cfg.fg_threads;
+  fg_opts.n_threads = cfg.n_threads;
   fg_opts.work_scale = cfg.work_scale;
   world.attach(fg, wl::make_workload(cfg.fg, fg_opts));
   hv::VmConfig bg_vm;
@@ -51,10 +51,9 @@ hv::StrategyStats expect_sa_identity(const ScenarioConfig& cfg) {
   const hv::VmId bg = world.add_vm(bg_vm, /*irs_capable=*/false);
   wl::WorkloadOptions bg_opts;
   bg_opts.n_threads = cfg.n_inter;
-  bg_opts.endless = true;
-  world.attach(bg, wl::make_workload(cfg.bg, bg_opts));
+  world.attach(bg, wl::make_workload(cfg.bg, bg_opts, /*endless=*/true));
   world.start();
-  EXPECT_TRUE(world.run_until_finished(fg, cfg.timeout));
+  EXPECT_TRUE(world.run_until_finished(fg, exp::kRunTimeout));
 
   const hv::StrategyStats st = world.host().strategy_stats();
   std::uint64_t pending = 0;

@@ -167,9 +167,7 @@ TEST(WorkloadRun, PipelineConservesItems) {
 TEST(WorkloadRun, EndlessWorkloadNeverFinishes) {
   core::World w = make_world();
   const auto vm = w.add_vm(pinned4(), false);
-  WorkloadOptions opts;
-  opts.endless = true;
-  auto& wl = w.attach(vm, make_workload("streamcluster", opts));
+  auto& wl = w.attach(vm, make_workload("streamcluster", {}, /*endless=*/true));
   w.start();
   w.run_for(sim::seconds(1));
   EXPECT_FALSE(wl.finished());
