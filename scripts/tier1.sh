@@ -44,7 +44,8 @@ done
 # Bad-input smoke: each input must exit with its usage status and a
 # message, never crash or run on a silent default — irs_trace_dump, the
 # bench binaries and bench_report exit 2, irs_sweep 64. A numeric flag
-# takes the whole argument and nothing below its bound.
+# takes the whole argument and nothing below its bound. A cluster run
+# takes only hog interference and no forensics.
 expect_bad() {
   local want="$1"
   shift
@@ -62,7 +63,8 @@ for bad in "--inter 9" "--inter -1" "--bg-vms -3" "--cluster-policy bogus" \
            "--inter 2x" "--bg-vms 1x" "--fg frontend --fe-rate abc" \
            "--fg frontend --fe-queue-cap 8x" "--capacity 12abc" \
            "--capacity -1" "--cluster --cluster-hosts 1" \
-           "--cluster-hosts -4"; do
+           "--cluster-hosts -4" "--cluster --bg nope" \
+           "--cluster --bg streamcluster" "--cluster --forensics"; do
   # shellcheck disable=SC2086  # word-split the flag and its value
   expect_bad 2 ./build/tools/irs_trace_dump $bad build/bad_config_trace.json
 done

@@ -72,7 +72,7 @@ void Cluster::set_protected(CvmId vm) {
 }
 
 int Cluster::add_migratable_hog(const std::string& name, int n_vcpus,
-                                int n_hogs, sim::Duration burst) {
+                                int n_hogs) {
   assert(!started_);
   const int home = sched_->place(n_vcpus);
   MigVm mv;
@@ -84,9 +84,8 @@ int Cluster::add_migratable_hog(const std::string& name, int n_vcpus,
     vc.name = name;
     vc.n_vcpus = n_vcpus;
     const hv::VmId id = node(h).add_vm(vc, /*irs_capable=*/false);
-    node(h).attach(CvmId{h, id}.vm,
-                   std::make_unique<wl::GatedHogWorkload>(
-                       n_hogs, mv.gate.back().get(), burst));
+    node(h).attach(CvmId{h, id}.vm, std::make_unique<wl::HogWorkload>(
+                                        n_hogs, mv.gate.back().get()));
     mv.replica.push_back(id);
   }
   ledger_.vms += 1;

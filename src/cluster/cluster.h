@@ -9,14 +9,14 @@
 // Live migration model. An hv::Vm cannot change hosts (its vCPUs belong to
 // one credit scheduler), so a *migratable* logical VM is realised as one
 // replica VM on every host, all sharing per-replica boolean gates: the
-// gated hog tasks (wl::GatedHogWorkload) burn CPU while their gate is open
-// and park off-CPU otherwise. Exactly one gate per logical VM is open at
-// any time. A migration at decision time t closes the source gate (tasks
-// park at the next burst boundary — the pre-copy brownout), flips the
-// assignment, and schedules the arrival at t + kMigrationDowntime: the
-// destination gate opens, every destination task is woken and charged
-// kMigrationWarmupDebt of cache_debt (stretching its first burst — the
-// transient warmup penalty).
+// gated hog tasks (a wl::HogWorkload given a gate) burn CPU while their
+// gate is open and park off-CPU otherwise. Exactly one gate per logical VM
+// is open at any time. A migration at decision time t closes the source
+// gate (tasks park at the next burst boundary — the pre-copy brownout),
+// flips the assignment, and schedules the arrival at t +
+// kMigrationDowntime: the destination gate opens, every destination task
+// is woken and charged kMigrationWarmupDebt of cache_debt (stretching its
+// first burst — the transient warmup penalty).
 // The ledger (obs::ClusterResult) counts placements, migrations per host,
 // downtime, and the collectors' observations; its conservation identities
 // are listed in src/obs/cluster_stats.h.
@@ -84,8 +84,7 @@ class Cluster {
   /// Add a migratable hog VM: the scheduler's admission policy picks the
   /// initial host; replicas are created on every host. Returns the
   /// logical-VM index (the id space of assigned_host()).
-  int add_migratable_hog(const std::string& name, int n_vcpus, int n_hogs,
-                         sim::Duration burst = sim::milliseconds(1));
+  int add_migratable_hog(const std::string& name, int n_vcpus, int n_hogs);
 
   /// Start every host, collector, and the scheduler. Call once.
   void start();

@@ -21,16 +21,4 @@ const std::vector<Strategy>& all_strategies() {
   return kAll;
 }
 
-const std::vector<Strategy>& compared_strategies() {
-  static const std::vector<Strategy> kCmp = {
-      Strategy::kPle, Strategy::kRelaxedCo, Strategy::kIrs};
-  return kCmp;
-}
-
-const std::vector<Strategy>& extension_strategies() {
-  static const std::vector<Strategy> kExt = {Strategy::kDelayPreempt,
-                                             Strategy::kIrsPull};
-  return kExt;
-}
-
 }  // namespace irs::core

@@ -21,13 +21,4 @@ const char* strategy_name(Strategy s);
 /// Baseline first, then the paper's comparison order: PLE, Relaxed-Co, IRS.
 const std::vector<Strategy>& all_strategies();
 
-/// The three non-baseline strategies (figures report improvement vs
-/// baseline).
-const std::vector<Strategy>& compared_strategies();
-
-/// The extension strategies beyond the paper's evaluation: the delay-
-/// preemption baseline it discusses in related work, and the pull-based
-/// migration its §6 proposes as future work.
-const std::vector<Strategy>& extension_strategies();
-
 }  // namespace irs::core

@@ -232,10 +232,13 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
 
 /// The cluster run (cfg.cluster.n_hosts >= 2): the foreground VM fixed on
 /// host 0 and marked protected, every interfering VM a migratable gated-hog
-/// VM the placement policy admits. Forensics is a single-host feature and
-/// is ignored here; everything else folds across hosts (counters add,
-/// sampler digests XOR).
+/// VM the placement policy admits. Any other background and forensics, a
+/// single-host feature, are rejected; everything else folds across hosts
+/// (counters add, sampler digests XOR).
 RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
+  require(cfg.bg.empty() || cfg.bg == "hog", "bg",
+          "\"hog\" or empty in a cluster run", cfg.bg);
+  require(!cfg.forensics, "forensics", "off in a cluster run", "on");
   const bool want_dump =
       capture.dump != nullptr || capture.host_dumps != nullptr;
   cluster::ClusterConfig cc;
@@ -322,6 +325,8 @@ RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture) {
   require(cfg.n_threads >= 1, "n_threads", ">= 1", cfg.n_threads);
   require(std::isfinite(cfg.work_scale) && cfg.work_scale > 0, "work_scale",
           "finite and > 0", cfg.work_scale);
+  require(cfg.slo_window <= 0, "slo_window", "0 (on) or < 0 (off)",
+          cfg.slo_window);
   RunResult r = cfg.cluster.n_hosts >= 2 ? run_cluster(cfg, capture)
                                           : run_single(cfg, capture);
   set_block_digests(r);

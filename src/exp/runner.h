@@ -21,9 +21,10 @@ namespace irs::exp {
 
 /// Cluster sub-config of a scenario: n_hosts >= 2 switches the runner from
 /// the classic single-host World to a cluster::Cluster of that many hosts —
-/// the foreground VM fixed on host 0, each interfering VM (always gated
-/// hogs in cluster mode) a *migratable* logical VM the placement policy
-/// admits and the kIrs policy may live-migrate (see src/cluster/cluster.h).
+/// the foreground VM fixed on host 0, each interfering VM (gated hogs: a
+/// cluster run rejects any `bg` but "hog" or empty) a *migratable* logical
+/// VM the placement policy admits and the kIrs policy may live-migrate
+/// (see src/cluster/cluster.h).
 struct ClusterOptions {
   /// 0 or 1 = classic single-host run; >= 2 = cluster run.
   int n_hosts = 0;
@@ -69,16 +70,18 @@ struct ScenarioConfig : core::WorldConfig, wl::WorkloadOptions {
   /// Windowed SLO tracking for server workloads (jbb/ab/frontend): 0 = on
   /// at the one window, SloTracker::kDefaultWindow (the 30 ms credit
   /// cadence), <0 = off (the bench overhead gate's "raw counters only"
-  /// arm). Tracking is passive — every other result field is bit-identical
+  /// arm). The window is fixed, so run_scenario rejects a positive value.
+  /// Tracking is passive — every other result field is bit-identical
   /// either way.
   sim::Duration slo_window = 0;
-  /// Per-request causal forensics for server workloads (jbb/ab/frontend):
-  /// captures a ReqSpan per request into a side log (the runner synthesizes
-  /// kReqBegin/kReqEnd records from it at analysis time) and decomposes
-  /// each request's latency by cause (see obs/forensics.h). Enables the
-  /// trace ring at kForensicsRing if trace_capacity is 0 (a RunCapture
-  /// dump does not shrink it). Passive: only the trace-telemetry and
-  /// forensics fields of the result change.
+  /// Per-request causal forensics for single-host server runs
+  /// (jbb/ab/frontend; a cluster run rejects it): captures a ReqSpan per
+  /// request into a side log (the runner synthesizes kReqBegin/kReqEnd
+  /// records from it at analysis time) and decomposes each request's
+  /// latency by cause (see obs/forensics.h). Enables the trace ring at
+  /// kForensicsRing if trace_capacity is 0 (a RunCapture dump does not
+  /// shrink it). Passive: only the trace-telemetry and forensics fields of
+  /// the result change.
   bool forensics = false;
   /// With forensics on, run the decomposition at the end of the run (one
   /// pass over the ring in place, merged with the span log). false records

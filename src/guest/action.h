@@ -17,7 +17,6 @@ class Mutex;
 class SpinLock;
 class Barrier;
 class Pipe;
-class CondVar;
 }  // namespace irs::sync
 
 namespace irs::guest {
@@ -28,16 +27,12 @@ enum class ActionKind : std::uint8_t {
   kCompute,     // burn `dur` of CPU
   kLock,        // acquire blocking mutex
   kUnlock,      // release blocking mutex
-  kSpinLock,    // acquire ticket/opportunistic spin lock (busy-waits)
+  kSpinLock,    // acquire ticket spin lock (busy-waits)
   kSpinUnlock,  // release spin lock
   kBarrier,     // arrive at a (blocking or spinning) barrier
   kPipePush,    // bounded-queue push; blocks when full
   kPipePop,     // bounded-queue pop; blocks when empty
-  kCondWait,    // release mutex + wait; reacquires mutex on wake
-  kCondSignal,
-  kCondBroadcast,
   kSleep,       // timed sleep (off-CPU)
-  kYield,       // give up the CPU voluntarily
   kFinish,      // task is done
 };
 
@@ -48,7 +43,6 @@ struct Action {
   sync::SpinLock* sl = nullptr;
   sync::Barrier* bar = nullptr;
   sync::Pipe* pp = nullptr;
-  sync::CondVar* cv = nullptr;
 
   // Named constructors keep workload code readable.
   static Action compute(sim::Duration d) {
@@ -75,19 +69,9 @@ struct Action {
   static Action pipe_pop(sync::Pipe& p) {
     return {.kind = ActionKind::kPipePop, .pp = &p};
   }
-  static Action cond_wait(sync::CondVar& c, sync::Mutex& m) {
-    return {.kind = ActionKind::kCondWait, .mtx = &m, .cv = &c};
-  }
-  static Action cond_signal(sync::CondVar& c) {
-    return {.kind = ActionKind::kCondSignal, .cv = &c};
-  }
-  static Action cond_broadcast(sync::CondVar& c) {
-    return {.kind = ActionKind::kCondBroadcast, .cv = &c};
-  }
   static Action sleep(sim::Duration d) {
     return {.kind = ActionKind::kSleep, .dur = d};
   }
-  static Action yield() { return {.kind = ActionKind::kYield}; }
   static Action finish() { return {.kind = ActionKind::kFinish}; }
 };
 

@@ -6,7 +6,6 @@
 #include "src/guest/guest_kernel.h"
 #include "src/sync/mutex.h"
 #include "src/sync/barrier.h"
-#include "src/sync/condvar.h"
 #include "src/sync/pipe.h"
 #include "src/sync/spinlock.h"
 
@@ -97,8 +96,6 @@ void GuestCpu::resume_current() {
   interpret();
 }
 
-void GuestCpu::begin_exec() { resume_current(); }
-
 void GuestCpu::on_op_complete() {
   stop_exec();
   assert(current_ != nullptr);
@@ -127,7 +124,7 @@ void GuestCpu::interpret() {
     if (!vcpu_running_) return;
     if (maybe_resched()) return;
     Task& t = *current_;
-    // Resuming from a condvar wait: reacquire the mutex first.
+    // Woken by a mutex unlock: retry the acquire first (futex barging).
     if (t.reacquire != nullptr) {
       sync::Mutex* m = t.reacquire;
       t.reacquire = nullptr;
@@ -207,22 +204,6 @@ void GuestCpu::interpret() {
         block_current(TaskState::kBlocked);
         return;
       }
-      case ActionKind::kCondWait: {
-        t.has_op = false;
-        a.cv->wait(t, *a.mtx);
-        block_current(TaskState::kBlocked);
-        return;
-      }
-      case ActionKind::kCondSignal: {
-        t.has_op = false;
-        a.cv->signal();
-        continue;
-      }
-      case ActionKind::kCondBroadcast: {
-        t.has_op = false;
-        a.cv->broadcast();
-        continue;
-      }
       case ActionKind::kSleep: {
         t.has_op = false;
         Task* tp = &t;
@@ -230,17 +211,6 @@ void GuestCpu::interpret() {
             a.dur, [this, tp]() { kernel_.wake_task(*tp); });
         block_current(TaskState::kSleeping);
         return;
-      }
-      case ActionKind::kYield: {
-        t.has_op = false;
-        if (!rq_.empty()) {
-          t.set_state(TaskState::kReady);
-          rq_.enqueue(t);
-          current_ = nullptr;
-          install(rq_.pop_leftmost(), /*resume=*/true);
-          return;
-        }
-        continue;
       }
       case ActionKind::kFinish: {
         t.has_op = false;
@@ -297,7 +267,6 @@ void GuestCpu::enter_spin(sync::SpinWaitable& w) {
   Task& t = *current_;
   t.set_state(TaskState::kSpinning);
   t.spin_waiting = &w;
-  t.spin_since = kernel_.engine().now();
   exec_start_ = kernel_.engine().now();
   exec_active_ = true;
   kernel_.signal_spin(idx_, true);

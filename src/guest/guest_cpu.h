@@ -98,9 +98,6 @@ class GuestCpu {
   /// A spin lock/barrier granted the current (spinning) task; resume it.
   void spin_acquired(Task& t);
 
-  /// Voluntarily let the scheduler reconsider (used in tests).
-  void request_resched(bool force);
-
   // --- stop-based migration (Fig. 1b measurement) ---
   void request_stop_migration(Task& victim, int dst,
                               std::function<void(sim::Duration)> done);
@@ -119,9 +116,8 @@ class GuestCpu {
  private:
   friend class GuestKernel;
 
-  // Execution clock: [begin_exec, stop_exec] brackets intervals where the
-  // current task genuinely consumes CPU (compute or spin).
-  void begin_exec();
+  // Execution clock: exec_start_ up to stop_exec() brackets an interval
+  // where the current task genuinely consumes CPU (compute or spin).
   void stop_exec();
   void resume_current();
   void on_op_complete();
@@ -132,6 +128,10 @@ class GuestCpu {
 
   /// Returns true if a pending resched switched tasks (caller must stop).
   bool maybe_resched();
+  /// Wake-up preemption: reschedule at the next zero-delay event. `force`
+  /// (the Fig. 4 tag preemption) switches to the leftmost task even if it
+  /// does not beat the current one by the wake-up granularity.
+  void request_resched(bool force);
 
   void enter_spin(sync::SpinWaitable& w);
   void block_current(TaskState st);

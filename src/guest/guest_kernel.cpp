@@ -111,8 +111,6 @@ std::size_t GuestKernel::runnable_tasks() const {
 // SchedApi
 // ---------------------------------------------------------------------------
 
-sim::Time GuestKernel::now() const { return eng_.now(); }
-
 bool GuestKernel::task_executing(const Task& t) const {
   if (t.cpu() == kNoCpu) return false;
   const GuestCpu& c = cpu(t.cpu());
@@ -193,11 +191,9 @@ void GuestKernel::note_migration(Task& t, int from, int to,
   ++t.stats.migrations;
   ++(stats_.*ctr);
   t.cache_debt += migration_penalty();
-  if (ctr == &GuestStats::irs_migrations) {
-    ++t.stats.irs_migrations;  // tag stays: the wake-up fix needs it
-  } else {
-    t.migrating_tag = false;  // a regular balancer move retires the tag
-  }
+  // A regular balancer move retires the tag; an IRS move keeps it, since
+  // the wake-up fix needs it.
+  if (ctr != &GuestStats::irs_migrations) t.migrating_tag = false;
   if (!trace_.enabled()) return;
   // Carry the charged cache penalty (ns) in the note so forensics can
   // attribute the post-migration transient without re-deriving the model.

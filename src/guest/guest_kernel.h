@@ -80,7 +80,6 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   [[nodiscard]] hv::PreemptClass classify_preemption(int vcpu) const override;
 
   // --- SchedApi (used by sync primitives) ---
-  [[nodiscard]] sim::Time now() const override;
   void wake_task(Task& t) override;
   [[nodiscard]] bool task_executing(const Task& t) const override;
   void spin_granted(Task& t) override;

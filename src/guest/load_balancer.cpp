@@ -116,7 +116,9 @@ bool LoadBalancer::newidle(GuestCpu& me) {
     const hv::RunstateInfo rs =
         kernel_.hypercalls().vcpu_runstate(b->idx());
     if (rs.state != hv::VcpuState::kRunnable) return false;
-    if (kernel_.now() - rs.state_entered < sim::milliseconds(1)) return false;
+    if (kernel_.engine().now() - rs.state_entered < sim::milliseconds(1)) {
+      return false;
+    }
   }
   return move_one(*b, me, &GuestStats::pull_migrations);
 }

@@ -3,16 +3,12 @@
 #pragma once
 
 #include "src/guest/task.h"
-#include "src/sim/time.h"
 
 namespace irs::guest {
 
 class SchedApi {
  public:
   virtual ~SchedApi() = default;
-
-  /// Current simulated time.
-  [[nodiscard]] virtual sim::Time now() const = 0;
 
   /// Wake a blocked/sleeping task through the regular wake-up path
   /// (including wake-up balancing and preemption checks).

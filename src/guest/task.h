@@ -23,7 +23,6 @@ struct TaskStats {
   sim::Duration compute_done = 0;  // useful CPU time completed
   sim::Duration spin_time = 0;     // CPU burnt spinning
   std::uint64_t migrations = 0;    // cross-CPU moves (all causes)
-  std::uint64_t irs_migrations = 0;
   std::uint64_t wakeups = 0;
   sim::Time finished_at = -1;
 };
@@ -55,11 +54,12 @@ class Task {
   /// The action being executed; kind kCompute means op_remaining of CPU is
   /// still owed. After a blocking action completes via wake-up, `op` is
   /// reset and the behavior is asked for the next action.
-  Action op{.kind = ActionKind::kYield};  // kYield doubles as "none"
+  Action op;
   sim::Duration op_remaining = 0;
   bool has_op = false;
 
-  /// Mutex to reacquire when resuming from a condvar wait.
+  /// Mutex to retry when resuming after its unlock woke this task (futex
+  /// barging: another task may have taken it first).
   sync::Mutex* reacquire = nullptr;
 
   /// Out-of-band result of the last blocking primitive op (e.g. Pipe::pop
@@ -76,7 +76,6 @@ class Task {
   /// Primitive this task is busy-waiting on (nullptr when not spinning).
   sync::SpinWaitable* spin_waiting = nullptr;
   std::uint64_t spin_ticket = 0;
-  sim::Time spin_since = 0;
 
   // --- IRS migrating tag (paper §3.3, Fig. 4) ---
   bool migrating_tag = false;

@@ -22,13 +22,11 @@ enum class TaskState : std::uint8_t {
                // backing vCPU is preempted — the semantic gap)
   kReady,      // enqueued on a runqueue, waiting for the CPU
   kSpinning,   // current on a CPU, burning cycles on a spin lock
-  kBlocked,    // waiting on a blocking primitive (mutex/barrier/pipe/cv)
+  kBlocked,    // waiting on a blocking primitive (mutex/barrier/pipe)
   kSleeping,   // timed sleep
   kMigrating,  // dequeued by the IRS context switcher, held by the migrator
   kFinished,
 };
-
-const char* task_state_name(TaskState s);
 
 /// How the IRS migrator chooses a destination vCPU (ablation knob; the
 /// paper's Algorithm 2 is kIdleThenLeastLoaded).

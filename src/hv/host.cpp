@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/hv/delay_preempt.h"
-#include "src/hv/event_channel.h"
 #include "src/hv/ple.h"
 #include "src/hv/relaxed_co.h"
 #include "src/hv/sa_sender.h"
@@ -15,8 +14,7 @@ namespace irs::hv {
 /// and forwards to the scheduler.
 class Host::VmHypercalls final : public Hypercalls {
  public:
-  VmHypercalls(Host& host, Vm& vm, EventChannel& evtchn)
-      : host_(host), vm_(vm), evtchn_(evtchn) {}
+  VmHypercalls(Host& host, Vm& vm) : host_(host), vm_(vm) {}
 
   void sched_block(int vcpu) override {
     host_.sched().block(vm_.vcpu(vcpu));
@@ -30,12 +28,14 @@ class Host::VmHypercalls final : public Hypercalls {
     return vm_.vcpu(vcpu).runstate(host_.eng_.now());
   }
 
-  void vcpu_kick(int vcpu) override { evtchn_.kick(vm_.vcpu(vcpu)); }
+  void vcpu_kick(int vcpu) override {
+    Vcpu& v = vm_.vcpu(vcpu);
+    if (v.state() == VcpuState::kBlocked) host_.sched().wake(v);
+  }
 
  private:
   Host& host_;
   Vm& vm_;
-  EventChannel& evtchn_;
 };
 
 Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
@@ -52,7 +52,6 @@ Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
   pcpus_.reserve(static_cast<std::size_t>(n_pcpus));
   for (int i = 0; i < n_pcpus; ++i) pcpus_.emplace_back(i);
   sched_ = std::make_unique<CreditScheduler>(eng_, pcpus_, vms_, trace_);
-  evtchn_ = std::make_unique<EventChannel>(*sched_);
 }
 
 Host::~Host() = default;
@@ -107,7 +106,7 @@ Vm& Host::add_vm(const VmConfig& vm_cfg) {
     }
     vm.attach_vcpu(&v);
   }
-  hypercalls_.push_back(std::make_unique<VmHypercalls>(*this, vm, *evtchn_));
+  hypercalls_.push_back(std::make_unique<VmHypercalls>(*this, vm));
   return vm;
 }
 
@@ -162,12 +161,7 @@ void Host::note_spinning(Vm& vm, int vcpu_idx, bool spinning) {
 }
 
 void Host::note_lock_hint(Vm& vm, int vcpu_idx, bool holds_lock) {
-  Vcpu& v = vm.vcpu(vcpu_idx);
-  if (delay_) {
-    delay_->on_lock_hint(v, holds_lock);
-  } else {
-    v.lock_hint = holds_lock;
-  }
+  if (delay_) delay_->on_lock_hint(vm.vcpu(vcpu_idx), holds_lock);
 }
 
 }  // namespace irs::hv

@@ -20,7 +20,6 @@ class SaSender;
 class PleMonitor;
 class RelaxedCoMonitor;
 class DelayPreemptHook;
-class EventChannel;
 
 class Host {
  public:
@@ -86,7 +85,6 @@ class Host {
   std::vector<Vm*> vms_;
   std::vector<std::unique_ptr<Vcpu>> vcpus_;
   std::vector<std::unique_ptr<VmHypercalls>> hypercalls_;
-  std::unique_ptr<EventChannel> evtchn_;
   std::unique_ptr<CreditScheduler> sched_;
   std::unique_ptr<SaSender> sa_sender_;
   std::unique_ptr<DelayPreemptHook> delay_;

@@ -5,24 +5,6 @@
 
 namespace irs::hv {
 
-const char* vcpu_state_name(VcpuState s) {
-  switch (s) {
-    case VcpuState::kRunning: return "running";
-    case VcpuState::kRunnable: return "runnable";
-    case VcpuState::kBlocked: return "blocked";
-  }
-  return "?";
-}
-
-const char* credit_prio_name(CreditPrio p) {
-  switch (p) {
-    case CreditPrio::kBoost: return "BOOST";
-    case CreditPrio::kUnder: return "UNDER";
-    case CreditPrio::kOver: return "OVER";
-  }
-  return "?";
-}
-
 Vcpu::Vcpu(VcpuId id, Vm* vm, int idx_in_vm)
     : id_(id), vm_(vm), idx_(idx_in_vm) {}
 

@@ -48,18 +48,13 @@ void Sampler::sample_now() {
 
 void Sampler::tick() {
   sample_now();
-  tick_evt_ = eng_.schedule(period_, [this]() { tick(); });
+  eng_.schedule(period_, [this]() { tick(); });
 }
 
 void Sampler::start() {
   if (started_) return;
   started_ = true;
-  tick_evt_ = eng_.schedule(period_, [this]() { tick(); });
-}
-
-void Sampler::stop() {
-  tick_evt_.cancel();
-  started_ = false;
+  eng_.schedule(period_, [this]() { tick(); });
 }
 
 std::vector<SeriesData> Sampler::dump() const {

@@ -121,7 +121,6 @@ class Sampler {
 
   /// Arm the periodic tick. Channels registered later join mid-run.
   void start();
-  void stop();
 
   /// Take one sample of every channel at engine.now() (also what the
   /// periodic tick does).
@@ -156,7 +155,6 @@ class Sampler {
   std::vector<std::uint8_t> primed_;  // gauge: first observation pushes
   std::vector<std::function<std::int64_t()>> fns_;
   std::vector<Series> series_;
-  sim::EventHandle tick_evt_;
   bool started_ = false;
 };
 

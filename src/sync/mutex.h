@@ -6,7 +6,6 @@
 // virtualisation creates.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <string>
 
@@ -28,26 +27,15 @@ class Mutex {
   /// barges for the lock like any other contender).
   void unlock(guest::Task& t);
 
-  /// Remove a blocked waiter (used when a waiting task is cancelled).
-  bool cancel_wait(guest::Task& t);
-
   [[nodiscard]] guest::Task* owner() const { return owner_; }
   [[nodiscard]] std::size_t n_waiters() const { return waiters_.size(); }
   [[nodiscard]] const std::string& name() const { return name_; }
-
-  /// Cumulative time tasks spent blocked on this mutex (metrics).
-  [[nodiscard]] sim::Duration total_wait() const { return total_wait_; }
-  /// Number of contended acquisitions.
-  [[nodiscard]] std::uint64_t contentions() const { return contentions_; }
 
  private:
   guest::SchedApi& api_;
   std::string name_;
   guest::Task* owner_ = nullptr;
   std::deque<guest::Task*> waiters_;
-  std::deque<sim::Time> wait_since_;
-  sim::Duration total_wait_ = 0;
-  std::uint64_t contentions_ = 0;
 };
 
 }  // namespace irs::sync

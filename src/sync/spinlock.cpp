@@ -1,6 +1,5 @@
 #include "src/sync/spinlock.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace irs::sync {
@@ -16,11 +15,10 @@ SpinResult SpinLock::lock(guest::Task& t) {
   return SpinResult::kSpin;
 }
 
-void SpinLock::grant(guest::Task& t) {
-  assert(owner_ == nullptr);
-  auto it = std::find(waiters_.begin(), waiters_.end(), &t);
-  if (it == waiters_.end()) return;  // raced with another grant path
-  waiters_.erase(it);
+void SpinLock::grant_head() {
+  assert(owner_ == nullptr && !waiters_.empty());
+  guest::Task& t = *waiters_.front();
+  waiters_.pop_front();
   owner_ = &t;
   ++t.locks_held;
   t.held_lock_name = name_.c_str();
@@ -33,30 +31,14 @@ void SpinLock::unlock(guest::Task& t) {
   if (t.locks_held == 0) t.held_lock_name = nullptr;
   owner_ = nullptr;
   if (waiters_.empty()) return;
-  if (kind_ == SpinKind::kTicket) {
-    // Strict FIFO: only the head waiter may take the lock. If its vCPU is
-    // preempted, nobody gets the lock until that vCPU runs again (LWP).
-    guest::Task* head = waiters_.front();
-    if (api_.task_executing(*head)) grant(*head);
-  } else {
-    // Opportunistic: the earliest waiter whose loop is actually executing
-    // wins the race.
-    for (guest::Task* w : waiters_) {
-      if (api_.task_executing(*w)) {
-        grant(*w);
-        return;
-      }
-    }
-  }
+  // Strict FIFO: only the head waiter may take the lock. If its vCPU is
+  // preempted, nobody gets the lock until that vCPU runs again (LWP).
+  if (api_.task_executing(*waiters_.front())) grant_head();
 }
 
 void SpinLock::poll(guest::Task& t) {
   if (owner_ != nullptr) return;
-  if (kind_ == SpinKind::kTicket) {
-    if (!waiters_.empty() && waiters_.front() == &t) grant(t);
-  } else {
-    grant(t);
-  }
+  if (!waiters_.empty() && waiters_.front() == &t) grant_head();
 }
 
 }  // namespace irs::sync

@@ -1,15 +1,9 @@
-// Spin locks: busy-waiting waiters burn CPU until they observe the release.
-//
-// Two grant disciplines:
-//  * kTicket — FIFO, like Linux paravirt ticket spinlocks. Only the
-//    next-in-line waiter may take the lock; if its vCPU is preempted the
-//    lock stays logically free but unclaimable — the classic LWP stall.
-//  * kOpportunistic — any waiter that is actually executing may grab a
-//    released lock (test-and-set semantics); preempted waiters simply miss
-//    their chance, so LWP is milder.
+// Ticket spin lock, like Linux paravirt ticket spinlocks: busy-waiting
+// waiters burn CPU until they observe the release, and the grant is FIFO.
+// Only the next-in-line waiter may take the lock; if its vCPU is preempted
+// the lock stays logically free but unclaimable — the classic LWP stall.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <string>
 
@@ -18,19 +12,16 @@
 
 namespace irs::sync {
 
-enum class SpinKind : std::uint8_t { kTicket, kOpportunistic };
-
 class SpinLock final : public SpinWaitable {
  public:
-  explicit SpinLock(guest::SchedApi& api, SpinKind kind = SpinKind::kTicket,
-                    std::string name = "spinlock")
-      : api_(api), kind_(kind), name_(std::move(name)) {}
+  explicit SpinLock(guest::SchedApi& api, std::string name = "spinlock")
+      : api_(api), name_(std::move(name)) {}
 
   /// Try to acquire for `t`; on kSpin the caller must busy-wait the task
   /// (set spin_waiting etc. — done by the guest CPU interpreter).
   SpinResult lock(guest::Task& t);
 
-  /// Release; may immediately grant to an executing waiter.
+  /// Release; grants the lock at once if the head waiter is executing.
   void unlock(guest::Task& t);
 
   /// SpinWaitable: a waiter's spin loop resumed execution; grant if its
@@ -39,15 +30,13 @@ class SpinLock final : public SpinWaitable {
 
   [[nodiscard]] guest::Task* owner() const { return owner_; }
   [[nodiscard]] std::size_t n_waiters() const { return waiters_.size(); }
-  [[nodiscard]] SpinKind kind() const { return kind_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const char* wait_name() const override { return name_.c_str(); }
 
  private:
-  void grant(guest::Task& t);
+  void grant_head();
 
   guest::SchedApi& api_;
-  SpinKind kind_;
   std::string name_;
   guest::Task* owner_ = nullptr;
   std::deque<guest::Task*> waiters_;  // FIFO arrival order

@@ -11,7 +11,6 @@
 
 #include "src/guest/sched_api.h"
 #include "src/sync/barrier.h"
-#include "src/sync/condvar.h"
 #include "src/sync/mutex.h"
 #include "src/sync/pipe.h"
 #include "src/sync/spinlock.h"
@@ -27,9 +26,8 @@ class SyncContext {
     mutexes_.push_back(std::make_unique<Mutex>(api_, std::move(name)));
     return *mutexes_.back();
   }
-  SpinLock& make_spinlock(SpinKind kind = SpinKind::kTicket,
-                          std::string name = "spin") {
-    spins_.push_back(std::make_unique<SpinLock>(api_, kind, std::move(name)));
+  SpinLock& make_spinlock(std::string name = "spin") {
+    spins_.push_back(std::make_unique<SpinLock>(api_, std::move(name)));
     return *spins_.back();
   }
   Barrier& make_barrier(int parties, BarrierKind kind = BarrierKind::kBlocking,
@@ -42,19 +40,10 @@ class SyncContext {
     pipes_.push_back(std::make_unique<Pipe>(api_, capacity, std::move(name)));
     return *pipes_.back();
   }
-  CondVar& make_condvar(std::string name = "cond") {
-    conds_.push_back(std::make_unique<CondVar>(api_, std::move(name)));
-    return *conds_.back();
-  }
   WorkPool& make_pool() {
     pools_.push_back(std::make_unique<WorkPool>());
     return *pools_.back();
   }
-
-  [[nodiscard]] guest::SchedApi& api() { return api_; }
-
-  /// Aggregate lock-wait time across all mutexes (metrics).
-  [[nodiscard]] sim::Duration total_mutex_wait() const;
 
  private:
   guest::SchedApi& api_;
@@ -62,7 +51,6 @@ class SyncContext {
   std::vector<std::unique_ptr<SpinLock>> spins_;
   std::vector<std::unique_ptr<Barrier>> barriers_;
   std::vector<std::unique_ptr<Pipe>> pipes_;
-  std::vector<std::unique_ptr<CondVar>> conds_;
   std::vector<std::unique_ptr<WorkPool>> pools_;
 };
 

@@ -33,7 +33,7 @@ class SpinWaitable {
   virtual void poll(guest::Task& t) = 0;
   /// Name of the primitive being waited on, for LWP attribution. The
   /// returned storage must outlive the waitable.
-  [[nodiscard]] virtual const char* wait_name() const { return "spin"; }
+  [[nodiscard]] virtual const char* wait_name() const = 0;
 };
 
 }  // namespace irs::sync

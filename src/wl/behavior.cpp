@@ -5,20 +5,6 @@
 
 namespace irs::wl {
 
-const char* sync_type_name(SyncType t) {
-  switch (t) {
-    case SyncType::kBarrierBlocking: return "barrier-blocking";
-    case SyncType::kBarrierSpinning: return "barrier-spinning";
-    case SyncType::kMutex: return "mutex";
-    case SyncType::kSpinMutex: return "spin-mutex";
-    case SyncType::kMutexBarrier: return "mutex+barrier";
-    case SyncType::kPipeline: return "pipeline";
-    case SyncType::kWorkSteal: return "work-steal";
-    case SyncType::kEmbarrassing: return "embarrassing";
-  }
-  return "?";
-}
-
 PhasedShape make_phased_shape(const AppSpec& spec, int n_threads,
                               bool endless, std::uint64_t* work) {
   PhasedShape s;
@@ -27,11 +13,7 @@ PhasedShape make_phased_shape(const AppSpec& spec, int n_threads,
   s.endless = endless;
   s.work = work;
   const bool has_lock = spec.sync == SyncType::kMutex ||
-                        spec.sync == SyncType::kSpinMutex ||
                         spec.sync == SyncType::kMutexBarrier;
-  const bool has_barrier = spec.sync == SyncType::kBarrierBlocking ||
-                           spec.sync == SyncType::kBarrierSpinning ||
-                           spec.sync == SyncType::kMutexBarrier;
   if (has_lock) {
     s.cs_len = std::max<sim::Duration>(
         1, static_cast<sim::Duration>(static_cast<double>(spec.granularity) *
@@ -48,7 +30,6 @@ PhasedShape make_phased_shape(const AppSpec& spec, int n_threads,
       spec.granularity * static_cast<sim::Duration>(s.rounds_per_phase);
   s.n_phases = static_cast<int>(
       std::max<sim::Duration>(1, spec.work_per_thread / per_phase));
-  (void)has_barrier;
   return s;
 }
 
@@ -57,7 +38,6 @@ guest::Action PhasedBehavior::next(guest::Task& t, sim::Time now,
   (void)t;
   (void)now;
   const PhasedShape& s = shape_;
-  const bool has_lock = s.mutex != nullptr || s.spin != nullptr;
   for (;;) {
     switch (step_) {
       case 0:  // compute outside the critical section
@@ -65,20 +45,18 @@ guest::Action PhasedBehavior::next(guest::Task& t, sim::Time now,
         return guest::Action::compute(
             rng.jittered(s.outside_len, s.spec.jitter));
       case 1:  // acquire
-        if (!has_lock) {
+        if (s.mutex == nullptr) {
           step_ = 4;
           continue;
         }
         step_ = 2;
-        return s.mutex != nullptr ? guest::Action::lock(*s.mutex)
-                                  : guest::Action::spin_lock(*s.spin);
+        return guest::Action::lock(*s.mutex);
       case 2:  // critical section
         step_ = 3;
         return guest::Action::compute(rng.jittered(s.cs_len, s.spec.jitter));
       case 3:  // release
         step_ = 4;
-        return s.mutex != nullptr ? guest::Action::unlock(*s.mutex)
-                                  : guest::Action::spin_unlock(*s.spin);
+        return guest::Action::unlock(*s.mutex);
       case 4:  // end of round
         if (++round_ < shape_.rounds_per_phase) {
           step_ = 0;
@@ -185,7 +163,11 @@ guest::Action HogBehavior::next(guest::Task& t, sim::Time now,
                                 sim::Rng& rng) {
   (void)t;
   (void)now;
-  return guest::Action::compute(rng.jittered(burst_, 0.05));
+  // A closed gate parks the task without consuming an RNG draw, so the
+  // burst-jitter stream a replica produces while active is independent of
+  // how long it sat parked — migrations move the stream, not reshuffle it.
+  if (gate_ != nullptr && !*gate_) return guest::Action::sleep(kHogPark);
+  return guest::Action::compute(rng.jittered(kHogBurst, 0.05));
 }
 
 }  // namespace irs::wl

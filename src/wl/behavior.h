@@ -9,7 +9,6 @@
 #include "src/sync/barrier.h"
 #include "src/sync/mutex.h"
 #include "src/sync/pipe.h"
-#include "src/sync/spinlock.h"
 #include "src/sync/work_pool.h"
 #include "src/wl/spec.h"
 
@@ -27,7 +26,6 @@ struct PhasedShape {
   sim::Duration cs_len = 0;      // compute inside the critical section
   sync::Barrier* barrier = nullptr;
   sync::Mutex* mutex = nullptr;
-  sync::SpinLock* spin = nullptr;
   /// The workload's work counter, bumped per finished phase (may be null).
   std::uint64_t* work = nullptr;
 };
@@ -37,8 +35,7 @@ PhasedShape make_phased_shape(const AppSpec& spec, int n_threads,
                               bool endless, std::uint64_t* work);
 
 /// Executes the phase structure described by a PhasedShape. Covers
-/// kBarrierBlocking, kBarrierSpinning, kMutex, kSpinMutex, kMutexBarrier
-/// and kEmbarrassing.
+/// kBarrierBlocking, kBarrierSpinning, kMutex and kMutexBarrier.
 class PhasedBehavior final : public guest::Behavior {
  public:
   explicit PhasedBehavior(PhasedShape& shape) : shape_(shape) {}
@@ -97,16 +94,25 @@ class WorkStealBehavior final : public guest::Behavior {
   WorkStealShape& shape_;
 };
 
+/// One CPU-hog compute burst, jittered by ±5%.
+inline constexpr sim::Duration kHogBurst = sim::milliseconds(1);
+/// How long a hog behind a closed gate sleeps before it re-checks the
+/// gate. Migration wakes parked tasks explicitly, so it only needs to
+/// exceed the run length.
+inline constexpr sim::Duration kHogPark = sim::seconds(3600);
+
 /// CPU hog: endless compute in bursts — the paper's interference
-/// micro-benchmark ("CPU hogs with almost zero memory footprint").
+/// micro-benchmark ("CPU hogs with almost zero memory footprint"). With a
+/// `gate`, the task burns CPU only while `*gate` is true and otherwise
+/// parks off-CPU (Action::sleep) until woken: the replica half of cluster
+/// live migration (see wl::HogWorkload and src/cluster/cluster.h).
 class HogBehavior final : public guest::Behavior {
  public:
-  explicit HogBehavior(sim::Duration burst = sim::milliseconds(1))
-      : burst_(burst) {}
+  explicit HogBehavior(const bool* gate = nullptr) : gate_(gate) {}
   guest::Action next(guest::Task& t, sim::Time now, sim::Rng& rng) override;
 
  private:
-  sim::Duration burst_;
+  const bool* gate_;
 };
 
 }  // namespace irs::wl

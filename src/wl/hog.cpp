@@ -6,28 +6,7 @@ void HogWorkload::instantiate(guest::GuestKernel& k) {
   sync_ = std::make_unique<sync::SyncContext>(k);
   k.set_memory_intensity(0.1);  // "almost zero memory footprint"
   for (int i = 0; i < n_hogs_; ++i) {
-    behaviors_.push_back(std::make_unique<HogBehavior>(burst_));
-    tasks_.push_back(
-        &k.create_task("hog." + std::to_string(i), *behaviors_.back(),
-                       i % k.n_cpus()));
-  }
-}
-
-guest::Action GatedHogBehavior::next(guest::Task& /*t*/, sim::Time /*now*/,
-                                     sim::Rng& rng) {
-  // A closed gate parks the task without consuming an RNG draw, so the
-  // burst-jitter stream a replica produces while active is independent of
-  // how long it sat parked — migrations move the stream, not reshuffle it.
-  if (!*gate_) return guest::Action::sleep(park_);
-  return guest::Action::compute(rng.jittered(burst_, 0.05));
-}
-
-void GatedHogWorkload::instantiate(guest::GuestKernel& k) {
-  sync_ = std::make_unique<sync::SyncContext>(k);
-  k.set_memory_intensity(0.1);
-  for (int i = 0; i < n_hogs_; ++i) {
-    behaviors_.push_back(
-        std::make_unique<GatedHogBehavior>(gate_, burst_, park_));
+    behaviors_.push_back(std::make_unique<HogBehavior>(gate_));
     tasks_.push_back(
         &k.create_task("hog." + std::to_string(i), *behaviors_.back(),
                        i % k.n_cpus()));

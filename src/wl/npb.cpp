@@ -46,12 +46,6 @@ AppSpec to_spec(const NpbParams& p, bool spinning) {
 
 }  // namespace
 
-std::vector<AppSpec> npb_specs(bool spinning) {
-  std::vector<AppSpec> out;
-  for (const auto& p : kParams) out.push_back(to_spec(p, spinning));
-  return out;
-}
-
 std::vector<std::string> npb_names() {
   std::vector<std::string> names;
   for (const auto& p : kParams) names.emplace_back(p.name);

@@ -12,10 +12,7 @@
 
 namespace irs::wl {
 
-/// All modelled NPB applications, Figure 6 order, with the requested wait
-/// policy.
-std::vector<AppSpec> npb_specs(bool spinning = true);
-
+/// All modelled NPB applications, Figure 6 order.
 std::vector<std::string> npb_names();
 
 /// Look up one app; aborts on unknown names.

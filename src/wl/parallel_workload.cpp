@@ -41,17 +41,11 @@ void ParallelWorkload::instantiate_phased(guest::GuestKernel& k) {
     case SyncType::kMutex:
       phased_->mutex = &sync_->make_mutex(spec_.name + ".mtx");
       break;
-    case SyncType::kSpinMutex:
-      phased_->spin =
-          &sync_->make_spinlock(sync::SpinKind::kTicket, spec_.name + ".sl");
-      break;
     case SyncType::kMutexBarrier:
       phased_->mutex = &sync_->make_mutex(spec_.name + ".mtx");
       phased_->barrier = &sync_->make_barrier(
           n_threads_, sync::BarrierKind::kBlocking, spec_.name + ".bar");
       break;
-    case SyncType::kEmbarrassing:
-      break;  // compute rounds only
     default:
       assert(false);
   }

@@ -106,8 +106,7 @@ void JbbWorkload::instantiate(guest::GuestKernel& k) {
   shape_->cs_every = cs_every_;
   shape_->mutex = &sync_->make_mutex("jbb.shared");
   if (cs_spin_) {
-    shape_->spin =
-        &sync_->make_spinlock(sync::SpinKind::kTicket, "jbb.shared");
+    shape_->spin = &sync_->make_spinlock("jbb.shared");
   }
   shape_->serving = &serving_;
   for (int i = 0; i < warehouses_; ++i) {

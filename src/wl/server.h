@@ -12,6 +12,7 @@
 
 #include <memory>
 
+#include "src/sync/spinlock.h"
 #include "src/wl/behavior.h"
 #include "src/wl/serving.h"
 #include "src/wl/workload.h"

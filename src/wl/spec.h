@@ -18,14 +18,10 @@ enum class SyncType : std::uint8_t {
   kBarrierBlocking,  // pthread_barrier-like group sync (PARSEC)
   kBarrierSpinning,  // OpenMP OMP_WAIT_POLICY=active (NPB spinning)
   kMutex,            // blocking point-to-point critical sections
-  kSpinMutex,        // ticket-spinlock critical sections
   kMutexBarrier,     // locks inside barrier phases (fluidanimate-like)
   kPipeline,         // staged producer/consumer (dedup, ferret)
   kWorkSteal,        // user-level load balancing (raytrace)
-  kEmbarrassing,     // no inter-thread sync (swaptions-ish, hogs)
 };
-
-const char* sync_type_name(SyncType t);
 
 /// Parameters of one modelled application.
 struct AppSpec {

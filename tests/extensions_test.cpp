@@ -193,7 +193,6 @@ TEST(IrsPull, MatchesIrsForBlockingWorkloads) {
 }
 
 TEST(Extensions, StrategyListAndNames) {
-  EXPECT_EQ(core::extension_strategies().size(), 2u);
   EXPECT_STREQ(core::strategy_name(core::Strategy::kDelayPreempt),
                "Delay-Preempt");
   EXPECT_STREQ(core::strategy_name(core::Strategy::kIrsPull), "IRS-Pull");

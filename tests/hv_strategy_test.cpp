@@ -328,7 +328,6 @@ TEST(Strategy, NamesAndLists) {
   EXPECT_STREQ(core::strategy_name(core::Strategy::kBaseline), "Xen");
   EXPECT_STREQ(core::strategy_name(core::Strategy::kIrs), "IRS");
   EXPECT_EQ(core::all_strategies().size(), 4u);
-  EXPECT_EQ(core::compared_strategies().size(), 3u);
   EXPECT_EQ(core::all_strategies().front(), core::Strategy::kBaseline);
 }
 

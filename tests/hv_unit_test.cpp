@@ -76,13 +76,6 @@ TEST(Vcpu, RefreshPrioFollowsCredits) {
   EXPECT_EQ(v.prio(), CreditPrio::kOver);
 }
 
-TEST(Vcpu, StateNames) {
-  EXPECT_STREQ(vcpu_state_name(VcpuState::kRunning), "running");
-  EXPECT_STREQ(vcpu_state_name(VcpuState::kRunnable), "runnable");
-  EXPECT_STREQ(vcpu_state_name(VcpuState::kBlocked), "blocked");
-  EXPECT_STREQ(credit_prio_name(CreditPrio::kBoost), "BOOST");
-}
-
 class PcpuQueueTest : public ::testing::Test {
  protected:
   PcpuQueueTest() : vm_(0, small_vm()), p_(0) {

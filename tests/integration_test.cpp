@@ -298,6 +298,34 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
       {"negative host count",
        [](ScenarioConfig* c) { c->cluster.n_hosts = -3; },
        "cluster.n_hosts must be >= 0 (got -3)"},
+      // A cluster run builds every interfering VM as a gated hog and has no
+      // forensics, and the SLO window is fixed: unchecked, each of these
+      // inputs would be ignored without a word.
+      {"unknown cluster background",
+       [](ScenarioConfig* c) {
+         c->cluster.n_hosts = 2;
+         c->bg = "nope";
+       },
+       "bg must be \"hog\" or empty in a cluster run (got nope)"},
+      {"real-app cluster background",
+       [](ScenarioConfig* c) {
+         c->cluster.n_hosts = 2;
+         c->bg = "streamcluster";
+       },
+       "bg must be \"hog\" or empty in a cluster run (got streamcluster)"},
+      {"cluster forensics",
+       [](ScenarioConfig* c) {
+         c->cluster.n_hosts = 2;
+         c->fg = "ab";
+         c->forensics = true;
+       },
+       "forensics must be off in a cluster run (got on)"},
+      {"positive SLO window",
+       [](ScenarioConfig* c) {
+         c->fg = "ab";
+         c->slo_window = sim::milliseconds(10);
+       },
+       "slo_window must be 0 (on) or < 0 (off) (got 10000000)"},
   };
   for (const BadConfig& bad : table) {
     ScenarioConfig cfg = quick("streamcluster", core::Strategy::kIrs);

@@ -34,7 +34,8 @@
 //                    the fg VM protected on host 0, each --bg VM a
 //                    migratable hog the placement policy admits; writes one
 //                    timeline per host (out.json, out.host1.json, ...) and
-//                    prints the placement/migration ledger (stdout)
+//                    prints the placement/migration ledger (stdout). A
+//                    --bg other than hog or "", or --forensics, exits 2
 //   --cluster-hosts N   cluster size (implies --cluster; default 2)
 //   --cluster-policy K  placement policy: random|firstfit|irs (implies
 //                       --cluster; default irs)
@@ -318,7 +319,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  cfg.forensics = forensics && !cluster_mode;
+  cfg.forensics = forensics;
   if (cluster_mode && cfg.cluster.n_hosts == 0) cfg.cluster.n_hosts = 2;
 
   exp::TraceDump dump;
