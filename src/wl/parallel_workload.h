@@ -1,5 +1,5 @@
 // Generic parallel workload driven by an AppSpec: phase-structured,
-// pipeline, work-stealing, or embarrassingly parallel.
+// pipeline or work-stealing.
 #pragma once
 
 #include <memory>
