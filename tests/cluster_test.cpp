@@ -266,6 +266,26 @@ TEST(ClusterMigration, ConservationIdentitiesHoldAcrossMigrations) {
   EXPECT_EQ(r.irs_migrations, 0u);
 }
 
+TEST(ClusterBackground, EmptyAdmitsOnlyTheForeground) {
+  // A cluster run takes bg "hog" or empty: "hog" admits n_bg_vms
+  // migratable hog VMs, empty admits none, so nothing can migrate.
+  exp::ScenarioConfig cfg = cluster_cfg("irs", 2, sim::milliseconds(300));
+  cfg.bg = "hog";
+  const exp::RunResult hogs = exp::run_scenario(cfg);
+  cfg.bg.clear();
+  const exp::RunResult none = exp::run_scenario(cfg);
+  ASSERT_TRUE(hogs.finished);
+  ASSERT_TRUE(none.finished);
+  EXPECT_EQ(hogs.cluster.vms, 3u);
+  EXPECT_EQ(hogs.cluster.migratable, 2u);
+  EXPECT_EQ(none.cluster.vms, 1u);
+  EXPECT_EQ(none.cluster.migratable, 0u);
+  EXPECT_EQ(none.cluster.migrations, 0u);
+  ASSERT_EQ(none.cluster.hosts.size(), 2u);
+  EXPECT_EQ(none.cluster.hosts[0].placed, 1u);
+  EXPECT_EQ(none.cluster.hosts[1].placed, 0u);
+}
+
 TEST(ClusterAcceptance, IrsPlacementBeatsRandomUnderTwoHogs) {
   // The fig_cluster headline on its fixed-seed fixture: the random policy
   // co-locates a hog with the protected server (seed 1 places one of the
