@@ -132,11 +132,7 @@ int main() {
                                                exp::PanelOptions{});
       cfg.server_duration = sim::seconds(1);
       cfg.forensics = true;
-      if (spin) {
-        cfg.jbb_cs_len = sim::microseconds(300);
-        cfg.jbb_cs_every = 1;
-        cfg.jbb_cs_spin = true;
-      }
+      cfg.jbb_cs_spin = spin;
       const exp::RunResult r = exp::run_scenario(cfg);
       if (r.forensics.empty()) continue;
       const obs::ForensicsClassResult& c = r.forensics.classes.front();

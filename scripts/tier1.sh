@@ -14,12 +14,19 @@ cmake --build build -j
 ./build/tools/irs_trace_dump --fg specjbb --strategy Xen \
     --forensics --csv > /dev/null
 
-# Open-loop front-end smoke: a short fig08_open arm (frontend workload
-# under a hog, tail-drop policy) through the trace dump's conservation
-# ledger table — the arrival pipeline, overload accounting, and the
-# queue-wait forensics cause must all render end-to-end.
-./build/tools/irs_trace_dump --fg frontend --strategy IRS \
-    --frontend --fe-overload drop --csv > /dev/null
+# Open-loop front-end smoke: the frontend workload under a hog with every
+# arrival process and every overload policy, through the trace dump's
+# conservation ledger and forensics tables — each arrival generator, each
+# policy's refusal accounting, and the queue-wait forensics cause must all
+# render end-to-end.
+for arrival in poisson mmpp diurnal; do
+  for overload in drop admit shed; do
+    ./build/tools/irs_trace_dump --fg frontend --strategy IRS \
+        --fe-arrival "$arrival" --fe-overload "$overload" \
+        --frontend --forensics --csv build/frontend_smoke_trace.json \
+        > /dev/null
+  done
+done
 
 # Attribution smoke: the per-task steal breakdown (the runstate replay's
 # classified steal windows) with the guest lanes and counter tracks in the
@@ -45,7 +52,8 @@ done
 # message, never crash or run on a silent default — irs_trace_dump, the
 # bench binaries and bench_report exit 2, irs_sweep 64. A numeric flag
 # takes the whole argument and nothing below its bound. A cluster run
-# takes only hog interference and no forensics.
+# takes only hog interference and no forensics, and forensics needs a
+# server foreground.
 expect_bad() {
   local want="$1"
   shift
@@ -64,7 +72,8 @@ for bad in "--inter 9" "--inter -1" "--bg-vms -3" "--cluster-policy bogus" \
            "--fg frontend --fe-queue-cap 8x" "--capacity 12abc" \
            "--capacity -1" "--cluster --cluster-hosts 1" \
            "--cluster-hosts -4" "--cluster --bg nope" \
-           "--cluster --bg streamcluster" "--cluster --forensics"; do
+           "--cluster --bg streamcluster" "--cluster --forensics" \
+           "--fg streamcluster --forensics"; do
   # shellcheck disable=SC2086  # word-split the flag and its value
   expect_bad 2 ./build/tools/irs_trace_dump $bad build/bad_config_trace.json
 done

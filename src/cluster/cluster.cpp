@@ -62,10 +62,6 @@ CvmId Cluster::add_vm(int host, const hv::VmConfig& vm_cfg, bool irs_capable,
   return CvmId{host, id};
 }
 
-wl::Workload& Cluster::attach(CvmId vm, std::unique_ptr<wl::Workload> w) {
-  return node(vm.host).attach(vm.vm, std::move(w));
-}
-
 void Cluster::set_protected(CvmId vm) {
   static_cast<void>(node(vm.host));  // range check
   protected_ = vm;

@@ -74,9 +74,6 @@ class Cluster {
   CvmId add_vm(int host, const hv::VmConfig& vm_cfg, bool irs_capable,
                const guest::GuestConfig& guest_cfg = {});
 
-  /// Attach a workload to a fixed VM.
-  wl::Workload& attach(CvmId vm, std::unique_ptr<wl::Workload> w);
-
   /// Mark the VM whose SLO budget the kIrs policy defends (its host's
   /// collector window drives eviction decisions).
   void set_protected(CvmId vm);

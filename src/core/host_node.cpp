@@ -13,6 +13,10 @@ HostNode::HostNode(sim::Engine& eng, HostNodeConfig cfg, std::string name,
       name_(std::move(name)),
       series_prefix_(std::move(series_prefix)),
       eng_(eng) {
+  if (cfg_.sample_period < 0) {
+    throw std::invalid_argument("HostNode: sample_period must be >= 0 (got " +
+                                std::to_string(cfg_.sample_period) + ")");
+  }
   host_ = std::make_unique<hv::Host>(eng_, cfg_.hv, cfg_.n_pcpus);
   if (cfg_.trace_capacity > 0) {
     host_->trace().set_capacity(cfg_.trace_capacity);

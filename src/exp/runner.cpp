@@ -168,6 +168,9 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
   const hv::VmId fg =
       world.add_vm(fg_vm(cfg), /*irs_capable=*/true, cfg.fg_guest);
   wl::Serving* srv = attach_fg(cfg, world, fg, cfg.forensics);
+  // Forensics decomposes request spans, and only a server records them.
+  require(srv != nullptr || !cfg.forensics, "forensics",
+          "off for a non-server foreground", cfg.fg);
 
   // Interfering VM(s): n_inter vCPUs pinned to pCPUs 0..n_inter-1, running
   // either CPU hogs or an endless real application (paper §5.1).
@@ -315,14 +318,12 @@ void set_block_digests(RunResult& r) {
 }
 
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture) {
-  // hv::Host rejects a zero pCPU or vCPU count. A foreground without
-  // threads would run to its timeout, and a negative host count would
-  // quietly run one host.
+  // hv::Host rejects a zero pCPU or vCPU count, and wl::make_workload a
+  // zero thread count. A negative host count would quietly run one host.
   require(cfg.n_inter >= 0, "n_inter", ">= 0", cfg.n_inter);
   require(cfg.n_bg_vms >= 0, "n_bg_vms", ">= 0", cfg.n_bg_vms);
   require(cfg.cluster.n_hosts >= 0, "cluster.n_hosts", ">= 0",
           cfg.cluster.n_hosts);
-  require(cfg.n_threads >= 1, "n_threads", ">= 1", cfg.n_threads);
   require(std::isfinite(cfg.work_scale) && cfg.work_scale > 0, "work_scale",
           "finite and > 0", cfg.work_scale);
   require(cfg.slo_window <= 0, "slo_window", "0 (on) or < 0 (off)",

@@ -43,7 +43,7 @@ inline constexpr sim::Duration kRunTimeout = sim::seconds(150);
 /// sampler) plus the engine's queue backend, which must not
 /// change any result. The inherited wl::WorkloadOptions are the foreground
 /// workload's: its thread count (n_threads), work scale, serving time, and
-/// the SPECjbb lock-contention and open-loop front-end knobs.
+/// the SPECjbb spin shape and open-loop front-end knobs.
 struct ScenarioConfig : core::WorldConfig, wl::WorkloadOptions {
   /// Foreground workload (PARSEC/NPB name, "specjbb", "ab", "frontend").
   std::string fg = "streamcluster";
@@ -81,7 +81,7 @@ struct ScenarioConfig : core::WorldConfig, wl::WorkloadOptions {
   /// latency by cause (see obs/forensics.h). Enables the trace ring at
   /// kForensicsRing if trace_capacity is 0 (a RunCapture dump does not
   /// shrink it). Passive: only the trace-telemetry and forensics fields of
-  /// the result change.
+  /// the result change. Any other foreground rejects it.
   bool forensics = false;
   /// With forensics on, run the decomposition at the end of the run (one
   /// pass over the ring in place, merged with the span log). false records

@@ -19,8 +19,7 @@ GuestCpu::GuestCpu(GuestKernel& kernel, int idx)
           kernel.engine(),
           [this]() {
             if (!vcpu_running_ && guest_idle()) kernel_.kick_if_blocked(idx_);
-          }),
-      steal_(kStealAvgTau) {
+          }) {
   softirq_.set_handler(SoftirqNr::kTimer, [this]() { timer_softirq(); });
   softirq_.set_handler(SoftirqNr::kUpcall, [this]() { upcall_softirq(); });
   // Stagger the first periodic balance so CPUs don't all balance at once.

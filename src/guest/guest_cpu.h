@@ -27,9 +27,6 @@ inline constexpr sim::Duration kWakeupGranularity = sim::microseconds(1000);
 inline constexpr sim::Duration kCtxSwitchCost = sim::microseconds(2);
 /// Period of the per-CPU periodic (push) load balancer.
 inline constexpr sim::Duration kBalanceInterval = sim::milliseconds(16);
-/// Decay time constant of the per-CPU steal-fraction estimate feeding
-/// rt_avg.
-inline constexpr sim::Duration kStealAvgTau = sim::milliseconds(100);
 /// vIRQ handler + context switch cost charged while acknowledging an SA
 /// (paper §3.1 measures 20–26 us end to end; jittered at runtime).
 inline constexpr sim::Duration kSaHandlerCost = sim::microseconds(20);

@@ -44,7 +44,7 @@ bool LoadBalancer::move_one(GuestCpu& from, GuestCpu& to,
   return true;
 }
 
-void LoadBalancer::periodic(GuestCpu& me, int max_moves) {
+void LoadBalancer::periodic(GuestCpu& me) {
   // Push side (models Linux's nohz-idle balancing on behalf of idle CPUs):
   // if we have excess runnable tasks and a sibling looks idle, hand one
   // over and kick its vCPU. The decision is capacity-aware: pushing onto a
@@ -66,7 +66,7 @@ void LoadBalancer::periodic(GuestCpu& me, int max_moves) {
     }
   }
   // Pull side.
-  for (int moved = 0; moved < max_moves; ++moved) {
+  for (int moved = 0; moved < kBalanceMaxMoves; ++moved) {
     GuestCpu* b = busiest_other(me);
     if (b == nullptr) return;
     // Move only on real imbalance: the busiest CPU must stay at least as

@@ -17,6 +17,9 @@
 
 namespace irs::guest {
 
+/// Most ready tasks one periodic balance pulls from the busiest CPU.
+inline constexpr int kBalanceMaxMoves = 4;
+
 class GuestCpu;
 class GuestKernel;
 class Task;
@@ -27,8 +30,8 @@ class LoadBalancer {
   explicit LoadBalancer(GuestKernel& kernel) : kernel_(kernel) {}
 
   /// Periodic balance on behalf of `me` (runs from its tick). Pulls up to
-  /// `max_moves` ready tasks from the busiest CPU if imbalanced.
-  void periodic(GuestCpu& me, int max_moves = 4);
+  /// kBalanceMaxMoves ready tasks from the busiest CPU if imbalanced.
+  void periodic(GuestCpu& me);
 
   /// `me` is about to go idle: try to pull one ready task. Returns true if
   /// a task was enqueued on `me`.

@@ -22,8 +22,8 @@ void StealClock::update(const hv::RunstateInfo& rs, sim::Time now) {
   // Time-weighted EWMA: a sample spanning more wall time carries more
   // weight, so the estimate converges to the true steal fraction even
   // though updates only run while the vCPU is scheduled.
-  const double w =
-      1.0 - std::exp(-static_cast<double>(wall) / static_cast<double>(tau_));
+  const double w = 1.0 - std::exp(-static_cast<double>(wall) /
+                                  static_cast<double>(kStealAvgTau));
   frac_ = w * inst + (1.0 - w) * frac_;
 }
 

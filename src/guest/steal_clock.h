@@ -14,15 +14,14 @@
 
 namespace irs::guest {
 
+/// Decay time constant of the time-weighted steal average feeding rt_avg.
+/// A sample covering `wall` time gets weight 1-exp(-wall/kStealAvgTau), so
+/// long preemption gaps dominate short clean ticks (Linux's rt_avg is a
+/// ~1 s sliding window; 100 ms keeps the simulation responsive).
+inline constexpr sim::Duration kStealAvgTau = sim::milliseconds(100);
+
 class StealClock {
  public:
-  /// `tau`: decay time constant of the time-weighted average. A sample
-  /// covering `wall` time gets weight 1-exp(-wall/tau), so long preemption
-  /// gaps dominate short clean ticks (Linux's rt_avg is a ~1 s sliding
-  /// window; 100 ms keeps the simulation responsive).
-  explicit StealClock(sim::Duration tau = sim::milliseconds(100))
-      : tau_(tau) {}
-
   /// Fold the runstate delta since the previous update into the average.
   void update(const hv::RunstateInfo& rs, sim::Time now);
 
@@ -34,7 +33,6 @@ class StealClock {
   [[nodiscard]] sim::Duration last_steal_total() const { return last_steal_; }
 
  private:
-  sim::Duration tau_;
   double frac_ = 0.0;
   sim::Duration last_steal_ = 0;
   sim::Time last_update_ = 0;

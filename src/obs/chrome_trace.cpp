@@ -151,11 +151,6 @@ sim::Time retained_head(std::span<const sim::TraceRecord> records,
 }
 
 std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
-                              const TraceMeta& meta) {
-  return chrome_trace_json(records, meta, ChromeTraceOptions{});
-}
-
-std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
                               const TraceMeta& meta,
                               const ChromeTraceOptions& opt) {
   JsonWriter w;
@@ -179,7 +174,8 @@ std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
       meta_event(w, "thread_name", kPidGuest, v.id, vcpu_label(meta, v.id));
     }
   }
-  if (opt.request_lanes) {
+  const bool request_lanes = opt.forensics != nullptr;
+  if (request_lanes) {
     meta_event(w, "process_name", kPidRequests, 0, "requests");
   }
   if ((opt.counters != nullptr && !opt.counters->empty()) ||
@@ -267,14 +263,14 @@ std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
         break;
       }
       case sim::TraceKind::kReqBegin: {
-        if (!opt.request_lanes) break;
+        if (!request_lanes) break;
         // a = request id, b = SLO class, c = serving task.
         name_req_lane(r.c);
         open_req[r.a] = {r.c, r.when};
         break;
       }
       case sim::TraceKind::kReqEnd: {
-        if (!opt.request_lanes) break;
+        if (!request_lanes) break;
         auto it = open_req.find(r.a);
         if (it == open_req.end()) break;  // begin dropped by ring wrap
         span_event(w, "req " + std::to_string(r.a), kPidRequests,

@@ -12,6 +12,8 @@
 //     kGuestSwitch records, plus migration flow arrows from kMigrate;
 //   - optionally (ChromeTraceOptions::counters) Perfetto "C" counter tracks
 //     rendered from sampler series;
+//   - optionally (ChromeTraceOptions::forensics) a "requests" process with
+//     a lane per serving task, plus per-cause counter tracks;
 //   - a truncation metadata instant when the ring wrapped and dropped
 //     records, placed at retained_head() so the gap is visible where it
 //     actually is.
@@ -74,10 +76,9 @@ struct ChromeTraceOptions {
   /// ("slo:<class>:p50/p99/p999" in ms and "slo:<class>:burn", the
   /// error-budget burn rate), stepped at window starts.
   const SloResult* slo = nullptr;
-  /// Render a "requests" process with one lane per serving task, each
-  /// kReqBegin/kReqEnd pair a complete span (folded by request id).
-  bool request_lanes = false;
-  /// When set, each violating window renders per-cause counter tracks
+  /// When set, a "requests" process renders one lane per serving task,
+  /// each kReqBegin/kReqEnd pair a complete span (folded by request id),
+  /// and each violating window renders per-cause counter tracks
   /// ("why:<class>:<cause>" in ms of latency charged), stepped at window
   /// starts — the "why did p999 move" overlay for the SLO tracks above.
   const struct ForensicsResult* forensics = nullptr;
@@ -85,8 +86,6 @@ struct ChromeTraceOptions {
 
 /// Records must be in snapshot order: oldest first, as Trace::snapshot()
 /// returns them (with_request_spans() keeps that order).
-std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
-                              const TraceMeta& meta);
 std::string chrome_trace_json(const std::vector<sim::TraceRecord>& records,
                               const TraceMeta& meta,
                               const ChromeTraceOptions& opt);

@@ -1,11 +1,18 @@
 #include "src/obs/sampler.h"
 
+#include <stdexcept>
+
 #include "src/obs/fnv.h"
 
 namespace irs::obs {
 
 Sampler::Sampler(sim::Engine& eng, sim::Duration period)
-    : eng_(eng), period_(period > 0 ? period : kDefaultPeriod) {}
+    : eng_(eng), period_(period) {
+  if (period_ <= 0) {
+    throw std::invalid_argument("Sampler: period must be > 0 (got " +
+                                std::to_string(period_) + ")");
+  }
+}
 
 void Sampler::add_channel(std::string name, bool rate,
                           std::function<std::int64_t()> fn) {
@@ -14,7 +21,7 @@ void Sampler::add_channel(std::string name, bool rate,
   rate_.push_back(rate ? 1 : 0);
   primed_.push_back(0);
   fns_.push_back(std::move(fn));
-  series_.emplace_back(std::move(name), kDefaultCapacity);
+  series_.emplace_back(std::move(name));
 }
 
 void Sampler::add_gauge(std::string name, std::function<std::int64_t()> fn) {

@@ -29,27 +29,27 @@ struct Sample {
   std::int64_t value = 0;
 };
 
-/// One named time-series: a fixed-capacity ring of samples. Overflow drops
+/// Samples one series keeps before it drops the oldest.
+inline constexpr std::size_t kSeriesCapacity = 8192;
+
+/// One named time-series: a ring of kSeriesCapacity samples. Overflow drops
 /// the oldest samples and is counted, mirroring sim::Trace.
 class Series {
  public:
-  Series() = default;
-  Series(std::string name, std::size_t capacity)
-      : name_(std::move(name)), capacity_(capacity > 0 ? capacity : 1) {}
-  // The ring grows geometrically up to `capacity` instead of reserving it
-  // upfront: a default-capacity sampler would otherwise allocate (and
-  // page-fault) 128 KiB per series per run, which dwarfs the sampling
-  // itself on short sweeps.
+  explicit Series(std::string name) : name_(std::move(name)) {}
+  // The ring grows geometrically up to kSeriesCapacity instead of
+  // reserving it upfront: that would allocate (and page-fault) 128 KiB per
+  // series per run, which dwarfs the sampling itself on short sweeps.
 
   void push(sim::Time when, std::int64_t value) {
     ++total_;
-    if (ring_.size() < capacity_) {
+    if (ring_.size() < kSeriesCapacity) {
       ring_.push_back(Sample{when, value});
       return;
     }
     ring_[head_] = Sample{when, value};
     ++head_;
-    if (head_ == capacity_) head_ = 0;
+    if (head_ == kSeriesCapacity) head_ = 0;
     ++dropped_;
   }
 
@@ -74,7 +74,6 @@ class Series {
 
  private:
   std::string name_;
-  std::size_t capacity_ = 1;
   std::size_t head_ = 0;  // next write slot once the ring is full
   std::uint64_t dropped_ = 0;
   std::uint64_t total_ = 0;
@@ -100,8 +99,8 @@ class Sampler {
   /// on the sparsest sweeps. Denser series are an explicit opt-in via
   /// `sample_period` (tests use 100 us - 1 ms).
   static constexpr sim::Duration kDefaultPeriod = sim::milliseconds(30);
-  static constexpr std::size_t kDefaultCapacity = 8192;
 
+  /// Throws std::invalid_argument unless `period` > 0.
   explicit Sampler(sim::Engine& eng, sim::Duration period = kDefaultPeriod);
 
   // --- channel registration (before start()) ---

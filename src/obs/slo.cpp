@@ -39,11 +39,6 @@ void LatencyHistogram::add_zeros(std::uint64_t n) {
   counts_[0] += n;
 }
 
-sim::Duration LatencyHistogram::mean() const {
-  if (count_ == 0) return 0;
-  return static_cast<sim::Duration>(sum_ / count_);
-}
-
 std::uint64_t LatencyHistogram::sum_lo() const {
   return static_cast<std::uint64_t>(sum_);
 }

@@ -100,10 +100,9 @@ class LatencyHistogram {
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] sim::Duration min() const { return count_ > 0 ? min_ : 0; }
   [[nodiscard]] sim::Duration max() const { return count_ > 0 ? max_ : 0; }
-  /// Exact integer mean (sum accumulates in 128 bits — ~1.8e38 ns·samples,
-  /// unreachable — so no overflow at any request count).
-  [[nodiscard]] sim::Duration mean() const;
-  /// Low/high halves of the exact 128-bit sum (for serialization).
+  /// Low/high halves of the exact sum (for serialization). It accumulates
+  /// in 128 bits — ~1.8e38 ns·samples, unreachable — so no request count
+  /// overflows it.
   [[nodiscard]] std::uint64_t sum_lo() const;
   [[nodiscard]] std::uint64_t sum_hi() const;
 
@@ -128,8 +127,9 @@ class LatencyHistogram {
 
   void clear();
 
-  /// Heap + object footprint in bytes (the O(buckets) memory claim; the
-  /// bench gates this against exact-sample storage).
+  /// Heap + object footprint in bytes: the oracle of the O(buckets) memory
+  /// claim, which SloHistogram.MemoryIsBucketsNotSamples checks against
+  /// exact-sample storage.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// FNV-1a over count/sum/min/max and every nonzero (index, count) pair.

@@ -16,7 +16,7 @@ struct TelemetryConfig {
   /// >0 enables the trace ring with this capacity.
   std::size_t trace_capacity = 0;
   /// >0 arms an obs::Sampler at start() on this simulated-time cadence.
-  /// 0 (default) disables sampling entirely.
+  /// 0 (default) disables sampling entirely; core::HostNode rejects < 0.
   sim::Duration sample_period = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "src/sim/rng.h"
 
-#include <cassert>
 #include <cmath>
 
 namespace irs::sim {
@@ -50,12 +49,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
 double Rng::next_double() {
   // 53 high bits -> [0,1).
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-std::int64_t Rng::uniform(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
 }
 
 Duration Rng::jittered(Duration mean, double frac) {

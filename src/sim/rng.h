@@ -30,9 +30,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double next_double();
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform(std::int64_t lo, std::int64_t hi);
-
   /// Duration uniformly jittered around `mean` by +/- `frac` (e.g. 0.2 for
   /// 20% jitter). Never returns a negative duration.
   Duration jittered(Duration mean, double frac);

@@ -1,6 +1,5 @@
 #include "src/sim/trace.h"
 
-#include <cstring>
 #include <sstream>
 
 namespace irs::sim {
@@ -27,18 +26,6 @@ const char* trace_kind_name(TraceKind k) {
     case TraceKind::kUser: return "user";
   }
   return "?";
-}
-
-bool trace_kind_from_name(const char* name, TraceKind* out) {
-  if (name == nullptr) return false;
-  for (int i = 0; i < kNumTraceKinds; ++i) {
-    const auto k = static_cast<TraceKind>(i);
-    if (std::strcmp(trace_kind_name(k), name) == 0) {
-      if (out != nullptr) *out = k;
-      return true;
-    }
-  }
-  return false;
 }
 
 void Trace::set_capacity(std::size_t capacity) {

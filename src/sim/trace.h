@@ -49,11 +49,6 @@ inline constexpr int kNumTraceKinds = static_cast<int>(TraceKind::kUser) + 1;
 
 const char* trace_kind_name(TraceKind k);
 
-/// Inverse of trace_kind_name. Returns false for unknown names (including
-/// the "?" placeholder), so exporter names can never silently desync from
-/// the enum.
-bool trace_kind_from_name(const char* name, TraceKind* out);
-
 /// Owned small-string annotation. TraceRecord used to hold a `const char*`,
 /// which dangled whenever a producer passed anything but a string literal;
 /// records now copy (and truncate) the note into inline storage.

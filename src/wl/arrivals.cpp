@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace irs::wl {
 
@@ -27,10 +28,14 @@ bool arrival_kind_from_name(const std::string& name, ArrivalKind* out) {
 
 namespace {
 
-/// Mean interarrival gap (ns) at `rate_hz`; saturates degenerate rates to
-/// something finite so a bad config degrades instead of dividing by zero.
+constexpr auto kDiurnalSegs = static_cast<sim::Duration>(kDiurnalMult.size());
+constexpr sim::Duration kSegmentLen = kDiurnalPeriod / kDiurnalSegs;
+// Every segment has arrivals, so the diurnal loop never meets a silent one.
+static_assert(std::ranges::all_of(kDiurnalMult,
+                                  [](double m) { return m > 0.0; }));
+
+/// Mean interarrival gap (ns) at `rate_hz` > 0, at least 1 ns.
 sim::Duration mean_gap(double rate_hz) {
-  if (rate_hz <= 0.0) return sim::seconds(3600);
   const double ns = 1e9 / rate_hz;
   return std::max<sim::Duration>(1, static_cast<sim::Duration>(ns));
 }
@@ -38,25 +43,14 @@ sim::Duration mean_gap(double rate_hz) {
 }  // namespace
 
 ArrivalProcess::ArrivalProcess(const ArrivalConfig& cfg) : cfg_(cfg) {
-  if (cfg_.rate_hz <= 0.0) cfg_.rate_hz = 1800.0;
-  if (cfg_.diurnal_mult.empty()) cfg_.diurnal_mult = {1.0};
-  if (cfg_.diurnal_period <= 0) cfg_.diurnal_period = sim::seconds(1);
-  if (cfg_.calm_dwell_mean <= 0) cfg_.calm_dwell_mean = sim::milliseconds(200);
-  if (cfg_.burst_dwell_mean <= 0) cfg_.burst_dwell_mean = sim::milliseconds(50);
-}
-
-double ArrivalProcess::burst_rate() const {
-  return cfg_.burst_rate_hz > 0.0 ? cfg_.burst_rate_hz : 4.0 * cfg_.rate_hz;
-}
-
-sim::Duration ArrivalProcess::segment_len() const {
-  return std::max<sim::Duration>(
-      1, cfg_.diurnal_period /
-             static_cast<sim::Duration>(cfg_.diurnal_mult.size()));
+  if (!(cfg_.rate_hz > 0.0)) {
+    throw std::invalid_argument("ArrivalProcess: rate_hz must be > 0 (got " +
+                                std::to_string(cfg_.rate_hz) + ")");
+  }
 }
 
 double ArrivalProcess::segment_rate(std::size_t seg) const {
-  return cfg_.rate_hz * cfg_.diurnal_mult[seg % cfg_.diurnal_mult.size()];
+  return cfg_.rate_hz * kDiurnalMult[seg % kDiurnalMult.size()];
 }
 
 sim::Duration ArrivalProcess::next_gap(sim::Rng& rng) {
@@ -69,10 +63,10 @@ sim::Duration ArrivalProcess::next_gap(sim::Rng& rng) {
       for (;;) {
         if (dwell_left_ <= 0) {
           dwell_left_ = std::max<sim::Duration>(
-              1, rng.exponential(burst_ ? cfg_.burst_dwell_mean
-                                        : cfg_.calm_dwell_mean));
+              1, rng.exponential(burst_ ? kMmppBurstDwell : kMmppCalmDwell));
         }
-        const double rate = burst_ ? burst_rate() : cfg_.rate_hz;
+        const double rate =
+            burst_ ? kMmppBurstFactor * cfg_.rate_hz : cfg_.rate_hz;
         const sim::Duration d = rng.exponential(mean_gap(rate));
         if (d < dwell_left_) {
           dwell_left_ -= d;
@@ -86,27 +80,19 @@ sim::Duration ArrivalProcess::next_gap(sim::Rng& rng) {
       }
     }
     case ArrivalKind::kDiurnal: {
-      const sim::Duration seg_len = segment_len();
-      const sim::Duration n_segs =
-          static_cast<sim::Duration>(cfg_.diurnal_mult.size());
       sim::Duration gap = 0;
       for (;;) {
-        const std::size_t seg =
-            static_cast<std::size_t>((phase_ / seg_len) % n_segs);
-        const sim::Duration seg_end = ((phase_ / seg_len) + 1) * seg_len;
-        const double rate = segment_rate(seg);
-        if (rate <= 0.0) {  // silent segment: skip to its end
-          gap += seg_end - phase_;
-          phase_ = seg_end % (seg_len * n_segs);
-          continue;
-        }
-        const sim::Duration d = rng.exponential(mean_gap(rate));
+        const auto seg =
+            static_cast<std::size_t>((phase_ / kSegmentLen) % kDiurnalSegs);
+        const sim::Duration seg_end =
+            ((phase_ / kSegmentLen) + 1) * kSegmentLen;
+        const sim::Duration d = rng.exponential(mean_gap(segment_rate(seg)));
         if (phase_ + d < seg_end) {
           phase_ += d;
           return std::max<sim::Duration>(1, gap + d);
         }
         gap += seg_end - phase_;
-        phase_ = seg_end % (seg_len * n_segs);
+        phase_ = seg_end % (kSegmentLen * kDiurnalSegs);
       }
     }
   }
@@ -119,19 +105,19 @@ double ArrivalProcess::expected_count(sim::Duration t) const {
     case ArrivalKind::kPoisson:
       return cfg_.rate_hz * sim::to_sec(t);
     case ArrivalKind::kMmpp: {
-      const double dc = sim::to_sec(cfg_.calm_dwell_mean);
-      const double db = sim::to_sec(cfg_.burst_dwell_mean);
+      const double dc = sim::to_sec(kMmppCalmDwell);
+      const double db = sim::to_sec(kMmppBurstDwell);
       const double stationary =
-          (cfg_.rate_hz * dc + burst_rate() * db) / (dc + db);
+          (cfg_.rate_hz * dc + kMmppBurstFactor * cfg_.rate_hz * db) /
+          (dc + db);
       return stationary * sim::to_sec(t);
     }
     case ArrivalKind::kDiurnal: {
-      const sim::Duration seg_len = segment_len();
       double n = 0.0;
       sim::Duration at = 0;
       std::size_t seg = 0;
       while (at < t) {
-        const sim::Duration step = std::min<sim::Duration>(seg_len, t - at);
+        const sim::Duration step = std::min<sim::Duration>(kSegmentLen, t - at);
         n += segment_rate(seg) * sim::to_sec(step);
         at += step;
         ++seg;

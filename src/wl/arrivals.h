@@ -8,13 +8,13 @@
 //
 //   * kPoisson — exponential interarrivals at a constant rate;
 //   * kMmpp    — 2-state Markov-modulated Poisson (calm/burst): the rate
-//                switches between rate_hz and burst_rate_hz on
-//                exponentially distributed dwell times, producing the
+//                switches between rate_hz and kMmppBurstFactor * rate_hz
+//                on exponentially distributed dwell times, producing the
 //                bursty traffic a constant-rate process can't (index of
 //                dispersion > 1);
 //   * kDiurnal — piecewise-constant rate trace: rate_hz scaled by
-//                diurnal_mult[i] over equal-length segments of
-//                diurnal_period, repeating. Its arrival-count integral has
+//                kDiurnalMult[i] over equal-length segments of
+//                kDiurnalPeriod, repeating. Its arrival-count integral has
 //                a closed form (expected_count) the property tests check.
 //
 // Generation is exact, not thinned: within a constant-rate stretch the gap
@@ -23,8 +23,8 @@
 // process exactly the target process).
 #pragma once
 
+#include <array>
 #include <string>
-#include <vector>
 
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
@@ -38,23 +38,26 @@ const char* arrival_kind_name(ArrivalKind k);
 /// Inverse of arrival_kind_name. Returns false for unknown names.
 bool arrival_kind_from_name(const std::string& name, ArrivalKind* out);
 
+/// MMPP: the burst-state rate as a multiple of rate_hz, and the mean dwell
+/// in each state.
+inline constexpr double kMmppBurstFactor = 4.0;
+inline constexpr sim::Duration kMmppCalmDwell = sim::milliseconds(200);
+inline constexpr sim::Duration kMmppBurstDwell = sim::milliseconds(50);
+/// Diurnal trace: rate multipliers over equal-length segments of one
+/// period (a day squeezed to simulation scale), repeating.
+inline constexpr std::array kDiurnalMult = {0.25, 0.5, 1.0, 2.0, 1.5, 0.75};
+inline constexpr sim::Duration kDiurnalPeriod = sim::seconds(1);
+
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kPoisson;
   /// Base arrival rate (requests per simulated second): the Poisson rate,
   /// the MMPP calm-state rate, and the diurnal multiplier baseline.
   double rate_hz = 1800.0;
-  /// MMPP burst-state rate; <= 0 means 4x rate_hz.
-  double burst_rate_hz = 0.0;
-  sim::Duration calm_dwell_mean = sim::milliseconds(200);
-  sim::Duration burst_dwell_mean = sim::milliseconds(50);
-  /// Diurnal trace: rate multipliers over equal-length segments of one
-  /// period (a day squeezed to simulation scale), repeating.
-  std::vector<double> diurnal_mult = {0.25, 0.5, 1.0, 2.0, 1.5, 0.75};
-  sim::Duration diurnal_period = sim::seconds(1);
 };
 
 class ArrivalProcess {
  public:
+  /// Throws std::invalid_argument unless cfg.rate_hz > 0.
   explicit ArrivalProcess(const ArrivalConfig& cfg);
 
   /// Gap from the previous arrival to the next one (>= 1 ns), consuming
@@ -69,8 +72,6 @@ class ArrivalProcess {
   [[nodiscard]] double expected_count(sim::Duration t) const;
 
  private:
-  [[nodiscard]] double burst_rate() const;
-  [[nodiscard]] sim::Duration segment_len() const;
   [[nodiscard]] double segment_rate(std::size_t seg) const;
 
   ArrivalConfig cfg_;

@@ -49,8 +49,8 @@ class PhasedBehavior final : public guest::Behavior {
 };
 
 /// Shared state of a pipeline-parallel application (dedup/ferret-like):
-/// `stages` stages, `threads_per_stage` workers each, bounded pipes between
-/// consecutive stages.
+/// `stages` stages, the workload's n_threads workers each, bounded pipes
+/// between consecutive stages.
 struct PipelineShape {
   AppSpec spec;
   int items_total = 0;           // items flowing through the pipeline

@@ -75,8 +75,8 @@ bool FeListenerBehavior::admit(sim::Time arrival, sim::Time now) {
     // Reject when the queue alone is predicted to eat the latency budget:
     // (depth + 1) requests ahead of or including this one, served at
     // kServiceMean across n_workers.
-    const sim::Duration est = static_cast<sim::Duration>(depth + 1) *
-                              kServiceMean / std::max(1, opts_.n_workers);
+    const sim::Duration est =
+        static_cast<sim::Duration>(depth + 1) * kServiceMean / opts_.n_workers;
     if (est > shape_.serving->spec().threshold) {
       ++st.admit_rejected;
       shape_.serving->refuse(kDropClass, now);
@@ -216,10 +216,7 @@ FrontendWorkload::FrontendWorkload(const FrontendOptions& opts)
       serving_(work_, opts.run_for,
                {{"fe", obs::SloSpec{sim::milliseconds(20), 0.999}},
                 {"fe.drop", obs::SloSpec{0, 0.999}},
-                {"fe.shed", obs::SloSpec{0, 0.999}}}) {
-  if (opts_.n_workers < 1) opts_.n_workers = 1;
-  if (opts_.queue_cap < 1) opts_.queue_cap = 1;
-}
+                {"fe.shed", obs::SloSpec{0, 0.999}}}) {}
 
 void FrontendWorkload::instantiate(guest::GuestKernel& k) {
   sync_ = std::make_unique<sync::SyncContext>(k);

@@ -66,6 +66,7 @@ inline constexpr int kKeepaliveMax = 16;
 inline constexpr int kConnsPerWorker = 8;
 
 /// Every request's service compute is ab's, kServiceMean (wl/serving.h).
+/// make_workload builds these with n_workers >= 1 and queue_cap >= 1.
 struct FrontendOptions {
   int n_workers = 4;
   sim::Duration run_for = sim::seconds(3);

@@ -22,8 +22,7 @@ const std::vector<AppSpec>& parsec_specs() {
        .granularity = microseconds(1500),
        .jitter = 0.35,
        .memory_intensity = 1.5,
-       .stages = 4,
-       .threads_per_stage = 4},
+       .stages = 4},
       {.name = "streamcluster",
        .sync = SyncType::kBarrierBlocking,
        .work_per_thread = milliseconds(900),
@@ -62,8 +61,7 @@ const std::vector<AppSpec>& parsec_specs() {
        .granularity = microseconds(1200),
        .jitter = 0.30,
        .memory_intensity = 1.2,
-       .stages = 5,
-       .threads_per_stage = 4},
+       .stages = 5},
       {.name = "swaptions",
        .sync = SyncType::kBarrierBlocking,
        .work_per_thread = milliseconds(1200),

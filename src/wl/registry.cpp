@@ -44,14 +44,13 @@ void require_non_negative(T v, const char* field) {
 
 }  // namespace
 
-bool workload_exists(const std::string& name) {
-  return is_parsec(name) || is_npb(name) || name == "specjbb" ||
-         name == "ab" || name == "frontend" || name == "hog";
-}
-
 std::unique_ptr<Workload> make_workload(const std::string& name,
                                         const WorkloadOptions& opts,
                                         bool endless) {
+  if (opts.n_threads < 1) {
+    throw std::invalid_argument("make_workload: n_threads must be >= 1 (got " +
+                                std::to_string(opts.n_threads) + ")");
+  }
   if (is_parsec(name)) {
     return std::make_unique<ParallelWorkload>(
         scaled(parsec_spec(name), opts.work_scale), opts.n_threads, endless);
@@ -62,17 +61,11 @@ std::unique_ptr<Workload> make_workload(const std::string& name,
         opts.n_threads, endless);
   }
   if (name == "specjbb") {
-    require_non_negative(opts.jbb_cs_len, "jbb_cs_len");
-    require_non_negative(opts.jbb_cs_every, "jbb_cs_every");
-    return std::make_unique<JbbWorkload>(
-        opts.n_threads, opts.server_duration,
-        opts.jbb_cs_len > 0 ? opts.jbb_cs_len : sim::microseconds(80),
-        opts.jbb_cs_every > 0 ? opts.jbb_cs_every : 2, opts.jbb_cs_spin);
+    return std::make_unique<JbbWorkload>(opts.n_threads, opts.server_duration,
+                                         opts.jbb_cs_spin);
   }
   if (name == "ab") {
-    // ab's connection count is independent of vCPUs; the paper uses 512.
-    const int conns = opts.n_threads > 8 ? opts.n_threads : 512;
-    return std::make_unique<AbWorkload>(conns, opts.server_duration);
+    return std::make_unique<AbWorkload>(opts.server_duration);
   }
   if (name == "frontend") {
     FrontendOptions fe;

@@ -11,21 +11,20 @@ namespace irs::wl {
 
 /// Options for make_workload.
 struct WorkloadOptions {
-  int n_threads = 4;  // matches n_vcpus in the paper
+  /// Threads, >= 1 (matches n_vcpus in the paper): workers, warehouses or
+  /// hogs; pipelines run this many per stage, and ab always runs its
+  /// kAbConnections.
+  int n_threads = 4;
   /// NPB wait policy: spinning (OMP_WAIT_POLICY=active) or blocking.
   bool npb_spinning = true;
   /// Multiply the spec's per-thread work (shrink/grow runs).
   double work_scale = 1.0;
   /// Server workloads: how long to serve.
   sim::Duration server_duration = sim::seconds(3);
-  /// SPECjbb lock-contention overrides (0 = model defaults, 80 us and 2;
-  /// < 0 is an error): critical section length, and take the lock every
-  /// Nth transaction.
-  sim::Duration jbb_cs_len = 0;
-  int jbb_cs_every = 0;
-  /// Take the critical section under a ticket spinlock (waiters spin
-  /// on-CPU) instead of the blocking mutex — the shape that reproduces the
-  /// paper's lock-holder/waiter preemption pathology.
+  /// SPECjbb: run Fig. 8(d)'s spin shape, a longer critical section every
+  /// transaction under a ticket spinlock (waiters spin on-CPU) instead of
+  /// the blocking mutex — the shape that reproduces the paper's
+  /// lock-holder/waiter preemption pathology (see wl/server.h).
   bool jbb_cs_spin = false;
   /// Open-loop front-end ("frontend") knobs; see src/wl/frontend.h.
   /// Arrival process: "poisson", "mmpp", or "diurnal".
@@ -45,14 +44,11 @@ struct WorkloadOptions {
 /// ("BT".."UA"), "specjbb", "ab", "frontend", and "hog". `endless` loops a
 /// PARSEC or NPB model forever (the background/interference role; the
 /// servers and the hog ignore it). Throws std::invalid_argument naming the
-/// bad value for an unknown name, an unknown front-end arrival process or
-/// overload policy, and a negative jbb_cs_len, jbb_cs_every, fe_rate_hz or
+/// bad value for n_threads < 1, an unknown name, an unknown front-end
+/// arrival process or overload policy, and a negative fe_rate_hz or
 /// fe_queue_cap.
 std::unique_ptr<Workload> make_workload(const std::string& name,
                                         const WorkloadOptions& opts = {},
                                         bool endless = false);
-
-/// True if `name` resolves.
-bool workload_exists(const std::string& name);
 
 }  // namespace irs::wl

@@ -16,7 +16,7 @@ guest::Action JbbWorkerBehavior::next(guest::Task& t, sim::Time now,
         step_ = 1;
         return guest::Action::compute(rng.jittered(kTxnMean, 0.5));
       case 1:  // main compute done; occasionally touch the shared structure
-        if (shape_.cs_every > 0 && ++txn_count_ % shape_.cs_every == 0) {
+        if (++txn_count_ % shape_.cs_every == 0) {
           step_ = 2;
           if (shape_.spin != nullptr) {
             return guest::Action::spin_lock(*shape_.spin);
@@ -84,12 +84,9 @@ guest::Action AbWorkerBehavior::next(guest::Task& t, sim::Time now,
 // Transaction SLO: 10 ms at three nines (25x the 400 us service mean —
 // comfortably met uncontended, blown once a hog steals a 30 ms timeslice
 // from a lock holder).
-JbbWorkload::JbbWorkload(int warehouses, sim::Duration run_for,
-                         sim::Duration cs_len, int cs_every, bool cs_spin)
+JbbWorkload::JbbWorkload(int warehouses, sim::Duration run_for, bool cs_spin)
     : Workload("specjbb"),
       warehouses_(warehouses),
-      cs_len_(cs_len),
-      cs_every_(cs_every),
       cs_spin_(cs_spin),
       serving_(work_, run_for,
                {{"jbb", obs::SloSpec{sim::milliseconds(10), 0.999}}}) {}
@@ -102,8 +99,8 @@ void JbbWorkload::instantiate(guest::GuestKernel& k) {
   // SPECjbb transactions touch shared warehouse structures under a lock
   // often enough that a lock-holder freeze stalls every warehouse — the
   // effect behind the paper's 46% latency improvement.
-  shape_->cs_len = cs_len_;
-  shape_->cs_every = cs_every_;
+  shape_->cs_len = cs_spin_ ? kJbbSpinCsLen : kJbbCsLen;
+  shape_->cs_every = cs_spin_ ? kJbbSpinCsEvery : kJbbCsEvery;
   shape_->mutex = &sync_->make_mutex("jbb.shared");
   if (cs_spin_) {
     shape_->spin = &sync_->make_spinlock("jbb.shared");
@@ -118,9 +115,8 @@ void JbbWorkload::instantiate(guest::GuestKernel& k) {
 
 // Request SLO: 20 ms at three nines (10x the 2 ms service mean; requests
 // queue behind preempted vCPUs under hogs).
-AbWorkload::AbWorkload(int connections, sim::Duration run_for)
+AbWorkload::AbWorkload(sim::Duration run_for)
     : Workload("ab"),
-      connections_(connections),
       serving_(work_, run_for,
                {{"ab", obs::SloSpec{sim::milliseconds(20), 0.999}}}) {}
 
@@ -130,7 +126,7 @@ void AbWorkload::instantiate(guest::GuestKernel& k) {
   shape_ = std::make_unique<ServerShape>();
   shape_->end_time = k.engine().now() + serving_.run_for();
   shape_->serving = &serving_;
-  for (int i = 0; i < connections_; ++i) {
+  for (int i = 0; i < kAbConnections; ++i) {
     behaviors_.push_back(std::make_unique<AbWorkerBehavior>(*shape_));
     tasks_.push_back(&k.create_task("ab.c" + std::to_string(i),
                                     *behaviors_.back(), i % k.n_cpus()));

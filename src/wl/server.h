@@ -23,6 +23,17 @@ namespace irs::wl {
 inline constexpr sim::Duration kTxnMean = sim::microseconds(400);
 /// Mean think time between an ab connection's requests.
 inline constexpr sim::Duration kThinkMean = sim::milliseconds(2);
+/// ab's concurrent connections, independent of the vCPU count (paper §5.3).
+inline constexpr int kAbConnections = 512;
+/// SPECjbb's shared-structure critical section: its hold time, taken every
+/// kJbbCsEvery-th transaction under a blocking mutex.
+inline constexpr sim::Duration kJbbCsLen = sim::microseconds(80);
+inline constexpr int kJbbCsEvery = 2;
+/// Fig. 8(d)'s spin shape: a kJbbSpinCsLen section every transaction under
+/// a ticket spinlock, the shape that makes lock-holder/waiter preemption
+/// the dominant latency cause.
+inline constexpr sim::Duration kJbbSpinCsLen = sim::microseconds(300);
+inline constexpr int kJbbSpinCsEvery = 1;
 
 struct ServerShape {
   sim::Time end_time = 0;
@@ -63,22 +74,15 @@ class AbWorkerBehavior final : public guest::Behavior {
 
 class JbbWorkload final : public Workload {
  public:
-  /// `cs_len`/`cs_every` shape the shared-structure critical section (hold
-  /// time, lock every Nth transaction). Defaults match the historical
-  /// 80 us / every-2nd shape; forensics fixtures crank them up — and flip
-  /// `cs_spin` so the section takes a ticket spinlock whose waiters spin
-  /// on-CPU — to make lock-holder/waiter preemption the dominant latency
-  /// cause.
-  JbbWorkload(int warehouses, sim::Duration run_for,
-              sim::Duration cs_len = sim::microseconds(80), int cs_every = 2,
-              bool cs_spin = false);
+  /// `cs_spin` selects Fig. 8(d)'s spin shape (kJbbSpinCsLen every
+  /// kJbbSpinCsEvery-th transaction under a ticket spinlock whose waiters
+  /// spin on-CPU) over the default kJbbCsLen / kJbbCsEvery mutex shape.
+  JbbWorkload(int warehouses, sim::Duration run_for, bool cs_spin = false);
   void instantiate(guest::GuestKernel& k) override;
   [[nodiscard]] Serving* serving() override { return &serving_; }
 
  private:
   int warehouses_;
-  sim::Duration cs_len_;
-  int cs_every_;
   bool cs_spin_;
   Serving serving_;
   std::unique_ptr<ServerShape> shape_;
@@ -86,12 +90,11 @@ class JbbWorkload final : public Workload {
 
 class AbWorkload final : public Workload {
  public:
-  AbWorkload(int connections, sim::Duration run_for);
+  explicit AbWorkload(sim::Duration run_for);
   void instantiate(guest::GuestKernel& k) override;
   [[nodiscard]] Serving* serving() override { return &serving_; }
 
  private:
-  int connections_;
   Serving serving_;
   std::unique_ptr<ServerShape> shape_;
 };

@@ -38,10 +38,9 @@ struct AppSpec {
   double jitter = 0.15;
   /// Scales the cache-refill penalty on migration (1.0 = default).
   double memory_intensity = 1.0;
-  /// Pipeline types: number of stages; kWorkSteal: chunks per thread.
+  /// Pipeline types: number of stages, each run by n_threads workers;
+  /// kWorkSteal: chunks per thread.
   int stages = 4;
-  /// Pipeline types: worker threads per stage.
-  int threads_per_stage = 4;
 };
 
 }  // namespace irs::wl

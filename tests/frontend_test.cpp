@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -86,12 +87,13 @@ TEST(Arrivals, PoissonMomentsMatchClosedForm) {
 TEST(Arrivals, MmppMatchesStationaryRateAndIsOverdispersed) {
   wl::ArrivalConfig cfg;
   cfg.kind = wl::ArrivalKind::kMmpp;
-  cfg.rate_hz = 1000.0;  // burst defaults to 4x
-  cfg.calm_dwell_mean = sim::milliseconds(200);
-  cfg.burst_dwell_mean = sim::milliseconds(50);
+  cfg.rate_hz = 1000.0;
   wl::ArrivalProcess p(cfg);
   // Stationary rate: dwell-weighted mix of the two states.
-  const double stationary = (1000.0 * 0.200 + 4000.0 * 0.050) / 0.250;
+  const double dc = sim::to_sec(wl::kMmppCalmDwell);
+  const double db = sim::to_sec(wl::kMmppBurstDwell);
+  const double stationary =
+      (1000.0 * dc + wl::kMmppBurstFactor * 1000.0 * db) / (dc + db);
   EXPECT_DOUBLE_EQ(p.expected_count(sim::seconds(1)), stationary);
   sim::Rng rng(12);
   // Long-run empirical rate over many modulating cycles (~240 dwell pairs
@@ -122,28 +124,24 @@ TEST(Arrivals, DiurnalIntegralMatchesExpectedCount) {
   wl::ArrivalConfig cfg;
   cfg.kind = wl::ArrivalKind::kDiurnal;
   cfg.rate_hz = 1200.0;
-  cfg.diurnal_mult = {0.25, 0.5, 1.0, 2.0, 1.5, 0.75};
-  cfg.diurnal_period = sim::seconds(1);
   wl::ArrivalProcess p(cfg);
   // Closed form: the piecewise-constant integral, segment by segment. The
   // generator's effective period is seg_len * n_segs (integer division of
   // the period), so compute against the same segment length.
-  const sim::Duration seg =
-      cfg.diurnal_period /
-      static_cast<sim::Duration>(cfg.diurnal_mult.size());
+  const auto n_segs = static_cast<sim::Duration>(wl::kDiurnalMult.size());
+  const sim::Duration seg = wl::kDiurnalPeriod / n_segs;
   double full = 0.0;
-  for (const double m : cfg.diurnal_mult) {
+  for (const double m : wl::kDiurnalMult) {
     full += cfg.rate_hz * m * sim::to_sec(seg);
   }
-  const sim::Duration eff_period =
-      seg * static_cast<sim::Duration>(cfg.diurnal_mult.size());
+  const sim::Duration eff_period = seg * n_segs;
   EXPECT_NEAR(p.expected_count(eff_period), full, 1e-6);
   // Partial segments integrate proportionally.
   EXPECT_NEAR(p.expected_count(seg / 2),
-              cfg.rate_hz * 0.25 * sim::to_sec(seg / 2), 1e-9);
+              cfg.rate_hz * wl::kDiurnalMult[0] * sim::to_sec(seg / 2), 1e-9);
   EXPECT_NEAR(p.expected_count(seg + seg / 4),
-              cfg.rate_hz * (0.25 * sim::to_sec(seg) +
-                             0.5 * sim::to_sec(seg / 4)),
+              cfg.rate_hz * (wl::kDiurnalMult[0] * sim::to_sec(seg) +
+                             wl::kDiurnalMult[1] * sim::to_sec(seg / 4)),
               1e-6);
   // Empirical arrival count over 30 effective periods matches the
   // integral (~36k arrivals; Poisson noise is ~0.5%, tolerance 3%).
@@ -176,6 +174,23 @@ TEST(Arrivals, GapStreamIsAPureFunctionOfSeedAndConfig) {
       any_diff = any_diff || ga != c.next_gap(rc);
     }
     EXPECT_TRUE(any_diff) << arrival_kind_name(kind);  // seed matters
+  }
+}
+
+TEST(Arrivals, RejectsANonPositiveRate) {
+  // A rate <= 0 (or NaN) has no gap to draw: it fails naming the field,
+  // never runs on a default rate.
+  for (const double rate : {0.0, -5.0, std::nan("")}) {
+    wl::ArrivalConfig cfg;
+    cfg.rate_hz = rate;
+    try {
+      wl::ArrivalProcess p(cfg);
+      ADD_FAILURE() << "rate " << rate << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rate_hz must be > 0"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -99,7 +99,9 @@ TEST(CfsRunqueue, MatchesTheMultimapOracleOnARandomScript) {
   CfsRunqueue rq;
   MultimapRunqueue ref;
   sim::Rng rng(24);
-  const auto key = [&rng] { return rng.uniform(0, kKeys - 1) * 1000; };
+  const auto key = [&rng] {
+    return static_cast<std::int64_t>(rng.next_below(kKeys)) * 1000;
+  };
   const auto pick = [&](bool want_queued) -> Task* {
     std::vector<int> ids;
     for (int i = 0; i < kTasks; ++i) {

@@ -249,20 +249,6 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
          c->fe_queue_cap = -1;
        },
        "fe_queue_cap must be >= 0"},
-      // Before these checks, a negative critical section ran SPECjbb at the
-      // model's 80 us, and a negative lock cadence at every 2nd transaction.
-      {"negative SPECjbb critical section",
-       [](ScenarioConfig* c) {
-         c->fg = "specjbb";
-         c->jbb_cs_len = -1;
-       },
-       "jbb_cs_len must be >= 0 (got -1)"},
-      {"negative SPECjbb lock cadence",
-       [](ScenarioConfig* c) {
-         c->fg = "specjbb";
-         c->jbb_cs_every = -2;
-       },
-       "jbb_cs_every must be >= 0 (got -2)"},
       {"zero serving time",
        [](ScenarioConfig* c) {
          c->fg = "specjbb";
@@ -326,6 +312,16 @@ TEST(Integration, BadConfigsThrowInvalidArgument) {
          c->slo_window = sim::milliseconds(10);
        },
        "slo_window must be 0 (on) or < 0 (off) (got 10000000)"},
+      // Unchecked, forensics on a foreground that records no request spans
+      // ran with a forensics-sized trace ring and returned an empty block,
+      // and a negative sampler period ran with the sampler off.
+      {"forensics on a non-server foreground",
+       [](ScenarioConfig* c) { c->forensics = true; },
+       "forensics must be off for a non-server foreground (got "
+       "streamcluster)"},
+      {"negative sampler period",
+       [](ScenarioConfig* c) { c->sample_period = -1; },
+       "sample_period must be >= 0 (got -1)"},
   };
   for (const BadConfig& bad : table) {
     ScenarioConfig cfg = quick("streamcluster", core::Strategy::kIrs);

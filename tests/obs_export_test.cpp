@@ -212,7 +212,7 @@ TraceMeta tiny_full_meta() {
 }
 
 TEST(ObsExport, GoldenTinyTrace) {
-  const std::string json = chrome_trace_json(tiny_records(), tiny_meta());
+  const std::string json = chrome_trace_json(tiny_records(), tiny_meta(), {});
   ASSERT_TRUE(balanced_json(json)) << json;
 
   const std::string path = std::string(IRS_GOLDEN_DIR) + "/tiny_trace.json";
@@ -282,15 +282,15 @@ TEST(ObsExport, TinyTraceFullStructure) {
   EXPECT_NE(json.find("\"task\":101"), std::string::npos);
   // Truncation marker sits at the first retained timestamp, not t=0.
   EXPECT_NE(json.find("\"head_us\":1000"), std::string::npos);
-  // Options off ⇒ guest records are ignored (plain overload unchanged).
+  // Options off ⇒ guest records are ignored.
   const std::string plain =
-      chrome_trace_json(tiny_full_records(), tiny_full_meta());
+      chrome_trace_json(tiny_full_records(), tiny_full_meta(), {});
   EXPECT_EQ(plain.find("\"guest tasks\""), std::string::npos);
   EXPECT_EQ(count_occurrences(plain, "\"ph\":\"C\""), 0);
 }
 
 TEST(ObsExport, TinyTraceStructure) {
-  const std::string json = chrome_trace_json(tiny_records(), tiny_meta());
+  const std::string json = chrome_trace_json(tiny_records(), tiny_meta(), {});
   // Lane metadata for both processes and every lane.
   EXPECT_NE(json.find("\"pCPUs\""), std::string::npos);
   EXPECT_NE(json.find("\"vCPUs\""), std::string::npos);
@@ -356,7 +356,7 @@ TEST(ObsRetainedHead, AttributionForensicsAndExporterAgree) {
   ASSERT_EQ(f.classes.size(), 1u);
   EXPECT_EQ(f.classes[0].truncated, 1u);
   EXPECT_EQ(f.classes[0].spans, 0u);
-  const std::string json = chrome_trace_json(merged, m);
+  const std::string json = chrome_trace_json(merged, m, {});
   EXPECT_NE(json.find("\"ts\":2000,\"args\":{\"head_us\":2000,"),
             std::string::npos)
       << json;
@@ -389,7 +389,7 @@ TEST(ObsExport, ScenarioTraceDumpIsWellFormed) {
     EXPECT_LE(dump.records[i - 1].when, dump.records[i].when);
   }
 
-  const std::string json = chrome_trace_json(dump.records, dump.meta);
+  const std::string json = chrome_trace_json(dump.records, dump.meta, {});
   EXPECT_TRUE(balanced_json(json));
   EXPECT_NE(json.find("\"fg/vcpu0\""), std::string::npos);
   EXPECT_NE(json.find("\"bg0/vcpu0\""), std::string::npos);
@@ -400,6 +400,58 @@ TEST(ObsExport, ScenarioTraceDumpIsWellFormed) {
   if (r.lhp > 0) {
     EXPECT_GT(count_occurrences(json, "\"LHP\""), 0);
   }
+}
+
+TEST(ObsExport, ForensicsRendersRequestSpansAndCauseSteps) {
+  // A small specjbb dump under four hogs, so some SLO windows violate.
+  // With the forensics block passed, the exporter draws a "requests"
+  // process with one "req N" span per completed request span (and a
+  // "(open)" one per span still open at the end), and one
+  // "why:<class>:<cause>" counter step per violating window and cause.
+  // Without it there is neither: request lanes come only with forensics.
+  exp::ScenarioConfig cfg;
+  cfg.fg = "specjbb";
+  cfg.bg = "hog";
+  cfg.n_inter = 4;
+  cfg.server_duration = sim::milliseconds(300);
+  cfg.forensics = true;
+  cfg.seed = 1;
+  exp::TraceDump dump;
+  exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
+  ASSERT_FALSE(dump.forensics.empty());
+
+  int req_ends = 0;
+  for (const sim::TraceRecord& r : dump.records) {
+    if (r.kind == sim::TraceKind::kReqEnd) ++req_ends;
+  }
+  std::uint64_t completed = 0;
+  std::uint64_t open = 0;
+  int steps = 0;
+  for (const ForensicsClassResult& c : dump.forensics.classes) {
+    completed += c.spans + c.truncated;
+    open += c.open;
+    steps += static_cast<int>(c.windows.size()) * kNumCauses;
+  }
+  ASSERT_GT(req_ends, 0);
+  ASSERT_GT(steps, 0);
+  EXPECT_EQ(static_cast<std::uint64_t>(req_ends), completed);
+
+  ChromeTraceOptions opt;
+  opt.forensics = &dump.forensics;
+  const std::string json = chrome_trace_json(dump.records, dump.meta, opt);
+  ASSERT_TRUE(balanced_json(json));
+  EXPECT_EQ(count_occurrences(json, "\"requests\""), 1);
+  const int open_spans = count_occurrences(json, " (open)\",\"ph\":\"X\"");
+  EXPECT_EQ(static_cast<std::uint64_t>(open_spans), open);
+  EXPECT_EQ(count_occurrences(json, "\"name\":\"req ") - open_spans,
+            req_ends);
+  EXPECT_EQ(count_occurrences(json, "\"name\":\"why:"), steps);
+  EXPECT_EQ(count_occurrences(json, "\"name\":\"why:jbb:"), steps);
+
+  const std::string plain = chrome_trace_json(dump.records, dump.meta, {});
+  EXPECT_EQ(count_occurrences(plain, "\"requests\""), 0);
+  EXPECT_EQ(count_occurrences(plain, "\"name\":\"req "), 0);
+  EXPECT_EQ(count_occurrences(plain, "\"name\":\"why:"), 0);
 }
 
 TEST(ObsExport, RunWithoutDumpStaysUntraced) {

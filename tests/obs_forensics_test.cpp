@@ -293,7 +293,7 @@ TEST(ForensicsTruncation, WrappedSpansAreReportedNeverCharged) {
           << "capacity " << capacity;
       obs::JsonWriter head_us;  // the exporter's compact number format
       head_us.value(sim::to_us(oldest));
-      EXPECT_NE(obs::chrome_trace_json(dump.records, dump.meta)
+      EXPECT_NE(obs::chrome_trace_json(dump.records, dump.meta, {})
                     .find("\"head_us\":" + head_us.str() + ","),
                 std::string::npos)
           << "capacity " << capacity;
@@ -657,8 +657,6 @@ TEST(ForensicsRootCause, LhpDominatesBaselineViolationsIrsShiftsToRun) {
     cfg.strategy = strategy;
     cfg.server_duration = sim::seconds(1);
     cfg.forensics = true;
-    cfg.jbb_cs_len = sim::microseconds(300);
-    cfg.jbb_cs_every = 1;
     cfg.jbb_cs_spin = true;
     cfg.seed = 1;
     return exp::run_scenario(cfg);

@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,15 +70,31 @@ TEST(ObsSampler, RateChannelDeltasANonCounterSource) {
 }
 
 TEST(ObsSampler, SeriesRingDropsOldestAndCounts) {
-  Series s("x", 3);
-  for (int i = 0; i < 5; ++i) s.push(i, i * 10);
-  EXPECT_EQ(s.size(), 3u);
+  Series s("x");
+  const auto n = static_cast<std::int64_t>(kSeriesCapacity) + 2;
+  for (std::int64_t i = 0; i < n; ++i) s.push(i, i * 10);
+  EXPECT_EQ(s.size(), kSeriesCapacity);
   EXPECT_EQ(s.dropped(), 2u);
-  EXPECT_EQ(s.total(), 5u);
+  EXPECT_EQ(s.total(), static_cast<std::uint64_t>(n));
   const auto out = s.samples();
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].value, 20);  // oldest retained
-  EXPECT_EQ(out[2].value, 40);  // newest
+  ASSERT_EQ(out.size(), kSeriesCapacity);
+  EXPECT_EQ(out.front().value, 20);           // oldest retained
+  EXPECT_EQ(out.back().value, (n - 1) * 10);  // newest
+}
+
+TEST(ObsSampler, RejectsANonPositivePeriod) {
+  // A period <= 0 has no cadence: it fails, never falls back to a default.
+  sim::Engine eng;
+  for (const sim::Duration period : {sim::Duration{0}, sim::Duration{-1}}) {
+    try {
+      Sampler s(eng, period);
+      ADD_FAILURE() << "period " << period << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("period must be > 0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ObsSampler, DigestReflectsSeriesContent) {
@@ -217,7 +234,8 @@ std::uint64_t run_fixture(const exp::ScenarioConfig& cfg,
     cluster::Cluster cl(cc);
     const cluster::CvmId fg = cl.add_vm(0, fg_vm, /*irs_capable=*/true);
     cl.set_protected(fg);
-    cl.attach(fg, wl::make_workload(cfg.fg, wl::WorkloadOptions{}));
+    cl.node(fg.host).attach(fg.vm,
+                            wl::make_workload(cfg.fg, wl::WorkloadOptions{}));
     cl.add_migratable_hog("bg0", cfg.n_inter, cfg.n_inter);
     cl.start();
     cl.run_until_finished(fg, exp::kRunTimeout);

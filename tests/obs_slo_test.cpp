@@ -78,7 +78,7 @@ TEST(SloHistogram, AddClampsOutOfRangeValues) {
 TEST(SloHistogram, SummaryStatsAreExactIntegers) {
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.mean(), 0);
+  EXPECT_EQ(h.sum_lo(), 0u);
   EXPECT_EQ(h.percentile(99), 0);
   std::int64_t sum = 0;
   for (std::int64_t v : {1'000, 2'000, 3'000, 4'000}) {
@@ -88,8 +88,7 @@ TEST(SloHistogram, SummaryStatsAreExactIntegers) {
   EXPECT_EQ(h.count(), 4u);
   EXPECT_EQ(h.min(), 1'000);
   EXPECT_EQ(h.max(), 4'000);
-  EXPECT_EQ(h.mean(), sum / 4);  // count/sum are exact even when buckets
-                                 // quantise — mean never goes through them
+  // count and sum are exact even when buckets quantise.
   EXPECT_EQ(h.sum_lo(), static_cast<std::uint64_t>(sum));
   EXPECT_EQ(h.sum_hi(), 0u);
 }
@@ -125,8 +124,9 @@ TEST(SloHistogram, Percentiles3EqualsThreePercentileCalls) {
     LatencyHistogram h;
     const int n = 1 + static_cast<int>(rng.next_below(3000));
     for (int i = 0; i < n; ++i) {
-      h.add(trial % 2 == 1 ? 1'000 * rng.uniform(1, 4)
-                           : rng.uniform(0, 50'000'000));
+      h.add(trial % 2 == 1
+                ? 1'000 * (1 + static_cast<std::int64_t>(rng.next_below(4)))
+                : static_cast<std::int64_t>(rng.next_below(50'000'001)));
     }
     sim::Duration got[3];
     h.percentiles3(&got[0], &got[1], &got[2]);
@@ -186,7 +186,6 @@ TEST(SloHistogram, MergeIsBitIdenticalToSerialInAnyOrderOrGrouping) {
     for (std::size_t i : order) merged.merge(parts[i]);
     EXPECT_TRUE(merged == serial) << shards << " shards";
     EXPECT_EQ(merged.digest(), serial.digest());
-    EXPECT_EQ(merged.mean(), serial.mean());
     EXPECT_EQ(merged.percentile(99.9), serial.percentile(99.9));
   }
 }

@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -228,12 +227,17 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, Determinism,
 /// formatting is stressed, counters use the full uint64 range.
 RunResult random_result(sim::Rng& rng) {
   RunResult r;
+  // Uniform over [0, INT64_MAX].
+  auto rnd_duration = [&] {
+    return static_cast<sim::Duration>(rng.next_below(std::uint64_t{1} << 63));
+  };
   r.finished = rng.next_below(2) == 1;
-  r.fg_makespan = rng.uniform(0, std::numeric_limits<std::int64_t>::max());
+  r.fg_makespan = rnd_duration();
   auto rnd_double = [&] {
     // Random mantissa at a random decade: exercises fixed and scientific
     // shortest forms, signs, and values with no short decimal expansion.
-    const double mag = std::pow(10.0, static_cast<double>(rng.uniform(-30, 30)));
+    const auto decade = -30 + static_cast<int>(rng.next_below(61));
+    const double mag = std::pow(10.0, static_cast<double>(decade));
     const double v = (rng.next_double() * 2 - 1) * mag;
     return v;
   };
@@ -241,14 +245,14 @@ RunResult random_result(sim::Rng& rng) {
   r.fg_efficiency = rnd_double();
   r.bg_progress_rate = rnd_double();
   r.throughput = rnd_double();
-  r.lat_mean = rng.uniform(0, std::numeric_limits<std::int64_t>::max());
-  r.lat_p99 = rng.uniform(0, std::numeric_limits<std::int64_t>::max());
+  r.lat_mean = rnd_duration();
+  r.lat_p99 = rnd_duration();
   r.lhp = rng.next_u64();
   r.lwp = rng.next_u64();
   r.irs_migrations = rng.next_u64();
   r.sa_sent = rng.next_u64();
   r.sa_acked = rng.next_u64();
-  r.sa_delay_avg = rng.uniform(0, std::numeric_limits<std::int64_t>::max());
+  r.sa_delay_avg = rnd_duration();
   r.sampler_digest = rng.next_u64();
   return r;
 }

@@ -57,15 +57,10 @@ TEST(Rng, NextDoubleInUnitInterval) {
   EXPECT_NEAR(sum / n, 0.5, 0.02);
 }
 
-TEST(Rng, UniformCoversRangeInclusive) {
+TEST(Rng, NextBelowCoversItsRange) {
   Rng r(11);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = r.uniform(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    seen.insert(v);
-  }
+  std::set<std::uint64_t> seen;
+  for (int i = 0; i < 1000; ++i) seen.insert(r.next_below(7));
   EXPECT_EQ(seen.size(), 7u);
 }
 

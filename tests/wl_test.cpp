@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/exp/runner.h"
 #include "src/guest/sched_api.h"
@@ -86,14 +88,26 @@ TEST(Catalogue, PaperCitedShapes) {
   EXPECT_GT(npb_spec("LU").granularity, npb_spec("CG").granularity);
 }
 
-TEST(Registry, ResolvesAllNames) {
-  for (const auto& n : parsec_names()) EXPECT_TRUE(workload_exists(n)) << n;
-  for (const auto& n : npb_names()) EXPECT_TRUE(workload_exists(n)) << n;
-  EXPECT_TRUE(workload_exists("specjbb"));
-  EXPECT_TRUE(workload_exists("ab"));
-  EXPECT_TRUE(workload_exists("frontend"));
-  EXPECT_TRUE(workload_exists("hog"));
-  EXPECT_FALSE(workload_exists("nonexistent"));
+TEST(Registry, ResolvesAllNamesAndRejectsNoThreads) {
+  // Every name builds a workload, and none takes fewer than one thread:
+  // n_threads < 1 fails naming it, never runs on a default.
+  std::vector<std::string> names = parsec_names();
+  for (const auto& n : npb_names()) names.push_back(n);
+  for (const char* n : {"specjbb", "ab", "frontend", "hog"}) names.push_back(n);
+  WorkloadOptions none;
+  none.n_threads = 0;
+  for (const std::string& n : names) {
+    EXPECT_NO_THROW(make_workload(n)) << n;
+    try {
+      make_workload(n, none);
+      ADD_FAILURE() << n << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("n_threads must be >= 1 (got 0)"),
+                std::string::npos)
+          << n << ": " << e.what();
+    }
+  }
+  EXPECT_THROW(make_workload("nonexistent"), std::invalid_argument);
 }
 
 TEST(Registry, WorkScaleShrinksRuntime) {
@@ -455,8 +469,6 @@ TEST(Server, JbbSpinLockMakesLhpAttributionNonzeroUnderHog) {
   cfg.bg = "hog";
   cfg.n_inter = 4;
   cfg.server_duration = sim::milliseconds(400);
-  cfg.jbb_cs_len = sim::microseconds(300);
-  cfg.jbb_cs_every = 1;
   cfg.jbb_cs_spin = true;
   const exp::RunResult spin = exp::run_scenario(cfg);
   ASSERT_TRUE(spin.finished);

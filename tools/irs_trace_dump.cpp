@@ -21,7 +21,8 @@
 //   --forensics      per-request causal forensics: request lanes + per-cause
 //                    "why:" counter tracks in the timeline, plus per-class
 //                    cause-total tables and ranked root-cause tables for
-//                    every SLO-violating window (stdout; server foregrounds)
+//                    every SLO-violating window (stdout). Server
+//                    foregrounds only: with any other --fg it exits 2
 //   --frontend       print the open-loop front-end conservation ledger
 //                    (arrivals/accepted/completed/dropped/shed, queue depth
 //                    and wait; stdout; --fg frontend only)
@@ -339,10 +340,7 @@ int run(int argc, char** argv) {
   opt.guest_lanes = guest_lanes;
   if (counters) opt.counters = &dump.series;
   if (slo) opt.slo = &dump.slo;
-  if (forensics) {
-    opt.request_lanes = true;
-    opt.forensics = &dump.forensics;
-  }
+  if (forensics) opt.forensics = &dump.forensics;
   out << obs::chrome_trace_json(dump.records, dump.meta, opt);
   out.close();
   if (out.fail()) {
@@ -401,15 +399,7 @@ int run(int argc, char** argv) {
       }
     }
   }
-  if (forensics) {
-    if (dump.forensics.empty()) {
-      std::fprintf(stderr,
-                   "note: no forensics data — --forensics needs a server "
-                   "foreground (--fg specjbb, ab or frontend)\n");
-    } else {
-      print_forensics(dump.forensics, csv);
-    }
-  }
+  if (forensics) print_forensics(dump.forensics, csv);
   if (frontend) {
     if (r.frontend.empty()) {
       std::fprintf(stderr,
